@@ -7,6 +7,7 @@ from fractions import Fraction
 from padicsat.linalg import (
     NEG_INF,
     PivotCosts,
+    identity,
     mat_mul,
     matrix,
     permutation_matrix,
@@ -43,11 +44,13 @@ print()
 # pivot_minimal_echelon factors B = U * A * P where U is invertible and P
 # permutes columns.  Pivots are chosen to minimize a p-adic cost: a pivot
 # of large valuation in a column with a large offset is expensive, because
-# eliminating with it smears that valuation over the other rows.
+# eliminating with it smears that valuation over the other rows.  U is not
+# returned; it is applied to the right-hand side block passed in, so passing
+# the identity reads U itself back.
 rng = random.Random(7)
 A = matrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)])
 costs = PivotCosts(prime=3, offsets=(0, 2, NEG_INF, -1), biases=(0, 0, 0, 0))
-result = pivot_minimal_echelon(A, costs)
+result = pivot_minimal_echelon(A, costs, identity(3))
 
 print("A:")
 for row in A:
@@ -58,7 +61,7 @@ for row in result.echelon:
 print("rank:", result.rank, " pivot columns (in permuted order):", result.pivots)
 
 # The factorization is exact and auditable.
-B = mat_mul(result.transform, mat_mul(A, permutation_matrix(result.sigma)))
+B = mat_mul(result.carried, mat_mul(A, permutation_matrix(result.sigma)))
 assert B == result.echelon
 print("checked: B == U * A * P entry for entry")
 

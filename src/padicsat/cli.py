@@ -9,7 +9,7 @@ Witness coordinates are power sums over the instance's prime, serialized as
 coefficients as strings; plain rational coordinates use "p": 0 and a single
 term at exponent 0.  A "value" field with the exact rational value is added
 whenever materializing it fits under the exponent guard (see --guard and the
-PADIC_GUARD environment variable).
+PADIC_GUARD environment variable) and the interpreter can print its digits.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .combiner import solve_combined
@@ -97,8 +98,8 @@ def _coordinate_json(value, guard: int) -> dict:
         }
         try:
             out["value"] = str(value.materialize(guard))
-        except OverflowGuardError:
-            pass
+        except (OverflowGuardError, ValueError):
+            pass  # past the guard, or past the interpreter's digit limit
         return out
     q = as_fraction(value)
     return {"p": 0, "terms": [[str(q), 0]], "value": str(q)}
@@ -134,7 +135,7 @@ def _cmd_solve(args) -> int:
     guard = args.guard if args.guard is not None else _default_guard()
     inst = parse_instance(_read_source(args.file))
     started = time.perf_counter()
-    verdict = solve_combined(inst, window=args.window, threads=args.threads)
+    verdict = solve_combined(inst, window=args.window)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     fragment = _fragment_string(inst)
     if args.json:
@@ -321,9 +322,6 @@ def _build_parser() -> _ArgumentParser:
         help="assume v >= W when a search would otherwise be unbounded below",
     )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
-    p_solve.add_argument(
-        "--threads", type=int, default=1, metavar="N", help="parallel branch workers"
-    )
     add_guard(p_solve)
     p_solve.set_defaults(run=_cmd_solve)
 
@@ -390,6 +388,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (InternalError, OverflowGuardError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other crash must not surface as exit 1, which means unsat
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -12,7 +12,8 @@ solve_combined() then runs the valuation side against the equality system
 augmented with the converted rows.  Each prime is dispatched independently;
 with several primes, or with both orders and valuations, the combined
 satisfiable answer is decision-only (witness None) and the per-part evidence
-sits in the diagnostics.  Purely rational instances get an exact witness.
+sits in the diagnostics.  Purely rational instances get an exact witness,
+re-checked by testkit.verify_witness before it is returned.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     normalize,
 )
 from .simplex import LpFeasible, LpInfeasible, lp_feasible
+from .testkit import verify_witness
 
 Rows = list[tuple[tuple[Fraction, ...], Fraction]]
 
@@ -119,23 +121,9 @@ def _order_blocks(inst: Instance):
     return weak, strict
 
 
-def _check_order_witness(inst: Instance, x: tuple[Fraction, ...]) -> bool:
-    for eq in inst.equations:
-        if sum(c * v for c, v in zip(eq.coeffs, x)) != eq.rhs:
-            return False
-    for oc in inst.orders:
-        total = sum(c * v for c, v in zip(oc.coeffs, x))
-        if oc.rel == "<=" and total > oc.rhs:
-            return False
-        if oc.rel == "<" and total >= oc.rhs:
-            return False
-    return True
-
-
 def solve_combined(
     inst: Instance,
     window: int | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Full decision procedure: equations, valuations, and order constraints.
 
@@ -146,17 +134,10 @@ def solve_combined(
     """
     norm = normalize(inst)
     if isinstance(norm, ImmediateUnsat):
-        return Verdict.unsat(
-            "empty-window",
-            f"v_{norm.prime}({norm.var}): {norm.reason}",
-            prime=norm.prime,
-            var=norm.var,
-        )
+        return norm.verdict()
     primes = norm.primes
     if not inst.orders and len(primes) <= 1:
-        return solve_single_prime(
-            norm, primes[0] if primes else None, window, threads
-        )
+        return solve_single_prime(norm, primes[0] if primes else None, window)
 
     diagnostics: dict = {"parts": {}}
     equalities: Rows = [(eq.coeffs, eq.rhs) for eq in inst.equations]
@@ -194,12 +175,7 @@ def solve_combined(
     )
     sub_norm = normalize(sub)
     if isinstance(sub_norm, ImmediateUnsat):
-        return Verdict.unsat(
-            "empty-window",
-            f"v_{sub_norm.prime}({sub_norm.var}): {sub_norm.reason}",
-            prime=sub_norm.prime,
-            var=sub_norm.var,
-        )
+        return sub_norm.verdict()
     unknowns = []
     for p in primes:
         per_prime = NormalizedInstance(
@@ -209,7 +185,7 @@ def solve_combined(
             kinds={p: sub_norm.kinds.get(p, frozenset())},
             orders=(),
         )
-        verdict = solve_single_prime(per_prime, p, window, threads)
+        verdict = solve_single_prime(per_prime, p, window)
         diagnostics["parts"][p] = verdict.status.value
         if verdict.is_unsat:
             return Verdict.unsat(
@@ -236,9 +212,10 @@ def solve_combined(
         )
     if inst.orders and not primes:
         # purely rational: the averaged strict point is a full witness
-        if order_witness is None or not _check_order_witness(inst, order_witness):
-            raise InternalError("order witness lost")  # pragma: no cover
         witness = dict(zip(inst.variables, order_witness))
+        check = verify_witness(inst, witness)
+        if not check:
+            raise InternalError(f"order witness rejected: {check.detail}")  # pragma: no cover
         return Verdict(Status.SAT, witness=witness, diagnostics=diagnostics)
     if order_witness is not None:
         diagnostics["order-witness"] = dict(zip(inst.variables, order_witness))

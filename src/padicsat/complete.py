@@ -21,12 +21,18 @@ States whose lower-bound relaxation is already unsatisfiable are pruned.  A
 component mixing unbounded directions cannot be enumerated; it yields Unknown
 unless a search window is supplied, in which case an exhausted search reports
 "unsat-within-window" (still Unknown: solutions below the window may exist).
+
+The search is one sequential depth-first loop: children are generated lazily
+and tried in order, and the first satisfiable child ends the search, so a
+wide valuation window costs only the candidates actually tried.  Window
+emptiness and edge trimming work on the excluded set, never on the window's
+width.  A satisfiable answer is re-checked against the normalized instance
+before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +64,7 @@ class _Prof:
     def empty(self) -> bool:
         lo, up = self.lower, self.upper
         if is_finite(lo) and is_finite(up):
-            if lo > up:
-                return True
-            return all(v in self.excluded for v in range(lo, up + 1))
+            return up - lo + 1 <= sum(1 for d in self.excluded if lo <= d <= up)
         return False
 
 
@@ -86,10 +90,9 @@ class _State:
 
 
 class _Search:
-    def __init__(self, prime: int, window: int | None, threads: int):
+    def __init__(self, prime: int, window: int | None):
         self.prime = prime
         self.window = window
-        self.threads = threads
         self.fresh = itertools.count()
 
     def fresh_var(self) -> str:
@@ -245,41 +248,52 @@ def _tighten_singletons(state: _State) -> None:
             continue
         if not prof.excluded:
             continue
-        candidates = [
-            v for v in range(prof.lower, prof.upper + 1) if v not in prof.excluded
-        ]
-        if not candidates:
+        # each step passes one excluded value, so at most |excluded| steps
+        lo, up = prof.lower, prof.upper
+        while lo <= up and lo in prof.excluded:
+            lo += 1
+        while up >= lo and up in prof.excluded:
+            up -= 1
+        if lo > up:
             continue  # caught by the emptiness check
-        prof.lower = candidates[0]
-        prof.upper = candidates[-1]
-        prof.excluded = frozenset(
-            d for d in prof.excluded if prof.lower < d < prof.upper
-        )
+        prof.lower = lo
+        prof.upper = up
+        prof.excluded = frozenset(d for d in prof.excluded if lo < d < up)
 
 
-def _relaxation_prunes(state: _State) -> bool:
-    """True if even the lower-bound relaxation of this state is unsatisfiable."""
+def _geq_problem(
+    state: _State, members: list[str], eqs: list[Equation]
+) -> GeqProblem:
+    """The lower-bound problem of eqs, one column per member in list order.
+
+    At p = 2 a valuation pinned to an admissible value becomes the echelon
+    solver's exact flag.
+    """
     p = state.prime
-    order = sorted(state.profiles)
-    index = {v: j for j, v in enumerate(order)}
-    a = [[Fraction(0)] * len(order) for _ in state.equations]
-    b = []
-    for i, (coeffs, rhs) in enumerate(state.equations):
+    index = {v: j for j, v in enumerate(members)}
+    a = [[Fraction(0)] * len(members) for _ in eqs]
+    for row, (coeffs, _) in zip(a, eqs):
         for var, c in coeffs.items():
-            a[i][index[var]] = c
-        b.append(rhs)
-    floors = []
-    exact = []
-    for var in order:
-        prof = state.profiles[var]
-        floors.append(prof.lower)
-        exact.append(
+            row[index[var]] = c
+    profs = [state.profiles[v] for v in members]
+    return GeqProblem.of(
+        a,
+        [rhs for _, rhs in eqs],
+        p,
+        tuple(prof.lower for prof in profs),
+        tuple(
             p == 2
             and is_finite(prof.lower)
             and prof.lower == prof.upper
             and prof.lower not in prof.excluded
-        )
-    problem = GeqProblem.of(a, b, p, tuple(floors), tuple(exact))
+            for prof in profs
+        ),
+    )
+
+
+def _relaxation_prunes(state: _State) -> bool:
+    """True if even the lower-bound relaxation of this state is unsatisfiable."""
+    problem = _geq_problem(state, sorted(state.profiles), state.equations)
     return solve_geq(problem).is_unsat
 
 
@@ -307,9 +321,11 @@ def _branch_target(state: _State) -> tuple[str, str, object] | None:
     if best is not None:
         var = best[1]
         prof = state.profiles[var]
-        candidates = [
-            v for v in range(prof.lower, prof.upper + 1) if v not in prof.excluded
-        ]
+        excluded = prof.excluded
+        # lazy: the search stops at the first satisfiable candidate
+        candidates = (
+            v for v in range(prof.lower, prof.upper + 1) if v not in excluded
+        )
         return ("window", var, candidates)
     for var in sorted(state.profiles):
         prof = state.profiles[var]
@@ -362,27 +378,15 @@ def _components(state: _State) -> list[tuple[list[str], list[Equation]]]:
 def _solve_component(
     state: _State, members: list[str], eqs: list[Equation]
 ) -> Verdict:
-    p = state.prime
-    index = {v: j for j, v in enumerate(members)}
-    a = [[Fraction(0)] * len(members) for _ in eqs]
-    b = []
-    for i, (coeffs, rhs) in enumerate(eqs):
-        for var, c in coeffs.items():
-            a[i][index[var]] = c
-        b.append(rhs)
+    problem = _geq_problem(state, members, eqs)
     if all(_geq_compatible(state, v) for v in members):
-        floors = []
-        exact = []
-        for var in members:
-            prof = state.profiles[var]
-            pinned = p == 2 and is_finite(prof.lower) and prof.lower == prof.upper
-            floors.append(prof.lower)
-            exact.append(pinned)
-        verdict = solve_geq(GeqProblem.of(a, b, p, tuple(floors), tuple(exact)))
+        verdict = solve_geq(problem)
     elif all(state.profiles[v].lower == NEG_INF for v in members):
         caps = tuple(state.profiles[v].upper for v in members)
         excluded = tuple(state.profiles[v].excluded for v in members)
-        verdict = solve_leq(LeqProblem.of(a, b, p, caps, excluded))
+        verdict = solve_leq(
+            LeqProblem.of(problem.A, problem.b, state.prime, caps, excluded)
+        )
     else:
         return Verdict.unknown(
             "mixed-unbounded",
@@ -463,10 +467,13 @@ def _children(state: _State, target: tuple[str, str, object], search: _Search):
             prof.excluded = frozenset()
             yield child
     elif kind == "digit":
-        for digit in range(1, state.prime):
+        # name every digit's fresh variable before the first child is solved,
+        # so the names (and with them the sorted branch order) do not depend
+        # on how deep earlier children search
+        fresh = [search.fresh_var() for _ in range(1, state.prime)]
+        for digit, name in zip(range(1, state.prime), fresh):
             child = state.copy()
-            fresh = search.fresh_var()
-            if _substitute_digit(child, var, digit, data, fresh):
+            if _substitute_digit(child, var, digit, data, name):
                 yield child
     else:  # split around an excluded value above the lower bound
         low = state.copy()
@@ -481,17 +488,7 @@ def _children(state: _State, target: tuple[str, str, object], search: _Search):
         yield high
 
 
-def _merge(results: list[Verdict]) -> Verdict:
-    for verdict in results:
-        if verdict.is_sat:
-            return verdict
-    for verdict in results:
-        if verdict.is_unknown:
-            return verdict
-    return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
-
-
-def _solve_state(state: _State, search: _Search, parallel: bool = False) -> Verdict:
+def _solve_state(state: _State, search: _Search) -> Verdict:
     failed = _check_profiles(state)
     if failed is not None:
         return failed
@@ -509,23 +506,22 @@ def _solve_state(state: _State, search: _Search, parallel: bool = False) -> Verd
     target = _branch_target(state)
     if target is None:
         return _solve_leaves(state, search)
-    children = list(_children(state, target, search))
-    if not children:
+    explored = False
+    unknown: Verdict | None = None
+    for child in _children(state, target, search):
+        explored = True
+        verdict = _solve_state(child, search)
+        if verdict.is_sat:
+            return verdict
+        if verdict.is_unknown and unknown is None:
+            unknown = verdict
+    if not explored:
         return Verdict.unsat(
             "branches-exhausted", f"no admissible branch for {target[1]}"
         )
-    if parallel and search.threads > 1 and len(children) > 1:
-        # deterministic merge: wait for every child, then pick in child order
-        with ThreadPoolExecutor(max_workers=search.threads) as pool:
-            results = list(pool.map(lambda c: _solve_state(c, search), children))
-    else:
-        results = []
-        for child in children:
-            verdict = _solve_state(child, search)
-            results.append(verdict)
-            if verdict.is_sat:
-                break
-    return _merge(results)
+    if unknown is not None:
+        return unknown
+    return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
 
 def _verify_internal(
@@ -547,7 +543,6 @@ def solve_complete(
     norm: NormalizedInstance,
     prime: int | None = None,
     window: int | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Decide a single-prime normalized instance with arbitrary bound mix.
 
@@ -580,8 +575,8 @@ def solve_complete(
         prof = norm.profile(prime, var)
         profiles[var] = _Prof(prof.lower, prof.upper, prof.excluded)
     state = _State(prime, equations, profiles)
-    search = _Search(prime, window, threads)
-    verdict = _solve_state(state, search, parallel=threads > 1)
+    search = _Search(prime, window)
+    verdict = _solve_state(state, search)
     if verdict.is_sat:
         names = set(norm.variables)
         witness = {

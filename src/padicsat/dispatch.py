@@ -59,7 +59,6 @@ def solve_single_prime(
     norm: NormalizedInstance,
     p: int | None,
     window: int | None = None,
-    threads: int = 1,
 ) -> Verdict:
     if norm.orders:
         raise InputError("order constraints must go through the combiner")
@@ -83,7 +82,7 @@ def solve_single_prime(
     elif frag is Fragment.HARD:
         from .complete import solve_complete
 
-        verdict = solve_complete(norm, p, window=window, threads=threads)
+        verdict = solve_complete(norm, p, window=window)
     else:
         return solve_single_prime(norm, None, window)
     verdict.diagnostics["fragment"] = frag.value
@@ -93,7 +92,6 @@ def solve_single_prime(
 def solve_instance(
     inst: Instance,
     window: int | None = None,
-    threads: int = 1,
 ) -> Verdict:
     """Decide a single-prime instance (no order constraints).
 
@@ -104,13 +102,8 @@ def solve_instance(
         raise InputError("order constraints must go through the combiner")
     res = normalize(inst)
     if isinstance(res, ImmediateUnsat):
-        return Verdict.unsat(
-            "empty-window",
-            f"v_{res.prime}({res.var}): {res.reason}",
-            prime=res.prime,
-            var=res.var,
-        )
+        return res.verdict()
     primes = res.primes
     if len(primes) > 1:
         raise InputError("multi-prime instances must go through the combiner")
-    return solve_single_prime(res, primes[0] if primes else None, window, threads)
+    return solve_single_prime(res, primes[0] if primes else None, window)

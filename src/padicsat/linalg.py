@@ -75,11 +75,6 @@ def mat_vec(A: Matrix, x: Vector) -> Vector:
     return [sum((A[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(m)]
 
 
-def transpose(A: Matrix) -> Matrix:
-    m, n = dims(A)
-    return [[A[i][j] for i in range(m)] for j in range(n)]
-
-
 def permutation_matrix(sigma: tuple[int, ...]) -> Matrix:
     """P with P[i][j] = 1 iff j == sigma[i] (so P acts on columns from the right)."""
     n = len(sigma)
@@ -240,9 +235,13 @@ class PivotCosts:
 
 @dataclass
 class EchelonResult:
-    """B = transform @ A @ P(sigma), in row echelon form with cost-minimal pivots."""
+    """B = U @ A @ P(sigma), in row echelon form with cost-minimal pivots.
 
-    transform: Matrix           # invertible m x m
+    U is the invertible m x m product of the row operations; it is not kept,
+    only its action on the caller's right-hand sides (carried = U @ rhs).
+    """
+
+    carried: Matrix             # U @ rhs, m x k
     sigma: tuple[int, ...]      # column permutation; B's col j holds A's col sigma^-1(j)
     echelon: Matrix
     pivots: tuple[int, ...]     # pivot column positions of the nonzero rows
@@ -252,7 +251,7 @@ class EchelonResult:
         return len(self.pivots)
 
 
-def pivot_minimal_echelon(A: Matrix, costs: PivotCosts) -> EchelonResult:
+def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonResult:
     """Gaussian elimination with full column choice by minimal pivot cost.
 
     At each step the working submatrix's top row is made nonzero by a row
@@ -260,14 +259,20 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts) -> EchelonResult:
     diagonal position, and the entries below it are eliminated.  The result is
     a row echelon form in which every pivot minimizes the cost over its row's
     remaining columns.
+
+    rhs is an m x k block that undergoes the same row operations as A; pass
+    the right-hand side of A x = b as one column, or identity(m) to read the
+    transform U itself from the result's carried block.
     """
     m, n = dims(A)
     if m == 0:
         n = len(costs.offsets)  # no rows: take the width from the costs
     elif len(costs.offsets) != n:
         raise InputError("cost vector length does not match column count")
+    if len(rhs) != m:
+        raise InputError("rhs row count does not match the matrix")
     B = [row[:] for row in matrix(A)] if A else []
-    U = identity(m)
+    R = matrix(rhs)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     r = 0
     while r < m and r < n:
@@ -279,7 +284,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts) -> EchelonResult:
             if swap is None:
                 break
             B[r], B[swap] = B[swap], B[r]
-            U[r], U[swap] = U[swap], U[r]
+            R[r], R[swap] = R[swap], R[r]
         best = min(
             range(r, n), key=lambda j: (costs.doubled_cost(B[r][j], col_of[j]), j)
         )
@@ -292,7 +297,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts) -> EchelonResult:
             if B[i][r] != 0:
                 factor = B[i][r] / pivot
                 B[i] = [B[i][j] - factor * B[r][j] for j in range(n)]
-                U[i] = [U[i][j] - factor * U[r][j] for j in range(m)]
+                R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
         r += 1
     pivots = []
     for i in range(len(B)):
@@ -303,7 +308,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts) -> EchelonResult:
     sigma = [0] * n
     for pos, orig in enumerate(col_of):
         sigma[orig] = pos
-    return EchelonResult(U, tuple(sigma), B, tuple(pivots))
+    return EchelonResult(R, tuple(sigma), B, tuple(pivots))
 
 
 # ---------------------------------------------------------------------------

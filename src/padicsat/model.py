@@ -159,6 +159,14 @@ class ImmediateUnsat:
     var: str
     reason: str
 
+    def verdict(self) -> "Verdict":
+        return Verdict.unsat(
+            "empty-window",
+            f"v_{self.prime}({self.var}): {self.reason}",
+            prime=self.prime,
+            var=self.var,
+        )
+
 
 @dataclass
 class NormalizedInstance:

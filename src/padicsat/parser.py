@@ -87,19 +87,31 @@ class _Line:
             )
 
 
+def _to_int(line: _Line, text: str, col: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int conversion limit
+        raise ParseError(
+            f"number with {len(text)} characters is too long", line.number, col
+        ) from None
+
+
 def _rational(line: _Line, what: str = "a rational number") -> Fraction:
     _, text, col = line.take("num", what=what)
     num, slash, den = text.partition("/")
-    if slash and int(den) == 0:
+    if not slash:
+        return Fraction(_to_int(line, num, col))
+    d = _to_int(line, den, col)
+    if d == 0:
         raise ParseError("zero denominator", line.number, col)
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(_to_int(line, num, col), d)
 
 
 def _integer(line: _Line, what: str = "an integer") -> int:
     _, text, col = line.take("num", what=what)
     if "/" in text:
         raise ParseError(f"expected {what}, found the fraction {text}", line.number, col)
-    return int(text)
+    return _to_int(line, text, col)
 
 
 def _linear_row(line: _Line, variables, stop_ops, line_kind: str):

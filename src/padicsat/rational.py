@@ -38,35 +38,6 @@ def is_finite(v: ExtInt) -> bool:
     return v != INF and v != NEG_INF
 
 
-def ext_add(a: ExtInt, b: ExtInt) -> ExtInt:
-    """Addition on Z u {-inf, +inf}.
-
-    The mixed case inf + (-inf) is deliberately rejected so that bugs surface;
-    the one algorithm that needs a convention for it goes through
-    :meth:`PivotCosts.doubled_cost` instead.
-    """
-    if (a == INF and b == NEG_INF) or (a == NEG_INF and b == INF):
-        raise ArithmeticError("ext_add of opposite infinities is undefined")
-    if not is_finite(a):
-        return a
-    if not is_finite(b):
-        return b
-    return a + b
-
-
-def pivot_sum(a: ExtInt, b: ExtInt) -> ExtInt:
-    """Extended addition where +inf absorbs: inf + (-inf) = inf.
-
-    This is the convention used when ranking pivot candidates (a zero entry
-    must never win a pivot contest, even in a column whose bound is -inf).
-    """
-    if a == INF or b == INF:
-        return INF
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # primality
 

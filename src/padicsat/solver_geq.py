@@ -22,7 +22,6 @@ from .linalg import (
     EchelonResult,
     PivotCosts,
     inverse_permutation,
-    mat_vec,
     matrix,
     pivot_minimal_echelon,
     vector,
@@ -97,10 +96,10 @@ def solve_geq(prob: GeqProblem) -> Verdict:
     n = len(prob.floors)
     m = len(prob.A)
     result: EchelonResult = pivot_minimal_echelon(
-        [list(r) for r in prob.A], prob.costs()
+        [list(r) for r in prob.A], prob.costs(), [[x] for x in prob.b]
     )
     B = result.echelon
-    b2 = mat_vec(result.transform, list(prob.b))
+    b2 = [row[0] for row in result.carried]
     col_of = inverse_permutation(result.sigma)  # position -> original column
     floors2 = [prob.floors[col_of[j]] for j in range(n)]
     exact2 = [prob.exact[col_of[j]] for j in range(n)]

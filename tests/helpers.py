@@ -9,7 +9,7 @@ from padicsat.linalg import (
     mat_mul,
     permutation_matrix,
 )
-from padicsat.rational import INF, NEG_INF, is_finite, pivot_sum, valuation
+from padicsat.rational import INF, NEG_INF, is_finite, valuation
 
 
 def rand_matrix(rng, m, n, mag=9, density=1.0):
@@ -50,13 +50,15 @@ def assert_echelon_shape(B):
 def assert_echelon_result(A, costs, result):
     """Full audit of a cost-minimal echelon result.
 
-    Checks the factorization B = U A P, invertibility of U, echelon shape,
+    The result must come from pivot_minimal_echelon(A, costs, identity(m)),
+    so that its carried block is the transform U.  Checks the factorization
+    B = U A P, invertibility of U, echelon shape,
     pivot cost minimality along each pivot row, and the two derived
     minimality facts (cost without bias, cost with full bias) that the
     >=-solver relies on.
     """
     m, n = dims(A) if A else (0, 0)
-    B, U, sigma = result.echelon, result.transform, result.sigma
+    B, U, sigma = result.echelon, result.carried, result.sigma
     P = permutation_matrix(sigma)
     assert mat_mul(U, mat_mul(A, P)) == B
     assert determinant(U) != 0

@@ -16,7 +16,13 @@ from fractions import Fraction
 from helpers import assert_echelon_result, rand_matrix
 
 from padicsat.dispatch import solve_instance
-from padicsat.linalg import PivotCosts, mat_mul, mat_vec, pivot_minimal_echelon
+from padicsat.linalg import (
+    PivotCosts,
+    identity,
+    mat_mul,
+    mat_vec,
+    pivot_minimal_echelon,
+)
 from padicsat.model import (
     Equation,
     ImmediateUnsat,
@@ -399,7 +405,7 @@ def test_acceptance_07_echelon_properties(capsys):
                     for j in range(n)
                 )
                 costs = PivotCosts(p, offsets, biases)
-                result = pivot_minimal_echelon(A, costs)
+                result = pivot_minimal_echelon(A, costs, identity(m))
                 assert_echelon_result(A, costs, result)
                 audits += 1
         assert audits == 600

@@ -93,6 +93,25 @@ def test_solve_guard_controls_value_field(tmp_path, capsys):
     assert "value" not in without_value["witness"]["x"]
 
 
+def test_solve_json_omits_value_past_digit_limit(monkeypatch, capsys):
+    # 3**20000 fits under the exponent guard but has more decimal digits
+    # than the interpreter converts to a string
+    monkeypatch.setattr("sys.stdin", io.StringIO("vars x\nval 3 : v(x) >= 20000\n"))
+    assert main(["solve", "-", "--json", "--witness"]) == 0
+    entry = json.loads(capsys.readouterr().out)["witness"]["x"]
+    assert entry["terms"] == [["1", 20000]]
+    assert "value" not in entry
+
+
+def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("padicsat.cli.solve_combined", crash)
+    assert main(["solve", write(tmp_path, "sat.txt", SAT_GEQ)]) == 4
+    assert "internal failure: RuntimeError: boom" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_witness(tmp_path, capsys):
     path = write(tmp_path, "sat.txt", SAT_GEQ)
     witness_path = tmp_path / "bad.json"
@@ -164,6 +183,8 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()
     assert main(["solve", "--no-such-flag"]) == 3
+    capsys.readouterr()
+    assert main(["solve", "--threads", "2", write(tmp_path, "sat.txt", SAT_GEQ)]) == 3
     capsys.readouterr()
     assert main(["solve", str(tmp_path / "missing.txt")]) == 3
     assert "cannot read" in capsys.readouterr().err

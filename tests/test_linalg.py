@@ -72,7 +72,7 @@ def test_solve_affine_properties():
 def test_echelon_frozen_example():
     # [[2, 1]] at p = 2 with zero offsets: the 1 is the cheaper pivot, so the
     # columns swap
-    res = pivot_minimal_echelon(matrix([[2, 1]]), PivotCosts.uniform(2, 2))
+    res = pivot_minimal_echelon(matrix([[2, 1]]), PivotCosts.uniform(2, 2), identity(1))
     assert res.echelon == [[Fraction(1), Fraction(2)]]
     assert res.sigma == (1, 0)
     assert res.pivots == (0,)
@@ -80,17 +80,19 @@ def test_echelon_frozen_example():
 
 
 def test_echelon_neg_inf_offset_wins():
-    # a -inf column offset makes any nonzero entry there the cheapest pivot
-    A = matrix([[4, 1]])
+    # a -inf column offset makes any nonzero entry there the cheapest pivot,
+    # but a zero entry never pivots, even under a -inf offset
     costs = PivotCosts(2, (0, NEG_INF), (0, 0))
-    res = pivot_minimal_echelon(A, costs)
-    assert res.sigma == (1, 0)  # the -inf column moved to the front
-    assert_echelon_result(A, costs, res)
+    for rows, sigma in (([[4, 1]], (1, 0)), ([[4, 0]], (0, 1))):
+        A = matrix(rows)
+        res = pivot_minimal_echelon(A, costs, identity(1))
+        assert res.sigma == sigma
+        assert_echelon_result(A, costs, res)
 
 
 def test_echelon_zero_matrix():
     A = matrix([[0, 0], [0, 0]])
-    res = pivot_minimal_echelon(A, PivotCosts.uniform(3, 2))
+    res = pivot_minimal_echelon(A, PivotCosts.uniform(3, 2), identity(2))
     assert res.pivots == ()
     assert res.echelon == A
     assert_echelon_result(A, PivotCosts.uniform(3, 2), res)
@@ -111,8 +113,12 @@ def test_echelon_random_properties():
                 for j in range(n)
             )
             costs = PivotCosts(p, offsets, biases)
-            res = pivot_minimal_echelon(A, costs)
+            res = pivot_minimal_echelon(A, costs, identity(m))
             assert_echelon_result(A, costs, res)
+            # a right-hand side column is carried through the same row operations
+            b = [[sum(row)] for row in A]
+            carried = pivot_minimal_echelon(A, costs, b).carried
+            assert carried == mat_mul(res.carried, b)
 
 
 def test_echelon_entry_growth_polynomial():
@@ -129,7 +135,7 @@ def test_echelon_entry_growth_polynomial():
     growth = []
     for n in sizes:
         A = rand_matrix(rng, n, n, mag=9)
-        res = pivot_minimal_echelon(A, PivotCosts.uniform(2, n))
+        res = pivot_minimal_echelon(A, PivotCosts.uniform(2, n), identity(n))
         growth.append(max_bits(res.echelon))
     for n, bits in zip(sizes, growth):
         assert bits <= 8 * n * 5  # linear-in-n bound with generous constant

@@ -83,6 +83,19 @@ def test_parse_error_positions():
     assert "trailing input 'junk'" in str(err.value)
 
 
+def test_parse_rejects_numbers_past_the_digit_limit():
+    long = "7" * 5000
+    for text, column in (
+        (f"vars x\neq {long} x = 1\n", 4),
+        (f"vars x\neq 1 x = 1/{long}\n", 10),
+        (f"vars x\nval 3 : v(x) >= {long}\n", 17),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.column) == (2, column)
+        assert "too long" in str(err.value)
+
+
 def test_parse_requires_vars_first():
     with pytest.raises(ParseError) as err:
         parse_instance("eq 1 x = 0\nvars x\n")

@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 
 from padicsat.errors import InputError, OverflowGuardError
+from padicsat.linalg import PivotCosts
 from padicsat.rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
     NEG_INF,
     PowerSum,
-    ext_add,
     int_valuation,
     is_prime,
     leading_digit,
-    pivot_sum,
     valuation,
 )
 
@@ -109,21 +108,13 @@ def test_leading_digit_rejects_zero():
         leading_digit(0, 3)
 
 
-def test_ext_add_rejects_mixed_infinities():
-    assert ext_add(INF, 3) == INF
-    assert ext_add(NEG_INF, NEG_INF) == NEG_INF
-    assert ext_add(4, 5) == 9
-    with pytest.raises(ArithmeticError):
-        ext_add(INF, NEG_INF)
-    with pytest.raises(ArithmeticError):
-        ext_add(NEG_INF, INF)
-
-
 def test_pivot_sum_convention():
-    # +inf absorbs, so a zero entry can never win a pivot contest
-    assert pivot_sum(INF, NEG_INF) == INF
-    assert pivot_sum(NEG_INF, 5) == NEG_INF
-    assert pivot_sum(2, 3) == 5
+    # +inf absorbs in the pivot cost, so a zero entry can never win a pivot
+    # contest, even in a column whose offset is -inf
+    costs = PivotCosts(2, (NEG_INF, 3), (0, 1))
+    assert costs.doubled_cost(Fraction(0), 0) == INF
+    assert costs.doubled_cost(Fraction(5), 0) == NEG_INF
+    assert costs.doubled_cost(Fraction(4), 1) == 2 * 2 + 2 * 3 + 1
 
 
 def test_powersum_normal_form():
