@@ -2,7 +2,9 @@
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 3 usage or input
 errors, 4 internal failures.  `solve --json` emits one JSON object with the
-status, the fragment classification, an optional witness, and basic stats.
+status, the fragment classification, an optional witness, and basic stats;
+infinite diagnostic values, such as an unbounded threshold, are written as
+the strings "inf" and "-inf", since JSON has no infinity.
 
 Witness coordinates are power sums over the instance's prime, serialized as
 {"p": prime, "terms": [[coefficient, exponent], ...]} with rational
@@ -35,16 +37,8 @@ from .model import (
     normalize,
 )
 from .parser import parse_instance, serialize_instance
-from .rational import DEFAULT_EXPONENT_GUARD, PowerSum, as_fraction
-from .solver_geq import solve_geq
-from .solver_leq import solve_leq
-from .testkit import (
-    random_instance,
-    sized_geq_problem,
-    sized_leq_problem,
-    smith_oracle_geq,
-    verify_witness,
-)
+from .rational import DEFAULT_EXPONENT_GUARD, INF, NEG_INF, PowerSum, as_fraction
+from .testkit import random_instance, smith_oracle_geq, verify_witness
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -122,6 +116,9 @@ def _fragment_string(inst: Instance) -> str | None:
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, float) and obj in (INF, NEG_INF):
+        # JSON has no infinity; json.dumps would print a bare Infinity
+        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
@@ -162,7 +159,7 @@ def _cmd_solve(args) -> int:
             )
         if verdict.diagnostics and args.witness:
             payload["diagnostics"] = _jsonable(verdict.diagnostics)
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     else:
         print(verdict.status.value)
         if verdict.code:
@@ -182,6 +179,27 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
+def _exponent(e) -> int:
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise InputError(f"exponent {e!r} is not an integer")
+    return e
+
+
+def _coordinate_from_json(entry):
+    if isinstance(entry, str):
+        return Fraction(entry)
+    if not isinstance(entry, dict):
+        raise InputError("must be a string or an object")
+    p = entry.get("p")
+    # as_fraction refuses JSON floats, which would round exact coefficients
+    terms = [(as_fraction(c), _exponent(e)) for c, e in entry.get("terms", [])]
+    if p == 0:
+        if len(terms) != 1 or terms[0][1] != 0:
+            raise InputError("a rational coordinate must have one term at exponent 0")
+        return terms[0][0]
+    return PowerSum(p, tuple(terms))
+
+
 def _witness_from_json(raw: str) -> dict:
     try:
         data = json.loads(raw)
@@ -191,23 +209,10 @@ def _witness_from_json(raw: str) -> dict:
         raise InputError("witness JSON must be an object mapping variables")
     witness = {}
     for var, entry in data.items():
-        if isinstance(entry, str):
-            witness[var] = Fraction(entry)
-        elif isinstance(entry, dict):
-            p = entry.get("p")
-            terms = entry.get("terms", [])
-            if p == 0:
-                if len(terms) != 1 or terms[0][1] != 0:
-                    raise InputError(
-                        f"rational coordinate {var!r} must have one term at exponent 0"
-                    )
-                witness[var] = Fraction(terms[0][0])
-            else:
-                witness[var] = PowerSum(
-                    p, tuple((Fraction(str(c)), int(e)) for c, e in terms)
-                )
-        else:
-            raise InputError(f"coordinate {var!r} must be a string or an object")
+        try:
+            witness[var] = _coordinate_from_json(entry)
+        except (InputError, ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InputError(f"coordinate {var!r} is malformed: {exc}") from None
     return witness
 
 
@@ -280,20 +285,6 @@ def _cmd_oracle(args) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    print(f"{'n':>5}  {'lower-bound (s)':>16}  {'upper-bound (s)':>16}")
-    for n in sizes:
-        started = time.perf_counter()
-        solve_geq(sized_geq_problem(args.seed + n, n))
-        geq_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        solve_leq(sized_leq_problem(args.seed + n, n))
-        leq_elapsed = time.perf_counter() - started
-        print(f"{n:>5}  {geq_elapsed:>16.4f}  {leq_elapsed:>16.4f}")
-    return EXIT_SAT
-
-
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="padicsat",
@@ -362,11 +353,6 @@ def _build_parser() -> _ArgumentParser:
     )
     p_oracle.add_argument("file", nargs="?", default="-")
     p_oracle.set_defaults(run=_cmd_oracle)
-
-    p_bench = sub.add_parser("bench", help="time the polynomial solvers")
-    p_bench.add_argument("--sizes", default="8,16,32,64")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(run=_cmd_bench)
 
     return parser
 

@@ -1,12 +1,15 @@
 """Combining rational order constraints with p-adic valuation constraints.
 
 The order side is handled by exact linear programming.  strictify() first
-decides the order system outright, then discovers which weak rows are
-implicit equalities: a weak row that cannot be made strict alongside the
-rest is forced to equality everywhere, so it is converted and the analysis
-restarts.  Each restart consumes one weak row, so there are at most as many
-restarts as weak rows.  What survives can be made simultaneously strict, and
-averaging the per-row strict points produces one witness for all of them.
+decides the order system outright.  If it is feasible, the implicit
+equalities (weak rows that hold with equality on the whole solution set) are
+found in conversion rounds: one LP asks for every remaining weak row to be
+strict at once.  A feasible answer is the witness.  An infeasible one comes
+with a checked Farkas certificate, and since the system itself is feasible
+that certificate has value 0, so every weak row it engages is an implicit
+equality; all of them are converted together and the next round starts.
+Each round converts at least one row, so there are at most as many rounds as
+weak rows, and weak rows without implicit equalities take two LPs.
 
 solve_combined() then runs the valuation side against the equality system
 augmented with the converted rows.  Each prime is dispatched independently;
@@ -41,73 +44,54 @@ Rows = list[tuple[tuple[Fraction, ...], Fraction]]
 @dataclass
 class StrictifyResult:
     feasible: bool
-    # a point satisfying every equality, every strict row strictly, and every
-    # surviving weak row strictly; None when infeasible
+    # a point satisfying every equality, every strict row strictly, every
+    # converted row with equality and every other weak row strictly; None
+    # when infeasible
     witness: tuple[Fraction, ...] | None
     # weak rows found to be implicit equalities, as (original index, row)
     converted: list[tuple[int, tuple[tuple[Fraction, ...], Fraction]]]
     certificate: LpInfeasible | None = None
+    # conversion rounds: all-strict LPs that came back infeasible
     restarts: int = 0
+
+
+def _block(rows: Rows) -> tuple[list[list[Fraction]], list[Fraction]]:
+    return [list(r) for r, _ in rows], [v for _, v in rows]
 
 
 def strictify(equalities: Rows, weak: Rows, strict: Rows) -> StrictifyResult:
     """Decide the order system and expose its implicit equalities."""
-    eq_rows = [list(r) for r, _ in equalities]
-    eq_rhs = [v for _, v in equalities]
+    base = lp_feasible(*_block(equalities), *_block(weak), *_block(strict))
+    if isinstance(base, LpInfeasible):
+        return StrictifyResult(False, None, [], certificate=base)
+    witness = base.x
     remaining = list(enumerate(weak))
     converted: list[tuple[int, tuple[tuple[Fraction, ...], Fraction]]] = []
     restarts = 0
-    while True:
-        weak_rows = [list(r) for _, (r, _) in remaining]
-        weak_rhs = [v for _, (_, v) in remaining]
-        strict_rows = [list(r) for r, _ in strict]
-        strict_rhs = [v for _, v in strict]
-        base = lp_feasible(
-            eq_rows, eq_rhs, weak_rows, weak_rhs, strict_rows, strict_rhs
+    while remaining:
+        attempt = lp_feasible(
+            *_block(equalities + [row for _, row in converted]),
+            [],
+            [],
+            *_block(strict + [row for _, row in remaining]),
         )
-        if isinstance(base, LpInfeasible):
-            return StrictifyResult(
-                False, None, converted, certificate=base, restarts=restarts
+        if isinstance(attempt, LpFeasible):
+            witness = attempt.x
+            break
+        # base.x satisfies every row, so sum nu_i (row_i . x - rhs_i) equals
+        # -value and has no positive term: a valid certificate has value 0,
+        # no weight on the original strict rows, and every weak row it
+        # engages holds with equality on the whole solution set
+        nu_strict, nu_weak = attempt.nu[: len(strict)], attempt.nu[len(strict) :]
+        if attempt.value != 0 or any(nu_strict) or not any(nu_weak):
+            raise InternalError(
+                "strictify certificate contradicts the feasible base system"
             )
-        points = []
-        converted_now = False
-        for pos, (idx, (row, rhs)) in enumerate(remaining):
-            others_rows = [
-                list(r) for k, (_, (r, _)) in enumerate(remaining) if k != pos
-            ]
-            others_rhs = [
-                v for k, (_, (_, v)) in enumerate(remaining) if k != pos
-            ]
-            probe = lp_feasible(
-                eq_rows,
-                eq_rhs,
-                others_rows,
-                others_rhs,
-                strict_rows + [list(row)],
-                strict_rhs + [rhs],
-            )
-            if isinstance(probe, LpInfeasible):
-                # the row can never be strict: it holds with equality on the
-                # whole solution set, so convert and start over
-                converted.append((idx, (row, rhs)))
-                eq_rows.append(list(row))
-                eq_rhs.append(rhs)
-                remaining = [r for k, r in enumerate(remaining) if k != pos]
-                converted_now = True
-                restarts += 1
-                break
-            points.append(probe.x)
-        if converted_now:
-            continue
-        if not points:
-            witness = base.x
-        else:
-            k = len(points)
-            witness = tuple(
-                sum((pt[j] for pt in points), Fraction(0)) / k
-                for j in range(len(points[0]))
-            )
-        return StrictifyResult(True, witness, converted, restarts=restarts)
+        converted += [item for nu, item in zip(nu_weak, remaining) if nu > 0]
+        remaining = [item for nu, item in zip(nu_weak, remaining) if nu == 0]
+        restarts += 1
+    converted.sort(key=lambda item: item[0])
+    return StrictifyResult(True, witness, converted, restarts=restarts)
 
 
 def _order_blocks(inst: Instance):
@@ -211,7 +195,7 @@ def solve_combined(
             **diagnostics,
         )
     if inst.orders and not primes:
-        # purely rational: the averaged strict point is a full witness
+        # purely rational: the strict point is a full witness
         witness = dict(zip(inst.variables, order_witness))
         check = verify_witness(inst, witness)
         if not check:

@@ -516,51 +516,3 @@ def random_instance(
             )
         )
     return Instance(names, tuple(eqs), tuple(vals), tuple(orders))
-
-
-def sized_geq_problem(
-    seed: int,
-    n: int,
-    coeff_mag: int = 20,
-    bound_mag: int = 4,
-    prime: int = 3,
-    density: float = 0.9,
-) -> GeqProblem:
-    """An n x n >=-problem of size exactly n, for scaling measurements."""
-    rng = random.Random(seed)
-    A = [
-        [
-            Fraction(rng.randint(-coeff_mag, coeff_mag)) if rng.random() < density else Fraction(0)
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    b = [Fraction(rng.randint(-coeff_mag, coeff_mag)) for _ in range(n)]
-    floors = tuple(rng.randint(-bound_mag, bound_mag) for _ in range(n))
-    return GeqProblem.of(A, b, prime, floors, (False,) * n)
-
-
-def sized_leq_problem(
-    seed: int,
-    n: int,
-    coeff_mag: int = 20,
-    bound_mag: int = 4,
-    prime: int = 3,
-    density: float = 0.9,
-) -> LeqProblem:
-    """An n x n <=-problem of size exactly n, for scaling measurements."""
-    rng = random.Random(seed)
-    A = [
-        [
-            Fraction(rng.randint(-coeff_mag, coeff_mag)) if rng.random() < density else Fraction(0)
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    b = [Fraction(rng.randint(-coeff_mag, coeff_mag)) for _ in range(n)]
-    caps = tuple(rng.randint(-bound_mag, bound_mag) for _ in range(n))
-    excluded = tuple(
-        frozenset(rng.randint(-bound_mag, bound_mag) for _ in range(rng.randint(0, 2)))
-        for _ in range(n)
-    )
-    return LeqProblem.of(A, b, prime, caps, excluded)

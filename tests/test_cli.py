@@ -124,6 +124,40 @@ def test_check_rejects_bad_witness(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "abc",
+        {"p": 0, "terms": [[]]},
+        {"p": 2, "terms": [["1", "z"]]},
+        {"p": 2, "terms": 5},
+        {"p": 2, "terms": [["1/0", 1]]},
+        {"p": 3, "terms": [["1", 1.5]]},
+        {"p": 0, "terms": [[1.5, 0]]},
+    ],
+)
+def test_check_reports_malformed_coordinate(tmp_path, capsys, entry):
+    path = write(tmp_path, "sat.txt", SAT_GEQ)
+    witness_path = tmp_path / "bad.json"
+    witness_path.write_text(json.dumps({"x": entry, "y": "1"}))
+    assert main(["check", path, str(witness_path)]) == 3
+    err = capsys.readouterr().err
+    assert "'x'" in err
+    assert "internal failure" not in err
+
+
+def test_solve_json_has_no_bare_infinity(capsys, monkeypatch):
+    text = "vars x y\neq 1 x + 1 y = 2\nval 3 : v(x) <= 1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["solve", "-", "--json", "--witness"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["diagnostics"]["thresholds"] == [2, "inf"]
+
+
 def test_classify_output(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -168,13 +202,6 @@ def test_oracle_rejects_other_fragments(tmp_path, capsys):
     path = write(tmp_path, "leq.txt", "vars x\nval 3 : v(x) <= 1\n")
     assert main(["oracle", path]) == 3
     assert "lower-bound" in capsys.readouterr().err
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--sizes", "2,3"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3  # header plus one row per size
-    assert out[1].strip().startswith("2")
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from padicsat.combiner import solve_combined, strictify
 from padicsat.dispatch import solve_instance
+from padicsat.errors import InternalError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
 from padicsat.simplex import (
     LpFeasible,
@@ -146,7 +147,8 @@ def test_strictify_converts_pinched_pair():
     res = strictify([], [((F(1),), F(1)), ((F(-1),), F(-1))], [])
     assert res.feasible
     assert [idx for idx, _ in res.converted] == [0, 1]
-    assert res.restarts == 2
+    # one certificate engages both rows: a single conversion round
+    assert res.restarts == 1
     assert res.witness == (F(1),)
 
 
@@ -171,26 +173,106 @@ def test_strictify_tautology_row_becomes_trivial_equality():
     assert [idx for idx, _ in res.converted] == [0]
 
 
-def test_strictify_average_is_strict_everywhere():
+def _dot(row, x):
+    return sum((c * v for c, v in zip(row, x)), F(0))
+
+
+def test_strictify_matches_per_row_reference():
+    # reference: weak row i is an implicit equality iff it cannot be strict
+    # while the other weak rows stay weak
     rng = random.Random(513)
-    for trial in range(40):
+    pinched = 0
+    for trial in range(60):
         n = rng.randint(1, 3)
         x0 = [F(rng.randint(-3, 3)) for _ in range(n)]
+
+        def row():
+            return tuple(F(rng.randint(-3, 3)) for _ in range(n))
+
+        eqs = []
+        if rng.random() < 0.4:
+            r = row()
+            eqs.append((r, _dot(r, x0)))
         weak = []
         for _ in range(rng.randint(1, 4)):
-            r = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-            s = sum(c * v for c, v in zip(r, x0))
-            weak.append((r, s + F(rng.choice([0, 1, 2]))))
-        res = strictify([], weak, [])
+            r = row()
+            weak.append((r, _dot(r, x0) + F(rng.choice([0, 1, 2]))))
+        if rng.random() < 0.5:
+            r = row()
+            weak += [(r, _dot(r, x0)), (tuple(-c for c in r), -_dot(r, x0))]
+        rng.shuffle(weak)
+        strict = []
+        for _ in range(rng.randint(0, 2)):
+            r = row()
+            strict.append((r, _dot(r, x0) + F(rng.choice([1, 2]))))
+
+        def rows(block):
+            return [list(r) for r, _ in block], [v for _, v in block]
+
+        expected = set()
+        for i, (r, rhs) in enumerate(weak):
+            others = rows([w for k, w in enumerate(weak) if k != i])
+            strict_i = rows(strict + [(r, rhs)])
+            if isinstance(lp_feasible(*rows(eqs), *others, *strict_i), LpInfeasible):
+                expected.add(i)
+        res = strictify(eqs, weak, strict)
         assert res.feasible, f"trial {trial}"
+        converted = [idx for idx, _ in res.converted]
+        assert converted == sorted(expected), f"trial {trial}"
+        pinched += len(expected) > 0
         x = res.witness
-        converted = {idx for idx, _ in res.converted}
+        for r, rhs in eqs:
+            assert _dot(r, x) == rhs, f"trial {trial}: equality broken"
         for idx, (r, rhs) in enumerate(weak):
-            total = sum(c * v for c, v in zip(r, x))
-            if idx in converted:
-                assert total == rhs, f"trial {trial}: converted row not tight"
+            if idx in expected:
+                assert _dot(r, x) == rhs, f"trial {trial}: converted row not tight"
             else:
-                assert total < rhs, f"trial {trial}: surviving row not strict"
+                assert _dot(r, x) < rhs, f"trial {trial}: surviving row not strict"
+        for r, rhs in strict:
+            assert _dot(r, x) < rhs, f"trial {trial}: strict row not strict"
+    assert pinched > 15
+
+
+def test_strictify_box_takes_two_lps(monkeypatch):
+    import padicsat.combiner as combiner
+
+    calls = []
+
+    def counting(*blocks):
+        calls.append(1)
+        return lp_feasible(*blocks)
+
+    monkeypatch.setattr(combiner, "lp_feasible", counting)
+    d = 16
+    weak = []
+    for j in range(d):
+        unit = tuple(F(1 if k == j else 0) for k in range(d))
+        weak.append((unit, F(j + 1)))
+        weak.append((tuple(-c for c in unit), F(-j)))
+    res = strictify([], weak, [])
+    assert res.feasible and res.converted == [] and res.restarts == 0
+    assert all(j < x < j + 1 for j, x in enumerate(res.witness))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "nu, value",
+    # strict block order: the original strict row, then the weak row
+    [((F(0), F(1)), F(-1)), ((F(1), F(1)), F(0)), ((F(0), F(0)), F(0))],
+)
+def test_strictify_rejects_impossible_round_certificate(monkeypatch, nu, value):
+    # the base system is feasible, so a round certificate with value < 0, a
+    # weight on an original strict row, or no engaged weak row is a bug
+    import padicsat.combiner as combiner
+
+    answers = iter([lp_feasible([], [], [[F(1)]], [F(1)], [[F(-1)]], [F(0)])])
+
+    def scripted(*blocks):
+        return next(answers, LpInfeasible((), (), nu, value))
+
+    monkeypatch.setattr(combiner, "lp_feasible", scripted)
+    with pytest.raises(InternalError):
+        strictify([], [((F(1),), F(1))], [((F(-1),), F(0))])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from padicsat.testkit import (
     instance_of_geq_problem,
     random_geq_problem,
     random_instance,
-    sized_geq_problem,
-    sized_leq_problem,
     smith_oracle_geq,
     verify_witness,
     witness_map,
@@ -185,15 +183,6 @@ def test_encode_coloring_validation():
         encode_coloring(Graph.complete(3), 2, 0)
     with pytest.raises(InputError):
         brute_color(Graph(11, ()), 2)
-
-
-def test_sized_problems_have_exact_dimensions():
-    for n in (1, 3, 7):
-        g = sized_geq_problem(5, n)
-        assert len(g.floors) == n and len(g.A) == n and len(g.A[0]) == n
-        l = sized_leq_problem(5, n)
-        assert len(l.caps) == n and len(l.A) == n
-    assert sized_geq_problem(5, 4) == sized_geq_problem(5, 4)
 
 
 def test_random_instance_fragments():
