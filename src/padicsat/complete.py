@@ -17,10 +17,13 @@ decided here by a recursive search:
 * once every variable fits one of the polynomial fragments the state is cut
   into connected components and each is delegated.
 
-States whose lower-bound relaxation is already unsatisfiable are pruned.  A
-component mixing unbounded directions cannot be enumerated; it yields Unknown
-unless a search window is supplied, in which case an exhausted search reports
-"unsat-within-window" (still Unknown: solutions below the window may exist).
+States whose lower-bound relaxation is already unsatisfiable are pruned.  The
+relaxation test is witness-free: it asks `solve_geq` for the status only, so a
+search node pays for the echelon and the pivot-bound checks but never for a
+PowerSum back-substitution.  A component mixing unbounded directions cannot be
+enumerated; it yields Unknown unless a search window is supplied, in which
+case an exhausted search reports "unsat-within-window" (still Unknown:
+solutions below the window may exist).
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
@@ -184,22 +187,30 @@ def _propagate(state: _State) -> Verdict | None:
         while restart:
             restart = False
             for coeffs, rhs in state.equations:
+                vals = {var: valuation(a, p) for var, a in coeffs.items()}
                 terms: dict[str, ExtInt] = {}
-                for var, a in coeffs.items():
+                for var, v in vals.items():
                     lo = state.profiles[var].lower
-                    terms[var] = NEG_INF if lo == NEG_INF else valuation(a, p) + lo
-                rhs_val: ExtInt = INF if rhs == 0 else valuation(rhs, p)
-                for var, a in coeffs.items():
-                    others = [t for w, t in terms.items() if w != var]
-                    others.append(rhs_val)
-                    floor_others = min(others)
+                    terms[var] = NEG_INF if lo == NEG_INF else v + lo
+                # the two smallest of the terms and the rhs valuation: the
+                # minimum over all but one term is the second if that term
+                # is the first
+                first: ExtInt = INF if rhs == 0 else valuation(rhs, p)
+                second: ExtInt = INF
+                for t in terms.values():
+                    if t < first:
+                        first, second = t, first
+                    elif t < second:
+                        second = t
+                for var, v in vals.items():
+                    floor_others = second if terms[var] == first else first
                     if floor_others == NEG_INF:
                         continue
                     prof = state.profiles[var]
                     if floor_others == INF:
                         new_lower: ExtInt = INF
                     else:
-                        new_lower = floor_others - valuation(a, p)
+                        new_lower = floor_others - v
                     if new_lower == NEG_INF or new_lower <= prof.lower:
                         continue
                     changed = True
@@ -294,7 +305,7 @@ def _geq_problem(
 def _relaxation_prunes(state: _State) -> bool:
     """True if even the lower-bound relaxation of this state is unsatisfiable."""
     problem = _geq_problem(state, sorted(state.profiles), state.equations)
-    return solve_geq(problem).is_unsat
+    return solve_geq(problem, witness=False).is_unsat
 
 
 def _branch_target(state: _State) -> tuple[str, str, object] | None:

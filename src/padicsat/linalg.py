@@ -1,10 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of Fractions; nothing here is clever about
-sparsity, but every result is exact.  The module provides the three workhorses
-the solvers need: affine solution spaces, row echelon forms that pick pivots
-by a per-column cost, and the Smith normal form over Z used by the independent
-divisibility oracle.
+Matrices are plain lists of lists of Fractions and every result is exact.
+The three Gaussian eliminations (determinant, affine solution spaces and the
+cost-driven echelon) share one row-update step that touches only the pivot
+row's nonzero entries, so a sparse matrix costs what its nonzeros cost; since
+x - f*0 = x, the values are those of a dense update.  The module provides the
+workhorses the solvers need: affine solution spaces, row echelon forms that
+pick pivots by a per-column cost, and the Smith normal form over Z used by the
+independent divisibility oracle.
 """
 
 from __future__ import annotations
@@ -93,6 +96,23 @@ def inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _nonzero_columns(row: Vector, start: int) -> list[int]:
+    return [j for j in range(start, len(row)) if row[j]]
+
+
+def _subtract_multiple(
+    row: Vector, factor: Fraction, source: Vector, columns: list[int]
+) -> None:
+    """row -= factor * source in place, at the given columns only.
+
+    columns must hold every nonzero entry of source; the elimination step
+    passes the pivot row's nonzero columns from the pivot on, since the
+    entries left of the pivot are zero in both rows.
+    """
+    for j in columns:
+        row[j] -= factor * source[j]
+
+
 def determinant(A: Matrix) -> Fraction:
     """Exact determinant by fraction Gaussian elimination."""
     m, n = dims(A)
@@ -107,12 +127,13 @@ def determinant(A: Matrix) -> Fraction:
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             det = -det
-        pivot = work[col][col]
+        top = work[col]
+        pivot = top[col]
         det *= pivot
+        columns = _nonzero_columns(top, col)
         for i in range(col + 1, n):
             if work[i][col] != 0:
-                factor = work[i][col] / pivot
-                work[i] = [work[i][j] - factor * work[col][j] for j in range(n)]
+                _subtract_multiple(work[i], work[i][col] / pivot, top, columns)
     return det
 
 
@@ -152,10 +173,10 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
             continue
         M[row], M[pivot_row] = M[pivot_row], M[row]
         pivot = M[row][col]
+        columns = _nonzero_columns(M[row], col)  # the rhs column n included
         for i in range(row + 1, m):
             if M[i][col] != 0:
-                factor = M[i][col] / pivot
-                M[i] = [x - factor * y for x, y in zip(M[i], M[row])]
+                _subtract_multiple(M[i], M[i][col] / pivot, M[row], columns)
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -271,12 +292,14 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         raise InputError("cost vector length does not match column count")
     if len(rhs) != m:
         raise InputError("rhs row count does not match the matrix")
-    B = [row[:] for row in matrix(A)] if A else []
+    B = matrix(A)
     R = matrix(rhs)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     r = 0
     while r < m and r < n:
-        if all(B[r][j] == 0 for j in range(r, n)):
+        top = B[r]
+        columns = _nonzero_columns(top, r)
+        if not columns:
             swap = next(
                 (i for i in range(r + 1, m) if any(B[i][j] != 0 for j in range(r, n))),
                 None,
@@ -285,30 +308,30 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
                 break
             B[r], B[swap] = B[swap], B[r]
             R[r], R[swap] = R[swap], R[r]
-        best = min(
-            range(r, n), key=lambda j: (costs.doubled_cost(B[r][j], col_of[j]), j)
-        )
+            top = B[r]
+            columns = _nonzero_columns(top, r)
+        # a zero entry costs +inf and every nonzero one less, so the nonzero
+        # columns hold the cheapest entry
+        best = min(columns, key=lambda j: (costs.doubled_cost(top[j], col_of[j]), j))
         if best != r:
             for row in B:
                 row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
-        pivot = B[r][r]
+            columns = _nonzero_columns(top, r)
+        pivot = top[r]
+        carried = _nonzero_columns(R[r], 0)
         for i in range(r + 1, m):
             if B[i][r] != 0:
                 factor = B[i][r] / pivot
-                B[i] = [B[i][j] - factor * B[r][j] for j in range(n)]
-                R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
+                _subtract_multiple(B[i], factor, top, columns)
+                _subtract_multiple(R[i], factor, R[r], carried)
         r += 1
-    pivots = []
-    for i in range(len(B)):
-        lead = next((j for j in range(n) if B[i][j] != 0), None)
-        if lead is None:
-            break
-        pivots.append(lead)
     sigma = [0] * n
     for pos, orig in enumerate(col_of):
         sigma[orig] = pos
-    return EchelonResult(R, tuple(sigma), B, tuple(pivots))
+    # row i < r pivots at position i: the rows below each pivot were cleared
+    # left of it, and the rows from r on are zero
+    return EchelonResult(R, tuple(sigma), B, tuple(range(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ system is satisfiable iff the zero rows of the echelon form have zero right-
 hand sides and each pivot row passes a single valuation comparison; a witness
 follows by assigning p**floor to every non-pivot column and back-substituting
 in power-sum arithmetic.
+
+With witness=False the solver stops after the two checks: the witness-free
+relaxation test of the branch-and-decide search needs only the status, so it
+skips the back-substitution.  Unsat answers are the same either way.
 """
 
 from __future__ import annotations
@@ -91,12 +95,13 @@ class GeqProblem:
         )
 
 
-def solve_geq(prob: GeqProblem) -> Verdict:
+def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
+    """Decide prob; a sat answer carries a PowerSum witness unless witness=False."""
     p = prob.prime
     n = len(prob.floors)
     m = len(prob.A)
     result: EchelonResult = pivot_minimal_echelon(
-        [list(r) for r in prob.A], prob.costs(), [[x] for x in prob.b]
+        prob.A, prob.costs(), [[x] for x in prob.b]
     )
     B = result.echelon
     b2 = [row[0] for row in result.carried]
@@ -128,6 +133,9 @@ def solve_geq(prob: GeqProblem) -> Verdict:
                 required=lhs,
                 actual=rhs_val,
             )
+    diagnostics = {"rank": k, "sigma": result.sigma}
+    if not witness:
+        return Verdict(Status.SAT, diagnostics=diagnostics)
     # witness: free columns get p**floor, pivots are back-substituted
     w: list[PowerSum | None] = [None] * n
     pivot_cols = set(result.pivots)
@@ -145,11 +153,7 @@ def solve_geq(prob: GeqProblem) -> Verdict:
             if B[i][j] != 0:
                 acc = acc - w[j].scale(B[i][j])
         w[piv] = acc.scale(1 / B[i][piv])
-    witness = [None] * n
+    values = [None] * n
     for j in range(n):
-        witness[col_of[j]] = w[j]
-    return Verdict(
-        Status.SAT,
-        witness=witness,
-        diagnostics={"rank": k, "sigma": result.sigma},
-    )
+        values[col_of[j]] = w[j]
+    return Verdict(Status.SAT, witness=values, diagnostics=diagnostics)

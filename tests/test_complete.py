@@ -1,5 +1,6 @@
 """Dispatcher routing and the branch-and-decide solver for mixed instances."""
 
+import collections
 import os
 import random
 import resource
@@ -10,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from padicsat.complete import solve_complete
+from padicsat.complete import (
+    PROPAGATION_ROUNDS_FACTOR,
+    _divergence_threshold,
+    _propagate,
+    _Prof,
+    _State,
+    _substitute_zero,
+    solve_complete,
+)
 from padicsat.dispatch import solve_instance
 from padicsat.errors import InputError
 from padicsat.model import (
@@ -19,9 +28,10 @@ from padicsat.model import (
     Instance,
     OrderConstraint,
     ValConstraint,
+    Verdict,
     normalize,
 )
-from padicsat.rational import valuation
+from padicsat.rational import INF, NEG_INF, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
@@ -464,3 +474,100 @@ def test_mixed_fuzz_witnesses_verify():
             sat += 1
             assert verify_witness(i, verdict.witness), f"trial {trial}"
     assert sat > 15
+
+
+def _propagate_reference(state):
+    """complete._propagate with the minimum over the other terms rebuilt for
+    every variable: O(k^2) per equation of k terms."""
+    p = state.prime
+    threshold = _divergence_threshold(state)
+    for _ in range(PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))):
+        changed = False
+        restart = True
+        while restart:
+            restart = False
+            for coeffs, rhs in state.equations:
+                terms = {}
+                for var, a in coeffs.items():
+                    lo = state.profiles[var].lower
+                    terms[var] = NEG_INF if lo == NEG_INF else valuation(a, p) + lo
+                rhs_val = INF if rhs == 0 else valuation(rhs, p)
+                for var, a in coeffs.items():
+                    others = [t for w, t in terms.items() if w != var]
+                    floor_others = min(others + [rhs_val])
+                    if floor_others == NEG_INF:
+                        continue
+                    prof = state.profiles[var]
+                    new_lower = (
+                        INF if floor_others == INF else floor_others - valuation(a, p)
+                    )
+                    if new_lower == NEG_INF or new_lower <= prof.lower:
+                        continue
+                    changed = True
+                    if new_lower == INF or (new_lower > threshold and prof.upper == INF):
+                        if prof.upper != INF:
+                            return Verdict.unsat(
+                                "forced-zero",
+                                f"{var} must vanish but has a finite upper bound",
+                                var=var,
+                            )
+                        if not _substitute_zero(state, var):
+                            return Verdict.unsat(
+                                "forced-zero",
+                                f"setting {var} = 0 contradicts an equation",
+                                var=var,
+                            )
+                        restart = True
+                        break
+                    prof.lower = new_lower
+                    if prof.empty():
+                        return Verdict.unsat(
+                            "empty-window",
+                            f"propagation emptied the window of {var}",
+                            var=var,
+                        )
+                if restart:
+                    break
+        if not changed:
+            return None
+    return None
+
+
+def _random_state(rng):
+    p = rng.choice((2, 3, 5))
+    names = [f"x{i}" for i in range(rng.randint(1, 6))]
+    equations = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {
+            v: Fraction(rng.choice((1, -1)) * p ** rng.randint(0, 3) * rng.randint(1, 4),
+                        rng.choice((1, 1, p)))
+            for v in rng.sample(names, rng.randint(1, len(names)))
+        }
+        rhs = Fraction(0) if rng.random() < 0.4 else Fraction(rng.randint(-30, 30))
+        equations.append((coeffs, rhs))
+    profiles = {}
+    for v in names:
+        lower = NEG_INF if rng.random() < 0.3 else rng.randint(-2, 3)
+        upper = INF if rng.random() < 0.6 else rng.randint(0, 5)
+        excluded = frozenset(rng.randint(-2, 5) for _ in range(rng.randint(0, 2)))
+        profiles[v] = _Prof(lower, upper, excluded)
+    return _State(p, equations, profiles)
+
+
+def test_propagate_matches_quadratic_reference():
+    rng = random.Random(4242)
+    outcomes = collections.Counter()
+    for trial in range(400):
+        state = _random_state(rng)
+        before = state.copy()
+        reference = state.copy()
+        got, want = _propagate(state), _propagate_reference(reference)
+        assert got == want, trial
+        assert state == reference, trial
+        if got is not None:
+            outcomes[got.code] += 1
+        elif state.log:
+            outcomes["zero-substituted"] += 1
+        else:
+            outcomes["tightened" if state != before else "unchanged"] += 1
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 5, outcomes

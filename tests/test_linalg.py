@@ -99,26 +99,31 @@ def test_echelon_zero_matrix():
 
 
 def test_echelon_random_properties():
-    for p in (2, 3, 5):
-        rng = random.Random(50 + p)
-        for _ in range(60):
-            m = rng.randint(1, 5)
-            n = rng.randint(1, 6)
-            A = rand_matrix(rng, m, n, mag=9, density=0.8)
-            offsets = tuple(
-                rng.choice([NEG_INF] + list(range(-4, 5))) for _ in range(n)
-            )
-            biases = tuple(
-                rng.randint(0, 1) if p == 2 and offsets[j] != NEG_INF else 0
-                for j in range(n)
-            )
-            costs = PivotCosts(p, offsets, biases)
-            res = pivot_minimal_echelon(A, costs, identity(m))
-            assert_echelon_result(A, costs, res)
-            # a right-hand side column is carried through the same row operations
-            b = [[sum(row)] for row in A]
-            carried = pivot_minimal_echelon(A, costs, b).carried
-            assert carried == mat_mul(res.carried, b)
+    # (density, seed base, max rows, max columns): the sparse pass checks that
+    # row updates skipping the pivot row's zero entries keep B = U A P,
+    # det U != 0 and the cost-minimal pivots
+    for density, seed_base, max_m, max_n in ((0.8, 50, 5, 6), (0.2, 150, 8, 10)):
+        for p in (2, 3, 5):
+            rng = random.Random(seed_base + p)
+            for _ in range(60):
+                m = rng.randint(1, max_m)
+                n = rng.randint(1, max_n)
+                A = rand_matrix(rng, m, n, mag=9, density=density)
+                offsets = tuple(
+                    rng.choice([NEG_INF] + list(range(-4, 5))) for _ in range(n)
+                )
+                biases = tuple(
+                    rng.randint(0, 1) if p == 2 and offsets[j] != NEG_INF else 0
+                    for j in range(n)
+                )
+                costs = PivotCosts(p, offsets, biases)
+                res = pivot_minimal_echelon(A, costs, identity(m))
+                assert_echelon_result(A, costs, res)
+                # a right-hand side column is carried through the same row
+                # operations
+                b = [[sum(row)] for row in A]
+                carried = pivot_minimal_echelon(A, costs, b).carried
+                assert carried == mat_mul(res.carried, b)
 
 
 def test_echelon_entry_growth_polynomial():

@@ -145,3 +145,26 @@ def test_huge_floors_stay_symbolic():
     assert len(ws[1].terms) <= 2
     check = verify_witness(instance_of_geq_problem(prob), witness_map(prob, ws))
     assert check.ok, check.detail
+
+
+def test_witness_free_matches_full():
+    # the witness-free answer of the search's relaxation test: same status,
+    # the unsat evidence unchanged, and no witness on sat
+    statuses = set()
+    for seed in range(300):
+        prob = random_geq_problem(
+            seed, max_dim=5, coeff_mag=9, bound_mag=3, primes=(2, 3, 5),
+            allow_exact=seed % 2 == 0, allow_unbounded=seed % 3 == 0,
+        )
+        full = solve_geq(prob)
+        bare = solve_geq(prob, witness=False)
+        assert bare.status == full.status, seed
+        statuses.add(full.status)
+        if full.is_unsat:
+            assert (bare.code, bare.reason, bare.diagnostics) == (
+                full.code, full.reason, full.diagnostics
+            ), seed
+        else:
+            assert bare.witness is None, seed
+            assert bare.diagnostics == full.diagnostics, seed
+    assert len(statuses) == 2

