@@ -150,23 +150,17 @@ def solve_combined(
         for _, (row, rhs) in result.converted:
             augmented.append(Equation(row, rhs))
 
-    # the valuation side runs against the augmented equality system
-    sub = Instance(
-        variables=inst.variables,
-        equations=tuple(augmented),
-        valuations=inst.valuations,
-        orders=(),
-    )
-    sub_norm = normalize(sub)
-    if isinstance(sub_norm, ImmediateUnsat):
-        return sub_norm.verdict()
+    # the valuation side runs against the augmented equality system, one
+    # prime at a time; the profiles depend on the valuations alone, so the
+    # first normalization already holds them
     unknowns = []
     for p in primes:
         per_prime = NormalizedInstance(
-            variables=sub_norm.variables,
-            equations=sub_norm.equations,
-            profiles={p: sub_norm.profiles.get(p, {})},
-            kinds={p: sub_norm.kinds.get(p, frozenset())},
+            variables=norm.variables,
+            equations=tuple(augmented),
+            valuations=tuple(vc for vc in norm.valuations if vc.prime == p),
+            profiles={p: norm.profiles[p]},
+            kinds={p: norm.kinds[p]},
             orders=(),
         )
         verdict = solve_single_prime(per_prime, p, window)

@@ -29,8 +29,10 @@ The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
 wide valuation window costs only the candidates actually tried.  Window
 emptiness and edge trimming work on the excluded set, never on the window's
-width.  A satisfiable answer is re-checked against the normalized instance
-before it is returned.
+width.  A satisfiable answer is re-checked by testkit.verify_witness against
+the equations and the valuation constraints as written (the ones the
+normalized instance was folded from) before it is returned; a rejected
+witness raises InternalError, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .model import NormalizedInstance, Verdict
+from .model import Instance, NormalizedInstance, Verdict
 from .rational import (
     INF,
     NEG_INF,
@@ -51,6 +53,7 @@ from .rational import (
 )
 from .solver_geq import GeqProblem, solve_geq
 from .solver_leq import LeqProblem, solve_leq
+from .testkit import verify_witness
 
 PROPAGATION_ROUNDS_FACTOR = 4
 
@@ -535,21 +538,6 @@ def _solve_state(state: _State, search: _Search) -> Verdict:
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
 
-def _verify_internal(
-    norm: NormalizedInstance, p: int, witness: dict[str, PowerSum]
-) -> None:
-    for i, eq in enumerate(norm.equations):
-        acc = PowerSum.zero(p) - PowerSum.from_rational(p, eq.rhs)
-        for var, a in zip(norm.variables, eq.coeffs):
-            acc = acc + witness[var].scale(a)
-        if not acc.is_zero():
-            raise InternalError(f"assembled witness breaks equation {i}")
-    for var in norm.variables:
-        prof = norm.profile(p, var)
-        if not prof.admits(witness[var].valuation()):
-            raise InternalError(f"assembled witness breaks the window of {var}")
-
-
 def solve_complete(
     norm: NormalizedInstance,
     prime: int | None = None,
@@ -564,13 +552,11 @@ def solve_complete(
     """
     if norm.orders:
         raise InputError("order constraints must go through the combiner")
-    primes = norm.primes
-    if len(primes) > 1:
-        raise InputError("multi-prime instances must go through the combiner")
     if prime is None:
-        if not primes:
+        if not norm.primes:
             raise InputError("a prime is required for valuation-free instances")
-        prime = primes[0]
+        prime = norm.primes[0]
+    norm.require_prime(prime)  # multi-prime instances go through the combiner
     equations: list[Equation] = []
     for eq in norm.equations:
         coeffs = {
@@ -596,6 +582,10 @@ def solve_complete(
         for var in norm.variables:
             if var not in witness:
                 witness[var] = PowerSum.zero(prime)
-        _verify_internal(norm, prime, witness)
+        check = verify_witness(
+            Instance(norm.variables, norm.equations, norm.valuations), witness
+        )
+        if not check:
+            raise InternalError(f"assembled witness rejected: {check.detail}")
         verdict.witness = witness
     return verdict

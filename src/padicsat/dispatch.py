@@ -60,8 +60,10 @@ def solve_single_prime(
     p: int | None,
     window: int | None = None,
 ) -> Verdict:
+    """Decide norm at its one prime p, or by linear algebra when p is None."""
     if norm.orders:
         raise InputError("order constraints must go through the combiner")
+    norm.require_prime(p)
     if p is None:
         # no valuation constraints at all: plain linear algebra
         space = solve_affine(

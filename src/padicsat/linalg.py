@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of Fractions and every result is exact.
-The three Gaussian eliminations (determinant, affine solution spaces and the
-cost-driven echelon) share one row-update step that touches only the pivot
-row's nonzero entries, so a sparse matrix costs what its nonzeros cost; since
-x - f*0 = x, the values are those of a dense update.  The module provides the
-workhorses the solvers need: affine solution spaces, row echelon forms that
-pick pivots by a per-column cost, and the Smith normal form over Z used by the
-independent divisibility oracle.
+Four eliminations share one row-update step, subtract_multiple over the
+pivot row's nonzero_columns: the determinant, affine solution spaces and the
+cost-driven echelon here, and the simplex tableau in simplex.py.  A row update
+touches only the pivot row's nonzero entries, so a sparse matrix costs what
+its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
+The module provides the workhorses the solvers need: affine solution spaces,
+row echelon forms that pick pivots by a per-column cost, and the Smith normal
+form over Z used by the independent divisibility oracle.
 """
 
 from __future__ import annotations
@@ -96,18 +97,18 @@ def inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _nonzero_columns(row: Vector, start: int) -> list[int]:
+def nonzero_columns(row: Vector, start: int) -> list[int]:
     return [j for j in range(start, len(row)) if row[j]]
 
 
-def _subtract_multiple(
+def subtract_multiple(
     row: Vector, factor: Fraction, source: Vector, columns: list[int]
 ) -> None:
     """row -= factor * source in place, at the given columns only.
 
-    columns must hold every nonzero entry of source; the elimination step
-    passes the pivot row's nonzero columns from the pivot on, since the
-    entries left of the pivot are zero in both rows.
+    columns must hold every nonzero entry of source: the eliminations here
+    pass the pivot row's nonzero columns from the pivot on (both rows are zero
+    left of it), the simplex tableau passes them from 0.
     """
     for j in columns:
         row[j] -= factor * source[j]
@@ -130,10 +131,10 @@ def determinant(A: Matrix) -> Fraction:
         top = work[col]
         pivot = top[col]
         det *= pivot
-        columns = _nonzero_columns(top, col)
+        columns = nonzero_columns(top, col)
         for i in range(col + 1, n):
             if work[i][col] != 0:
-                _subtract_multiple(work[i], work[i][col] / pivot, top, columns)
+                subtract_multiple(work[i], work[i][col] / pivot, top, columns)
     return det
 
 
@@ -173,10 +174,10 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
             continue
         M[row], M[pivot_row] = M[pivot_row], M[row]
         pivot = M[row][col]
-        columns = _nonzero_columns(M[row], col)  # the rhs column n included
+        columns = nonzero_columns(M[row], col)  # the rhs column n included
         for i in range(row + 1, m):
             if M[i][col] != 0:
-                _subtract_multiple(M[i], M[i][col] / pivot, M[row], columns)
+                subtract_multiple(M[i], M[i][col] / pivot, M[row], columns)
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -298,7 +299,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
     r = 0
     while r < m and r < n:
         top = B[r]
-        columns = _nonzero_columns(top, r)
+        columns = nonzero_columns(top, r)
         if not columns:
             swap = next(
                 (i for i in range(r + 1, m) if any(B[i][j] != 0 for j in range(r, n))),
@@ -309,7 +310,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             B[r], B[swap] = B[swap], B[r]
             R[r], R[swap] = R[swap], R[r]
             top = B[r]
-            columns = _nonzero_columns(top, r)
+            columns = nonzero_columns(top, r)
         # a zero entry costs +inf and every nonzero one less, so the nonzero
         # columns hold the cheapest entry
         best = min(columns, key=lambda j: (costs.doubled_cost(top[j], col_of[j]), j))
@@ -317,14 +318,14 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             for row in B:
                 row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
-            columns = _nonzero_columns(top, r)
+            columns = nonzero_columns(top, r)
         pivot = top[r]
-        carried = _nonzero_columns(R[r], 0)
+        carried = nonzero_columns(R[r], 0)
         for i in range(r + 1, m):
             if B[i][r] != 0:
                 factor = B[i][r] / pivot
-                _subtract_multiple(B[i], factor, top, columns)
-                _subtract_multiple(R[i], factor, R[r], carried)
+                subtract_multiple(B[i], factor, top, columns)
+                subtract_multiple(R[i], factor, R[r], carried)
         r += 1
     sigma = [0] * n
     for pos, orig in enumerate(col_of):

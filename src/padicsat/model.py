@@ -3,8 +3,9 @@
 An :class:`Instance` couples three constraint families over one declared
 variable tuple: exact linear equations, per-prime valuation constraints, and
 rational order constraints.  :func:`normalize` folds the valuation constraints
-into one window-plus-exclusions profile per (variable, prime) pair, and
-:func:`classify` maps the surviving constraint-kind sets to solver fragments.
+into one window-plus-exclusions profile per (variable, prime) pair, keeping
+the constraints themselves for witness checks, and :func:`classify` maps the
+surviving constraint-kind sets to solver fragments.
 """
 
 from __future__ import annotations
@@ -113,9 +114,6 @@ class Instance:
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted({vc.prime for vc in self.valuations}))
 
-    def index_of(self, var: str) -> int:
-        return self.variables.index(var)
-
 
 # ---------------------------------------------------------------------------
 # normalization
@@ -170,8 +168,15 @@ class ImmediateUnsat:
 
 @dataclass
 class NormalizedInstance:
+    """Per-(prime, variable) profiles folded from valuation constraints.
+
+    valuations keeps the folded constraints as written (a per-prime view
+    keeps that prime's), so witnesses are checked against them, not the fold.
+    """
+
     variables: tuple[str, ...]
     equations: tuple[Equation, ...]
+    valuations: tuple[ValConstraint, ...]
     profiles: dict[int, dict[str, VarProfile]]   # prime -> var -> profile
     kinds: dict[int, frozenset[str]]             # prime -> relation kinds present
     orders: tuple[OrderConstraint, ...]
@@ -182,6 +187,13 @@ class NormalizedInstance:
 
     def profile(self, p: int, var: str) -> VarProfile:
         return self.profiles.get(p, {}).get(var, VarProfile())
+
+    def require_prime(self, p: int | None) -> None:
+        """Raise InputError if a valuation constraint is at a prime other than p."""
+        if self.primes and self.primes != (p,):
+            raise InputError(
+                f"valuation constraints at primes {list(self.primes)}, not p = {p}"
+            )
 
 
 def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
@@ -232,6 +244,7 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
     return NormalizedInstance(
         variables=inst.variables,
         equations=inst.equations,
+        valuations=inst.valuations,
         profiles=profiles,
         kinds={p: frozenset(s) for p, s in kinds.items()},
         orders=inst.orders,

@@ -4,7 +4,8 @@ Decides systems  A x = b,  C x <= d,  E x < f  over the rationals.  The
 strict block is handled through a slack objective: maximize t subject to
 E x + t <= f and t <= 1; the strict system is feasible exactly when the
 optimum t* is positive.  Everything runs in Fraction arithmetic with Bland's
-rule, so the search terminates and the answers are exact.
+rule, so the search terminates and the answers are exact.  Tableau pivots use
+linalg's row-update step, the one its Gaussian eliminations share.
 
 Infeasibility is returned with a Farkas certificate (lam, mu, nu):
 multipliers with lam^T A + mu^T C + nu^T E = 0, mu >= 0, nu >= 0, whose
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
+from .linalg import nonzero_columns, subtract_multiple
 from .rational import as_fraction
 
 Row = list[Fraction]
@@ -90,7 +92,10 @@ def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's rule."""
+    """Simplex tableau over Fractions with Bland's rule.
+
+    Pivots update only the pivot row's nonzero columns (linalg's row step).
+    """
 
     def __init__(self, rows: list[Row], rhs: list[Fraction], num_real: int):
         self.m = len(rows)
@@ -115,24 +120,18 @@ class _Tableau:
         self.basis = [num_real + i for i in range(self.m)]
 
     def _pivot(self, zrow: Row, i: int, j: int) -> None:
-        piv = self.rows[i][j]
-        inv = Fraction(1) / piv
-        self.rows[i] = [c * inv for c in self.rows[i]]
+        inv = Fraction(1) / self.rows[i][j]
+        top = self.rows[i] = [c * inv if c else c for c in self.rows[i]]
         self.rhs[i] *= inv
+        # unlike an echelon row, a tableau row has nonzeros left of its pivot
+        columns = nonzero_columns(top, 0)
         for k in range(self.m):
-            if k == i:
-                continue
             factor = self.rows[k][j]
-            if factor == 0:
-                continue
-            self.rows[k] = [
-                a - factor * bcoef for a, bcoef in zip(self.rows[k], self.rows[i])
-            ]
-            self.rhs[k] -= factor * self.rhs[i]
-        factor = zrow[j]
-        if factor != 0:
-            for col in range(self.width):
-                zrow[col] -= factor * self.rows[i][col]
+            if k != i and factor != 0:
+                subtract_multiple(self.rows[k], factor, top, columns)
+                self.rhs[k] -= factor * self.rhs[i]
+        if zrow[j] != 0:
+            subtract_multiple(zrow, zrow[j], top, columns)
         self.basis[i] = j
 
     def _run(self, zrow: Row, allow: list[bool]) -> None:
@@ -165,10 +164,9 @@ class _Tableau:
         zrow = list(cost)
         for i in range(self.m):
             cb = cost[self.basis[i]]
-            if cb == 0:
-                continue
-            for col in range(self.width):
-                zrow[col] -= cb * self.rows[i][col]
+            if cb != 0:
+                row = self.rows[i]
+                subtract_multiple(zrow, cb, row, nonzero_columns(row, 0))
         return zrow
 
     def _purge_artificials(self, zrow: Row) -> None:

@@ -148,11 +148,11 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
             w[j] = PowerSum.zero(p)
     for i in range(k - 1, -1, -1):
         piv = result.pivots[i]
-        acc = PowerSum(p, ((b2[i], 0),))
+        terms = [(b2[i], 0)]  # one PowerSum of all the terms, normalized once
         for j in range(piv + 1, n):
             if B[i][j] != 0:
-                acc = acc - w[j].scale(B[i][j])
-        w[piv] = acc.scale(1 / B[i][piv])
+                terms += [(-c * B[i][j], e) for c, e in w[j].terms]
+        w[piv] = PowerSum(p, tuple(terms)).scale(1 / B[i][piv])
     values = [None] * n
     for j in range(n):
         values[col_of[j]] = w[j]

@@ -101,13 +101,12 @@ def verify_witness(
     for idx, eq in enumerate(inst.equations):
         if primes_used:
             p = next(iter(primes_used))
-            residual = PowerSum(p, ((-eq.rhs, 0),))
+            terms = [(-eq.rhs, 0)]  # one PowerSum of all the terms, normalized once
             for coeff, var in zip(eq.coeffs, inst.variables):
-                if coeff == 0:
-                    continue
                 v = values[var]
-                term = v if isinstance(v, PowerSum) else PowerSum.from_rational(p, v)
-                residual = residual + term.scale(coeff)
+                pairs = v.terms if isinstance(v, PowerSum) else ((v, 0),)
+                terms += [(c * coeff, e) for c, e in pairs if coeff]
+            residual = PowerSum(p, tuple(terms))
             if not residual.is_zero():
                 return CheckResult.reject(
                     "equation", f"equation {idx} has nonzero residual {residual}"

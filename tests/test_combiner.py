@@ -138,6 +138,58 @@ def test_lp_fuzz_planted_and_contradicted():
     assert feas > 30 and infeas > 20
 
 
+# Small systems with their exact answers: free variables (x = u - w), equality
+# rows, rows flipped for a negative right-hand side, degenerate ratio-test
+# ties and strict-infeasible blocks.  Every value is pinned, so a change in
+# any tableau entry, Bland's-rule choice or dual read-off shows up here.
+PINNED_LPS = [
+    (
+        ([[1, -1]], [2], [[1, 1]], [4], [[-1, 0]], [0]),
+        LpFeasible((F(1), F(-1)), F(1)),
+    ),
+    (
+        ([[2, -1, 0]], [-3], [[0, 1, 1], [1, 0, -1]], [-1, 2], [[1, 1, 1]], [3]),
+        LpFeasible((F(-2, 3), F(5, 3), F(-8, 3)), F(1)),
+    ),
+    (
+        ([], [], [[1, 0], [0, 1], [1, 1], [-1, 2]], [0, 0, 0, 0], [[-1, -1]], [1]),
+        LpFeasible((F(0), F(0)), F(1)),
+    ),
+    (
+        ([], [], [[-1, 0], [0, -1], [-1, -1], [1, -1]], [0, 0, 0, 0], [[1, 1]], [0]),
+        LpInfeasible((), (F(1), F(1), F(0), F(0)), (F(1),), F(0)),
+    ),
+    (
+        ([], [], [[1, 0]], [1], [[1, 0], [-1, 0]], [0, 0]),
+        LpInfeasible((), (F(0),), (F(1, 2), F(1, 2)), F(0)),
+    ),
+    (
+        ([], [], [[1, 1], [-1, -1]], [1, -2], [], []),
+        LpInfeasible((), (F(1), F(1)), (), F(-1)),
+    ),
+    (
+        ([[1, 1]], [1], [], [], [[1, 0], [0, 1]], [0, 1]),
+        LpInfeasible((F(-1, 2),), (), (F(1, 2), F(1, 2)), F(0)),
+    ),
+    (
+        (
+            [[1, 1, 1], [1, -1, 0]],
+            [F(3, 2), F(1, 3)],
+            [[1, 0, 0], [0, 0, -1]],
+            [1, 0],
+            [[0, 1, 0], [-1, 0, 0]],
+            [2, 0],
+        ),
+        LpFeasible((F(11, 12), F(7, 12), F(0)), F(11, 12)),
+    ),
+]
+
+
+@pytest.mark.parametrize("blocks, expected", PINNED_LPS)
+def test_lp_outputs_are_pinned(blocks, expected):
+    assert lp_feasible(*blocks) == expected
+
+
 # ---------------------------------------------------------------------------
 # strictification
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from padicsat import complete
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
     _divergence_threshold,
@@ -20,8 +21,8 @@ from padicsat.complete import (
     _substitute_zero,
     solve_complete,
 )
-from padicsat.dispatch import solve_instance
-from padicsat.errors import InputError
+from padicsat.dispatch import solve_instance, solve_single_prime
+from padicsat.errors import InputError, InternalError
 from padicsat.model import (
     Equation,
     ImmediateUnsat,
@@ -31,11 +32,11 @@ from padicsat.model import (
     Verdict,
     normalize,
 )
-from padicsat.rational import INF, NEG_INF, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
-from padicsat.testkit import random_instance, verify_witness
+from padicsat.testkit import Graph, encode_coloring, random_instance, verify_witness
 
 
 def inst(variables, equations=(), valuations=(), orders=()):
@@ -64,6 +65,26 @@ def test_dispatch_rejects_orders_and_multi_prime():
     )
     with pytest.raises(InputError):
         solve_instance(two_primes)
+
+
+def test_single_prime_rejects_constraints_at_another_prime():
+    # deciding at p = 5 would ignore v_3(x) >= 1 and answer x = 1
+    i = inst(["x"], [Equation.of([1], 1)], [val(3, "x", ">=", 1)])
+    with pytest.raises(InputError):
+        solve_single_prime(normalize(i), 5)
+
+
+def test_complete_rejects_constraints_at_another_prime():
+    # x = 1 has v_3(x) = 0, so the instance is unsat; at p = 5 the window
+    # would be ignored and the answer would read sat
+    i = inst(
+        ["x"],
+        [Equation.of([1], 1)],
+        [val(3, "x", ">=", 1), val(3, "x", "<=", 4)],
+    )
+    assert solve_instance(i).is_unsat
+    with pytest.raises(InputError):
+        solve_complete(normalize(i), prime=5)
 
 
 def test_dispatch_immediate_unsat():
@@ -208,6 +229,22 @@ def test_propagation_pins_then_digit_branches():
     assert verdict.is_sat
     assert verify_witness(i, verdict.witness)
     assert verdict.witness["y"].valuation() == 0
+
+
+def test_rejected_witness_raises_internal_error(monkeypatch):
+    i = encode_coloring(Graph.complete(3), 3, 1)
+    assert solve_hard(i).is_sat
+    reconstruct = complete._reconstruct
+
+    def corrupted(state, witness):
+        out = reconstruct(state, witness)
+        var = min(out)
+        out[var] = out[var] + PowerSum.from_rational(state.prime, 1)
+        return out
+
+    monkeypatch.setattr(complete, "_reconstruct", corrupted)
+    with pytest.raises(InternalError, match="assembled witness rejected"):
+        solve_hard(i)
 
 
 def test_forced_zero_against_finite_cap():
