@@ -4,9 +4,10 @@ The polynomial solvers each handle one direction of valuation bounds.  When an
 instance mixes lower bounds with upper bounds or exclusions, satisfiability is
 decided here by a recursive search:
 
-* lower bounds are tightened by min-plus propagation over the equations, with
-  a divergence threshold that forces a coordinate to zero once its bound grows
-  past anything the instance can express;
+* lower bounds are tightened by min-plus propagation over the valuations each
+  state keeps of its equations' coefficients (updated by every substitution),
+  with a divergence threshold that forces a coordinate to zero once its bound
+  grows past anything the instance can express;
 * finitely windowed variables are branched on, smallest window first.  At
   p >= 3 pinning a valuation to one value still leaves p-1 leading digits, so
   a pinned variable is split by digit substitution x = i*p^v + p^(v+1)*y;
@@ -85,6 +86,17 @@ class _State:
     # substitution log, innermost last; entries are
     # ("zero", var) or ("digit", var, digit, v, fresh)
     log: list[tuple] = field(default_factory=list)
+    # per equation, its coefficients' valuations by variable and its rhs
+    # valuation; computed once, then kept in step by the substitutions
+    valuations: list[tuple[dict[str, int], ExtInt]] | None = None
+
+    def __post_init__(self):
+        if self.valuations is None:
+            p = self.prime
+            self.valuations = [
+                ({v: valuation(a, p) for v, a in coeffs.items()}, valuation(rhs, p))
+                for coeffs, rhs in self.equations
+            ]
 
     def copy(self) -> "_State":
         return _State(
@@ -92,6 +104,7 @@ class _State:
             [(dict(coeffs), rhs) for coeffs, rhs in self.equations],
             {v: p.copy() for v, p in self.profiles.items()},
             list(self.log),
+            [(dict(vals), rhs_val) for vals, rhs_val in self.valuations],
         )
 
 
@@ -110,15 +123,19 @@ def _substitute_zero(state: _State, var: str) -> bool:
     state.log.append(("zero", var))
     del state.profiles[var]
     kept: list[Equation] = []
-    for coeffs, rhs in state.equations:
+    kept_vals = []
+    for (coeffs, rhs), (vals, rhs_val) in zip(state.equations, state.valuations):
         if var in coeffs:
             coeffs = {v: c for v, c in coeffs.items() if v != var}
+            vals = {v: e for v, e in vals.items() if v != var}
         if not coeffs:
             if rhs != 0:
                 return False
             continue
         kept.append((coeffs, rhs))
+        kept_vals.append((vals, rhs_val))
     state.equations = kept
+    state.valuations = kept_vals
     return True
 
 
@@ -130,19 +147,23 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
     state.profiles[fresh] = _Prof(0, INF, frozenset())
     unit = Fraction(p) ** v
     kept: list[Equation] = []
-    for coeffs, rhs in state.equations:
+    kept_vals = []
+    for (coeffs, rhs), (vals, rhs_val) in zip(state.equations, state.valuations):
         if var in coeffs:
+            # fresh is a new name, so its coefficient is a * p^(v+1) alone
             a = coeffs.pop(var)
             rhs = rhs - a * digit * unit
-            coeffs[fresh] = coeffs.get(fresh, Fraction(0)) + a * unit * p
-            if coeffs[fresh] == 0:
-                del coeffs[fresh]
+            coeffs[fresh] = a * unit * p
+            vals[fresh] = vals.pop(var) + v + 1
+            rhs_val = valuation(rhs, p)
         if not coeffs:
             if rhs != 0:
                 return False
             continue
         kept.append((coeffs, rhs))
+        kept_vals.append((vals, rhs_val))
     state.equations = kept
+    state.valuations = kept_vals
     return True
 
 
@@ -153,7 +174,6 @@ def _divergence_threshold(state: _State) -> int:
     already present in the instance: profile bounds, coefficient valuations,
     and the total valuation spread of the equations.
     """
-    p = state.prime
     mag = 0
     for prof in state.profiles.values():
         for x in (prof.lower, prof.upper):
@@ -162,10 +182,8 @@ def _divergence_threshold(state: _State) -> int:
         for d in prof.excluded:
             mag = max(mag, abs(d))
     spread = 0
-    for coeffs, rhs in state.equations:
-        vals = [valuation(a, p) for a in coeffs.values()]
-        if rhs != 0:
-            vals.append(valuation(rhs, p))
+    for coeff_vals, rhs_val in state.valuations:
+        vals = [*coeff_vals.values(), *([rhs_val] if rhs_val != INF else [])]
         mag = max(mag, max(abs(v) for v in vals))
         spread += max(vals) - min(vals)
     return mag + spread + 1
@@ -181,7 +199,6 @@ def _check_profiles(state: _State) -> Verdict | None:
 
 def _propagate(state: _State) -> Verdict | None:
     """Min-plus tightening of lower bounds; substitutes forced zeros in place."""
-    p = state.prime
     threshold = _divergence_threshold(state)
     rounds = PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))
     for _ in range(rounds):
@@ -189,8 +206,7 @@ def _propagate(state: _State) -> Verdict | None:
         restart = True
         while restart:
             restart = False
-            for coeffs, rhs in state.equations:
-                vals = {var: valuation(a, p) for var, a in coeffs.items()}
+            for vals, rhs_val in state.valuations:
                 terms: dict[str, ExtInt] = {}
                 for var, v in vals.items():
                     lo = state.profiles[var].lower
@@ -198,7 +214,7 @@ def _propagate(state: _State) -> Verdict | None:
                 # the two smallest of the terms and the rhs valuation: the
                 # minimum over all but one term is the second if that term
                 # is the first
-                first: ExtInt = INF if rhs == 0 else valuation(rhs, p)
+                first: ExtInt = rhs_val
                 second: ExtInt = INF
                 for t in terms.values():
                     if t < first:
@@ -284,24 +300,17 @@ def _geq_problem(
     solver's exact flag.
     """
     p = state.prime
-    index = {v: j for j, v in enumerate(members)}
-    a = [[Fraction(0)] * len(members) for _ in eqs]
-    for row, (coeffs, _) in zip(a, eqs):
-        for var, c in coeffs.items():
-            row[index[var]] = c
     profs = [state.profiles[v] for v in members]
-    return GeqProblem.of(
-        a,
-        [rhs for _, rhs in eqs],
-        p,
-        tuple(prof.lower for prof in profs),
-        tuple(
+    return GeqProblem.of_equations(
+        members, eqs, p,
+        [prof.lower for prof in profs],
+        [
             p == 2
             and is_finite(prof.lower)
             and prof.lower == prof.upper
             and prof.lower not in prof.excluded
             for prof in profs
-        ),
+        ],
     )
 
 

@@ -29,12 +29,10 @@ from .solver_leq import LeqProblem, solve_leq
 
 def geq_problem_of(norm: NormalizedInstance, p: int) -> GeqProblem:
     profs = [norm.profile(p, v) for v in norm.variables]
-    return GeqProblem.of(
-        [list(eq.coeffs) for eq in norm.equations],
-        [eq.rhs for eq in norm.equations],
-        p,
-        tuple(prof.lower for prof in profs),
-        tuple(prof.exact for prof in profs),
+    return GeqProblem.of_equations(
+        norm.variables,
+        [(dict(zip(norm.variables, eq.coeffs)), eq.rhs) for eq in norm.equations],
+        p, [prof.lower for prof in profs], [prof.exact for prof in profs],
     )
 
 

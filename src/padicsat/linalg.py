@@ -6,6 +6,9 @@ pivot row's nonzero_columns: the determinant, affine solution spaces and the
 cost-driven echelon here, and the simplex tableau in simplex.py.  A row update
 touches only the pivot row's nonzero entries, so a sparse matrix costs what
 its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
+The cost-driven echelon keeps each row as integers over one denominator, an
+exact multiple of its Fraction row: costs within a row shift uniformly, so
+every pivot is the Fraction one, and Fraction views are built only when read.
 The module provides the workhorses the solvers need: affine solution spaces,
 row echelon forms that pick pivots by a per-column cost, and the Smith normal
 form over Z used by the independent divisibility oracle.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 from .rational import (
@@ -101,10 +105,9 @@ def nonzero_columns(row: Vector, start: int) -> list[int]:
     return [j for j in range(start, len(row)) if row[j]]
 
 
-def subtract_multiple(
-    row: Vector, factor: Fraction, source: Vector, columns: list[int]
-) -> None:
-    """row -= factor * source in place, at the given columns only.
+def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> None:
+    """row -= factor * source in place, at the given columns only (Fractions,
+    or ints in the cost-driven echelon).
 
     columns must hold every nonzero entry of source: the eliminations here
     pass the pivot row's nonzero columns from the pivot on (both rows are zero
@@ -245,7 +248,7 @@ class PivotCosts:
     def uniform(cls, p: int, n: int) -> "PivotCosts":
         return cls(p, (0,) * n, (0,) * n)
 
-    def doubled_cost(self, a: Fraction, j: int) -> ExtInt:
+    def doubled_cost(self, a: RationalLike, j: int) -> ExtInt:
         """2 * cost of entry a in original column j, as an exact ExtInt."""
         if a == 0:
             return INF
@@ -261,16 +264,26 @@ class EchelonResult:
 
     U is the invertible m x m product of the row operations; it is not kept,
     only its action on the caller's right-hand sides (carried = U @ rhs).
+    echelon and carried are Fraction views of the integer rows.
     """
 
-    carried: Matrix             # U @ rhs, m x k
+    rows: list[list[int]]       # row i of (B | carried), times dens[i]
+    dens: list[int]             # positive
+    width: int                  # columns of B; the rest of each row is carried
     sigma: tuple[int, ...]      # column permutation; B's col j holds A's col sigma^-1(j)
-    echelon: Matrix
     pivots: tuple[int, ...]     # pivot column positions of the nonzero rows
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def echelon(self) -> Matrix:
+        return [[Fraction(x, d) for x in r[: self.width]] for r, d in zip(self.rows, self.dens)]
+
+    @property
+    def carried(self) -> Matrix:
+        return [[Fraction(x, d) for x in r[self.width :]] for r, d in zip(self.rows, self.dens)]
 
 
 def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonResult:
@@ -293,46 +306,63 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         raise InputError("cost vector length does not match column count")
     if len(rhs) != m:
         raise InputError("rhs row count does not match the matrix")
-    B = matrix(A)
-    R = matrix(rhs)
+    if any(len(a) != n for a in A) or len({len(b) for b in rhs}) > 1:
+        raise InputError("ragged matrix")
+    rows, dens = [], []
+    for a, b in zip(A, rhs):  # each row of (A | rhs) over its lcm denominator
+        ratios = [
+            (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+            for x in (*a, *b)
+        ]
+        den = lcm(*[d for _, d in ratios])
+        rows.append([num * (den // d) for num, d in ratios])
+        dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     r = 0
     while r < m and r < n:
-        top = B[r]
-        columns = nonzero_columns(top, r)
-        if not columns:
-            swap = next(
-                (i for i in range(r + 1, m) if any(B[i][j] != 0 for j in range(r, n))),
-                None,
-            )
+        top = rows[r]
+        columns = nonzero_columns(top, r)  # the carried columns from n on included
+        if not columns or columns[0] >= n:
+            swap = next((i for i in range(r + 1, m) if any(rows[i][r:n])), None)
             if swap is None:
                 break
-            B[r], B[swap] = B[swap], B[r]
-            R[r], R[swap] = R[swap], R[r]
-            top = B[r]
+            rows[r], rows[swap] = rows[swap], rows[r]
+            dens[r], dens[swap] = dens[swap], dens[r]
+            top = rows[r]
             columns = nonzero_columns(top, r)
         # a zero entry costs +inf and every nonzero one less, so the nonzero
-        # columns hold the cheapest entry
-        best = min(columns, key=lambda j: (costs.doubled_cost(top[j], col_of[j]), j))
+        # columns hold the cheapest entry; min keeps the leftmost of a tie
+        best = min(
+            (j for j in columns if j < n),
+            key=lambda j: costs.doubled_cost(top[j], col_of[j]),
+        )
         if best != r:
-            for row in B:
+            for row in rows:
                 row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
             columns = nonzero_columns(top, r)
-        pivot = top[r]
-        carried = nonzero_columns(R[r], 0)
+        # |piv| row - sign(piv) a top is the Fraction row - (a / piv) top
+        # times den |piv|; the gcd of that row and den is then divided out
+        scale, sign = abs(top[r]), (1 if top[r] > 0 else -1)
         for i in range(r + 1, m):
-            if B[i][r] != 0:
-                factor = B[i][r] / pivot
-                subtract_multiple(B[i], factor, top, columns)
-                subtract_multiple(R[i], factor, R[r], carried)
+            row = rows[i]
+            if row[r]:
+                factor = sign * row[r]
+                if scale != 1:
+                    row[r:] = [x * scale for x in row[r:]]
+                subtract_multiple(row, factor, top, columns)
+                dens[i] *= scale
+                g = gcd(dens[i], *row[r + 1:])
+                if g != 1:
+                    row[r + 1:] = [x // g for x in row[r + 1:]]
+                    dens[i] //= g
         r += 1
     sigma = [0] * n
     for pos, orig in enumerate(col_of):
         sigma[orig] = pos
     # row i < r pivots at position i: the rows below each pivot were cleared
     # left of it, and the rows from r on are zero
-    return EchelonResult(R, tuple(sigma), B, tuple(range(r)))
+    return EchelonResult(rows, dens, n, tuple(sigma), tuple(range(r)))
 
 
 # ---------------------------------------------------------------------------

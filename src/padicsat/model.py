@@ -124,7 +124,7 @@ class VarProfile:
     """Folded valuation constraints for one (variable, prime) pair.
 
     The allowed valuations are {v in Z : lower <= v <= upper, v not in
-    excluded}, plus +inf (i.e. the value 0) iff allow_infinity.  exact is set
+    excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  exact is set
     at p = 2 when an equality constraint pinned the valuation; the >=-solver
     consumes it as its half-step flag.
     """
@@ -133,20 +133,9 @@ class VarProfile:
     upper: ExtInt = INF
     excluded: frozenset[int] = frozenset()
     exact: bool = False
-    allow_infinity: bool = True
-
-    def admits(self, v: ExtInt) -> bool:
-        if v == INF:
-            return self.allow_infinity and self.upper == INF
-        return self.lower <= v <= self.upper and v not in self.excluded
 
     def is_unconstrained(self) -> bool:
-        return (
-            self.lower == NEG_INF
-            and self.upper == INF
-            and not self.excluded
-            and self.allow_infinity
-        )
+        return self.lower == NEG_INF and self.upper == INF and not self.excluded
 
 
 @dataclass(frozen=True)
@@ -239,7 +228,6 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
                 upper=up,
                 excluded=frozenset(slot["excluded"]),
                 exact=slot["exact"],
-                allow_infinity=up == INF,
             )
     return NormalizedInstance(
         variables=inst.variables,

@@ -117,6 +117,8 @@ def valuation(q: RationalLike, p: int) -> ExtInt:
     terms can be nonzero.
     """
     check_prime(p)
+    if type(q) is int:
+        return int_valuation(q, p)
     q = as_fraction(q)
     if q == 0:
         return INF

@@ -112,10 +112,11 @@ class _Tableau:
                 self.flips.append(Fraction(1))
                 self.rows.append(list(row))
                 self.rhs.append(q)
-        # one artificial per row, appended after the real columns
-        for i in range(self.m):
-            for k in range(self.m):
-                self.rows[i].append(Fraction(1 if k == i else 0))
+        # one artificial per row, appended after the real columns; Fractions
+        # are immutable, so the block shares one zero and one one
+        zero, one = Fraction(0), Fraction(1)
+        for i, row in enumerate(self.rows):
+            row += [zero] * i + [one] + [zero] * (self.m - 1 - i)
         self.width = num_real + self.m
         self.basis = [num_real + i for i in range(self.m)]
 

@@ -11,6 +11,10 @@ hand sides and each pivot row passes a single valuation comparison; a witness
 follows by assigning p**floor to every non-pivot column and back-substituting
 in power-sum arithmetic.
 
+Both checks run on the echelon's integer rows: row i is its Fraction row
+times d_i, which shifts every valuation in the row by v_p(d_i) and keeps each
+comparison; the shift comes back only in the reported required/actual.
+
 With witness=False the solver stops after the two checks: the witness-free
 relaxation test of the branch-and-decide search needs only the status, so it
 skips the back-substitution.  Unsat answers are the same either way.
@@ -37,8 +41,8 @@ from .rational import (
     ExtInt,
     PowerSum,
     check_prime,
+    int_valuation,
     is_finite,
-    valuation,
 )
 
 
@@ -89,6 +93,15 @@ class GeqProblem:
             tuple(bool(x) for x in exact) if exact is not None else (False,) * n,
         )
 
+    @classmethod
+    def of_equations(cls, columns, equations, prime, floors, exact) -> "GeqProblem":
+        """From (Fraction coefficients by column, Fraction rhs) pairs, uncoerced;
+        a column missing from an equation has coefficient 0."""
+        zero = Fraction(0)
+        A = tuple(tuple([coeffs.get(c, zero) for c in columns]) for coeffs, _ in equations)
+        b = tuple(rhs for _, rhs in equations)
+        return cls(A, b, prime, tuple(floors), tuple(exact))
+
     def costs(self) -> PivotCosts:
         return PivotCosts(
             self.prime, self.floors, tuple(int(x) for x in self.exact)
@@ -103,56 +116,55 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
     result: EchelonResult = pivot_minimal_echelon(
         prob.A, prob.costs(), [[x] for x in prob.b]
     )
-    B = result.echelon
-    b2 = [row[0] for row in result.carried]
+    rows, dens = result.rows, result.dens  # row i: (B | U b) times dens[i]
     col_of = inverse_permutation(result.sigma)  # position -> original column
     floors2 = [prob.floors[col_of[j]] for j in range(n)]
     exact2 = [prob.exact[col_of[j]] for j in range(n)]
     k = result.rank
     for i in range(k, m):
-        if b2[i] != 0:
+        if rows[i][n] != 0:
+            rhs = Fraction(rows[i][n], dens[i])
             return Verdict.unsat(
                 "rank-deficient-rhs",
-                f"echelon row {i} is zero but its right-hand side is {b2[i]}",
+                f"echelon row {i} is zero but its right-hand side is {rhs}",
                 row=i,
             )
     for i, piv in enumerate(result.pivots):
         if floors2[piv] == NEG_INF:
             continue  # pivot cost -inf: the comparison holds vacuously
-        lhs = valuation(B[i][piv], p) + floors2[piv] + int(exact2[piv])
-        terms = [(b2[i], 0)]
-        for j in range(piv, n):
-            if exact2[j] and B[i][j] != 0:
-                terms.append((-B[i][j], floors2[j]))
-        rhs_val = PowerSum(p, tuple(terms)).valuation()
+        row = rows[i]
+        lhs = int_valuation(row[piv], p) + floors2[piv] + int(exact2[piv])
+        # a PowerSum only when exact flags add terms to the right-hand side
+        terms = [(-row[j], floors2[j]) for j in range(piv, n) if exact2[j] and row[j]]
+        rhs_val = (
+            PowerSum(p, ((row[n], 0), *terms)).valuation() if terms else int_valuation(row[n], p)
+        )
         if not lhs <= rhs_val:
+            shift = int_valuation(dens[i], p)  # back to the Fraction row
+            required, actual = lhs - shift, rhs_val - shift
             return Verdict.unsat(
                 "pivot-bound",
-                f"pivot row {i} needs valuation >= {lhs} on the right-hand side, got {rhs_val}",
+                f"pivot row {i} needs valuation >= {required} on the right-hand side, got {actual}",
                 row=i,
-                required=lhs,
-                actual=rhs_val,
+                required=required,
+                actual=actual,
             )
     diagnostics = {"rank": k, "sigma": result.sigma}
     if not witness:
         return Verdict(Status.SAT, diagnostics=diagnostics)
-    # witness: free columns get p**floor, pivots are back-substituted
+    # witness: the free columns (from k on, row i pivots at i) get p**floor,
+    # pivots are back-substituted; a row's denominator cancels from its equation
     w: list[PowerSum | None] = [None] * n
-    pivot_cols = set(result.pivots)
-    for j in range(n):
-        if j in pivot_cols:
-            continue
-        if is_finite(floors2[j]):
-            w[j] = PowerSum(p, ((Fraction(1), floors2[j]),))
-        else:
-            w[j] = PowerSum.zero(p)
+    for j in range(k, n):
+        finite = is_finite(floors2[j])
+        w[j] = PowerSum(p, ((Fraction(1), floors2[j]),) if finite else ())
     for i in range(k - 1, -1, -1):
-        piv = result.pivots[i]
-        terms = [(b2[i], 0)]  # one PowerSum of all the terms, normalized once
-        for j in range(piv + 1, n):
-            if B[i][j] != 0:
-                terms += [(-c * B[i][j], e) for c, e in w[j].terms]
-        w[piv] = PowerSum(p, tuple(terms)).scale(1 / B[i][piv])
+        row = rows[i]
+        terms = [(row[n], 0)]  # one PowerSum of all the terms, normalized once
+        for j in range(i + 1, n):
+            if row[j] != 0:
+                terms += [(-c * row[j], e) for c, e in w[j].terms]
+        w[i] = PowerSum(p, tuple(terms)).scale(Fraction(1, row[i]))
     values = [None] * n
     for j in range(n):
         values[col_of[j]] = w[j]

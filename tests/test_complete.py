@@ -18,6 +18,7 @@ from padicsat.complete import (
     _propagate,
     _Prof,
     _State,
+    _substitute_digit,
     _substitute_zero,
     solve_complete,
 )
@@ -608,3 +609,45 @@ def test_propagate_matches_quadratic_reference():
         else:
             outcomes["tightened" if state != before else "unchanged"] += 1
     assert min(outcomes.values()) >= 10 and len(outcomes) == 5, outcomes
+
+
+def _recomputed_valuations(state):
+    p = state.prime
+    return [
+        ({v: valuation(a, p) for v, a in coeffs.items()}, valuation(rhs, p))
+        for coeffs, rhs in state.equations
+    ]
+
+
+def test_substitutions_keep_cached_valuations():
+    # the coefficient and rhs valuations _State caches for propagation must
+    # match the equations after every zero and digit substitution, digits at
+    # negative v and fractional coefficients included, and after propagation
+    rng = random.Random(777)
+    kinds = collections.Counter()
+    for trial in range(300):
+        state = _random_state(rng)
+        assert state.valuations == _recomputed_valuations(state), trial
+        for step in range(4):
+            if not state.profiles:
+                break
+            var = rng.choice(sorted(state.profiles))
+            if rng.random() < 0.4:
+                ok = _substitute_zero(state, var)
+                kinds["zero"] += 1
+            else:
+                v = rng.randint(-3, 3)
+                ok = _substitute_digit(
+                    state, var, rng.randint(1, state.prime - 1), v, f"$t{trial}.{step}"
+                )
+                kinds["digit-negative-v" if v < 0 else "digit"] += 1
+            assert state.valuations == _recomputed_valuations(state), (trial, step)
+            copied = state.copy()
+            assert copied.valuations == state.valuations, (trial, step)
+            if not ok:  # the search drops such a state
+                kinds["contradiction"] += 1
+                break
+        else:
+            if _propagate(state) is None:
+                assert state.valuations == _recomputed_valuations(state), trial
+    assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds

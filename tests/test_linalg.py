@@ -98,17 +98,35 @@ def test_echelon_zero_matrix():
     assert_echelon_result(A, PivotCosts.uniform(3, 2), res)
 
 
+def _fractional_matrix(rng, m, n, p, density):
+    """Entries a / (p^k q) with k up to 3, so row denominators carry p."""
+    return [
+        [
+            Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3) * rng.randint(1, 4))
+            if rng.random() < density
+            else Fraction(0)
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+
+
 def test_echelon_random_properties():
-    # (density, seed base, max rows, max columns): the sparse pass checks that
-    # row updates skipping the pivot row's zero entries keep B = U A P,
-    # det U != 0 and the cost-minimal pivots
-    for density, seed_base, max_m, max_n in ((0.8, 50, 5, 6), (0.2, 150, 8, 10)):
+    # (density, seed base, max rows, max columns, fractional): the sparse pass
+    # checks that row updates skipping the pivot row's zero entries keep
+    # B = U A P, det U != 0 and the cost-minimal pivots; the fractional pass
+    # that the integer rows' denominators shift no pivot choice
+    passes = ((0.8, 50, 5, 6, False), (0.2, 150, 8, 10, False), (0.7, 250, 6, 7, True))
+    for density, seed_base, max_m, max_n, fractional in passes:
         for p in (2, 3, 5):
             rng = random.Random(seed_base + p)
             for _ in range(60):
                 m = rng.randint(1, max_m)
                 n = rng.randint(1, max_n)
-                A = rand_matrix(rng, m, n, mag=9, density=density)
+                if fractional:
+                    A = _fractional_matrix(rng, m, n, p, density)
+                else:
+                    A = rand_matrix(rng, m, n, mag=9, density=density)
                 offsets = tuple(
                     rng.choice([NEG_INF] + list(range(-4, 5))) for _ in range(n)
                 )

@@ -13,7 +13,6 @@ from padicsat.model import (
     Instance,
     OrderConstraint,
     ValConstraint,
-    VarProfile,
     Verdict,
     classify,
     classify_kinds,
@@ -68,10 +67,9 @@ def test_normalize_folds_profiles():
     assert not isinstance(norm, ImmediateUnsat)
     px = norm.profile(3, "x")
     assert (px.lower, px.upper, px.excluded) == (2, 7, frozenset({4}))
-    assert px.allow_infinity is False and px.exact is False
+    assert px.exact is False
     py = norm.profile(5, "y")
     assert (py.lower, py.upper, py.excluded) == (NEG_INF, INF, frozenset({0}))
-    assert py.allow_infinity is True
     # untouched pairs give the unconstrained profile
     assert norm.profile(3, "y").is_unconstrained()
     assert norm.profile(7, "x").is_unconstrained()
@@ -116,15 +114,6 @@ def test_normalize_detects_empty_windows():
         )
     )
     assert isinstance(pinned, ImmediateUnsat)
-
-
-def test_profile_admits():
-    prof = VarProfile(lower=0, upper=INF, excluded=frozenset({2}))
-    assert prof.admits(0) and prof.admits(3) and prof.admits(INF)
-    assert not prof.admits(-1) and not prof.admits(2)
-    capped = VarProfile(lower=NEG_INF, upper=4, allow_infinity=False)
-    assert capped.admits(-100) and capped.admits(4)
-    assert not capped.admits(5) and not capped.admits(INF)
 
 
 def test_classification_table():
@@ -223,11 +212,10 @@ def test_normalize_is_idempotent_on_profiles():
         for p in norm.primes:
             for var in ["x", "y"]:
                 a, b = norm.profile(p, var), again.profile(p, var)
-                assert (a.lower, a.upper, a.excluded, a.allow_infinity) == (
+                assert (a.lower, a.upper, a.excluded) == (
                     b.lower,
                     b.upper,
                     b.excluded,
-                    b.allow_infinity,
                 ), f"trial {trial}: profile drift at p={p} var={var}"
 
 

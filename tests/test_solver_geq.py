@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from padicsat.linalg import (
     mat_vec,
     matrix,
 )
-from padicsat.rational import NEG_INF, PowerSum
+from padicsat.model import Status, Verdict
+from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import GeqProblem, solve_geq
 from padicsat.testkit import (
     instance_of_geq_problem,
@@ -168,3 +170,115 @@ def test_witness_free_matches_full():
             assert bare.witness is None, seed
             assert bare.diagnostics == full.diagnostics, seed
     assert len(statuses) == 2
+
+
+def _reference_echelon(A, costs, b):
+    """The cost-driven echelon on Fraction rows: (B, carried b, sigma, rank)."""
+    m, n = len(A), len(costs.offsets)
+    B = [list(row) for row in A]
+    R = list(b)
+    col_of = list(range(n))
+    r = 0
+    while r < m and r < n:
+        if not any(B[r][r:]):
+            swap = next((i for i in range(r + 1, m) if any(B[i][r:])), None)
+            if swap is None:
+                break
+            B[r], B[swap] = B[swap], B[r]
+            R[r], R[swap] = R[swap], R[r]
+        top = B[r]
+        best = min(
+            (j for j in range(r, n) if top[j]),
+            key=lambda j: (costs.doubled_cost(top[j], col_of[j]), j),
+        )
+        for row in B:
+            row[r], row[best] = row[best], row[r]
+        col_of[r], col_of[best] = col_of[best], col_of[r]
+        for i in range(r + 1, m):
+            factor = B[i][r] / top[r]
+            B[i] = [x - factor * y for x, y in zip(B[i], top)]
+            R[i] -= factor * R[r]
+        r += 1
+    sigma = [0] * n
+    for pos, orig in enumerate(col_of):
+        sigma[orig] = pos
+    return B, R, tuple(sigma), r
+
+
+def _reference_solve_geq(prob):
+    """solve_geq's checks and witness computed on the Fraction echelon."""
+    p, n, m = prob.prime, len(prob.floors), len(prob.A)
+    B, b2, sigma, k = _reference_echelon(prob.A, prob.costs(), prob.b)
+    col_of = inverse_permutation(sigma)
+    floors = [prob.floors[col_of[j]] for j in range(n)]
+    exact = [prob.exact[col_of[j]] for j in range(n)]
+    for i in range(k, m):
+        if b2[i] != 0:
+            return Verdict.unsat(
+                "rank-deficient-rhs",
+                f"echelon row {i} is zero but its right-hand side is {b2[i]}",
+                row=i,
+            )
+    for i in range(k):
+        if floors[i] == NEG_INF:
+            continue
+        lhs = valuation(B[i][i], p) + floors[i] + int(exact[i])
+        terms = [(b2[i], 0)]
+        terms += [(-B[i][j], floors[j]) for j in range(i, n) if exact[j] and B[i][j]]
+        rhs_val = PowerSum(p, tuple(terms)).valuation()
+        if not lhs <= rhs_val:
+            return Verdict.unsat(
+                "pivot-bound",
+                f"pivot row {i} needs valuation >= {lhs} on the right-hand side, got {rhs_val}",
+                row=i,
+                required=lhs,
+                actual=rhs_val,
+            )
+    w = [
+        PowerSum(p, ((Fraction(1), floors[j]),)) if is_finite(floors[j])
+        else PowerSum.zero(p)
+        for j in range(n)
+    ]
+    for i in range(k - 1, -1, -1):
+        acc = PowerSum.from_rational(p, b2[i])
+        for j in range(i + 1, n):
+            acc = acc - w[j].scale(B[i][j])
+        w[i] = acc.scale(1 / B[i][i])
+    return Verdict(
+        Status.SAT,
+        witness=[w[sigma[j]] for j in range(n)],
+        diagnostics={"rank": k, "sigma": sigma},
+    )
+
+
+def test_fractional_inputs_match_fraction_reference():
+    # entries a / (p^k q): the integer rows' denominators carry p, so the
+    # reported valuations (required, actual) need the -v_p(den) shift back
+    codes = collections.Counter()
+    for seed in range(400):
+        p = (2, 3, 5)[seed % 3]
+        base = random_geq_problem(
+            seed, max_dim=5, coeff_mag=9, bound_mag=3, primes=(p,),
+            allow_exact=p == 2 and seed % 2 == 0, allow_unbounded=seed % 5 == 0,
+        )
+        rng = random.Random(seed)
+
+        def scaled(x):
+            return x / (p ** rng.randint(0, 3) * rng.randint(1, 4))
+
+        prob = GeqProblem.of(
+            [[scaled(x) for x in row] for row in base.A],
+            [scaled(x) for x in base.b],
+            p,
+            base.floors,
+            base.exact,
+        )
+        got, want = solve_geq(prob), _reference_solve_geq(prob)
+        assert (got.status, got.code, got.reason, got.diagnostics) == (
+            want.status, want.code, want.reason, want.diagnostics
+        ), seed
+        assert got.witness == want.witness, seed
+        codes[got.code or "sat"] += 1
+        if got.code == "pivot-bound" and any(prob.exact):
+            codes["pivot-bound-exact"] += 1
+    assert min(codes.values()) >= 10 and len(codes) == 4, codes
