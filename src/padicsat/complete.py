@@ -515,10 +515,9 @@ def _solve_state(state: _State, search: _Search) -> Verdict:
     failed = _check_profiles(state)
     if failed is not None:
         return failed
+    # no second _check_profiles: _propagate tests empty() after each bound it
+    # raises and only deletes profiles otherwise, so none can be empty here
     failed = _propagate(state)
-    if failed is not None:
-        return failed
-    failed = _check_profiles(state)
     if failed is not None:
         return failed
     _tighten_singletons(state)

@@ -9,6 +9,12 @@ its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
 The cost-driven echelon keeps each row as integers over one denominator, an
 exact multiple of its Fraction row: costs within a row shift uniformly, so
 every pivot is the Fraction one, and Fraction views are built only when read.
+The affine solve runs on integer rows too, scaled by the same _integer_row but
+with the denominators dropped, since a multiple of a row has the same
+solutions.  It eliminates fraction-free above and below each pivot and divides
+every updated row by its content, so an entry never outgrows a minor of the
+scaled matrix; its particular solution and kernel basis are canonical, so they
+are exactly the Fraction ones.
 The module provides the workhorses the solvers need: affine solution spaces,
 row echelon forms that pick pivots by a per-column cost, and the Smith normal
 form over Z used by the independent divisibility oracle.
@@ -107,14 +113,24 @@ def nonzero_columns(row: Vector, start: int) -> list[int]:
 
 def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> None:
     """row -= factor * source in place, at the given columns only (Fractions,
-    or ints in the cost-driven echelon).
+    or ints in the cost-driven echelon and the affine solve).
 
     columns must hold every nonzero entry of source: the eliminations here
-    pass the pivot row's nonzero columns from the pivot on (both rows are zero
-    left of it), the simplex tableau passes them from 0.
+    pass the pivot row's nonzero columns from the pivot on (the pivot row is
+    zero left of it), the simplex tableau passes them from 0.
     """
     for j in columns:
         row[j] -= factor * source[j]
+
+
+def _integer_row(entries) -> tuple[list[int], int]:
+    """(numerators, den): the rationals as integers over their lcm denominator."""
+    ratios = [
+        (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+        for x in entries
+    ]
+    den = lcm(*[d for _, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
 
 
 def determinant(A: Matrix) -> Fraction:
@@ -161,14 +177,15 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
     """Solve A x = b over Q.  Returns None when the system is inconsistent.
 
     The particular solution sets all free coordinates to 0; the basis spans
-    the kernel of A, one vector per free coordinate.
+    the kernel of A, one vector per free coordinate, e_f on the free ones.
+    Both are canonical, so any exact elimination gives these Fractions.
     """
     m, n = dims(A)
     if len(b) != m:
         raise InputError("rhs length does not match row count")
-    M = [[as_fraction(x) for x in A[i]] + [as_fraction(b[i])] for i in range(m)]
-    # forward elimination only: the echelon form keeps sparse inputs sparse,
-    # where a full Gauss-Jordan reduction would densify them
+    # each row of (A | b) over its lcm denominator: a row's multiple has the
+    # same solutions, so the denominators are dropped
+    M = [_integer_row((*A[i], b[i]))[0] for i in range(m)]
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
@@ -176,11 +193,10 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
         if pivot_row is None:
             continue
         M[row], M[pivot_row] = M[pivot_row], M[row]
-        pivot = M[row][col]
         columns = nonzero_columns(M[row], col)  # the rhs column n included
         for i in range(row + 1, m):
             if M[i][col] != 0:
-                subtract_multiple(M[i], M[i][col] / pivot, M[row], columns)
+                _eliminate(M[i], col, M[row], columns)
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -188,32 +204,45 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
     for i in range(row, m):
         if M[i][n] != 0:
             return None
-
+    # clear above the pivots too, last pivot first: a pivot row is then
+    # already zero at every later pivot column, so it adds no fill there
+    for r in range(len(pivot_cols) - 1, 0, -1):
+        col = pivot_cols[r]
+        columns = nonzero_columns(M[r], col)
+        for i in range(r):
+            if M[i][col] != 0:
+                _eliminate(M[i], pivot_cols[i], M[r], columns)
+    # row r now reads piv x_c + sum over free f of a_f x_f = rhs
     pivot_set = set(pivot_cols)
-
-    def back_substitute(rhs_of, free_value_of):
-        # echelon rows have zeros left of their pivots, so row r only
-        # involves columns >= pivot_cols[r]
-        vec = [
-            free_value_of(c) if c not in pivot_set else Fraction(0)
-            for c in range(n)
-        ]
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            c = pivot_cols[r]
-            acc = rhs_of(r)
-            for j in range(c + 1, n):
-                if M[r][j] != 0 and vec[j] != 0:
-                    acc -= M[r][j] * vec[j]
-            vec[c] = acc / M[r][c]
-        return vec
-
-    particular = back_substitute(lambda r: M[r][n], lambda c: Fraction(0))
-    basis = [
-        back_substitute(lambda r: Fraction(0), lambda c: Fraction(int(c == f)))
-        for f in range(n)
-        if f not in pivot_set
-    ]
+    free = [f for f in range(n) if f not in pivot_set]
+    particular = [Fraction(0)] * n
+    basis = [[Fraction(int(c == f)) for c in range(n)] for f in free]
+    for r, c in enumerate(pivot_cols):
+        top = M[r]
+        piv = top[c]
+        particular[c] = Fraction(top[n], piv)
+        for vec, f in zip(basis, free):
+            if top[f]:
+                vec[c] = Fraction(-top[f], piv)
     return SolutionSpace(particular, basis)
+
+
+def _eliminate(row: list[int], start: int, top: list[int], columns: list[int]) -> None:
+    """Clear row at top's pivot column, fraction-free on integer rows.
+
+    columns are top's nonzero columns from its pivot on; row is zero left of
+    start.  row becomes (piv/g) row - (a/g) top with g = gcd(a, piv), then is
+    divided by its content.
+    """
+    a, piv = row[columns[0]], top[columns[0]]
+    g = gcd(a, piv)
+    a, piv = a // g, piv // g
+    if piv != 1:
+        row[start:] = [x * piv for x in row[start:]]
+    subtract_multiple(row, a, top, columns)
+    g = gcd(*row[start:])
+    if g > 1:
+        row[start:] = [x // g for x in row[start:]]
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +339,8 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         raise InputError("ragged matrix")
     rows, dens = [], []
     for a, b in zip(A, rhs):  # each row of (A | rhs) over its lcm denominator
-        ratios = [
-            (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
-            for x in (*a, *b)
-        ]
-        den = lcm(*[d for _, d in ratios])
-        rows.append([num * (den // d) for num, d in ratios])
+        row, den = _integer_row((*a, *b))
+        rows.append(row)
         dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     r = 0

@@ -38,17 +38,18 @@ class _Line:
     def __init__(self, text: str, number: int):
         self.number = number
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
+        # finditer skips what no token matches: a gap before a match, or
+        # after the last one, starts at an unexpected character
         pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}", number, pos + 1
-                )
+        for m in _TOKEN.finditer(text):
+            if m.start() != pos:
+                break
             pos = m.end()
             kind = m.lastgroup
             if kind != "ws":
                 self.tokens.append((kind, m.group(), m.start() + 1))
+        if pos != len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", number, pos + 1)
         self.cursor = 0
 
     def peek(self):
@@ -114,17 +115,20 @@ def _integer(line: _Line, what: str = "an integer") -> int:
     return _to_int(line, text, col)
 
 
-def _linear_row(line: _Line, variables, stop_ops, line_kind: str):
-    """coeff var (+|- coeff var)* followed by one of stop_ops."""
-    index = {name: j for j, name in enumerate(variables)}
-    coeffs = [Fraction(0)] * len(variables)
-    sign = Fraction(1)
+def _linear_row(line: _Line, index: dict[str, int], stop_ops, line_kind: str):
+    """coeff var (+|- coeff var)* followed by one of stop_ops; index maps each
+    variable name to its column."""
+    coeffs = [Fraction(0)] * len(index)
+    sign = 1
     while True:
-        c = _rational(line, "a coefficient") * sign
+        c = _rational(line, "a coefficient")
+        if sign < 0:
+            c = -c
         _, name, col = line.take("ident", what="a variable name")
-        if name not in index:
+        j = index.get(name)
+        if j is None:
             raise ParseError(f"unknown variable {name!r}", line.number, col)
-        coeffs[index[name]] += c
+        coeffs[j] = coeffs[j] + c if coeffs[j] else c  # a repeated name adds up
         tok = line.peek()
         if tok is None:
             raise ParseError(
@@ -140,15 +144,15 @@ def _linear_row(line: _Line, variables, stop_ops, line_kind: str):
             line.done()
             return tuple(coeffs), text, rhs
         if text == "+":
-            sign = Fraction(1)
+            sign = 1
             line.cursor += 1
         elif text == "-":
-            sign = Fraction(-1)
+            sign = -1
             line.cursor += 1
         elif kind == "num" and text.startswith("-"):
             # "1 x -2 y": the minus lexed as part of the number; leave the
             # token for the next coefficient.
-            sign = Fraction(1)
+            sign = 1
         else:
             raise ParseError(
                 f"expected +, -, or one of {', '.join(stop_ops)}, found {text!r}",
@@ -159,6 +163,7 @@ def _linear_row(line: _Line, variables, stop_ops, line_kind: str):
 
 def parse_instance(text: str) -> Instance:
     variables: tuple[str, ...] | None = None
+    index: dict[str, int] = {}  # variable name -> column
     equations = []
     valuations = []
     orders = []
@@ -180,13 +185,14 @@ def parse_instance(text: str) -> Instance:
             if not names:
                 raise ParseError("vars line declares nothing", number, col)
             variables = tuple(names)
+            index = {name: j for j, name in enumerate(variables)}
             continue
         if variables is None:
             raise ParseError(
                 "the vars line must come before any constraint", number, col
             )
         if keyword == "eq":
-            coeffs, _, rhs = _linear_row(line, variables, ("=",), "eq")
+            coeffs, _, rhs = _linear_row(line, index, ("=",), "eq")
             equations.append(Equation(coeffs, rhs))
         elif keyword == "val":
             p = _integer(line, "a prime")
@@ -194,7 +200,7 @@ def parse_instance(text: str) -> Instance:
             line.take(text="v", what="v(...)")
             line.take(text="(")
             _, name, ncol = line.take("ident", what="a variable name")
-            if name not in variables:
+            if name not in index:
                 raise ParseError(f"unknown variable {name!r}", number, ncol)
             line.take(text=")")
             tok = line.peek()
@@ -212,7 +218,7 @@ def parse_instance(text: str) -> Instance:
             except Exception as exc:
                 raise ParseError(str(exc), number, col) from None
         elif keyword == "ord":
-            coeffs, rel, rhs = _linear_row(line, variables, ("<=", "<"), "ord")
+            coeffs, rel, rhs = _linear_row(line, index, ("<=", "<"), "ord")
             orders.append(OrderConstraint(coeffs, rel, rhs))
         else:
             raise ParseError(

@@ -1,7 +1,8 @@
 """Exact rational arithmetic: p-adic valuations, leading digits, power sums.
 
-Everything here is computed exactly with `fractions.Fraction`; no floats enter
-any arithmetic path.  The two float infinities are used only as order sentinels
+Everything here is computed exactly with `fractions.Fraction`, or with
+integers where a power sum merges its terms; no floats enter any arithmetic
+path.  The two float infinities are used only as order sentinels
 for the extended integers Z u {-inf, +inf}.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import InputError, OverflowGuardError
@@ -144,14 +146,36 @@ def leading_digit(q: RationalLike, p: int) -> int:
 # ---------------------------------------------------------------------------
 # power sums
 
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int, Fraction or "a/b" string."""
+    return (x if type(x) is int or type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+
+
+def _ratio_sum(ratios: list[tuple[int, int]]) -> Fraction:
+    """The sum of (numerator, denominator) pairs: one integer sum over the
+    lcm of the denominators, then one Fraction."""
+    den = lcm(*[d for _, d in ratios])
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
+
+
 def _normalized_terms(terms: Iterable[tuple[RationalLike, int]]) -> tuple[tuple[Fraction, int], ...]:
-    merged: dict[int, Fraction] = {}
+    """Sort by exponent, merge equal exponents and drop zero coefficients.
+
+    The merge is the integer one of _ratio_sum, one Fraction per exponent
+    rather than one Fraction addition per term; a lone coefficient is kept.
+    """
+    groups: dict[int, list[RationalLike]] = {}
     for coeff, exp in terms:
         if not isinstance(exp, int) or isinstance(exp, bool):
             raise InputError(f"power-sum exponent must be an int, got {exp!r}")
-        c = as_fraction(coeff)
-        merged[exp] = merged.get(exp, Fraction(0)) + c
-    return tuple(sorted(((c, e) for e, c in merged.items() if c != 0), key=lambda t: t[1]))
+        groups.setdefault(exp, []).append(coeff)
+    out = []
+    for exp in sorted(groups):
+        group = groups[exp]
+        c = as_fraction(group[0]) if len(group) == 1 else _ratio_sum([_ratio(x) for x in group])
+        if c:
+            out.append((c, exp))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -181,6 +205,31 @@ class PowerSum:
     def from_rational(cls, p: int, q: RationalLike) -> "PowerSum":
         """The one-term sum q * p**0."""
         return cls(p, ((as_fraction(q), 0),))
+
+    @classmethod
+    def combination(
+        cls, p: int, items: Iterable[tuple[RationalLike, "PowerSum | RationalLike"]]
+    ) -> "PowerSum":
+        """sum of a * x over (a, x) in items; x a PowerSum at p or a rational.
+
+        Each product a * c of a scalar and a term coefficient stays an integer
+        pair until the merge, so no Fraction is built per term.
+        """
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for scalar, x in items:
+            an, ad = _ratio(scalar)
+            if not an:
+                continue
+            if isinstance(x, PowerSum):
+                if x.prime != p:
+                    raise InputError(f"mixed primes {p} and {x.prime}")
+                terms = x.terms
+            else:
+                terms = ((as_fraction(x), 0),)
+            for c, e in terms:
+                cn, cd = c.as_integer_ratio()
+                groups.setdefault(e, []).append((an * cn, ad * cd))
+        return cls(p, tuple((_ratio_sum(groups[e]), e) for e in groups))
 
     # -- ring-ish operations -----------------------------------------------
 

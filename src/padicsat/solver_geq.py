@@ -160,11 +160,9 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
         w[j] = PowerSum(p, ((Fraction(1), floors2[j]),) if finite else ())
     for i in range(k - 1, -1, -1):
         row = rows[i]
-        terms = [(row[n], 0)]  # one PowerSum of all the terms, normalized once
-        for j in range(i + 1, n):
-            if row[j] != 0:
-                terms += [(-c * row[j], e) for c, e in w[j].terms]
-        w[i] = PowerSum(p, tuple(terms)).scale(Fraction(1, row[i]))
+        w[i] = PowerSum.combination(
+            p, [(1, row[n]), *((-row[j], w[j]) for j in range(i + 1, n) if row[j])]
+        ).scale(Fraction(1, row[i]))
     values = [None] * n
     for j in range(n):
         values[col_of[j]] = w[j]

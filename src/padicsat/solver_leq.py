@@ -90,7 +90,7 @@ def solve_leq(prob: LeqProblem) -> Verdict:
     p = prob.prime
     n = len(prob.caps)
     if prob.A:
-        space = solve_affine([list(r) for r in prob.A], list(prob.b))
+        space = solve_affine(prob.A, prob.b)
     else:
         basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
         space = SolutionSpace([Fraction(0)] * n, basis)

@@ -101,12 +101,9 @@ def verify_witness(
     for idx, eq in enumerate(inst.equations):
         if primes_used:
             p = next(iter(primes_used))
-            terms = [(-eq.rhs, 0)]  # one PowerSum of all the terms, normalized once
-            for coeff, var in zip(eq.coeffs, inst.variables):
-                v = values[var]
-                pairs = v.terms if isinstance(v, PowerSum) else ((v, 0),)
-                terms += [(c * coeff, e) for c, e in pairs if coeff]
-            residual = PowerSum(p, tuple(terms))
+            residual = PowerSum.combination(
+                p, [(-1, eq.rhs), *((c, values[var]) for c, var in zip(eq.coeffs, inst.variables))]
+            )
             if not residual.is_zero():
                 return CheckResult.reject(
                     "equation", f"equation {idx} has nonzero residual {residual}"

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from helpers import assert_echelon_result, rand_matrix, rand_vector
+from padicsat import linalg
 from padicsat.errors import InputError
 from padicsat.linalg import (
     PivotCosts,
@@ -17,6 +20,7 @@ from padicsat.linalg import (
     pivot_minimal_echelon,
     smith_normal_form,
     solve_affine,
+    subtract_multiple,
 )
 from padicsat.rational import NEG_INF
 
@@ -67,6 +71,110 @@ def test_solve_affine_properties():
             c = Fraction(rng.randint(-3, 3))
             combo = [a + c * v for a, v in zip(combo, vec)]
         assert mat_vec(A, combo) == b
+
+
+def _reference_solve_affine(A, b):
+    """Fraction Gauss elimination and back-substitution: (particular, basis),
+    or None when A x = b is inconsistent."""
+    m, n = len(A), len(A[0]) if A else 0
+    M = [list(A[i]) + [b[i]] for i in range(m)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, m) if M[i][col] != 0), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        for i in range(r + 1, m):
+            f = M[i][col] / M[r][col]
+            M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(col)
+    if any(M[i][n] != 0 for i in range(len(pivots), m)):
+        return None
+
+    def back_substitute(vec, rhs):
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            acc = rhs[r] - sum((M[r][j] * vec[j] for j in range(c + 1, n)), Fraction(0))
+            vec[c] = acc / M[r][c]
+        return vec
+
+    zero = [Fraction(0)] * m
+    particular = back_substitute([Fraction(0)] * n, [row[n] for row in M])
+    basis = [
+        back_substitute([Fraction(int(c == f)) for c in range(n)], zero)
+        for f in range(n)
+        if f not in pivots
+    ]
+    return particular, basis
+
+
+def _affine_system(rng):
+    """A random rational system: entries a / (p^k q) with k <= 3, sparse or
+    dense rows, sometimes a dependent row or a zero column, and a consistent
+    or a random right-hand side."""
+    p = rng.choice((2, 3, 5))
+    m, n = rng.randint(0, 7), rng.randint(1, 7)
+    density = rng.choice((0.2, 0.5, 0.9, 1.0))
+
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-12, 12), p ** rng.randint(0, 3) * rng.randint(1, 5))
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.3:  # a dependent row
+        r, s = rng.randrange(m), rng.randrange(m)
+        a, c = entry(), entry()
+        A.append([a * x + c * y for x, y in zip(A[r], A[s])])
+    if rng.random() < 0.2:
+        zero_col = rng.randrange(n)
+        for row in A:
+            row[zero_col] = Fraction(0)
+    if rng.random() < 0.6:
+        x = [entry() for _ in range(n)]
+        b = [sum((a * y for a, y in zip(row, x)), Fraction(0)) for row in A]
+    else:
+        b = [entry() for _ in A]
+    return A, b
+
+
+def test_solve_affine_matches_fraction_reference(monkeypatch):
+    # the integer-row solve must give the reference's canonical particular
+    # solution and basis exactly; every pivot row it eliminates with stays
+    # within the Hadamard bound of the scaled integer rows, which a solve
+    # that skipped the content division would outgrow
+    sources = []
+
+    def recording(row, factor, source, columns):
+        sources.append(source)
+        subtract_multiple(row, factor, source, columns)
+
+    monkeypatch.setattr(linalg, "subtract_multiple", recording)
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(1200):
+        A, b = _affine_system(rng)
+        m, n = len(A), len(A[0]) if A else 0
+        sources.clear()
+        space = solve_affine(A, b)
+        expected = _reference_solve_affine(A, b)
+        if expected is None:
+            assert space is None
+            seen["inconsistent"] += 1
+            continue
+        assert (space.particular, space.basis) == expected
+        assert all(type(x) is Fraction for x in space.particular)
+        bound2 = 1  # squared Hadamard bound: prod over rows of max(1, |row|^2)
+        for row in [(*a, rhs) for a, rhs in zip(A, b)]:
+            den = lcm(*(x.denominator for x in row))
+            bound2 *= max(1, sum(int(x * den) ** 2 for x in row))
+        assert all(x * x <= bound2 for source in sources for x in source)
+        seen["m > n" if m > n else "m < n" if m < n else "m = n"] += 1
+        seen["rank-deficient" if len(space.basis) > max(0, n - m) else "full rank"] += 1
+        seen["eliminated"] += bool(sources)
+    for key in ("inconsistent", "m > n", "m < n", "m = n", "rank-deficient", "eliminated"):
+        assert seen[key] >= 50, (key, seen)
 
 
 def test_echelon_frozen_example():

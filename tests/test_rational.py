@@ -167,6 +167,74 @@ def test_powersum_arithmetic_matches_materialized():
         assert a.shift(3).materialize() == a.materialize() * 5**3
 
 
+def _reference_terms(terms):
+    """The normal form by one Fraction addition per term."""
+    merged = {}
+    for coeff, exp in terms:
+        merged[exp] = merged.get(exp, Fraction(0)) + Fraction(coeff)
+    return tuple(sorted(((c, e) for e, c in merged.items() if c != 0), key=lambda t: t[1]))
+
+
+def _random_terms(rng, k):
+    # few exponents, so that terms collide and often cancel; int, Fraction
+    # and string coefficients
+    terms = []
+    for _ in range(k):
+        c = rand_fraction(rng, mag=rng.choice((3, 40, 10**6)))
+        form = rng.random()
+        terms.append((c.numerator if c.denominator == 1 and form < 0.3 else
+                       str(c) if form > 0.8 else c, rng.randint(-4, 4)))
+    if terms and rng.random() < 0.2:  # cancel one term outright
+        c, e = rng.choice(terms)
+        terms.append((-Fraction(c), e))
+    return terms
+
+
+def test_normalized_terms_match_fraction_reference():
+    rng = random.Random(71)
+    for _ in range(1500):
+        p = rng.choice(PRIMES)
+        terms = _random_terms(rng, rng.randint(0, 12))
+        s = PowerSum(p, tuple(terms))
+        assert s.terms == _reference_terms(terms)
+        assert all(type(c) is Fraction for c, _ in s.terms)
+        assert s.materialize() == sum(
+            (Fraction(c) * Fraction(p) ** e for c, e in terms), Fraction(0)
+        )
+
+
+def test_combination_matches_fraction_reference():
+    rng = random.Random(72)
+    empty = 0
+    for _ in range(1500):
+        p = rng.choice(PRIMES)
+        items, flat = [], []
+        for _ in range(rng.randint(0, 6)):
+            a = rng.choice((0, 1, -1, rng.randint(-9, 9), rand_fraction(rng, 50)))
+            if rng.random() < 0.3:  # a rational input sits at exponent 0
+                x = rand_fraction(rng, 50)
+                flat.append((a * x, 0))
+            else:
+                x = PowerSum(p, tuple(_random_terms(rng, rng.randint(0, 5))))
+                flat += [(a * c, e) for c, e in x.terms]
+            items.append((a, x))
+        if items and rng.random() < 0.2:  # the negated sum: cancels to empty
+            items += [(-a, x) for a, x in items]
+            flat += [(-c, e) for c, e in flat]
+        s = PowerSum.combination(p, items)
+        assert s.prime == p
+        assert s.terms == _reference_terms(flat)
+        assert s.materialize() == sum(
+            (a * (x.materialize() if isinstance(x, PowerSum) else x) for a, x in items),
+            Fraction(0),
+        )
+        empty += not s.terms
+    assert empty >= 100
+    assert PowerSum.combination(3, [(0, PowerSum(3, ((1, 2),))), (5, 0)]).terms == ()
+    with pytest.raises(InputError):
+        PowerSum.combination(3, [(1, PowerSum(3, ((1, 0),))), (1, PowerSum(2, ((1, 0),)))])
+
+
 def test_powersum_guard():
     big = PowerSum(2, ((1, 10**6),))
     # within the default guard: materialization is permitted and exact
