@@ -9,12 +9,15 @@ its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
 The cost-driven echelon keeps each row as integers over one denominator, an
 exact multiple of its Fraction row: costs within a row shift uniformly, so
 every pivot is the Fraction one, and Fraction views are built only when read.
-The affine solve runs on integer rows too, scaled by the same _integer_row but
+The affine solve runs on integer rows too, scaled by the same integer_row but
 with the denominators dropped, since a multiple of a row has the same
 solutions.  It eliminates fraction-free above and below each pivot and divides
 every updated row by its content, so an entry never outgrows a minor of the
 scaled matrix; its particular solution and kernel basis are canonical, so they
 are exactly the Fraction ones.
+The simplex tableau keeps its rows as the echelon does, integers over one
+denominator scaled by integer_row; of the four eliminations only the
+determinant still runs on Fractions.
 The module provides the workhorses the solvers need: affine solution spaces,
 row echelon forms that pick pivots by a per-column cost, and the Smith normal
 form over Z used by the independent divisibility oracle.
@@ -112,8 +115,8 @@ def nonzero_columns(row: Vector, start: int) -> list[int]:
 
 
 def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> None:
-    """row -= factor * source in place, at the given columns only (Fractions,
-    or ints in the cost-driven echelon and the affine solve).
+    """row -= factor * source in place, at the given columns only (Fractions
+    in the determinant, ints in the other three eliminations).
 
     columns must hold every nonzero entry of source: the eliminations here
     pass the pivot row's nonzero columns from the pivot on (the pivot row is
@@ -123,7 +126,7 @@ def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> No
         row[j] -= factor * source[j]
 
 
-def _integer_row(entries) -> tuple[list[int], int]:
+def integer_row(entries) -> tuple[list[int], int]:
     """(numerators, den): the rationals as integers over their lcm denominator."""
     ratios = [
         (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
@@ -185,7 +188,7 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
         raise InputError("rhs length does not match row count")
     # each row of (A | b) over its lcm denominator: a row's multiple has the
     # same solutions, so the denominators are dropped
-    M = [_integer_row((*A[i], b[i]))[0] for i in range(m)]
+    M = [integer_row((*A[i], b[i]))[0] for i in range(m)]
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
@@ -339,7 +342,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         raise InputError("ragged matrix")
     rows, dens = [], []
     for a, b in zip(A, rhs):  # each row of (A | rhs) over its lcm denominator
-        row, den = _integer_row((*a, *b))
+        row, den = integer_row((*a, *b))
         rows.append(row)
         dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j

@@ -1,15 +1,16 @@
 """Exact rational arithmetic: p-adic valuations, leading digits, power sums.
 
 Everything here is computed exactly with `fractions.Fraction`, or with
-integers where a power sum merges its terms; no floats enter any arithmetic
-path.  The two float infinities are used only as order sentinels
-for the extended integers Z u {-inf, +inf}.
+integers where a power sum merges its terms or takes its valuation; no
+floats enter any arithmetic path.  The two float infinities are used only
+as order sentinels for the extended integers Z u {-inf, +inf}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Union
 
@@ -280,31 +281,31 @@ class PowerSum:
     def valuation(self) -> ExtInt:
         """p-adic valuation of the represented value, without materializing.
 
-        Each term is first rewritten so its coefficient is a p-adic unit
-        (a, c) -> (a * p**-v_p(a), c + v_p(a)).  If the minimal exponent is
-        then attained exactly once it is the valuation, by the ultrametric
-        equality case.  Otherwise two minimal terms are merged and the loop
-        repeats; every merge removes a term, so at most len(terms) merges run.
+        Each term a/b * p**c is first rewritten as an integer triple with a
+        p-adic unit a'/b': (c + v_p(a) - v_p(b), a / p**v_p(a), b / p**v_p(b)).
+        If the lowest exponent is then attained exactly once it is the
+        valuation, by the ultrametric equality case.  Otherwise the two lowest
+        terms are merged as integers, a1 b2 + a2 b1 over b1 b2 (still a unit
+        denominator), and the loop repeats; every merge removes a term, so at
+        most len(terms) merges run.
         """
         p = self.prime
-        pairs: list[tuple[Fraction, int]] = []
+        heap = []
         for coeff, exp in self.terms:
-            v = valuation(coeff, p)
-            pairs.append((coeff / Fraction(p) ** v, exp + v))
-        while True:
-            if not pairs:
-                return INF
-            low = min(e for _, e in pairs)
-            at_low = [i for i, (_, e) in enumerate(pairs) if e == low]
-            if len(at_low) == 1:
+            a, b = coeff.numerator, coeff.denominator
+            va, vb = int_valuation(a, p), int_valuation(b, p)
+            heap.append((exp + va - vb, a // p**va, b // p**vb))
+        heapify(heap)
+        while heap:
+            low, a1, b1 = heappop(heap)
+            if not heap or heap[0][0] > low:
                 return low
-            i, j = at_low[0], at_low[1]
-            merged = pairs[i][0] + pairs[j][0]
-            rest = [pairs[k] for k in range(len(pairs)) if k != i and k != j]
-            if merged != 0:
-                v = valuation(merged, p)
-                rest.append((merged / Fraction(p) ** v, low + v))
-            pairs = rest
+            _, a2, b2 = heappop(heap)
+            a = a1 * b2 + a2 * b1
+            if a:
+                v = int_valuation(a, p)
+                heappush(heap, (low + v, a // p**v, b1 * b2))
+        return INF
 
     def materialize(self, guard: int = DEFAULT_EXPONENT_GUARD) -> Fraction:
         """Evaluate to an exact Fraction; refuse exponents beyond the guard."""

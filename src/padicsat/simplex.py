@@ -3,9 +3,12 @@
 Decides systems  A x = b,  C x <= d,  E x < f  over the rationals.  The
 strict block is handled through a slack objective: maximize t subject to
 E x + t <= f and t <= 1; the strict system is feasible exactly when the
-optimum t* is positive.  Everything runs in Fraction arithmetic with Bland's
-rule, so the search terminates and the answers are exact.  Tableau pivots use
-linalg's row-update step, the one its Gaussian eliminations share.
+optimum t* is positive.  Bland's rule makes the search terminate.  Every
+tableau row, the cost row included, is a row of integers over one positive
+denominator, as in linalg's cost-driven echelon, and pivots fraction-free
+through linalg's row-update step, the one its Gaussian eliminations share.
+Every sign and ratio test is exact, so the pivots, points and certificates are
+those of a Fraction tableau; Fractions are built only for the values read out.
 
 Infeasibility is returned with a Farkas certificate (lam, mu, nu):
 multipliers with lam^T A + mu^T C + nu^T E = 0, mu >= 0, nu >= 0, whose
@@ -20,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import InternalError
-from .linalg import nonzero_columns, subtract_multiple
+from .errors import InputError, InternalError
+from .linalg import integer_row, nonzero_columns, subtract_multiple
 from .rational import as_fraction
 
 Row = list[Fraction]
@@ -92,85 +96,107 @@ def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
 
 
 class _Tableau:
-    """Simplex tableau over Fractions with Bland's rule.
+    """Simplex tableau with Bland's rule, each row integers over one denominator.
 
-    Pivots update only the pivot row's nonzero columns (linalg's row step).
+    Row i of (T | rhs) stands for rows[i] / dens[i] with dens[i] > 0, an exact
+    multiple of the Fraction row, as in linalg's cost-driven echelon; row m is
+    the cost row, whose rhs entry is minus the objective.  A basic column holds
+    its row's den there and 0 in every other row.  A pivot is fraction-free and
+    updates only the rows with a nonzero in the pivot column, through linalg's
+    row step.  Every sign and ratio test is exact, so every pivot is the one a
+    Fraction tableau makes; Fractions are built only when a value is read.
     """
 
-    def __init__(self, rows: list[Row], rhs: list[Fraction], num_real: int):
-        self.m = len(rows)
+    def __init__(self, rows: list[list[int]], dens: list[int], num_real: int):
+        """rows: the real columns and the rhs of each row, over dens."""
+        self.m = m = len(rows)
         self.num_real = num_real
+        self.width = num_real + m
         self.flips = []
         self.rows = []
-        self.rhs = []
-        for row, q in zip(rows, rhs):
-            if q < 0:
-                self.flips.append(Fraction(-1))
-                self.rows.append([-c for c in row])
-                self.rhs.append(-q)
-            else:
-                self.flips.append(Fraction(1))
-                self.rows.append(list(row))
-                self.rhs.append(q)
-        # one artificial per row, appended after the real columns; Fractions
-        # are immutable, so the block shares one zero and one one
-        zero, one = Fraction(0), Fraction(1)
-        for i, row in enumerate(self.rows):
-            row += [zero] * i + [one] + [zero] * (self.m - 1 - i)
-        self.width = num_real + self.m
-        self.basis = [num_real + i for i in range(self.m)]
+        # one artificial per row, after the real columns; a row with a
+        # negative rhs is negated first, its artificial is not
+        for i, (row, den) in enumerate(zip(rows, dens)):
+            sign = -1 if row[-1] < 0 else 1
+            self.flips.append(sign)
+            artificial = [0] * m
+            artificial[i] = den
+            self.rows.append([sign * c for c in row[:-1]] + artificial + [sign * row[-1]])
+        self.rows.append([])  # the cost row, set by _set_cost
+        self.dens = [*dens, 1]
+        self.basis = [num_real + i for i in range(m)]
 
-    def _pivot(self, zrow: Row, i: int, j: int) -> None:
-        inv = Fraction(1) / self.rows[i][j]
-        top = self.rows[i] = [c * inv if c else c for c in self.rows[i]]
-        self.rhs[i] *= inv
+    def _clear(self, k: int, top: list[int], j: int, columns: list[int]) -> None:
+        """Clear row k at column j with top, whose entry there is its den.
+
+        top[j] row - row[j] top is the Fraction row - row[j]/den top times
+        top[j]; the gcd of that row and den top[j] is then divided out.
+        """
+        row, piv = self.rows[k], top[j]
+        factor = row[j]
+        if piv != 1:
+            row = self.rows[k] = [c * piv for c in row]
+        subtract_multiple(row, factor, top, columns)
+        den = self.dens[k] * piv
+        g = gcd(den, *row)
+        if g != 1:
+            row[:] = [c // g for c in row]
+            den //= g
+        self.dens[k] = den
+
+    def _pivot(self, i: int, j: int) -> None:
+        top = self.rows[i]
+        g = gcd(*top) if top[j] > 0 else -gcd(*top)
+        if g != 1:
+            top = self.rows[i] = [c // g for c in top]
+        self.dens[i] = top[j]
         # unlike an echelon row, a tableau row has nonzeros left of its pivot
         columns = nonzero_columns(top, 0)
-        for k in range(self.m):
-            factor = self.rows[k][j]
-            if k != i and factor != 0:
-                subtract_multiple(self.rows[k], factor, top, columns)
-                self.rhs[k] -= factor * self.rhs[i]
-        if zrow[j] != 0:
-            subtract_multiple(zrow, zrow[j], top, columns)
+        for k in range(self.m + 1):
+            if k != i and self.rows[k][j]:
+                self._clear(k, top, j, columns)
         self.basis[i] = j
 
-    def _run(self, zrow: Row, allow: list[bool]) -> None:
+    def _run(self, limit: int) -> None:
+        """Pivot until no column below limit has a negative reduced cost."""
+        rows, basis = self.rows, self.basis
         while True:
-            entering = None
-            for j in range(self.width):
-                if allow[j] and zrow[j] < 0 and j not in self.basis:
-                    entering = j
-                    break
+            zrow = rows[self.m]  # den > 0: the sign of the Fraction entry
+            entering = next(
+                (j for j in range(limit) if zrow[j] < 0 and j not in basis), None
+            )
             if entering is None:
                 return
+            # rhs_i / a_i against the best so far: each row's den cancels
             leaving = None
-            best = None
             for i in range(self.m):
-                a = self.rows[i][entering]
+                a = rows[i][entering]
                 if a > 0:
-                    ratio = self.rhs[i] / a
+                    rhs = rows[i][-1]
                     if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leaving])
+                        leaving is None
+                        or (cross := rhs * best_a - best_rhs * a) < 0
+                        or (cross == 0 and basis[i] < basis[leaving])
                     ):
-                        best = ratio
-                        leaving = i
+                        best_rhs, best_a, leaving = rhs, a, i
             if leaving is None:
                 raise InternalError("slack program claims an unbounded objective")
-            self._pivot(zrow, leaving, entering)
+            self._pivot(leaving, entering)
 
-    def _zrow_for(self, cost: Row) -> Row:
-        zrow = list(cost)
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb != 0:
-                row = self.rows[i]
-                subtract_multiple(zrow, cb, row, nonzero_columns(row, 0))
-        return zrow
+    def _set_cost(self, cost: list[int]) -> None:
+        """Install cost (over den 1) as the cost row, reduced by the basis."""
+        self.rows[self.m] = [*cost, 0]
+        self.dens[self.m] = 1
+        for i, j in enumerate(self.basis):
+            if self.rows[self.m][j]:
+                top = self.rows[i]
+                self._clear(self.m, top, j, nonzero_columns(top, 0))
 
-    def _purge_artificials(self, zrow: Row) -> None:
+    def _dual(self, i: int) -> Fraction:
+        """The cost row's entry at row i's artificial column."""
+        return Fraction(self.rows[self.m][self.num_real + i], self.dens[self.m])
+
+    def _purge_artificials(self) -> None:
         """Pivot zero-valued basic artificials out before phase 2.
 
         Later pivots rewrite every row's right-hand side, so an artificial
@@ -184,109 +210,83 @@ class _Tableau:
                 continue
             for j in range(self.num_real):
                 if self.rows[i][j] != 0:
-                    self._pivot(zrow, i, j)
+                    self._pivot(i, j)
                     break
 
-    def solve(self, cost_real: Row):
+    def solve(self, cost_real: list[int]):
         """Two phases; returns (objective, duals y for the original rows)."""
-        phase1 = [Fraction(0)] * self.num_real + [Fraction(1)] * self.m
-        zrow = self._zrow_for(phase1)
-        self._run(zrow, [True] * self.width)
-        infeasibility = sum(
-            (self.rhs[i] for i in range(self.m) if self.basis[i] >= self.num_real),
-            Fraction(0),
-        )
-        if infeasibility > 0:
+        m = self.m
+        self._set_cost([0] * self.num_real + [1] * m)
+        self._run(self.width)
+        # the phase-1 optimum sums the basic artificials' rhs, all >= 0
+        if self.rows[m][-1] < 0:
             # duals off the artificial columns: y_i = 1 - zrow[artificial i]
-            y = [
-                self.flips[i] * (Fraction(1) - zrow[self.num_real + i])
-                for i in range(self.m)
-            ]
-            return None, y
-        self._purge_artificials(zrow)
-        cost = list(cost_real) + [Fraction(0)] * self.m
-        zrow = self._zrow_for(cost)
-        allow = [True] * self.num_real + [False] * self.m
-        self._run(zrow, allow)
-        objective = sum(
-            (cost[self.basis[i]] * self.rhs[i] for i in range(self.m)),
-            Fraction(0),
-        )
-        y = [-self.flips[i] * zrow[self.num_real + i] for i in range(self.m)]
-        return objective, y
+            return None, [self.flips[i] * (1 - self._dual(i)) for i in range(m)]
+        self._purge_artificials()
+        self._set_cost(cost_real + [0] * m)
+        self._run(self.num_real)
+        objective = Fraction(-self.rows[m][-1], self.dens[m])
+        return objective, [-self.flips[i] * self._dual(i) for i in range(m)]
 
     def value_of(self, j: int) -> Fraction:
         for i in range(self.m):
             if self.basis[i] == j:
-                return self.rhs[i]
+                return Fraction(self.rows[i][-1], self.dens[i])
         return Fraction(0)
 
 
 def lp_feasible(A, b, C, d, E, f) -> LpFeasible | LpInfeasible:
     """Decide A x = b, C x <= d, E x < f over the rationals.
 
-    The returned object is always re-checked: a feasible point is plugged
-    into every row, a certificate goes through check_certificate.
+    Every row of the three blocks must have the same width and every block
+    its right-hand side per row; otherwise InputError.  The returned object
+    is always re-checked: a feasible point is plugged into every row, a
+    certificate goes through check_certificate.
     """
-    n = max([len(r) for r in A] + [len(r) for r in C] + [len(r) for r in E], default=0)
-    A = _as_rows(A)
-    C = _as_rows(C)
-    E = _as_rows(E)
+    widths = {len(r) for r in (*A, *C, *E)}
+    if len(widths) > 1:
+        raise InputError(f"order rows of unequal widths {sorted(widths)}")
+    if (len(A), len(C), len(E)) != (len(b), len(d), len(f)):
+        raise InputError("a right-hand side does not match its block's rows")
+    n = widths.pop() if widths else 0
     b = [as_fraction(v) for v in b]
     d = [as_fraction(v) for v in d]
     f = [as_fraction(v) for v in f]
     mA, mC, mE = len(A), len(C), len(E)
     # columns: u (n), w (n), t+, t-, weak slacks (mC), strict slacks (mE), t slack
     num_real = 2 * n + 2 + mC + mE + 1
-    rows: list[Row] = []
-    rhs: list[Fraction] = []
-
-    def blank() -> Row:
-        return [Fraction(0)] * num_real
-
-    for i, row in enumerate(A):
-        r = blank()
-        for j, cval in enumerate(row):
-            r[j] = cval
-            r[n + j] = -cval
+    # each row of (block | rhs) as integers over its lcm denominator den; the
+    # Fraction row's slack and t entries of +-1 become +-den, so every int row
+    # is den times its Fraction row
+    scaled = [integer_row((*row, q)) for row, q in zip((*A, *C, *E), (*b, *d, *f))]
+    rows = []
+    for i, (nums, den) in enumerate(scaled):
+        r = [0] * (num_real + 1)
+        r[:n] = nums[:n]
+        r[n : 2 * n] = [-c for c in nums[:n]]
+        if i >= mA:
+            r[2 * n + 2 + i - mA] = den  # the weak or strict slack
+        if i >= mA + mC:
+            r[2 * n], r[2 * n + 1] = den, -den
+        r[-1] = nums[n]
         rows.append(r)
-        rhs.append(b[i])
-    for i, row in enumerate(C):
-        r = blank()
-        for j, cval in enumerate(row):
-            r[j] = cval
-            r[n + j] = -cval
-        r[2 * n + 2 + i] = Fraction(1)
-        rows.append(r)
-        rhs.append(d[i])
-    for i, row in enumerate(E):
-        r = blank()
-        for j, cval in enumerate(row):
-            r[j] = cval
-            r[n + j] = -cval
-        r[2 * n] = Fraction(1)
-        r[2 * n + 1] = Fraction(-1)
-        r[2 * n + 2 + mC + i] = Fraction(1)
-        rows.append(r)
-        rhs.append(f[i])
     # t <= 1 keeps the objective bounded
-    r = blank()
-    r[2 * n] = Fraction(1)
-    r[2 * n + 1] = Fraction(-1)
-    r[2 * n + 2 + mC + mE] = Fraction(1)
+    r = [0] * (num_real + 1)
+    r[2 * n], r[2 * n + 1], r[2 * n + 2 + mC + mE], r[-1] = 1, -1, 1, 1
     rows.append(r)
-    rhs.append(Fraction(1))
 
-    tableau = _Tableau(rows, rhs, num_real)
-    cost = blank()
-    cost[2 * n] = Fraction(-1)  # minimize -t
-    cost[2 * n + 1] = Fraction(1)
+    tableau = _Tableau(rows, [den for _, den in scaled] + [1], num_real)
+    cost = [0] * num_real
+    cost[2 * n], cost[2 * n + 1] = -1, 1  # minimize -t
     objective, y = tableau.solve(cost)
 
     def certificate() -> LpInfeasible:
-        lam = tuple(-y[i] for i in range(mA))
-        mu = tuple(-y[mA + i] for i in range(mC))
-        nu = tuple(-y[mA + mC + i] for i in range(mE))
+        # tuples of lists, not of generators: a generator's tuple is resized
+        # into place, and such tuples pile up in CPython's tuple free lists
+        neg = [-v for v in y]
+        lam = tuple(neg[:mA])
+        mu = tuple(neg[mA : mA + mC])
+        nu = tuple(neg[mA + mC : mA + mC + mE])
         value = Fraction(0)
         for m, v in zip(lam, b):
             value += m * v
@@ -294,24 +294,26 @@ def lp_feasible(A, b, C, d, E, f) -> LpFeasible | LpInfeasible:
             value += m * v
         for m, v in zip(nu, f):
             value += m * v
-        ok, why = check_certificate(A, b, C, d, E, f, lam, mu, nu)
+        ok, why = check_certificate(
+            _as_rows(A), b, _as_rows(C), d, _as_rows(E), f, lam, mu, nu
+        )
         if not ok:
             raise InternalError(f"extracted Farkas certificate is invalid: {why}")
         return LpInfeasible(lam, mu, nu, value)
 
     if objective is None or -objective <= 0:
         return certificate()
-    x = tuple(
-        tableau.value_of(j) - tableau.value_of(n + j) for j in range(n)
-    )
-    threshold = -objective
-    for row, target in zip(A, b):
-        if sum(c * v for c, v in zip(row, x)) != target:
+    # a tuple of a list, as lam, mu and nu are
+    x = tuple([tableau.value_of(j) - tableau.value_of(n + j) for j in range(n)])
+    # x = X / D: each scaled row meets its rhs iff nums . X meets rhs * D
+    D = lcm(*[v.denominator for v in x])
+    X = [v.numerator * (D // v.denominator) for v in x]
+    for i, (nums, _) in enumerate(scaled):
+        lhs, cap = sum(c * v for c, v in zip(nums, X)), nums[n] * D
+        if i < mA and lhs != cap:
             raise InternalError("simplex point misses an equality row")
-    for row, cap in zip(C, d):
-        if sum(c * v for c, v in zip(row, x)) > cap:
+        if mA <= i < mA + mC and lhs > cap:
             raise InternalError("simplex point breaks a weak row")
-    for row, cap in zip(E, f):
-        if sum(c * v for c, v in zip(row, x)) >= cap:
+        if i >= mA + mC and lhs >= cap:
             raise InternalError("simplex point is not strictly inside")
-    return LpFeasible(x, threshold)
+    return LpFeasible(x, -objective)

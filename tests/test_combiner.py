@@ -8,7 +8,7 @@ import pytest
 
 from padicsat.combiner import solve_combined, strictify
 from padicsat.dispatch import solve_instance
-from padicsat.errors import InternalError
+from padicsat.errors import InputError, InternalError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
 from padicsat.simplex import (
     LpFeasible,
@@ -138,6 +138,90 @@ def test_lp_fuzz_planted_and_contradicted():
     assert feas > 30 and infeas > 20
 
 
+def _assert_evidence(blocks, res, label):
+    A, b, C, d, E, f = blocks
+    if isinstance(res, LpInfeasible):
+        ok, why = check_certificate(A, b, C, d, E, f, res.lam, res.mu, res.nu)
+        assert ok, f"{label}: {why}"
+        return
+    assert res.threshold > 0, label
+    for r, t in zip(A, b):
+        assert _dot(r, res.x) == t, label
+    for r, t in zip(C, d):
+        assert _dot(r, res.x) <= t, label
+    for r, t in zip(E, f):
+        assert _dot(r, res.x) < t, label
+
+
+def test_lp_fuzz_fractional_rows():
+    # coefficients k/q with q up to 6, so the rows' denominators differ, and
+    # plants with negative coordinates, so many right-hand sides are negative
+    rng = random.Random(514)
+    feas = infeas = negative = 0
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        x0 = [F(rng.randint(-6, 4), rng.randint(1, 4)) for _ in range(n)]
+
+        def row():
+            return [F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+
+        def slack():
+            return F(rng.randint(1, 5), rng.randint(1, 6))
+
+        A, b, C, d, E, f = [], [], [], [], [], []
+        for _ in range(rng.randint(0, 2)):
+            r = row()
+            A.append(r)
+            b.append(_dot(r, x0))
+        for _ in range(rng.randint(0, 3)):
+            r = row()
+            C.append(r)
+            d.append(_dot(r, x0) + rng.choice([F(0), slack()]))
+        for _ in range(rng.randint(0, 3)):
+            r = row()
+            E.append(r)
+            f.append(_dot(r, x0) + slack())
+        kind = rng.random()
+        if kind < 0.35:
+            # x0 pinned by a weak row, then excluded by a strict one
+            r = row()
+            s = _dot(r, x0)
+            C.append(r)
+            d.append(s)
+            E.append([-c for c in r])
+            f.append(-s)
+        elif kind < 0.5:
+            # two weak rows: r.x <= cap and r.x >= cap + s with s > 0
+            r = row()
+            cap = _dot(r, x0) + slack()
+            C.append(r)
+            d.append(cap)
+            C.append([-c for c in r])
+            d.append(-cap - slack())
+        negative += sum(1 for t in b + d + f if t < 0)
+        blocks = (A, b, C, d, E, f)
+        res = lp_feasible(*blocks)
+        if kind < 0.5:
+            assert isinstance(res, LpInfeasible), f"trial {trial}"
+            infeas += 1
+        else:
+            assert isinstance(res, LpFeasible), f"trial {trial}"
+            feas += 1
+        _assert_evidence(blocks, res, f"trial {trial}")
+    assert feas > 60 and infeas > 60 and negative > 100
+
+
+def test_lp_rejects_ragged_blocks():
+    # an infeasible and a feasible system whose rows differ in width
+    with pytest.raises(InputError):
+        lp_feasible([[1]], [1], [[-1, 0]], [-2], [], [])
+    with pytest.raises(InputError):
+        lp_feasible([], [], [[1, 0]], [1], [[1]], [2])
+    # a right-hand side shorter than its block
+    with pytest.raises(InputError):
+        lp_feasible([[1, 0]], [], [[0, 1]], [1], [], [])
+
+
 # Small systems with their exact answers: free variables (x = u - w), equality
 # rows, rows flipped for a negative right-hand side, degenerate ratio-test
 # ties and strict-infeasible blocks.  Every value is pinned, so a change in
@@ -181,6 +265,79 @@ PINNED_LPS = [
             [2, 0],
         ),
         LpFeasible((F(11, 12), F(7, 12), F(0)), F(11, 12)),
+    ),
+    # the tableau keeps each row as integers over one denominator: rows
+    # whose denominators differ within a row and across rows
+    (
+        (
+            [[F(1, 2), F(1, 3)]],
+            [F(5, 6)],
+            [[F(2, 5), F(-1, 7)], [F(-3, 4), F(5, 6)]],
+            [F(1, 4), F(2, 9)],
+            [[F(-1, 3), F(1, 2)]],
+            [F(2, 3)],
+        ),
+        LpFeasible((F(85, 86), F(175, 172)), F(503, 1032)),
+    ),
+    # negative fractional right-hand sides flip their rows
+    (
+        (
+            [[F(3, 4), F(-1, 6)]],
+            [F(-5, 8)],
+            [[F(-1, 2), F(1, 3)]],
+            [F(-3, 4)],
+            [[F(1, 6), F(2, 9)]],
+            [F(5, 2)],
+        ),
+        LpFeasible((F(-2), F(-21, 4)), F(1)),
+    ),
+    # all-zero rows in every block
+    (
+        (
+            [[0, 0], [F(1, 3), F(2, 5)]],
+            [0, F(7, 10)],
+            [[0, 0]],
+            [F(1, 2)],
+            [[0, 0], [F(1, 3), F(-2, 3)]],
+            [F(1, 7), F(1, 5)],
+        ),
+        LpFeasible((F(771, 560), F(135, 224)), F(1, 7)),
+    ),
+    # an all-zero weak row with a negative fractional rhs refutes the system
+    (
+        (
+            [[F(1, 4), 0]],
+            [F(-1, 3)],
+            [[F(1, 2), F(1, 3)], [0, 0]],
+            [F(1, 6), F(-1, 2)],
+            [[0, F(-2, 7)]],
+            [F(3, 5)],
+        ),
+        LpInfeasible((F(0),), (F(0), F(1)), (F(0),), F(-1, 2)),
+    ),
+    # strict-infeasible fractional rows: 3x + 2y < 1 and 3x + 2y > 1
+    (
+        (
+            [],
+            [],
+            [[F(1, 5), F(-1, 9)]],
+            [F(4, 3)],
+            [[F(1, 2), F(1, 3)], [F(-3, 4), F(-1, 2)]],
+            [F(1, 6), F(-1, 4)],
+        ),
+        LpInfeasible((), (F(0),), (F(3, 5), F(2, 5)), F(0)),
+    ),
+    # weak-infeasible fractional rows next to a fractional equality
+    (
+        (
+            [[F(2, 3), F(-1, 4)]],
+            [F(1, 12)],
+            [[F(1, 2), F(1, 5)], [F(-1, 3), F(-2, 15)]],
+            [F(-1, 10), F(-1, 9)],
+            [],
+            [],
+        ),
+        LpInfeasible((F(0),), (F(2, 3), F(1)), (), F(-8, 45)),
     ),
 ]
 

@@ -155,6 +155,36 @@ def test_powersum_valuation_matches_materialized():
             assert s.valuation() == valuation(s.materialize(), p)
 
 
+def test_powersum_valuation_merges_match_materialized():
+    # few exponents and coefficients carrying powers of p, so the unit
+    # rewriting lands terms on one exponent and merges cascade; in a quarter
+    # of the sums every term's negation is added at a shifted exponent, which
+    # makes a zero the normal form cannot see
+    climbs = hidden_zeros = 0
+    for p in (2, 3, 5):
+        rng = random.Random(3100 + p)
+        for _ in range(400):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                sign = rng.choice((-1, 1))
+                unit = Fraction(sign * rng.randint(1, 2 * p), rng.randint(1, p + 1))
+                power = Fraction(p) ** rng.randint(-2, 2)
+                terms.append((unit * power, rng.randint(-2, 2)))
+            if rng.random() < 0.25:
+                shifts = [rng.randint(-2, 2) for _ in terms]
+                terms += [(-c * Fraction(p) ** k, e - k) for (c, e), k in zip(terms, shifts)]
+            s = PowerSum(p, tuple(terms))
+            expected = valuation(s.materialize(), p)
+            assert s.valuation() == expected, (p, terms)
+            assert s.is_zero() == (expected == INF)
+            if expected == INF:
+                hidden_zeros += bool(s.terms)
+            else:
+                lowest = min(e + valuation(c, p) for c, e in s.terms)
+                climbs += expected > lowest
+    assert climbs > 40 and hidden_zeros > 200
+
+
 def test_powersum_arithmetic_matches_materialized():
     rng = random.Random(4)
     for _ in range(100):
