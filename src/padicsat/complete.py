@@ -5,9 +5,21 @@ instance mixes lower bounds with upper bounds or exclusions, satisfiability is
 decided here by a recursive search:
 
 * lower bounds are tightened by min-plus propagation over the valuations each
-  state keeps of its equations' coefficients (updated by every substitution),
-  with a divergence threshold that forces a coordinate to zero once its bound
-  grows past anything the instance can express;
+  state keeps of its equations' coefficients (updated by every substitution).
+  A bound raised to +inf forces its coordinate to zero.  Bounds can also
+  climb without end when the equations alone freeze a coordinate at 0 (x = 3y
+  with y = 3x), so the first time one propagation call raises more bounds
+  than there are variables, the equations' affine solution space is solved
+  once (no solution at all makes the state unsat): a coordinate zero in
+  every kernel vector is frozen at its particular value.  Frozen at 0 it is
+  substituted by zero (unsat under a finite upper bound); frozen at a nonzero
+  value outside its admissible set it makes the state unsat; otherwise its
+  valuation is finite and it is left alone.  So the work on such a cycle
+  does not grow with the bounds and exclusions written.  The rule is exact:
+  diverging lower bounds mean the coordinate vanishes on the lower-bound
+  relaxation's solution set, an open subset of the affine solution space, so
+  it is frozen at 0 whenever that set is nonempty, and an empty one is
+  caught by the relaxation prune;
 * finitely windowed variables are branched on, smallest window first.  At
   p >= 3 pinning a valuation to one value still leaves p-1 leading digits, so
   a pinned variable is split by digit substitution x = i*p^v + p^(v+1)*y;
@@ -21,10 +33,12 @@ decided here by a recursive search:
 States whose lower-bound relaxation is already unsatisfiable are pruned.  The
 relaxation test is witness-free: it asks `solve_geq` for the status only, so a
 search node pays for the echelon and the pivot-bound checks but never for a
-PowerSum back-substitution.  A component mixing unbounded directions cannot be
-enumerated; it yields Unknown unless a search window is supplied, in which
-case an exhausted search reports "unsat-within-window" (still Unknown:
-solutions below the window may exist).
+PowerSum back-substitution.  The relaxation's rows come from the state's
+sparse equations with int zeros in the absent columns, so the echelon works
+on integers from the first scaling on.  A component mixing unbounded
+directions cannot be enumerated; it yields Unknown unless a search window is
+supplied, in which case an exhausted search reports "unsat-within-window"
+(still Unknown: solutions below the window may exist).
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
@@ -43,6 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalError
+from .linalg import frozen_coordinates, solve_affine
 from .model import Instance, NormalizedInstance, Verdict
 from .rational import (
     INF,
@@ -167,28 +182,6 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
     return True
 
 
-def _divergence_threshold(state: _State) -> int:
-    """A lower bound propagated past this can only come from a zero forcing.
-
-    Any finite valuation of a solution coordinate is bounded by the magnitudes
-    already present in the instance: profile bounds, coefficient valuations,
-    and the total valuation spread of the equations.
-    """
-    mag = 0
-    for prof in state.profiles.values():
-        for x in (prof.lower, prof.upper):
-            if is_finite(x):
-                mag = max(mag, abs(x))
-        for d in prof.excluded:
-            mag = max(mag, abs(d))
-    spread = 0
-    for coeff_vals, rhs_val in state.valuations:
-        vals = [*coeff_vals.values(), *([rhs_val] if rhs_val != INF else [])]
-        mag = max(mag, max(abs(v) for v in vals))
-        spread += max(vals) - min(vals)
-    return mag + spread + 1
-
-
 def _check_profiles(state: _State) -> Verdict | None:
     for var in sorted(state.profiles):
         if state.profiles[var].empty():
@@ -197,10 +190,65 @@ def _check_profiles(state: _State) -> Verdict | None:
     return None
 
 
+def _force_zero(state: _State, var: str) -> Verdict | None:
+    """Substitute var = 0, which every solution needs; unsat if it cannot be."""
+    if state.profiles[var].upper != INF:
+        return Verdict.unsat(
+            "forced-zero", f"{var} must vanish but has a finite upper bound", var=var
+        )
+    if not _substitute_zero(state, var):
+        return Verdict.unsat(
+            "forced-zero", f"setting {var} = 0 contradicts an equation", var=var
+        )
+    return None
+
+
+def _substitute_frozen(state: _State) -> Verdict | None:
+    """Settle the coordinates the equations alone fix; zeros are substituted.
+
+    A coordinate frozen at 0 takes the force-zero path; one frozen at a
+    nonzero value outside its admissible set makes the state unsat, and one
+    inside it is left alone: its valuation is finite, so propagation cannot
+    diverge on it.
+    """
+    names = sorted(state.profiles)
+    space = solve_affine(
+        [[coeffs.get(v, 0) for v in names] for coeffs, _ in state.equations],
+        [rhs for _, rhs in state.equations],
+    )
+    if space is None:
+        return Verdict.unsat("no-solution", "the equations are inconsistent")
+    for j in frozen_coordinates(space):
+        var, value = names[j], space.particular[j]
+        if value == 0:
+            failed = _force_zero(state, var)
+            if failed is not None:
+                return failed
+            continue
+        v = valuation(value, state.prime)
+        prof = state.profiles[var]
+        if not prof.lower <= v <= prof.upper or v in prof.excluded:
+            return Verdict.unsat(
+                "fixed-out-of-range",
+                f"{var} is fixed with valuation {v}, outside its admissible set",
+                var=var,
+                valuation=v,
+            )
+    return None
+
+
 def _propagate(state: _State) -> Verdict | None:
-    """Min-plus tightening of lower bounds; substitutes forced zeros in place."""
-    threshold = _divergence_threshold(state)
+    """Min-plus tightening of lower bounds; substitutes forced zeros in place.
+
+    A bound raised to +inf forces its variable to zero.  Lower bounds can
+    also climb without end, one step per round, when the equations freeze a
+    coordinate at 0; so the first time one call has raised more bounds than
+    there are variables, _substitute_frozen settles the frozen coordinates
+    exactly.
+    """
     rounds = PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))
+    raises = 0
+    frozen_checked = False
     for _ in range(rounds):
         changed = False
         restart = True
@@ -233,22 +281,11 @@ def _propagate(state: _State) -> Verdict | None:
                     if new_lower == NEG_INF or new_lower <= prof.lower:
                         continue
                     changed = True
-                    force_zero = new_lower == INF or (
-                        new_lower > threshold and prof.upper == INF
-                    )
-                    if force_zero:
-                        if prof.upper != INF:
-                            return Verdict.unsat(
-                                "forced-zero",
-                                f"{var} must vanish but has a finite upper bound",
-                                var=var,
-                            )
-                        if not _substitute_zero(state, var):
-                            return Verdict.unsat(
-                                "forced-zero",
-                                f"setting {var} = 0 contradicts an equation",
-                                var=var,
-                            )
+                    raises += 1
+                    if new_lower == INF:
+                        failed = _force_zero(state, var)
+                        if failed is not None:
+                            return failed
                         restart = True
                         break
                     prof.lower = new_lower
@@ -258,6 +295,15 @@ def _propagate(state: _State) -> Verdict | None:
                             f"propagation emptied the window of {var}",
                             var=var,
                         )
+                    if raises > len(state.profiles) and not frozen_checked:
+                        frozen_checked = True
+                        variables = len(state.profiles)
+                        failed = _substitute_frozen(state)
+                        if failed is not None:
+                            return failed
+                        if len(state.profiles) < variables:
+                            restart = True
+                            break
                 if restart:
                     break
         if not changed:

@@ -9,6 +9,11 @@ its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
 The cost-driven echelon keeps each row as integers over one denominator, an
 exact multiple of its Fraction row: costs within a row shift uniformly, so
 every pivot is the Fraction one, and Fraction views are built only when read.
+integer_row takes an int entry as it is, with no Fraction built, and a row
+with no denominator skips its scaling pass; the search's relaxation rows are
+mostly int zeros.  The echelon prices an int entry through
+PivotCosts.doubled_cost as 2 v_p(a) plus the column's doubled offset, computed
+once per cost vector, so no prime check or Fraction valuation runs per entry.
 The affine solve runs on integer rows too, scaled by the same integer_row but
 with the denominators dropped, since a multiple of a row has the same
 solutions.  It eliminates fraction-free above and below each pivot and divides
@@ -25,7 +30,7 @@ form over Z used by the independent divisibility oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,7 +42,7 @@ from .rational import (
     RationalLike,
     as_fraction,
     check_prime,
-    is_finite,
+    int_valuation,
     valuation,
 )
 
@@ -127,12 +132,19 @@ def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> No
 
 
 def integer_row(entries) -> tuple[list[int], int]:
-    """(numerators, den): the rationals as integers over their lcm denominator."""
+    """(numerators, den): the rationals as integers over their lcm denominator.
+
+    An int entry is taken as (x, 1) without building a Fraction, and a row
+    whose lcm denominator is 1 skips the scaling pass.
+    """
     ratios = [
-        (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+        (x, 1) if type(x) is int
+        else (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
         for x in entries
     ]
     den = lcm(*[d for _, d in ratios])
+    if den == 1:
+        return [num for num, _ in ratios], 1
     return [num * (den // d) for num, d in ratios], den
 
 
@@ -230,6 +242,15 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
     return SolutionSpace(particular, basis)
 
 
+def frozen_coordinates(space: SolutionSpace) -> list[int]:
+    """The coordinates zero in every kernel vector, ascending: each takes its
+    particular value on every solution."""
+    return [
+        j for j in range(len(space.particular))
+        if all(vec[j] == 0 for vec in space.basis)
+    ]
+
+
 def _eliminate(row: list[int], start: int, top: list[int], columns: list[int]) -> None:
     """Clear row at top's pivot column, fraction-free on integer rows.
 
@@ -265,29 +286,37 @@ class PivotCosts:
     prime: int
     offsets: tuple[ExtInt, ...]
     biases: tuple[int, ...]
+    # 2 * offset_j + bias_j per column, -inf where the offset is -inf
+    doubled_offsets: tuple[ExtInt, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.prime)
         if len(self.offsets) != len(self.biases):
             raise InputError("offsets and biases must have equal length")
         for c in self.offsets:
-            if not (is_finite(c) and isinstance(c, int)) and c != NEG_INF:
+            if c != NEG_INF and not isinstance(c, int):
                 raise InputError(f"offset must be an int or -inf, got {c!r}")
         if any(b not in (0, 1) for b in self.biases):
             raise InputError("biases must be 0 or 1")
+        object.__setattr__(self, "doubled_offsets", tuple(
+            NEG_INF if c == NEG_INF else 2 * c + b
+            for c, b in zip(self.offsets, self.biases)
+        ))
 
     @classmethod
     def uniform(cls, p: int, n: int) -> "PivotCosts":
         return cls(p, (0,) * n, (0,) * n)
 
     def doubled_cost(self, a: RationalLike, j: int) -> ExtInt:
-        """2 * cost of entry a in original column j, as an exact ExtInt."""
+        """2 * cost of entry a in original column j, as an exact ExtInt.
+
+        An int entry, as in the echelon's integer rows, takes int_valuation
+        directly; the doubled offset is -inf or absorbs any finite 2 v_p(a).
+        """
         if a == 0:
             return INF
-        c = self.offsets[j]
-        if c == NEG_INF:
-            return NEG_INF
-        return 2 * valuation(a, self.prime) + 2 * c + self.biases[j]
+        v = int_valuation(a, self.prime) if type(a) is int else valuation(a, self.prime)
+        return 2 * v + self.doubled_offsets[j]
 
 
 @dataclass
@@ -346,6 +375,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         rows.append(row)
         dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
+    doubled_cost = costs.doubled_cost
     r = 0
     while r < m and r < n:
         top = rows[r]
@@ -362,7 +392,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         # columns hold the cheapest entry; min keeps the leftmost of a tie
         best = min(
             (j for j in columns if j < n),
-            key=lambda j: costs.doubled_cost(top[j], col_of[j]),
+            key=lambda j: doubled_cost(top[j], col_of[j]),
         )
         if best != r:
             for row in rows:

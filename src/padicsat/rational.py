@@ -2,8 +2,11 @@
 
 Everything here is computed exactly with `fractions.Fraction`, or with
 integers where a power sum merges its terms or takes its valuation; no
-floats enter any arithmetic path.  The two float infinities are used only
-as order sentinels for the extended integers Z u {-inf, +inf}.
+floats enter any arithmetic path.  The valuation of a sum of terms is one
+integer-triple merge, merged_valuation, shared by PowerSum.valuation and
+solve_geq's p = 2 exact-flag pivot check, which so builds no PowerSum.  The
+two float infinities are used only as order sentinels for the extended
+integers Z u {-inf, +inf}.
 """
 
 from __future__ import annotations
@@ -159,6 +162,36 @@ def _ratio_sum(ratios: list[tuple[int, int]]) -> Fraction:
     return Fraction(sum(num * (den // d) for num, d in ratios), den)
 
 
+def merged_valuation(p: int, terms: Iterable[tuple[int, int, int]]) -> ExtInt:
+    """v_p of the sum of a/b * p**c over integer triples (a, b, c) with b > 0.
+
+    Terms may repeat exponents and a may be 0; nothing is materialized.  Each
+    nonzero term is first rewritten as an integer triple with a p-adic unit
+    a'/b': (c + v_p(a) - v_p(b), a / p**v_p(a), b / p**v_p(b)).  If the lowest
+    exponent is then attained exactly once it is the valuation, by the
+    ultrametric equality case.  Otherwise the two lowest terms are merged as
+    integers, a1 b2 + a2 b1 over b1 b2 (still a unit denominator), and the
+    loop repeats; every merge removes a term, so at most len(terms) merges
+    run.  The sum of no nonzero term is 0, of valuation +inf.
+    """
+    heap = []
+    for a, b, exp in terms:
+        if a:
+            va, vb = int_valuation(a, p), int_valuation(b, p)
+            heap.append((exp + va - vb, a // p**va, b // p**vb))
+    heapify(heap)
+    while heap:
+        low, a1, b1 = heappop(heap)
+        if not heap or heap[0][0] > low:
+            return low
+        _, a2, b2 = heappop(heap)
+        a = a1 * b2 + a2 * b1
+        if a:
+            v = int_valuation(a, p)
+            heappush(heap, (low + v, a // p**v, b1 * b2))
+    return INF
+
+
 def _normalized_terms(terms: Iterable[tuple[RationalLike, int]]) -> tuple[tuple[Fraction, int], ...]:
     """Sort by exponent, merge equal exponents and drop zero coefficients.
 
@@ -279,33 +312,10 @@ class PowerSum:
     # -- the interesting part ----------------------------------------------
 
     def valuation(self) -> ExtInt:
-        """p-adic valuation of the represented value, without materializing.
-
-        Each term a/b * p**c is first rewritten as an integer triple with a
-        p-adic unit a'/b': (c + v_p(a) - v_p(b), a / p**v_p(a), b / p**v_p(b)).
-        If the lowest exponent is then attained exactly once it is the
-        valuation, by the ultrametric equality case.  Otherwise the two lowest
-        terms are merged as integers, a1 b2 + a2 b1 over b1 b2 (still a unit
-        denominator), and the loop repeats; every merge removes a term, so at
-        most len(terms) merges run.
-        """
-        p = self.prime
-        heap = []
-        for coeff, exp in self.terms:
-            a, b = coeff.numerator, coeff.denominator
-            va, vb = int_valuation(a, p), int_valuation(b, p)
-            heap.append((exp + va - vb, a // p**va, b // p**vb))
-        heapify(heap)
-        while heap:
-            low, a1, b1 = heappop(heap)
-            if not heap or heap[0][0] > low:
-                return low
-            _, a2, b2 = heappop(heap)
-            a = a1 * b2 + a2 * b1
-            if a:
-                v = int_valuation(a, p)
-                heappush(heap, (low + v, a // p**v, b1 * b2))
-        return INF
+        """p-adic valuation of the represented value, without materializing."""
+        return merged_valuation(
+            self.prime, [(c.numerator, c.denominator, e) for c, e in self.terms]
+        )
 
     def materialize(self, guard: int = DEFAULT_EXPONENT_GUARD) -> Fraction:
         """Evaluate to an exact Fraction; refuse exponents beyond the guard."""

@@ -59,7 +59,8 @@ def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
 
     Valid when the multipliers combine the rows to 0 = value with value < 0,
     or to 0 <= value' where strictness (nu != 0) forces 0 < value' while
-    value' <= 0.  Returns (ok, explanation).
+    value' <= 0.  A row whose multiplier is 0 adds nothing and is not read.
+    Returns (ok, explanation).
     """
     if len(lam) != len(A) or len(mu) != len(C) or len(nu) != len(E):
         return False, "multiplier lengths do not match the blocks"
@@ -67,27 +68,24 @@ def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
         return False, "a weak multiplier is negative"
     if any(m < 0 for m in nu):
         return False, "a strict multiplier is negative"
-    n = max(
-        [len(r) for r in A] + [len(r) for r in C] + [len(r) for r in E],
-        default=0,
-    )
-    for j in range(n):
-        total = Fraction(0)
-        for m, row in zip(lam, A):
-            total += m * row[j]
-        for m, row in zip(mu, C):
-            total += m * row[j]
-        for m, row in zip(nu, E):
-            total += m * row[j]
+    widths = {len(r) for r in (*A, *C, *E)}
+    if len(widths) > 1:
+        return False, "rows of unequal width"
+    totals = [Fraction(0)] * max(widths, default=0)
+    for mults, rows in ((lam, A), (mu, C), (nu, E)):
+        for m, row in zip(mults, rows):
+            if m:
+                for j, a in enumerate(row):
+                    if a:
+                        totals[j] += m * a
+    for j, total in enumerate(totals):
         if total != 0:
             return False, f"combined coefficient of column {j} is {total}, not 0"
     value = Fraction(0)
-    for m, rhs in zip(lam, b):
-        value += m * rhs
-    for m, rhs in zip(mu, d):
-        value += m * rhs
-    for m, rhs in zip(nu, f):
-        value += m * rhs
+    for mults, rhs in ((lam, b), (mu, d), (nu, f)):
+        for m, r in zip(mults, rhs):
+            if m:
+                value += m * r
     if value < 0:
         return True, f"value {value} < 0 refutes the weak relaxation"
     if value <= 0 and any(m > 0 for m in nu):

@@ -11,9 +11,14 @@ hand sides and each pivot row passes a single valuation comparison; a witness
 follows by assigning p**floor to every non-pivot column and back-substituting
 in power-sum arithmetic.
 
-Both checks run on the echelon's integer rows: row i is its Fraction row
-times d_i, which shifts every valuation in the row by v_p(d_i) and keeps each
-comparison; the shift comes back only in the reported required/actual.
+The search's relaxation reaches the echelon on integers end to end: a column
+absent from an equation is the int 0, and the echelon scales each row once,
+taking ints as they are.  Both checks run on the echelon's integer rows: row
+i is its Fraction row times d_i, which shifts every valuation in the row by
+v_p(d_i) and keeps each comparison; the shift comes back only in the reported
+required/actual.  At p = 2 an exact flag adds terms to a pivot row's
+right-hand side; their valuation is rational.merged_valuation's integer
+merge, the one PowerSum.valuation runs, with no PowerSum built.
 
 With witness=False the solver stops after the two checks: the witness-free
 relaxation test of the branch-and-decide search needs only the status, so it
@@ -43,6 +48,7 @@ from .rational import (
     check_prime,
     int_valuation,
     is_finite,
+    merged_valuation,
 )
 
 
@@ -96,11 +102,19 @@ class GeqProblem:
     @classmethod
     def of_equations(cls, columns, equations, prime, floors, exact) -> "GeqProblem":
         """From (Fraction coefficients by column, Fraction rhs) pairs, uncoerced;
-        a column missing from an equation has coefficient 0."""
-        zero = Fraction(0)
-        A = tuple(tuple([coeffs.get(c, zero) for c in columns]) for coeffs, _ in equations)
-        b = tuple(rhs for _, rhs in equations)
-        return cls(A, b, prime, tuple(floors), tuple(exact))
+        every coefficient's column must be in columns.  A column missing from
+        an equation has the int coefficient 0, which the echelon's integer_row
+        takes without building a Fraction; a row costs its nonzeros."""
+        index = {c: j for j, c in enumerate(columns)}
+        zeros = [0] * len(index)
+        A = []
+        for coeffs, _ in equations:
+            row = zeros[:]
+            for c, a in coeffs.items():
+                row[index[c]] = a
+            A.append(tuple(row))
+        b = tuple([rhs for _, rhs in equations])
+        return cls(tuple(A), b, prime, tuple(floors), tuple(exact))
 
     def costs(self) -> PivotCosts:
         return PivotCosts(
@@ -120,6 +134,7 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
     col_of = inverse_permutation(result.sigma)  # position -> original column
     floors2 = [prob.floors[col_of[j]] for j in range(n)]
     exact2 = [prob.exact[col_of[j]] for j in range(n)]
+    exact_positions = [j for j in range(n) if exact2[j]]
     k = result.rank
     for i in range(k, m):
         if rows[i][n] != 0:
@@ -134,10 +149,10 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
             continue  # pivot cost -inf: the comparison holds vacuously
         row = rows[i]
         lhs = int_valuation(row[piv], p) + floors2[piv] + int(exact2[piv])
-        # a PowerSum only when exact flags add terms to the right-hand side
-        terms = [(-row[j], floors2[j]) for j in range(piv, n) if exact2[j] and row[j]]
+        # exact flags add integer terms -a p^floor to the right-hand side
+        terms = [(-row[j], 1, floors2[j]) for j in exact_positions if j >= piv and row[j]]
         rhs_val = (
-            PowerSum(p, ((row[n], 0), *terms)).valuation() if terms else int_valuation(row[n], p)
+            merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else int_valuation(row[n], p)
         )
         if not lhs <= rhs_val:
             shift = int_valuation(dens[i], p)  # back to the Fraction row

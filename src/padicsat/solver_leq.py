@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import Matrix, SolutionSpace, Vector, dims, matrix, solve_affine, vector
+from .linalg import (
+    Matrix,
+    SolutionSpace,
+    Vector,
+    dims,
+    frozen_coordinates,
+    matrix,
+    solve_affine,
+    vector,
+)
 from .model import Status, Verdict
 from .rational import INF, ExtInt, PowerSum, check_prime, is_finite, valuation
 
@@ -98,17 +107,16 @@ def solve_leq(prob: LeqProblem) -> Verdict:
         return Verdict.unsat("no-solution", "the linear system is inconsistent")
     y0 = space.particular
     kernel = space.basis
+    for j in frozen_coordinates(space):
+        v = valuation(y0[j], p)
+        if not _allows(v, prob.caps[j], prob.excluded[j]):
+            return Verdict.unsat(
+                "fixed-out-of-range",
+                f"coordinate {j} is fixed with valuation {v}, outside its allowed set",
+                coordinate=j,
+                valuation=v,
+            )
     columns = [[y0[j]] + [vec[j] for vec in kernel] for j in range(n)]
-    for j in range(n):
-        if all(c == 0 for c in columns[j][1:]):
-            v = valuation(y0[j], p)
-            if not _allows(v, prob.caps[j], prob.excluded[j]):
-                return Verdict.unsat(
-                    "fixed-out-of-range",
-                    f"coordinate {j} is fixed with valuation {v}, outside its allowed set",
-                    coordinate=j,
-                    valuation=v,
-                )
     thresholds = [_first_forbidden(prob.caps[j], prob.excluded[j]) for j in range(n)]
     entry_vals = [
         abs(valuation(c, p))

@@ -86,6 +86,32 @@ def test_certificate_checker_rejects_junk():
     assert not ok  # 0 = 0 is not a refutation
 
 
+def test_certificate_checker_rejects_ragged_blocks():
+    assert check_certificate(
+        [[1]], [1], [[-1, 0]], [-2], [], [], [1], [1], []
+    ) == (False, "rows of unequal width")
+
+
+class _Unreadable(list):
+    """A row that fails the test when its entries are read."""
+
+    def __iter__(self):
+        raise AssertionError("a row with multiplier 0 was read")
+
+    __getitem__ = __iter__
+
+
+def test_certificate_checker_skips_rows_with_multiplier_zero():
+    # x + y = 1 and x + y >= 2 refute each other; the third row, x <= 7,
+    # carries multiplier 0 and must not be read
+    ok, why = check_certificate(
+        [[1, 1]], [1], [[-1, -1], _Unreadable([1, 0])], [-2, 7], [], [],
+        (F(1),), (F(1), F(0)), (),
+    )
+    assert ok, why
+    assert why == "value -1 < 0 refutes the weak relaxation"
+
+
 def test_lp_fuzz_planted_and_contradicted():
     rng = random.Random(512)
     feas = infeas = 0

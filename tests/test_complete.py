@@ -14,7 +14,6 @@ import pytest
 from padicsat import complete
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
-    _divergence_threshold,
     _propagate,
     _Prof,
     _State,
@@ -37,6 +36,7 @@ from padicsat.rational import INF, NEG_INF, PowerSum, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
+from padicsat.linalg import solve_affine
 from padicsat.testkit import Graph, encode_coloring, random_instance, verify_witness
 
 
@@ -270,7 +270,7 @@ def test_forced_zero_against_finite_cap():
 
 def test_divergent_propagation_forces_zeros():
     # x = 3y and y = 3x only admit x = y = 0; the lower bounds diverge and
-    # the threshold cuts the climb short
+    # the frozen-coordinate pass cuts the climb short
     i = inst(
         ["x", "y"],
         [Equation.of([1, -3], 0), Equation.of([-3, 1], 0)],
@@ -280,6 +280,58 @@ def test_divergent_propagation_forces_zeros():
     assert verdict.is_sat
     assert verdict.witness["x"].is_zero() and verdict.witness["y"].is_zero()
     assert verify_witness(i, verdict.witness)
+
+
+@pytest.mark.parametrize("rel", ["<=", "!="])
+def test_frozen_cycle_work_does_not_grow_with_the_bound(monkeypatch, rel):
+    # x = 3y, y = 3x with v(x), v(y) >= 0: the lower bounds climb by one per
+    # equation and round, and without the frozen-coordinate pass the search
+    # walks them up to B.  With it, one solve_affine per propagation call
+    # settles x = y = 0, so the counts are the same at B = 2*10^4 and 10^9:
+    # v(x) <= B is then unsat, v(x) != B sat with x = y = 0.
+    counts = collections.Counter()
+    real_affine, real_propagate = complete.solve_affine, complete._propagate
+
+    def affine(A, b):
+        counts["solve_affine"] += 1
+        return real_affine(A, b)
+
+    def propagate(state):
+        before = counts["solve_affine"]
+        verdict = real_propagate(state)
+        counts["propagate"] += 1
+        assert counts["solve_affine"] - before <= 1
+        # fail, rather than hang, if the search starts walking the window
+        assert counts["propagate"] < 1000
+        return verdict
+
+    class CountingProf(_Prof):
+        def __setattr__(self, name, value):
+            if name == "lower" and "lower" in self.__dict__ and value > self.lower:
+                counts["raises"] += 1
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(complete, "solve_affine", affine)
+    monkeypatch.setattr(complete, "_propagate", propagate)
+    monkeypatch.setattr(complete, "_Prof", CountingProf)
+    work = {}
+    for bound in (2 * 10**4, 10**9):
+        counts.clear()
+        i = inst(
+            ["x", "y"],
+            [Equation.of([1, -3], 0), Equation.of([-3, 1], 0)],
+            [val(3, "x", ">=", 0), val(3, "y", ">=", 0), val(3, "x", rel, bound)],
+        )
+        verdict = solve_hard(i)
+        if rel == "<=":
+            assert verdict.is_unsat
+        else:
+            assert verdict.is_sat
+            assert verdict.witness["x"].is_zero() and verdict.witness["y"].is_zero()
+            assert verify_witness(i, verdict.witness)
+        assert counts["solve_affine"] >= 1 and counts["raises"] >= 1
+        work[bound] = dict(counts)
+    assert work[2 * 10**4] == work[10**9], work
 
 
 def test_exclusion_split_above_lower_bound():
@@ -514,11 +566,52 @@ def test_mixed_fuzz_witnesses_verify():
     assert sat > 15
 
 
+def _frozen_reference(state):
+    """The frozen-coordinate pass, read straight off solve_affine's canonical
+    particular solution and kernel basis."""
+    names = sorted(state.profiles)
+    space = solve_affine(
+        [[coeffs.get(v, 0) for v in names] for coeffs, _ in state.equations],
+        [rhs for _, rhs in state.equations],
+    )
+    if space is None:
+        return Verdict.unsat("no-solution", "the equations are inconsistent")
+    for j, var in enumerate(names):
+        if any(vec[j] != 0 for vec in space.basis):
+            continue
+        prof = state.profiles[var]
+        value = space.particular[j]
+        if value == 0:
+            if prof.upper != INF:
+                return Verdict.unsat(
+                    "forced-zero",
+                    f"{var} must vanish but has a finite upper bound",
+                    var=var,
+                )
+            if not _substitute_zero(state, var):
+                return Verdict.unsat(
+                    "forced-zero",
+                    f"setting {var} = 0 contradicts an equation",
+                    var=var,
+                )
+            continue
+        v = valuation(value, state.prime)
+        if not (prof.lower <= v <= prof.upper and v not in prof.excluded):
+            return Verdict.unsat(
+                "fixed-out-of-range",
+                f"{var} is fixed with valuation {v}, outside its admissible set",
+                var=var,
+                valuation=v,
+            )
+    return None
+
+
 def _propagate_reference(state):
     """complete._propagate with the minimum over the other terms rebuilt for
     every variable: O(k^2) per equation of k terms."""
     p = state.prime
-    threshold = _divergence_threshold(state)
+    raises = 0
+    frozen_checked = False
     for _ in range(PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))):
         changed = False
         restart = True
@@ -542,7 +635,8 @@ def _propagate_reference(state):
                     if new_lower == NEG_INF or new_lower <= prof.lower:
                         continue
                     changed = True
-                    if new_lower == INF or (new_lower > threshold and prof.upper == INF):
+                    raises += 1
+                    if new_lower == INF:
                         if prof.upper != INF:
                             return Verdict.unsat(
                                 "forced-zero",
@@ -564,6 +658,15 @@ def _propagate_reference(state):
                             f"propagation emptied the window of {var}",
                             var=var,
                         )
+                    if raises > len(state.profiles) and not frozen_checked:
+                        frozen_checked = True
+                        before = len(state.profiles)
+                        failed = _frozen_reference(state)
+                        if failed is not None:
+                            return failed
+                        if len(state.profiles) < before:
+                            restart = True
+                            break
                 if restart:
                     break
         if not changed:
@@ -608,7 +711,12 @@ def test_propagate_matches_quadratic_reference():
             outcomes["zero-substituted"] += 1
         else:
             outcomes["tightened" if state != before else "unchanged"] += 1
-    assert min(outcomes.values()) >= 10 and len(outcomes) == 5, outcomes
+    five = ("forced-zero", "empty-window", "zero-substituted", "tightened", "unchanged")
+    assert all(outcomes[c] >= 10 for c in five), outcomes
+    # the frozen-coordinate pass's own unsat answers
+    frozen = ("no-solution", "fixed-out-of-range")
+    assert all(outcomes[c] >= 1 for c in frozen), outcomes
+    assert set(outcomes) == {*five, *frozen}, outcomes
 
 
 def _recomputed_valuations(state):
