@@ -37,7 +37,14 @@ from .model import (
     normalize,
 )
 from .parser import parse_instance, serialize_instance
-from .rational import DEFAULT_EXPONENT_GUARD, INF, NEG_INF, PowerSum, as_fraction
+from .rational import (
+    DEFAULT_EXPONENT_GUARD,
+    INF,
+    NEG_INF,
+    PowerSum,
+    as_fraction,
+    check_prime,
+)
 from .testkit import random_instance, smith_oracle_geq, verify_witness
 
 EXIT_SAT = 0
@@ -246,7 +253,21 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    primes = tuple(int(p) for p in args.primes.split(","))
+    try:
+        primes = tuple(check_prime(int(p)) for p in args.primes.split(","))
+    except ValueError:
+        raise InputError(
+            f"--primes must be comma-separated primes, got {args.primes!r}"
+        ) from None
+    if args.vars < 1:
+        raise InputError(f"--vars must be at least 1, got {args.vars}")
+    for option in ("eqs", "orders", "coeff_mag", "bound_mag"):
+        value = getattr(args, option)
+        if value < 0:
+            flag = "--" + option.replace("_", "-")
+            raise InputError(f"{flag} must be nonnegative, got {value}")
+    if args.cover and args.coeff_mag < 1:
+        raise InputError("--cover needs a nonzero coefficient: --coeff-mag >= 1")
     inst = random_instance(
         args.seed,
         fragment=args.fragment,

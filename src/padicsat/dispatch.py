@@ -63,15 +63,18 @@ def solve_single_prime(
         raise InputError("order constraints must go through the combiner")
     norm.require_prime(p)
     if p is None:
-        # no valuation constraints at all: plain linear algebra
-        space = solve_affine(
-            [list(eq.coeffs) for eq in norm.equations],
-            [eq.rhs for eq in norm.equations],
-        )
-        if space is None:
-            return Verdict.unsat("no-solution", "the linear system is inconsistent")
-        witness = dict(zip(norm.variables, space.particular))
-        v = Verdict.sat(witness=witness)
+        # no valuation constraints at all: plain linear algebra, and with no
+        # equation either every coordinate is 0
+        particular = [Fraction(0)] * len(norm.variables)
+        if norm.equations:
+            space = solve_affine(
+                [list(eq.coeffs) for eq in norm.equations],
+                [eq.rhs for eq in norm.equations],
+            )
+            if space is None:
+                return Verdict.unsat("no-solution", "the linear system is inconsistent")
+            particular = space.particular
+        v = Verdict.sat(witness=dict(zip(norm.variables, particular)))
         v.diagnostics["fragment"] = Fragment.NONE.value
         return v
     frag = classify_kinds(p, norm.kinds.get(p, frozenset()))

@@ -1,28 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of Fractions and every result is exact.
-Four eliminations share one row-update step, subtract_multiple over the
-pivot row's nonzero_columns: the determinant, affine solution spaces and the
-cost-driven echelon here, and the simplex tableau in simplex.py.  A row update
-touches only the pivot row's nonzero entries, so a sparse matrix costs what
-its nonzeros cost; since x - f*0 = x, the values are those of a dense update.
-The cost-driven echelon keeps each row as integers over one denominator, an
-exact multiple of its Fraction row: costs within a row shift uniformly, so
-every pivot is the Fraction one, and Fraction views are built only when read.
-integer_row takes an int entry as it is, with no Fraction built, and a row
-with no denominator skips its scaling pass; the search's relaxation rows are
-mostly int zeros.  The echelon prices an int entry through
-PivotCosts.doubled_cost as 2 v_p(a) plus the column's doubled offset, computed
-once per cost vector, so no prime check or Fraction valuation runs per entry.
-The affine solve runs on integer rows too, scaled by the same integer_row but
-with the denominators dropped, since a multiple of a row has the same
-solutions.  It eliminates fraction-free above and below each pivot and divides
-every updated row by its content, so an entry never outgrows a minor of the
-scaled matrix; its particular solution and kernel basis are canonical, so they
-are exactly the Fraction ones.
-The simplex tableau keeps its rows as the echelon does, integers over one
-denominator scaled by integer_row; of the four eliminations only the
-determinant still runs on Fractions.
+Matrices come in as lists of lists of Fractions and every result is exact.
+Three eliminations run on integer rows, each row an exact multiple of its
+Fraction row built by integer_row, and clear entries through one fraction-
+free row step, eliminate: the cost-driven echelon and the simplex tableau in
+simplex.py keep each row over one positive denominator, and the affine solve
+keeps its rows only up to a factor.  So an entry never outgrows a minor of
+the scaled matrix, and every pivot, sign and ratio test is the Fraction one;
+Fractions are built only when a value is read.  The determinant runs on
+Fractions, an independent reference for the integer eliminations.  Each row
+update goes through subtract_multiple over the pivot row's nonzero_columns,
+so a sparse matrix costs what its nonzeros cost.
+
 The module provides the workhorses the solvers need: affine solution spaces,
 row echelon forms that pick pivots by a per-column cost, and the Smith normal
 form over Z used by the independent divisibility oracle.
@@ -121,11 +110,11 @@ def nonzero_columns(row: Vector, start: int) -> list[int]:
 
 def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> None:
     """row -= factor * source in place, at the given columns only (Fractions
-    in the determinant, ints in the other three eliminations).
+    in the determinant, ints in eliminate).
 
-    columns must hold every nonzero entry of source: the eliminations here
-    pass the pivot row's nonzero columns from the pivot on (the pivot row is
-    zero left of it), the simplex tableau passes them from 0.
+    columns must hold every nonzero entry of source: the echelons pass the
+    pivot row's nonzero columns from the pivot on (the pivot row is zero left
+    of it), the simplex tableau passes them from 0.
     """
     for j in columns:
         row[j] -= factor * source[j]
@@ -172,6 +161,41 @@ def determinant(A: Matrix) -> Fraction:
     return det
 
 
+def eliminate(
+    row: list[int], den: int, top: list[int], col: int, columns: list[int], start: int
+) -> int:
+    """Clear row at col with top, fraction-free, in place; returns the new den.
+
+    row / den stands for the Fraction row R and top for any multiple of the
+    Fraction row T, with top[col] != 0.  The update is R - (R[col]/T[col]) T:
+    with a and piv the entries row[col] and top[col] divided by their gcd and
+    signed so that piv > 0, row becomes piv row - a top over den piv, and
+    both are divided by g = gcd(den, row) when g > 1 (a row cleared to all
+    zeros has g = 0).  A canonical row, den > 0 and gcd(den, row) = 1, stays
+    canonical, so the integers are the unique ones for the Fraction result.
+    den = 0 keeps no scale: it stays 0 and g is the row's content, so the row
+    becomes the primitive multiple of the result, for a caller that needs the
+    row only up to a nonzero factor.
+
+    Both rows must be zero left of start, and columns must hold every nonzero
+    column of top; only row[start:] is touched.
+    """
+    a, piv = row[col], top[col]
+    g = gcd(a, piv)
+    if piv < 0:
+        g = -g
+    a, piv = a // g, piv // g
+    if piv != 1:
+        row[start:] = [x * piv for x in row[start:]]
+    subtract_multiple(row, a, top, columns)
+    den *= piv
+    g = gcd(den, *row[start:])
+    if g > 1:
+        row[start:] = [x // g for x in row[start:]]
+        den //= g
+    return den
+
+
 # ---------------------------------------------------------------------------
 # affine solution spaces
 
@@ -199,7 +223,8 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
     if len(b) != m:
         raise InputError("rhs length does not match row count")
     # each row of (A | b) over its lcm denominator: a row's multiple has the
-    # same solutions, so the denominators are dropped
+    # same solutions, so the denominators are dropped and eliminate keeps
+    # none (den 0)
     M = [integer_row((*A[i], b[i]))[0] for i in range(m)]
     pivot_cols: list[int] = []
     row = 0
@@ -211,7 +236,7 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
         columns = nonzero_columns(M[row], col)  # the rhs column n included
         for i in range(row + 1, m):
             if M[i][col] != 0:
-                _eliminate(M[i], col, M[row], columns)
+                eliminate(M[i], 0, M[row], col, columns, col)
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -226,7 +251,7 @@ def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
         columns = nonzero_columns(M[r], col)
         for i in range(r):
             if M[i][col] != 0:
-                _eliminate(M[i], pivot_cols[i], M[r], columns)
+                eliminate(M[i], 0, M[r], col, columns, pivot_cols[i])
     # row r now reads piv x_c + sum over free f of a_f x_f = rhs
     pivot_set = set(pivot_cols)
     free = [f for f in range(n) if f not in pivot_set]
@@ -249,24 +274,6 @@ def frozen_coordinates(space: SolutionSpace) -> list[int]:
         j for j in range(len(space.particular))
         if all(vec[j] == 0 for vec in space.basis)
     ]
-
-
-def _eliminate(row: list[int], start: int, top: list[int], columns: list[int]) -> None:
-    """Clear row at top's pivot column, fraction-free on integer rows.
-
-    columns are top's nonzero columns from its pivot on; row is zero left of
-    start.  row becomes (piv/g) row - (a/g) top with g = gcd(a, piv), then is
-    divided by its content.
-    """
-    a, piv = row[columns[0]], top[columns[0]]
-    g = gcd(a, piv)
-    a, piv = a // g, piv // g
-    if piv != 1:
-        row[start:] = [x * piv for x in row[start:]]
-    subtract_multiple(row, a, top, columns)
-    g = gcd(*row[start:])
-    if g > 1:
-        row[start:] = [x // g for x in row[start:]]
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +406,9 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
                 row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
             columns = nonzero_columns(top, r)
-        # |piv| row - sign(piv) a top is the Fraction row - (a / piv) top
-        # times den |piv|; the gcd of that row and den is then divided out
-        scale, sign = abs(top[r]), (1 if top[r] > 0 else -1)
         for i in range(r + 1, m):
-            row = rows[i]
-            if row[r]:
-                factor = sign * row[r]
-                if scale != 1:
-                    row[r:] = [x * scale for x in row[r:]]
-                subtract_multiple(row, factor, top, columns)
-                dens[i] *= scale
-                g = gcd(dens[i], *row[r + 1:])
-                if g != 1:
-                    row[r + 1:] = [x // g for x in row[r + 1:]]
-                    dens[i] //= g
+            if rows[i][r]:
+                dens[i] = eliminate(rows[i], dens[i], top, r, columns, r)
         r += 1
     sigma = [0] * n
     for pos, orig in enumerate(col_of):

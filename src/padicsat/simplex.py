@@ -3,12 +3,9 @@
 Decides systems  A x = b,  C x <= d,  E x < f  over the rationals.  The
 strict block is handled through a slack objective: maximize t subject to
 E x + t <= f and t <= 1; the strict system is feasible exactly when the
-optimum t* is positive.  Bland's rule makes the search terminate.  Every
-tableau row, the cost row included, is a row of integers over one positive
-denominator, as in linalg's cost-driven echelon, and pivots fraction-free
-through linalg's row-update step, the one its Gaussian eliminations share.
-Every sign and ratio test is exact, so the pivots, points and certificates are
-those of a Fraction tableau; Fractions are built only for the values read out.
+optimum t* is positive.  Bland's rule makes the search terminate.  The
+tableau holds exact integer rows that clear through linalg.eliminate, so the
+pivots, points and certificates are those of a Fraction tableau.
 
 Infeasibility is returned with a Farkas certificate (lam, mu, nu):
 multipliers with lam^T A + mu^T C + nu^T E = 0, mu >= 0, nu >= 0, whose
@@ -26,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, InternalError
-from .linalg import integer_row, nonzero_columns, subtract_multiple
+from .linalg import eliminate, integer_row, nonzero_columns
 from .rational import as_fraction
 
 Row = list[Fraction]
@@ -96,13 +93,12 @@ def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
 class _Tableau:
     """Simplex tableau with Bland's rule, each row integers over one denominator.
 
-    Row i of (T | rhs) stands for rows[i] / dens[i] with dens[i] > 0, an exact
-    multiple of the Fraction row, as in linalg's cost-driven echelon; row m is
-    the cost row, whose rhs entry is minus the objective.  A basic column holds
-    its row's den there and 0 in every other row.  A pivot is fraction-free and
-    updates only the rows with a nonzero in the pivot column, through linalg's
-    row step.  Every sign and ratio test is exact, so every pivot is the one a
-    Fraction tableau makes; Fractions are built only when a value is read.
+    Row i of (T | rhs) stands for rows[i] / dens[i] with dens[i] > 0, in
+    linalg.eliminate's canonical form; row m is the cost row, whose rhs entry
+    is minus the objective.  A basic column holds its row's den there and 0 in
+    every other row.  A pivot clears only the rows with a nonzero in the pivot
+    column.  Signs and ratios are read off the integers, since every den is
+    positive; Fractions are built only when a value is read.
     """
 
     def __init__(self, rows: list[list[int]], dens: list[int], num_real: int):
@@ -124,35 +120,18 @@ class _Tableau:
         self.dens = [*dens, 1]
         self.basis = [num_real + i for i in range(m)]
 
-    def _clear(self, k: int, top: list[int], j: int, columns: list[int]) -> None:
-        """Clear row k at column j with top, whose entry there is its den.
-
-        top[j] row - row[j] top is the Fraction row - row[j]/den top times
-        top[j]; the gcd of that row and den top[j] is then divided out.
-        """
-        row, piv = self.rows[k], top[j]
-        factor = row[j]
-        if piv != 1:
-            row = self.rows[k] = [c * piv for c in row]
-        subtract_multiple(row, factor, top, columns)
-        den = self.dens[k] * piv
-        g = gcd(den, *row)
-        if g != 1:
-            row[:] = [c // g for c in row]
-            den //= g
-        self.dens[k] = den
-
     def _pivot(self, i: int, j: int) -> None:
-        top = self.rows[i]
+        rows, dens = self.rows, self.dens
+        top = rows[i]
         g = gcd(*top) if top[j] > 0 else -gcd(*top)
         if g != 1:
-            top = self.rows[i] = [c // g for c in top]
-        self.dens[i] = top[j]
+            top = rows[i] = [c // g for c in top]
+        dens[i] = top[j]
         # unlike an echelon row, a tableau row has nonzeros left of its pivot
         columns = nonzero_columns(top, 0)
         for k in range(self.m + 1):
-            if k != i and self.rows[k][j]:
-                self._clear(k, top, j, columns)
+            if k != i and rows[k][j]:
+                dens[k] = eliminate(rows[k], dens[k], top, j, columns, 0)
         self.basis[i] = j
 
     def _run(self, limit: int) -> None:
@@ -183,12 +162,13 @@ class _Tableau:
 
     def _set_cost(self, cost: list[int]) -> None:
         """Install cost (over den 1) as the cost row, reduced by the basis."""
-        self.rows[self.m] = [*cost, 0]
-        self.dens[self.m] = 1
+        zrow = self.rows[self.m] = [*cost, 0]
+        den = 1
         for i, j in enumerate(self.basis):
-            if self.rows[self.m][j]:
+            if zrow[j]:
                 top = self.rows[i]
-                self._clear(self.m, top, j, nonzero_columns(top, 0))
+                den = eliminate(zrow, den, top, j, nonzero_columns(top, 0), 0)
+        self.dens[self.m] = den
 
     def _dual(self, i: int) -> Fraction:
         """The cost row's entry at row i's artificial column."""

@@ -27,7 +27,7 @@ skips the back-substitution.  Unsat answers are the same either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
@@ -45,7 +45,6 @@ from .rational import (
     NEG_INF,
     ExtInt,
     PowerSum,
-    check_prime,
     int_valuation,
     is_finite,
     merged_valuation,
@@ -66,22 +65,24 @@ class GeqProblem:
     prime: int
     floors: tuple[ExtInt, ...]
     exact: tuple[bool, ...] = ()
+    # the pivot costs; building them checks the prime and the floors
+    _costs: PivotCosts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_prime(self.prime)
         n = len(self.floors)
         if not self.exact:
             object.__setattr__(self, "exact", (False,) * n)
         if len(self.exact) != n:
             raise InputError("floors and exact must have equal length")
+        object.__setattr__(self, "_costs", PivotCosts(
+            self.prime, self.floors, tuple(int(x) for x in self.exact)
+        ))
         for row in self.A:
             if len(row) != n:
                 raise InputError("matrix width does not match floor count")
         if len(self.b) != len(self.A):
             raise InputError("rhs length does not match row count")
         for j, f in enumerate(self.floors):
-            if f != NEG_INF and not isinstance(f, int):
-                raise InputError(f"floor must be an int or -inf, got {f!r}")
             if self.exact[j]:
                 if self.prime != 2:
                     raise InputError("exact valuation flags require p = 2")
@@ -117,9 +118,7 @@ class GeqProblem:
         return cls(tuple(A), b, prime, tuple(floors), tuple(exact))
 
     def costs(self) -> PivotCosts:
-        return PivotCosts(
-            self.prime, self.floors, tuple(int(x) for x in self.exact)
-        )
+        return self._costs
 
 
 def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:

@@ -184,6 +184,30 @@ def test_gen_output_parses_and_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--primes", "2,x"],
+        ["--primes", ""],
+        ["--primes", "4"],
+        ["--vars", "0"],
+        ["--eqs", "-2", "--cover"],
+        ["--eqs", "-1"],
+        ["--orders", "-1"],
+        ["--coeff-mag", "-1"],
+        ["--bound-mag", "-1"],
+        ["--coeff-mag", "0", "--cover"],
+    ],
+)
+def test_gen_rejects_bad_options(capsys, options):
+    assert main(["gen", *options]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_oracle_agrees_with_solver(tmp_path, capsys):
     for seed in range(12):
         p = main(["gen", "--seed", str(seed), "--fragment", "geq", "--primes", "3"])
@@ -267,3 +291,15 @@ def test_witness_print_verifies(tmp_path, capsys):
 
     witness = _witness_from_json(json.dumps(payload["witness"]))
     assert verify_witness(parse_instance(SAT_GEQ), witness)
+
+
+def test_constraint_free_witness_prints_every_variable(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("vars x y\n"))
+    assert main(["solve", "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sat"
+    assert "x = 0" in out and "y = 0" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO("vars x y\n"))
+    assert main(["solve", "--json", "--witness"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["witness"]) == {"x", "y"}

@@ -647,3 +647,12 @@ def test_combined_empty_window_short_circuits():
     )
     verdict = solve_combined(i)
     assert verdict.is_unsat and verdict.code == "empty-window"
+
+
+def test_constraint_free_instance_gets_a_full_witness():
+    # no equation and no constraint: every declared variable still gets 0
+    i = Instance(("x", "y"))
+    verdict = solve_combined(i)
+    assert verdict.is_sat
+    assert verdict.witness == {"x": 0, "y": 0}
+    assert verify_witness(i, verdict.witness)

@@ -1,6 +1,8 @@
-"""Property tests for the integer paths: row scaling and the valuation merge."""
+"""Property tests for the integer paths: row scaling, the fraction-free row
+step and the valuation merge."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicsat.linalg import integer_row
+from padicsat.linalg import eliminate, integer_row, nonzero_columns
 from padicsat.rational import PowerSum, merged_valuation, valuation
 
 entry = st.one_of(
@@ -23,6 +25,50 @@ entry = st.one_of(
 @given(st.lists(entry, max_size=12))
 def test_integer_row_of_mixed_entries_is_the_fraction_one(row):
     assert integer_row(row) == integer_row([Fraction(x) for x in row])
+
+
+@st.composite
+def row_steps(draw):
+    """(row, den, top, col, start): a canonical row over den > 0 and a top
+    row, both zero left of start, with top[col] != 0."""
+    width = draw(st.integers(1, 8))
+    start = draw(st.integers(0, width - 1))
+    col = draw(st.integers(start, width - 1))
+    ints = st.integers(-10**4, 10**4)
+    tail = st.lists(ints, min_size=width - start, max_size=width - start)
+    top = [0] * start + draw(tail)
+    if top[col] == 0:
+        top[col] = draw(ints.filter(bool))
+    row = [0] * start + draw(tail)
+    den = draw(st.integers(1, 10**4))
+    g = gcd(den, *row)
+    return [x // g for x in row], den // g, top, col, start
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_steps())
+@example(([0, 2, 4], 3, [0, 1, 2], 1, 1))  # the row clears to all zeros
+@example(([5, 3], 2, [-4, 6], 0, 0))  # a negative pivot
+def test_eliminate_is_the_fraction_row_update(case):
+    row, den, top, col, start = case
+    R = [Fraction(x, den) for x in row]
+    expected = [r - R[col] / top[col] * t for r, t in zip(R, top)]
+    columns = nonzero_columns(top, start)
+    out = row[:]
+    new_den = eliminate(out, den, top, col, columns, start)
+    assert [Fraction(x, new_den) for x in out] == expected
+    assert new_den > 0 and gcd(new_den, *out) == 1
+    assert out[col] == 0
+    # den 0 keeps no scale: the row becomes the primitive multiple
+    free = row[:]
+    assert eliminate(free, 0, top, col, columns, start) == 0
+    assert gcd(*free) in (0, 1)  # 0: cleared to all zeros
+    j = next((j for j, q in enumerate(expected) if q), None)
+    if j is None:
+        assert not any(free)
+    else:
+        scale = free[j] / expected[j]
+        assert scale and [scale * q for q in expected] == free
 
 
 triple = st.tuples(

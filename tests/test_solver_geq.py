@@ -62,6 +62,18 @@ def test_exact_flag_validation():
         GeqProblem.of([[1]], [1], 2, (NEG_INF,), (True,))  # and a finite floor
 
 
+def test_prime_and_floor_validation():
+    # the pivot costs are built once, with the problem, and check both
+    with pytest.raises(InputError, match="4"):
+        GeqProblem.of([[1]], [1], 4, (0,))
+    with pytest.raises(InputError, match="0.5"):
+        GeqProblem.of([[1]], [1], 3, (0.5,))
+    prob = GeqProblem.of([[1, 1]], [4], 2, (1, NEG_INF), (True, False))
+    assert prob.costs() is prob.costs()
+    assert prob.costs().offsets == (1, NEG_INF)
+    assert prob.costs().biases == (1, 0)
+
+
 def test_zero_rows_with_nonzero_rhs():
     prob = GeqProblem.of([[1], [2]], [1, 3], 5, (0,))
     verdict = solve_geq(prob)
