@@ -25,7 +25,7 @@ F = Fraction
 # roundoff to reason about.
 A = matrix([[2, 4, -2], [1, 2, 3]])
 b = [F(6), F(11)]
-space = solve_affine(A, b)
+space = solve_affine(A, b, 3)
 print("particular:", space.particular)
 print("kernel basis:", space.basis)
 
@@ -36,7 +36,7 @@ for row, rhs in zip(A, b):
 print("particular + 5 * basis[0] still solves the system")
 
 # An inconsistent system yields None rather than a least-squares answer.
-print("inconsistent:", solve_affine(matrix([[1, 1], [1, 1]]), [F(0), F(1)]))
+print("inconsistent:", solve_affine(matrix([[1, 1], [1, 1]]), [F(0), F(1)], 2))
 print()
 
 # --- echelon form with valuation-aware pivoting ------------------------

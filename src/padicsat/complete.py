@@ -30,15 +30,20 @@ decided here by a recursive search:
 * once every variable fits one of the polynomial fragments the state is cut
   into connected components and each is delegated.
 
-States whose lower-bound relaxation is already unsatisfiable are pruned.  The
-relaxation test is witness-free: it asks `solve_geq` for the status only, so a
-search node pays for the echelon and the pivot-bound checks but never for a
-PowerSum back-substitution.  The relaxation's rows come from the state's
-sparse equations with int zeros in the absent columns, so the echelon works
-on integers from the first scaling on.  A component mixing unbounded
-directions cannot be enumerated; it yields Unknown unless a search window is
-supplied, in which case an exhausted search reports "unsat-within-window"
-(still Unknown: solutions below the window may exist).
+A state keeps its equations as integer rows (A | b) over one column list,
+each row canonical over its own positive denominator as linalg.eliminate
+keeps rows.  A zero substitution deletes a column; a digit substitution
+reuses the variable's column for the fresh one, scaling the row by a power
+of p when v < 0 so that it stays integral.  States whose lower-bound
+relaxation is already unsatisfiable are pruned.  The relaxation test hands
+the integer rows to `solve_geq` as they are and asks for the status only, so
+a search node pays for the echelon and the pivot-bound checks but never for
+a Fraction or a PowerSum back-substitution.  Fractions are built only at
+the leaves, where each component is delegated with its exact equations.  A
+component mixing unbounded directions cannot be enumerated; it yields
+Unknown unless a search window is supplied, in which case an exhausted
+search reports "unsat-within-window" (still Unknown: solutions below the
+window may exist).
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
@@ -55,15 +60,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError, InternalError
-from .linalg import frozen_coordinates, solve_affine
+from .linalg import frozen_coordinates, integer_row, solve_affine
 from .model import Instance, NormalizedInstance, Verdict
 from .rational import (
     INF,
     NEG_INF,
     ExtInt,
     PowerSum,
+    int_valuation,
     is_finite,
     valuation,
 )
@@ -90,36 +97,53 @@ class _Prof:
         return False
 
 
-Equation = tuple[dict[str, Fraction], Fraction]
-
-
 @dataclass
 class _State:
+    """One search node: the equations as integer rows and the variables' bounds.
+
+    rows[i] is equation i's (A | b) over `columns`, as integers, and
+    rows[i] / dens[i] is the equation itself; each row is canonical (den > 0,
+    gcd(den, row) = 1) and has a nonzero coefficient.  The columns are the
+    variables of `profiles`.  A substitution replaces the rows it changes and
+    never edits one in place, so copies share their rows.
+    """
+
     prime: int
-    equations: list[Equation]
+    columns: list[str]
+    rows: list[list[int]]
+    dens: list[int]
     profiles: dict[str, _Prof]
     # substitution log, innermost last; entries are
     # ("zero", var) or ("digit", var, digit, v, fresh)
     log: list[tuple] = field(default_factory=list)
-    # per equation, its coefficients' valuations by variable and its rhs
-    # valuation; computed once, then kept in step by the substitutions
+    # per row, the valuations of its nonzero coefficients by variable, in
+    # profile order, and of its rhs.  They are the integer row's, each
+    # v_p(dens[i]) above its equation's, which propagation never sees: it
+    # compares only within a row.  Computed once, then kept in step by the
+    # substitutions
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
 
     def __post_init__(self):
         if self.valuations is None:
             p = self.prime
+            index = {c: j for j, c in enumerate(self.columns)}
             self.valuations = [
-                ({v: valuation(a, p) for v, a in coeffs.items()}, valuation(rhs, p))
-                for coeffs, rhs in self.equations
+                (
+                    {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
+                    int_valuation(row[-1], p),
+                )
+                for row in self.rows
             ]
 
     def copy(self) -> "_State":
         return _State(
             self.prime,
-            [(dict(coeffs), rhs) for coeffs, rhs in self.equations],
+            list(self.columns),
+            list(self.rows),
+            list(self.dens),
             {v: p.copy() for v, p in self.profiles.items()},
             list(self.log),
-            [(dict(vals), rhs_val) for vals, rhs_val in self.valuations],
+            list(self.valuations),
         )
 
 
@@ -135,51 +159,77 @@ class _Search:
 
 def _substitute_zero(state: _State, var: str) -> bool:
     """Replace var by 0.  Returns False if that empties an equation badly."""
+    p = state.prime
     state.log.append(("zero", var))
     del state.profiles[var]
-    kept: list[Equation] = []
-    kept_vals = []
-    for (coeffs, rhs), (vals, rhs_val) in zip(state.equations, state.valuations):
-        if var in coeffs:
-            coeffs = {v: c for v, c in coeffs.items() if v != var}
+    j = state.columns.index(var)
+    rows, dens, valuations = [], [], []
+    for row, den, (vals, rhs_val) in zip(state.rows, state.dens, state.valuations):
+        a = row[j]
+        row = row[:j] + row[j + 1:]
+        if a:
+            if len(vals) == 1:  # var was the row's only variable
+                if row[-1]:
+                    return False
+                continue
             vals = {v: e for v, e in vals.items() if v != var}
-        if not coeffs:
-            if rhs != 0:
-                return False
-            continue
-        kept.append((coeffs, rhs))
-        kept_vals.append((vals, rhs_val))
-    state.equations = kept
-    state.valuations = kept_vals
+            g = gcd(den, *row)
+            if g > 1:
+                row = [x // g for x in row]
+                den //= g
+                shift = int_valuation(g, p)
+                if shift:
+                    vals = {v: e - shift for v, e in vals.items()}
+                    rhs_val -= shift
+        rows.append(row)
+        dens.append(den)
+        valuations.append((vals, rhs_val))
+    del state.columns[j]
+    state.rows, state.dens, state.valuations = rows, dens, valuations
     return True
 
 
-def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -> bool:
-    """Replace var by digit*p^v + p^(v+1)*fresh with fresh ranging over v >= 0."""
+def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -> None:
+    """Replace var by digit*p^v + p^(v+1)*fresh with fresh ranging over v >= 0.
+
+    fresh takes var's column: a row with coefficient a there gets a*p^(v+1)
+    in it and a*digit*p^v off its rhs, after scaling by p^s, s = max(0, -v),
+    which keeps it integral; then it is divided by its content with its den.
+    """
     p = state.prime
     state.log.append(("digit", var, digit, v, fresh))
     del state.profiles[var]
     state.profiles[fresh] = _Prof(0, INF, frozenset())
-    unit = Fraction(p) ** v
-    kept: list[Equation] = []
-    kept_vals = []
-    for (coeffs, rhs), (vals, rhs_val) in zip(state.equations, state.valuations):
-        if var in coeffs:
-            # fresh is a new name, so its coefficient is a * p^(v+1) alone
-            a = coeffs.pop(var)
-            rhs = rhs - a * digit * unit
-            coeffs[fresh] = a * unit * p
-            vals[fresh] = vals.pop(var) + v + 1
-            rhs_val = valuation(rhs, p)
-        if not coeffs:
-            if rhs != 0:
-                return False
+    j = state.columns.index(var)
+    state.columns[j] = fresh
+    s = max(0, -v)
+    scale = p**s
+    unit = p ** (s + v)
+    for i, row in enumerate(state.rows):
+        a = row[j]
+        if not a:
             continue
-        kept.append((coeffs, rhs))
-        kept_vals.append((vals, rhs_val))
-    state.equations = kept
-    state.valuations = kept_vals
-    return True
+        den = state.dens[i]
+        if s:
+            row = [x * scale for x in row]
+            den *= scale
+        else:
+            row = row[:]
+        row[j] = a * unit * p
+        row[-1] -= a * digit * unit
+        shift = s
+        g = gcd(den, *row)
+        if g > 1:
+            row = [x // g for x in row]
+            den //= g
+            shift -= int_valuation(g, p)
+        vals = state.valuations[i][0]
+        # fresh is a new name, so it goes last, as in a dict built afresh
+        new_vals = {w: e + shift for w, e in vals.items() if w != var}
+        new_vals[fresh] = vals[var] + v + 1 + shift
+        state.rows[i] = row
+        state.dens[i] = den
+        state.valuations[i] = (new_vals, int_valuation(row[-1], p))
 
 
 def _check_profiles(state: _State) -> Verdict | None:
@@ -211,15 +261,17 @@ def _substitute_frozen(state: _State) -> Verdict | None:
     inside it is left alone: its valuation is finite, so propagation cannot
     diverge on it.
     """
-    names = sorted(state.profiles)
+    n = len(state.columns)
     space = solve_affine(
-        [[coeffs.get(v, 0) for v in names] for coeffs, _ in state.equations],
-        [rhs for _, rhs in state.equations],
+        [row[:n] for row in state.rows], [row[n] for row in state.rows], n
     )
     if space is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
-    for j in frozen_coordinates(space):
-        var, value = names[j], space.particular[j]
+    # named before the first zero deletes its column, and taken in name order
+    frozen = sorted(
+        (state.columns[j], space.particular[j]) for j in frozen_coordinates(space)
+    )
+    for var, value in frozen:
         if value == 0:
             failed = _force_zero(state, var)
             if failed is not None:
@@ -337,32 +389,38 @@ def _tighten_singletons(state: _State) -> None:
         prof.excluded = frozenset(d for d in prof.excluded if lo < d < up)
 
 
-def _geq_problem(
-    state: _State, members: list[str], eqs: list[Equation]
-) -> GeqProblem:
-    """The lower-bound problem of eqs, one column per member in list order.
+def _bounds(state: _State, names: list[str]) -> tuple[tuple[ExtInt, ...], tuple[bool, ...]]:
+    """The floors and exact flags of a lower-bound problem over names.
 
     At p = 2 a valuation pinned to an admissible value becomes the echelon
     solver's exact flag.
     """
     p = state.prime
-    profs = [state.profiles[v] for v in members]
-    return GeqProblem.of_equations(
-        members, eqs, p,
-        [prof.lower for prof in profs],
-        [
-            p == 2
-            and is_finite(prof.lower)
-            and prof.lower == prof.upper
-            and prof.lower not in prof.excluded
-            for prof in profs
-        ],
+    profs = [state.profiles[v] for v in names]
+    return tuple(prof.lower for prof in profs), tuple(
+        p == 2
+        and is_finite(prof.lower)
+        and prof.lower == prof.upper
+        and prof.lower not in prof.excluded
+        for prof in profs
     )
 
 
 def _relaxation_prunes(state: _State) -> bool:
-    """True if even the lower-bound relaxation of this state is unsatisfiable."""
-    problem = _geq_problem(state, sorted(state.profiles), state.equations)
+    """True if even the lower-bound relaxation of this state is unsatisfiable.
+
+    A row's multiple has the same solutions, so the integer rows go to the
+    echelon as they are, in column order.
+    """
+    n = len(state.columns)
+    floors, exact = _bounds(state, state.columns)
+    problem = GeqProblem(
+        tuple([tuple(row[:n]) for row in state.rows]),
+        tuple([row[n] for row in state.rows]),
+        state.prime,
+        floors,
+        exact,
+    )
     return solve_geq(problem, witness=False).is_unsat
 
 
@@ -417,7 +475,8 @@ def _geq_compatible(state: _State, var: str) -> bool:
     return all(d < prof.lower for d in prof.excluded)
 
 
-def _components(state: _State) -> list[tuple[list[str], list[Equation]]]:
+def _components(state: _State) -> list[tuple[list[str], list[int]]]:
+    """The connected components, as (sorted variables, indices of their rows)."""
     parent: dict[str, str] = {v: v for v in state.profiles}
 
     def find(v: str) -> str:
@@ -429,8 +488,9 @@ def _components(state: _State) -> list[tuple[list[str], list[Equation]]]:
     def union(u: str, v: str) -> None:
         parent[find(u)] = find(v)
 
-    for coeffs, _ in state.equations:
-        vs = list(coeffs)
+    # a row's nonzero columns, as its valuations name them
+    for vals, _ in state.valuations:
+        vs = list(vals)
         for other in vs[1:]:
             union(vs[0], other)
     groups: dict[str, list[str]] = {}
@@ -439,15 +499,27 @@ def _components(state: _State) -> list[tuple[list[str], list[Equation]]]:
     out = []
     for root in sorted(groups):
         members = groups[root]
-        eqs = [eq for eq in state.equations if find(next(iter(eq[0]))) == root]
-        out.append((members, eqs))
+        rows = [
+            i for i, (vals, _) in enumerate(state.valuations)
+            if find(next(iter(vals))) == root
+        ]
+        out.append((members, rows))
     return out
 
 
-def _solve_component(
-    state: _State, members: list[str], eqs: list[Equation]
-) -> Verdict:
-    problem = _geq_problem(state, members, eqs)
+def _solve_component(state: _State, members: list[str], rows: list[int]) -> Verdict:
+    """Delegate a component to its polynomial solver, on its exact equations."""
+    index = {c: j for j, c in enumerate(state.columns)}
+    cols = [index[v] for v in members]
+    equations = [(state.rows[i], state.dens[i]) for i in rows]
+    floors, exact = _bounds(state, members)
+    problem = GeqProblem(
+        tuple([tuple([Fraction(row[j], den) for j in cols]) for row, den in equations]),
+        tuple([Fraction(row[-1], den) for row, den in equations]),
+        state.prime,
+        floors,
+        exact,
+    )
     if all(_geq_compatible(state, v) for v in members):
         verdict = solve_geq(problem)
     elif all(state.profiles[v].lower == NEG_INF for v in members):
@@ -483,8 +555,8 @@ def _solve_leaves(state: _State, search: _Search) -> Verdict:
     components = _components(state)
     witness: dict[str, PowerSum] = {}
     unknowns: list[Verdict] = []
-    for members, eqs in components:
-        verdict = _solve_component(state, members, eqs)
+    for members, rows in components:
+        verdict = _solve_component(state, members, rows)
         if verdict.is_unsat:
             return verdict
         if verdict.is_unknown:
@@ -542,8 +614,8 @@ def _children(state: _State, target: tuple[str, str, object], search: _Search):
         fresh = [search.fresh_var() for _ in range(1, state.prime)]
         for digit, name in zip(range(1, state.prime), fresh):
             child = state.copy()
-            if _substitute_digit(child, var, digit, data, name):
-                yield child
+            _substitute_digit(child, var, digit, data, name)
+            yield child
     else:  # split around an excluded value above the lower bound
         low = state.copy()
         prof = low.profiles[var]
@@ -611,21 +683,25 @@ def solve_complete(
             raise InputError("a prime is required for valuation-free instances")
         prime = norm.primes[0]
     norm.require_prime(prime)  # multi-prime instances go through the combiner
-    equations: list[Equation] = []
+    # sorted columns make for fewer eliminations in the echelon; the profiles,
+    # and with them each row's valuations, keep the declaration order, the
+    # order in which propagation visits a row's variables
+    columns = sorted(norm.variables)
+    position = {v: k for k, v in enumerate(norm.variables)}
+    rows, dens = [], []
     for eq in norm.equations:
-        coeffs = {
-            v: c for v, c in zip(norm.variables, eq.coeffs) if c != 0
-        }
-        if not coeffs:
+        if not any(eq.coeffs):
             if eq.rhs != 0:
                 return Verdict.unsat("no-solution", "an equation reads 0 = nonzero")
             continue
-        equations.append((coeffs, eq.rhs))
+        row, den = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])
+        rows.append(row)
+        dens.append(den)
     profiles = {}
     for var in norm.variables:
         prof = norm.profile(prime, var)
         profiles[var] = _Prof(prof.lower, prof.upper, prof.excluded)
-    state = _State(prime, equations, profiles)
+    state = _State(prime, columns, rows, dens, profiles)
     search = _Search(prime, window)
     verdict = _solve_state(state, search)
     if verdict.is_sat:

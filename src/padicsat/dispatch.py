@@ -8,8 +8,6 @@ valuation-free instances to plain linear algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 from .linalg import solve_affine
 from .model import (
@@ -29,10 +27,12 @@ from .solver_leq import LeqProblem, solve_leq
 
 def geq_problem_of(norm: NormalizedInstance, p: int) -> GeqProblem:
     profs = [norm.profile(p, v) for v in norm.variables]
-    return GeqProblem.of_equations(
-        norm.variables,
-        [(dict(zip(norm.variables, eq.coeffs)), eq.rhs) for eq in norm.equations],
-        p, [prof.lower for prof in profs], [prof.exact for prof in profs],
+    return GeqProblem(
+        tuple([eq.coeffs for eq in norm.equations]),
+        tuple([eq.rhs for eq in norm.equations]),
+        p,
+        tuple([prof.lower for prof in profs]),
+        tuple([prof.exact for prof in profs]),
     )
 
 
@@ -63,18 +63,15 @@ def solve_single_prime(
         raise InputError("order constraints must go through the combiner")
     norm.require_prime(p)
     if p is None:
-        # no valuation constraints at all: plain linear algebra, and with no
-        # equation either every coordinate is 0
-        particular = [Fraction(0)] * len(norm.variables)
-        if norm.equations:
-            space = solve_affine(
-                [list(eq.coeffs) for eq in norm.equations],
-                [eq.rhs for eq in norm.equations],
-            )
-            if space is None:
-                return Verdict.unsat("no-solution", "the linear system is inconsistent")
-            particular = space.particular
-        v = Verdict.sat(witness=dict(zip(norm.variables, particular)))
+        # no valuation constraints at all: plain linear algebra
+        space = solve_affine(
+            [list(eq.coeffs) for eq in norm.equations],
+            [eq.rhs for eq in norm.equations],
+            len(norm.variables),
+        )
+        if space is None:
+            return Verdict.unsat("no-solution", "the linear system is inconsistent")
+        v = Verdict.sat(witness=dict(zip(norm.variables, space.particular)))
         v.diagnostics["fragment"] = Fragment.NONE.value
         return v
     frag = classify_kinds(p, norm.kinds.get(p, frozenset()))

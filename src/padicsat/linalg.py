@@ -123,9 +123,12 @@ def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> No
 def integer_row(entries) -> tuple[list[int], int]:
     """(numerators, den): the rationals as integers over their lcm denominator.
 
-    An int entry is taken as (x, 1) without building a Fraction, and a row
-    whose lcm denominator is 1 skips the scaling pass.
+    An all-int row is returned as it is, over 1.  Otherwise an int entry is
+    taken as (x, 1) without building a Fraction, and a row whose lcm
+    denominator is 1 skips the scaling pass.
     """
+    if set(map(type, entries)) <= {int}:
+        return list(entries), 1
     ratios = [
         (x, 1) if type(x) is int
         else (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
@@ -212,16 +215,19 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def solve_affine(A: Matrix, b: Vector) -> SolutionSpace | None:
-    """Solve A x = b over Q.  Returns None when the system is inconsistent.
+def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
+    """Solve A x = b over Q, x in Q^n.  Returns None when it is inconsistent.
 
     The particular solution sets all free coordinates to 0; the basis spans
     the kernel of A, one vector per free coordinate, e_f on the free ones.
-    Both are canonical, so any exact elimination gives these Fractions.
+    Both are canonical, so any exact elimination gives these Fractions.  n is
+    the width even when A has no rows; entries may be ints or Fractions.
     """
-    m, n = dims(A)
+    m = len(A)
     if len(b) != m:
         raise InputError("rhs length does not match row count")
+    if any(len(row) != n for row in A):
+        raise InputError("matrix width does not match the column count")
     # each row of (A | b) over its lcm denominator: a row's multiple has the
     # same solutions, so the denominators are dropped and eliminate keeps
     # none (den 0)
@@ -382,7 +388,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         rows.append(row)
         dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
-    doubled_cost = costs.doubled_cost
+    p, doubled_offsets = costs.prime, costs.doubled_offsets
     r = 0
     while r < m and r < n:
         top = rows[r]
@@ -396,11 +402,19 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             top = rows[r]
             columns = nonzero_columns(top, r)
         # a zero entry costs +inf and every nonzero one less, so the nonzero
-        # columns hold the cheapest entry; min keeps the leftmost of a tie
-        best = min(
-            (j for j in columns if j < n),
-            key=lambda j: doubled_cost(top[j], col_of[j]),
-        )
+        # columns hold the cheapest entry: costs.doubled_cost on integer
+        # entries, the leftmost of a tie, and the first -inf ends the search
+        best, best_cost = r, INF
+        for j in columns:
+            if j >= n:
+                break
+            offset = doubled_offsets[col_of[j]]
+            if offset == NEG_INF:
+                best = j
+                break
+            cost = 2 * int_valuation(top[j], p) + offset
+            if cost < best_cost:
+                best, best_cost = j, cost
         if best != r:
             for row in rows:
                 row[r], row[best] = row[best], row[r]

@@ -11,14 +11,14 @@ hand sides and each pivot row passes a single valuation comparison; a witness
 follows by assigning p**floor to every non-pivot column and back-substituting
 in power-sum arithmetic.
 
-The search's relaxation reaches the echelon on integers end to end: a column
-absent from an equation is the int 0, and the echelon scales each row once,
-taking ints as they are.  Both checks run on the echelon's integer rows: row
-i is its Fraction row times d_i, which shifts every valuation in the row by
-v_p(d_i) and keeps each comparison; the shift comes back only in the reported
-required/actual.  At p = 2 an exact flag adds terms to a pivot row's
-right-hand side; their valuation is rational.merged_valuation's integer
-merge, the one PowerSum.valuation runs, with no PowerSum built.
+A and b may hold ints: the search's relaxation passes its integer rows as
+they are, and the echelon takes an all-int row without building a Fraction.
+Both checks run on the echelon's integer rows: row i is its Fraction row
+times d_i, which shifts every valuation in the row by v_p(d_i) and keeps
+each comparison; the shift comes back only in the reported required/actual.
+At p = 2 an exact flag adds terms to a pivot row's right-hand side; their
+valuation is rational.merged_valuation's integer merge, the one
+PowerSum.valuation runs, with no PowerSum built.
 
 With witness=False the solver stops after the two checks: the witness-free
 relaxation test of the branch-and-decide search needs only the status, so it
@@ -99,23 +99,6 @@ class GeqProblem:
             tuple(floors),
             tuple(bool(x) for x in exact) if exact is not None else (False,) * n,
         )
-
-    @classmethod
-    def of_equations(cls, columns, equations, prime, floors, exact) -> "GeqProblem":
-        """From (Fraction coefficients by column, Fraction rhs) pairs, uncoerced;
-        every coefficient's column must be in columns.  A column missing from
-        an equation has the int coefficient 0, which the echelon's integer_row
-        takes without building a Fraction; a row costs its nonzeros."""
-        index = {c: j for j, c in enumerate(columns)}
-        zeros = [0] * len(index)
-        A = []
-        for coeffs, _ in equations:
-            row = zeros[:]
-            for c, a in coeffs.items():
-                row[index[c]] = a
-            A.append(tuple(row))
-        b = tuple([rhs for _, rhs in equations])
-        return cls(tuple(A), b, prime, tuple(floors), tuple(exact))
 
     def costs(self) -> PivotCosts:
         return self._costs

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import (
-    Matrix,
-    SolutionSpace,
-    Vector,
-    dims,
-    frozen_coordinates,
-    matrix,
-    solve_affine,
-    vector,
-)
+from .linalg import frozen_coordinates, matrix, solve_affine, vector
 from .model import Status, Verdict
 from .rational import INF, ExtInt, PowerSum, check_prime, is_finite, valuation
 
@@ -98,11 +89,7 @@ def solve_leq(prob: LeqProblem) -> Verdict:
     """
     p = prob.prime
     n = len(prob.caps)
-    if prob.A:
-        space = solve_affine(prob.A, prob.b)
-    else:
-        basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-        space = SolutionSpace([Fraction(0)] * n, basis)
+    space = solve_affine(prob.A, prob.b, n)
     if space is None:
         return Verdict.unsat("no-solution", "the linear system is inconsistent")
     y0 = space.particular

@@ -1,15 +1,18 @@
 """Shared checking utilities for the test suite."""
 
 from fractions import Fraction
+from math import gcd
 
+from padicsat.complete import _State
 from padicsat.linalg import (
     determinant,
     dims,
+    integer_row,
     inverse_permutation,
     mat_mul,
     permutation_matrix,
 )
-from padicsat.rational import INF, NEG_INF, is_finite, valuation
+from padicsat.rational import INF, NEG_INF, int_valuation, is_finite, valuation
 
 
 def rand_matrix(rng, m, n, mag=9, density=1.0):
@@ -87,3 +90,78 @@ def assert_echelon_result(A, costs, result):
         # ... and with the bias counted in full (doubled) on every column
         heavy = [doubled(B[i][j], j, 2 * bias[j]) for j in tail]
         assert doubled(B[i][piv], piv, 2 * bias[piv]) == min(heavy)
+
+
+# ---------------------------------------------------------------------------
+# the search state's integer rows against Fraction equations
+
+
+def integer_state(p, equations, profiles):
+    """complete._State over the sorted variables, from Fraction equations
+    given as (coefficients by variable, rhs) with a nonzero coefficient each."""
+    columns = sorted(profiles)
+    rows, dens = [], []
+    for coeffs, rhs in equations:
+        row, den = integer_row([*(coeffs.get(v, 0) for v in columns), rhs])
+        rows.append(row)
+        dens.append(den)
+    return _State(p, columns, rows, dens, profiles)
+
+
+def state_equations(state):
+    """The state's equations rows[i] / dens[i] as (coefficients by variable,
+    rhs), the coefficients in profile order, the order propagation visits."""
+    index = {c: j for j, c in enumerate(state.columns)}
+    return [
+        (
+            {v: Fraction(row[index[v]], den) for v in state.profiles if row[index[v]]},
+            Fraction(row[-1], den),
+        )
+        for row, den in zip(state.rows, state.dens)
+    ]
+
+
+def substitute_reference(p, equations, entry):
+    """A substitution-log entry applied to Fraction equations: the new
+    equations, or None when an equation reads 0 = nonzero."""
+    out = []
+    for coeffs, rhs in equations:
+        coeffs = dict(coeffs)
+        if entry[0] == "zero":
+            coeffs.pop(entry[1], None)
+        else:
+            _, var, digit, v, fresh = entry
+            if var in coeffs:
+                a = coeffs.pop(var)
+                rhs -= a * digit * Fraction(p) ** v
+                coeffs[fresh] = a * Fraction(p) ** (v + 1)
+        if not coeffs:
+            if rhs != 0:
+                return None
+            continue
+        out.append((coeffs, rhs))
+    return out
+
+
+def row_valuations(state):
+    """What _State.valuations caches: the integer rows' valuations."""
+    p = state.prime
+    return [
+        (
+            {c: int_valuation(a, p) for c, a in zip(state.columns, row) if a},
+            int_valuation(row[-1], p),
+        )
+        for row in state.rows
+    ]
+
+
+def assert_rows_canonical(state):
+    """One column per variable; each row (A | b) over den > 0, with
+    gcd(den, row) = 1 and a nonzero coefficient."""
+    assert sorted(state.columns) == sorted(state.profiles)
+    assert len(state.rows) == len(state.dens) == len(state.valuations)
+    for row, den in zip(state.rows, state.dens):
+        assert len(row) == len(state.columns) + 1
+        assert all(type(x) is int for x in row)
+        assert den > 0 and gcd(den, *row) == 1
+        assert any(row[:-1])

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,30 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", write(tmp_path, "open.txt", MIXED_OPEN)]) == 2
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "unknown"
+
+
+def test_python_dash_m_exit_codes(tmp_path):
+    # python -m padicsat runs the same main: 0 sat, 1 unsat, 3 for a file
+    # that is not there (with no __main__ Python exits 1, the unsat code)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def run(path):
+        return subprocess.run(
+            [sys.executable, "-m", "padicsat", "solve", path],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    sat = run(write(tmp_path, "sat.txt", SAT_GEQ))
+    assert sat.returncode == 0, sat.stderr
+    assert sat.stdout.splitlines()[0] == "sat"
+    unsat = run(write(tmp_path, "unsat.txt", UNSAT_PINNED))
+    assert unsat.returncode == 1, unsat.stderr
+    assert unsat.stdout.splitlines()[0] == "unsat"
+    missing = run(str(tmp_path / "missing.txt"))
+    assert missing.returncode == 3, missing.stderr
+    assert missing.stdout == ""
 
 
 def test_solve_window_resolves_unknown(tmp_path, capsys):

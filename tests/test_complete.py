@@ -39,6 +39,14 @@ from padicsat.dispatch import geq_problem_of, leq_problem_of
 from padicsat.linalg import solve_affine
 from padicsat.testkit import Graph, encode_coloring, random_instance, verify_witness
 
+from helpers import (
+    assert_rows_canonical,
+    integer_state,
+    row_valuations,
+    state_equations,
+    substitute_reference,
+)
+
 
 def inst(variables, equations=(), valuations=(), orders=()):
     return Instance(
@@ -292,9 +300,9 @@ def test_frozen_cycle_work_does_not_grow_with_the_bound(monkeypatch, rel):
     counts = collections.Counter()
     real_affine, real_propagate = complete.solve_affine, complete._propagate
 
-    def affine(A, b):
+    def affine(A, b, n):
         counts["solve_affine"] += 1
-        return real_affine(A, b)
+        return real_affine(A, b, n)
 
     def propagate(state):
         before = counts["solve_affine"]
@@ -570,9 +578,11 @@ def _frozen_reference(state):
     """The frozen-coordinate pass, read straight off solve_affine's canonical
     particular solution and kernel basis."""
     names = sorted(state.profiles)
+    equations = state_equations(state)
     space = solve_affine(
-        [[coeffs.get(v, 0) for v in names] for coeffs, _ in state.equations],
-        [rhs for _, rhs in state.equations],
+        [[coeffs.get(v, 0) for v in names] for coeffs, _ in equations],
+        [rhs for _, rhs in equations],
+        len(names),
     )
     if space is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
@@ -608,7 +618,8 @@ def _frozen_reference(state):
 
 def _propagate_reference(state):
     """complete._propagate with the minimum over the other terms rebuilt for
-    every variable: O(k^2) per equation of k terms."""
+    every variable: O(k^2) per equation of k terms, on the Fraction equations
+    and their valuations rather than the integer rows' cached ones."""
     p = state.prime
     raises = 0
     frozen_checked = False
@@ -617,7 +628,7 @@ def _propagate_reference(state):
         restart = True
         while restart:
             restart = False
-            for coeffs, rhs in state.equations:
+            for coeffs, rhs in state_equations(state):
                 terms = {}
                 for var, a in coeffs.items():
                     lo = state.profiles[var].lower
@@ -692,7 +703,9 @@ def _random_state(rng):
         upper = INF if rng.random() < 0.6 else rng.randint(0, 5)
         excluded = frozenset(rng.randint(-2, 5) for _ in range(rng.randint(0, 2)))
         profiles[v] = _Prof(lower, upper, excluded)
-    return _State(p, equations, profiles)
+    state = integer_state(p, equations, profiles)
+    assert state_equations(state) == equations
+    return state
 
 
 def test_propagate_matches_quadratic_reference():
@@ -719,23 +732,18 @@ def test_propagate_matches_quadratic_reference():
     assert set(outcomes) == {*five, *frozen}, outcomes
 
 
-def _recomputed_valuations(state):
-    p = state.prime
-    return [
-        ({v: valuation(a, p) for v, a in coeffs.items()}, valuation(rhs, p))
-        for coeffs, rhs in state.equations
-    ]
-
-
 def test_substitutions_keep_cached_valuations():
-    # the coefficient and rhs valuations _State caches for propagation must
-    # match the equations after every zero and digit substitution, digits at
-    # negative v and fractional coefficients included, and after propagation
+    # after every zero and digit substitution, digits at negative v and
+    # fractional coefficients included, and after propagation: the rows stay
+    # canonical and equal the Fraction substitution, and the coefficient and
+    # rhs valuations _State caches for propagation match the integer rows
     rng = random.Random(777)
     kinds = collections.Counter()
     for trial in range(300):
         state = _random_state(rng)
-        assert state.valuations == _recomputed_valuations(state), trial
+        reference = state_equations(state)
+        assert state.valuations == row_valuations(state), trial
+        assert_rows_canonical(state)
         for step in range(4):
             if not state.profiles:
                 break
@@ -745,17 +753,23 @@ def test_substitutions_keep_cached_valuations():
                 kinds["zero"] += 1
             else:
                 v = rng.randint(-3, 3)
-                ok = _substitute_digit(
+                _substitute_digit(
                     state, var, rng.randint(1, state.prime - 1), v, f"$t{trial}.{step}"
                 )
+                ok = True
                 kinds["digit-negative-v" if v < 0 else "digit"] += 1
-            assert state.valuations == _recomputed_valuations(state), (trial, step)
+            reference = substitute_reference(state.prime, reference, state.log[-1])
+            assert ok == (reference is not None), (trial, step)
+            assert state.valuations == row_valuations(state), (trial, step)
             copied = state.copy()
             assert copied.valuations == state.valuations, (trial, step)
             if not ok:  # the search drops such a state
                 kinds["contradiction"] += 1
                 break
+            assert state_equations(state) == reference, (trial, step)
+            assert_rows_canonical(state)
         else:
             if _propagate(state) is None:
-                assert state.valuations == _recomputed_valuations(state), trial
+                assert_rows_canonical(state)
+                assert state.valuations == row_valuations(state), trial
     assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds

@@ -46,10 +46,13 @@ def test_permutation_matrix_convention():
 
 
 def test_solve_affine_inconsistent():
-    assert solve_affine(matrix([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)]) is None
+    assert solve_affine(matrix([[1, 1], [1, 1]]), [Fraction(0), Fraction(1)], 2) is None
 
 
 def test_solve_affine_properties():
+    def apply(A, x):  # mat_vec reads the width off the first row
+        return mat_vec(A, x) if A else []
+
     rng = random.Random(7)
     for _ in range(120):
         m = rng.randint(0, 4)
@@ -57,26 +60,38 @@ def test_solve_affine_properties():
         A = rand_matrix(rng, m, n, mag=6)
         x = rand_vector(rng, n, mag=6)
         b = mat_vec(A, x) if m else []
-        space = solve_affine(A, b)
+        space = solve_affine(A, b, n)
         assert space is not None  # b was built from a solution
-        assert mat_vec(A, space.particular) == b
+        assert len(space.particular) == n and all(len(vec) == n for vec in space.basis)
+        assert apply(A, space.particular) == b
         for vec in space.basis:
-            assert mat_vec(A, vec) == [Fraction(0)] * m
+            assert apply(A, vec) == [Fraction(0)] * m
         # dimension = n - rank: check by brute rank via determinant-free elim
-        rank = len(solve_affine(A, [Fraction(0)] * m).basis)
+        rank = len(solve_affine(A, [Fraction(0)] * m, n).basis)
         assert rank == len(space.basis)
         # a random combination still solves the system
         combo = space.particular[:]
         for vec in space.basis:
             c = Fraction(rng.randint(-3, 3))
             combo = [a + c * v for a, v in zip(combo, vec)]
-        assert mat_vec(A, combo) == b
+        assert apply(A, combo) == b
 
 
-def _reference_solve_affine(A, b):
+def test_solve_affine_without_rows_spans_every_column():
+    # the width is the caller's, not the first row's: no equations leave
+    # all of Q^3, with 0 as the canonical particular solution
+    space = solve_affine([], [], 3)
+    assert space.dimension == 3
+    assert space.particular == [Fraction(0)] * 3
+    assert space.basis == identity(3)
+    with pytest.raises(InputError):
+        solve_affine([[Fraction(1), Fraction(2)]], [Fraction(0)], 3)
+
+
+def _reference_solve_affine(A, b, n):
     """Fraction Gauss elimination and back-substitution: (particular, basis),
-    or None when A x = b is inconsistent."""
-    m, n = len(A), len(A[0]) if A else 0
+    or None when A x = b, x in Q^n, is inconsistent."""
+    m = len(A)
     M = [list(A[i]) + [b[i]] for i in range(m)]
     pivots = []
     for col in range(n):
@@ -112,7 +127,7 @@ def _reference_solve_affine(A, b):
 def _affine_system(rng):
     """A random rational system: entries a / (p^k q) with k <= 3, sparse or
     dense rows, sometimes a dependent row or a zero column, and a consistent
-    or a random right-hand side."""
+    or a random right-hand side; (A, b, n) with n the number of columns."""
     p = rng.choice((2, 3, 5))
     m, n = rng.randint(0, 7), rng.randint(1, 7)
     density = rng.choice((0.2, 0.5, 0.9, 1.0))
@@ -136,7 +151,7 @@ def _affine_system(rng):
         b = [sum((a * y for a, y in zip(row, x)), Fraction(0)) for row in A]
     else:
         b = [entry() for _ in A]
-    return A, b
+    return A, b, n
 
 
 def test_solve_affine_matches_fraction_reference(monkeypatch):
@@ -154,11 +169,11 @@ def test_solve_affine_matches_fraction_reference(monkeypatch):
     rng = random.Random(2024)
     seen = Counter()
     for _ in range(1200):
-        A, b = _affine_system(rng)
-        m, n = len(A), len(A[0]) if A else 0
+        A, b, n = _affine_system(rng)
+        m = len(A)
         sources.clear()
-        space = solve_affine(A, b)
-        expected = _reference_solve_affine(A, b)
+        space = solve_affine(A, b, n)
+        expected = _reference_solve_affine(A, b, n)
         if expected is None:
             assert space is None
             seen["inconsistent"] += 1

@@ -1,5 +1,5 @@
 """Property tests for the integer paths: row scaling, the fraction-free row
-step and the valuation merge."""
+step, the valuation merge and the search state's row substitutions."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,8 +10,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    assert_rows_canonical,
+    integer_state,
+    row_valuations,
+    state_equations,
+    substitute_reference,
+)
+from padicsat.complete import _Prof, _substitute_digit, _substitute_zero
 from padicsat.linalg import eliminate, integer_row, nonzero_columns
-from padicsat.rational import PowerSum, merged_valuation, valuation
+from padicsat.rational import INF, PowerSum, merged_valuation, valuation
 
 entry = st.one_of(
     st.just(0),
@@ -88,3 +96,62 @@ def test_merged_valuation_is_the_power_sum_one(p, terms):
     assert got == ps.valuation()
     # exponents stay small here, so the value itself is the independent check
     assert got == valuation(ps.materialize(), p)
+
+
+@st.composite
+def substitution_runs(draw):
+    """(p, equations, steps): Fraction equations over x0.., each with a
+    nonzero coefficient, and zero or digit substitutions, each step a
+    (kind, variable pick, digit pick, v) with v in [-3, 3]."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    names = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    coefficient = st.builds(
+        lambda sign, power, unit, den: Fraction(sign * p**power * unit, den),
+        st.sampled_from((1, -1)), st.integers(0, 3), st.integers(1, 7),
+        st.sampled_from((1, p, p * p, 7)),
+    )
+    equations = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        coeffs = {v: draw(coefficient) for v in support}
+        rhs = draw(st.one_of(st.just(Fraction(0)), st.fractions(-50, 50, max_denominator=p**3)))
+        equations.append((coeffs, rhs))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(("zero", "digit")), st.integers(0, 10),
+                  st.integers(1, 4), st.integers(-3, 3)),
+        max_size=6,
+    ))
+    return p, equations, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitution_runs())
+@example((3, [({"x0": Fraction(1, 3), "x1": Fraction(1)}, Fraction(1, 3))],
+          [("digit", 0, 1, 0)]))  # the content grows: (1, 3 | 1)/3 -> (1, 1 | 0)/1
+@example((2, [({"x0": Fraction(1)}, Fraction(0))], [("digit", 0, 1, -3)]))
+@example((5, [({"x0": Fraction(2), "x1": Fraction(5, 7)}, Fraction(1))],
+          [("zero", 1, 1, 0)]))  # deleting the column leaves (2 | 1)/1
+def test_row_substitutions_are_the_fraction_ones(run):
+    p, equations, steps = run
+    profiles = {v: _Prof(0, INF, frozenset()) for v in sorted({
+        v for coeffs, _ in equations for v in coeffs
+    })}
+    state = integer_state(p, equations, profiles)
+    reference = state_equations(state)
+    assert reference == equations
+    for k, (kind, pick, digit, v) in enumerate(steps):
+        if not state.profiles:
+            break
+        var = sorted(state.profiles)[pick % len(state.profiles)]
+        if kind == "zero":
+            ok = _substitute_zero(state, var)
+        else:
+            _substitute_digit(state, var, 1 + (digit - 1) % (p - 1), v, f"$t{k}")
+            ok = True
+        reference = substitute_reference(p, reference, state.log[-1])
+        assert ok == (reference is not None)
+        if not ok:
+            break
+        assert state_equations(state) == reference
+        assert_rows_canonical(state)
+        assert state.valuations == row_valuations(state)

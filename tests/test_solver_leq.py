@@ -90,7 +90,7 @@ def test_random_sat_witnesses_and_margin():
         if verdict.is_unsat:
             unsat += 1
             # audit the stated reason
-            space = solve_affine([list(r) for r in prob.A], list(prob.b))
+            space = solve_affine([list(r) for r in prob.A], list(prob.b), len(prob.caps))
             if verdict.code == "no-solution":
                 assert space is None
             else:
@@ -103,7 +103,7 @@ def test_random_sat_witnesses_and_margin():
         assert check.ok, check.detail
         # margin: every non-fixed coordinate lands strictly below the first
         # forbidden valuation
-        space = solve_affine([list(r) for r in prob.A], list(prob.b))
+        space = solve_affine([list(r) for r in prob.A], list(prob.b), len(prob.caps))
         thresholds = verdict.diagnostics["thresholds"]
         for j in range(len(prob.caps)):
             if any(vec[j] != 0 for vec in space.basis):
