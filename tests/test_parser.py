@@ -1,6 +1,8 @@
 """Text format: parsing, error positions, serialization round trips."""
 
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,3 +187,153 @@ def test_round_trip_is_idempotent_even_with_strict_input():
     text = "vars x\nval 3 : v(x) < 2\n"
     once = parse_instance(text)
     assert parse_instance(serialize_instance(once)) == once
+
+
+# ---------------------------------------------------------------------------
+# the error contract: exact messages and positions, pinned before any rewrite
+
+# (text, message, line, column); together the rows reach every
+# `raise ParseError` in parser.py
+MALFORMED = [
+    ("vars x\neq 1 x ?\n", "unexpected character '?'", 2, 8),
+    ("vars x\neq 1/ x = 1\n", "unexpected character '/'", 2, 5),
+    ("vars x!\n", "unexpected character '!'", 1, 7),
+    ("vars x\neq 1 x =\n", "unexpected end of line, expected a right-hand side", 2, 9),
+    ("vars x\neq\n", "unexpected end of line, expected a coefficient", 2, 3),
+    ("vars x\neq 1\n", "unexpected end of line, expected a variable name", 2, 5),
+    ("vars x\neq 1 x +\n", "unexpected end of line, expected a coefficient", 2, 9),
+    ("vars x\nval\n", "unexpected end of line, expected a prime", 2, 4),
+    ("vars x\nval 2\n", "unexpected end of line, expected :", 2, 6),
+    ("vars x\nval 2 :\n", "unexpected end of line, expected v(...)", 2, 8),
+    ("vars x\nval 2 : v\n", "unexpected end of line, expected (", 2, 10),
+    ("vars x\nval 2 : v(\n", "unexpected end of line, expected a variable name", 2, 11),
+    ("vars x\nval 2 : v(x\n", "unexpected end of line, expected )", 2, 12),
+    ("vars x\nval 2 : v(x) >=\n", "unexpected end of line, expected an integer bound", 2, 16),
+    ("1 x\n", "expected a keyword, found '1'", 1, 1),
+    ("vars x\neq x = 1\n", "expected a coefficient, found 'x'", 2, 4),
+    ("vars x\neq 1 2 = 1\n", "expected a variable name, found '2'", 2, 6),
+    ("vars x 3\n", "expected a variable name, found '3'", 1, 8),
+    ("vars x\nval 2 v(x) >= 0\n", "expected :, found 'v'", 2, 7),
+    ("vars x\nval 2 : w(x) >= 0\n", "expected v(...), found 'w'", 2, 9),
+    ("vars x\nval 2 : v x >= 0\n", "expected (, found 'x'", 2, 11),
+    ("vars x\nval 2 : v(x >= 0\n", "expected ), found '>='", 2, 13),
+    ("vars x\nval x : v(x) >= 0\n", "expected a prime, found 'x'", 2, 5),
+    ("vars x\neq 1 x = 2 junk\n", "trailing input 'junk'", 2, 12),
+    ("vars x\nval 2 : v(x) >= 0 0\n", "trailing input '0'", 2, 19),
+    ("vars x\neq 1 x = 1 + 1 x\n", "trailing input '+'", 2, 12),
+    ("vars x\neq " + "7" * 5000 + " x = 1\n", "number with 5000 characters is too long", 2, 4),
+    ("vars x\neq -" + "7" * 5000 + " x = 1\n", "number with 5001 characters is too long", 2, 4),
+    ("vars x\neq 1 x = 1/" + "7" * 5000 + "\n", "number with 5000 characters is too long", 2, 10),
+    ("vars x\neq " + "7" * 5000 + "/0 x = 1\n", "zero denominator", 2, 4),
+    ("vars x\nval " + "7" * 5000 + " : v(x) >= 0\n", "number with 5000 characters is too long", 2, 5),
+    ("vars x\nval 3 : v(x) >= " + "7" * 5000 + "\n", "number with 5000 characters is too long", 2, 17),
+    ("vars x\neq 1/0 x = 0\n", "zero denominator", 2, 4),
+    ("vars x\neq 1 x = -5/0\n", "zero denominator", 2, 10),
+    ("vars x\nval 3/2 : v(x) >= 0\n", "expected a prime, found the fraction 3/2", 2, 5),
+    ("vars x\nval 2 : v(x) >= 1/2\n", "expected an integer bound, found the fraction 1/2", 2, 17),
+    ("vars x\neq 1 x + 1 z = 0\n", "unknown variable 'z'", 2, 12),
+    ("vars x\nval 2 : v(y) >= 0\n", "unknown variable 'y'", 2, 11),
+    ("vars x\neq 1 x\n", "missing relation in eq line: expected one of =", 2, 7),
+    ("vars x\nord 2 x\n", "missing relation in ord line: expected one of <=, <", 2, 8),
+    ("vars x\neq 1 x + = 0\n", "expected a coefficient, found '='", 2, 10),
+    ("vars x\neq 1 x 1 x = 0\n", "expected +, -, or one of =, found '1'", 2, 8),
+    ("vars x\nord 1 x == 0\n", "expected +, -, or one of <=, <, found '=='", 2, 9),
+    ("vars x\nord 1 x = 0\n", "expected +, -, or one of <=, <, found '='", 2, 9),
+    ("vars x\neq 1 x <= 0\n", "expected +, -, or one of =, found '<='", 2, 8),
+    ("vars x\nvars y\n", "duplicate vars line", 2, 1),
+    ("vars x y x\n", "duplicate variable 'x'", 1, 10),
+    ("vars\n", "vars line declares nothing", 1, 1),
+    ("  eq 1 x = 0\nvars x\n", "the vars line must come before any constraint", 1, 3),
+    ("foo 1 x\nvars x\n", "the vars line must come before any constraint", 1, 1),
+    ("vars x\nval 2 : v(x)\n", "expected a valuation relation (>=, <=, ==, !=, <, >)", 2, 13),
+    ("vars x\nval 2 : v( x )\n", "expected a valuation relation (>=, <=, ==, !=, <, >)", 2, 14),
+    ("vars x\nval 2 : v(x) = 0\n", "expected a valuation relation (>=, <=, ==, !=, <, >)", 2, 14),
+    ("vars x\nval 4 : v(x) >= 0\n", "modulus 4 is not prime", 2, 1),
+    ("vars x\nval -3 : v(x) >= 0\n", "modulus -3 is not prime", 2, 1),
+    ("vars x\nfoo 1 x = 0\n", "unknown keyword 'foo' (expected vars, eq, val, or ord)", 2, 1),
+    ("# only comments\n\n", "missing vars line", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED)
+def test_parse_error_table(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    got = (str(err.value).split(": ", 1)[1], err.value.line, err.value.column)
+    assert got == (message, line, column)
+
+
+# valid texts the fuzzer starts from: every line kind, comments, strict
+# relations, glued and spaced minus signs, fractions and repeated terms
+FUZZ_SEEDS = [
+    "# a system\nvars x y z\neq 2 x + 3 y = 5/4\neq 1 x - 1 z = 0  # note\n"
+    "val 2 : v(x) >= 0\nval 3 : v(y) != -1\nval 5 : v(z) < 2\n"
+    "ord 1 x - 1 y <= 7/2\nord -2 x < -3\n",
+    "vars a b\n\neq 1 a -2 b + 3/7 a = -1/3\nval 7 : v( a ) > -2\nval 2:v(b)==1\n",
+    "vars u_1 v2\neq -3/2 u_1 - -4 v2 = 0\nord 0 u_1 < 0\nval 3 : v(v2) <= 4\n",
+]
+
+
+def _fuzz_sources():
+    rng = random.Random(20261018)
+    sources = list(FUZZ_SEEDS)
+    for _ in range(9):
+        inst = random_instance(
+            rng.randrange(10**6),
+            fragment=rng.choice(("geq", "leq", "eq", "mixed")),
+            num_vars=rng.randint(1, 4),
+            num_eqs=rng.randint(0, 3),
+            num_orders=rng.randint(0, 2),
+            primes=rng.choice(((2,), (3,), (2, 3), (2, 5))),
+        )
+        sources.append(serialize_instance(inst))
+    return sources
+
+
+# inserted characters: the token alphabet, whitespace and line breaks, and a
+# few that no token reads (a Unicode digit and space are read as \d and \s)
+_FUZZ_ALPHABET = "0123456789/-+=<>!:()vxyzeqo_ \t\n#?.*\x0c٣\xa0"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        if op == 0:  # insert a character
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(_FUZZ_ALPHABET) + text[i:]
+        elif op == 1 and text:  # delete a character
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1:]
+        elif op == 2 and len(text) > 1:  # swap two adjacent characters
+            i = rng.randrange(len(text) - 1)
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+        else:  # swap two whitespace-separated tokens
+            parts = re.split(r"(\s+)", text)
+            words = [k for k, part in enumerate(parts) if part and not part.isspace()]
+            if len(words) > 1:
+                a, b = rng.sample(words, 2)
+                parts[a], parts[b] = parts[b], parts[a]
+                text = "".join(parts)
+    return text
+
+
+def test_parse_outcomes_of_mutated_texts_are_pinned():
+    # 4200 mutated texts, each outcome (the parsed instance's repr, or the
+    # error's message, line and column) hashed in order; the digest pins
+    # what the parser accepts and every error it reports
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    errors = 0
+    for source in _fuzz_sources():
+        for _ in range(350):
+            text = _mutate(source, rng)
+            try:
+                outcome = repr(parse_instance(text))
+            except ParseError as err:
+                errors += 1
+                outcome = f"error {err.line}:{err.column}: {err}"
+            digest.update(outcome.encode() + b"\0")
+    assert 1000 < errors < 4000  # both outcomes are well represented
+    assert digest.hexdigest() == (
+        "02d1b64ee90468b4068629f0f35a782169c0b63c67f6549c5c91e9a099c73564"
+    )
