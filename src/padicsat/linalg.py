@@ -67,9 +67,10 @@ def dims(A: Matrix) -> tuple[int, int]:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """A B; an A without rows has no width to check, and A B is []."""
     m, k = dims(A)
     k2, n = dims(B)
-    if k != k2:
+    if m and k != k2:
         raise InputError(f"shape mismatch {m}x{k} * {k2}x{n}")
     out = zeros(m, n)
     for i in range(m):
@@ -80,8 +81,9 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_vec(A: Matrix, x: Vector) -> Vector:
+    """A x; an A without rows has no width to check, and A x is []."""
     m, n = dims(A)
-    if len(x) != n:
+    if m and len(x) != n:
         raise InputError("shape mismatch in mat_vec")
     return [sum((A[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(m)]
 

@@ -14,6 +14,12 @@ or <.  Strict valuation relations are desugared while parsing (`< c` becomes
 `<= c-1`, `> c` becomes `>= c+1`), so parsed instances only carry the four
 weak relations.  serialize_instance() writes the same format back; for such
 instances parsing the output reproduces them exactly.
+
+Tokens are numerals (`-?digits(/digits)?`), names, and the operators
+`>= <= == != - + = : ( ) < >`; whitespace between them is optional, so
+`1x`, `-2 y` and `- 2 y` all read as terms.  A numeral longer than the
+interpreter's int conversion limit is an error, and every ParseError carries
+the line and column of the token it is about.
 """
 
 from __future__ import annotations
@@ -21,149 +27,177 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .model import Equation, Instance, OrderConstraint, ValConstraint
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>-?\d+(?:/\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>>=|<=|==|!=|[-+=:()<>])"
-)
+_TOKEN_PATTERN = r"-?\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|>=|<=|==|!=|[-+=:()<>]"
+_TOKEN = re.compile(_TOKEN_PATTERN)
+# tokens and whitespace from the start of a line: the match ends at the
+# first character that no token reads
+_LEXABLE = re.compile(rf"(?:\s*(?:{_TOKEN_PATTERN}))*\s*")
 
 _VAL_RELS = (">=", "<=", "==", "!=", "<", ">")
+_ZERO = Fraction(0)
+
+# A line is walked as the list of its token strings, closed by "" so that
+# reading past the last token reads the empty string.  A token's kind shows in
+# its first character; columns are only worked out for an error.
 
 
-class _Line:
-    def __init__(self, text: str, number: int):
-        self.number = number
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, column)
-        # finditer skips what no token matches: a gap before a match, or
-        # after the last one, starts at an unexpected character
-        pos = 0
-        for m in _TOKEN.finditer(text):
-            if m.start() != pos:
-                break
-            pos = m.end()
-            kind = m.lastgroup
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), m.start() + 1))
-        if pos != len(text):
-            raise ParseError(f"unexpected character {text[pos]!r}", number, pos + 1)
-        self.cursor = 0
-
-    def peek(self):
-        if self.cursor < len(self.tokens):
-            return self.tokens[self.cursor]
-        return None
-
-    def take(self, kind: str | None = None, text: str | None = None, what: str = ""):
-        tok = self.peek()
-        if tok is None:
-            if self.tokens:
-                _, last_text, last_col = self.tokens[-1]
-                col = last_col + len(last_text)
-            else:
-                col = 1
-            raise ParseError(
-                f"unexpected end of line, expected {what or text or kind}",
-                self.number,
-                col,
-            )
-        tkind, ttext, col = tok
-        if (kind is not None and tkind != kind) or (
-            text is not None and ttext != text
-        ):
-            raise ParseError(
-                f"expected {what or text or kind}, found {ttext!r}", self.number, col
-            )
-        self.cursor += 1
-        return tok
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(
-                f"trailing input {tok[1]!r}", self.number, tok[2]
-            )
+def _is_number(tok: str) -> bool:
+    return tok[:1].isdecimal() or (tok[:1] == "-" and len(tok) > 1)
 
 
-def _to_int(line: _Line, text: str, col: int) -> int:
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _column(body: str, k: int) -> int:
+    """1-based column of token k of body; past the last token, the column
+    just after it."""
+    end = 0
+    for j, m in enumerate(_TOKEN.finditer(body)):
+        if j == k:
+            return m.start() + 1
+        end = m.end()
+    return end + 1
+
+
+def _error(message: str, number: int, body: str, k: int) -> ParseError:
+    return ParseError(message, number, _column(body, k))
+
+
+def _expected(what: str, number: int, body: str, toks: list[str], k: int) -> ParseError:
+    if toks[k]:
+        return _error(f"expected {what}, found {toks[k]!r}", number, body, k)
+    return _error(f"unexpected end of line, expected {what}", number, body, k)
+
+
+def _to_int(text: str, number: int, body: str, k: int) -> int:
     try:
         return int(text)
     except ValueError:  # longer than the interpreter's int conversion limit
-        raise ParseError(
-            f"number with {len(text)} characters is too long", line.number, col
+        raise _error(
+            f"number with {len(text)} characters is too long", number, body, k
         ) from None
 
 
-def _rational(line: _Line, what: str = "a rational number") -> Fraction:
-    _, text, col = line.take("num", what=what)
-    num, slash, den = text.partition("/")
+def _rational(toks: list[str], k: int, what: str, number: int, body: str) -> Fraction:
+    tok = toks[k]
+    if not _is_number(tok):
+        raise _expected(what, number, body, toks, k)
+    num, slash, den = tok.partition("/")
     if not slash:
-        return Fraction(_to_int(line, num, col))
-    d = _to_int(line, den, col)
+        return Fraction(_to_int(num, number, body, k))
+    d = _to_int(den, number, body, k)
     if d == 0:
-        raise ParseError("zero denominator", line.number, col)
-    return Fraction(_to_int(line, num, col), d)
+        raise _error("zero denominator", number, body, k)
+    return Fraction(_to_int(num, number, body, k), d)
 
 
-def _integer(line: _Line, what: str = "an integer") -> int:
-    _, text, col = line.take("num", what=what)
-    if "/" in text:
-        raise ParseError(f"expected {what}, found the fraction {text}", line.number, col)
-    return _to_int(line, text, col)
+def _integer(toks: list[str], k: int, what: str, number: int, body: str) -> int:
+    tok = toks[k]
+    if not _is_number(tok):
+        raise _expected(what, number, body, toks, k)
+    if "/" in tok:
+        raise _error(f"expected {what}, found the fraction {tok}", number, body, k)
+    return _to_int(tok, number, body, k)
 
 
-def _linear_row(line: _Line, index: dict[str, int], stop_ops, line_kind: str):
-    """coeff var (+|- coeff var)* followed by one of stop_ops; index maps each
-    variable name to its column."""
-    coeffs = [Fraction(0)] * len(index)
-    sign = 1
+def _linear_row(toks, index, stops, line_kind, numbers, number, body):
+    """coeff var (+|- coeff var)* followed by one of stops and a right-hand
+    side, from token 1 to the end of the line.  index maps each variable name
+    to its column; numbers maps each signed numeral text to its Fraction."""
+    coeffs = [_ZERO] * len(index)
+    negative = False
+    k = 1
     while True:
-        c = _rational(line, "a coefficient")
-        if sign < 0:
-            c = -c
-        _, name, col = line.take("ident", what="a variable name")
+        tok = toks[k]
+        key = "-" + tok if negative else tok
+        c = numbers.get(key)
+        if c is None:
+            c = _rational(toks, k, "a coefficient", number, body)
+            c = numbers[key] = -c if negative else c
+        name = toks[k + 1]
         j = index.get(name)
         if j is None:
-            raise ParseError(f"unknown variable {name!r}", line.number, col)
-        coeffs[j] = coeffs[j] + c if coeffs[j] else c  # a repeated name adds up
-        tok = line.peek()
-        if tok is None:
-            raise ParseError(
+            if _is_name(name):
+                raise _error(f"unknown variable {name!r}", number, body, k + 1)
+            raise _expected("a variable name", number, body, toks, k + 1)
+        if coeffs[j] is not _ZERO:  # a repeated name adds up
+            c += coeffs[j]
+        coeffs[j] = c
+        sep = toks[k + 2]
+        if sep == "+":
+            negative = False
+            k += 3
+        elif sep == "-":
+            negative = True
+            k += 3
+        elif sep in stops:
+            rhs = numbers.get(toks[k + 3])
+            if rhs is None:
+                rhs = numbers[toks[k + 3]] = _rational(
+                    toks, k + 3, "a right-hand side", number, body
+                )
+            if toks[k + 4]:
+                raise _error(f"trailing input {toks[k + 4]!r}", number, body, k + 4)
+            return tuple(coeffs), sep, rhs
+        elif sep[:1] == "-":
+            # "1 x -2 y": the minus lexed as part of the number, which is
+            # the next coefficient
+            negative = False
+            k += 2
+        elif not sep:
+            raise _error(
                 f"missing relation in {line_kind} line: expected one of "
-                + ", ".join(stop_ops),
-                line.number,
-                col + len(name),
+                + ", ".join(stops),
+                number,
+                body,
+                k + 2,
             )
-        kind, text, col = tok
-        if text in stop_ops:
-            line.cursor += 1
-            rhs = _rational(line, "a right-hand side")
-            line.done()
-            return tuple(coeffs), text, rhs
-        if text == "+":
-            sign = 1
-            line.cursor += 1
-        elif text == "-":
-            sign = -1
-            line.cursor += 1
-        elif kind == "num" and text.startswith("-"):
-            # "1 x -2 y": the minus lexed as part of the number; leave the
-            # token for the next coefficient.
-            sign = 1
         else:
-            raise ParseError(
-                f"expected +, -, or one of {', '.join(stop_ops)}, found {text!r}",
-                line.number,
-                col,
+            raise _error(
+                f"expected +, -, or one of {', '.join(stops)}, found {sep!r}",
+                number,
+                body,
+                k + 2,
             )
+
+
+def _val_constraint(toks, index, number, body) -> ValConstraint:
+    """p : v(var) rel bound, from token 1 to the end of the line."""
+    p = _integer(toks, 1, "a prime", number, body)
+    for k, want, what in ((2, ":", ":"), (3, "v", "v(...)"), (4, "(", "(")):
+        if toks[k] != want:
+            raise _expected(what, number, body, toks, k)
+    name = toks[5]
+    if name not in index:
+        if _is_name(name):
+            raise _error(f"unknown variable {name!r}", number, body, 5)
+        raise _expected("a variable name", number, body, toks, 5)
+    if toks[6] != ")":
+        raise _expected(")", number, body, toks, 6)
+    rel = toks[7]
+    if rel not in _VAL_RELS:
+        raise ParseError(
+            "expected a valuation relation (>=, <=, ==, !=, <, >)",
+            number,
+            _column(body, 7) if rel else _column(body, 5) + len(name) + 1,
+        )
+    bound = _integer(toks, 8, "an integer bound", number, body)
+    if toks[9]:
+        raise _error(f"trailing input {toks[9]!r}", number, body, 9)
+    try:
+        return ValConstraint(p, name, rel, bound).desugared()
+    except InputError as exc:  # not a prime, or too large to decide
+        raise _error(str(exc), number, body, 0) from None
 
 
 def parse_instance(text: str) -> Instance:
     variables: tuple[str, ...] | None = None
     index: dict[str, int] = {}  # variable name -> column
+    numbers: dict[str, Fraction] = {}  # signed numeral text -> its value
     equations = []
     valuations = []
     orders = []
@@ -171,60 +205,46 @@ def parse_instance(text: str) -> Instance:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        line = _Line(body, number)
-        kind, keyword, col = line.take("ident", what="a keyword")
+        end = _LEXABLE.match(body).end()
+        if end != len(body):
+            raise ParseError(f"unexpected character {body[end]!r}", number, end + 1)
+        toks = _TOKEN.findall(body)
+        toks.append("")
+        keyword = toks[0]
         if keyword == "vars":
             if variables is not None:
-                raise ParseError("duplicate vars line", number, col)
-            names = []
-            while line.peek() is not None:
-                _, name, ncol = line.take("ident", what="a variable name")
-                if name in names:
-                    raise ParseError(f"duplicate variable {name!r}", number, ncol)
-                names.append(name)
-            if not names:
-                raise ParseError("vars line declares nothing", number, col)
-            variables = tuple(names)
-            index = {name: j for j, name in enumerate(variables)}
-            continue
-        if variables is None:
-            raise ParseError(
-                "the vars line must come before any constraint", number, col
+                raise _error("duplicate vars line", number, body, 0)
+            for k, name in enumerate(toks[1:-1], start=1):
+                if not _is_name(name):
+                    raise _expected("a variable name", number, body, toks, k)
+                if name in index:
+                    raise _error(f"duplicate variable {name!r}", number, body, k)
+                index[name] = k - 1
+            if not index:
+                raise _error("vars line declares nothing", number, body, 0)
+            variables = tuple(index)
+        elif not _is_name(keyword):
+            raise _expected("a keyword", number, body, toks, 0)
+        elif variables is None:
+            raise _error(
+                "the vars line must come before any constraint", number, body, 0
             )
-        if keyword == "eq":
-            coeffs, _, rhs = _linear_row(line, index, ("=",), "eq")
+        elif keyword == "eq":
+            coeffs, _, rhs = _linear_row(toks, index, ("=",), "eq", numbers, number, body)
             equations.append(Equation(coeffs, rhs))
         elif keyword == "val":
-            p = _integer(line, "a prime")
-            line.take(text=":")
-            line.take(text="v", what="v(...)")
-            line.take(text="(")
-            _, name, ncol = line.take("ident", what="a variable name")
-            if name not in index:
-                raise ParseError(f"unknown variable {name!r}", number, ncol)
-            line.take(text=")")
-            tok = line.peek()
-            if tok is None or tok[1] not in _VAL_RELS:
-                raise ParseError(
-                    "expected a valuation relation (>=, <=, ==, !=, <, >)",
-                    number,
-                    tok[2] if tok else ncol + len(name) + 1,
-                )
-            line.cursor += 1
-            bound = _integer(line, "an integer bound")
-            line.done()
-            try:
-                valuations.append(ValConstraint(p, name, tok[1], bound).desugared())
-            except Exception as exc:
-                raise ParseError(str(exc), number, col) from None
+            valuations.append(_val_constraint(toks, index, number, body))
         elif keyword == "ord":
-            coeffs, rel, rhs = _linear_row(line, index, ("<=", "<"), "ord")
+            coeffs, rel, rhs = _linear_row(
+                toks, index, ("<=", "<"), "ord", numbers, number, body
+            )
             orders.append(OrderConstraint(coeffs, rel, rhs))
         else:
-            raise ParseError(
+            raise _error(
                 f"unknown keyword {keyword!r} (expected vars, eq, val, or ord)",
                 number,
-                col,
+                body,
+                0,
             )
     if variables is None:
         raise ParseError("missing vars line", 1, 1)

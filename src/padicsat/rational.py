@@ -47,11 +47,18 @@ def is_finite(v: ExtInt) -> bool:
 # ---------------------------------------------------------------------------
 # primality
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13: the least odd composite that is a strong pseudoprime to every base
+# in _SMALL_PRIMES (Sorenson and Webster, 2015).  Without the base 41 the
+# bound is psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, ample here)."""
+    """Miller-Rabin to the prime bases 2..41: exact for n < PRIME_TEST_LIMIT;
+    from there on a strong probable-prime test only, so check_prime refuses
+    such moduli."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -80,7 +87,14 @@ _KNOWN_PRIMES: set[int] = set()
 
 def check_prime(p: int) -> int:
     if p not in _KNOWN_PRIMES:
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"modulus {p!r} is not prime")
+        if p >= PRIME_TEST_LIMIT:
+            raise InputError(
+                f"modulus {p} is too large: primality is only decided below "
+                f"{PRIME_TEST_LIMIT}"
+            )
+        if not is_prime(p):
             raise InputError(f"modulus {p!r} is not prime")
         _KNOWN_PRIMES.add(p)
     return p

@@ -279,6 +279,15 @@ def test_parse_error_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_composite_modulus_is_an_input_error(tmp_path, capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to every prime base up to 37
+    text = "vars x\neq 1 x = 1\nval 318665857834031151167461 : v(x) >= 1\n"
+    assert main(["solve", write(tmp_path, "psi12.txt", text)]) == 3
+    err = capsys.readouterr().err
+    assert "line 3" in err and "is not prime" in err
+
+
 def test_guard_env_variable(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "deep.txt", "vars x\nval 3 : v(x) >= 40\n")
     monkeypatch.setenv("PADIC_GUARD", "5")

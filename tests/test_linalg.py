@@ -34,6 +34,22 @@ def test_matrix_helpers():
         matrix([[1, 2], [3]])
 
 
+def test_products_with_a_matrix_without_rows():
+    x = [Fraction(1), Fraction(2)]
+    assert mat_vec([], x) == []
+    assert mat_vec([], []) == []
+    assert mat_mul([], identity(2)) == []
+    assert mat_mul([], []) == []
+    A = matrix([[1, 2], [3, 4]])
+    assert mat_mul(A, [[], []]) == [[], []]  # 2x2 times 2x0
+    with pytest.raises(InputError):
+        mat_vec(A, x[:1])
+    with pytest.raises(InputError):
+        mat_mul(A, identity(3))
+    with pytest.raises(InputError):
+        mat_mul(A, [])  # a 2x2 times no rows
+
+
 def test_permutation_matrix_convention():
     # P[i][j] = 1 iff j = sigma[i]; right-multiplying permutes columns so that
     # (A P) column j equals A column sigma^-1(j)
@@ -50,22 +66,19 @@ def test_solve_affine_inconsistent():
 
 
 def test_solve_affine_properties():
-    def apply(A, x):  # mat_vec reads the width off the first row
-        return mat_vec(A, x) if A else []
-
     rng = random.Random(7)
     for _ in range(120):
         m = rng.randint(0, 4)
         n = rng.randint(1, 5)
         A = rand_matrix(rng, m, n, mag=6)
         x = rand_vector(rng, n, mag=6)
-        b = mat_vec(A, x) if m else []
+        b = mat_vec(A, x)
         space = solve_affine(A, b, n)
         assert space is not None  # b was built from a solution
         assert len(space.particular) == n and all(len(vec) == n for vec in space.basis)
-        assert apply(A, space.particular) == b
+        assert mat_vec(A, space.particular) == b
         for vec in space.basis:
-            assert apply(A, vec) == [Fraction(0)] * m
+            assert mat_vec(A, vec) == [Fraction(0)] * m
         # dimension = n - rank: check by brute rank via determinant-free elim
         rank = len(solve_affine(A, [Fraction(0)] * m, n).basis)
         assert rank == len(space.basis)
@@ -74,7 +87,7 @@ def test_solve_affine_properties():
         for vec in space.basis:
             c = Fraction(rng.randint(-3, 3))
             combo = [a + c * v for a, v in zip(combo, vec)]
-        assert apply(A, combo) == b
+        assert mat_vec(A, combo) == b
 
 
 def test_solve_affine_without_rows_spans_every_column():

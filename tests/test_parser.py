@@ -250,6 +250,19 @@ MALFORMED = [
     ("vars x\nval 2 : v(x) = 0\n", "expected a valuation relation (>=, <=, ==, !=, <, >)", 2, 14),
     ("vars x\nval 4 : v(x) >= 0\n", "modulus 4 is not prime", 2, 1),
     ("vars x\nval -3 : v(x) >= 0\n", "modulus -3 is not prime", 2, 1),
+    (
+        "vars x\neq 1 x = 1\n  val 318665857834031151167461 : v(x) >= 1\n",
+        "modulus 318665857834031151167461 is not prime",
+        3,
+        3,
+    ),
+    (
+        "vars x\nval 3317044064679887385961981 : v(x) >= 1\n",
+        "modulus 3317044064679887385961981 is too large: primality is only "
+        "decided below 3317044064679887385961981",
+        2,
+        1,
+    ),
     ("vars x\nfoo 1 x = 0\n", "unknown keyword 'foo' (expected vars, eq, val, or ord)", 2, 1),
     ("# only comments\n\n", "missing vars line", 1, 1),
 ]
@@ -320,7 +333,9 @@ def _mutate(text: str, rng: random.Random) -> str:
 def test_parse_outcomes_of_mutated_texts_are_pinned():
     # 4200 mutated texts, each outcome (the parsed instance's repr, or the
     # error's message, line and column) hashed in order; the digest pins
-    # what the parser accepts and every error it reports
+    # what the parser accepts and every error it reports.  The sources
+    # include random_instance texts, so changing that generator changes the
+    # digest as well.
     rng = random.Random(7)
     digest = hashlib.sha256()
     errors = 0

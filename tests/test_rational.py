@@ -9,7 +9,9 @@ from padicsat.rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
     NEG_INF,
+    PRIME_TEST_LIMIT,
     PowerSum,
+    check_prime,
     int_valuation,
     is_prime,
     leading_digit,
@@ -64,6 +66,30 @@ def test_is_prime_basics():
     assert not is_prime(91)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
+
+
+# psi_12: the least odd composite that is a strong pseudoprime to the prime
+# bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(PSI_12)
+    assert is_prime(2**61 - 1)
+    assert is_prime(3317044064679887385961813)  # the last prime below the limit
+    assert PRIME_TEST_LIMIT == 3317044064679887385961981
+
+
+def test_check_prime_refuses_moduli_from_the_limit_up():
+    assert check_prime(3317044064679887385961813) == 3317044064679887385961813
+    for n in (PSI_12, PRIME_TEST_LIMIT - 2):
+        with pytest.raises(InputError, match="is not prime"):
+            check_prime(n)
+    for n in (PRIME_TEST_LIMIT, 2**89 - 1):  # 2**89 - 1 is prime
+        with pytest.raises(InputError, match="too large"):
+            check_prime(n)
 
 
 def test_valuation_multiplicativity_and_ultrametric():
