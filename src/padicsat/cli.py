@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 3 usage or input
-errors, 4 internal failures.  `solve --json` emits one JSON object with the
-status, the fragment classification, an optional witness, and basic stats;
-infinite diagnostic values, such as an unbounded threshold, are written as
-the strings "inf" and "-inf", since JSON has no infinity.
+Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown (reserved: no input
+answers it at present), 3 usage or input errors, 4 internal failures.
+`solve --json` emits one JSON object with the status, the fragment
+classification, an optional witness, and basic stats; infinite diagnostic
+values, such as an unbounded threshold, are written as the strings "inf"
+and "-inf", since JSON has no infinity.
 
 Witness coordinates are power sums over the instance's prime, serialized as
 {"p": prime, "terms": [[coefficient, exponent], ...]} with rational
@@ -139,7 +140,7 @@ def _cmd_solve(args) -> int:
     guard = args.guard if args.guard is not None else _default_guard()
     inst = parse_instance(_read_source(args.file))
     started = time.perf_counter()
-    verdict = solve_combined(inst, window=args.window)
+    verdict = solve_combined(inst)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     fragment = _fragment_string(inst)
     if args.json:
@@ -326,13 +327,6 @@ def _build_parser() -> _ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide an instance file (- for stdin)")
     p_solve.add_argument("file", nargs="?", default="-")
     p_solve.add_argument("--witness", action="store_true", help="print the witness")
-    p_solve.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="W",
-        help="assume v >= W when a search would otherwise be unbounded below",
-    )
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     add_guard(p_solve)
     p_solve.set_defaults(run=_cmd_solve)

@@ -105,10 +105,7 @@ def _order_blocks(inst: Instance):
     return weak, strict
 
 
-def solve_combined(
-    inst: Instance,
-    window: int | None = None,
-) -> Verdict:
+def solve_combined(inst: Instance) -> Verdict:
     """Full decision procedure: equations, valuations, and order constraints.
 
     Single-prime instances without orders keep their exact witnesses.  When
@@ -121,7 +118,7 @@ def solve_combined(
         return norm.verdict()
     primes = norm.primes
     if not inst.orders and len(primes) <= 1:
-        return solve_single_prime(norm, primes[0] if primes else None, window)
+        return solve_single_prime(norm, primes[0] if primes else None)
 
     diagnostics: dict = {"parts": {}}
     equalities: Rows = [(eq.coeffs, eq.rhs) for eq in inst.equations]
@@ -153,7 +150,6 @@ def solve_combined(
     # the valuation side runs against the augmented equality system, one
     # prime at a time; the profiles depend on the valuations alone, so the
     # first normalization already holds them
-    unknowns = []
     for p in primes:
         per_prime = NormalizedInstance(
             variables=norm.variables,
@@ -163,7 +159,7 @@ def solve_combined(
             kinds={p: norm.kinds[p]},
             orders=(),
         )
-        verdict = solve_single_prime(per_prime, p, window)
+        verdict = solve_single_prime(per_prime, p)
         diagnostics["parts"][p] = verdict.status.value
         if verdict.is_unsat:
             return Verdict.unsat(
@@ -174,20 +170,9 @@ def solve_combined(
                 sub_code=verdict.code,
                 **diagnostics,
             )
-        if verdict.is_unknown:
-            unknowns.append((p, verdict))
     if not primes and order_witness is None:
         # no orders and no primes cannot reach here (delegated above)
         raise InternalError("nothing to combine")
-    if unknowns:
-        p, verdict = unknowns[0]
-        return Verdict.unknown(
-            verdict.code or "unknown",
-            f"the valuation system at p = {p} could not be decided: "
-            f"{verdict.reason or ''}",
-            prime=p,
-            **diagnostics,
-        )
     if inst.orders and not primes:
         # purely rational: the strict point is a full witness
         witness = dict(zip(inst.variables, order_witness))

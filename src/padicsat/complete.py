@@ -39,11 +39,38 @@ relaxation is already unsatisfiable are pruned.  The relaxation test hands
 the integer rows to `solve_geq` as they are and asks for the status only, so
 a search node pays for the echelon and the pivot-bound checks but never for
 a Fraction or a PowerSum back-substitution.  Fractions are built only at
-the leaves, where each component is delegated with its exact equations.  A
-component mixing unbounded directions cannot be enumerated; it yields
-Unknown unless a search window is supplied, in which case an exhausted
-search reports "unsat-within-window" (still Unknown: solutions below the
-window may exist).
+the leaves, where each component is delegated with its exact equations.
+
+A leaf component may mix floored variables G (a finite lower bound; at a
+leaf these are exactly what the echelon solver takes) with open variables
+that have no lower bound but an upper bound or exclusions.  It is decided
+exactly, after Guepin, Haase & Worrell's small-model argument (LICS 2019).
+Write the component's solutions as x = x0 + N t (`solve_affine`: x0 the
+particular solution, the columns of N its kernel basis), and let N_j be
+row j of N.
+
+* Bounded case: some open u has N_u = sum over g in G of l_g N_g.  Then
+  x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, and by
+  the ultrametric inequality v(x_u) >= min(v(c), min over l_g != 0 of
+  v(l_g) + lower_g), a bound every solution meets.  u's floor is raised to
+  it (+inf: u = 0 is forced) and the state is searched again; the raise
+  changes no solution, and u now has a finite window or exclusions above
+  its floor, so the search branches on it.
+* Free case: no open u is such a combination.  Then for each open u there
+  is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u vanishes on
+  the common kernel of the N_g exactly when it lies in their span).  The
+  component is sat iff its lower-bound relaxation is: G's floors, -inf for
+  the rest.  "Only if" holds as it is a relaxation.  For "if", take the
+  relaxation's witness w and a generic combination d of those directions:
+  each d_u is a nonzero polynomial in the combination's parameter, so all
+  but finitely many parameters make every d_u nonzero.  w + p^(-M) d keeps
+  every G coordinate and every equation, and for M large each open u gets
+  v = v(d_u) - M, below v(w_u), its upper bound and its exclusions.
+
+The search ends: a raise turns a variable without a lower bound into one
+with a floor, floors only rise, and digit substitutions create variables
+with floor 0, so along every branch the count of variables unbounded below
+falls at each raise, and a leaf without raises is decided outright.
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
@@ -58,6 +85,7 @@ witness raises InternalError, never a wrong answer.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -145,16 +173,6 @@ class _State:
             list(self.log),
             list(self.valuations),
         )
-
-
-class _Search:
-    def __init__(self, prime: int, window: int | None):
-        self.prime = prime
-        self.window = window
-        self.fresh = itertools.count()
-
-    def fresh_var(self) -> str:
-        return f"$d{next(self.fresh)}"
 
 
 def _substitute_zero(state: _State, var: str) -> bool:
@@ -507,8 +525,14 @@ def _components(state: _State) -> list[tuple[list[str], list[int]]]:
     return out
 
 
-def _solve_component(state: _State, members: list[str], rows: list[int]) -> Verdict:
-    """Delegate a component to its polynomial solver, on its exact equations."""
+def _solve_component(
+    state: _State, members: list[str], rows: list[int]
+) -> Verdict | None:
+    """Delegate a component to its polynomial solver, on its exact equations.
+
+    None means floors were raised (_solve_mixed) and the state is to be
+    searched again.
+    """
     index = {c: j for j, c in enumerate(state.columns)}
     cols = [index[v] for v in members]
     equations = [(state.rows[i], state.dens[i]) for i in rows]
@@ -529,57 +553,87 @@ def _solve_component(state: _State, members: list[str], rows: list[int]) -> Verd
             LeqProblem.of(problem.A, problem.b, state.prime, caps, excluded)
         )
     else:
-        return Verdict.unknown(
-            "mixed-unbounded",
-            "a component mixes unbounded lower and upper constraints",
-            variables=[v for v in members if not _geq_compatible(state, v)],
-        )
+        verdict = _solve_mixed(state, members, problem)
+        if verdict is None:
+            return None
     if verdict.is_sat and verdict.witness is not None:
         verdict.witness = dict(zip(members, verdict.witness))
     return verdict
 
 
-def _apply_window(state: _State, search: _Search) -> list[str]:
-    """Assume v >= window for every variable unbounded below.  Returns them."""
-    assert search.window is not None
-    touched = []
-    for var in sorted(state.profiles):
-        prof = state.profiles[var]
-        if not _geq_compatible(state, var) and prof.lower == NEG_INF:
-            prof.lower = search.window
-            touched.append(var)
-    return touched
+def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verdict | None:
+    """Decide a component mixing floored and open variables (module docstring).
+
+    Returns None after raising the floors of the open variables the floored
+    ones bound, or the verdict of the free case.
+    """
+    p = state.prime
+    n = len(members)
+    floored = [j for j, v in enumerate(members) if is_finite(state.profiles[v].lower)]
+    open_ = [j for j, v in enumerate(members) if not _geq_compatible(state, v)]
+    verdict = solve_geq(problem)
+    if verdict.is_unsat:
+        return verdict
+    space = solve_affine(problem.A, problem.b, n)  # consistent: w solves it
+    x0, basis = space.particular, space.basis
+    raised = False
+    for u in open_:
+        # N_u = sum l_g N_g, with N_j = (vec[j] for vec in basis)
+        span = solve_affine(
+            [[vec[g] for g in floored] for vec in basis], [vec[u] for vec in basis],
+            len(floored),
+        )
+        if span is None:
+            continue
+        raised = True
+        lam = span.particular
+        c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
+        bound = min(
+            [valuation(c, p)]
+            + [valuation(l, p) + state.profiles[members[g]].lower
+               for l, g in zip(lam, floored) if l]
+        )
+        if bound == INF:
+            failed = _force_zero(state, members[u])
+            if failed is not None:
+                return failed
+        else:
+            state.profiles[members[u]].lower = bound
+    if raised:
+        return None
+    # the kernel directions with d_g = 0 on G, combined with weights
+    # 1, t, t^2, ... for the first t that leaves no open d_u zero
+    fixed = [[int(j == g) for j in range(n)] for g in floored]
+    directions = solve_affine(
+        [*problem.A, *fixed], [0] * (len(problem.A) + len(fixed)), n
+    ).basis
+    for t in itertools.count(1):
+        d = [sum(vec[j] * t**k for k, vec in enumerate(directions)) for j in range(n)]
+        if all(d[u] for u in open_):
+            break
+    w = verdict.witness
+    shift = 0
+    for u in open_:
+        prof = state.profiles[members[u]]
+        cap = min(prof.upper, min(prof.excluded, default=INF) - 1, w[u].valuation() - 1)
+        shift = max(shift, valuation(d[u], p) - cap)
+    verdict.witness = [
+        w[j] + PowerSum(p, ((Fraction(d[j]), -shift),)) if d[j] else w[j]
+        for j in range(n)
+    ]
+    return verdict
 
 
-def _solve_leaves(state: _State, search: _Search) -> Verdict:
-    components = _components(state)
+def _solve_leaves(state: _State, fresh: Iterator[int]) -> Verdict:
     witness: dict[str, PowerSum] = {}
-    unknowns: list[Verdict] = []
-    for members, rows in components:
+    for members, rows in _components(state):
         verdict = _solve_component(state, members, rows)
+        if verdict is None:
+            # a raised floor: fewer variables are unbounded below
+            return _solve_state(state, fresh)
         if verdict.is_unsat:
             return verdict
-        if verdict.is_unknown:
-            unknowns.append(verdict)
-            continue
         witness.update(verdict.witness or {})
-    if unknowns:
-        if search.window is None:
-            return unknowns[0]
-        windowed = state.copy()
-        touched = _apply_window(windowed, search)
-        if not touched:
-            return unknowns[0]
-        verdict = _solve_state(windowed, search)
-        if verdict.is_unsat:
-            return Verdict.unknown(
-                "unsat-within-window",
-                f"no solution with v >= {search.window} on {', '.join(touched)}; "
-                "solutions below the window may exist",
-                window=search.window,
-                variables=touched,
-            )
-        return verdict
     # express the witness in the root variables before handing it upward
     return Verdict.sat(witness=_reconstruct(state, witness))
 
@@ -597,7 +651,7 @@ def _reconstruct(state: _State, witness: dict[str, PowerSum]) -> dict[str, Power
     return witness
 
 
-def _children(state: _State, target: tuple[str, str, object], search: _Search):
+def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[int]):
     kind, var, data = target
     if kind == "window":
         for v in data:
@@ -611,8 +665,8 @@ def _children(state: _State, target: tuple[str, str, object], search: _Search):
         # name every digit's fresh variable before the first child is solved,
         # so the names (and with them the sorted branch order) do not depend
         # on how deep earlier children search
-        fresh = [search.fresh_var() for _ in range(1, state.prime)]
-        for digit, name in zip(range(1, state.prime), fresh):
+        names = [f"$d{next(fresh)}" for _ in range(1, state.prime)]
+        for digit, name in zip(range(1, state.prime), names):
             child = state.copy()
             _substitute_digit(child, var, digit, data, name)
             yield child
@@ -629,7 +683,7 @@ def _children(state: _State, target: tuple[str, str, object], search: _Search):
         yield high
 
 
-def _solve_state(state: _State, search: _Search) -> Verdict:
+def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
     failed = _check_profiles(state)
     if failed is not None:
         return failed
@@ -645,37 +699,22 @@ def _solve_state(state: _State, search: _Search) -> Verdict:
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaves(state, search)
+        return _solve_leaves(state, fresh)
     explored = False
-    unknown: Verdict | None = None
-    for child in _children(state, target, search):
+    for child in _children(state, target, fresh):
         explored = True
-        verdict = _solve_state(child, search)
+        verdict = _solve_state(child, fresh)
         if verdict.is_sat:
             return verdict
-        if verdict.is_unknown and unknown is None:
-            unknown = verdict
     if not explored:
         return Verdict.unsat(
             "branches-exhausted", f"no admissible branch for {target[1]}"
         )
-    if unknown is not None:
-        return unknown
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
 
-def solve_complete(
-    norm: NormalizedInstance,
-    prime: int | None = None,
-    window: int | None = None,
-) -> Verdict:
-    """Decide a single-prime normalized instance with arbitrary bound mix.
-
-    `window`, when given, bounds the search for variables that are only
-    bounded above: the solver additionally assumes v >= window for them.  A
-    satisfiable answer is then still exact; an exhausted search reports
-    Unknown with code "unsat-within-window".
-    """
+def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdict:
+    """Decide a single-prime normalized instance with arbitrary bound mix."""
     if norm.orders:
         raise InputError("order constraints must go through the combiner")
     if prime is None:
@@ -702,8 +741,7 @@ def solve_complete(
         prof = norm.profile(prime, var)
         profiles[var] = _Prof(prof.lower, prof.upper, prof.excluded)
     state = _State(prime, columns, rows, dens, profiles)
-    search = _Search(prime, window)
-    verdict = _solve_state(state, search)
+    verdict = _solve_state(state, itertools.count())
     if verdict.is_sat:
         names = set(norm.variables)
         witness = {

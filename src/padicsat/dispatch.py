@@ -53,11 +53,7 @@ def _named(norm: NormalizedInstance, verdict: Verdict) -> Verdict:
     return verdict
 
 
-def solve_single_prime(
-    norm: NormalizedInstance,
-    p: int | None,
-    window: int | None = None,
-) -> Verdict:
+def solve_single_prime(norm: NormalizedInstance, p: int | None) -> Verdict:
     """Decide norm at its one prime p, or by linear algebra when p is None."""
     if norm.orders:
         raise InputError("order constraints must go through the combiner")
@@ -82,17 +78,14 @@ def solve_single_prime(
     elif frag is Fragment.HARD:
         from .complete import solve_complete
 
-        verdict = solve_complete(norm, p, window=window)
+        verdict = solve_complete(norm, p)
     else:
-        return solve_single_prime(norm, None, window)
+        return solve_single_prime(norm, None)
     verdict.diagnostics["fragment"] = frag.value
     return verdict
 
 
-def solve_instance(
-    inst: Instance,
-    window: int | None = None,
-) -> Verdict:
+def solve_instance(inst: Instance) -> Verdict:
     """Decide a single-prime instance (no order constraints).
 
     Multi-prime instances and order constraints are rejected here; the
@@ -106,4 +99,4 @@ def solve_instance(
     primes = res.primes
     if len(primes) > 1:
         raise InputError("multi-prime instances must go through the combiner")
-    return solve_single_prime(res, primes[0] if primes else None, window)
+    return solve_single_prime(res, primes[0] if primes else None)

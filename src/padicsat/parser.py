@@ -180,10 +180,9 @@ def _val_constraint(toks, index, number, body) -> ValConstraint:
         raise _expected(")", number, body, toks, 6)
     rel = toks[7]
     if rel not in _VAL_RELS:
-        raise ParseError(
-            "expected a valuation relation (>=, <=, ==, !=, <, >)",
-            number,
-            _column(body, 7) if rel else _column(body, 5) + len(name) + 1,
+        # past the last token the column is the one after the ")"
+        raise _error(
+            "expected a valuation relation (>=, <=, ==, !=, <, >)", number, body, 7
         )
     bound = _integer(toks, 8, "an integer bound", number, body)
     if toks[9]:

@@ -34,9 +34,15 @@ def test_solve_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "unsat"
 
-    assert main(["solve", write(tmp_path, "open.txt", MIXED_OPEN)]) == 2
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "unknown"
+    # x has no lower bound and y a floor: decided, sat (x = y = 1, z = -2)
+    path = write(tmp_path, "open.txt", MIXED_OPEN)
+    assert main(["solve", path, "--json", "--witness"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "sat"
+    witness_path = tmp_path / "witness.json"
+    witness_path.write_text(json.dumps(payload["witness"]))
+    assert main(["check", path, str(witness_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
 
 
 def test_python_dash_m_exit_codes(tmp_path):
@@ -61,14 +67,6 @@ def test_python_dash_m_exit_codes(tmp_path):
     missing = run(str(tmp_path / "missing.txt"))
     assert missing.returncode == 3, missing.stderr
     assert missing.stdout == ""
-
-
-def test_solve_window_resolves_unknown(tmp_path, capsys):
-    path = write(tmp_path, "open.txt", MIXED_OPEN)
-    code = main(["solve", path, "--window", "-10", "--witness"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert out.splitlines()[0] == "sat"
 
 
 def test_solve_reads_stdin(monkeypatch, capsys):
@@ -264,6 +262,8 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["solve", "--no-such-flag"]) == 3
     capsys.readouterr()
     assert main(["solve", "--threads", "2", write(tmp_path, "sat.txt", SAT_GEQ)]) == 3
+    capsys.readouterr()
+    assert main(["solve", "--window", "-10", write(tmp_path, "sat.txt", SAT_GEQ)]) == 3
     capsys.readouterr()
     assert main(["solve", str(tmp_path / "missing.txt")]) == 3
     assert "cannot read" in capsys.readouterr().err

@@ -528,8 +528,8 @@ def test_combined_delegates_single_prime():
             bound_mag=3,
             primes=(p,),
         )
-        direct = solve_instance(i, window=-2)
-        combined = solve_combined(i, window=-2)
+        direct = solve_instance(i)
+        combined = solve_combined(i)
         assert direct.status == combined.status, f"trial {trial}"
         agreements += 1
         if combined.is_sat and combined.witness is not None:
@@ -624,7 +624,8 @@ def test_combined_multi_prime_without_orders():
     assert verdict.diagnostics["prime"] == 2
 
 
-def test_combined_unknown_propagates():
+def test_combined_mixed_parts_are_decided():
+    # at p = 2, x has a floor and y none: the search decides that part too
     i = inst(
         ["x", "y", "z"],
         equations=[Equation.of([1, 1, 1], 0)],
@@ -635,8 +636,8 @@ def test_combined_unknown_propagates():
         ],
     )
     verdict = solve_combined(i)
-    assert verdict.is_unknown
-    assert verdict.diagnostics["prime"] == 2
+    assert verdict.is_sat and verdict.witness is None
+    assert verdict.diagnostics["parts"] == {2: "sat", 3: "sat"}
 
 
 def test_combined_empty_window_short_circuits():

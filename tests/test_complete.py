@@ -21,6 +21,7 @@ from padicsat.complete import (
     _substitute_zero,
     solve_complete,
 )
+from padicsat.combiner import solve_combined
 from padicsat.dispatch import solve_instance, solve_single_prime
 from padicsat.errors import InputError, InternalError
 from padicsat.model import (
@@ -173,7 +174,7 @@ def test_dichotomy_pinned_sums():
 # complete solver behavior
 
 
-def solve_hard(i, window=None):
+def solve_hard(i):
     """Force an instance through the branch-and-decide solver.
 
     Returns None for trials that exercise nothing here: normalization may
@@ -183,7 +184,7 @@ def solve_hard(i, window=None):
     norm = normalize(i)
     if isinstance(norm, ImmediateUnsat) or not norm.primes:
         return None
-    return solve_complete(norm, window=window)
+    return solve_complete(norm)
 
 
 def test_wide_window_is_not_walked():
@@ -400,18 +401,21 @@ def test_independent_components_merge_witnesses():
     assert verify_witness(i, verdict.witness)
 
 
-def test_mixed_unbounded_without_window_is_unknown():
+def test_mixed_open_variable_is_decided():
+    # x has a floor and y none: y is free of x (z absorbs any y), so the
+    # lower-bound relaxation decides and y is pushed below its cap
     i = inst(
         ["x", "y", "z"],
         [Equation.of([1, 1, 1], 0)],
         [val(2, "x", ">=", 0), val(2, "y", "<=", 0)],
     )
     verdict = solve_hard(i)
-    assert verdict.is_unknown
-    assert verdict.code == "mixed-unbounded"
+    assert verdict.is_sat
+    assert verify_witness(i, verdict.witness)
 
 
-def test_window_turns_unknown_into_answer():
+def test_open_variables_below_the_floor_are_found():
+    # no solution has v(y), v(z) >= 0, but y = z = 1/2, x = 0 is one below
     i = inst(
         ["x", "y", "z"],
         [Equation.of([1, 1, 1], 1)],
@@ -421,13 +425,103 @@ def test_window_turns_unknown_into_answer():
             val(2, "z", "<=", -1),
         ],
     )
-    assert solve_hard(i).is_unknown
-    # within v >= 0 there is no solution, but y = z = 1/2 lives below
-    capped = solve_hard(i, window=0)
-    assert capped.is_unknown and capped.code == "unsat-within-window"
-    found = solve_hard(i, window=-1)
-    assert found.is_sat
-    assert verify_witness(i, found.witness)
+    verdict = solve_hard(i)
+    assert verdict.is_sat
+    assert verify_witness(i, verdict.witness)
+    assert verdict.witness["y"].valuation() <= -1
+    assert verdict.witness["z"].valuation() <= -1
+
+
+def _spy_mixed(monkeypatch):
+    """Record what each call of complete._solve_mixed returns."""
+    results = []
+    real = complete._solve_mixed
+
+    def spy(state, members, problem):
+        results.append(real(state, members, problem))
+        return results[-1]
+
+    monkeypatch.setattr(complete, "_solve_mixed", spy)
+    return results
+
+
+def test_floor_raise_refutes_an_open_variable(monkeypatch):
+    # random_instance(193, fragment="mixed", primes=(3,)).  Eliminating x0
+    # gives 61 x1 = 8 + 20 x2 + 72 x3, so v_3(x1) >= 0 on every solution
+    # while v_3(x1) <= -2 is required; one equation alone shows nothing
+    i = inst(
+        ["x0", "x1", "x2", "x3"],
+        [Equation.of([8, 5, -4, 0], 8), Equation.of([-1, 7, -2, -9], 0)],
+        [val(3, "x1", "<=", -2), val(3, "x2", "==", 2), val(3, "x3", "==", 3)],
+    )
+    results = _spy_mixed(monkeypatch)
+    verdict = solve_hard(i)
+    assert verdict.is_unsat
+    assert None in results  # a floor was raised
+
+
+def test_floor_raise_then_branch(monkeypatch):
+    # adding the equations eliminates the free w: 2y = 2 + x + 3z, so
+    # v_3(y) >= 0, which neither equation shows alone.  The raise pins
+    # v_3(y) to 0 and y is split by its leading digit
+    i = inst(
+        ["x", "y", "z", "w"],
+        [Equation.of([-1, 1, 0, 1], 1), Equation.of([0, 1, -3, -1], 1)],
+        [val(3, "x", ">=", 0), val(3, "z", ">=", 0), val(3, "y", "<=", 0)],
+    )
+    results = _spy_mixed(monkeypatch)
+    digits = []
+    real_digit = complete._substitute_digit
+
+    def digit(state, var, *args):
+        digits.append(var)
+        real_digit(state, var, *args)
+
+    monkeypatch.setattr(complete, "_substitute_digit", digit)
+    verdict = solve_hard(i)
+    assert verdict.is_sat
+    assert verify_witness(i, verdict.witness)
+    assert verdict.witness["y"].valuation() == 0
+    assert results[0] is None and "y" in digits
+
+
+# the five settings of the mixed fuzz: default primes (2, 3), then one prime
+MIXED_SETTINGS = [
+    {},
+    {"primes": (3,)},
+    {"primes": (2,)},
+    {"primes": (5,), "num_vars": 5, "num_eqs": 3},
+    {"primes": (3,), "num_vars": 6, "bound_mag": 4},
+]
+
+
+def test_mixed_draws_are_decided_and_cross_examined(monkeypatch):
+    # no answer is Unknown, every sat witness verifies, and every unsat
+    # answer stays unsat with v_p(x) >= -8 on every variable and prime: that
+    # floored instance has no variable unbounded below, so it never reaches
+    # _solve_mixed and is decided by a different route
+    results = _spy_mixed(monkeypatch)
+    counts = collections.Counter()
+    for setting in MIXED_SETTINGS:
+        for seed in range(200):
+            i = random_instance(seed, fragment="mixed", **setting)
+            verdict = solve_combined(i)
+            counts[verdict.status.value] += 1
+            assert not verdict.is_unknown, (setting, seed)
+            if verdict.is_sat and verdict.witness is not None:
+                assert verify_witness(i, verdict.witness), (setting, seed)
+            if verdict.is_unsat:
+                floors = tuple(
+                    val(p, x, ">=", -8)
+                    for p in sorted({vc.prime for vc in i.valuations})
+                    for x in i.variables
+                )
+                calls = len(results)
+                floored = inst(i.variables, i.equations, i.valuations + floors)
+                assert solve_combined(floored).is_unsat, (setting, seed)
+                assert len(results) == calls
+    assert results  # the rule ran on the draws themselves
+    assert counts["sat"] > 300 and counts["unsat"] > 300
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +661,8 @@ def test_mixed_fuzz_witnesses_verify():
             bound_mag=2,
             primes=(rng.choice([2, 3, 5]),),
         )
-        verdict = solve_hard(i, window=-3)
+        verdict = solve_hard(i)
+        assert verdict is None or not verdict.is_unknown, f"trial {trial}"
         if verdict is not None and verdict.is_sat:
             sat += 1
             assert verify_witness(i, verdict.witness), f"trial {trial}"
