@@ -85,7 +85,7 @@ witness raises InternalError, never a wrong answer.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -250,8 +250,9 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
         state.valuations[i] = (new_vals, int_valuation(row[-1], p))
 
 
-def _check_profiles(state: _State) -> Verdict | None:
-    for var in sorted(state.profiles):
+def _check_profiles(state: _State, names: Iterable[str]) -> Verdict | None:
+    """The first of names, in sorted order, whose window is empty."""
+    for var in sorted(names):
         if state.profiles[var].empty():
             return Verdict.unsat("empty-window", f"no admissible valuation for {var}",
                                  var=var)
@@ -629,8 +630,9 @@ def _solve_leaves(state: _State, fresh: Iterator[int]) -> Verdict:
     for members, rows in _components(state):
         verdict = _solve_component(state, members, rows)
         if verdict is None:
-            # a raised floor: fewer variables are unbounded below
-            return _solve_state(state, fresh)
+            # a raised floor: fewer variables are unbounded below, and a
+            # raised floor may have emptied its window
+            return _solve_state(state, fresh, state.profiles)
         if verdict.is_unsat:
             return verdict
         witness.update(verdict.witness or {})
@@ -652,6 +654,12 @@ def _reconstruct(state: _State, witness: dict[str, PowerSum]) -> dict[str, Power
 
 
 def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[int]):
+    """Each child with the variables whose window it may have emptied.
+
+    Only the split's low child can empty one, the narrowed variable's: a
+    window child pins an admissible value, a digit child adds a fresh
+    variable with floor 0 and no cap, and the high child has no cap.
+    """
     kind, var, data = target
     if kind == "window":
         for v in data:
@@ -660,7 +668,7 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
             prof.lower = v
             prof.upper = v
             prof.excluded = frozenset()
-            yield child
+            yield child, ()
     elif kind == "digit":
         # name every digit's fresh variable before the first child is solved,
         # so the names (and with them the sorted branch order) do not depend
@@ -669,22 +677,24 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
         for digit, name in zip(range(1, state.prime), names):
             child = state.copy()
             _substitute_digit(child, var, digit, data, name)
-            yield child
+            yield child, ()
     else:  # split around an excluded value above the lower bound
         low = state.copy()
         prof = low.profiles[var]
         prof.upper = data - 1
         prof.excluded = frozenset(d for d in prof.excluded if d < data)
-        yield low
+        yield low, (var,)
         high = state.copy()
         prof = high.profiles[var]
         prof.lower = data + 1
         prof.excluded = frozenset(d for d in prof.excluded if d > data)
-        yield high
+        yield high, ()
 
 
-def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
-    failed = _check_profiles(state)
+def _solve_state(state: _State, fresh: Iterator[int], check: Iterable[str]) -> Verdict:
+    """Search state; check names the variables whose window may be empty,
+    every other profile being nonempty already."""
+    failed = _check_profiles(state, check)
     if failed is not None:
         return failed
     # no second _check_profiles: _propagate tests empty() after each bound it
@@ -701,9 +711,9 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
     if target is None:
         return _solve_leaves(state, fresh)
     explored = False
-    for child in _children(state, target, fresh):
+    for child, check in _children(state, target, fresh):
         explored = True
-        verdict = _solve_state(child, fresh)
+        verdict = _solve_state(child, fresh, check)
         if verdict.is_sat:
             return verdict
     if not explored:
@@ -741,7 +751,7 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
         prof = norm.profile(prime, var)
         profiles[var] = _Prof(prof.lower, prof.upper, prof.excluded)
     state = _State(prime, columns, rows, dens, profiles)
-    verdict = _solve_state(state, itertools.count())
+    verdict = _solve_state(state, itertools.count(), state.profiles)
     if verdict.is_sat:
         names = set(norm.variables)
         witness = {

@@ -263,8 +263,12 @@ def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
     # row r now reads piv x_c + sum over free f of a_f x_f = rhs
     pivot_set = set(pivot_cols)
     free = [f for f in range(n) if f not in pivot_set]
-    particular = [Fraction(0)] * n
-    basis = [[Fraction(int(c == f)) for c in range(n)] for f in free]
+    # one shared zero and one shared one: Fractions are immutable
+    zero, one = Fraction(0), Fraction(1)
+    particular = [zero] * n
+    basis = [[zero] * n for _ in free]
+    for vec, f in zip(basis, free):
+        vec[f] = one
     for r, c in enumerate(pivot_cols):
         top = M[r]
         piv = top[c]

@@ -15,7 +15,8 @@ or <.  Strict valuation relations are desugared while parsing (`< c` becomes
 weak relations.  serialize_instance() writes the same format back; for such
 instances parsing the output reproduces them exactly.
 
-Tokens are numerals (`-?digits(/digits)?`), names, and the operators
+Tokens are numerals (`-?digits(/digits)?` over the ASCII digits 0-9; other
+Unicode digits are not read), ASCII names, and the operators
 `>= <= == != - + = : ( ) < >`; whitespace between them is optional, so
 `1x`, `-2 y` and `- 2 y` all read as terms.  A numeral longer than the
 interpreter's int conversion limit is an error, and every ParseError carries
@@ -30,7 +31,7 @@ from fractions import Fraction
 from .errors import InputError, ParseError
 from .model import Equation, Instance, OrderConstraint, ValConstraint
 
-_TOKEN_PATTERN = r"-?\d+(?:/\d+)?|[A-Za-z_][A-Za-z0-9_]*|>=|<=|==|!=|[-+=:()<>]"
+_TOKEN_PATTERN = r"-?[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|>=|<=|==|!=|[-+=:()<>]"
 _TOKEN = re.compile(_TOKEN_PATTERN)
 # tokens and whitespace from the start of a line: the match ends at the
 # first character that no token reads

@@ -5,6 +5,13 @@ Everything here is deliberately independent of the solvers' internals; the
 witness checker shares only the rational core, and the oracle decides
 lower-bound systems through the Smith normal form rather than any echelon
 computation, so the two routes can cross-check each other.
+
+The witness checker tests equations one exponent at a time: it groups the
+witness's terms by exponent into sparse integer columns once per check,
+takes one integer dot product per exponent and equation, and hands the
+resulting terms to rational.merged_valuation, whose answer is +inf exactly
+when the equation holds.  No p**e is materialized for an equation, and a
+residual PowerSum is built only to word a rejection.
 """
 
 from __future__ import annotations
@@ -23,10 +30,12 @@ from .rational import (
     INF,
     NEG_INF,
     PowerSum,
+    _ratio,
     as_fraction,
     check_prime,
     int_valuation,
     is_finite,
+    merged_valuation,
     valuation,
 )
 from .solver_geq import GeqProblem
@@ -67,6 +76,54 @@ def _coordinate_valuation(value, p: int, guard: int):
     return valuation(as_fraction(value), p)
 
 
+def _exponent_columns(values: list) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The witness's terms grouped by exponent, once per check.
+
+    Each entry (e, den, column) lists the pairs (j, num) with num/den * p**e a
+    term of coordinate j, den the lcm of the exponent's denominators; a
+    rational coordinate is one term at exponent 0.  O(terms) in all.
+    """
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for j, x in enumerate(values):
+        for c, e in x.terms if isinstance(x, PowerSum) else ((x, 0),):
+            if c:
+                groups.setdefault(e, []).append((j, c.numerator, c.denominator))
+    out = []
+    for e, group in groups.items():
+        den = math.lcm(*[d for _, _, d in group])
+        out.append((e, den, [(j, num * (den // d)) for j, num, d in group]))
+    return out
+
+
+def _residual_is_zero(p: int, eq: Equation, columns) -> bool:
+    """Whether sum_j c_j x_j - rhs vanishes: the equation scaled to integers
+    over its lcm, one integer dot product per exponent, and the valuation
+    merge of the (dot, den, e) triples with the rhs, +inf exactly at 0."""
+    ratios = [_ratio(c) for c in eq.coeffs]
+    rhs_num, rhs_den = _ratio(eq.rhs)
+    scale = math.lcm(rhs_den, *[d for _, d in ratios])
+    coeffs = [num * (scale // d) for num, d in ratios]
+    triples = [
+        (sum([coeffs[j] * num for j, num in column]), den, e)
+        for e, den, column in columns
+    ]
+    triples.append((-rhs_num * (scale // rhs_den), 1, 0))
+    return merged_valuation(p, triples) == INF
+
+
+def _equation_rejection(idx: int, eq: Equation, values: list, p: int | None) -> CheckResult:
+    """The rejection of a failed equation, worded by its residual."""
+    if p is not None:
+        residual = PowerSum.combination(p, [(-1, eq.rhs), *zip(eq.coeffs, values)])
+        return CheckResult.reject(
+            "equation", f"equation {idx} has nonzero residual {residual}"
+        )
+    total = sum((c * x for c, x in zip(eq.coeffs, values)), Fraction(0))
+    return CheckResult.reject(
+        "equation", f"equation {idx} evaluates to {total}, expected {eq.rhs}"
+    )
+
+
 def verify_witness(
     inst: Instance,
     witness: Mapping[str, object],
@@ -75,10 +132,11 @@ def verify_witness(
     """Exactly check a claimed satisfying assignment against an instance.
 
     Witness coordinates may be PowerSums (all over one prime) or plain
-    rationals.  Equations and valuation constraints are checked symbolically
-    whenever possible; order constraints require materialization, and if the
-    guard refuses, the witness is rejected with an explanation rather than
-    guessed about.
+    rationals.  Equations are checked one exponent at a time on integer
+    columns (see the module docstring) and valuation constraints
+    symbolically, each (variable, prime) valuation computed once; order
+    constraints require materialization, and if the guard refuses, the
+    witness is rejected with an explanation rather than guessed about.
     """
     values = {}
     for var in inst.variables:
@@ -98,28 +156,20 @@ def verify_witness(
         return CheckResult.reject(
             "mixed-primes", f"power-sum coordinates over several primes: {sorted(primes_used)}"
         )
+    p = next(iter(primes_used), None)
+    ordered = [values[var] for var in inst.variables]
+    columns = _exponent_columns(ordered)
     for idx, eq in enumerate(inst.equations):
-        if primes_used:
-            p = next(iter(primes_used))
-            residual = PowerSum.combination(
-                p, [(-1, eq.rhs), *((c, values[var]) for c, var in zip(eq.coeffs, inst.variables))]
-            )
-            if not residual.is_zero():
-                return CheckResult.reject(
-                    "equation", f"equation {idx} has nonzero residual {residual}"
-                )
-        else:
-            total = sum(
-                (c * values[var] for c, var in zip(eq.coeffs, inst.variables)),
-                Fraction(0),
-            )
-            if total != eq.rhs:
-                return CheckResult.reject(
-                    "equation", f"equation {idx} evaluates to {total}, expected {eq.rhs}"
-                )
+        # without power sums every exponent is 0, where any prime decides
+        if not _residual_is_zero(p or 2, eq, columns):
+            return _equation_rejection(idx, eq, ordered, p)
+    memo: dict[tuple[str, int], object] = {}
     for vc in inst.valuations:
         vc = vc.desugared()
-        v = _coordinate_valuation(values[vc.var], vc.prime, guard)
+        key = (vc.var, vc.prime)
+        if key not in memo:
+            memo[key] = _coordinate_valuation(values[vc.var], vc.prime, guard)
+        v = memo[key]
         if v is None:
             return CheckResult.reject(
                 "guard",

@@ -8,15 +8,18 @@ import pytest
 from padicsat.dispatch import solve_instance
 from padicsat.errors import InputError, OverflowGuardError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
-from padicsat.rational import NEG_INF, PowerSum
+from padicsat.rational import NEG_INF, PowerSum, as_fraction, valuation
 from padicsat.solver_geq import GeqProblem, solve_geq
+from padicsat.solver_leq import solve_leq
 from padicsat.testkit import (
     Graph,
     brute_color,
     encode_coloring,
     instance_of_geq_problem,
+    instance_of_leq_problem,
     random_geq_problem,
     random_instance,
+    random_leq_problem,
     smith_oracle_geq,
     verify_witness,
     witness_map,
@@ -71,6 +74,134 @@ def test_verify_witness_guard_refusals():
     )
     assert verify_witness(ordered, deep)
     assert verify_witness(ordered, deep, guard=50).code == "guard"
+
+
+def _reference_check(inst, witness):
+    """The equation and valuation checks as one PowerSum.combination per
+    equation and one valuation per constraint; the reference the exponent
+    columns of verify_witness are held to.  Orders and the guard are left
+    out: no case here has either."""
+    values = {
+        var: x if isinstance(x, PowerSum) else as_fraction(x) for var, x in witness.items()
+    }
+    primes = {x.prime for x in values.values() if isinstance(x, PowerSum)}
+    for idx, eq in enumerate(inst.equations):
+        terms = [(c, values[var]) for c, var in zip(eq.coeffs, inst.variables)]
+        if primes:
+            residual = PowerSum.combination(next(iter(primes)), [(-1, eq.rhs), *terms])
+            if not residual.is_zero():
+                return False, "equation", f"equation {idx} has nonzero residual {residual}"
+        else:
+            total = sum((c * x for c, x in terms), Fraction(0))
+            if total != eq.rhs:
+                return False, "equation", f"equation {idx} evaluates to {total}, expected {eq.rhs}"
+    for vc in inst.valuations:
+        vc = vc.desugared()
+        x = values[vc.var]
+        v = x.valuation() if isinstance(x, PowerSum) else valuation(x, vc.prime)
+        holds = {
+            ">=": v >= vc.bound,
+            "<=": v <= vc.bound,
+            "==": v == vc.bound,
+            "!=": v != vc.bound,
+        }[vc.rel]
+        if not holds:
+            return (
+                False,
+                "valuation",
+                f"v_{vc.prime}({vc.var}) = {v} violates {vc.rel} {vc.bound}",
+            )
+    return True, "", ""
+
+
+def _solved_witnesses(p):
+    """(instance, witness) of solved GEQ, LEQ and HARD instances at p."""
+    out = []
+    for seed in range(40):
+        geq = random_geq_problem(seed, max_dim=5, primes=(p,), allow_unbounded=True)
+        verdict = solve_geq(geq)
+        if verdict.is_sat:
+            out.append((instance_of_geq_problem(geq), witness_map(geq, verdict.witness)))
+        leq = random_leq_problem(seed, max_dim=5, primes=(p,))
+        verdict = solve_leq(leq)
+        if verdict.is_sat:
+            out.append((instance_of_leq_problem(leq), witness_map(leq, verdict.witness)))
+        hard = random_instance(seed, fragment="mixed", primes=(p,), num_eqs=3)
+        verdict = solve_instance(hard)
+        if verdict.is_sat:
+            out.append((hard, verdict.witness))
+    return out
+
+
+def _mutants(witness, p, rng):
+    """The witness with one term added to one coordinate, and with one
+    coordinate replaced by a rational."""
+    var = rng.choice(sorted(witness))
+    coeff = Fraction(rng.choice((1, -2, 3)), rng.randint(1, 4))
+    term = PowerSum(p, ((coeff, rng.randint(-3, 3)),))
+    added = dict(witness)
+    x = witness[var]
+    added[var] = x + term if isinstance(x, PowerSum) else PowerSum.from_rational(p, x) + term
+    replaced = dict(witness)
+    replaced[var] = Fraction(rng.randint(-9, 9), rng.choice((1, p, p * p, 7)))
+    return [added, replaced]
+
+
+def _extreme_cases():
+    """Exponents at +-10**6, int coefficients, and rational and PowerSum
+    coordinates mixed, accepted and rejected."""
+    big = 10**6
+    far = PowerSum(3, ((Fraction(2), -big), (Fraction(1, 5), 0), (Fraction(-7), big)))
+    inst = Instance(
+        ("x", "y", "z"),
+        equations=(
+            Equation((1, -1, 0), 0),  # int coefficients
+            Equation((Fraction(1, 2), Fraction(-1, 2), 3), Fraction(3, 4)),
+        ),
+        valuations=(ValConstraint(3, "x", ">=", -big), ValConstraint(3, "z", "==", 0)),
+    )
+    witnesses = [
+        {"x": far, "y": far, "z": Fraction(1, 4)},
+        {"x": far, "y": far + PowerSum(3, ((Fraction(1), big),)), "z": Fraction(1, 4)},
+        {"x": far, "y": far, "z": Fraction(3, 4)},
+        {"x": far.shift(-1), "y": far.shift(-1), "z": Fraction(1, 4)},
+        {"x": far, "y": far, "z": PowerSum(3, ((Fraction(1, 4), 0),))},
+        {"x": 2, "y": 2, "z": "1/4"},
+        {"x": 2, "y": Fraction(3), "z": "1/4"},
+    ]
+    # x = 0 with x written as terms at +-10**6 that cancel, and that do not
+    cancel = Instance(
+        ("x", "y"),
+        equations=(Equation((Fraction(1), Fraction(0)), Fraction(0)),),
+        valuations=(ValConstraint(3, "x", "<=", 5),),
+    )
+    spread = PowerSum(3, ((Fraction(1), big), (Fraction(-1), -big)))
+    out = [(inst, w) for w in witnesses]
+    out.append((cancel, {"x": spread - spread, "y": Fraction(1)}))
+    out.append((cancel, {"x": spread, "y": Fraction(1)}))
+    capped = Instance(("x",), valuations=(ValConstraint(3, "x", "<=", 5),))
+    out.append((capped, {"x": spread.shift(2 * big)}))
+    return out
+
+
+def test_verify_witness_matches_the_combination_reference():
+    rng = random.Random(1414)
+    cases = _extreme_cases()
+    for p in (2, 3, 5):
+        for inst, witness in _solved_witnesses(p):
+            cases.append((inst, witness))
+            # the valuations alone too, which a mutant fails more often
+            # than the equations let it be seen
+            alone = Instance(inst.variables, valuations=inst.valuations)
+            for mutant in _mutants(witness, p, rng):
+                cases += [(inst, mutant), (alone, mutant)]
+    codes = {}
+    for inst, witness in cases:
+        result = verify_witness(inst, witness)
+        got = (result.ok, result.code, result.detail)
+        assert got == _reference_check(inst, witness), (inst, witness)
+        codes[result.code] = codes.get(result.code, 0) + 1
+    assert codes[""] > 100 and codes["equation"] > 50 and codes["valuation"] > 20, codes
 
 
 def test_oracle_known_answers():
