@@ -11,15 +11,14 @@ Witness coordinates are power sums over the instance's prime, serialized as
 {"p": prime, "terms": [[coefficient, exponent], ...]} with rational
 coefficients as strings; plain rational coordinates use "p": 0 and a single
 term at exponent 0.  A "value" field with the exact rational value is added
-whenever materializing it fits under the exponent guard (see --guard and the
-PADIC_GUARD environment variable) and the interpreter can print its digits.
+whenever materializing it fits under the exponent guard (--guard, a positive
+integer) and the interpreter can print its digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
@@ -79,17 +78,10 @@ def _read_source(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _default_guard() -> int:
-    raw = os.environ.get("PADIC_GUARD")
-    if raw is None:
-        return DEFAULT_EXPONENT_GUARD
-    try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-        return value
-    except ValueError:
-        raise InputError(f"PADIC_GUARD must be a positive integer, got {raw!r}") from None
+def _guard(args) -> int:
+    if args.guard < 1:
+        raise InputError(f"--guard must be a positive integer, got {args.guard}")
+    return args.guard
 
 
 def _coordinate_json(value, guard: int) -> dict:
@@ -137,7 +129,7 @@ def _jsonable(obj):
 
 
 def _cmd_solve(args) -> int:
-    guard = args.guard if args.guard is not None else _default_guard()
+    guard = _guard(args)
     inst = parse_instance(_read_source(args.file))
     started = time.perf_counter()
     verdict = solve_combined(inst)
@@ -225,7 +217,7 @@ def _witness_from_json(raw: str) -> dict:
 
 
 def _cmd_check(args) -> int:
-    guard = args.guard if args.guard is not None else _default_guard()
+    guard = _guard(args)
     inst = parse_instance(_read_source(args.file))
     witness = _witness_from_json(_read_source(args.witness))
     result = verify_witness(inst, witness, guard=guard)
@@ -318,10 +310,10 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument(
             "--guard",
             type=int,
-            default=None,
+            default=DEFAULT_EXPONENT_GUARD,
             metavar="G",
-            help="exponent guard for materializing power sums "
-            "(default: PADIC_GUARD or 2**20)",
+            help="exponent guard for materializing power sums, a positive "
+            "integer (default: 2**20)",
         )
 
     p_solve = sub.add_parser("solve", help="decide an instance file (- for stdin)")

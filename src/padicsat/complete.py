@@ -74,9 +74,17 @@ falls at each raise, and a leaf without raises is decided outright.
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
-wide valuation window costs only the candidates actually tried.  Window
-emptiness and edge trimming work on the excluded set, never on the window's
-width.  A satisfiable answer is re-checked by testkit.verify_witness against
+wide valuation window costs only the candidates actually tried.  Profiles
+are immutable `VarProfile`s, shared between a state and its children; a
+narrowing stores a new one.  Every state's windows are nonempty, so
+emptiness is tested only where a window can narrow: over every profile at
+the root, at each bound propagation raises, on a split's low child (empty
+only when the lower bound is itself the excluded value split at, and then
+not tried), and over the floors _solve_mixed raised, in name order.  A
+window child pins an admissible value, a digit child's fresh variable has
+floor 0 and no cap, and a split's high child has no cap.  Emptiness and
+edge trimming work on the excluded set, never on the window's width.  A
+satisfiable answer is re-checked by testkit.verify_witness against
 the equations and the valuation constraints as written (the ones the
 normalized instance was folded from) before it is returned; a rejected
 witness raises InternalError, never a wrong answer.
@@ -92,7 +100,7 @@ from math import gcd
 
 from .errors import InputError, InternalError
 from .linalg import frozen_coordinates, integer_row, solve_affine
-from .model import Instance, NormalizedInstance, Verdict
+from .model import Instance, NormalizedInstance, VarProfile, Verdict
 from .rational import (
     INF,
     NEG_INF,
@@ -107,22 +115,8 @@ from .solver_leq import LeqProblem, solve_leq
 from .testkit import verify_witness
 
 PROPAGATION_ROUNDS_FACTOR = 4
-
-
-@dataclass
-class _Prof:
-    lower: ExtInt
-    upper: ExtInt
-    excluded: frozenset[int]
-
-    def copy(self) -> "_Prof":
-        return _Prof(self.lower, self.upper, self.excluded)
-
-    def empty(self) -> bool:
-        lo, up = self.lower, self.upper
-        if is_finite(lo) and is_finite(up):
-            return up - lo + 1 <= sum(1 for d in self.excluded if lo <= d <= up)
-        return False
+# the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
+_FRESH = VarProfile(0, INF, frozenset())
 
 
 @dataclass
@@ -133,14 +127,15 @@ class _State:
     rows[i] / dens[i] is the equation itself; each row is canonical (den > 0,
     gcd(den, row) = 1) and has a nonzero coefficient.  The columns are the
     variables of `profiles`.  A substitution replaces the rows it changes and
-    never edits one in place, so copies share their rows.
+    never edits one in place, and a narrowing replaces the variable's
+    immutable profile, so copies share their rows and profiles.
     """
 
     prime: int
     columns: list[str]
     rows: list[list[int]]
     dens: list[int]
-    profiles: dict[str, _Prof]
+    profiles: dict[str, VarProfile]
     # substitution log, innermost last; entries are
     # ("zero", var) or ("digit", var, digit, v, fresh)
     log: list[tuple] = field(default_factory=list)
@@ -169,7 +164,7 @@ class _State:
             list(self.columns),
             list(self.rows),
             list(self.dens),
-            {v: p.copy() for v, p in self.profiles.items()},
+            dict(self.profiles),
             list(self.log),
             list(self.valuations),
         )
@@ -217,7 +212,7 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
     p = state.prime
     state.log.append(("digit", var, digit, v, fresh))
     del state.profiles[var]
-    state.profiles[fresh] = _Prof(0, INF, frozenset())
+    state.profiles[fresh] = _FRESH
     j = state.columns.index(var)
     state.columns[j] = fresh
     s = max(0, -v)
@@ -359,7 +354,8 @@ def _propagate(state: _State) -> Verdict | None:
                             return failed
                         restart = True
                         break
-                    prof.lower = new_lower
+                    prof = VarProfile(new_lower, prof.upper, prof.excluded)
+                    state.profiles[var] = prof
                     if prof.empty():
                         return Verdict.unsat(
                             "empty-window",
@@ -390,39 +386,26 @@ def _tighten_singletons(state: _State) -> None:
     exclusions, which is what the branch chooser and the p = 2 exact-flag
     leaf test key on.
     """
-    for prof in state.profiles.values():
-        if not (is_finite(prof.lower) and is_finite(prof.upper)):
-            continue
-        if not prof.excluded:
+    profiles = state.profiles
+    for var, prof in profiles.items():
+        if not (prof.excluded and is_finite(prof.lower) and is_finite(prof.upper)):
             continue
         # each step passes one excluded value, so at most |excluded| steps
         lo, up = prof.lower, prof.upper
-        while lo <= up and lo in prof.excluded:
+        while lo in prof.excluded:
             lo += 1
-        while up >= lo and up in prof.excluded:
+        while up in prof.excluded:
             up -= 1
-        if lo > up:
-            continue  # caught by the emptiness check
-        prof.lower = lo
-        prof.upper = up
-        prof.excluded = frozenset(d for d in prof.excluded if lo < d < up)
+        excluded = frozenset(d for d in prof.excluded if lo < d < up)
+        if excluded != prof.excluded or (lo, up) != (prof.lower, prof.upper):
+            profiles[var] = VarProfile(lo, up, excluded)
 
 
 def _bounds(state: _State, names: list[str]) -> tuple[tuple[ExtInt, ...], tuple[bool, ...]]:
-    """The floors and exact flags of a lower-bound problem over names.
-
-    At p = 2 a valuation pinned to an admissible value becomes the echelon
-    solver's exact flag.
-    """
+    """The floors and exact flags of a lower-bound problem over names."""
     p = state.prime
     profs = [state.profiles[v] for v in names]
-    return tuple(prof.lower for prof in profs), tuple(
-        p == 2
-        and is_finite(prof.lower)
-        and prof.lower == prof.upper
-        and prof.lower not in prof.excluded
-        for prof in profs
-    )
+    return tuple(prof.lower for prof in profs), tuple(prof.exact_at(p) for prof in profs)
 
 
 def _relaxation_prunes(state: _State) -> bool:
@@ -457,9 +440,9 @@ def _branch_target(state: _State) -> tuple[str, str, object] | None:
         prof = state.profiles[var]
         if not (is_finite(prof.lower) and is_finite(prof.upper)):
             continue
+        if prof.exact_at(p):
+            continue  # the echelon leaf takes it
         if prof.lower == prof.upper:
-            if p == 2:
-                continue  # exact constraint; the echelon leaf takes it
             return ("digit", var, prof.lower)
         size = prof.upper - prof.lower + 1 - len(prof.excluded)
         if best is None or size < best[0]:
@@ -483,10 +466,9 @@ def _branch_target(state: _State) -> tuple[str, str, object] | None:
 
 
 def _geq_compatible(state: _State, var: str) -> bool:
-    p = state.prime
     prof = state.profiles[var]
-    if p == 2 and is_finite(prof.lower) and prof.lower == prof.upper:
-        return prof.lower not in prof.excluded
+    if prof.exact_at(state.prime):
+        return True
     if prof.upper != INF:
         return False
     if prof.lower == NEG_INF:
@@ -566,7 +548,8 @@ def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verd
     """Decide a component mixing floored and open variables (module docstring).
 
     Returns None after raising the floors of the open variables the floored
-    ones bound, or the verdict of the free case.
+    ones bound, unsat if a raise emptied a window, or the verdict of the
+    free case.
     """
     p = state.prime
     n = len(members)
@@ -578,6 +561,7 @@ def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verd
     space = solve_affine(problem.A, problem.b, n)  # consistent: w solves it
     x0, basis = space.particular, space.basis
     raised = False
+    narrowed = []
     for u in open_:
         # N_u = sum l_g N_g, with N_j = (vec[j] for vec in basis)
         span = solve_affine(
@@ -587,6 +571,7 @@ def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verd
         if span is None:
             continue
         raised = True
+        var = members[u]
         lam = span.particular
         c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
         bound = min(
@@ -595,13 +580,15 @@ def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verd
                for l, g in zip(lam, floored) if l]
         )
         if bound == INF:
-            failed = _force_zero(state, members[u])
+            failed = _force_zero(state, var)
             if failed is not None:
                 return failed
         else:
-            state.profiles[members[u]].lower = bound
+            prof = state.profiles[var]
+            state.profiles[var] = VarProfile(bound, prof.upper, prof.excluded)
+            narrowed.append(var)
     if raised:
-        return None
+        return _check_profiles(state, narrowed)
     # the kernel directions with d_g = 0 on G, combined with weights
     # 1, t, t^2, ... for the first t that leaves no open d_u zero
     fixed = [[int(j == g) for j in range(n)] for g in floored]
@@ -630,9 +617,8 @@ def _solve_leaves(state: _State, fresh: Iterator[int]) -> Verdict:
     for members, rows in _components(state):
         verdict = _solve_component(state, members, rows)
         if verdict is None:
-            # a raised floor: fewer variables are unbounded below, and a
-            # raised floor may have emptied its window
-            return _solve_state(state, fresh, state.profiles)
+            # a raised floor: fewer variables are unbounded below
+            return _solve_state(state, fresh)
         if verdict.is_unsat:
             return verdict
         witness.update(verdict.witness or {})
@@ -654,21 +640,13 @@ def _reconstruct(state: _State, witness: dict[str, PowerSum]) -> dict[str, Power
 
 
 def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[int]):
-    """Each child with the variables whose window it may have emptied.
-
-    Only the split's low child can empty one, the narrowed variable's: a
-    window child pins an admissible value, a digit child adds a fresh
-    variable with floor 0 and no cap, and the high child has no cap.
-    """
+    """Each child of state; none has an empty window (module docstring)."""
     kind, var, data = target
     if kind == "window":
         for v in data:
             child = state.copy()
-            prof = child.profiles[var]
-            prof.lower = v
-            prof.upper = v
-            prof.excluded = frozenset()
-            yield child, ()
+            child.profiles[var] = VarProfile(v, v, frozenset())
+            yield child
     elif kind == "digit":
         # name every digit's fresh variable before the first child is solved,
         # so the names (and with them the sorted branch order) do not depend
@@ -677,28 +655,26 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
         for digit, name in zip(range(1, state.prime), names):
             child = state.copy()
             _substitute_digit(child, var, digit, data, name)
-            yield child, ()
+            yield child
     else:  # split around an excluded value above the lower bound
-        low = state.copy()
-        prof = low.profiles[var]
-        prof.upper = data - 1
-        prof.excluded = frozenset(d for d in prof.excluded if d < data)
-        yield low, (var,)
+        prof = state.profiles[var]
+        # data is the least exclusion from lower up, so the low window
+        # [lower, data - 1] is empty exactly when data == lower
+        if data > prof.lower:
+            low = state.copy()
+            low.profiles[var] = VarProfile(
+                prof.lower, data - 1, frozenset(d for d in prof.excluded if d < data)
+            )
+            yield low
         high = state.copy()
-        prof = high.profiles[var]
-        prof.lower = data + 1
-        prof.excluded = frozenset(d for d in prof.excluded if d > data)
-        yield high, ()
+        high.profiles[var] = VarProfile(
+            data + 1, prof.upper, frozenset(d for d in prof.excluded if d > data)
+        )
+        yield high
 
 
-def _solve_state(state: _State, fresh: Iterator[int], check: Iterable[str]) -> Verdict:
-    """Search state; check names the variables whose window may be empty,
-    every other profile being nonempty already."""
-    failed = _check_profiles(state, check)
-    if failed is not None:
-        return failed
-    # no second _check_profiles: _propagate tests empty() after each bound it
-    # raises and only deletes profiles otherwise, so none can be empty here
+def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
+    """Search state, whose every window is nonempty."""
     failed = _propagate(state)
     if failed is not None:
         return failed
@@ -710,16 +686,10 @@ def _solve_state(state: _State, fresh: Iterator[int], check: Iterable[str]) -> V
     target = _branch_target(state)
     if target is None:
         return _solve_leaves(state, fresh)
-    explored = False
-    for child, check in _children(state, target, fresh):
-        explored = True
-        verdict = _solve_state(child, fresh, check)
+    for child in _children(state, target, fresh):
+        verdict = _solve_state(child, fresh)
         if verdict.is_sat:
             return verdict
-    if not explored:
-        return Verdict.unsat(
-            "branches-exhausted", f"no admissible branch for {target[1]}"
-        )
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
 
@@ -746,12 +716,11 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
         row, den = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])
         rows.append(row)
         dens.append(den)
-    profiles = {}
-    for var in norm.variables:
-        prof = norm.profile(prime, var)
-        profiles[var] = _Prof(prof.lower, prof.upper, prof.excluded)
+    profiles = {var: norm.profile(prime, var) for var in norm.variables}
     state = _State(prime, columns, rows, dens, profiles)
-    verdict = _solve_state(state, itertools.count(), state.profiles)
+    verdict = _check_profiles(state, profiles)
+    if verdict is None:
+        verdict = _solve_state(state, itertools.count())
     if verdict.is_sat:
         names = set(norm.variables)
         witness = {

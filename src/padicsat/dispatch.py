@@ -32,7 +32,7 @@ def geq_problem_of(norm: NormalizedInstance, p: int) -> GeqProblem:
         tuple([eq.rhs for eq in norm.equations]),
         p,
         tuple([prof.lower for prof in profs]),
-        tuple([prof.exact for prof in profs]),
+        tuple([prof.exact_at(p) for prof in profs]),
     )
 
 

@@ -124,18 +124,30 @@ class VarProfile:
     """Folded valuation constraints for one (variable, prime) pair.
 
     The allowed valuations are {v in Z : lower <= v <= upper, v not in
-    excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  exact is set
-    at p = 2 when an equality constraint pinned the valuation; the >=-solver
-    consumes it as its half-step flag.
+    excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  Profiles are
+    immutable: a narrowed window is a new profile, so copies can share them.
     """
 
     lower: ExtInt = NEG_INF
     upper: ExtInt = INF
     excluded: frozenset[int] = frozenset()
-    exact: bool = False
 
     def is_unconstrained(self) -> bool:
         return self.lower == NEG_INF and self.upper == INF and not self.excluded
+
+    def empty(self) -> bool:
+        """True when exclusions cover a finite window; counts only the
+        exclusions, never the window's width."""
+        lo, up = self.lower, self.upper
+        if is_finite(lo) and is_finite(up):
+            return up - lo + 1 <= sum(1 for d in self.excluded if lo <= d <= up)
+        return False
+
+    def exact_at(self, p: int) -> bool:
+        """At p = 2 a pinned, admissible valuation is an exact constraint,
+        which the >=-solver takes as its half-step flag."""
+        lo = self.lower
+        return p == 2 and is_finite(lo) and lo == self.upper and lo not in self.excluded
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,7 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
         vc = raw.desugared()
         slot = folded.setdefault(vc.prime, {}).setdefault(
             vc.var,
-            {"lower": NEG_INF, "upper": INF, "excluded": set(), "exact": False},
+            {"lower": NEG_INF, "upper": INF, "excluded": set()},
         )
         kinds.setdefault(vc.prime, set()).add(vc.rel)
         if vc.rel == ">=":
@@ -208,8 +220,6 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
         elif vc.rel == "==":
             slot["lower"] = max(slot["lower"], vc.bound)
             slot["upper"] = min(slot["upper"], vc.bound)
-            if vc.prime == 2:
-                slot["exact"] = True
         else:  # "!="
             slot["excluded"].add(vc.bound)
     profiles: dict[int, dict[str, VarProfile]] = {}
@@ -223,12 +233,7 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
                 return ImmediateUnsat(
                     p, var, f"valuation pinned to {lo}, which is excluded"
                 )
-            profiles[p][var] = VarProfile(
-                lower=lo,
-                upper=up,
-                excluded=frozenset(slot["excluded"]),
-                exact=slot["exact"],
-            )
+            profiles[p][var] = VarProfile(lo, up, frozenset(slot["excluded"]))
     return NormalizedInstance(
         variables=inst.variables,
         equations=inst.equations,

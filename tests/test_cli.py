@@ -288,16 +288,19 @@ def test_composite_modulus_is_an_input_error(tmp_path, capsys):
     assert "line 3" in err and "is not prime" in err
 
 
-def test_guard_env_variable(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "deep.txt", "vars x\nval 3 : v(x) >= 40\n")
-    monkeypatch.setenv("PADIC_GUARD", "5")
-    assert main(["solve", path, "--json", "--witness"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "value" not in payload["witness"]["x"]
-
-    monkeypatch.setenv("PADIC_GUARD", "banana")
-    assert main(["solve", path]) == 3
-    assert "PADIC_GUARD" in capsys.readouterr().err
+def test_guard_must_be_a_positive_integer(tmp_path, capsys):
+    # a guard below 1 is an input error (3), never "invalid witness" (1):
+    # checking the order row needs x materialized, which no such guard allows
+    path = write(tmp_path, "ord.txt", "vars x\nord 1 x <= 2\n")
+    witness = write(tmp_path, "w.json", '{"x": {"p": 3, "terms": [["1", 0]]}}')
+    assert main(["check", path, witness]) == 0
+    assert main(["check", path, witness, "--guard", "1"]) == 0
+    for guard in ("0", "-1"):
+        capsys.readouterr()
+        assert main(["solve", path, "--guard", guard]) == 3
+        assert main(["check", path, witness, "--guard", guard]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"--guard must be a positive integer, got {guard}") == 2
 
 
 def test_multi_prime_decision_only(tmp_path, capsys):

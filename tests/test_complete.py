@@ -1,6 +1,7 @@
 """Dispatcher routing and the branch-and-decide solver for mixed instances."""
 
 import collections
+import hashlib
 import os
 import random
 import resource
@@ -15,7 +16,6 @@ from padicsat import complete
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
     _propagate,
-    _Prof,
     _State,
     _substitute_digit,
     _substitute_zero,
@@ -30,6 +30,7 @@ from padicsat.model import (
     Instance,
     OrderConstraint,
     ValConstraint,
+    VarProfile,
     Verdict,
     normalize,
 )
@@ -314,15 +315,21 @@ def test_frozen_cycle_work_does_not_grow_with_the_bound(monkeypatch, rel):
         assert counts["propagate"] < 1000
         return verdict
 
-    class CountingProf(_Prof):
-        def __setattr__(self, name, value):
-            if name == "lower" and "lower" in self.__dict__ and value > self.lower:
+    class RaiseCountingProfiles(dict):
+        # a narrowing stores a new profile; count those with a higher floor
+        def __setitem__(self, var, prof):
+            if var in self and prof.lower > self[var].lower:
                 counts["raises"] += 1
-            super().__setattr__(name, value)
+            super().__setitem__(var, prof)
+
+    class CountingState(_State):
+        def __post_init__(self):
+            self.profiles = RaiseCountingProfiles(self.profiles)
+            super().__post_init__()
 
     monkeypatch.setattr(complete, "solve_affine", affine)
     monkeypatch.setattr(complete, "_propagate", propagate)
-    monkeypatch.setattr(complete, "_Prof", CountingProf)
+    monkeypatch.setattr(complete, "_State", CountingState)
     work = {}
     for bound in (2 * 10**4, 10**9):
         counts.clear()
@@ -448,7 +455,8 @@ def _spy_mixed(monkeypatch):
 def test_floor_raise_refutes_an_open_variable(monkeypatch):
     # random_instance(193, fragment="mixed", primes=(3,)).  Eliminating x0
     # gives 61 x1 = 8 + 20 x2 + 72 x3, so v_3(x1) >= 0 on every solution
-    # while v_3(x1) <= -2 is required; one equation alone shows nothing
+    # while v_3(x1) <= -2 is required; one equation alone shows nothing.
+    # _solve_mixed raises x1's floor and finds the window empty at every leaf
     i = inst(
         ["x0", "x1", "x2", "x3"],
         [Equation.of([8, 5, -4, 0], 8), Equation.of([-1, 7, -2, -9], 0)],
@@ -457,7 +465,10 @@ def test_floor_raise_refutes_an_open_variable(monkeypatch):
     results = _spy_mixed(monkeypatch)
     verdict = solve_hard(i)
     assert verdict.is_unsat
-    assert None in results  # a floor was raised
+    assert results and all(
+        r is not None and r.code == "empty-window" and r.diagnostics == {"var": "x1"}
+        for r in results
+    ), results
 
 
 def test_floor_raise_then_branch(monkeypatch):
@@ -522,6 +533,31 @@ def test_mixed_draws_are_decided_and_cross_examined(monkeypatch):
                 assert len(results) == calls
     assert results  # the rule ran on the draws themselves
     assert counts["sat"] > 300 and counts["unsat"] > 300
+
+
+def _pinned_verdicts():
+    for p in (2, 3, 5):
+        for seed in range(300):
+            yield random_instance(seed, fragment="mixed", primes=(p,))
+    for p, e in ((3, 1), (2, 2)):
+        for seed in range(20):
+            yield encode_coloring(Graph.random(seed, 6, 0.5), p, e)
+
+
+def test_search_answers_are_pinned():
+    # every verdict's repr, witness, code, reason and diagnostics included,
+    # hashed in order over 900 mixed draws and 40 coloring encodings: a
+    # change to the search's bookkeeping must not change a single answer
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    for i in _pinned_verdicts():
+        verdict = solve_combined(i)
+        statuses[verdict.status.value] += 1
+        digest.update(repr(verdict).encode() + b"\0")
+    assert statuses["sat"] > 300 and statuses["unsat"] > 300, statuses
+    assert digest.hexdigest() == (
+        "a1d53f1c80d6f2cd18894c962f135404170e38e6048f5f232bd6f0297ff52e9d"
+    ), statuses
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +793,8 @@ def _propagate_reference(state):
                             )
                         restart = True
                         break
-                    prof.lower = new_lower
+                    prof = VarProfile(new_lower, prof.upper, prof.excluded)
+                    state.profiles[var] = prof
                     if prof.empty():
                         return Verdict.unsat(
                             "empty-window",
@@ -797,7 +834,7 @@ def _random_state(rng):
         lower = NEG_INF if rng.random() < 0.3 else rng.randint(-2, 3)
         upper = INF if rng.random() < 0.6 else rng.randint(0, 5)
         excluded = frozenset(rng.randint(-2, 5) for _ in range(rng.randint(0, 2)))
-        profiles[v] = _Prof(lower, upper, excluded)
+        profiles[v] = VarProfile(lower, upper, excluded)
     state = integer_state(p, equations, profiles)
     assert state_equations(state) == equations
     return state

@@ -67,7 +67,7 @@ def test_normalize_folds_profiles():
     assert not isinstance(norm, ImmediateUnsat)
     px = norm.profile(3, "x")
     assert (px.lower, px.upper, px.excluded) == (2, 7, frozenset({4}))
-    assert px.exact is False
+    assert px.exact_at(3) is False
     py = norm.profile(5, "y")
     assert (py.lower, py.upper, py.excluded) == (NEG_INF, INF, frozenset({0}))
     # untouched pairs give the unconstrained profile
@@ -86,9 +86,9 @@ def test_normalize_equality_pins_and_marks_exact_at_two():
     )
     norm = normalize(i)
     px = norm.profile(2, "x")
-    assert (px.lower, px.upper, px.exact) == (3, 3, True)
+    assert (px.lower, px.upper, px.exact_at(2)) == (3, 3, True)
     py = norm.profile(3, "y")
-    assert (py.lower, py.upper, py.exact) == (1, 1, False)
+    assert (py.lower, py.upper, py.exact_at(3)) == (1, 1, False)
 
 
 def test_normalize_detects_empty_windows():

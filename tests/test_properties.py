@@ -17,8 +17,9 @@ from helpers import (
     state_equations,
     substitute_reference,
 )
-from padicsat.complete import _Prof, _substitute_digit, _substitute_zero
+from padicsat.complete import _substitute_digit, _substitute_zero
 from padicsat.linalg import eliminate, integer_row, nonzero_columns
+from padicsat.model import VarProfile
 from padicsat.rational import INF, PowerSum, merged_valuation, valuation
 
 entry = st.one_of(
@@ -133,7 +134,7 @@ def substitution_runs(draw):
           [("zero", 1, 1, 0)]))  # deleting the column leaves (2 | 1)/1
 def test_row_substitutions_are_the_fraction_ones(run):
     p, equations, steps = run
-    profiles = {v: _Prof(0, INF, frozenset()) for v in sorted({
+    profiles = {v: VarProfile(0, INF, frozenset()) for v in sorted({
         v for coeffs, _ in equations for v in coeffs
     })}
     state = integer_state(p, equations, profiles)
