@@ -7,13 +7,17 @@ from fractions import Fraction
 from padicsat.linalg import (
     NEG_INF,
     PivotCosts,
+    matrix,
+    pivot_minimal_echelon,
+    solve_affine,
+)
+from padicsat.testkit import (
+    carried_matrix,
+    echelon_matrix,
     identity,
     mat_mul,
-    matrix,
     permutation_matrix,
-    pivot_minimal_echelon,
     smith_normal_form,
-    solve_affine,
 )
 
 F = Fraction
@@ -56,13 +60,13 @@ print("A:")
 for row in A:
     print("  ", [str(x) for x in row])
 print("echelon B:")
-for row in result.echelon:
+for row in echelon_matrix(result):
     print("  ", [str(x) for x in row])
 print("rank:", result.rank, " pivot columns (in permuted order):", result.pivots)
 
 # The factorization is exact and auditable.
-B = mat_mul(result.carried, mat_mul(A, permutation_matrix(result.sigma)))
-assert B == result.echelon
+B = mat_mul(carried_matrix(result), mat_mul(A, permutation_matrix(result.sigma)))
+assert B == echelon_matrix(result)
 print("checked: B == U * A * P entry for entry")
 
 # A column whose offset is NEG_INF (no lower bound on that variable) is
@@ -73,7 +77,9 @@ print()
 
 # smith_normal_form(A) = (U, D, V) with U A V = D diagonal and each
 # diagonal entry dividing the next.  It answers integer solvability
-# questions and backs the independent oracle used in the test suite.
+# questions and backs the independent oracle in testkit, next to which it
+# lives with the rest of the audit algebra (products, permutation matrices,
+# the determinant).
 A = [[2, 4], [6, 10]]
 U, D, V = smith_normal_form(A)
 print("D =", D)

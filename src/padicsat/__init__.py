@@ -1,6 +1,7 @@
 """padicsat: exact satisfiability of linear systems over Q with p-adic
 valuation constraints and rational order constraints."""
 
+from .certify import verify_witness
 from .combiner import solve_combined
 from .complete import solve_complete
 from .dispatch import solve_instance, solve_single_prime
@@ -32,7 +33,6 @@ from .rational import (
 )
 from .solver_geq import GeqProblem, solve_geq
 from .solver_leq import LeqProblem, solve_leq
-from .testkit import verify_witness
 
 __version__ = "0.1.0"
 

@@ -24,6 +24,7 @@ import time
 import traceback
 from fractions import Fraction
 
+from .certify import verify_witness
 from .combiner import solve_combined
 from .dispatch import geq_problem_of
 from .errors import InputError, InternalError, OverflowGuardError, ParseError
@@ -45,7 +46,7 @@ from .rational import (
     as_fraction,
     check_prime,
 )
-from .testkit import random_instance, smith_oracle_geq, verify_witness
+from .testkit import random_instance, smith_oracle_geq
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -65,7 +66,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read_source(path: str) -> str:

@@ -16,7 +16,7 @@ augmented with the converted rows.  Each prime is dispatched independently;
 with several primes, or with both orders and valuations, the combined
 satisfiable answer is decision-only (witness None) and the per-part evidence
 sits in the diagnostics.  Purely rational instances get an exact witness,
-re-checked by testkit.verify_witness before it is returned.
+re-checked by certify.verify_witness before it is returned.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certify import verify_witness
 from .dispatch import solve_single_prime
 from .errors import InternalError
 from .model import (
@@ -36,7 +37,6 @@ from .model import (
     normalize,
 )
 from .simplex import LpFeasible, LpInfeasible, lp_feasible
-from .testkit import verify_witness
 
 Rows = list[tuple[tuple[Fraction, ...], Fraction]]
 

@@ -84,7 +84,7 @@ not tried), and over the floors _solve_mixed raised, in name order.  A
 window child pins an admissible value, a digit child's fresh variable has
 floor 0 and no cap, and a split's high child has no cap.  Emptiness and
 edge trimming work on the excluded set, never on the window's width.  A
-satisfiable answer is re-checked by testkit.verify_witness against
+satisfiable answer is re-checked by certify.verify_witness against
 the equations and the valuation constraints as written (the ones the
 normalized instance was folded from) before it is returned; a rejected
 witness raises InternalError, never a wrong answer.
@@ -98,6 +98,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .certify import verify_witness
 from .errors import InputError, InternalError
 from .linalg import frozen_coordinates, integer_row, solve_affine
 from .model import Instance, NormalizedInstance, VarProfile, Verdict
@@ -112,7 +113,6 @@ from .rational import (
 )
 from .solver_geq import GeqProblem, solve_geq
 from .solver_leq import LeqProblem, solve_leq
-from .testkit import verify_witness
 
 PROPAGATION_ROUNDS_FACTOR = 4
 # the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
@@ -402,10 +402,13 @@ def _tighten_singletons(state: _State) -> None:
 
 
 def _bounds(state: _State, names: list[str]) -> tuple[tuple[ExtInt, ...], tuple[bool, ...]]:
-    """The floors and exact flags of a lower-bound problem over names."""
-    p = state.prime
+    """The floors and exact flags of a lower-bound problem over names; a flag
+    can be set only at p = 2."""
     profs = [state.profiles[v] for v in names]
-    return tuple(prof.lower for prof in profs), tuple(prof.exact_at(p) for prof in profs)
+    floors = tuple(prof.lower for prof in profs)
+    if state.prime != 2:
+        return floors, (False,) * len(profs)
+    return floors, tuple(prof.exact_at(2) for prof in profs)
 
 
 def _relaxation_prunes(state: _State) -> bool:

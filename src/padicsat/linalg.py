@@ -7,14 +7,14 @@ free row step, eliminate: the cost-driven echelon and the simplex tableau in
 simplex.py keep each row over one positive denominator, and the affine solve
 keeps its rows only up to a factor.  So an entry never outgrows a minor of
 the scaled matrix, and every pivot, sign and ratio test is the Fraction one;
-Fractions are built only when a value is read.  The determinant runs on
-Fractions, an independent reference for the integer eliminations.  Each row
-update goes through subtract_multiple over the pivot row's nonzero_columns,
-so a sparse matrix costs what its nonzeros cost.
+Fractions are built only when a value is read.  Each row update goes through
+subtract_multiple over the pivot row's nonzero_columns, so a sparse matrix
+costs what its nonzeros cost.
 
-The module provides the workhorses the solvers need: affine solution spaces,
-row echelon forms that pick pivots by a per-column cost, and the Smith normal
-form over Z used by the independent divisibility oracle.
+The module holds only what the solvers call: affine solution spaces and row
+echelon forms that pick pivots by a per-column cost.  The Fraction algebra
+that audits them (products, the determinant, the Smith normal form) is in
+testkit.
 """
 
 from __future__ import annotations
@@ -51,52 +51,8 @@ def vector(entries) -> Vector:
     return [as_fraction(x) for x in entries]
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
 def dims(A: Matrix) -> tuple[int, int]:
     return len(A), len(A[0]) if A else 0
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """A B; an A without rows has no width to check, and A B is []."""
-    m, k = dims(A)
-    k2, n = dims(B)
-    if m and k != k2:
-        raise InputError(f"shape mismatch {m}x{k} * {k2}x{n}")
-    out = zeros(m, n)
-    for i in range(m):
-        Ai = A[i]
-        for j in range(n):
-            out[i][j] = sum((Ai[t] * B[t][j] for t in range(k)), Fraction(0))
-    return out
-
-
-def mat_vec(A: Matrix, x: Vector) -> Vector:
-    """A x; an A without rows has no width to check, and A x is []."""
-    m, n = dims(A)
-    if m and len(x) != n:
-        raise InputError("shape mismatch in mat_vec")
-    return [sum((A[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(m)]
-
-
-def permutation_matrix(sigma: tuple[int, ...]) -> Matrix:
-    """P with P[i][j] = 1 iff j == sigma[i] (so P acts on columns from the right)."""
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise InputError(f"not a permutation of 0..{n - 1}: {sigma}")
-    P = zeros(n, n)
-    for i, j in enumerate(sigma):
-        P[i][j] = Fraction(1)
-    return P
 
 
 def inverse_permutation(sigma: tuple[int, ...]) -> tuple[int, ...]:
@@ -111,8 +67,7 @@ def nonzero_columns(row: Vector, start: int) -> list[int]:
 
 
 def subtract_multiple(row: list, factor, source: list, columns: list[int]) -> None:
-    """row -= factor * source in place, at the given columns only (Fractions
-    in the determinant, ints in eliminate).
+    """row -= factor * source in place, at the given columns only.
 
     columns must hold every nonzero entry of source: the echelons pass the
     pivot row's nonzero columns from the pivot on (the pivot row is zero left
@@ -140,30 +95,6 @@ def integer_row(entries) -> tuple[list[int], int]:
     if den == 1:
         return [num for num, _ in ratios], 1
     return [num * (den // d) for num, d in ratios], den
-
-
-def determinant(A: Matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    m, n = dims(A)
-    if m != n:
-        raise InputError("determinant of non-square matrix")
-    work = [row[:] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        top = work[col]
-        pivot = top[col]
-        det *= pivot
-        columns = nonzero_columns(top, col)
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                subtract_multiple(work[i], work[i][col] / pivot, top, columns)
-    return det
 
 
 def eliminate(
@@ -211,10 +142,6 @@ class SolutionSpace:
 
     particular: Vector
     basis: list[Vector]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
@@ -322,10 +249,6 @@ class PivotCosts:
             for c, b in zip(self.offsets, self.biases)
         ))
 
-    @classmethod
-    def uniform(cls, p: int, n: int) -> "PivotCosts":
-        return cls(p, (0,) * n, (0,) * n)
-
     def doubled_cost(self, a: RationalLike, j: int) -> ExtInt:
         """2 * cost of entry a in original column j, as an exact ExtInt.
 
@@ -344,7 +267,6 @@ class EchelonResult:
 
     U is the invertible m x m product of the row operations; it is not kept,
     only its action on the caller's right-hand sides (carried = U @ rhs).
-    echelon and carried are Fraction views of the integer rows.
     """
 
     rows: list[list[int]]       # row i of (B | carried), times dens[i]
@@ -357,14 +279,6 @@ class EchelonResult:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @property
-    def echelon(self) -> Matrix:
-        return [[Fraction(x, d) for x in r[: self.width]] for r, d in zip(self.rows, self.dens)]
-
-    @property
-    def carried(self) -> Matrix:
-        return [[Fraction(x, d) for x in r[self.width :]] for r, d in zip(self.rows, self.dens)]
-
 
 def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonResult:
     """Gaussian elimination with full column choice by minimal pivot cost.
@@ -376,7 +290,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
     remaining columns.
 
     rhs is an m x k block that undergoes the same row operations as A; pass
-    the right-hand side of A x = b as one column, or identity(m) to read the
+    the right-hand side of A x = b as one column, or testkit.identity(m) to read the
     transform U itself from the result's carried block.
     """
     m, n = dims(A)
@@ -436,103 +350,3 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
     # row i < r pivots at position i: the rows below each pivot were cleared
     # left of it, and the rows from r on are zero
     return EchelonResult(rows, dens, n, tuple(sigma), tuple(range(r)))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form over Z
-
-
-def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V) with D = U @ A @ V diagonal, U and V unimodular,
-    diagonal entries nonnegative and each dividing the next.
-
-    Classic elementary-operation algorithm: pull the smallest nonzero entry of
-    the working submatrix to the corner, clear its row and column with
-    Euclidean steps (swapping back whenever a remainder survives, which
-    strictly shrinks the corner), and when the corner divides everything left,
-    move on.  A row-add step repairs the divisibility chain when some interior
-    entry is not a multiple of the corner.
-    """
-    m = len(A)
-    n = len(A[0]) if A else 0
-    for row in A:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError("smith_normal_form expects integer entries")
-    D = [list(row) for row in A]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    for t in range(min(m, n)):
-        entries = [
-            (abs(D[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if D[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        while True:
-            # clear column t below the corner
-            restart = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, -q)
-                    if D[i][t] != 0:
-                        swap_rows(i, t)
-                        restart = True
-            if restart:
-                continue
-            # clear row t right of the corner
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, -q)
-                    if D[t][j] != 0:
-                        swap_cols(j, t)
-                        restart = True
-            if restart:
-                continue
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if D[i][j] % D[t][t] != 0
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-    return U, D, V

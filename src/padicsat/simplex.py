@@ -11,9 +11,9 @@ Infeasibility is returned with a Farkas certificate (lam, mu, nu):
 multipliers with lam^T A + mu^T C + nu^T E = 0, mu >= 0, nu >= 0, whose
 combined right-hand side  value = lam^T b + mu^T d + nu^T f  refutes the
 system: value < 0 refutes even the weak relaxation, and value <= 0 with
-nu != 0 refutes strictness.  Certificates are re-verified by an independent
-checker before being handed out; a failure there is an internal error, never
-a wrong answer.
+nu != 0 refutes strictness.  Certificates are re-verified by
+certify.check_certificate before being handed out; a failure there is an
+internal error, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .certify import check_certificate
 from .errors import InputError, InternalError
 from .linalg import eliminate, integer_row, nonzero_columns
 from .rational import as_fraction
@@ -39,7 +40,7 @@ class LpFeasible:
 
 @dataclass(frozen=True)
 class LpInfeasible:
-    """Farkas multipliers refuting the system; see check_certificate."""
+    """Farkas multipliers refuting the system; see certify.check_certificate."""
 
     lam: tuple[Fraction, ...]
     mu: tuple[Fraction, ...]
@@ -49,45 +50,6 @@ class LpInfeasible:
 
 def _as_rows(rows) -> list[Row]:
     return [[as_fraction(c) for c in row] for row in rows] if rows else []
-
-
-def check_certificate(A, b, C, d, E, f, lam, mu, nu) -> tuple[bool, str]:
-    """Independently verify a Farkas certificate against the original blocks.
-
-    Valid when the multipliers combine the rows to 0 = value with value < 0,
-    or to 0 <= value' where strictness (nu != 0) forces 0 < value' while
-    value' <= 0.  A row whose multiplier is 0 adds nothing and is not read.
-    Returns (ok, explanation).
-    """
-    if len(lam) != len(A) or len(mu) != len(C) or len(nu) != len(E):
-        return False, "multiplier lengths do not match the blocks"
-    if any(m < 0 for m in mu):
-        return False, "a weak multiplier is negative"
-    if any(m < 0 for m in nu):
-        return False, "a strict multiplier is negative"
-    widths = {len(r) for r in (*A, *C, *E)}
-    if len(widths) > 1:
-        return False, "rows of unequal width"
-    totals = [Fraction(0)] * max(widths, default=0)
-    for mults, rows in ((lam, A), (mu, C), (nu, E)):
-        for m, row in zip(mults, rows):
-            if m:
-                for j, a in enumerate(row):
-                    if a:
-                        totals[j] += m * a
-    for j, total in enumerate(totals):
-        if total != 0:
-            return False, f"combined coefficient of column {j} is {total}, not 0"
-    value = Fraction(0)
-    for mults, rhs in ((lam, b), (mu, d), (nu, f)):
-        for m, r in zip(mults, rhs):
-            if m:
-                value += m * r
-    if value < 0:
-        return True, f"value {value} < 0 refutes the weak relaxation"
-    if value <= 0 and any(m > 0 for m in nu):
-        return True, f"value {value} <= 0 with a strict row engaged"
-    return False, f"value {value} refutes nothing"
 
 
 class _Tableau:

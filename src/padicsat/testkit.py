@@ -1,17 +1,13 @@
-"""Verification and test-support tools: exact witness checking, a coloring
-encoder, an independent divisibility oracle, and seeded instance generators.
+"""Test-support tools: the audit algebra, a coloring encoder, an independent
+divisibility oracle, and seeded instance generators.
 
-Everything here is deliberately independent of the solvers' internals; the
-witness checker shares only the rational core, and the oracle decides
-lower-bound systems through the Smith normal form rather than any echelon
-computation, so the two routes can cross-check each other.
-
-The witness checker tests equations one exponent at a time: it groups the
-witness's terms by exponent into sparse integer columns once per check,
-takes one integer dot product per exponent and equation, and hands the
-resulting terms to rational.merged_valuation, whose answer is +inf exactly
-when the equation holds.  No p**e is materialized for an equation, and a
-residual PowerSum is built only to word a rejection.
+No solver imports this module.  It reads GeqProblem and LeqProblem only as
+data: the oracle decides lower-bound systems through the Smith normal form
+rather than any echelon computation, so the two routes can cross-check each
+other.  The audit algebra is what the tests use to check the solvers'
+linear algebra on Fractions: matrix products, permutation matrices, the
+determinant, the Fraction views of an echelon result, and the Smith form.
+The evidence checkers live in certify.
 """
 
 from __future__ import annotations
@@ -20,196 +16,207 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
+# verify_witness is bound here as well: perfbench's tracer looks the witness
+# check up by the module path testkit.verify_witness, its span label
+from .certify import verify_witness
 from .errors import InputError, OverflowGuardError
-from .linalg import smith_normal_form
+from .linalg import EchelonResult, Matrix, Vector, dims
 from .model import Equation, Instance, OrderConstraint, ValConstraint
 from .rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
     NEG_INF,
-    PowerSum,
-    _ratio,
-    as_fraction,
     check_prime,
     int_valuation,
     is_finite,
-    merged_valuation,
-    valuation,
 )
 from .solver_geq import GeqProblem
 from .solver_leq import LeqProblem
 
 
 # ---------------------------------------------------------------------------
-# witness checking
+# audit algebra on Fractions
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    code: str = ""
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    @classmethod
-    def accept(cls) -> "CheckResult":
-        return cls(True)
-
-    @classmethod
-    def reject(cls, code: str, detail: str) -> "CheckResult":
-        return cls(False, code, detail)
+def zeros(m: int, n: int) -> Matrix:
+    return [[Fraction(0)] * n for _ in range(m)]
 
 
-def _coordinate_valuation(value, p: int, guard: int):
-    """Valuation of a witness coordinate at prime p, or None if unobtainable."""
-    if isinstance(value, PowerSum):
-        if value.prime == p:
-            return value.valuation()
-        try:
-            return valuation(value.materialize(guard), p)
-        except OverflowGuardError:
-            return None
-    return valuation(as_fraction(value), p)
-
-
-def _exponent_columns(values: list) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """The witness's terms grouped by exponent, once per check.
-
-    Each entry (e, den, column) lists the pairs (j, num) with num/den * p**e a
-    term of coordinate j, den the lcm of the exponent's denominators; a
-    rational coordinate is one term at exponent 0.  O(terms) in all.
-    """
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for j, x in enumerate(values):
-        for c, e in x.terms if isinstance(x, PowerSum) else ((x, 0),):
-            if c:
-                groups.setdefault(e, []).append((j, c.numerator, c.denominator))
-    out = []
-    for e, group in groups.items():
-        den = math.lcm(*[d for _, _, d in group])
-        out.append((e, den, [(j, num * (den // d)) for j, num, d in group]))
+def identity(n: int) -> Matrix:
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = Fraction(1)
     return out
 
 
-def _residual_is_zero(p: int, eq: Equation, columns) -> bool:
-    """Whether sum_j c_j x_j - rhs vanishes: the equation scaled to integers
-    over its lcm, one integer dot product per exponent, and the valuation
-    merge of the (dot, den, e) triples with the rhs, +inf exactly at 0."""
-    ratios = [_ratio(c) for c in eq.coeffs]
-    rhs_num, rhs_den = _ratio(eq.rhs)
-    scale = math.lcm(rhs_den, *[d for _, d in ratios])
-    coeffs = [num * (scale // d) for num, d in ratios]
-    triples = [
-        (sum([coeffs[j] * num for j, num in column]), den, e)
-        for e, den, column in columns
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """A B; an A without rows has no width to check, and A B is []."""
+    m, k = dims(A)
+    k2, n = dims(B)
+    if m and k != k2:
+        raise InputError(f"shape mismatch {m}x{k} * {k2}x{n}")
+    out = zeros(m, n)
+    for i in range(m):
+        Ai = A[i]
+        for j in range(n):
+            out[i][j] = sum((Ai[t] * B[t][j] for t in range(k)), Fraction(0))
+    return out
+
+
+def mat_vec(A: Matrix, x: Vector) -> Vector:
+    """A x; an A without rows has no width to check, and A x is []."""
+    m, n = dims(A)
+    if m and len(x) != n:
+        raise InputError("shape mismatch in mat_vec")
+    return [sum((A[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(m)]
+
+
+def permutation_matrix(sigma: tuple[int, ...]) -> Matrix:
+    """P with P[i][j] = 1 iff j == sigma[i] (so P acts on columns from the right)."""
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise InputError(f"not a permutation of 0..{n - 1}: {sigma}")
+    P = zeros(n, n)
+    for i, j in enumerate(sigma):
+        P[i][j] = Fraction(1)
+    return P
+
+
+def determinant(A: Matrix) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    m, n = dims(A)
+    if m != n:
+        raise InputError("determinant of non-square matrix")
+    work = [row[:] for row in A]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        top = work[col]
+        pivot = top[col]
+        det *= pivot
+        for i in range(col + 1, n):
+            if work[i][col] != 0:
+                factor = work[i][col] / pivot
+                work[i] = [a - factor * t for a, t in zip(work[i], top)]
+    return det
+
+
+def echelon_matrix(result: EchelonResult) -> Matrix:
+    """The echelon block B of a result, as Fractions."""
+    return [
+        [Fraction(x, d) for x in r[: result.width]]
+        for r, d in zip(result.rows, result.dens)
     ]
-    triples.append((-rhs_num * (scale // rhs_den), 1, 0))
-    return merged_valuation(p, triples) == INF
 
 
-def _equation_rejection(idx: int, eq: Equation, values: list, p: int | None) -> CheckResult:
-    """The rejection of a failed equation, worded by its residual."""
-    if p is not None:
-        residual = PowerSum.combination(p, [(-1, eq.rhs), *zip(eq.coeffs, values)])
-        return CheckResult.reject(
-            "equation", f"equation {idx} has nonzero residual {residual}"
-        )
-    total = sum((c * x for c, x in zip(eq.coeffs, values)), Fraction(0))
-    return CheckResult.reject(
-        "equation", f"equation {idx} evaluates to {total}, expected {eq.rhs}"
-    )
+def carried_matrix(result: EchelonResult) -> Matrix:
+    """The carried block U @ rhs of a result, as Fractions."""
+    return [
+        [Fraction(x, d) for x in r[result.width :]]
+        for r, d in zip(result.rows, result.dens)
+    ]
 
 
-def verify_witness(
-    inst: Instance,
-    witness: Mapping[str, object],
-    guard: int = DEFAULT_EXPONENT_GUARD,
-) -> CheckResult:
-    """Exactly check a claimed satisfying assignment against an instance.
+def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (U, D, V) with D = U @ A @ V diagonal, U and V unimodular,
+    diagonal entries nonnegative and each dividing the next.
 
-    Witness coordinates may be PowerSums (all over one prime) or plain
-    rationals.  Equations are checked one exponent at a time on integer
-    columns (see the module docstring) and valuation constraints
-    symbolically, each (variable, prime) valuation computed once; order
-    constraints require materialization, and if the guard refuses, the
-    witness is rejected with an explanation rather than guessed about.
+    Classic elementary-operation algorithm: pull the smallest nonzero entry of
+    the working submatrix to the corner, clear its row and column with
+    Euclidean steps (swapping back whenever a remainder survives, which
+    strictly shrinks the corner), and when the corner divides everything left,
+    move on.  A row-add step repairs the divisibility chain when some interior
+    entry is not a multiple of the corner.
     """
-    values = {}
-    for var in inst.variables:
-        if var not in witness:
-            return CheckResult.reject("missing-variable", f"no value for {var!r}")
-        v = witness[var]
-        if not isinstance(v, PowerSum):
-            try:
-                v = as_fraction(v)
-            except (InputError, ValueError):
-                return CheckResult.reject(
-                    "bad-coordinate", f"{var!r} is neither a power sum nor a rational"
-                )
-        values[var] = v
-    primes_used = {v.prime for v in values.values() if isinstance(v, PowerSum)}
-    if len(primes_used) > 1:
-        return CheckResult.reject(
-            "mixed-primes", f"power-sum coordinates over several primes: {sorted(primes_used)}"
-        )
-    p = next(iter(primes_used), None)
-    ordered = [values[var] for var in inst.variables]
-    columns = _exponent_columns(ordered)
-    for idx, eq in enumerate(inst.equations):
-        # without power sums every exponent is 0, where any prime decides
-        if not _residual_is_zero(p or 2, eq, columns):
-            return _equation_rejection(idx, eq, ordered, p)
-    memo: dict[tuple[str, int], object] = {}
-    for vc in inst.valuations:
-        vc = vc.desugared()
-        key = (vc.var, vc.prime)
-        if key not in memo:
-            memo[key] = _coordinate_valuation(values[vc.var], vc.prime, guard)
-        v = memo[key]
-        if v is None:
-            return CheckResult.reject(
-                "guard",
-                f"cannot obtain v_{vc.prime}({vc.var}) without materializing past the guard",
+    m = len(A)
+    n = len(A[0]) if A else 0
+    for row in A:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InputError("smith_normal_form expects integer entries")
+    D = [list(row) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        # row dst += q * row src
+        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, q):
+        for row in D:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    for t in range(min(m, n)):
+        entries = [
+            (abs(D[i][j]), i, j)
+            for i in range(t, m)
+            for j in range(t, n)
+            if D[i][j] != 0
+        ]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        if pi != t:
+            swap_rows(pi, t)
+        if pj != t:
+            swap_cols(pj, t)
+        while True:
+            # clear column t below the corner
+            restart = False
+            for i in range(t + 1, m):
+                if D[i][t] != 0:
+                    q = D[i][t] // D[t][t]
+                    add_row(i, t, -q)
+                    if D[i][t] != 0:
+                        swap_rows(i, t)
+                        restart = True
+            if restart:
+                continue
+            # clear row t right of the corner
+            for j in range(t + 1, n):
+                if D[t][j] != 0:
+                    q = D[t][j] // D[t][t]
+                    add_col(j, t, -q)
+                    if D[t][j] != 0:
+                        swap_cols(j, t)
+                        restart = True
+            if restart:
+                continue
+            offender = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, m)
+                    for j in range(t + 1, n)
+                    if D[i][j] % D[t][t] != 0
+                ),
+                None,
             )
-        holds = {
-            ">=": v >= vc.bound,
-            "<=": v <= vc.bound,
-            "==": v == vc.bound,
-            "!=": v != vc.bound,
-        }[vc.rel]
-        if not holds:
-            return CheckResult.reject(
-                "valuation",
-                f"v_{vc.prime}({vc.var}) = {v} violates {vc.rel} {vc.bound}",
-            )
-    if inst.orders:
-        concrete = {}
-        for var, v in values.items():
-            if isinstance(v, PowerSum):
-                try:
-                    concrete[var] = v.materialize(guard)
-                except OverflowGuardError:
-                    return CheckResult.reject(
-                        "guard",
-                        f"order constraints need {var!r} materialized, which exceeds the guard",
-                    )
-            else:
-                concrete[var] = v
-        for idx, oc in enumerate(inst.orders):
-            total = sum(
-                (c * concrete[var] for c, var in zip(oc.coeffs, inst.variables)),
-                Fraction(0),
-            )
-            holds = total < oc.rhs if oc.rel == "<" else total <= oc.rhs
-            if not holds:
-                return CheckResult.reject(
-                    "order", f"order constraint {idx}: {total} {oc.rel} {oc.rhs} fails"
-                )
-    return CheckResult.accept()
+            if offender is None:
+                break
+            add_row(t, offender[0], 1)
+        if D[t][t] < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+    return U, D, V
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ from fractions import Fraction
 from math import gcd
 
 from padicsat.complete import _State
-from padicsat.linalg import (
+from padicsat.linalg import dims, integer_row, inverse_permutation
+from padicsat.rational import INF, NEG_INF, int_valuation, is_finite, valuation
+from padicsat.testkit import (
+    carried_matrix,
     determinant,
-    dims,
-    integer_row,
-    inverse_permutation,
+    echelon_matrix,
     mat_mul,
     permutation_matrix,
 )
-from padicsat.rational import INF, NEG_INF, int_valuation, is_finite, valuation
 
 
 def rand_matrix(rng, m, n, mag=9, density=1.0):
@@ -61,7 +61,7 @@ def assert_echelon_result(A, costs, result):
     >=-solver relies on.
     """
     m, n = dims(A) if A else (0, 0)
-    B, U, sigma = result.echelon, result.carried, result.sigma
+    B, U, sigma = echelon_matrix(result), carried_matrix(result), result.sigma
     P = permutation_matrix(sigma)
     assert mat_mul(U, mat_mul(A, P)) == B
     assert determinant(U) != 0

@@ -15,14 +15,9 @@ from fractions import Fraction
 
 from helpers import assert_echelon_result, rand_matrix
 
+from padicsat.certify import check_certificate, verify_witness
 from padicsat.dispatch import solve_instance
-from padicsat.linalg import (
-    PivotCosts,
-    identity,
-    mat_mul,
-    mat_vec,
-    pivot_minimal_echelon,
-)
+from padicsat.linalg import PivotCosts, pivot_minimal_echelon
 from padicsat.model import (
     Equation,
     ImmediateUnsat,
@@ -33,20 +28,22 @@ from padicsat.model import (
 )
 from padicsat.combiner import solve_combined
 from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
-from padicsat.simplex import LpFeasible, LpInfeasible, check_certificate, lp_feasible
+from padicsat.simplex import LpFeasible, LpInfeasible, lp_feasible
 from padicsat.solver_geq import GeqProblem, solve_geq
 from padicsat.solver_leq import LeqProblem, solve_leq
 from padicsat.testkit import (
     Graph,
     brute_color,
     encode_coloring,
+    identity,
     instance_of_geq_problem,
     instance_of_leq_problem,
+    mat_mul,
+    mat_vec,
     random_geq_problem,
     random_instance,
     random_leq_problem,
     smith_oracle_geq,
-    verify_witness,
     witness_map,
 )
 

@@ -11,7 +11,7 @@ import pytest
 
 from padicsat.cli import main
 from padicsat.parser import parse_instance
-from padicsat.testkit import verify_witness
+from padicsat.certify import verify_witness
 
 SAT_GEQ = "vars x y\neq 1 x + 1 y = 3\nval 3 : v(x) >= 0\nval 3 : v(y) >= 0\n"
 UNSAT_PINNED = "vars x y\neq 1 x + 1 y = 2\nval 2 : v(x) == 1\nval 2 : v(y) == 1\n"
@@ -260,7 +260,13 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == 3
     capsys.readouterr()
     assert main(["solve", "--no-such-flag"]) == 3
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: padicsat")
+    assert "padicsat: error: unrecognized arguments: --no-such-flag" in err
+    assert main(["solve", write(tmp_path, "sat.txt", SAT_GEQ), "--guard", "x"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: padicsat solve")
+    assert "error: argument --guard: invalid int value: 'x'" in err
     assert main(["solve", "--threads", "2", write(tmp_path, "sat.txt", SAT_GEQ)]) == 3
     capsys.readouterr()
     assert main(["solve", "--window", "-10", write(tmp_path, "sat.txt", SAT_GEQ)]) == 3

@@ -6,17 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from padicsat.certify import check_certificate, verify_witness
 from padicsat.combiner import solve_combined, strictify
 from padicsat.dispatch import solve_instance
 from padicsat.errors import InputError, InternalError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
-from padicsat.simplex import (
-    LpFeasible,
-    LpInfeasible,
-    check_certificate,
-    lp_feasible,
-)
-from padicsat.testkit import random_instance, verify_witness
+from padicsat.simplex import LpFeasible, LpInfeasible, lp_feasible
+from padicsat.testkit import random_instance
 
 
 def inst(variables, equations=(), valuations=(), orders=()):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from padicsat import complete
+from padicsat.certify import verify_witness
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
     _propagate,
@@ -39,7 +40,7 @@ from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
 from padicsat.linalg import solve_affine
-from padicsat.testkit import Graph, encode_coloring, random_instance, verify_witness
+from padicsat.testkit import Graph, encode_coloring, random_instance
 
 from helpers import (
     assert_rows_canonical,

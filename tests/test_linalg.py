@@ -1,7 +1,9 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -10,19 +12,23 @@ from padicsat import linalg
 from padicsat.errors import InputError
 from padicsat.linalg import (
     PivotCosts,
-    determinant,
-    identity,
     inverse_permutation,
-    mat_mul,
-    mat_vec,
     matrix,
-    permutation_matrix,
     pivot_minimal_echelon,
-    smith_normal_form,
     solve_affine,
     subtract_multiple,
 )
 from padicsat.rational import NEG_INF
+from padicsat.testkit import (
+    carried_matrix,
+    determinant,
+    echelon_matrix,
+    identity,
+    mat_mul,
+    mat_vec,
+    permutation_matrix,
+    smith_normal_form,
+)
 
 
 def test_matrix_helpers():
@@ -94,7 +100,7 @@ def test_solve_affine_without_rows_spans_every_column():
     # the width is the caller's, not the first row's: no equations leave
     # all of Q^3, with 0 as the canonical particular solution
     space = solve_affine([], [], 3)
-    assert space.dimension == 3
+    assert len(space.basis) == 3
     assert space.particular == [Fraction(0)] * 3
     assert space.basis == identity(3)
     with pytest.raises(InputError):
@@ -208,11 +214,12 @@ def test_solve_affine_matches_fraction_reference(monkeypatch):
 def test_echelon_frozen_example():
     # [[2, 1]] at p = 2 with zero offsets: the 1 is the cheaper pivot, so the
     # columns swap
-    res = pivot_minimal_echelon(matrix([[2, 1]]), PivotCosts.uniform(2, 2), identity(1))
-    assert res.echelon == [[Fraction(1), Fraction(2)]]
+    costs = PivotCosts(2, (0, 0), (0, 0))
+    res = pivot_minimal_echelon(matrix([[2, 1]]), costs, identity(1))
+    assert echelon_matrix(res) == [[Fraction(1), Fraction(2)]]
     assert res.sigma == (1, 0)
     assert res.pivots == (0,)
-    assert_echelon_result(matrix([[2, 1]]), PivotCosts.uniform(2, 2), res)
+    assert_echelon_result(matrix([[2, 1]]), costs, res)
 
 
 def test_echelon_neg_inf_offset_wins():
@@ -228,10 +235,11 @@ def test_echelon_neg_inf_offset_wins():
 
 def test_echelon_zero_matrix():
     A = matrix([[0, 0], [0, 0]])
-    res = pivot_minimal_echelon(A, PivotCosts.uniform(3, 2), identity(2))
+    costs = PivotCosts(3, (0, 0), (0, 0))
+    res = pivot_minimal_echelon(A, costs, identity(2))
     assert res.pivots == ()
-    assert res.echelon == A
-    assert_echelon_result(A, PivotCosts.uniform(3, 2), res)
+    assert echelon_matrix(res) == A
+    assert_echelon_result(A, costs, res)
 
 
 def _fractional_matrix(rng, m, n, p, density):
@@ -276,8 +284,8 @@ def test_echelon_random_properties():
                 # a right-hand side column is carried through the same row
                 # operations
                 b = [[sum(row)] for row in A]
-                carried = pivot_minimal_echelon(A, costs, b).carried
-                assert carried == mat_mul(res.carried, b)
+                carried = carried_matrix(pivot_minimal_echelon(A, costs, b))
+                assert carried == mat_mul(carried_matrix(res), b)
 
 
 def test_echelon_entry_growth_polynomial():
@@ -294,8 +302,8 @@ def test_echelon_entry_growth_polynomial():
     growth = []
     for n in sizes:
         A = rand_matrix(rng, n, n, mag=9)
-        res = pivot_minimal_echelon(A, PivotCosts.uniform(2, n), identity(n))
-        growth.append(max_bits(res.echelon))
+        res = pivot_minimal_echelon(A, PivotCosts(2, (0,) * n, (0,) * n), identity(n))
+        growth.append(max_bits(echelon_matrix(res)))
     for n, bits in zip(sizes, growth):
         assert bits <= 8 * n * 5  # linear-in-n bound with generous constant
 
@@ -333,3 +341,37 @@ def test_smith_random_properties():
                 assert b == 0
             else:
                 assert b % a == 0
+
+
+SOLVER_MODULES = ("complete", "solver_geq", "solver_leq", "simplex", "dispatch", "combiner")
+
+
+def _names_read(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_every_linalg_function_has_a_solver_caller():
+    # linalg holds only what the solvers call: each top-level function is
+    # read by a solver module that imports it, or by a linalg function that
+    # is itself reached that way; audit-only algebra belongs in testkit
+    package = Path(linalg.__file__).parent
+    tree = ast.parse((package / "linalg.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached = set()
+    for name in SOLVER_MODULES:
+        module = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        local_to_name = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(module)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+            for alias in node.names
+        }
+        read = _names_read(module)
+        reached |= {f for local, f in local_to_name.items() if local in read and f in functions}
+    frontier = list(reached)
+    while frontier:
+        for callee in _names_read(functions[frontier.pop()]) & (functions.keys() - reached):
+            reached.add(callee)
+            frontier.append(callee)
+    assert sorted(functions.keys() - reached) == []
+    assert {"eliminate", "subtract_multiple", "dims"} <= reached  # reached through linalg

@@ -4,22 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from padicsat.certify import verify_witness
 from padicsat.errors import InputError
-from padicsat.linalg import (
-    determinant,
-    inverse_permutation,
-    mat_mul,
-    mat_vec,
-    matrix,
-)
+from padicsat.linalg import inverse_permutation, matrix
 from padicsat.model import Status, Verdict
 from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import GeqProblem, solve_geq
 from padicsat.testkit import (
+    determinant,
     instance_of_geq_problem,
+    mat_mul,
+    mat_vec,
     random_geq_problem,
     smith_oracle_geq,
-    verify_witness,
     witness_map,
 )
 

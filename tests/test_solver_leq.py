@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicsat.certify import verify_witness
 from padicsat.errors import InputError
 from padicsat.linalg import solve_affine
 from padicsat.rational import INF, is_finite
@@ -10,7 +11,6 @@ from padicsat.solver_leq import LeqProblem, solve_leq, _first_forbidden
 from padicsat.testkit import (
     instance_of_leq_problem,
     random_leq_problem,
-    verify_witness,
     witness_map,
 )
 
