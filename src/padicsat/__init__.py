@@ -70,5 +70,6 @@ __all__ = [
     "solve_instance",
     "solve_leq",
     "solve_single_prime",
+    "valuation",
     "verify_witness",
 ]

@@ -30,16 +30,25 @@ decided here by a recursive search:
 * once every variable fits one of the polynomial fragments the state is cut
   into connected components and each is delegated.
 
-A state keeps its equations as integer rows (A | b) over one column list,
-each row canonical over its own positive denominator as linalg.eliminate
-keeps rows.  A zero substitution deletes a column; a digit substitution
-reuses the variable's column for the fresh one, scaling the row by a power
-of p when v < 0 so that it stays integral.  States whose lower-bound
-relaxation is already unsatisfiable are pruned.  The relaxation test hands
-the integer rows to `solve_geq` as they are and asks for the status only, so
-a search node pays for the echelon and the pivot-bound checks but never for
-a Fraction or a PowerSum back-substitution.  Fractions are built only at
-the leaves, where each component is delegated with its exact equations.
+A state keeps its equations as primitive integer rows (A | b) over one
+column list: an equivalent reduced system, not the equations as written.
+The root's rows are the instance's equations, each scaled to the integer
+row with content 1.  A zero substitution deletes a column; a digit
+substitution reuses the variable's column for the fresh one, scaling the
+row by a power of p when v < 0 so that it stays integral; either divides a
+changed row by its content.  States whose lower-bound relaxation is
+already unsatisfiable are pruned.  The relaxation test hands the integer
+rows to `solve_geq` as they are and asks for the echelon instead of a
+witness, so a search node pays for the echelon and the pivot-bound checks
+but never for a Fraction or a PowerSum back-substitution.  When the
+relaxation is sat, the state takes that echelon's nonzero rows, mapped
+back to its columns and made primitive, as its rows, and its children
+inherit them.  The echelon is U (A | b) with U invertible, so the new rows
+have exactly the solutions of the old ones, and the zero rows it drops all
+read 0 = 0, as the relaxation is sat.  A child's relaxation then starts
+from a system nearly in echelon form, and propagation reads rows that can
+show bounds no original row shows.  Fractions are built only at the
+leaves, in the delegated solvers.
 
 A leaf component may mix floored variables G (a finite lower bound; at a
 leaf these are exactly what the echelon solver takes) with open variables
@@ -123,51 +132,57 @@ _FRESH = VarProfile(0, INF, frozenset())
 class _State:
     """One search node: the equations as integer rows and the variables' bounds.
 
-    rows[i] is equation i's (A | b) over `columns`, as integers, and
-    rows[i] / dens[i] is the equation itself; each row is canonical (den > 0,
-    gcd(den, row) = 1) and has a nonzero coefficient.  The columns are the
-    variables of `profiles`.  A substitution replaces the rows it changes and
-    never edits one in place, and a narrowing replaces the variable's
-    immutable profile, so copies share their rows and profiles.
+    rows[i] is one equation (A | b) over `columns`, as integers with content
+    1 and a nonzero coefficient; together the rows are a system equivalent
+    to the instance's equations under the log's substitutions, not those
+    equations themselves (module docstring).  The columns are the variables
+    of `profiles`.  A substitution or an adopted echelon replaces the rows it
+    changes and never edits one in place, and a narrowing replaces the
+    variable's immutable profile, so copies share their rows and profiles.
     """
 
     prime: int
     columns: list[str]
     rows: list[list[int]]
-    dens: list[int]
     profiles: dict[str, VarProfile]
     # substitution log, innermost last; entries are
     # ("zero", var) or ("digit", var, digit, v, fresh)
     log: list[tuple] = field(default_factory=list)
     # per row, the valuations of its nonzero coefficients by variable, in
-    # profile order, and of its rhs.  They are the integer row's, each
-    # v_p(dens[i]) above its equation's, which propagation never sees: it
-    # compares only within a row.  Computed once, then kept in step by the
-    # substitutions
+    # profile order, and of its rhs.  Computed with the rows, then kept in
+    # step by the substitutions
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
 
     def __post_init__(self):
         if self.valuations is None:
-            p = self.prime
-            index = {c: j for j, c in enumerate(self.columns)}
-            self.valuations = [
-                (
-                    {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
-                    int_valuation(row[-1], p),
-                )
-                for row in self.rows
-            ]
+            self.valuations = self.row_valuations()
+
+    def row_valuations(self) -> list[tuple[dict[str, int], ExtInt]]:
+        p = self.prime
+        index = {c: j for j, c in enumerate(self.columns)}
+        return [
+            (
+                {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
+                int_valuation(row[-1], p),
+            )
+            for row in self.rows
+        ]
 
     def copy(self) -> "_State":
         return _State(
             self.prime,
             list(self.columns),
             list(self.rows),
-            list(self.dens),
             dict(self.profiles),
             list(self.log),
             list(self.valuations),
         )
+
+
+def _primitive(row: list[int]) -> tuple[list[int], int]:
+    """row divided by its content g > 0, and g; row has a nonzero entry."""
+    g = gcd(*row)
+    return ([x // g for x in row] if g > 1 else row), g
 
 
 def _substitute_zero(state: _State, var: str) -> bool:
@@ -176,8 +191,8 @@ def _substitute_zero(state: _State, var: str) -> bool:
     state.log.append(("zero", var))
     del state.profiles[var]
     j = state.columns.index(var)
-    rows, dens, valuations = [], [], []
-    for row, den, (vals, rhs_val) in zip(state.rows, state.dens, state.valuations):
+    rows, valuations = [], []
+    for row, (vals, rhs_val) in zip(state.rows, state.valuations):
         a = row[j]
         row = row[:j] + row[j + 1:]
         if a:
@@ -186,19 +201,16 @@ def _substitute_zero(state: _State, var: str) -> bool:
                     return False
                 continue
             vals = {v: e for v, e in vals.items() if v != var}
-            g = gcd(den, *row)
+            row, g = _primitive(row)
             if g > 1:
-                row = [x // g for x in row]
-                den //= g
                 shift = int_valuation(g, p)
                 if shift:
                     vals = {v: e - shift for v, e in vals.items()}
                     rhs_val -= shift
         rows.append(row)
-        dens.append(den)
         valuations.append((vals, rhs_val))
     del state.columns[j]
-    state.rows, state.dens, state.valuations = rows, dens, valuations
+    state.rows, state.valuations = rows, valuations
     return True
 
 
@@ -207,7 +219,7 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
 
     fresh takes var's column: a row with coefficient a there gets a*p^(v+1)
     in it and a*digit*p^v off its rhs, after scaling by p^s, s = max(0, -v),
-    which keeps it integral; then it is divided by its content with its den.
+    which keeps it integral; then it is divided by its content.
     """
     p = state.prime
     state.log.append(("digit", var, digit, v, fresh))
@@ -222,26 +234,16 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
         a = row[j]
         if not a:
             continue
-        den = state.dens[i]
-        if s:
-            row = [x * scale for x in row]
-            den *= scale
-        else:
-            row = row[:]
+        row = [x * scale for x in row] if s else row[:]
         row[j] = a * unit * p
         row[-1] -= a * digit * unit
-        shift = s
-        g = gcd(den, *row)
-        if g > 1:
-            row = [x // g for x in row]
-            den //= g
-            shift -= int_valuation(g, p)
+        row, g = _primitive(row)
+        shift = s - int_valuation(g, p)
         vals = state.valuations[i][0]
         # fresh is a new name, so it goes last, as in a dict built afresh
         new_vals = {w: e + shift for w, e in vals.items() if w != var}
         new_vals[fresh] = vals[var] + v + 1 + shift
         state.rows[i] = row
-        state.dens[i] = den
         state.valuations[i] = (new_vals, int_valuation(row[-1], p))
 
 
@@ -415,7 +417,8 @@ def _relaxation_prunes(state: _State) -> bool:
     """True if even the lower-bound relaxation of this state is unsatisfiable.
 
     A row's multiple has the same solutions, so the integer rows go to the
-    echelon as they are, in column order.
+    echelon as they are, in column order.  When the relaxation is sat, the
+    state adopts the echelon's nonzero rows (module docstring).
     """
     n = len(state.columns)
     floors, exact = _bounds(state, state.columns)
@@ -426,7 +429,15 @@ def _relaxation_prunes(state: _State) -> bool:
         floors,
         exact,
     )
-    return solve_geq(problem, witness=False).is_unsat
+    verdict = solve_geq(problem, witness=False)
+    if verdict.is_unsat:
+        return True
+    result = verdict.diagnostics["echelon"]
+    # echelon position sigma[c] holds column c; the rhs is the carried column
+    order = [*result.sigma, n]
+    state.rows = [_primitive([row[k] for k in order])[0] for row in result.rows[:result.rank]]
+    state.valuations = state.row_valuations()
+    return False
 
 
 def _branch_target(state: _State) -> tuple[str, str, object] | None:
@@ -514,18 +525,18 @@ def _components(state: _State) -> list[tuple[list[str], list[int]]]:
 def _solve_component(
     state: _State, members: list[str], rows: list[int]
 ) -> Verdict | None:
-    """Delegate a component to its polynomial solver, on its exact equations.
+    """Delegate a component to its polynomial solver, on its integer rows.
 
     None means floors were raised (_solve_mixed) and the state is to be
     searched again.
     """
     index = {c: j for j, c in enumerate(state.columns)}
     cols = [index[v] for v in members]
-    equations = [(state.rows[i], state.dens[i]) for i in rows]
+    equations = [state.rows[i] for i in rows]
     floors, exact = _bounds(state, members)
     problem = GeqProblem(
-        tuple([tuple([Fraction(row[j], den) for j in cols]) for row, den in equations]),
-        tuple([Fraction(row[-1], den) for row, den in equations]),
+        tuple([tuple([row[j] for j in cols]) for row in equations]),
+        tuple([row[-1] for row in equations]),
         state.prime,
         floors,
         exact,
@@ -710,17 +721,16 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
     # order in which propagation visits a row's variables
     columns = sorted(norm.variables)
     position = {v: k for k, v in enumerate(norm.variables)}
-    rows, dens = [], []
+    rows = []
     for eq in norm.equations:
         if not any(eq.coeffs):
             if eq.rhs != 0:
                 return Verdict.unsat("no-solution", "an equation reads 0 = nonzero")
             continue
-        row, den = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])
-        rows.append(row)
-        dens.append(den)
+        row = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])[0]
+        rows.append(_primitive(row)[0])
     profiles = {var: norm.profile(prime, var) for var in norm.variables}
-    state = _State(prime, columns, rows, dens, profiles)
+    state = _State(prime, columns, rows, profiles)
     verdict = _check_profiles(state, profiles)
     if verdict is None:
         verdict = _solve_state(state, itertools.count())

@@ -15,12 +15,10 @@ from .model import (
     ImmediateUnsat,
     Instance,
     NormalizedInstance,
-    Status,
     Verdict,
     classify_kinds,
     normalize,
 )
-from .rational import is_finite
 from .solver_geq import GeqProblem, solve_geq
 from .solver_leq import LeqProblem, solve_leq
 

@@ -28,11 +28,9 @@ from .rational import (
     INF,
     NEG_INF,
     ExtInt,
-    RationalLike,
     as_fraction,
     check_prime,
     int_valuation,
-    valuation,
 )
 
 Matrix = list[list[Fraction]]
@@ -249,17 +247,6 @@ class PivotCosts:
             for c, b in zip(self.offsets, self.biases)
         ))
 
-    def doubled_cost(self, a: RationalLike, j: int) -> ExtInt:
-        """2 * cost of entry a in original column j, as an exact ExtInt.
-
-        An int entry, as in the echelon's integer rows, takes int_valuation
-        directly; the doubled offset is -inf or absorbs any finite 2 v_p(a).
-        """
-        if a == 0:
-            return INF
-        v = int_valuation(a, self.prime) if type(a) is int else valuation(a, self.prime)
-        return 2 * v + self.doubled_offsets[j]
-
 
 @dataclass
 class EchelonResult:
@@ -322,8 +309,9 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             top = rows[r]
             columns = nonzero_columns(top, r)
         # a zero entry costs +inf and every nonzero one less, so the nonzero
-        # columns hold the cheapest entry: costs.doubled_cost on integer
-        # entries, the leftmost of a tie, and the first -inf ends the search
+        # columns hold the cheapest entry: the doubled cost 2 v_p(a) plus the
+        # column's doubled offset, the leftmost of a tie, and the first -inf
+        # offset ends the search
         best, best_cost = r, INF
         for j in columns:
             if j >= n:

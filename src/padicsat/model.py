@@ -20,7 +20,6 @@ from .rational import (
     INF,
     NEG_INF,
     ExtInt,
-    PowerSum,
     as_fraction,
     check_prime,
     is_finite,

@@ -20,9 +20,12 @@ At p = 2 an exact flag adds terms to a pivot row's right-hand side; their
 valuation is rational.merged_valuation's integer merge, the one
 PowerSum.valuation runs, with no PowerSum built.
 
-With witness=False the solver stops after the two checks: the witness-free
-relaxation test of the branch-and-decide search needs only the status, so it
-skips the back-substitution.  Unsat answers are the same either way.
+geq_echelon runs the two checks and returns the echelon with the unsat
+verdict, or with None when the problem is sat; solve_geq builds the witness
+on top of it.  With witness=False a sat answer carries that echelon
+(diagnostics["echelon"]) in place of a witness: the branch-and-decide
+search's relaxation test needs no witness, but adopts the echelon's rows.
+Unsat answers are the same either way.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .linalg import (
 )
 from .model import Status, Verdict
 from .rational import (
-    INF,
     NEG_INF,
     ExtInt,
     PowerSum,
@@ -104,8 +106,8 @@ class GeqProblem:
         return self._costs
 
 
-def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
-    """Decide prob; a sat answer carries a PowerSum witness unless witness=False."""
+def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
+    """The cost-minimal echelon of (A | b) and the unsat verdict, None if sat."""
     p = prob.prime
     n = len(prob.floors)
     m = len(prob.A)
@@ -117,11 +119,10 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
     floors2 = [prob.floors[col_of[j]] for j in range(n)]
     exact2 = [prob.exact[col_of[j]] for j in range(n)]
     exact_positions = [j for j in range(n) if exact2[j]]
-    k = result.rank
-    for i in range(k, m):
+    for i in range(result.rank, m):
         if rows[i][n] != 0:
             rhs = Fraction(rows[i][n], dens[i])
-            return Verdict.unsat(
+            return result, Verdict.unsat(
                 "rank-deficient-rhs",
                 f"echelon row {i} is zero but its right-hand side is {rhs}",
                 row=i,
@@ -139,22 +140,36 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
         if not lhs <= rhs_val:
             shift = int_valuation(dens[i], p)  # back to the Fraction row
             required, actual = lhs - shift, rhs_val - shift
-            return Verdict.unsat(
+            return result, Verdict.unsat(
                 "pivot-bound",
                 f"pivot row {i} needs valuation >= {required} on the right-hand side, got {actual}",
                 row=i,
                 required=required,
                 actual=actual,
             )
-    diagnostics = {"rank": k, "sigma": result.sigma}
+    return result, None
+
+
+def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
+    """Decide prob; a sat answer carries a PowerSum witness, or with
+    witness=False the echelon."""
+    result, unsat = geq_echelon(prob)
+    if unsat is not None:
+        return unsat
+    diagnostics = {"rank": result.rank, "sigma": result.sigma}
     if not witness:
-        return Verdict(Status.SAT, diagnostics=diagnostics)
+        return Verdict(Status.SAT, diagnostics={**diagnostics, "echelon": result})
+    p = prob.prime
+    n = len(prob.floors)
+    k = result.rank
+    rows = result.rows
+    col_of = inverse_permutation(result.sigma)
     # witness: the free columns (from k on, row i pivots at i) get p**floor,
     # pivots are back-substituted; a row's denominator cancels from its equation
     w: list[PowerSum | None] = [None] * n
     for j in range(k, n):
-        finite = is_finite(floors2[j])
-        w[j] = PowerSum(p, ((Fraction(1), floors2[j]),) if finite else ())
+        floor = prob.floors[col_of[j]]
+        w[j] = PowerSum(p, ((Fraction(1), floor),) if is_finite(floor) else ())
     for i in range(k - 1, -1, -1):
         row = rows[i]
         w[i] = PowerSum.combination(

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .certify import verify_witness
 from .errors import InputError, OverflowGuardError
 from .linalg import EchelonResult, Matrix, Vector, dims
-from .model import Equation, Instance, OrderConstraint, ValConstraint
+from .model import Equation, Instance, OrderConstraint, ValConstraint, Verdict
 from .rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
@@ -269,8 +269,6 @@ def smith_oracle_geq(prob: GeqProblem, guard: int = DEFAULT_EXPONENT_GUARD):
     rank.  Unconstrained columns (floor -inf) are eliminated rationally first.
     Decision only; shares nothing with the echelon route.
     """
-    from .model import Verdict  # local import keeps module init light
-
     if any(prob.exact):
         raise InputError("oracle handles plain lower bounds only (no exact flags)")
     p = prob.prime

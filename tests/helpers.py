@@ -1,11 +1,11 @@
 """Shared checking utilities for the test suite."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from padicsat.complete import _State
 from padicsat.linalg import dims, integer_row, inverse_permutation
-from padicsat.rational import INF, NEG_INF, int_valuation, is_finite, valuation
+from padicsat.rational import INF, NEG_INF, int_valuation, valuation
 from padicsat.testkit import (
     carried_matrix,
     determinant,
@@ -98,27 +98,39 @@ def assert_echelon_result(A, costs, result):
 
 def integer_state(p, equations, profiles):
     """complete._State over the sorted variables, from Fraction equations
-    given as (coefficients by variable, rhs) with a nonzero coefficient each."""
+    given as (coefficients by variable, rhs) with a nonzero coefficient each;
+    each row is divided by its content, as the search keeps its rows."""
     columns = sorted(profiles)
-    rows, dens = [], []
+    rows = []
     for coeffs, rhs in equations:
-        row, den = integer_row([*(coeffs.get(v, 0) for v in columns), rhs])
-        rows.append(row)
-        dens.append(den)
-    return _State(p, columns, rows, dens, profiles)
+        row, _ = integer_row([*(coeffs.get(v, 0) for v in columns), rhs])
+        g = gcd(*row)
+        rows.append([x // g for x in row])
+    return _State(p, columns, rows, profiles)
 
 
 def state_equations(state):
-    """The state's equations rows[i] / dens[i] as (coefficients by variable,
-    rhs), the coefficients in profile order, the order propagation visits."""
+    """The state's rows as (coefficients by variable, rhs), the coefficients
+    in profile order, the order propagation visits."""
     index = {c: j for j, c in enumerate(state.columns)}
     return [
-        (
-            {v: Fraction(row[index[v]], den) for v in state.profiles if row[index[v]]},
-            Fraction(row[-1], den),
-        )
-        for row, den in zip(state.rows, state.dens)
+        ({v: row[index[v]] for v in state.profiles if row[index[v]]}, row[-1])
+        for row in state.rows
     ]
+
+
+def primitive_equations(equations):
+    """Each equation (coefficients by variable, rhs) times the positive
+    rational that makes it integral with content 1: the one row a state
+    keeps for it."""
+    out = []
+    for coeffs, rhs in equations:
+        entries = [Fraction(x) for x in (*coeffs.values(), rhs)]
+        den = lcm(*(x.denominator for x in entries))
+        g = gcd(*(int(x * den) for x in entries))
+        scale = Fraction(den, g)
+        out.append(({v: int(a * scale) for v, a in coeffs.items()}, int(rhs * scale)))
+    return out
 
 
 def substitute_reference(p, equations, entry):
@@ -156,12 +168,12 @@ def row_valuations(state):
 
 
 def assert_rows_canonical(state):
-    """One column per variable; each row (A | b) over den > 0, with
-    gcd(den, row) = 1 and a nonzero coefficient."""
+    """One column per variable; each row (A | b) of ints with content 1 and
+    a nonzero coefficient."""
     assert sorted(state.columns) == sorted(state.profiles)
-    assert len(state.rows) == len(state.dens) == len(state.valuations)
-    for row, den in zip(state.rows, state.dens):
+    assert len(state.rows) == len(state.valuations)
+    for row in state.rows:
         assert len(row) == len(state.columns) + 1
         assert all(type(x) is int for x in row)
-        assert den > 0 and gcd(den, *row) == 1
+        assert gcd(*row) == 1
         assert any(row[:-1])

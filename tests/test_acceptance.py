@@ -27,8 +27,8 @@ from padicsat.model import (
     normalize,
 )
 from padicsat.combiner import solve_combined
-from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
-from padicsat.simplex import LpFeasible, LpInfeasible, lp_feasible
+from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
+from padicsat.simplex import LpInfeasible, lp_feasible
 from padicsat.solver_geq import GeqProblem, solve_geq
 from padicsat.solver_leq import LeqProblem, solve_leq
 from padicsat.testkit import (

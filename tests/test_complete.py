@@ -40,11 +40,12 @@ from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
 from padicsat.linalg import solve_affine
-from padicsat.testkit import Graph, encode_coloring, random_instance
+from padicsat.testkit import Graph, brute_color, encode_coloring, random_instance
 
 from helpers import (
     assert_rows_canonical,
     integer_state,
+    primitive_equations,
     row_valuations,
     state_equations,
     substitute_reference,
@@ -454,20 +455,22 @@ def _spy_mixed(monkeypatch):
 
 
 def test_floor_raise_refutes_an_open_variable(monkeypatch):
-    # random_instance(193, fragment="mixed", primes=(3,)).  Eliminating x0
-    # gives 61 x1 = 8 + 20 x2 + 72 x3, so v_3(x1) >= 0 on every solution
-    # while v_3(x1) <= -2 is required; one equation alone shows nothing.
-    # _solve_mixed raises x1's floor and finds the window empty at every leaf
+    # random_instance(736, fragment="mixed", primes=(3,)).  Eliminating the
+    # free x3 gives 41 x0 = -14 + 73 x1 + 105 x2, so v_3(x0) = 0 on every
+    # solution while v_3(x0) <= -1 is required.  Neither equation shows it,
+    # and the relaxation's echelon pivots on the unfloored x0 and x3, so no
+    # row it leaves shows it to propagation either.  _solve_mixed raises
+    # x0's floor and finds the window empty
     i = inst(
         ["x0", "x1", "x2", "x3"],
-        [Equation.of([8, 5, -4, 0], 8), Equation.of([-1, 7, -2, -9], 0)],
-        [val(3, "x1", "<=", -2), val(3, "x2", "==", 2), val(3, "x3", "==", 3)],
+        [Equation.of([-1, -7, -7, -8], 6), Equation.of([-6, 3, 7, -7], 7)],
+        [val(3, "x0", "<=", -1), val(3, "x1", ">=", 2), val(3, "x2", ">=", 1)],
     )
     results = _spy_mixed(monkeypatch)
     verdict = solve_hard(i)
     assert verdict.is_unsat
     assert results and all(
-        r is not None and r.code == "empty-window" and r.diagnostics == {"var": "x1"}
+        r is not None and r.code == "empty-window" and r.diagnostics == {"var": "x0"}
         for r in results
     ), results
 
@@ -546,18 +549,22 @@ def _pinned_verdicts():
 
 
 def test_search_answers_are_pinned():
-    # every verdict's repr, witness, code, reason and diagnostics included,
-    # hashed in order over 900 mixed draws and 40 coloring encodings: a
-    # change to the search's bookkeeping must not change a single answer
+    # every verdict's status, code, reason and diagnostics, hashed in order
+    # over 900 mixed draws and 40 coloring encodings, and every sat witness
+    # checked: a change to the search's bookkeeping must not change a single
+    # decision or unsat answer.  A sat witness is any that verifies
     digest = hashlib.sha256()
     statuses = collections.Counter()
     for i in _pinned_verdicts():
         verdict = solve_combined(i)
         statuses[verdict.status.value] += 1
-        digest.update(repr(verdict).encode() + b"\0")
+        if verdict.is_sat:
+            assert verify_witness(i, verdict.witness)
+        key = (verdict.status.value, verdict.code, verdict.reason, verdict.diagnostics)
+        digest.update(repr(key).encode() + b"\0")
     assert statuses["sat"] > 300 and statuses["unsat"] > 300, statuses
     assert digest.hexdigest() == (
-        "a1d53f1c80d6f2cd18894c962f135404170e38e6048f5f232bd6f0297ff52e9d"
+        "be52ebb16a0b6c6f17f312e4cfd9484db32f3a59bcdd54d3ed84b892c2faae95"
     ), statuses
 
 
@@ -837,7 +844,7 @@ def _random_state(rng):
         excluded = frozenset(rng.randint(-2, 5) for _ in range(rng.randint(0, 2)))
         profiles[v] = VarProfile(lower, upper, excluded)
     state = integer_state(p, equations, profiles)
-    assert state_equations(state) == equations
+    assert state_equations(state) == primitive_equations(equations)
     return state
 
 
@@ -899,10 +906,71 @@ def test_substitutions_keep_cached_valuations():
             if not ok:  # the search drops such a state
                 kinds["contradiction"] += 1
                 break
-            assert state_equations(state) == reference, (trial, step)
+            assert state_equations(state) == primitive_equations(reference), (trial, step)
             assert_rows_canonical(state)
         else:
             if _propagate(state) is None:
                 assert_rows_canonical(state)
                 assert state.valuations == row_valuations(state), trial
     assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+
+
+# ---------------------------------------------------------------------------
+# the rows a state adopts from its sat relaxation
+
+
+def test_adopted_rows_have_the_same_solutions():
+    # a sat relaxation replaces the rows by the echelon's nonzero rows: the
+    # affine solution space, canonical in solve_affine, stays the same, the
+    # rows stay canonical with their valuations cached, and the parent's
+    # rows, which its other children share, are not edited.  Half the states
+    # get a combination of two rows as one more row, which the echelon drops
+    rng = random.Random(4343)
+    outcomes = collections.Counter()
+    for trial in range(400):
+        state = _random_state(rng)
+        if trial % 2:
+            (a, ra), (b, rb) = rng.choices(state_equations(state), k=2)
+            coeffs = {v: a.get(v, 0) + 2 * b.get(v, 0) for v in state.profiles}
+            coeffs = {v: c for v, c in coeffs.items() if c}
+            if coeffs:
+                extra = (coeffs, ra + 2 * rb)
+                state = integer_state(
+                    state.prime, [*state_equations(state), extra], state.profiles
+                )
+        if _propagate(state) is not None:
+            continue
+        n = len(state.columns)
+        rows = [list(row) for row in state.rows]
+        before = state.copy()
+        space = solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
+        if complete._relaxation_prunes(state):
+            outcomes["pruned"] += 1
+            continue
+        assert before.rows == rows, trial
+        assert state.columns == before.columns and state.profiles == before.profiles
+        after = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
+        assert after == space, trial
+        assert_rows_canonical(state)
+        assert state.valuations == row_valuations(state), trial
+        outcomes["fewer rows" if len(state.rows) < len(rows) else "adopted"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
+@pytest.mark.parametrize("seed, n, parent_states", [(11, 10, 1583), (8, 8, 499)])
+def test_coloring_search_states_are_pinned(monkeypatch, seed, n, parent_states):
+    # 3-coloring encodings at (p, e) = (3, 1), both unsat: propagation on the
+    # adopted rows refutes most states that searching the original rows
+    # visited (parent_states, before the rows were adopted)
+    states = []
+    real = complete._solve_state
+
+    def spy(state, fresh):
+        states.append(state)
+        return real(state, fresh)
+
+    monkeypatch.setattr(complete, "_solve_state", spy)
+    g = Graph.random(seed, n, 0.6)
+    verdict = solve_combined(encode_coloring(g, 3, 1))
+    assert verdict.is_unsat and not brute_color(g, 3)
+    assert len(states) <= 100 < parent_states, len(states)

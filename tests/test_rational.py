@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicsat.errors import InputError, OverflowGuardError
-from padicsat.linalg import PivotCosts
+from padicsat.linalg import PivotCosts, inverse_permutation, pivot_minimal_echelon
 from padicsat.rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
@@ -136,11 +136,22 @@ def test_leading_digit_rejects_zero():
 
 def test_pivot_sum_convention():
     # +inf absorbs in the pivot cost, so a zero entry can never win a pivot
-    # contest, even in a column whose offset is -inf
-    costs = PivotCosts(2, (NEG_INF, 3), (0, 1))
-    assert costs.doubled_cost(Fraction(0), 0) == INF
-    assert costs.doubled_cost(Fraction(5), 0) == NEG_INF
-    assert costs.doubled_cost(Fraction(4), 1) == 2 * 2 + 2 * 3 + 1
+    # contest, even in a column whose offset is -inf; a nonzero entry there
+    # costs -inf, and a finite one 2 v_p(a) + 2 offset + bias
+    costs = PivotCosts(2, (NEG_INF, 3, 4), (0, 1, 0))
+
+    def doubled(a, j):
+        if a == 0:
+            return INF
+        if costs.offsets[j] == NEG_INF:
+            return NEG_INF
+        return 2 * valuation(a, 2) + 2 * costs.offsets[j] + costs.biases[j]
+
+    assert doubled(Fraction(4), 1) == 11 and doubled(Fraction(2), 2) == 10
+    for row in ([0, 4, 0], [5, 4, 2], [0, 4, 2], [0, 4, 4], [0, 0, 3], [0, 1, 1]):
+        result = pivot_minimal_echelon([row], costs, [[0]])
+        pivot = inverse_permutation(result.sigma)[0]  # the column at position 0
+        assert pivot == min(range(3), key=lambda j: (doubled(row[j], j), j)), row
 
 
 def test_powersum_normal_form():

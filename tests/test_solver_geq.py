@@ -6,10 +6,10 @@ import pytest
 
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
-from padicsat.linalg import inverse_permutation, matrix
+from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
 from padicsat.model import Status, Verdict
 from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
-from padicsat.solver_geq import GeqProblem, solve_geq
+from padicsat.solver_geq import GeqProblem, geq_echelon, solve_geq
 from padicsat.testkit import (
     determinant,
     instance_of_geq_problem,
@@ -159,26 +159,39 @@ def test_huge_floors_stay_symbolic():
 
 
 def test_witness_free_matches_full():
-    # the witness-free answer of the search's relaxation test: same status,
-    # the unsat evidence unchanged, and no witness on sat
-    statuses = set()
+    # geq_echelon is the decision both answers share: its echelon is the one
+    # the problem's (A | b) gets and its unsat verdict is solve_geq's.  The
+    # witness-free answer of the search's relaxation test has the same
+    # status and unsat evidence, and on sat carries that echelon, no witness
+    statuses = collections.Counter()
     for seed in range(300):
         prob = random_geq_problem(
             seed, max_dim=5, coeff_mag=9, bound_mag=3, primes=(2, 3, 5),
             allow_exact=seed % 2 == 0, allow_unbounded=seed % 3 == 0,
         )
+        result, unsat = geq_echelon(prob)
+        assert result == pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
         full = solve_geq(prob)
         bare = solve_geq(prob, witness=False)
-        assert bare.status == full.status, seed
-        statuses.add(full.status)
-        if full.is_unsat:
-            assert (bare.code, bare.reason, bare.diagnostics) == (
-                full.code, full.reason, full.diagnostics
-            ), seed
+        statuses[full.status.value] += 1
+        if unsat is not None:
+            for verdict in (full, bare):
+                assert (verdict.status, verdict.code, verdict.reason, verdict.diagnostics) == (
+                    unsat.status, unsat.code, unsat.reason, unsat.diagnostics
+                ), seed
         else:
-            assert bare.witness is None, seed
-            assert bare.diagnostics == full.diagnostics, seed
-    assert len(statuses) == 2
+            assert full.is_sat and bare.is_sat and bare.witness is None, seed
+            assert full.diagnostics == {"rank": result.rank, "sigma": result.sigma}, seed
+            assert bare.diagnostics == {**full.diagnostics, "echelon": result}, seed
+    assert min(statuses.values()) > 50, statuses
+
+
+def _doubled_cost(costs, a, j):
+    """2 v_p(a) + 2 offset_j + bias_j for a nonzero entry a of column j, -inf
+    under a -inf offset."""
+    if costs.offsets[j] == NEG_INF:
+        return NEG_INF
+    return 2 * valuation(a, costs.prime) + 2 * costs.offsets[j] + costs.biases[j]
 
 
 def _reference_echelon(A, costs, b):
@@ -198,7 +211,7 @@ def _reference_echelon(A, costs, b):
         top = B[r]
         best = min(
             (j for j in range(r, n) if top[j]),
-            key=lambda j: (costs.doubled_cost(top[j], col_of[j]), j),
+            key=lambda j: (_doubled_cost(costs, top[j], col_of[j]), j),
         )
         for row in B:
             row[r], row[best] = row[best], row[r]
