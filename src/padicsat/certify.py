@@ -8,7 +8,11 @@ exponent into sparse integer columns once per check, takes one integer dot
 product per exponent and equation, and hands the resulting terms to
 rational.merged_valuation, whose answer is +inf exactly when the equation
 holds.  No p**e is materialized for an equation, and a residual PowerSum is
-built only to word a rejection.
+built only to word a rejection.  Order rows are checked on integers too: the
+materialized point is written over one common denominator, x = X / D, each
+row is scaled to integers over its lcm, and one integer dot product is
+compared with the scaled rhs; a Fraction total is built only to word a
+rejection.
 
 check_certificate checks a Farkas certificate from simplex.lp_feasible
 against the original equality, weak and strict blocks, on Fractions.
@@ -25,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError, OverflowGuardError
-from .model import Equation, Instance
+from .model import Equation, Instance, OrderConstraint
 from .rational import (
     DEFAULT_EXPONENT_GUARD,
     INF,
@@ -119,6 +123,18 @@ def _equation_rejection(idx: int, eq: Equation, values: list, p: int | None) -> 
     )
 
 
+def _order_holds(oc: OrderConstraint, X: list[int], D: int) -> bool:
+    """Whether the order row holds at x = X / D (D > 0): the row scaled to
+    integers over its lcm, zero coefficients skipped, compared with the rhs
+    scaled by the same lcm and by D."""
+    ratios = [(j, _ratio(c)) for j, c in enumerate(oc.coeffs) if c]
+    rhs_num, rhs_den = _ratio(oc.rhs)
+    scale = math.lcm(rhs_den, *[d for _, (_, d) in ratios])
+    lhs = sum([num * (scale // d) * X[j] for j, (num, d) in ratios])
+    cap = rhs_num * (scale // rhs_den) * D
+    return lhs < cap if oc.rel == "<" else lhs <= cap
+
+
 def verify_witness(
     inst: Instance,
     witness: Mapping[str, object],
@@ -132,6 +148,7 @@ def verify_witness(
     symbolically, each (variable, prime) valuation computed once; order
     constraints require materialization, and if the guard refuses, the
     witness is rejected with an explanation rather than guessed about.
+    Order rows are compared on integers (see _order_holds).
     """
     values = {}
     for var in inst.variables:
@@ -182,25 +199,23 @@ def verify_witness(
                 f"v_{vc.prime}({vc.var}) = {v} violates {vc.rel} {vc.bound}",
             )
     if inst.orders:
-        concrete = {}
-        for var, v in values.items():
+        concrete = []
+        for var, v in zip(inst.variables, ordered):
             if isinstance(v, PowerSum):
                 try:
-                    concrete[var] = v.materialize(guard)
+                    v = v.materialize(guard)
                 except OverflowGuardError:
                     return CheckResult.reject(
                         "guard",
                         f"order constraints need {var!r} materialized, which exceeds the guard",
                     )
-            else:
-                concrete[var] = v
+            concrete.append(v)
+        # the point over one common denominator: x = X / D with D > 0
+        D = math.lcm(*[v.denominator for v in concrete])
+        X = [v.numerator * (D // v.denominator) for v in concrete]
         for idx, oc in enumerate(inst.orders):
-            total = sum(
-                (c * concrete[var] for c, var in zip(oc.coeffs, inst.variables)),
-                Fraction(0),
-            )
-            holds = total < oc.rhs if oc.rel == "<" else total <= oc.rhs
-            if not holds:
+            if not _order_holds(oc, X, D):
+                total = sum((c * x for c, x in zip(oc.coeffs, concrete)), Fraction(0))
                 return CheckResult.reject(
                     "order", f"order constraint {idx}: {total} {oc.rel} {oc.rhs} fails"
                 )

@@ -1,15 +1,34 @@
 """Combining rational order constraints with p-adic valuation constraints.
 
-The order side is handled by exact linear programming.  strictify() first
-decides the order system outright.  If it is feasible, the implicit
-equalities (weak rows that hold with equality on the whole solution set) are
-found in conversion rounds: one LP asks for every remaining weak row to be
-strict at once.  A feasible answer is the witness.  An infeasible one comes
-with a checked Farkas certificate, and since the system itself is feasible
-that certificate has value 0, so every weak row it engages is an implicit
-equality; all of them are converted together and the next round starts.
-Each round converts at least one row, so there are at most as many rounds as
-weak rows, and weak rows without implicit equalities take two LPs.
+The order side is handled by exact linear programming.  strictify() decides
+the order system and finds its implicit equalities (weak rows that hold with
+equality on the whole solution set) in rounds of one LP each.  A round asks
+for every remaining weak row to be strict at once, next to the original
+strict rows, with the equalities plus the rows converted so far as
+equalities.  A feasible answer is the witness.  An infeasible one comes with
+a Farkas certificate that lp_feasible has already checked; for every x,
+
+    sum lam_i (a_i . x - b_i) + sum nu_i (row_i . x - rhs_i) = -value.
+
+- Value 0 with weight only on weak rows: on any solution of the original
+  system the lam terms vanish (the converted rows are implicit equalities by
+  induction) and each nu term is <= 0, so each engaged term is 0.  Every
+  engaged weak row is an implicit equality; all of them are converted
+  together and the next round starts.  Converting keeps the solution set, so
+  this needs no feasible base point and holds when the set is empty too.
+- Anything else refutes: value < 0, or value 0 with an original strict row
+  engaged.  A solution of the original system would make the left side
+  <= 0, and < 0 with a strict row engaged, so the system is empty.  In the
+  first round the certificate already refutes the original blocks (its weak
+  rows' multipliers become mu), and it is re-checked there.  After a
+  conversion the round's equalities are not the original ones, so one more
+  LP on the original blocks gives a certificate in their terms; if that LP
+  finds a point, something is wrong, and strictify raises InternalError.
+
+Each conversion round converts at least one row, so there are at most as
+many conversion rounds as weak rows.  A system whose weak rows can all be
+strict takes one LP; an unsat one takes one LP unless a conversion came
+first.
 
 solve_combined() then runs the valuation side against the equality system
 augmented with the converted rows.  Each prime is dispatched independently;
@@ -24,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import verify_witness
+from .certify import check_certificate, verify_witness
 from .dispatch import solve_single_prime
 from .errors import InternalError
 from .model import (
@@ -51,7 +70,7 @@ class StrictifyResult:
     # weak rows found to be implicit equalities, as (original index, row)
     converted: list[tuple[int, tuple[tuple[Fraction, ...], Fraction]]]
     certificate: LpInfeasible | None = None
-    # conversion rounds: all-strict LPs that came back infeasible
+    # conversion rounds: round LPs whose certificate converted weak rows
     restarts: int = 0
 
 
@@ -61,14 +80,10 @@ def _block(rows: Rows) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 def strictify(equalities: Rows, weak: Rows, strict: Rows) -> StrictifyResult:
     """Decide the order system and expose its implicit equalities."""
-    base = lp_feasible(*_block(equalities), *_block(weak), *_block(strict))
-    if isinstance(base, LpInfeasible):
-        return StrictifyResult(False, None, [], certificate=base)
-    witness = base.x
     remaining = list(enumerate(weak))
     converted: list[tuple[int, tuple[tuple[Fraction, ...], Fraction]]] = []
     restarts = 0
-    while remaining:
+    while True:
         attempt = lp_feasible(
             *_block(equalities + [row for _, row in converted]),
             [],
@@ -76,22 +91,35 @@ def strictify(equalities: Rows, weak: Rows, strict: Rows) -> StrictifyResult:
             *_block(strict + [row for _, row in remaining]),
         )
         if isinstance(attempt, LpFeasible):
-            witness = attempt.x
-            break
-        # base.x satisfies every row, so sum nu_i (row_i . x - rhs_i) equals
-        # -value and has no positive term: a valid certificate has value 0,
-        # no weight on the original strict rows, and every weak row it
-        # engages holds with equality on the whole solution set
+            converted.sort(key=lambda item: item[0])
+            return StrictifyResult(True, attempt.x, converted, restarts=restarts)
+        # sum lam_i (a_i . x - b_i) + sum nu_i (row_i . x - rhs_i) = -value
+        # for every x; see the module docstring for the two cases
         nu_strict, nu_weak = attempt.nu[: len(strict)], attempt.nu[len(strict) :]
-        if attempt.value != 0 or any(nu_strict) or not any(nu_weak):
-            raise InternalError(
-                "strictify certificate contradicts the feasible base system"
+        if attempt.value == 0 and not any(nu_strict) and any(nu_weak):
+            converted += [item for nu, item in zip(nu_weak, remaining) if nu > 0]
+            remaining = [item for nu, item in zip(nu_weak, remaining) if nu == 0]
+            restarts += 1
+            continue
+        original = (*_block(equalities), *_block(weak), *_block(strict))
+        if converted:
+            # the converted rows are equalities of this round, not of the
+            # original system: refute the original blocks directly
+            certificate = lp_feasible(*original)
+            if isinstance(certificate, LpFeasible):
+                raise InternalError(
+                    "strictify refuted a system whose conversions kept it feasible"
+                )
+        else:
+            # the round's blocks are the original ones with the weak rows
+            # moved into the strict block
+            certificate = LpInfeasible(attempt.lam, nu_weak, nu_strict, attempt.value)
+            ok, why = check_certificate(
+                *original, certificate.lam, certificate.mu, certificate.nu
             )
-        converted += [item for nu, item in zip(nu_weak, remaining) if nu > 0]
-        remaining = [item for nu, item in zip(nu_weak, remaining) if nu == 0]
-        restarts += 1
-    converted.sort(key=lambda item: item[0])
-    return StrictifyResult(True, witness, converted, restarts=restarts)
+            if not ok:
+                raise InternalError(f"strictify certificate refutes nothing: {why}")
+        return StrictifyResult(False, None, [], certificate=certificate, restarts=restarts)
 
 
 def _order_blocks(inst: Instance):

@@ -7,6 +7,13 @@ optimum t* is positive.  Bland's rule makes the search terminate.  The
 tableau holds exact integer rows that clear through linalg.eliminate, so the
 pivots, points and certificates are those of a Fraction tableau.
 
+Phase 1 starts from the slack basis where it can: an inequality row whose
+rhs is >= 0 (weak, strict and t <= 1 rows) starts with its own slack basic,
+and only equality rows and rows negated for a negative rhs start on their
+artificial.  Every row still has an artificial column and every artificial
+still costs 1 in phase 1, so the duals are read off that identity block as
+before (see _Tableau.solve).
+
 Infeasibility is returned with a Farkas certificate (lam, mu, nu):
 multipliers with lam^T A + mu^T C + nu^T E = 0, mu >= 0, nu >= 0, whose
 combined right-hand side  value = lam^T b + mu^T d + nu^T f  refutes the
@@ -61,26 +68,46 @@ class _Tableau:
     every other row.  A pivot clears only the rows with a nonzero in the pivot
     column.  Signs and ratios are read off the integers, since every den is
     positive; Fractions are built only when a value is read.
+
+    The start basis takes a row's slack where the row keeps its sign and has
+    one, and the row's artificial otherwise; both are unit columns of their
+    row, so the start tableau is already canonical.  The artificial columns
+    form an identity block whatever the start basis, so a column's reduced
+    cost c_j - y^T a_j at the end of a phase gives y_i = c_art - zrow[art_i]
+    for every row, basic artificial or not.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], num_real: int):
-        """rows: the real columns and the rhs of each row, over dens."""
+    def __init__(
+        self,
+        rows: list[list[int]],
+        dens: list[int],
+        num_real: int,
+        slacks: list[int | None],
+    ):
+        """rows: the real columns and the rhs of each row, over dens.
+
+        slacks[i] is the real column of row i's slack, which holds den in
+        row i and 0 in every other row, or None for an equality row.
+        """
         self.m = m = len(rows)
         self.num_real = num_real
         self.width = num_real + m
         self.flips = []
         self.rows = []
+        self.basis = []
         # one artificial per row, after the real columns; a row with a
-        # negative rhs is negated first, its artificial is not
-        for i, (row, den) in enumerate(zip(rows, dens)):
+        # negative rhs is negated first, its artificial is not.  A row that
+        # keeps its sign and has a slack starts with the slack basic, every
+        # other row with its artificial
+        for i, (row, den, slack) in enumerate(zip(rows, dens, slacks)):
             sign = -1 if row[-1] < 0 else 1
             self.flips.append(sign)
             artificial = [0] * m
             artificial[i] = den
             self.rows.append([sign * c for c in row[:-1]] + artificial + [sign * row[-1]])
+            self.basis.append(num_real + i if slack is None or sign < 0 else slack)
         self.rows.append([])  # the cost row, set by _set_cost
         self.dens = [*dens, 1]
-        self.basis = [num_real + i for i in range(m)]
 
     def _pivot(self, i: int, j: int) -> None:
         rows, dens = self.rows, self.dens
@@ -215,7 +242,8 @@ def lp_feasible(A, b, C, d, E, f) -> LpFeasible | LpInfeasible:
     r[2 * n], r[2 * n + 1], r[2 * n + 2 + mC + mE], r[-1] = 1, -1, 1, 1
     rows.append(r)
 
-    tableau = _Tableau(rows, [den for _, den in scaled] + [1], num_real)
+    slacks = [None] * mA + [2 * n + 2 + k for k in range(mC + mE + 1)]
+    tableau = _Tableau(rows, [den for _, den in scaled] + [1], num_real, slacks)
     cost = [0] * num_real
     cost[2 * n], cost[2 * n + 1] = -1, 1  # minimize -t
     objective, y = tableau.solve(cost)

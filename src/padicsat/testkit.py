@@ -1,5 +1,6 @@
 """Test-support tools: the audit algebra, a coloring encoder, an independent
-divisibility oracle, and seeded instance generators.
+divisibility oracle, an independent order decider, and seeded instance
+generators.
 
 No solver imports this module.  It reads GeqProblem and LeqProblem only as
 data: the oracle decides lower-bound systems through the Smith normal form
@@ -329,6 +330,59 @@ def smith_oracle_geq(prob: GeqProblem, guard: int = DEFAULT_EXPONENT_GUARD):
                 "oracle-rank", f"row {i} beyond the rank has nonzero rhs {y[i]}"
             )
     return Verdict.sat()
+
+
+# ---------------------------------------------------------------------------
+# an independent order decider
+
+
+def fourier_motzkin_feasible(equalities, weak, strict) -> bool:
+    """Whether a x = b, c x <= d and e x < f have a rational solution.
+
+    Each block is a list of (coeffs, rhs) rows, as strictify takes them.
+    Fourier-Motzkin elimination with strictness, exact and without the LP:
+    an equality is two weak rows, each row (coeffs | rhs) is kept as
+    primitive integers, and eliminating x_j adds every pair of rows with
+    opposite signs at j, each scaled by the other's |entry| so that x_j
+    cancels, strict when either row is.  Once no variable is left each row
+    reads 0 <= rhs or 0 < rhs.  The row count can square with each
+    variable, so this is for systems of up to about three variables.
+    """
+
+    def add(rows: set, row: tuple[int, ...], is_strict: bool) -> bool:
+        # False when a row without variables fails
+        if not any(row[:-1]):
+            return row[-1] > 0 if is_strict else row[-1] >= 0
+        g = math.gcd(*row)
+        rows.add((tuple([c // g for c in row]), is_strict))
+        return True
+
+    def integers(coeffs, rhs, sign: int) -> tuple[int, ...]:
+        row = [Fraction(c) * sign for c in (*coeffs, rhs)]
+        den = math.lcm(*[c.denominator for c in row])
+        return tuple([c.numerator * (den // c.denominator) for c in row])
+
+    blocks = [
+        *[(integers(r, q, 1), False) for r, q in (*equalities, *weak)],
+        *[(integers(r, q, -1), False) for r, q in equalities],
+        *[(integers(r, q, 1), True) for r, q in strict],
+    ]
+    rows: set[tuple[tuple, bool]] = set()
+    for row, is_strict in blocks:
+        if not add(rows, row, is_strict):
+            return False
+    n = len(blocks[0][0]) - 1 if blocks else 0
+    for j in range(n):
+        upper = [row for row in rows if row[0][j] > 0]
+        lower = [row for row in rows if row[0][j] < 0]
+        rows = {row for row in rows if row[0][j] == 0}
+        for cu, su in upper:
+            for cl, sl in lower:
+                a, b = cu[j], -cl[j]
+                combined = tuple(b * x + a * y for x, y in zip(cu, cl))
+                if not add(rows, combined, su or sl):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from padicsat.dispatch import solve_instance
 from padicsat.errors import InputError, InternalError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
 from padicsat.simplex import LpFeasible, LpInfeasible, lp_feasible
-from padicsat.testkit import random_instance
+from padicsat.testkit import fourier_motzkin_feasible, random_instance
 
 
 def inst(variables, equations=(), valuations=(), orders=()):
@@ -247,15 +247,16 @@ def test_lp_rejects_ragged_blocks():
 # Small systems with their exact answers: free variables (x = u - w), equality
 # rows, rows flipped for a negative right-hand side, degenerate ratio-test
 # ties and strict-infeasible blocks.  Every value is pinned, so a change in
-# any tableau entry, Bland's-rule choice or dual read-off shows up here.
+# any tableau entry, start basis, Bland's-rule choice or dual read-off shows
+# up here; test_pinned_answers_are_evidence checks each pin on its own.
 PINNED_LPS = [
     (
         ([[1, -1]], [2], [[1, 1]], [4], [[-1, 0]], [0]),
-        LpFeasible((F(1), F(-1)), F(1)),
+        LpFeasible((F(2), F(0)), F(1)),
     ),
     (
         ([[2, -1, 0]], [-3], [[0, 1, 1], [1, 0, -1]], [-1, 2], [[1, 1, 1]], [3]),
-        LpFeasible((F(-2, 3), F(5, 3), F(-8, 3)), F(1)),
+        LpFeasible((F(-2), F(-1), F(0)), F(1)),
     ),
     (
         ([], [], [[1, 0], [0, 1], [1, 1], [-1, 2]], [0, 0, 0, 0], [[-1, -1]], [1]),
@@ -369,6 +370,13 @@ def test_lp_outputs_are_pinned(blocks, expected):
     assert lp_feasible(*blocks) == expected
 
 
+@pytest.mark.parametrize("blocks, expected", PINNED_LPS)
+def test_pinned_answers_are_evidence(blocks, expected):
+    # each pinned point meets its blocks in Fractions, and each pinned
+    # certificate refutes them, without running the LP
+    _assert_evidence(blocks, expected, "pin")
+
+
 # ---------------------------------------------------------------------------
 # strictification
 
@@ -406,6 +414,10 @@ def test_strictify_tautology_row_becomes_trivial_equality():
 
 def _dot(row, x):
     return sum((c * v for c, v in zip(row, x)), F(0))
+
+
+def _blocks(rows):
+    return [list(r) for r, _ in rows], [q for _, q in rows]
 
 
 def test_strictify_matches_per_row_reference():
@@ -464,16 +476,91 @@ def test_strictify_matches_per_row_reference():
     assert pinched > 15
 
 
-def test_strictify_box_takes_two_lps(monkeypatch):
+def _random_order_system(rng):
+    """Equalities, weak and strict rows in up to three variables: mostly
+    around a planted point, with tight rows and pinched pairs, else free."""
+    n = rng.randint(1, 3)
+    x0 = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+    planted = rng.random() < 0.7
+
+    def row():
+        return tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n))
+
+    def rhs(r, slack):
+        return _dot(r, x0) + slack if planted else F(rng.randint(-4, 4), rng.randint(1, 2))
+
+    eqs, weak, strict = [], [], []
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        r = row()
+        eqs.append((r, rhs(r, 0)))
+    for _ in range(rng.randint(0, 4)):
+        r = row()
+        weak.append((r, rhs(r, F(rng.choice([0, 0, 1, 2])))))
+    if rng.random() < 0.4:
+        r = row()
+        cap = rhs(r, 0)
+        weak += [(r, cap), (tuple(-c for c in r), -cap)]
+    for _ in range(rng.randint(0, 2)):
+        r = row()
+        strict.append((r, rhs(r, F(rng.choice([0, 1, 2])))))
+    rng.shuffle(weak)
+    return eqs, weak, strict
+
+
+def test_strictify_agrees_with_fourier_motzkin():
+    # the decider shares no code with the LP: statuses must agree, a weak
+    # row is converted iff making it strict alone empties the system, and
+    # every certificate refutes the original blocks
+    rng = random.Random(518)
+    sat = unsat = converted_rows = 0
+    for trial in range(2000):
+        eqs, weak, strict = _random_order_system(rng)
+        res = strictify(eqs, weak, strict)
+        assert res.feasible == fourier_motzkin_feasible(eqs, weak, strict), f"trial {trial}"
+        if not res.feasible:
+            cert = res.certificate
+            ok, why = check_certificate(
+                *_blocks(eqs), *_blocks(weak), *_blocks(strict), cert.lam, cert.mu, cert.nu
+            )
+            assert ok, f"trial {trial}: {why}"
+            unsat += 1
+            continue
+        expected = [
+            i
+            for i, w in enumerate(weak)
+            if not fourier_motzkin_feasible(eqs, weak[:i] + weak[i + 1 :], strict + [w])
+        ]
+        assert [idx for idx, _ in res.converted] == expected, f"trial {trial}"
+        x = res.witness
+        for r, q in eqs:
+            assert _dot(r, x) == q, f"trial {trial}"
+        for i, (r, q) in enumerate(weak):
+            assert (_dot(r, x) == q) if i in expected else (_dot(r, x) < q), f"trial {trial}"
+        for r, q in strict:
+            assert _dot(r, x) < q, f"trial {trial}"
+        sat += 1
+        converted_rows += len(expected)
+    assert sat > 1200 and unsat > 400 and converted_rows > 1000
+
+
+def _scripted_lps(monkeypatch, answers):
+    """Make strictify's LPs return the given answers in turn; returns the
+    list of the blocks each call received."""
     import padicsat.combiner as combiner
 
-    calls = []
+    answers, calls = iter(answers), []
 
-    def counting(*blocks):
-        calls.append(1)
-        return lp_feasible(*blocks)
+    def scripted(*blocks):
+        calls.append(blocks)
+        answer = next(answers)
+        return answer(*blocks) if callable(answer) else answer
 
-    monkeypatch.setattr(combiner, "lp_feasible", counting)
+    monkeypatch.setattr(combiner, "lp_feasible", scripted)
+    return calls
+
+
+def test_strictify_box_takes_one_lp(monkeypatch):
+    calls = _scripted_lps(monkeypatch, [lp_feasible])
     d = 16
     weak = []
     for j in range(d):
@@ -483,25 +570,61 @@ def test_strictify_box_takes_two_lps(monkeypatch):
     res = strictify([], weak, [])
     assert res.feasible and res.converted == [] and res.restarts == 0
     assert all(j < x < j + 1 for j, x in enumerate(res.witness))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "nu, value",
-    # strict block order: the original strict row, then the weak row
-    [((F(0), F(1)), F(-1)), ((F(1), F(1)), F(0)), ((F(0), F(0)), F(0))],
-)
-def test_strictify_rejects_impossible_round_certificate(monkeypatch, nu, value):
-    # the base system is feasible, so a round certificate with value < 0, a
-    # weight on an original strict row, or no engaged weak row is a bug
-    import padicsat.combiner as combiner
+def test_strictify_maps_first_round_refutation_onto_original_blocks(monkeypatch):
+    # x + y = 1, x <= 0 (weak) and y < 1 (strict) clash: y = 1 - x >= 1
+    eqs = [((F(1), F(1)), F(1))]
+    weak = [((F(1), F(0)), F(0)), ((F(0), F(-1)), F(5))]
+    strict = [((F(0), F(1)), F(1))]
+    answers = []
 
-    answers = iter([lp_feasible([], [], [[F(1)]], [F(1)], [[F(-1)]], [F(0)])])
+    def recording(*blocks):
+        answers.append(lp_feasible(*blocks))
+        return answers[-1]
 
-    def scripted(*blocks):
-        return next(answers, LpInfeasible((), (), nu, value))
+    calls = _scripted_lps(monkeypatch, [recording])
+    res = strictify(eqs, weak, strict)
+    assert not res.feasible and len(calls) == 1
+    (round_answer,) = answers
+    assert isinstance(round_answer, LpInfeasible)
+    # the round's strict block is the strict rows, then the weak rows
+    cert = res.certificate
+    assert cert == LpInfeasible(
+        round_answer.lam, round_answer.nu[1:], round_answer.nu[:1], round_answer.value
+    )
+    ok, why = check_certificate(
+        *_blocks(eqs), *_blocks(weak), *_blocks(strict), cert.lam, cert.mu, cert.nu
+    )
+    assert ok, why
+    # both the weak and the strict row are engaged, so both halves moved
+    assert any(cert.mu) and any(cert.nu)
 
-    monkeypatch.setattr(combiner, "lp_feasible", scripted)
+
+def test_strictify_rejects_feasible_base_after_a_refuting_round(monkeypatch):
+    # round 1 converts the weak row x <= 1, round 2 refutes, and a base LP
+    # that then finds a point means one of the answers is wrong
+    calls = _scripted_lps(
+        monkeypatch,
+        [
+            LpInfeasible((), (), (F(0), F(1)), F(0)),
+            LpInfeasible((F(1),), (), (F(1),), F(-1)),
+            LpFeasible((F(1, 2),), F(1, 2)),
+        ],
+    )
+    with pytest.raises(InternalError):
+        strictify([], [((F(1),), F(1))], [((F(-1),), F(0))])
+    assert len(calls) == 3
+    # the second round has the converted row as an equality, the third is
+    # the original system
+    assert calls[1][:2] == ([[F(1)]], [F(1)])
+    assert calls[2] == ([], [], [[F(1)]], [F(1)], [[F(-1)]], [F(0)])
+
+
+def test_strictify_rejects_first_round_certificate_that_refutes_nothing(monkeypatch):
+    # value 0 and no engaged row: neither a conversion nor a refutation
+    _scripted_lps(monkeypatch, [LpInfeasible((), (), (F(0), F(0)), F(0))])
     with pytest.raises(InternalError):
         strictify([], [((F(1),), F(1))], [((F(-1),), F(0))])
 

@@ -19,6 +19,7 @@ from padicsat.testkit import (
     Graph,
     brute_color,
     encode_coloring,
+    fourier_motzkin_feasible,
     instance_of_geq_problem,
     instance_of_leq_problem,
     random_geq_problem,
@@ -71,6 +72,88 @@ def test_verify_witness_checks_orders():
     assert verify_witness(inst, {"x": Fraction(1)})
     assert verify_witness(inst, {"x": Fraction(2)}).code == "order"
     assert verify_witness(inst, {"x": PowerSum.from_rational(2, 1)})
+
+
+def test_verify_witness_order_rejection_is_pinned():
+    inst = Instance(
+        ("x", "y"),
+        orders=(
+            OrderConstraint((Fraction(1), Fraction(0)), "<=", Fraction(5)),
+            OrderConstraint((Fraction(1, 2), Fraction(-2, 3)), "<", Fraction(1, 6)),
+        ),
+    )
+    point = {"x": Fraction(1, 3), "y": Fraction(0)}
+    check = verify_witness(inst, point)
+    assert (check.code, check.detail) == ("order", "order constraint 1: 1/6 < 1/6 fails")
+    # the same point meets the row with <=
+    row = inst.orders[1]
+    weak = Instance(inst.variables, orders=(OrderConstraint(row.coeffs, "<=", row.rhs),))
+    assert verify_witness(weak, point)
+
+
+def _concrete(witness, variables):
+    return [
+        v.materialize() if isinstance(v, PowerSum) else as_fraction(v)
+        for v in (witness[var] for var in variables)
+    ]
+
+
+def _order_reference(inst, witness):
+    """The first order row that fails under Fraction evaluation, as
+    (index, total), or None: the reference for the integer row check."""
+    values = _concrete(witness, inst.variables)
+    for idx, oc in enumerate(inst.orders):
+        total = sum((c * v for c, v in zip(oc.coeffs, values)), Fraction(0))
+        if not (total < oc.rhs if oc.rel == "<" else total <= oc.rhs):
+            return idx, total
+    return None
+
+
+def test_verify_witness_order_rows_agree_with_fraction_evaluation():
+    rng = random.Random(519)
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 7, 12]))
+
+    counts = dict.fromkeys(["accept", "reject", "tight <=", "tight <", "power sum"], 0)
+    for trial in range(800):
+        n = rng.randint(1, 4)
+        names = tuple(f"x{j}" for j in range(n))
+        p = rng.choice([2, 3, 5])
+        if rng.random() < 0.3:
+            # power sums over one prime, with negative exponents too
+            witness = {
+                var: PowerSum(p, tuple((rational(), e) for e in rng.sample(range(-3, 6), 2)))
+                for var in names
+            }
+            counts["power sum"] += 1
+        else:
+            witness = {var: rational() for var in names}
+        values = _concrete(witness, names)
+        orders = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = tuple(rational() if rng.random() < 0.7 else Fraction(0) for _ in names)
+            total = sum((c * v for c, v in zip(coeffs, values)), Fraction(0))
+            rhs = total + rng.choice([Fraction(0), Fraction(0), rational() / 5])
+            rel = rng.choice(["<", "<="])
+            orders.append(OrderConstraint(coeffs, rel, rhs))
+            if rhs == total:
+                counts[f"tight {rel}"] += 1
+        inst = Instance(names, orders=tuple(orders))
+        check = verify_witness(inst, witness)
+        expected = _order_reference(inst, witness)
+        if expected is None:
+            assert check, f"trial {trial}: {check.detail}"
+            counts["accept"] += 1
+        else:
+            idx, total = expected
+            oc = inst.orders[idx]
+            assert (check.code, check.detail) == (
+                "order",
+                f"order constraint {idx}: {total} {oc.rel} {oc.rhs} fails",
+            ), f"trial {trial}"
+            counts["reject"] += 1
+    assert min(counts.values()) > 100, counts
 
 
 def test_verify_witness_guard_refusals():
@@ -351,3 +434,22 @@ def test_random_instance_fragments():
     for j in range(5):
         assert any(eq.coeffs[j] != 0 for eq in covered.equations)
     assert random_instance(42) == random_instance(42)
+
+
+def test_fourier_motzkin_decides_small_order_systems():
+    F = Fraction
+    # 0 < x < 1, and x <= 1 with 1 <= x, pinned: fine weak, empty strict
+    assert fourier_motzkin_feasible([], [], [((1,), 1), ((-1,), 0)])
+    pinched = [((1,), 1), ((-1,), -1)]
+    assert fourier_motzkin_feasible([], pinched, [])
+    assert not fourier_motzkin_feasible([], pinched, [((1,), 1)])
+    # x + y = 1 with x < 0 and y < 0; then with x < 1/2 and y <= 1/2
+    eq = [((1, 1), 1)]
+    assert not fourier_motzkin_feasible(eq, [], [((1, 0), 0), ((0, 1), 0)])
+    assert not fourier_motzkin_feasible(eq, [((0, F(2)), 1)], [((F(2), 0), 1)])
+    assert fourier_motzkin_feasible(eq, [((0, F(2)), 1)], [((F(3), 0), 2)])
+    # rows without variables decide on their own
+    assert not fourier_motzkin_feasible([], [((0, 0), F(-1, 3))], [])
+    assert not fourier_motzkin_feasible([], [], [((0, 0), 0)])
+    assert fourier_motzkin_feasible([((0, 0), 0)], [((0, 0), 0)], [((0, 0), 1)])
+    assert fourier_motzkin_feasible([], [], [])
