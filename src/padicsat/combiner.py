@@ -2,33 +2,35 @@
 
 The order side is handled by exact linear programming.  strictify() decides
 the order system and finds its implicit equalities (weak rows that hold with
-equality on the whole solution set) in rounds of one LP each.  A round asks
-for every remaining weak row to be strict at once, next to the original
-strict rows, with the equalities plus the rows converted so far as
-equalities.  A feasible answer is the witness.  An infeasible one comes with
-a Farkas certificate that lp_feasible has already checked; for every x,
+equality on the whole solution set) in rounds of one LP each.  A round keeps
+the equalities as equalities and the rows converted so far as weak rows, and
+asks for every remaining weak row to be strict at once, next to the original
+strict rows.  Every row of a round is an original row with its original
+relation, except that the remaining weak rows are asked to be strict, so a
+feasible answer solves the original system and is the witness.  An
+infeasible one comes with a Farkas certificate that lp_feasible has already
+checked; for every x,
 
-    sum lam_i (a_i . x - b_i) + sum nu_i (row_i . x - rhs_i) = -value.
+    sum lam_i (a_i . x - b_i) + sum mu_j (c_j . x - d_j)
+        + sum nu_k (e_k . x - f_k) = -value.
 
-- Value 0 with weight only on weak rows: on any solution of the original
-  system the lam terms vanish (the converted rows are implicit equalities by
-  induction) and each nu term is <= 0, so each engaged term is 0.  Every
-  engaged weak row is an implicit equality; all of them are converted
-  together and the next round starts.  Converting keeps the solution set, so
-  this needs no feasible base point and holds when the set is empty too.
+- Value 0 with no original strict row engaged and some remaining weak row
+  engaged: on any solution of the original system the lam terms vanish and
+  every mu and nu term is <= 0, so with sum 0 each engaged term is 0.  Every
+  engaged remaining weak row is an implicit equality; all of them are
+  converted together and the next round starts.  Converting keeps the
+  solution set, so this needs no feasible point and holds when the set is
+  empty too.
 - Anything else refutes: value < 0, or value 0 with an original strict row
   engaged.  A solution of the original system would make the left side
-  <= 0, and < 0 with a strict row engaged, so the system is empty.  In the
-  first round the certificate already refutes the original blocks (its weak
-  rows' multipliers become mu), and it is re-checked there.  After a
-  conversion the round's equalities are not the original ones, so one more
-  LP on the original blocks gives a certificate in their terms; if that LP
-  finds a point, something is wrong, and strictify raises InternalError.
+  <= 0, and < 0 with a strict row engaged, so the system is empty.  The
+  round's certificate refutes the original blocks as it stands once the
+  multipliers of the converted and remaining weak rows go back to the weak
+  rows' original indices; it is checked there before it is handed out.
 
 Each conversion round converts at least one row, so there are at most as
-many conversion rounds as weak rows.  A system whose weak rows can all be
-strict takes one LP; an unsat one takes one LP unless a conversion came
-first.
+many conversion rounds as weak rows, and every system takes one LP more
+than it has conversion rounds.
 
 solve_combined() then runs the valuation side against the equality system
 augmented with the converted rows.  Each prime is dispatched independently;
@@ -63,12 +65,13 @@ Rows = list[tuple[tuple[Fraction, ...], Fraction]]
 @dataclass
 class StrictifyResult:
     feasible: bool
-    # a point satisfying every equality, every strict row strictly, every
-    # converted row with equality and every other weak row strictly; None
-    # when infeasible
+    # a solution of the original system with every strict row and every
+    # unconverted weak row strict; the converted rows are tight there, as at
+    # every solution; None when infeasible
     witness: tuple[Fraction, ...] | None
     # weak rows found to be implicit equalities, as (original index, row)
     converted: list[tuple[int, tuple[tuple[Fraction, ...], Fraction]]]
+    # multipliers on the original (equality, weak, strict) blocks
     certificate: LpInfeasible | None = None
     # conversion rounds: round LPs whose certificate converted weak rows
     restarts: int = 0
@@ -85,40 +88,28 @@ def strictify(equalities: Rows, weak: Rows, strict: Rows) -> StrictifyResult:
     restarts = 0
     while True:
         attempt = lp_feasible(
-            *_block(equalities + [row for _, row in converted]),
-            [],
-            [],
+            *_block(equalities),
+            *_block([row for _, row in converted]),
             *_block(strict + [row for _, row in remaining]),
         )
         if isinstance(attempt, LpFeasible):
             converted.sort(key=lambda item: item[0])
             return StrictifyResult(True, attempt.x, converted, restarts=restarts)
-        # sum lam_i (a_i . x - b_i) + sum nu_i (row_i . x - rhs_i) = -value
-        # for every x; see the module docstring for the two cases
+        # the certificate's identity and its two cases: see the module docstring
         nu_strict, nu_weak = attempt.nu[: len(strict)], attempt.nu[len(strict) :]
         if attempt.value == 0 and not any(nu_strict) and any(nu_weak):
             converted += [item for nu, item in zip(nu_weak, remaining) if nu > 0]
             remaining = [item for nu, item in zip(nu_weak, remaining) if nu == 0]
             restarts += 1
             continue
+        # the weak multipliers go back to their rows' original indices
+        order = [idx for idx, _ in converted + remaining]
+        mu = tuple(m for _, m in sorted(zip(order, attempt.mu + nu_weak)))
+        certificate = LpInfeasible(attempt.lam, mu, nu_strict, attempt.value)
         original = (*_block(equalities), *_block(weak), *_block(strict))
-        if converted:
-            # the converted rows are equalities of this round, not of the
-            # original system: refute the original blocks directly
-            certificate = lp_feasible(*original)
-            if isinstance(certificate, LpFeasible):
-                raise InternalError(
-                    "strictify refuted a system whose conversions kept it feasible"
-                )
-        else:
-            # the round's blocks are the original ones with the weak rows
-            # moved into the strict block
-            certificate = LpInfeasible(attempt.lam, nu_weak, nu_strict, attempt.value)
-            ok, why = check_certificate(
-                *original, certificate.lam, certificate.mu, certificate.nu
-            )
-            if not ok:
-                raise InternalError(f"strictify certificate refutes nothing: {why}")
+        ok, why = check_certificate(*original, certificate.lam, certificate.mu, certificate.nu)
+        if not ok:
+            raise InternalError(f"strictify certificate refutes nothing: {why}")
         return StrictifyResult(False, None, [], certificate=certificate, restarts=restarts)
 
 

@@ -1,6 +1,7 @@
 """Exact LP feasibility, Farkas certificates, strictification, and the
 combined decision procedure for orders plus valuations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -507,15 +508,19 @@ def _random_order_system(rng):
     return eqs, weak, strict
 
 
-def test_strictify_agrees_with_fourier_motzkin():
+def test_strictify_agrees_with_fourier_motzkin(monkeypatch):
     # the decider shares no code with the LP: statuses must agree, a weak
-    # row is converted iff making it strict alone empties the system, and
-    # every certificate refutes the original blocks
+    # row is converted iff making it strict alone empties the system, every
+    # certificate refutes the original blocks, also after a conversion, and
+    # every system takes one LP per round
+    calls = _scripted_lps(monkeypatch, itertools.repeat(lp_feasible))
     rng = random.Random(518)
-    sat = unsat = converted_rows = 0
+    sat = unsat = unsat_after_conversion = converted_rows = 0
     for trial in range(2000):
         eqs, weak, strict = _random_order_system(rng)
+        calls.clear()
         res = strictify(eqs, weak, strict)
+        assert len(calls) == res.restarts + 1, f"trial {trial}"
         assert res.feasible == fourier_motzkin_feasible(eqs, weak, strict), f"trial {trial}"
         if not res.feasible:
             cert = res.certificate
@@ -524,6 +529,7 @@ def test_strictify_agrees_with_fourier_motzkin():
             )
             assert ok, f"trial {trial}: {why}"
             unsat += 1
+            unsat_after_conversion += res.restarts > 0
             continue
         expected = [
             i
@@ -541,6 +547,7 @@ def test_strictify_agrees_with_fourier_motzkin():
         sat += 1
         converted_rows += len(expected)
     assert sat > 1200 and unsat > 400 and converted_rows > 1000
+    assert unsat_after_conversion > 80
 
 
 def _scripted_lps(monkeypatch, answers):
@@ -602,24 +609,40 @@ def test_strictify_maps_first_round_refutation_onto_original_blocks(monkeypatch)
     assert any(cert.mu) and any(cert.nu)
 
 
-def test_strictify_rejects_feasible_base_after_a_refuting_round(monkeypatch):
-    # round 1 converts the weak row x <= 1, round 2 refutes, and a base LP
-    # that then finds a point means one of the answers is wrong
+def test_strictify_refutes_after_a_conversion_on_the_original_rows(monkeypatch):
+    # x <= 1 and 1 <= x pinch x to 1, which -x < -1 then excludes
+    eqs = []
+    weak = [((F(1),), F(1)), ((F(-1),), F(-1))]
+    strict = [((F(-1),), F(-1))]
+    calls = _scripted_lps(monkeypatch, [lp_feasible, lp_feasible])
+    res = strictify(eqs, weak, strict)
+    assert not res.feasible and res.restarts == 1
+    # the first round converts both weak rows; the second keeps them weak
+    # and refutes
+    assert len(calls) == 2
+    assert calls[1] == ([], [], [[F(1)], [F(-1)]], [F(1), F(-1)], [[F(-1)]], [F(-1)])
+    cert = res.certificate
+    ok, why = check_certificate(
+        *_blocks(eqs), *_blocks(weak), *_blocks(strict), cert.lam, cert.mu, cert.nu
+    )
+    assert ok, why
+
+
+def test_strictify_rejects_reindexed_certificate_that_refutes_nothing(monkeypatch):
+    # round 1 converts both weak rows; round 2 engages only those, at value
+    # 0, which is neither a conversion nor a refutation of the original rows
     calls = _scripted_lps(
         monkeypatch,
         [
-            LpInfeasible((), (), (F(0), F(1)), F(0)),
-            LpInfeasible((F(1),), (), (F(1),), F(-1)),
-            LpFeasible((F(1, 2),), F(1, 2)),
+            LpInfeasible((), (), (F(0), F(1), F(1)), F(0)),
+            LpInfeasible((), (F(1), F(1)), (F(0),), F(0)),
         ],
     )
-    with pytest.raises(InternalError):
-        strictify([], [((F(1),), F(1))], [((F(-1),), F(0))])
-    assert len(calls) == 3
-    # the second round has the converted row as an equality, the third is
-    # the original system
-    assert calls[1][:2] == ([[F(1)]], [F(1)])
-    assert calls[2] == ([], [], [[F(1)]], [F(1)], [[F(-1)]], [F(0)])
+    with pytest.raises(InternalError, match="refutes nothing"):
+        strictify([], [((F(1),), F(1)), ((F(-1),), F(-1))], [((F(1),), F(5))])
+    assert len(calls) == 2
+    # the converted rows are the second round's weak block
+    assert calls[1][2:4] == ([[F(1)], [F(-1)]], [F(1), F(-1)])
 
 
 def test_strictify_rejects_first_round_certificate_that_refutes_nothing(monkeypatch):

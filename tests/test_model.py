@@ -225,5 +225,5 @@ def test_verdict_helpers():
     unsat = Verdict.unsat("why", "because", extra=3)
     assert unsat.is_unsat and unsat.code == "why"
     assert unsat.diagnostics["extra"] == 3
-    unk = Verdict.unknown("mixed-unbounded", "cannot enumerate")
-    assert unk.is_unknown
+    unk = Verdict.unknown("why", "because")
+    assert unk.is_unknown and unk.code == "why"
