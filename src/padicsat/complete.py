@@ -27,8 +27,8 @@ decided here by a recursive search:
   echelon solver handles natively;
 * a variable bounded below with an exclusion above the bound is split around
   the exclusion;
-* once every variable fits one of the polynomial fragments the state is cut
-  into connected components and each is delegated.
+* once no variable is left to branch on, the state is a leaf, decided from
+  its relaxation's echelon as below.
 
 A state keeps its equations as primitive integer rows (A | b) over one
 column list: an equivalent reduced system, not the equations as written.
@@ -39,24 +39,26 @@ row by a power of p when v < 0 so that it stays integral; either divides a
 changed row by its content.  States whose lower-bound relaxation is
 already unsatisfiable are pruned.  The relaxation test hands the integer
 rows to `solve_geq` as they are and asks for the echelon instead of a
-witness, so a search node pays for the echelon and the pivot-bound checks
-but never for a Fraction or a PowerSum back-substitution.  When the
+witness, so a state that branches pays for the echelon and the pivot-bound
+checks but never for a Fraction or a PowerSum back-substitution.  When the
 relaxation is sat, the state takes that echelon's nonzero rows, mapped
 back to its columns and made primitive, as its rows, and its children
 inherit them.  The echelon is U (A | b) with U invertible, so the new rows
 have exactly the solutions of the old ones, and the zero rows it drops all
 read 0 = 0, as the relaxation is sat.  A child's relaxation then starts
 from a system nearly in echelon form, and propagation reads rows that can
-show bounds no original row shows.  Fractions are built only at the
-leaves, in the delegated solvers.
+show bounds no original row shows.
 
-A leaf component may mix floored variables G (a finite lower bound; at a
-leaf these are exactly what the echelon solver takes) with open variables
-that have no lower bound but an upper bound or exclusions.  It is decided
-exactly, after Guepin, Haase & Worrell's small-model argument (LICS 2019).
-Write the component's solutions as x = x0 + N t (`solve_affine`: x0 the
-particular solution, the columns of N its kernel basis), and let N_j be
-row j of N.
+The relaxation is the search's only lower-bound decision.  A leaf
+back-substitutes its relaxation's echelon once (`geq_witness`) into a
+witness w and cuts itself into connected components.  One whose variables
+all fit the lower-bound fragment is solved by w already.  Every other
+component has open variables (no lower bound, but an upper bound or
+exclusions) and may have floored ones G (a finite lower bound).  It is
+decided exactly from its rows and w, after Guepin, Haase & Worrell's
+small-model argument (LICS 2019).  Write its solutions as x = x0 + N t
+(`solve_affine`: x0 the particular solution, the columns of N its kernel
+basis), and let N_j be row j of N.
 
 * Bounded case: some open u has N_u = sum over g in G of l_g N_g.  Then
   x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, and by
@@ -75,6 +77,11 @@ row j of N.
   but finitely many parameters make every d_u nonzero.  w + p^(-M) d keeps
   every G coordinate and every equation, and for M large each open u gets
   v = v(d_u) - M, below v(w_u), its upper bound and its exclusions.
+
+With G empty, an open u is such a combination only when N_u = 0, that is
+when the equations fix x_u = x0_u.  Then v(x0_u) outside u's admissible set
+is unsat ("fixed-out-of-range"), and otherwise u stays at w_u = x0_u while
+the free case moves the other open coordinates.
 
 The search ends: a raise turns a variable without a lower bound into one
 with a floor, floors only rise, and digit substitutions create variables
@@ -109,7 +116,7 @@ from math import gcd
 
 from .certify import verify_witness
 from .errors import InputError, InternalError
-from .linalg import frozen_coordinates, integer_row, solve_affine
+from .linalg import EchelonResult, frozen_coordinates, integer_row, solve_affine
 from .model import Instance, NormalizedInstance, VarProfile, Verdict
 from .rational import (
     INF,
@@ -120,8 +127,7 @@ from .rational import (
     is_finite,
     valuation,
 )
-from .solver_geq import GeqProblem, solve_geq
-from .solver_leq import LeqProblem, solve_leq
+from .solver_geq import GeqProblem, geq_witness, solve_geq
 
 PROPAGATION_ROUNDS_FACTOR = 4
 # the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
@@ -413,8 +419,8 @@ def _bounds(state: _State, names: list[str]) -> tuple[tuple[ExtInt, ...], tuple[
     return floors, tuple(prof.exact_at(2) for prof in profs)
 
 
-def _relaxation_prunes(state: _State) -> bool:
-    """True if even the lower-bound relaxation of this state is unsatisfiable.
+def _relaxation(state: _State) -> tuple[GeqProblem, EchelonResult] | None:
+    """The state's lower-bound relaxation and its echelon; None if it is unsat.
 
     A row's multiple has the same solutions, so the integer rows go to the
     echelon as they are, in column order.  When the relaxation is sat, the
@@ -431,13 +437,13 @@ def _relaxation_prunes(state: _State) -> bool:
     )
     verdict = solve_geq(problem, witness=False)
     if verdict.is_unsat:
-        return True
+        return None
     result = verdict.diagnostics["echelon"]
     # echelon position sigma[c] holds column c; the rhs is the carried column
     order = [*result.sigma, n]
     state.rows = [_primitive([row[k] for k in order])[0] for row in result.rows[:result.rank]]
     state.valuations = state.row_valuations()
-    return False
+    return problem, result
 
 
 def _branch_target(state: _State) -> tuple[str, str, object] | None:
@@ -522,58 +528,38 @@ def _components(state: _State) -> list[tuple[list[str], list[int]]]:
     return out
 
 
-def _solve_component(
-    state: _State, members: list[str], rows: list[int]
+def _solve_mixed(
+    state: _State, members: list[str], rows: list[int], w: list[PowerSum]
 ) -> Verdict | None:
-    """Delegate a component to its polynomial solver, on its integer rows.
-
-    None means floors were raised (_solve_mixed) and the state is to be
-    searched again.
-    """
-    index = {c: j for j, c in enumerate(state.columns)}
-    cols = [index[v] for v in members]
-    equations = [state.rows[i] for i in rows]
-    floors, exact = _bounds(state, members)
-    problem = GeqProblem(
-        tuple([tuple([row[j] for j in cols]) for row in equations]),
-        tuple([row[-1] for row in equations]),
-        state.prime,
-        floors,
-        exact,
-    )
-    if all(_geq_compatible(state, v) for v in members):
-        verdict = solve_geq(problem)
-    elif all(state.profiles[v].lower == NEG_INF for v in members):
-        caps = tuple(state.profiles[v].upper for v in members)
-        excluded = tuple(state.profiles[v].excluded for v in members)
-        verdict = solve_leq(
-            LeqProblem.of(problem.A, problem.b, state.prime, caps, excluded)
-        )
-    else:
-        verdict = _solve_mixed(state, members, problem)
-        if verdict is None:
-            return None
-    if verdict.is_sat and verdict.witness is not None:
-        verdict.witness = dict(zip(members, verdict.witness))
-    return verdict
-
-
-def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verdict | None:
-    """Decide a component mixing floored and open variables (module docstring).
+    """Decide a component with open variables (module docstring), given its
+    rows and the relaxation's witness w over its members.
 
     Returns None after raising the floors of the open variables the floored
-    ones bound, unsat if a raise emptied a window, or the verdict of the
-    free case.
+    ones bound, unsat if a raise emptied a window or an open coordinate the
+    equations fix is out of range, or sat with the component's witness.
     """
     p = state.prime
     n = len(members)
+    index = {c: j for j, c in enumerate(state.columns)}
+    cols = [index[v] for v in members]
+    A = [[state.rows[i][j] for j in cols] for i in rows]
     floored = [j for j, v in enumerate(members) if is_finite(state.profiles[v].lower)]
     open_ = [j for j, v in enumerate(members) if not _geq_compatible(state, v)]
-    verdict = solve_geq(problem)
-    if verdict.is_unsat:
-        return verdict
-    space = solve_affine(problem.A, problem.b, n)  # consistent: w solves it
+    space = solve_affine(A, [state.rows[i][-1] for i in rows], n)  # w solves it
     x0, basis = space.particular, space.basis
+    if not floored:
+        # an open coordinate is bounded only where the equations fix it
+        frozen = frozen_coordinates(space)
+        for u in frozen:
+            v, prof = valuation(x0[u], p), state.profiles[members[u]]
+            if not v <= prof.upper or v in prof.excluded:
+                return Verdict.unsat(
+                    "fixed-out-of-range",
+                    f"coordinate {u} is fixed with valuation {v}, outside its allowed set",
+                    coordinate=u,
+                    valuation=v,
+                )
+        open_ = [u for u in open_ if u not in frozen]
     raised = False
     narrowed = []
     for u in open_:
@@ -606,36 +592,37 @@ def _solve_mixed(state: _State, members: list[str], problem: GeqProblem) -> Verd
     # the kernel directions with d_g = 0 on G, combined with weights
     # 1, t, t^2, ... for the first t that leaves no open d_u zero
     fixed = [[int(j == g) for j in range(n)] for g in floored]
-    directions = solve_affine(
-        [*problem.A, *fixed], [0] * (len(problem.A) + len(fixed)), n
-    ).basis
+    directions = solve_affine([*A, *fixed], [0] * (len(A) + len(fixed)), n).basis
     for t in itertools.count(1):
         d = [sum(vec[j] * t**k for k, vec in enumerate(directions)) for j in range(n)]
         if all(d[u] for u in open_):
             break
-    w = verdict.witness
     shift = 0
     for u in open_:
         prof = state.profiles[members[u]]
         cap = min(prof.upper, min(prof.excluded, default=INF) - 1, w[u].valuation() - 1)
         shift = max(shift, valuation(d[u], p) - cap)
-    verdict.witness = [
+    return Verdict.sat(witness=[
         w[j] + PowerSum(p, ((Fraction(d[j]), -shift),)) if d[j] else w[j]
         for j in range(n)
-    ]
-    return verdict
+    ])
 
 
-def _solve_leaves(state: _State, fresh: Iterator[int]) -> Verdict:
-    witness: dict[str, PowerSum] = {}
+def _solve_leaves(
+    state: _State, relaxation: tuple[GeqProblem, EchelonResult], fresh: Iterator[int]
+) -> Verdict:
+    """Decide a leaf from the echelon of its sat relaxation (module docstring)."""
+    witness = dict(zip(state.columns, geq_witness(*relaxation)))
     for members, rows in _components(state):
-        verdict = _solve_component(state, members, rows)
+        if all(_geq_compatible(state, v) for v in members):
+            continue  # the relaxation is the component's own problem
+        verdict = _solve_mixed(state, members, rows, [witness[v] for v in members])
         if verdict is None:
             # a raised floor: fewer variables are unbounded below
             return _solve_state(state, fresh)
         if verdict.is_unsat:
             return verdict
-        witness.update(verdict.witness or {})
+        witness.update(zip(members, verdict.witness))
     # express the witness in the root variables before handing it upward
     return Verdict.sat(witness=_reconstruct(state, witness))
 
@@ -693,13 +680,14 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
     if failed is not None:
         return failed
     _tighten_singletons(state)
-    if _relaxation_prunes(state):
+    relaxation = _relaxation(state)
+    if relaxation is None:
         return Verdict.unsat(
             "relaxation", "already the lower-bound relaxation is unsatisfiable"
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaves(state, fresh)
+        return _solve_leaves(state, relaxation, fresh)
     for child in _children(state, target, fresh):
         verdict = _solve_state(child, fresh)
         if verdict.is_sat:

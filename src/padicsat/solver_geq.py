@@ -21,11 +21,12 @@ valuation is rational.merged_valuation's integer merge, the one
 PowerSum.valuation runs, with no PowerSum built.
 
 geq_echelon runs the two checks and returns the echelon with the unsat
-verdict, or with None when the problem is sat; solve_geq builds the witness
-on top of it.  With witness=False a sat answer carries that echelon
-(diagnostics["echelon"]) in place of a witness: the branch-and-decide
-search's relaxation test needs no witness, but adopts the echelon's rows.
-Unsat answers are the same either way.
+verdict, or with None when the problem is sat; geq_witness back-substitutes
+a sat echelon into a witness, and solve_geq is the two in turn.  With
+witness=False a sat answer carries that echelon (diagnostics["echelon"]) in
+place of a witness: the branch-and-decide search's relaxation test adopts
+the echelon's rows, and a leaf hands the echelon to geq_witness.  Unsat
+answers are the same either way.
 """
 
 from __future__ import annotations
@@ -150,22 +151,15 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
     return result, None
 
 
-def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
-    """Decide prob; a sat answer carries a PowerSum witness, or with
-    witness=False the echelon."""
-    result, unsat = geq_echelon(prob)
-    if unsat is not None:
-        return unsat
-    diagnostics = {"rank": result.rank, "sigma": result.sigma}
-    if not witness:
-        return Verdict(Status.SAT, diagnostics={**diagnostics, "echelon": result})
+def geq_witness(prob: GeqProblem, result: EchelonResult) -> list[PowerSum]:
+    """A PowerSum witness of prob from its echelon, which geq_echelon found sat."""
     p = prob.prime
     n = len(prob.floors)
     k = result.rank
     rows = result.rows
     col_of = inverse_permutation(result.sigma)
-    # witness: the free columns (from k on, row i pivots at i) get p**floor,
-    # pivots are back-substituted; a row's denominator cancels from its equation
+    # the free columns (from k on, row i pivots at i) get p**floor, pivots
+    # are back-substituted; a row's denominator cancels from its equation
     w: list[PowerSum | None] = [None] * n
     for j in range(k, n):
         floor = prob.floors[col_of[j]]
@@ -175,7 +169,16 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
         w[i] = PowerSum.combination(
             p, [(1, row[n]), *((-row[j], w[j]) for j in range(i + 1, n) if row[j])]
         ).scale(Fraction(1, row[i]))
-    values = [None] * n
-    for j in range(n):
-        values[col_of[j]] = w[j]
-    return Verdict(Status.SAT, witness=values, diagnostics=diagnostics)
+    return [w[j] for j in result.sigma]  # position sigma[c] holds column c
+
+
+def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
+    """Decide prob; a sat answer carries a PowerSum witness, or with
+    witness=False the echelon."""
+    result, unsat = geq_echelon(prob)
+    if unsat is not None:
+        return unsat
+    diagnostics = {"rank": result.rank, "sigma": result.sigma}
+    if not witness:
+        return Verdict(Status.SAT, diagnostics={**diagnostics, "echelon": result})
+    return Verdict(Status.SAT, witness=geq_witness(prob, result), diagnostics=diagnostics)

@@ -445,19 +445,60 @@ def encode_coloring(g: Graph, p: int, e: int) -> Instance:
     names = [f"x{v}" for v in range(g.n)]
     wnames = [f"w_{u}_{v}" for u, v in g.edges]
     variables = tuple(names + wnames)
-    index = {name: i for i, name in enumerate(variables)}
-    eqs = []
-    for (u, v), w in zip(g.edges, wnames):
-        coeffs = [Fraction(0)] * len(variables)
-        coeffs[index[f"x{v}"]] += 1
-        coeffs[index[w]] += 1
-        coeffs[index[f"x{u}"]] -= 1
-        eqs.append(Equation(tuple(coeffs), Fraction(0)))
     vals = [ValConstraint(p, name, ">=", 0) for name in names]
     for w in wnames:
         vals.append(ValConstraint(p, w, "<=", e - 1))
         vals.append(ValConstraint(p, w, ">=", 0))
-    return Instance(variables, tuple(eqs), tuple(vals))
+    return Instance(variables, tuple(_edge_equations(g, variables)), tuple(vals))
+
+
+def _edge_equations(g: Graph, variables: tuple[str, ...]) -> list[Equation]:
+    """x_v + w = x_u for every edge (u, v), w named w_u_v."""
+    index = {name: i for i, name in enumerate(variables)}
+    eqs = []
+    for u, v in g.edges:
+        coeffs = [Fraction(0)] * len(variables)
+        coeffs[index[f"x{v}"]] += 1
+        coeffs[index[f"w_{u}_{v}"]] += 1
+        coeffs[index[f"x{u}"]] -= 1
+        eqs.append(Equation(tuple(coeffs), Fraction(0)))
+    return eqs
+
+
+def encode_three_coloring_eq(g: Graph) -> Instance:
+    """Instance satisfiable iff g is 3-colorable, in the paper's NP-hard
+    fragment: equations plus v_3(.) == c and nothing else.
+
+    Vertex v gets x_v = a_v + b_v with v_3(a_v) = v_3(b_v) = 0: a sum of two
+    3-adic units takes every residue mod 3, and x_v's residue is v's color.
+    Every edge gets x_v + w = x_u with v_3(w) = 0, so its endpoints' colors
+    differ.
+    """
+    wnames = [f"w_{u}_{v}" for u, v in g.edges]
+    units = [f"{c}{v}" for v in range(g.n) for c in "ab"]
+    variables = tuple([f"x{v}" for v in range(g.n)] + units + wnames)
+    index = {name: i for i, name in enumerate(variables)}
+    eqs = _edge_equations(g, variables)
+    for v in range(g.n):
+        coeffs = [Fraction(0)] * len(variables)
+        coeffs[index[f"x{v}"]] = Fraction(1)
+        coeffs[index[f"a{v}"]] = coeffs[index[f"b{v}"]] = Fraction(-1)
+        eqs.append(Equation(tuple(coeffs), Fraction(0)))
+    vals = tuple(ValConstraint(3, name, "==", 0) for name in units + wnames)
+    return Instance(variables, tuple(eqs), vals)
+
+
+def encode_two_coloring_geq(g: Graph) -> Instance:
+    """Instance satisfiable iff g is 2-colorable, in a fragment that is in P:
+    2-integral vertex variables x_v and x_v + w = x_u with v_2(w) == 0 on
+    every edge, so its endpoints differ mod 2.  It classifies as 2:GEQ.
+    """
+    wnames = [f"w_{u}_{v}" for u, v in g.edges]
+    names = [f"x{v}" for v in range(g.n)]
+    variables = tuple(names + wnames)
+    vals = [ValConstraint(2, name, ">=", 0) for name in names]
+    vals += [ValConstraint(2, w, "==", 0) for w in wnames]
+    return Instance(variables, tuple(_edge_equations(g, variables)), tuple(vals))
 
 
 def brute_color(g: Graph, k: int) -> bool:

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one pass/fail line each.
+"""Acceptance gate: twelve end-to-end checks, one pass/fail line each.
 
 Every check prints exactly one line of the form
 
@@ -35,6 +35,8 @@ from padicsat.testkit import (
     Graph,
     brute_color,
     encode_coloring,
+    encode_three_coloring_eq,
+    encode_two_coloring_geq,
     identity,
     instance_of_geq_problem,
     instance_of_leq_problem,
@@ -599,3 +601,78 @@ def test_acceptance_10_transform_invariance(capsys):
         )
 
     _report(capsys, 10, body)
+
+
+# ---------------------------------------------------------------------------
+# 11: the paper's NP-hard side: 3-coloring as equations plus v_3(.) == 0
+
+
+def test_acceptance_11_three_coloring_at_p3(capsys):
+    def body():
+        started = time.perf_counter()
+        graphs = [(Graph.complete(3), True), (Graph.complete(4), False)]
+        graphs += [(g, brute_color(g, 3)) for g in (
+            Graph.random(seed, 4 + seed % 3, 0.5) for seed in range(60)
+        )]
+        sat = 0
+        for g, want in graphs:
+            inst = encode_three_coloring_eq(g)
+            v = solve_instance(inst)
+            assert v.diagnostics["fragment"] == "HARD", f"{g}: {v.diagnostics}"
+            assert v.is_sat == want, f"{g}: {v.status.value}, 3-colorable: {want}"
+            if v.is_sat:
+                sat += 1
+                assert verify_witness(inst, v.witness), f"{g}: witness rejected"
+        elapsed = time.perf_counter() - started
+        assert elapsed < 60.0, f"took {elapsed:.2f}s, tolerance 60s"
+        return (
+            f"K3, K4 and 60 random graphs (|V| = 4..6) in the == encoding at p = 3 "
+            f"classify as HARD and match 3-colorability, {sat} sat / "
+            f"{len(graphs) - sat} unsat, 0 mismatches, {elapsed:.2f}s (tolerance < 60s)"
+        )
+
+    _report(capsys, 11, body)
+
+
+# ---------------------------------------------------------------------------
+# 12: the paper's polynomial side: 2-coloring at p = 2, with a doubling series
+
+
+def test_acceptance_12_two_coloring_at_p2(capsys):
+    def body():
+        sat = 0
+        for seed in range(100):
+            g = Graph.random(seed, 4 + seed % 5, 0.3)
+            inst = encode_two_coloring_geq(g)
+            v = solve_instance(inst)
+            assert v.diagnostics["fragment"] == "GEQ", f"{g}: {v.diagnostics}"
+            assert v.is_sat == brute_color(g, 2), f"{g}: {v.status.value}"
+            if v.is_sat:
+                sat += 1
+                assert verify_witness(inst, v.witness), f"{g}: witness rejected"
+        assert 20 < sat < 80, f"degenerate mix: {sat} of 100 sat"
+        # an even cycle is 2-colorable, an odd one is not
+        sizes = (16, 32, 64, 128)
+        per_instance = {}
+        for n in sizes:
+            insts = [encode_two_coloring_geq(Graph.cycle(n + k)) for k in (0, 1)]
+            best = None
+            for _ in range(2):  # best of two runs damps scheduler noise
+                t0 = time.perf_counter()
+                got = [solve_instance(inst).is_sat for inst in insts]
+                dt = time.perf_counter() - t0
+                best = dt if best is None else min(best, dt)
+            assert got == [True, False], f"cycles of {n} and {n + 1}: {got}"
+            per_instance[n] = best / len(insts)
+        worst = max(per_instance[2 * n] / per_instance[n] for n in sizes[:-1])
+        assert worst <= 10.0, (
+            f"doubling ratio {worst:.1f} exceeds 10 "
+            f"(times {[f'{per_instance[n] * 1000:.1f}ms' for n in sizes]})"
+        )
+        return (
+            f"100 random graphs (|V| = 4..8) in the p = 2 encoding classify as GEQ and "
+            f"match 2-colorability ({sat} sat, 0 mismatches); cycles n=16..128: "
+            f"worst time(2N)/time(N) is {worst:.1f}, tolerance <= 10"
+        )
+
+    _report(capsys, 12, body)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from padicsat import complete
+from padicsat import complete, solver_geq
 from padicsat.certify import verify_witness
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
@@ -446,8 +446,8 @@ def _spy_mixed(monkeypatch):
     results = []
     real = complete._solve_mixed
 
-    def spy(state, members, problem):
-        results.append(real(state, members, problem))
+    def spy(state, members, rows, w):
+        results.append(real(state, members, rows, w))
         return results[-1]
 
     monkeypatch.setattr(complete, "_solve_mixed", spy)
@@ -498,6 +498,60 @@ def test_floor_raise_then_branch(monkeypatch):
     assert verify_witness(i, verdict.witness)
     assert verdict.witness["y"].valuation() == 0
     assert results[0] is None and "y" in digits
+
+
+@pytest.mark.parametrize("seed, prime, code, reason, diagnostics", [
+    # the component {x1, x2} has no floored variable, and its two equations
+    # fix x2 (coordinate 1) at a unit, though v_3(x2) <= -3
+    (2102, 3, "fixed-out-of-range",
+     "coordinate 1 is fixed with valuation 0, outside its allowed set",
+     {"coordinate": 1, "valuation": 0, "fragment": "HARD"}),
+    # the equations fix the open x2 beside the floored x1: its floor is
+    # raised to the fixed valuation, which its cap excludes
+    (18, 2, "empty-window", "no admissible valuation for x2",
+     {"var": "x2", "fragment": "HARD"}),
+])
+def test_a_frozen_open_coordinate_is_settled_at_the_leaf(
+    seed, prime, code, reason, diagnostics
+):
+    i = random_instance(seed, fragment="mixed", primes=(prime,), num_vars=3, num_eqs=2)
+    verdict = solve_combined(i)
+    assert verdict.is_unsat
+    assert (verdict.code, verdict.reason, verdict.diagnostics) == (code, reason, diagnostics)
+
+
+@pytest.mark.parametrize("i", [
+    encode_coloring(Graph.cycle(5), 3, 1),
+    inst(
+        ["x", "y", "z", "w"],
+        [Equation.of([-1, 1, 0, 1], 1), Equation.of([0, 1, -3, -1], 1)],
+        [val(3, "x", ">=", 0), val(3, "z", ">=", 0), val(3, "y", "<=", 0)],
+    ),
+], ids=["coloring", "mixed"])
+def test_one_echelon_per_search_state(monkeypatch, i):
+    # the relaxation is a state's only lower-bound decision: a leaf builds
+    # its witness from the relaxation's echelon instead of eliminating again
+    calls, echelons, states = [], [], []
+
+    def spy(target, name, log):
+        real = getattr(target, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, wrapper)
+
+    spy(complete, "solve_geq", calls)
+    spy(solver_geq, "pivot_minimal_echelon", echelons)
+    spy(complete, "_solve_state", states)
+    verdict = solve_combined(i)
+    assert verdict.is_sat and verify_witness(i, verdict.witness)
+    relaxations = [kwargs for kwargs in calls if kwargs == {"witness": False}]
+    assert len(echelons) == len(relaxations) <= len(states), (
+        len(echelons), len(relaxations), len(states)
+    )
+    assert len(calls) == len(relaxations)
 
 
 # the five settings of the mixed fuzz: default primes (2, 3), then one prime
@@ -944,7 +998,7 @@ def test_adopted_rows_have_the_same_solutions():
         rows = [list(row) for row in state.rows]
         before = state.copy()
         space = solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
-        if complete._relaxation_prunes(state):
+        if complete._relaxation(state) is None:
             outcomes["pruned"] += 1
             continue
         assert before.rows == rows, trial

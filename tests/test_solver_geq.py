@@ -9,7 +9,7 @@ from padicsat.errors import InputError
 from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
 from padicsat.model import Status, Verdict
 from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
-from padicsat.solver_geq import GeqProblem, geq_echelon, solve_geq
+from padicsat.solver_geq import GeqProblem, geq_echelon, geq_witness, solve_geq
 from padicsat.testkit import (
     determinant,
     instance_of_geq_problem,
@@ -162,7 +162,8 @@ def test_witness_free_matches_full():
     # geq_echelon is the decision both answers share: its echelon is the one
     # the problem's (A | b) gets and its unsat verdict is solve_geq's.  The
     # witness-free answer of the search's relaxation test has the same
-    # status and unsat evidence, and on sat carries that echelon, no witness
+    # status and unsat evidence, and on sat carries that echelon, no witness;
+    # geq_witness builds the full answer's witness from that echelon
     statuses = collections.Counter()
     for seed in range(300):
         prob = random_geq_problem(
@@ -183,6 +184,7 @@ def test_witness_free_matches_full():
             assert full.is_sat and bare.is_sat and bare.witness is None, seed
             assert full.diagnostics == {"rank": result.rank, "sigma": result.sigma}, seed
             assert bare.diagnostics == {**full.diagnostics, "echelon": result}, seed
+            assert geq_witness(prob, result) == full.witness, seed
     assert min(statuses.values()) > 50, statuses
 
 

@@ -19,6 +19,8 @@ from padicsat.testkit import (
     Graph,
     brute_color,
     encode_coloring,
+    encode_three_coloring_eq,
+    encode_two_coloring_geq,
     fourier_motzkin_feasible,
     instance_of_geq_problem,
     instance_of_leq_problem,
@@ -389,6 +391,21 @@ def test_coloring_encodings_match_brute_force():
         assert verdict.is_sat == expected, (g, p, e)
         if verdict.is_sat:
             assert verify_witness(inst, verdict.witness)
+
+
+def test_dichotomy_encodings_stay_in_their_fragments():
+    # the p = 3 side writes v_3(.) == 0 and nothing else; the p = 2 side
+    # floors the vertices and pins the edge differences to units
+    g = Graph.cycle(5)
+    three = encode_three_coloring_eq(g)
+    assert {(c.prime, c.rel, c.bound) for c in three.valuations} == {(3, "==", 0)}
+    assert len(three.variables) == 3 * g.n + len(g.edges)
+    assert len(three.valuations) == 2 * g.n + len(g.edges)
+    two = encode_two_coloring_geq(g)
+    assert {(c.prime, c.rel, c.bound) for c in two.valuations} == {(2, ">=", 0), (2, "==", 0)}
+    assert len(two.variables) == len(two.valuations) == g.n + len(g.edges)
+    assert two.equations == encode_coloring(g, 2, 1).equations
+    assert solve_instance(three).is_sat and not solve_instance(two).is_sat
 
 
 def test_coloring_random_graphs_small():
