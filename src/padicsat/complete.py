@@ -37,28 +37,41 @@ row with content 1.  A zero substitution deletes a column; a digit
 substitution reuses the variable's column for the fresh one, scaling the
 row by a power of p when v < 0 so that it stays integral; either divides a
 changed row by its content.  States whose lower-bound relaxation is
-already unsatisfiable are pruned.  The relaxation test hands the integer
-rows to `solve_geq` as they are and asks for the echelon instead of a
-witness, so a state that branches pays for the echelon and the pivot-bound
-checks but never for a Fraction or a PowerSum back-substitution.  When the
-relaxation is sat, the state takes that echelon's nonzero rows, mapped
-back to its columns and made primitive, as its rows, and its children
-inherit them.  The echelon is U (A | b) with U invertible, so the new rows
+already unsatisfiable are pruned.  The relaxation is the cost-minimal
+echelon of the integer rows and its pivot-bound checks, with no Fraction
+and no PowerSum back-substitution.  When it is sat, the state takes that
+echelon's nonzero rows, made primitive, as its rows, and the echelon's
+pivot order as its column order, so row i pivots at column i; its children
+inherit both.  The echelon is U (A | b) with U invertible, so the new rows
 have exactly the solutions of the old ones, and the zero rows it drops all
-read 0 = 0, as the relaxation is sat.  A child's relaxation then starts
-from a system nearly in echelon form, and propagation reads rows that can
+read 0 = 0, as the relaxation is sat.  Propagation then reads rows that can
 show bounds no original row shows.
 
-The relaxation is the search's only lower-bound decision.  A leaf
-back-substitutes its relaxation's echelon once (`geq_witness`) into a
-witness w and cuts itself into connected components.  One whose variables
-all fit the lower-bound fragment is solved by w already.  Every other
-component has open variables (no lower bound, but an upper bound or
-exclusions) and may have floored ones G (a finite lower bound).  It is
-decided exactly from its rows and w, after Guepin, Haase & Worrell's
-small-model argument (LICS 2019).  Write its solutions as x = x0 + N t
-(`solve_affine`: x0 the particular solution, the columns of N its kernel
-basis), and let N_j be row j of N.
+Only the root, and a state after a zero substitution, hand their rows to
+`solve_geq` for the relaxation.  Every other state records, with its rows,
+the (floor, exact) of each variable that its echelon was priced with.  Its
+relaxation re-prices and re-checks only the rows that hold a variable whose
+(floor, exact) changed since, or that has none recorded, and eliminates
+only below a row whose pivot moved.  A digit substitution is the only step
+that rewrites a row without dropping the record, and every row it
+rewrites holds its fresh variable, which has no record; it keeps the rows'
+zero pattern.  So each other row is unchanged since its echelon: zero left
+of its diagonal, with its diagonal entry still its cheapest, which a tie
+keeps, as the leftmost.  That makes the result exactly the echelon
+`pivot_minimal_echelon` computes on the same rows in the same column order.
+The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
+(`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
+
+The relaxation is the search's only lower-bound decision.  A leaf's rows
+are its relaxation's echelon, so it back-substitutes them once
+(`geq_witness`, identity column order) into a witness w and cuts itself
+into connected components.  One whose variables all fit the lower-bound
+fragment is solved by w already.  Every other component has open variables
+(no lower bound, but an upper bound or exclusions) and may have floored
+ones G (a finite lower bound).  It is decided exactly from its rows and w,
+after Guepin, Haase & Worrell's small-model argument (LICS 2019).  Write
+its solutions as x = x0 + N t (`solve_affine`: x0 the particular solution,
+the columns of N its kernel basis), and let N_j be row j of N.
 
 * Bounded case: some open u has N_u = sum over g in G of l_g N_g.  Then
   x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, and by
@@ -116,7 +129,17 @@ from math import gcd
 
 from .certify import verify_witness
 from .errors import InputError, InternalError
-from .linalg import EchelonResult, frozen_coordinates, integer_row, solve_affine
+from .linalg import (
+    EchelonResult,
+    cheapest_column,
+    doubled_offset,
+    eliminate,
+    frozen_coordinates,
+    integer_row,
+    inverse_permutation,
+    nonzero_columns,
+    solve_affine,
+)
 from .model import Instance, NormalizedInstance, VarProfile, Verdict
 from .rational import (
     INF,
@@ -127,7 +150,7 @@ from .rational import (
     is_finite,
     valuation,
 )
-from .solver_geq import GeqProblem, geq_witness, solve_geq
+from .solver_geq import GeqProblem, geq_witness, pivot_shortfall, solve_geq
 
 PROPAGATION_ROUNDS_FACTOR = 4
 # the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
@@ -145,6 +168,15 @@ class _State:
     of `profiles`.  A substitution or an adopted echelon replaces the rows it
     changes and never edits one in place, and a narrowing replaces the
     variable's immutable profile, so copies share their rows and profiles.
+
+    After a sat relaxation the rows are its echelon and the columns are in
+    its pivot order: row i is zero left of column i and nonzero at it.
+    `priced` then holds the (floor, exact) of each variable that echelon was
+    priced with.  A digit substitution rewrites only rows that then hold its
+    fresh variable, which has no record, and keeps their zero pattern; a
+    zero substitution deletes a column, which breaks the shape, so it drops
+    the record.  The record is shared by copies and replaced, never edited,
+    by the next relaxation.
     """
 
     prime: int
@@ -156,23 +188,26 @@ class _State:
     log: list[tuple] = field(default_factory=list)
     # per row, the valuations of its nonzero coefficients by variable, in
     # profile order, and of its rhs.  Computed with the rows, then kept in
-    # step by the substitutions
+    # step by the substitutions and the relaxation
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
+    # the echelon record above; None before the first relaxation and after
+    # a zero substitution
+    priced: dict[str, tuple[ExtInt, bool]] | None = None
 
     def __post_init__(self):
         if self.valuations is None:
-            self.valuations = self.row_valuations()
+            index = {c: j for j, c in enumerate(self.columns)}
+            self.valuations = [self.row_valuation(row, index) for row in self.rows]
 
-    def row_valuations(self) -> list[tuple[dict[str, int], ExtInt]]:
+    def row_valuation(
+        self, row: list[int], index: dict[str, int]
+    ) -> tuple[dict[str, int], ExtInt]:
+        """What `valuations` keeps for row; index maps a variable to its column."""
         p = self.prime
-        index = {c: j for j, c in enumerate(self.columns)}
-        return [
-            (
-                {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
-                int_valuation(row[-1], p),
-            )
-            for row in self.rows
-        ]
+        return (
+            {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
+            int_valuation(row[-1], p),
+        )
 
     def copy(self) -> "_State":
         return _State(
@@ -182,6 +217,7 @@ class _State:
             dict(self.profiles),
             list(self.log),
             list(self.valuations),
+            self.priced,
         )
 
 
@@ -217,6 +253,7 @@ def _substitute_zero(state: _State, var: str) -> bool:
         valuations.append((vals, rhs_val))
     del state.columns[j]
     state.rows, state.valuations = rows, valuations
+    state.priced = None
     return True
 
 
@@ -409,41 +446,132 @@ def _tighten_singletons(state: _State) -> None:
             profiles[var] = VarProfile(lo, up, excluded)
 
 
-def _bounds(state: _State, names: list[str]) -> tuple[tuple[ExtInt, ...], tuple[bool, ...]]:
-    """The floors and exact flags of a lower-bound problem over names; a flag
-    can be set only at p = 2."""
-    profs = [state.profiles[v] for v in names]
-    floors = tuple(prof.lower for prof in profs)
+def _bounds(state: _State) -> tuple[list[ExtInt], list[bool]]:
+    """The floors and exact flags of the lower-bound relaxation, by column; a
+    flag can be set only at p = 2."""
+    profs = [state.profiles[v] for v in state.columns]
+    floors = [prof.lower for prof in profs]
     if state.prime != 2:
-        return floors, (False,) * len(profs)
-    return floors, tuple(prof.exact_at(2) for prof in profs)
+        return floors, [False] * len(profs)
+    return floors, [prof.exact_at(2) for prof in profs]
 
 
-def _relaxation(state: _State) -> tuple[GeqProblem, EchelonResult] | None:
-    """The state's lower-bound relaxation and its echelon; None if it is unsat.
-
-    A row's multiple has the same solutions, so the integer rows go to the
-    echelon as they are, in column order.  When the relaxation is sat, the
-    state adopts the echelon's nonzero rows (module docstring).
-    """
+def _geq_problem(state: _State, floors: list[ExtInt], exact: list[bool]) -> GeqProblem:
+    """The lower-bound relaxation of the state's rows, over its columns."""
     n = len(state.columns)
-    floors, exact = _bounds(state, state.columns)
-    problem = GeqProblem(
+    return GeqProblem(
         tuple([tuple(row[:n]) for row in state.rows]),
         tuple([row[n] for row in state.rows]),
         state.prime,
-        floors,
-        exact,
+        tuple(floors),
+        tuple(exact),
     )
-    verdict = solve_geq(problem, witness=False)
+
+
+def _relaxation(state: _State) -> tuple[list[ExtInt], list[bool]] | None:
+    """Decide the state's lower-bound relaxation; None if it is unsat.
+
+    When it is sat the state adopts its echelon (module docstring), and the
+    floors and exact flags it was priced with come back by column.  Without
+    an echelon record the rows go to `solve_geq`, in column order, as they
+    are: a row's multiple has the same solutions.  With one, _reprice builds
+    the same echelon from it.
+    """
+    floors, exact = _bounds(state)
+    if state.priced is not None:
+        return _reprice(state, floors, exact)
+    verdict = solve_geq(_geq_problem(state, floors, exact), witness=False)
     if verdict.is_unsat:
         return None
     result = verdict.diagnostics["echelon"]
-    # echelon position sigma[c] holds column c; the rhs is the carried column
-    order = [*result.sigma, n]
-    state.rows = [_primitive([row[k] for k in order])[0] for row in result.rows[:result.rank]]
-    state.valuations = state.row_valuations()
-    return problem, result
+    col_of = inverse_permutation(result.sigma)  # position -> column
+    floors, exact = [floors[c] for c in col_of], [exact[c] for c in col_of]
+    rows = [_primitive(row)[0] for row in result.rows[:result.rank]]
+    _adopt(state, [state.columns[c] for c in col_of], rows, [None] * len(rows), floors, exact)
+    return floors, exact
+
+
+def _reprice(
+    state: _State, floors: list[ExtInt], exact: list[bool]
+) -> tuple[list[ExtInt], list[bool]] | None:
+    """_relaxation from the state's echelon record.
+
+    This is pivot_minimal_echelon's loop on the same rows in the same column
+    order, and it ends in the same echelon, but it prices only the rows the
+    record does not vouch for.  The rows are independent: an echelon's
+    nonzero rows, and a digit substitution scales a column and rows by
+    nonzero factors.  So no row is eliminated to zero, and no row swap or
+    zero row can occur.  A row whose variables all keep their recorded
+    (floor, exact), and that no elimination has touched, is still zero left
+    of its old pivot, which is still its cheapest entry, so the pivot choice
+    keeps it (the leftmost of a tie), and its pivot-bound check still
+    passes.  Until some pivot moves, every row below step r is untouched, so
+    zero at column r, and there is nothing to eliminate.  Rows are copied
+    before their first edit: the parent shares them.
+    """
+    p = state.prime
+    n = len(state.columns)
+    columns = list(state.columns)
+    offsets = list(map(doubled_offset, floors, exact))
+    changed = {
+        v for v, f, e in zip(columns, floors, exact) if state.priced.get(v) != (f, e)
+    }
+    rows, vals = list(state.rows), list(state.valuations)
+    # per row: re-price it; an eliminated row's valuations also go (None)
+    dirty = [not changed.isdisjoint(v) for v, _ in vals]
+    copied = moved = False  # every row copied, for a column swap; a pivot moved
+    m = len(rows)
+    for r in range(m):
+        top = rows[r]
+        if dirty[r]:
+            nonzero = nonzero_columns(top, r)
+            if not nonzero or nonzero[0] >= n:
+                raise InternalError(f"search row {r} lost its pivot: {top}")
+            best = cheapest_column(top, nonzero, n, p, offsets)
+            if best != r:
+                if not copied:
+                    rows = [row[:] for row in rows]
+                    copied = True
+                    top = rows[r]
+                for row in rows:
+                    row[r], row[best] = row[best], row[r]
+                for seq in (columns, offsets, floors, exact):
+                    seq[r], seq[best] = seq[best], seq[r]
+                moved = True
+        if moved:
+            nonzero = nonzero_columns(top, r)
+            for i in range(r + 1, m):
+                if rows[i][r]:
+                    if not copied and vals[i] is not None:
+                        rows[i] = rows[i][:]
+                    eliminate(rows[i], 0, top, r, nonzero, r)
+                    vals[i], dirty[i] = None, True
+    flagged = [j for j in range(n) if exact[j]]
+    for i, row in enumerate(rows):
+        if dirty[i] and pivot_shortfall(p, row, i, floors, flagged) is not None:
+            return None
+    _adopt(state, columns, rows, vals, floors, exact)
+    return floors, exact
+
+
+def _adopt(
+    state: _State,
+    columns: list[str],
+    rows: list[list[int]],
+    vals: list[tuple[dict[str, int], ExtInt] | None],
+    floors: list[ExtInt],
+    exact: list[bool],
+) -> None:
+    """Take a sat relaxation's echelon: its nonzero rows, made primitive, over
+    columns in pivot order, priced with floors and exact by column; a row's
+    valuations are computed where vals holds None."""
+    if None in vals:
+        index = {c: j for j, c in enumerate(columns)}
+        vals = [
+            state.row_valuation(row, index) if v is None else v for row, v in zip(rows, vals)
+        ]
+    state.columns, state.rows, state.valuations = columns, rows, vals
+    state.priced = dict(zip(columns, zip(floors, exact)))
 
 
 def _branch_target(state: _State) -> tuple[str, str, object] | None:
@@ -609,10 +737,15 @@ def _solve_mixed(
 
 
 def _solve_leaves(
-    state: _State, relaxation: tuple[GeqProblem, EchelonResult], fresh: Iterator[int]
+    state: _State, bounds: tuple[list[ExtInt], list[bool]], fresh: Iterator[int]
 ) -> Verdict:
-    """Decide a leaf from the echelon of its sat relaxation (module docstring)."""
-    witness = dict(zip(state.columns, geq_witness(*relaxation)))
+    """Decide a leaf from its sat relaxation, which it has just adopted, and
+    the floors and exact flags by column that it was priced with (module
+    docstring)."""
+    n, rank = len(state.columns), len(state.rows)
+    # the rows are that echelon already: row i pivots at column i
+    echelon = EchelonResult(state.rows, [1] * rank, n, tuple(range(n)), tuple(range(rank)))
+    witness = dict(zip(state.columns, geq_witness(_geq_problem(state, *bounds), echelon)))
     for members, rows in _components(state):
         if all(_geq_compatible(state, v) for v in members):
             continue  # the relaxation is the component's own problem
@@ -680,14 +813,14 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
     if failed is not None:
         return failed
     _tighten_singletons(state)
-    relaxation = _relaxation(state)
-    if relaxation is None:
+    bounds = _relaxation(state)
+    if bounds is None:
         return Verdict.unsat(
             "relaxation", "already the lower-bound relaxation is unsatisfiable"
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaves(state, relaxation, fresh)
+        return _solve_leaves(state, bounds, fresh)
     for child in _children(state, target, fresh):
         verdict = _solve_state(child, fresh)
         if verdict.is_sat:

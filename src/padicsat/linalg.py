@@ -217,6 +217,12 @@ def frozen_coordinates(space: SolutionSpace) -> list[int]:
 # cost-driven row echelon form
 
 
+def doubled_offset(offset: ExtInt, bias: int) -> ExtInt:
+    """2 offset + bias, the column's share of a doubled pivot cost; -inf
+    under a -inf offset."""
+    return NEG_INF if offset == NEG_INF else 2 * offset + bias
+
+
 @dataclass(frozen=True)
 class PivotCosts:
     """Per-entry pivot cost v_p(a) + offset_j + bias_j / 2.
@@ -243,8 +249,7 @@ class PivotCosts:
         if any(b not in (0, 1) for b in self.biases):
             raise InputError("biases must be 0 or 1")
         object.__setattr__(self, "doubled_offsets", tuple(
-            NEG_INF if c == NEG_INF else 2 * c + b
-            for c, b in zip(self.offsets, self.biases)
+            map(doubled_offset, self.offsets, self.biases)
         ))
 
 
@@ -265,6 +270,31 @@ class EchelonResult:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def cheapest_column(
+    row: list[int], columns: list[int], n: int, p: int, doubled_offsets: list[ExtInt]
+) -> int:
+    """The pivot position of row: the cheapest of its entries at columns.
+
+    columns are the row's nonzero positions, ascending, the first one below
+    n (positions from n on are carried and never pivots); doubled_offsets[j]
+    is the doubled_offset of the column at position j.  A zero entry costs
+    +inf and every nonzero one less, so the nonzero columns hold the
+    cheapest entry: the least doubled cost 2 v_p(a) plus the doubled offset,
+    the leftmost of a tie, and the first -inf offset ends the search.
+    """
+    best, best_cost = columns[0], INF
+    for j in columns:
+        if j >= n:
+            break
+        offset = doubled_offsets[j]
+        if offset == NEG_INF:
+            return j
+        cost = 2 * int_valuation(row[j], p) + offset
+        if cost < best_cost:
+            best, best_cost = j, cost
+    return best
 
 
 def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonResult:
@@ -295,7 +325,7 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         rows.append(row)
         dens.append(den)
     col_of = list(range(n))  # col_of[j]: original column currently at position j
-    p, doubled_offsets = costs.prime, costs.doubled_offsets
+    p, offsets = costs.prime, list(costs.doubled_offsets)  # offsets[j]: at position j
     r = 0
     while r < m and r < n:
         top = rows[r]
@@ -308,25 +338,12 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             dens[r], dens[swap] = dens[swap], dens[r]
             top = rows[r]
             columns = nonzero_columns(top, r)
-        # a zero entry costs +inf and every nonzero one less, so the nonzero
-        # columns hold the cheapest entry: the doubled cost 2 v_p(a) plus the
-        # column's doubled offset, the leftmost of a tie, and the first -inf
-        # offset ends the search
-        best, best_cost = r, INF
-        for j in columns:
-            if j >= n:
-                break
-            offset = doubled_offsets[col_of[j]]
-            if offset == NEG_INF:
-                best = j
-                break
-            cost = 2 * int_valuation(top[j], p) + offset
-            if cost < best_cost:
-                best, best_cost = j, cost
+        best = cheapest_column(top, columns, n, p, offsets)
         if best != r:
             for row in rows:
                 row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
+            offsets[r], offsets[best] = offsets[best], offsets[r]
             columns = nonzero_columns(top, r)
         for i in range(r + 1, m):
             if rows[i][r]:

@@ -22,11 +22,13 @@ PowerSum.valuation runs, with no PowerSum built.
 
 geq_echelon runs the two checks and returns the echelon with the unsat
 verdict, or with None when the problem is sat; geq_witness back-substitutes
-a sat echelon into a witness, and solve_geq is the two in turn.  With
-witness=False a sat answer carries that echelon (diagnostics["echelon"]) in
-place of a witness: the branch-and-decide search's relaxation test adopts
-the echelon's rows, and a leaf hands the echelon to geq_witness.  Unsat
-answers are the same either way.
+a sat echelon into a witness, and solve_geq is the two in turn.  The pivot-
+bound check of one row is pivot_shortfall, which the branch-and-decide
+search also runs on the rows it re-prices.  With witness=False a sat answer
+carries that echelon (diagnostics["echelon"]) in place of a witness; it
+serves only the search's root relaxation (and a state's after a zero
+substitution), whose echelon the state adopts.  Unsat answers are the same
+either way.
 """
 
 from __future__ import annotations
@@ -107,6 +109,28 @@ class GeqProblem:
         return self._costs
 
 
+def pivot_shortfall(
+    p: int, row: list[int], piv: int, floors: list[ExtInt], exact: list[int]
+) -> tuple[int, ExtInt] | None:
+    """The pivot-bound check of an echelon row that pivots at position piv.
+
+    row is (B | carried b) as integers, floors are by position and exact
+    lists the positions whose exact flag is set, ascending.  Returns None
+    when the row passes, else (needed, got): the valuation the pivot needs
+    on the right-hand side, v_p(pivot) + floor + exact flag, and the one it
+    has.  A -inf floor at the pivot passes vacuously.
+    """
+    floor = floors[piv]
+    if floor == NEG_INF:
+        return None
+    n = len(floors)
+    needed = int_valuation(row[piv], p) + floor + int(piv in exact)
+    # exact flags add integer terms -a p^floor to the right-hand side
+    terms = [(-row[j], 1, floors[j]) for j in exact if j >= piv and row[j]]
+    got = merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else int_valuation(row[n], p)
+    return None if needed <= got else (needed, got)
+
+
 def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
     """The cost-minimal echelon of (A | b) and the unsat verdict, None if sat."""
     p = prob.prime
@@ -118,8 +142,7 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
     rows, dens = result.rows, result.dens  # row i: (B | U b) times dens[i]
     col_of = inverse_permutation(result.sigma)  # position -> original column
     floors2 = [prob.floors[col_of[j]] for j in range(n)]
-    exact2 = [prob.exact[col_of[j]] for j in range(n)]
-    exact_positions = [j for j in range(n) if exact2[j]]
+    exact_positions = [j for j in range(n) if prob.exact[col_of[j]]]
     for i in range(result.rank, m):
         if rows[i][n] != 0:
             rhs = Fraction(rows[i][n], dens[i])
@@ -129,18 +152,10 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
                 row=i,
             )
     for i, piv in enumerate(result.pivots):
-        if floors2[piv] == NEG_INF:
-            continue  # pivot cost -inf: the comparison holds vacuously
-        row = rows[i]
-        lhs = int_valuation(row[piv], p) + floors2[piv] + int(exact2[piv])
-        # exact flags add integer terms -a p^floor to the right-hand side
-        terms = [(-row[j], 1, floors2[j]) for j in exact_positions if j >= piv and row[j]]
-        rhs_val = (
-            merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else int_valuation(row[n], p)
-        )
-        if not lhs <= rhs_val:
+        shortfall = pivot_shortfall(p, rows[i], piv, floors2, exact_positions)
+        if shortfall is not None:
             shift = int_valuation(dens[i], p)  # back to the Fraction row
-            required, actual = lhs - shift, rhs_val - shift
+            required, actual = shortfall[0] - shift, shortfall[1] - shift
             return result, Verdict.unsat(
                 "pivot-bound",
                 f"pivot row {i} needs valuation >= {required} on the right-hand side, got {actual}",

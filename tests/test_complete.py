@@ -39,10 +39,21 @@ from padicsat.rational import INF, NEG_INF, PowerSum, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
-from padicsat.linalg import solve_affine
-from padicsat.testkit import Graph, brute_color, encode_coloring, random_instance
+from padicsat.linalg import inverse_permutation, pivot_minimal_echelon, solve_affine
+from padicsat.solver_geq import GeqProblem, geq_echelon
+from padicsat.testkit import (
+    Graph,
+    brute_color,
+    carried_matrix,
+    echelon_matrix,
+    encode_coloring,
+    encode_three_coloring_eq,
+    identity,
+    random_instance,
+)
 
 from helpers import (
+    assert_echelon_result,
     assert_rows_canonical,
     integer_state,
     primitive_equations,
@@ -974,8 +985,9 @@ def test_substitutions_keep_cached_valuations():
 
 
 def test_adopted_rows_have_the_same_solutions():
-    # a sat relaxation replaces the rows by the echelon's nonzero rows: the
-    # affine solution space, canonical in solve_affine, stays the same, the
+    # a sat relaxation replaces the rows by the echelon's nonzero rows, over
+    # the columns in pivot order: the affine solution space, canonical in
+    # solve_affine for one column order, stays the same by variable, the
     # rows stay canonical with their valuations cached, and the parent's
     # rows, which its other children share, are not edited.  Half the states
     # get a combination of two rows as one more row, which the echelon drops
@@ -1002,13 +1014,125 @@ def test_adopted_rows_have_the_same_solutions():
             outcomes["pruned"] += 1
             continue
         assert before.rows == rows, trial
-        assert state.columns == before.columns and state.profiles == before.profiles
-        after = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
+        # the adopted columns are in pivot order: compare by variable name
+        assert sorted(state.columns) == before.columns and state.profiles == before.profiles
+        index = {c: j for j, c in enumerate(state.columns)}
+        back = [[row[index[c]] for c in before.columns] + [row[n]] for row in state.rows]
+        after = solve_affine([row[:n] for row in back], [row[n] for row in back], n)
         assert after == space, trial
         assert_rows_canonical(state)
         assert state.valuations == row_valuations(state), trial
         outcomes["fewer rows" if len(state.rows) < len(rows) else "adopted"] += 1
     assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+
+
+def _audit_adopted_rows(A, b, costs, adopted):
+    """Acceptance 07's audit of the from-scratch echelon with its transform
+    U, and the adopted rows are its nonzero rows (B | U b), made primitive."""
+    result = pivot_minimal_echelon(A, costs, identity(len(A)))
+    assert_echelon_result(A, costs, result)
+    B, U = echelon_matrix(result), carried_matrix(result)
+    assert len(adopted) == result.rank
+    for i, row in enumerate(adopted):
+        n = len(B[i])
+        assert [Fraction(x, row[i]) for x in row[:n]] == [x / B[i][i] for x in B[i]]
+        Ub = sum(u * x for u, x in zip(U[i], b))
+        assert Fraction(row[n], row[i]) == Ub / B[i][i]
+
+
+def _incremental_searches():
+    for p, e in ((3, 1), (2, 2), (2, 1), (5, 1)):
+        for seed in range(12):
+            yield encode_coloring(Graph.random(seed, 4 + seed % 5, 0.5), p, e)
+    for p in (2, 3, 5):
+        for seed in range(150):
+            yield random_instance(seed, fragment="mixed", primes=(p,))
+    for seed in range(6):
+        yield encode_three_coloring_eq(Graph.random(seed, 4 + seed % 3, 0.5))
+
+
+def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
+    # at every relaxation that starts from an echelon record, inside real
+    # searches: pivot_minimal_echelon and geq_echelon on a copy of the same
+    # rows in the same column order give the same answer, and on sat the
+    # same rows and column order the state adopts.  Every 16th such echelon
+    # also passes acceptance 07's audit
+    real = complete._relaxation
+    outcomes = collections.Counter()
+
+    def spy(state):
+        if state.priced is None:
+            return real(state)
+        n = len(state.columns)
+        columns, rows = list(state.columns), [list(row) for row in state.rows]
+        floors, exact = complete._bounds(state)
+        A, b = [row[:n] for row in rows], [row[n] for row in rows]
+        problem = GeqProblem(
+            tuple(map(tuple, A)), tuple(b), state.prime, tuple(floors), tuple(exact)
+        )
+        result, unsat = geq_echelon(problem)
+        assert result == pivot_minimal_echelon(A, problem.costs(), [[x] for x in b])
+        bounds = real(state)
+        assert (bounds is None) == (unsat is not None), (columns, rows)
+        if bounds is None:
+            outcomes["unsat"] += 1
+            return bounds
+        col_of = inverse_permutation(result.sigma)
+        assert state.columns == [columns[c] for c in col_of], (columns, rows)
+        adopted = [complete._primitive(row)[0] for row in result.rows[:result.rank]]
+        assert state.rows == adopted, (columns, rows)
+        assert bounds == ([floors[c] for c in col_of], [exact[c] for c in col_of])
+        outcomes["rows kept" if state.rows == rows else "rows changed"] += 1
+        if (outcomes["rows kept"] + outcomes["rows changed"]) % 16 == 0:
+            _audit_adopted_rows(A, b, problem.costs(), state.rows)
+            outcomes["audited"] += 1
+        return bounds
+
+    monkeypatch.setattr(complete, "_relaxation", spy)
+    for i in _incremental_searches():
+        verdict = solve_combined(i)
+        if verdict.is_sat:
+            assert verify_witness(i, verdict.witness)
+    assert outcomes["audited"] >= 50 and len(outcomes) == 4, outcomes
+    assert min(outcomes[k] for k in ("unsat", "rows kept", "rows changed")) >= 300, outcomes
+
+
+def test_threshold_search_is_pinned(monkeypatch):
+    # the n = 18 threshold graph of seed 100 (average degree 4.6): the
+    # incremental relaxations search the tree the parent searched
+    states = []
+    real = complete._solve_state
+
+    def spy(state, fresh):
+        states.append(None)
+        return real(state, fresh)
+
+    monkeypatch.setattr(complete, "_solve_state", spy)
+    g = Graph.random(100, 18, 4.6 / 17)
+    assert solve_combined(encode_coloring(g, 3, 1)).is_unsat
+    assert len(states) == 2603
+
+
+def test_one_echelon_from_scratch_per_search(monkeypatch):
+    # only the root's relaxation runs pivot_minimal_echelon; every child
+    # starts from its parent's echelon record
+    calls = collections.Counter()
+
+    def spy(target, name):
+        real = getattr(target, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, wrapper)
+
+    spy(solver_geq, "pivot_minimal_echelon")
+    spy(complete, "solve_complete")
+    spy(complete, "_solve_state")
+    assert solve_combined(encode_coloring(Graph.complete(5), 3, 1)).is_unsat
+    assert calls["solve_complete"] == 1 < calls["_solve_state"], calls
+    assert calls["pivot_minimal_echelon"] == calls["solve_complete"], calls
 
 
 @pytest.mark.parametrize("seed, n, parent_states", [(11, 10, 1583), (8, 8, 499)])
