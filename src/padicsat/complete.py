@@ -105,14 +105,15 @@ The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
 wide valuation window costs only the candidates actually tried.  Profiles
 are immutable `VarProfile`s, shared between a state and its children; a
-narrowing stores a new one.  Every state's windows are nonempty, so
-emptiness is tested only where a window can narrow: over every profile at
-the root, at each bound propagation raises, on a split's low child (empty
-only when the lower bound is itself the excluded value split at, and then
-not tried), and over the floors _solve_mixed raised, in name order.  A
-window child pins an admissible value, a digit child's fresh variable has
-floor 0 and no cap, and a split's high child has no cap.  Emptiness and
-edge trimming work on the excluded set, never on the window's width.  A
+narrowing stores a new one.  A profile is canonical by construction (its
+finite edges admissible, its exclusions strictly inside), so there is no
+trimming pass, and a window is empty exactly when its edges cross.  Every
+state's windows are nonempty, so emptiness is tested only where a window
+can narrow: over every profile at the root, at each bound propagation
+raises, and over the floors _solve_mixed raised, in name order.  A window
+child pins an admissible value, a digit child's fresh variable has floor 0
+and no cap, a split's low child keeps its admissible lower edge below the
+least exclusion, and its high child has no cap.  A
 satisfiable answer is re-checked by certify.verify_witness against
 the equations and the valuation constraints as written (the ones the
 normalized instance was folded from) before it is returned; a rejected
@@ -336,16 +337,23 @@ def _substitute_frozen(state: _State) -> Verdict | None:
             if failed is not None:
                 return failed
             continue
-        v = valuation(value, state.prime)
-        prof = state.profiles[var]
-        if not prof.lower <= v <= prof.upper or v in prof.excluded:
-            return Verdict.unsat(
-                "fixed-out-of-range",
-                f"{var} is fixed with valuation {v}, outside its admissible set",
-                var=var,
-                valuation=v,
-            )
+        failed = _fixed_outside(state, var, valuation(value, state.prime))
+        if failed is not None:
+            return failed
     return None
+
+
+def _fixed_outside(state: _State, var: str, v: ExtInt) -> Verdict | None:
+    """Unsat when the equations fix var with valuation v outside its
+    admissible set."""
+    if state.profiles[var].admits(v):
+        return None
+    return Verdict.unsat(
+        "fixed-out-of-range",
+        f"{var} is fixed with valuation {v}, outside its admissible set",
+        var=var,
+        valuation=v,
+    )
 
 
 def _propagate(state: _State) -> Verdict | None:
@@ -421,29 +429,6 @@ def _propagate(state: _State) -> Verdict | None:
         if not changed:
             return None
     return None
-
-
-def _tighten_singletons(state: _State) -> None:
-    """Trim excluded window edges; a window left with one value is pinned.
-
-    Pure tightening: the admissible set of each variable is unchanged.  After
-    this pass a pinned variable always reads lower == upper with no
-    exclusions, which is what the branch chooser and the p = 2 exact-flag
-    leaf test key on.
-    """
-    profiles = state.profiles
-    for var, prof in profiles.items():
-        if not (prof.excluded and is_finite(prof.lower) and is_finite(prof.upper)):
-            continue
-        # each step passes one excluded value, so at most |excluded| steps
-        lo, up = prof.lower, prof.upper
-        while lo in prof.excluded:
-            lo += 1
-        while up in prof.excluded:
-            up -= 1
-        excluded = frozenset(d for d in prof.excluded if lo < d < up)
-        if excluded != prof.excluded or (lo, up) != (prof.lower, prof.upper):
-            profiles[var] = VarProfile(lo, up, excluded)
 
 
 def _bounds(state: _State) -> tuple[list[ExtInt], list[bool]]:
@@ -580,7 +565,6 @@ def _branch_target(state: _State) -> tuple[str, str, object] | None:
     Finite windows come first, smallest first (a pinned valuation at p >= 3
     is a digit substitution; at p = 2 it is an exact constraint the echelon
     leaf takes directly); then exclusion splits on variables bounded below.
-    Assumes singleton windows were already tightened to pinned form.
     """
     p = state.prime
     best: tuple[int, str] | None = None
@@ -606,22 +590,14 @@ def _branch_target(state: _State) -> tuple[str, str, object] | None:
         return ("window", var, candidates)
     for var in sorted(state.profiles):
         prof = state.profiles[var]
-        if prof.upper == INF and is_finite(prof.lower):
-            above = [d for d in prof.excluded if d >= prof.lower]
-            if above:
-                return ("split", var, min(above))
+        if prof.upper == INF and is_finite(prof.lower) and prof.excluded:
+            return ("split", var, min(prof.excluded))
     return None
 
 
 def _geq_compatible(state: _State, var: str) -> bool:
     prof = state.profiles[var]
-    if prof.exact_at(state.prime):
-        return True
-    if prof.upper != INF:
-        return False
-    if prof.lower == NEG_INF:
-        return not prof.excluded
-    return all(d < prof.lower for d in prof.excluded)
+    return prof.exact_at(state.prime) or (prof.upper == INF and not prof.excluded)
 
 
 def _components(state: _State) -> list[tuple[list[str], list[int]]]:
@@ -679,14 +655,9 @@ def _solve_mixed(
         # an open coordinate is bounded only where the equations fix it
         frozen = frozen_coordinates(space)
         for u in frozen:
-            v, prof = valuation(x0[u], p), state.profiles[members[u]]
-            if not v <= prof.upper or v in prof.excluded:
-                return Verdict.unsat(
-                    "fixed-out-of-range",
-                    f"coordinate {u} is fixed with valuation {v}, outside its allowed set",
-                    coordinate=u,
-                    valuation=v,
-                )
+            failed = _fixed_outside(state, members[u], valuation(x0[u], p))
+            if failed is not None:
+                return failed
         open_ = [u for u in open_ if u not in frozen]
     raised = False
     narrowed = []
@@ -792,19 +763,11 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
             yield child
     else:  # split around an excluded value above the lower bound
         prof = state.profiles[var]
-        # data is the least exclusion from lower up, so the low window
-        # [lower, data - 1] is empty exactly when data == lower
-        if data > prof.lower:
-            low = state.copy()
-            low.profiles[var] = VarProfile(
-                prof.lower, data - 1, frozenset(d for d in prof.excluded if d < data)
-            )
-            yield low
-        high = state.copy()
-        high.profiles[var] = VarProfile(
-            data + 1, prof.upper, frozenset(d for d in prof.excluded if d > data)
-        )
-        yield high
+        # data is the least exclusion, above the lower edge
+        for lower, upper in ((prof.lower, data - 1), (data + 1, prof.upper)):
+            child = state.copy()
+            child.profiles[var] = VarProfile(lower, upper, prof.excluded)
+            yield child
 
 
 def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
@@ -812,7 +775,6 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
     failed = _propagate(state)
     if failed is not None:
         return failed
-    _tighten_singletons(state)
     bounds = _relaxation(state)
     if bounds is None:
         return Verdict.unsat(

@@ -125,28 +125,50 @@ class VarProfile:
     The allowed valuations are {v in Z : lower <= v <= upper, v not in
     excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  Profiles are
     immutable: a narrowed window is a new profile, so copies can share them.
+
+    A profile is canonical from construction: a finite edge is never
+    excluded, and every exclusion lies strictly inside the window, so an
+    empty window reads lower > upper with no exclusions.  Building one moves
+    each finite edge inward past the excluded values it sits on, one excluded
+    value per step, so the work never depends on the window's width.
     """
 
     lower: ExtInt = NEG_INF
     upper: ExtInt = INF
     excluded: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        excluded = self.excluded
+        if not excluded:
+            return
+        lo, up = self.lower, self.upper
+        if is_finite(lo):
+            while lo in excluded:
+                lo += 1
+        if is_finite(up):
+            while up in excluded:
+                up -= 1
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "excluded", frozenset(d for d in excluded if lo < d < up))
+
     def is_unconstrained(self) -> bool:
         return self.lower == NEG_INF and self.upper == INF and not self.excluded
 
     def empty(self) -> bool:
-        """True when exclusions cover a finite window; counts only the
-        exclusions, never the window's width."""
-        lo, up = self.lower, self.upper
-        if is_finite(lo) and is_finite(up):
-            return up - lo + 1 <= sum(1 for d in self.excluded if lo <= d <= up)
-        return False
+        """True when no valuation is admissible: the canonical window is
+        empty exactly when its edges have crossed."""
+        return is_finite(self.lower) and self.lower > self.upper
+
+    def admits(self, v: ExtInt) -> bool:
+        """Whether valuation v is allowed; v = +inf stands for the value 0."""
+        return self.lower <= v <= self.upper and v not in self.excluded
 
     def exact_at(self, p: int) -> bool:
-        """At p = 2 a pinned, admissible valuation is an exact constraint,
-        which the >=-solver takes as its half-step flag."""
+        """At p = 2 a pinned valuation is an exact constraint, which the
+        >=-solver takes as its half-step flag."""
         lo = self.lower
-        return p == 2 and is_finite(lo) and lo == self.upper and lo not in self.excluded
+        return p == 2 and is_finite(lo) and lo == self.upper
 
 
 @dataclass(frozen=True)

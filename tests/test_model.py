@@ -13,6 +13,7 @@ from padicsat.model import (
     Instance,
     OrderConstraint,
     ValConstraint,
+    VarProfile,
     Verdict,
     classify,
     classify_kinds,
@@ -114,6 +115,75 @@ def test_normalize_detects_empty_windows():
         )
     )
     assert isinstance(pinned, ImmediateUnsat)
+
+
+def _fields(prof):
+    return (prof.lower, prof.upper, prof.excluded)
+
+
+def test_profile_edges_move_past_exclusions():
+    assert _fields(VarProfile(0, 5, frozenset({0, 1, 3, 5}))) == (2, 4, frozenset({3}))
+    assert _fields(VarProfile(NEG_INF, 3, frozenset({3, 2, 0}))) == (
+        NEG_INF, 1, frozenset({0})
+    )
+    assert _fields(VarProfile(-1, INF, frozenset({-1, 0, 4}))) == (1, INF, frozenset({4}))
+    # the walk passes one excluded value per step, however wide the window
+    assert _fields(VarProfile(0, 10**18, frozenset(range(5)))) == (5, 10**18, frozenset())
+
+
+def test_profile_drops_exclusions_outside_the_window():
+    assert _fields(VarProfile(2, 7, frozenset({-1, 4, 9}))) == (2, 7, frozenset({4}))
+    assert _fields(VarProfile(NEG_INF, 3, frozenset({5, 1}))) == (
+        NEG_INF, 3, frozenset({1})
+    )
+    assert _fields(VarProfile(0, INF, frozenset({-3, -1}))) == (0, INF, frozenset())
+    assert VarProfile(0, INF, frozenset({-3})) == VarProfile(0, INF)
+
+
+def test_profile_is_empty_iff_its_edges_cross():
+    covered = VarProfile(3, 4, frozenset({3, 4}))
+    assert _fields(covered) == (5, 2, frozenset()) and covered.empty()
+    assert VarProfile(3, 3, frozenset({3})).empty()
+    assert VarProfile(5, 4).empty()
+    assert not VarProfile(3, 3).empty()
+    assert not VarProfile(3, 5, frozenset({4})).empty()
+    assert not VarProfile(NEG_INF, 0, frozenset({0, -1})).empty()
+    assert not VarProfile(0, INF, frozenset({0, 1})).empty()
+
+
+def test_profile_admits_the_value_zero_iff_uncapped():
+    assert VarProfile(0, INF, frozenset({2})).admits(INF)
+    assert VarProfile().admits(INF)
+    assert not VarProfile(NEG_INF, 7).admits(INF)
+    assert not VarProfile(0, 0).admits(INF)
+
+
+def test_profile_admits_its_raw_set():
+    # over small windows, empty ones included: admits is the definition
+    # {lower <= v <= upper, v not excluded} (+inf iff upper is +inf), empty
+    # holds iff nothing is admitted, and rebuilding a profile from its own
+    # fields changes nothing
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    edge = st.one_of(st.just(None), st.integers(-4, 4))
+
+    @hypothesis.given(edge, edge, st.frozensets(st.integers(-6, 6), max_size=8))
+    def check(lo, up, excluded):
+        lower = NEG_INF if lo is None else lo
+        upper = INF if up is None else up
+        prof = VarProfile(lower, upper, excluded)
+        for v in [*range(-8, 9), INF]:
+            raw = (v == INF and upper == INF) or (
+                v != INF and lower <= v <= upper and v not in excluded
+            )
+            assert prof.admits(v) == raw, v
+        if lo is not None and up is not None:
+            assert prof.empty() == (not any(map(prof.admits, range(lo, up + 1))))
+        else:
+            assert not prof.empty()
+        assert VarProfile(prof.lower, prof.upper, prof.excluded) == prof
+
+    check()
 
 
 def test_classification_table():
