@@ -64,37 +64,42 @@ The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
 
 The relaxation is the search's only lower-bound decision.  A leaf's rows
 are its relaxation's echelon, so it back-substitutes them once
-(`geq_witness`, identity column order) into a witness w and cuts itself
-into connected components.  One whose variables all fit the lower-bound
-fragment is solved by w already.  Every other component has open variables
-(no lower bound, but an upper bound or exclusions) and may have floored
-ones G (a finite lower bound).  It is decided exactly from its rows and w,
-after Guepin, Haase & Worrell's small-model argument (LICS 2019).  Write
-its solutions as x = x0 + N t (`solve_affine`: x0 the particular solution,
-the columns of N its kernel basis), and let N_j be row j of N.
+(`geq_witness`, identity column order) into a witness w.  At a leaf every
+floored variable (a finite lower bound) fits the lower-bound fragment, as
+none is left to branch on; when every other variable does too, w is the
+answer.  Otherwise the leaf has open variables (no lower bound, but an
+upper bound or exclusions), and it is decided as one system, not
+component by component, from all its rows and w, after Guepin, Haase &
+Worrell's small-model argument (LICS 2019).  Write its solutions as
+x = x0 + N t (`solve_affine`: x0 the particular solution, the columns of N
+its kernel basis), let N_j be row j of N, and let G be the floored
+variables.  A kernel basis vector never leaves its connected component, so
+a span test below reads the same over the whole leaf as over u's component.
 
-* Bounded case: some open u has N_u = sum over g in G of l_g N_g.  Then
-  x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, and by
-  the ultrametric inequality v(x_u) >= min(v(c), min over l_g != 0 of
-  v(l_g) + lower_g), a bound every solution meets.  u's floor is raised to
-  it (+inf: u = 0 is forced) and the state is searched again; the raise
-  changes no solution, and u now has a finite window or exclusions above
-  its floor, so the search branches on it.
-* Free case: no open u is such a combination.  Then for each open u there
-  is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u vanishes on
-  the common kernel of the N_g exactly when it lies in their span).  The
-  component is sat iff its lower-bound relaxation is: G's floors, -inf for
-  the rest.  "Only if" holds as it is a relaxation.  For "if", take the
-  relaxation's witness w and a generic combination d of those directions:
-  each d_u is a nonzero polynomial in the combination's parameter, so all
-  but finitely many parameters make every d_u nonzero.  w + p^(-M) d keeps
-  every G coordinate and every equation, and for M large each open u gets
-  v = v(d_u) - M, below v(w_u), its upper bound and its exclusions.
-
-With G empty, an open u is such a combination only when N_u = 0, that is
-when the equations fix x_u = x0_u.  Then v(x0_u) outside u's admissible set
-is unsat ("fixed-out-of-range"), and otherwise u stays at w_u = x0_u while
-the free case moves the other open coordinates.
+* Frozen: an open u with N_u = 0 is fixed, x_u = x0_u on every solution,
+  whatever G is.  v(x0_u) outside u's admissible set is unsat
+  ("fixed-out-of-range"); otherwise u stays at w_u = x0_u and is no longer
+  open.
+* Bounded case: some remaining open u has N_u = sum over g in G of
+  l_g N_g.  Then x_u = c + sum l_g x_g on every solution, c = x0_u - sum
+  l_g x0_g, and by the ultrametric inequality v(x_u) >= min(v(c), min over
+  l_g != 0 of v(l_g) + lower_g), a bound every solution meets.  As N_u != 0
+  some l_g is nonzero, so the bound is finite.  u's floor is raised to it
+  and the leaf is searched again; the raise changes no solution, and u now
+  has a finite window or exclusions above its floor, so the search
+  branches on it.
+* Free case: no remaining open u is such a combination.  Then for each of
+  them there is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u
+  vanishes on the common kernel of the N_g exactly when it lies in their
+  span).  The leaf is sat iff its lower-bound relaxation is: G's floors,
+  -inf for the rest.  "Only if" holds as it is a relaxation.  For "if", take
+  the relaxation's witness w and a generic combination d of those
+  directions: each d_u is a nonzero polynomial in the combination's
+  parameter, so all but finitely many parameters make every d_u nonzero.
+  w + p^(-M) d keeps every G coordinate and every equation, and for M
+  large each open u gets v = v(d_u) - M, below v(w_u), its upper bound and
+  its exclusions.  d moves no frozen coordinate, and a variable neither
+  floored nor open has no constraint.
 
 The search ends: a raise turns a variable without a lower bound into one
 with a floor, floors only rise, and digit substitutions create variables
@@ -110,7 +115,7 @@ finite edges admissible, its exclusions strictly inside), so there is no
 trimming pass, and a window is empty exactly when its edges cross.  Every
 state's windows are nonempty, so emptiness is tested only where a window
 can narrow: over every profile at the root, at each bound propagation
-raises, and over the floors _solve_mixed raised, in name order.  A window
+raises, and over the floors a leaf raised, in name order.  A window
 child pins an admissible value, a digit child's fresh variable has floor 0
 and no cap, a split's low child keeps its admissible lower edge below the
 least exclusion, and its high child has no cap.  A
@@ -491,8 +496,9 @@ def _reprice(
     of its old pivot, which is still its cheapest entry, so the pivot choice
     keeps it (the leftmost of a tie), and its pivot-bound check still
     passes.  Until some pivot moves, every row below step r is untouched, so
-    zero at column r, and there is nothing to eliminate.  Rows are copied
-    before their first edit: the parent shares them.
+    zero at column r, and there is nothing to eliminate.  So every edit
+    follows the first column swap, which copies all rows: the parent shares
+    them.
     """
     p = state.prime
     n = len(state.columns)
@@ -504,7 +510,7 @@ def _reprice(
     rows, vals = list(state.rows), list(state.valuations)
     # per row: re-price it; an eliminated row's valuations also go (None)
     dirty = [not changed.isdisjoint(v) for v, _ in vals]
-    copied = moved = False  # every row copied, for a column swap; a pivot moved
+    moved = False  # a pivot moved, and every row has been copied for the swap
     m = len(rows)
     for r in range(m):
         top = rows[r]
@@ -514,21 +520,18 @@ def _reprice(
                 raise InternalError(f"search row {r} lost its pivot: {top}")
             best = cheapest_column(top, nonzero, n, p, offsets)
             if best != r:
-                if not copied:
+                if not moved:
                     rows = [row[:] for row in rows]
-                    copied = True
+                    moved = True
                     top = rows[r]
                 for row in rows:
                     row[r], row[best] = row[best], row[r]
                 for seq in (columns, offsets, floors, exact):
                     seq[r], seq[best] = seq[best], seq[r]
-                moved = True
         if moved:
             nonzero = nonzero_columns(top, r)
             for i in range(r + 1, m):
                 if rows[i][r]:
-                    if not copied and vals[i] is not None:
-                        rows[i] = rows[i][:]
                     eliminate(rows[i], 0, top, r, nonzero, r)
                     vals[i], dirty[i] = None, True
     flagged = [j for j in range(n) if exact[j]]
@@ -600,66 +603,31 @@ def _geq_compatible(state: _State, var: str) -> bool:
     return prof.exact_at(state.prime) or (prof.upper == INF and not prof.excluded)
 
 
-def _components(state: _State) -> list[tuple[list[str], list[int]]]:
-    """The connected components, as (sorted variables, indices of their rows)."""
-    parent: dict[str, str] = {v: v for v in state.profiles}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(u: str, v: str) -> None:
-        parent[find(u)] = find(v)
-
-    # a row's nonzero columns, as its valuations name them
-    for vals, _ in state.valuations:
-        vs = list(vals)
-        for other in vs[1:]:
-            union(vs[0], other)
-    groups: dict[str, list[str]] = {}
-    for v in sorted(state.profiles):
-        groups.setdefault(find(v), []).append(v)
-    out = []
-    for root in sorted(groups):
-        members = groups[root]
-        rows = [
-            i for i, (vals, _) in enumerate(state.valuations)
-            if find(next(iter(vals))) == root
-        ]
-        out.append((members, rows))
-    return out
-
-
-def _solve_mixed(
-    state: _State, members: list[str], rows: list[int], w: list[PowerSum]
-) -> Verdict | None:
-    """Decide a component with open variables (module docstring), given its
-    rows and the relaxation's witness w over its members.
+def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict | None:
+    """Decide a leaf with open variables (module docstring), given their
+    columns in name order and the relaxation's witness w by column.
 
     Returns None after raising the floors of the open variables the floored
     ones bound, unsat if a raise emptied a window or an open coordinate the
-    equations fix is out of range, or sat with the component's witness.
+    equations fix is out of range, or sat with the leaf's witness by column.
     """
     p = state.prime
-    n = len(members)
-    index = {c: j for j, c in enumerate(state.columns)}
-    cols = [index[v] for v in members]
-    A = [[state.rows[i][j] for j in cols] for i in rows]
-    floored = [j for j, v in enumerate(members) if is_finite(state.profiles[v].lower)]
-    open_ = [j for j, v in enumerate(members) if not _geq_compatible(state, v)]
-    space = solve_affine(A, [state.rows[i][-1] for i in rows], n)  # w solves it
+    columns = state.columns
+    n = len(columns)
+    A = [row[:n] for row in state.rows]
+    floored = sorted(
+        (j for j, v in enumerate(columns) if is_finite(state.profiles[v].lower)),
+        key=columns.__getitem__,
+    )
+    space = solve_affine(A, [row[n] for row in state.rows], n)  # w solves it
     x0, basis = space.particular, space.basis
-    if not floored:
-        # an open coordinate is bounded only where the equations fix it
-        frozen = frozen_coordinates(space)
-        for u in frozen:
-            failed = _fixed_outside(state, members[u], valuation(x0[u], p))
+    frozen = frozen_coordinates(space)
+    for u in open_:
+        if u in frozen:
+            failed = _fixed_outside(state, columns[u], valuation(x0[u], p))
             if failed is not None:
                 return failed
-        open_ = [u for u in open_ if u not in frozen]
-    raised = False
+    open_ = [u for u in open_ if u not in frozen]
     narrowed = []
     for u in open_:
         # N_u = sum l_g N_g, with N_j = (vec[j] for vec in basis)
@@ -669,24 +637,19 @@ def _solve_mixed(
         )
         if span is None:
             continue
-        raised = True
-        var = members[u]
+        var = columns[u]
         lam = span.particular
         c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
+        # finite: N_u != 0, so some l_g != 0
         bound = min(
             [valuation(c, p)]
-            + [valuation(l, p) + state.profiles[members[g]].lower
+            + [valuation(l, p) + state.profiles[columns[g]].lower
                for l, g in zip(lam, floored) if l]
         )
-        if bound == INF:
-            failed = _force_zero(state, var)
-            if failed is not None:
-                return failed
-        else:
-            prof = state.profiles[var]
-            state.profiles[var] = VarProfile(bound, prof.upper, prof.excluded)
-            narrowed.append(var)
-    if raised:
+        prof = state.profiles[var]
+        state.profiles[var] = VarProfile(bound, prof.upper, prof.excluded)
+        narrowed.append(var)
+    if narrowed:
         return _check_profiles(state, narrowed)
     # the kernel directions with d_g = 0 on G, combined with weights
     # 1, t, t^2, ... for the first t that leaves no open d_u zero
@@ -698,7 +661,7 @@ def _solve_mixed(
             break
     shift = 0
     for u in open_:
-        prof = state.profiles[members[u]]
+        prof = state.profiles[columns[u]]
         cap = min(prof.upper, min(prof.excluded, default=INF) - 1, w[u].valuation() - 1)
         shift = max(shift, valuation(d[u], p) - cap)
     return Verdict.sat(witness=[
@@ -707,28 +670,31 @@ def _solve_mixed(
     ])
 
 
-def _solve_leaves(
+def _solve_leaf(
     state: _State, bounds: tuple[list[ExtInt], list[bool]], fresh: Iterator[int]
 ) -> Verdict:
     """Decide a leaf from its sat relaxation, which it has just adopted, and
     the floors and exact flags by column that it was priced with (module
     docstring)."""
-    n, rank = len(state.columns), len(state.rows)
+    columns = state.columns
+    n, rank = len(columns), len(state.rows)
     # the rows are that echelon already: row i pivots at column i
     echelon = EchelonResult(state.rows, [1] * rank, n, tuple(range(n)), tuple(range(rank)))
-    witness = dict(zip(state.columns, geq_witness(_geq_problem(state, *bounds), echelon)))
-    for members, rows in _components(state):
-        if all(_geq_compatible(state, v) for v in members):
-            continue  # the relaxation is the component's own problem
-        verdict = _solve_mixed(state, members, rows, [witness[v] for v in members])
+    w = geq_witness(_geq_problem(state, *bounds), echelon)
+    open_ = sorted(
+        (j for j, v in enumerate(columns) if not _geq_compatible(state, v)),
+        key=columns.__getitem__,
+    )
+    if open_:
+        verdict = _solve_mixed(state, open_, w)
         if verdict is None:
             # a raised floor: fewer variables are unbounded below
             return _solve_state(state, fresh)
         if verdict.is_unsat:
             return verdict
-        witness.update(zip(members, verdict.witness))
+        w = verdict.witness
     # express the witness in the root variables before handing it upward
-    return Verdict.sat(witness=_reconstruct(state, witness))
+    return Verdict.sat(witness=_reconstruct(state, dict(zip(columns, w))))
 
 
 def _reconstruct(state: _State, witness: dict[str, PowerSum]) -> dict[str, PowerSum]:
@@ -782,7 +748,7 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaves(state, bounds, fresh)
+        return _solve_leaf(state, bounds, fresh)
     for child in _children(state, target, fresh):
         verdict = _solve_state(child, fresh)
         if verdict.is_sat:

@@ -221,9 +221,9 @@ class NormalizedInstance:
 def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
     """Fold the valuation constraints into per-(variable, prime) profiles.
 
-    Returns ImmediateUnsat when some profile's window is plainly empty:
-    a finite lower bound above the upper bound, or a pinned valuation that is
-    itself excluded.
+    Returns ImmediateUnsat when some profile's window is empty: a finite
+    lower bound above the upper bound, a pinned valuation that is itself
+    excluded, or a window whose every valuation is excluded.
     """
     folded: dict[int, dict[str, dict]] = {}
     kinds: dict[int, set[str]] = {}
@@ -248,13 +248,16 @@ def normalize(inst: Instance) -> NormalizedInstance | ImmediateUnsat:
         profiles[p] = {}
         for var, slot in by_var.items():
             lo, up = slot["lower"], slot["upper"]
-            if is_finite(lo) and lo > up:
-                return ImmediateUnsat(p, var, f"empty window [{lo}, {up}]")
-            if is_finite(lo) and lo == up and lo in slot["excluded"]:
-                return ImmediateUnsat(
-                    p, var, f"valuation pinned to {lo}, which is excluded"
-                )
-            profiles[p][var] = VarProfile(lo, up, frozenset(slot["excluded"]))
+            prof = VarProfile(lo, up, frozenset(slot["excluded"]))
+            if prof.empty():  # then lo and up are finite; the reason quotes them
+                if lo > up:
+                    reason = f"empty window [{lo}, {up}]"
+                elif lo == up:
+                    reason = f"valuation pinned to {lo}, which is excluded"
+                else:
+                    reason = f"every valuation in [{lo}, {up}] is excluded"
+                return ImmediateUnsat(p, var, reason)
+            profiles[p][var] = prof
     return NormalizedInstance(
         variables=inst.variables,
         equations=inst.equations,

@@ -18,6 +18,11 @@ UNSAT_PINNED = "vars x y\neq 1 x + 1 y = 2\nval 2 : v(x) == 1\nval 2 : v(y) == 1
 MIXED_OPEN = (
     "vars x y z\neq 1 x + 1 y + 1 z = 0\nval 3 : v(x) <= 5\nval 3 : v(y) >= 0\n"
 )
+# every valuation of x's window [3, 4] is excluded
+COVERED = (
+    "vars x\nval 3 : v(x) >= 3\nval 3 : v(x) <= 4\nval 3 : v(x) != 3\n"
+    "val 3 : v(x) != 4\n"
+)
 
 
 def write(tmp_path, name, text):
@@ -43,6 +48,35 @@ def test_solve_exit_codes(tmp_path, capsys):
     witness_path.write_text(json.dumps(payload["witness"]))
     assert main(["check", path, str(witness_path)]) == 0
     assert capsys.readouterr().out.strip() == "valid"
+
+
+def test_solve_json_reports_why_unsat(tmp_path, capsys):
+    # normalization refutes a window the exclusions cover, before any
+    # fragment is chosen; classify stops there too
+    path = write(tmp_path, "covered.txt", COVERED)
+    assert main(["solve", path, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["fragment"], payload["code"], payload["reason"]) == (
+        "unsat", None, "empty-window", "v_3(x): every valuation in [3, 4] is excluded"
+    )
+    assert main(["classify", path]) == 1
+    assert "every valuation in [3, 4] is excluded" in capsys.readouterr().out
+
+
+def test_solve_text_witness_prints_power_sums(tmp_path, capsys):
+    # text mode prints each coordinate with its valuation, the same
+    # coordinates solve --json --witness gives
+    from padicsat.cli import _witness_from_json
+
+    path = write(tmp_path, "open.txt", MIXED_OPEN)
+    assert main(["solve", path, "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["solve", path, "--json", "--witness"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    witness = _witness_from_json(json.dumps(payload["witness"]))
+    for var in ("x", "y", "z"):
+        coordinate = witness[var]
+        assert f"{var} = {coordinate}  (v_3 = {coordinate.valuation()})" in lines, lines
 
 
 def test_python_dash_m_exit_codes(tmp_path):

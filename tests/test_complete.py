@@ -457,8 +457,8 @@ def _spy_mixed(monkeypatch):
     results = []
     real = complete._solve_mixed
 
-    def spy(state, members, rows, w):
-        results.append(real(state, members, rows, w))
+    def spy(*args):
+        results.append(real(*args))
         return results[-1]
 
     monkeypatch.setattr(complete, "_solve_mixed", spy)
@@ -511,21 +511,30 @@ def test_floor_raise_then_branch(monkeypatch):
     assert results[0] is None and "y" in digits
 
 
-@pytest.mark.parametrize("seed, prime, code, reason, diagnostics", [
-    # the component {x1, x2} has no floored variable, and its two equations
-    # fix x2 at a unit, though v_3(x2) <= -3
+@pytest.mark.parametrize("seed, prime, code, reason, diagnostics, shape", [
+    # the leaf's two equations fix x2 = -10/103, a unit, though
+    # v_3(x2) <= -3; no variable in them is floored
     (2102, 3, "fixed-out-of-range",
      "x2 is fixed with valuation 0, outside its admissible set",
-     {"var": "x2", "valuation": 0, "fragment": "HARD"}),
-    # the equations fix the open x2 beside the floored x1: its floor is
-    # raised to the fixed valuation, which its cap excludes
-    (18, 2, "empty-window", "no admissible valuation for x2",
-     {"var": "x2", "fragment": "HARD"}),
+     {"var": "x2", "valuation": 0, "fragment": "HARD"}, (3, 2)),
+    # the equations fix x2 = 11/7, a unit, beside the floored x1, though
+    # v_2(x2) <= -1: the rule holds whatever is floored
+    (18, 2, "fixed-out-of-range",
+     "x2 is fixed with valuation 0, outside its admissible set",
+     {"var": "x2", "valuation": 0, "fragment": "HARD"}, (3, 2)),
+    # the second equation less the fourth reads x1 = 0, beside the floored
+    # x3, though v_2(x1) <= 0 caps it away from the value 0
+    (1545, 2, "fixed-out-of-range",
+     "x1 is fixed with valuation inf, outside its admissible set",
+     {"var": "x1", "valuation": INF, "fragment": "HARD"}, (6, 4)),
 ])
 def test_a_frozen_open_coordinate_is_settled_at_the_leaf(
-    seed, prime, code, reason, diagnostics
+    seed, prime, code, reason, diagnostics, shape
 ):
-    i = random_instance(seed, fragment="mixed", primes=(prime,), num_vars=3, num_eqs=2)
+    num_vars, num_eqs = shape
+    i = random_instance(
+        seed, fragment="mixed", primes=(prime,), num_vars=num_vars, num_eqs=num_eqs
+    )
     verdict = solve_combined(i)
     assert verdict.is_unsat
     assert (verdict.code, verdict.reason, verdict.diagnostics) == (code, reason, diagnostics)

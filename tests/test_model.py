@@ -103,7 +103,7 @@ def test_normalize_detects_empty_windows():
         )
     )
     assert isinstance(bad, ImmediateUnsat)
-    assert (bad.prime, bad.var) == (2, "x")
+    assert (bad.prime, bad.var, bad.reason) == (2, "x", "empty window [5, 3]")
 
     pinned = normalize(
         inst(
@@ -115,6 +115,24 @@ def test_normalize_detects_empty_windows():
         )
     )
     assert isinstance(pinned, ImmediateUnsat)
+    assert pinned.reason == "valuation pinned to 2, which is excluded"
+
+    # a window the exclusions cover is as empty as a crossed one
+    covered = normalize(
+        inst(
+            ["x"],
+            valuations=[
+                ValConstraint(3, "x", ">=", 3),
+                ValConstraint(3, "x", "<=", 4),
+                ValConstraint(3, "x", "!=", 3),
+                ValConstraint(3, "x", "!=", 4),
+            ],
+        )
+    )
+    assert isinstance(covered, ImmediateUnsat)
+    assert (covered.prime, covered.var, covered.reason) == (
+        3, "x", "every valuation in [3, 4] is excluded"
+    )
 
 
 def _fields(prof):
