@@ -5,7 +5,20 @@ instance mixes lower bounds with upper bounds or exclusions, satisfiability is
 decided here by a recursive search:
 
 * lower bounds are tightened by min-plus propagation over the valuations each
-  state keeps of its equations' coefficients (updated by every substitution).
+  state keeps of its equations' coefficients (updated by every substitution):
+  in a row a_k x_k is minus the sum of the other terms and the rhs, so
+  v(x_k) >= m - v(a_k), m the least floor of those terms' valuations.  At
+  p = 2 the bound is m + 1 - v(a_k) when the terms at m are all exact and
+  even in number, a nonzero rhs counting as one exact term: a pinned
+  valuation (`VarProfile.exact_at`) makes a term 2^m times an odd number, as
+  the rhs is, and 2^m*odd + 2^m*odd = 2^(m+1)*k.  At p >= 3 two units can
+  sum to a unit, so there is no such rule.  A row is quiet when its last
+  visit raised nothing and neither the row nor the profile of a variable in
+  it has changed since.  A visit reads only those, so propagation skips
+  quiet rows and still makes the raises of full passes, in the same order.
+  Substitutions and adopted echelon rows wake the rows they rewrite, and
+  every narrowing of a profile (a raise, a window or split child, a leaf's
+  floor raise) wakes the rows holding its variable.
   A bound raised to +inf forces its coordinate to zero.  Bounds can also
   climb without end when the equations alone freeze a coordinate at 0 (x = 3y
   with y = 3x), so the first time one propagation call raises more bounds
@@ -199,11 +212,16 @@ class _State:
     # the echelon record above; None before the first relaxation and after
     # a zero substitution
     priced: dict[str, tuple[ExtInt, bool]] | None = None
+    # per row: its last propagation visit raised nothing, and since then
+    # neither the row nor the profile of a variable in it has changed
+    quiet: list[bool] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.valuations is None:
             index = {c: j for j, c in enumerate(self.columns)}
             self.valuations = [self.row_valuation(row, index) for row in self.rows]
+        if self.quiet is None:
+            self.quiet = [False] * len(self.rows)
 
     def row_valuation(
         self, row: list[int], index: dict[str, int]
@@ -224,6 +242,7 @@ class _State:
             list(self.log),
             list(self.valuations),
             self.priced,
+            list(self.quiet),
         )
 
 
@@ -239,8 +258,8 @@ def _substitute_zero(state: _State, var: str) -> bool:
     state.log.append(("zero", var))
     del state.profiles[var]
     j = state.columns.index(var)
-    rows, valuations = [], []
-    for row, (vals, rhs_val) in zip(state.rows, state.valuations):
+    rows, valuations, quiet = [], [], []
+    for row, (vals, rhs_val), q in zip(state.rows, state.valuations, state.quiet):
         a = row[j]
         row = row[:j] + row[j + 1:]
         if a:
@@ -248,6 +267,7 @@ def _substitute_zero(state: _State, var: str) -> bool:
                 if row[-1]:
                     return False
                 continue
+            q = False
             vals = {v: e for v, e in vals.items() if v != var}
             row, g = _primitive(row)
             if g > 1:
@@ -257,8 +277,9 @@ def _substitute_zero(state: _State, var: str) -> bool:
                     rhs_val -= shift
         rows.append(row)
         valuations.append((vals, rhs_val))
+        quiet.append(q)
     del state.columns[j]
-    state.rows, state.valuations = rows, valuations
+    state.rows, state.valuations, state.quiet = rows, valuations, quiet
     state.priced = None
     return True
 
@@ -294,6 +315,16 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
         new_vals[fresh] = vals[var] + v + 1 + shift
         state.rows[i] = row
         state.valuations[i] = (new_vals, int_valuation(row[-1], p))
+        state.quiet[i] = False
+
+
+def _narrow(state: _State, var: str, prof: VarProfile) -> None:
+    """Store var's narrowed profile and wake every row that holds var."""
+    state.profiles[var] = prof
+    quiet = state.quiet
+    for i, (vals, _) in enumerate(state.valuations):
+        if var in vals:
+            quiet[i] = False
 
 
 def _check_profiles(state: _State, names: Iterable[str]) -> Verdict | None:
@@ -362,7 +393,8 @@ def _fixed_outside(state: _State, var: str, v: ExtInt) -> Verdict | None:
 
 
 def _propagate(state: _State) -> Verdict | None:
-    """Min-plus tightening of lower bounds; substitutes forced zeros in place.
+    """Min-plus tightening of lower bounds, with the parity rule at p = 2;
+    substitutes forced zeros in place and skips quiet rows (module docstring).
 
     A bound raised to +inf forces its variable to zero.  Lower bounds can
     also climb without end, one step per round, when the equations freeze a
@@ -373,12 +405,16 @@ def _propagate(state: _State) -> Verdict | None:
     rounds = PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))
     raises = 0
     frozen_checked = False
+    parity = state.prime == 2
     for _ in range(rounds):
         changed = False
         restart = True
         while restart:
             restart = False
-            for vals, rhs_val in state.valuations:
+            for i, (vals, rhs_val) in enumerate(state.valuations):
+                if state.quiet[i]:
+                    continue  # its visit would raise nothing
+                state.quiet[i] = True  # until a raise below wakes it
                 terms: dict[str, ExtInt] = {}
                 for var, v in vals.items():
                     lo = state.profiles[var].lower
@@ -393,6 +429,17 @@ def _propagate(state: _State) -> Verdict | None:
                         first, second = t, first
                     elif t < second:
                         second = t
+                # parity: at first and at second, the number of terms, the
+                # rhs among them, and how many of those are not exact
+                tally = None
+                if parity and second != NEG_INF:
+                    tally = {first: [0, 0], second: [0, 0]}
+                    if rhs_val in tally:
+                        tally[rhs_val][0] += 1
+                    for var, t in terms.items():
+                        if t in tally:
+                            tally[t][0] += 1
+                            tally[t][1] += not state.profiles[var].exact_at(2)
                 for var, v in vals.items():
                     floor_others = second if terms[var] == first else first
                     if floor_others == NEG_INF:
@@ -402,6 +449,13 @@ def _propagate(state: _State) -> Verdict | None:
                         new_lower: ExtInt = INF
                     else:
                         new_lower = floor_others - v
+                        if tally is not None:
+                            others, inexact = tally[floor_others]
+                            if terms[var] == floor_others:
+                                others -= 1
+                                inexact -= not prof.exact_at(2)
+                            if not inexact and others % 2 == 0:
+                                new_lower += 1
                     if new_lower == NEG_INF or new_lower <= prof.lower:
                         continue
                     changed = True
@@ -413,7 +467,7 @@ def _propagate(state: _State) -> Verdict | None:
                         restart = True
                         break
                     prof = VarProfile(new_lower, prof.upper, prof.excluded)
-                    state.profiles[var] = prof
+                    _narrow(state, var, prof)
                     if prof.empty():
                         return Verdict.unsat(
                             "empty-window",
@@ -552,7 +606,10 @@ def _adopt(
 ) -> None:
     """Take a sat relaxation's echelon: its nonzero rows, made primitive, over
     columns in pivot order, priced with floors and exact by column; a row's
-    valuations are computed where vals holds None."""
+    valuations are computed, and the row woken, where vals holds None.  Only
+    an incremental relaxation passes a row's valuations on, and it keeps
+    the state's row order."""
+    state.quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
     if None in vals:
         index = {c: j for j, c in enumerate(columns)}
         vals = [
@@ -647,7 +704,7 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
                for l, g in zip(lam, floored) if l]
         )
         prof = state.profiles[var]
-        state.profiles[var] = VarProfile(bound, prof.upper, prof.excluded)
+        _narrow(state, var, VarProfile(bound, prof.upper, prof.excluded))
         narrowed.append(var)
     if narrowed:
         return _check_profiles(state, narrowed)
@@ -716,7 +773,7 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
     if kind == "window":
         for v in data:
             child = state.copy()
-            child.profiles[var] = VarProfile(v, v, frozenset())
+            _narrow(child, var, VarProfile(v, v, frozenset()))
             yield child
     elif kind == "digit":
         # name every digit's fresh variable before the first child is solved,
@@ -732,7 +789,7 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
         # data is the least exclusion, above the lower edge
         for lower, upper in ((prof.lower, data - 1), (data + 1, prof.upper)):
             child = state.copy()
-            child.profiles[var] = VarProfile(lower, upper, prof.excluded)
+            _narrow(child, var, VarProfile(lower, upper, prof.excluded))
             yield child
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import os
 import random
 import resource
@@ -35,7 +36,7 @@ from padicsat.model import (
     Verdict,
     normalize,
 )
-from padicsat.rational import INF, NEG_INF, PowerSum, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
@@ -604,7 +605,7 @@ def test_search_answers_are_pinned():
         digest.update(repr(key).encode() + b"\0")
     assert statuses["sat"] > 300 and statuses["unsat"] > 300, statuses
     assert digest.hexdigest() == (
-        "05ef157cd008b7cc21f29d74d86bc6ccfa6e6c86755b9f6cdeb9c11376c12e30"
+        "8023bdb2b9c9fd5e5b378f74fd817e4dd90389388bad805218e010a429c4f741"
     ), statuses
 
 
@@ -795,10 +796,14 @@ def _frozen_reference(state):
     return None
 
 
-def _propagate_reference(state):
+def _propagate_reference(state, parity_raises=None):
     """complete._propagate with the minimum over the other terms rebuilt for
     every variable: O(k^2) per equation of k terms, on the Fraction equations
-    and their valuations rather than the integer rows' cached ones."""
+    and their valuations rather than the integer rows' cached ones.  At
+    p = 2, when the other terms at that minimum m are all exact, a nonzero
+    rhs counting as one exact term, and even in number, they sum to 2^(m+1)
+    times an integer, so the bound is one higher; parity_raises, a list, gets
+    the variable of each raise to such a bound."""
     p = state.prime
     raises = 0
     frozen_checked = False
@@ -808,20 +813,30 @@ def _propagate_reference(state):
         while restart:
             restart = False
             for coeffs, rhs in state_equations(state):
-                terms = {}
+                terms, exact = {}, {}
                 for var, a in coeffs.items():
-                    lo = state.profiles[var].lower
+                    prof = state.profiles[var]
+                    lo = prof.lower
                     terms[var] = NEG_INF if lo == NEG_INF else valuation(a, p) + lo
+                    exact[var] = p == 2 and is_finite(lo) and lo == prof.upper
                 rhs_val = INF if rhs == 0 else valuation(rhs, p)
                 for var, a in coeffs.items():
-                    others = [t for w, t in terms.items() if w != var]
-                    floor_others = min(others + [rhs_val])
+                    others = [(t, exact[w]) for w, t in terms.items() if w != var]
+                    if rhs != 0:
+                        others.append((rhs_val, True))
+                    floor_others = min([t for t, _ in others] + [INF])
                     if floor_others == NEG_INF:
                         continue
                     prof = state.profiles[var]
                     new_lower = (
                         INF if floor_others == INF else floor_others - valuation(a, p)
                     )
+                    at_floor = [e for t, e in others if t == floor_others]
+                    if (p == 2 and new_lower != INF and all(at_floor)
+                            and len(at_floor) % 2 == 0):
+                        new_lower += 1
+                        if parity_raises is not None and prof.lower < new_lower:
+                            parity_raises.append(var)
                     if new_lower == NEG_INF or new_lower <= prof.lower:
                         continue
                     changed = True
@@ -888,16 +903,43 @@ def _random_state(rng):
     return state
 
 
+def _parity_state(rng):
+    """A state at p = 2 rich in exact terms that share a valuation: unit or
+    twice-unit coefficients, and most valuations pinned to 0 or 1."""
+    names = [f"x{i}" for i in range(rng.randint(2, 4))]
+    equations = []
+    for _ in range(rng.randint(1, 2)):
+        coeffs = {
+            v: Fraction(rng.choice((1, -1, 3, -3)) * 2 ** rng.randint(0, 1))
+            for v in rng.sample(names, rng.randint(2, len(names)))
+        }
+        rhs = Fraction(0) if rng.random() < 0.3 else Fraction(
+            rng.choice((1, -1, 3, 5)) * 2 ** rng.randint(0, 2)
+        )
+        equations.append((coeffs, rhs))
+    profiles = {}
+    for v in names:
+        e = rng.randint(0, 1)
+        if rng.random() < 0.7:
+            profiles[v] = VarProfile(e, e)
+        else:
+            profiles[v] = VarProfile(NEG_INF if rng.random() < 0.5 else e, INF)
+    return integer_state(2, equations, profiles)
+
+
 def test_propagate_matches_quadratic_reference():
     rng = random.Random(4242)
     outcomes = collections.Counter()
     for trial in range(400):
-        state = _random_state(rng)
+        state = _parity_state(rng) if trial % 4 == 3 else _random_state(rng)
         before = state.copy()
         reference = state.copy()
-        got, want = _propagate(state), _propagate_reference(reference)
+        parity_raises = []
+        got, want = _propagate(state), _propagate_reference(reference, parity_raises)
         assert got == want, trial
         assert state == reference, trial
+        # the trials where a bound rose to the parity rule's bound
+        outcomes["parity"] += bool(parity_raises)
         if got is not None:
             outcomes[got.code] += 1
         elif state.log:
@@ -905,11 +947,91 @@ def test_propagate_matches_quadratic_reference():
         else:
             outcomes["tightened" if state != before else "unchanged"] += 1
     five = ("forced-zero", "empty-window", "zero-substituted", "tightened", "unchanged")
-    assert all(outcomes[c] >= 10 for c in five), outcomes
+    assert all(outcomes[c] >= 10 for c in (*five, "parity")), outcomes
     # the frozen-coordinate pass's own unsat answers
     frozen = ("no-solution", "fixed-out-of-range")
     assert all(outcomes[c] >= 1 for c in frozen), outcomes
-    assert set(outcomes) == {*five, *frozen}, outcomes
+    assert set(outcomes) == {*five, *frozen, "parity"}, outcomes
+
+
+def test_parity_bounds_hold_on_every_solution():
+    # one row a*x + sum a_j y_j = b at p = 2 with every y_j pinned: each
+    # y_j = 2^(v_j) u_j with u_j odd gives x, and every such solution that
+    # meets x's floor meets the bounds propagation leaves, which needs the
+    # answer not to be unsat.  Parity raises x past min-plus in many trials
+    rng = random.Random(2025)
+    units = (-3, -1, 1, 3, 5, 7)
+    outcomes = collections.Counter()
+    for trial in range(300):
+        names = [f"y{j}" for j in range(rng.randint(1, 3))]
+        coeffs = {v: rng.choice((1, -1, 3, -5)) * 2 ** rng.randint(0, 2) for v in ["x", *names]}
+        rhs = 0 if rng.random() < 0.3 else rng.choice((1, -1, 3, 7)) * 2 ** rng.randint(0, 3)
+        pinned = {v: rng.randint(-1, 2) for v in names}
+        floor = NEG_INF if rng.random() < 0.5 else rng.randint(-2, 3)
+        profiles = {"x": VarProfile(floor, INF), **{v: VarProfile(e, e) for v, e in pinned.items()}}
+        state = integer_state(2, [({v: Fraction(a) for v, a in coeffs.items()}, Fraction(rhs))],
+                              profiles)
+        verdict = _propagate(state)
+        solutions = 0
+        for us in itertools.product(units, repeat=len(names)):
+            ys = {v: Fraction(2) ** pinned[v] * u for v, u in zip(names, us)}
+            x = (rhs - sum(coeffs[v] * y for v, y in ys.items())) / coeffs["x"]
+            if valuation(x, 2) < floor:
+                continue
+            solutions += 1
+            assert verdict is None, (trial, coeffs, rhs, pinned, floor, verdict)
+            assert valuation(x, 2) >= state.profiles["x"].lower, (trial, coeffs, rhs, pinned)
+        least = min([valuation(coeffs[v], 2) + e for v, e in pinned.items()]
+                    + [valuation(Fraction(rhs), 2)])
+        if verdict is not None:
+            outcomes["unsat"] += 1
+        elif state.profiles["x"].lower == least + 1 - valuation(coeffs["x"], 2):
+            outcomes["parity raise"] += 1
+        outcomes["with solutions" if solutions else "without"] += 1
+    assert min(outcomes.values()) >= 30 and len(outcomes) == 4, outcomes
+
+
+def _quiet_searches():
+    for p, e in ((2, 2), (3, 1)):
+        for seed in range(12):
+            yield encode_coloring(Graph.random(seed, 5 + seed % 4, 0.5), p, e)
+    for p in (2, 3, 5):
+        for seed in range(100):
+            yield random_instance(seed, fragment="mixed", primes=(p,))
+    # draws where a split child's narrowed lower edge lets a row raise
+    for seed in (785, 831):
+        yield random_instance(seed, fragment="mixed")
+    for seed in (360, 641):
+        yield random_instance(seed, fragment="mixed", primes=(2,), num_vars=6, num_eqs=4)
+
+
+def test_quiet_rows_are_skipped_exactly(monkeypatch):
+    # at every propagation inside real searches, the same call on a copy of
+    # the state with every row woken gives the same verdict, profiles, rows,
+    # valuations and log, and on None the same quiet rows: skipping a quiet
+    # row is exactly a full pass
+    real = complete._propagate
+    calls = collections.Counter()
+
+    def spy(state):
+        woken = state.copy()
+        woken.quiet = [False] * len(woken.rows)
+        skipped = sum(state.quiet)
+        got, want = real(state), real(woken)
+        assert got == want
+        assert state == woken
+        if got is None:
+            assert state.quiet == woken.quiet
+        calls["calls"] += 1
+        calls["with quiet rows"] += skipped > 0
+        return got
+
+    monkeypatch.setattr(complete, "_propagate", spy)
+    for i in _quiet_searches():
+        verdict = solve_combined(i)
+        if verdict.is_sat and verdict.witness is not None:
+            assert verify_witness(i, verdict.witness)
+    assert calls["with quiet rows"] >= 300, calls
 
 
 def test_substitutions_keep_cached_valuations():
@@ -1140,3 +1262,29 @@ def test_coloring_search_states_are_pinned(monkeypatch, seed, n, parent_states):
     verdict = solve_combined(encode_coloring(g, 3, 1))
     assert verdict.is_unsat and not brute_color(g, 3)
     assert len(states) <= 100 < parent_states, len(states)
+
+
+def test_parity_prunes_the_four_colorings_at_two(monkeypatch):
+    # 4-colorings in the window encoding at (p, e) = (2, 2): two edge units
+    # pinned at one valuation cancel their leading digit, which propagation
+    # reads.  Before it read parity, K6 took 99 states and the twelve random
+    # graphs 3,769
+    states = []
+    real = complete._solve_state
+
+    def spy(state, fresh):
+        states.append(None)
+        return real(state, fresh)
+
+    monkeypatch.setattr(complete, "_solve_state", spy)
+    graphs = [Graph.complete(6)] + [Graph.random(seed, 9, 0.7) for seed in range(12)]
+    counts = []
+    for g in graphs:
+        i = encode_coloring(g, 2, 2)
+        verdict = solve_combined(i)
+        assert verdict.is_sat == brute_color(g, 4) and not verdict.is_unknown
+        if verdict.is_sat:
+            assert verify_witness(i, verdict.witness)
+        counts.append(len(states))
+        states.clear()
+    assert counts[0] <= 39 and sum(counts[1:]) <= 731, counts
