@@ -76,8 +76,9 @@ The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
 (`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
 
 The relaxation is the search's only lower-bound decision.  A leaf's rows
-are its relaxation's echelon, so it back-substitutes them once
-(`geq_witness`, identity column order) into a witness w.  At a leaf every
+are its relaxation's echelon, row i pivoting at column i, so it hands them
+with the floors they were priced with (`priced`) to `geq_witness`, which
+back-substitutes them into a witness w by column.  At a leaf every
 floored variable (a finite lower bound) fits the lower-bound fragment, as
 none is left to branch on; when every other variable does too, w is the
 answer.  Otherwise the leaf has open variables (no lower bound, but an
@@ -104,15 +105,15 @@ a span test below reads the same over the whole leaf as over u's component.
 * Free case: no remaining open u is such a combination.  Then for each of
   them there is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u
   vanishes on the common kernel of the N_g exactly when it lies in their
-  span).  The leaf is sat iff its lower-bound relaxation is: G's floors,
-  -inf for the rest.  "Only if" holds as it is a relaxation.  For "if", take
-  the relaxation's witness w and a generic combination d of those
-  directions: each d_u is a nonzero polynomial in the combination's
-  parameter, so all but finitely many parameters make every d_u nonzero.
-  w + p^(-M) d keeps every G coordinate and every equation, and for M
-  large each open u gets v = v(d_u) - M, below v(w_u), its upper bound and
-  its exclusions.  d moves no frozen coordinate, and a variable neither
-  floored nor open has no constraint.
+  span).  So no open u is frozen in the homogeneous system
+  [A; e_g for g in G] z = 0, and `solve_leq` finds a z in it with each open
+  u's valuation at most min(upper_u, v(w_u) - 1) and outside u's
+  exclusions, every other column unconstrained: the upper-bound fragment
+  is unsat only on a frozen coordinate out of range.  w + z keeps every G
+  coordinate and every equation, and each open u gets v(z_u), as
+  v(z_u) < v(w_u) or both are 0 (under a cap of +inf, which admits 0).  z
+  moves no frozen coordinate, and a variable neither floored nor open has
+  no constraint.  So the leaf is sat iff its lower-bound relaxation is.
 
 The search ends: a raise turns a variable without a lower bound into one
 with a floor, floors only rise, and digit substitutions create variables
@@ -121,7 +122,12 @@ falls at each raise, and a leaf without raises is decided outright.
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
-wide valuation window costs only the candidates actually tried.  Profiles
+wide valuation window costs only the candidates actually tried.  A sat
+answer is lifted on its way up by the branches that made it: a digit
+child's witness gives var = digit*p^v + p^(v+1)*fresh, fresh read as 0
+when the child left it out, and no other branch renames a variable.  A
+zero substitution needs no record, as a variable missing from the answer
+is 0; the root fills in each missing variable as 0.  Profiles
 are immutable `VarProfile`s, shared between a state and its children; a
 narrowing stores a new one.  A profile is canonical by construction (its
 finite edges admissible, its exclusions strictly inside), so there is no
@@ -149,7 +155,6 @@ from math import gcd
 from .certify import verify_witness
 from .errors import InputError, InternalError
 from .linalg import (
-    EchelonResult,
     cheapest_column,
     doubled_offset,
     eliminate,
@@ -170,6 +175,7 @@ from .rational import (
     valuation,
 )
 from .solver_geq import GeqProblem, geq_witness, pivot_shortfall, solve_geq
+from .solver_leq import LeqProblem, solve_leq
 
 PROPAGATION_ROUNDS_FACTOR = 4
 # the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
@@ -182,29 +188,28 @@ class _State:
 
     rows[i] is one equation (A | b) over `columns`, as integers with content
     1 and a nonzero coefficient; together the rows are a system equivalent
-    to the instance's equations under the log's substitutions, not those
-    equations themselves (module docstring).  The columns are the variables
-    of `profiles`.  A substitution or an adopted echelon replaces the rows it
-    changes and never edits one in place, and a narrowing replaces the
-    variable's immutable profile, so copies share their rows and profiles.
+    to the instance's equations under the substitutions of the branches
+    that led here, not those equations themselves (module docstring).  A
+    state records no substitution: the branch that made one undoes it on a
+    sat answer.  The columns are the variables of `profiles`.  A
+    substitution or an adopted echelon replaces the rows it changes and
+    never edits one in place, and a narrowing replaces the variable's
+    immutable profile, so copies share their rows and profiles.
 
     After a sat relaxation the rows are its echelon and the columns are in
     its pivot order: row i is zero left of column i and nonzero at it.
     `priced` then holds the (floor, exact) of each variable that echelon was
-    priced with.  A digit substitution rewrites only rows that then hold its
-    fresh variable, which has no record, and keeps their zero pattern; a
-    zero substitution deletes a column, which breaks the shape, so it drops
-    the record.  The record is shared by copies and replaced, never edited,
-    by the next relaxation.
+    priced with; a leaf reads its witness's floors from it.  A digit
+    substitution rewrites only rows that then hold its fresh variable, which
+    has no record, and keeps their zero pattern; a zero substitution deletes
+    a column, which breaks the shape, so it drops the record.  The record
+    is shared by copies and replaced, never edited, by the next relaxation.
     """
 
     prime: int
     columns: list[str]
     rows: list[list[int]]
     profiles: dict[str, VarProfile]
-    # substitution log, innermost last; entries are
-    # ("zero", var) or ("digit", var, digit, v, fresh)
-    log: list[tuple] = field(default_factory=list)
     # per row, the valuations of its nonzero coefficients by variable, in
     # profile order, and of its rhs.  Computed with the rows, then kept in
     # step by the substitutions and the relaxation
@@ -239,7 +244,6 @@ class _State:
             list(self.columns),
             list(self.rows),
             dict(self.profiles),
-            list(self.log),
             list(self.valuations),
             self.priced,
             list(self.quiet),
@@ -255,7 +259,6 @@ def _primitive(row: list[int]) -> tuple[list[int], int]:
 def _substitute_zero(state: _State, var: str) -> bool:
     """Replace var by 0.  Returns False if that empties an equation badly."""
     p = state.prime
-    state.log.append(("zero", var))
     del state.profiles[var]
     j = state.columns.index(var)
     rows, valuations, quiet = [], [], []
@@ -292,7 +295,6 @@ def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -
     which keeps it integral; then it is divided by its content.
     """
     p = state.prime
-    state.log.append(("digit", var, digit, v, fresh))
     del state.profiles[var]
     state.profiles[fresh] = _FRESH
     j = state.columns.index(var)
@@ -500,44 +502,37 @@ def _bounds(state: _State) -> tuple[list[ExtInt], list[bool]]:
     return floors, [prof.exact_at(2) for prof in profs]
 
 
-def _geq_problem(state: _State, floors: list[ExtInt], exact: list[bool]) -> GeqProblem:
-    """The lower-bound relaxation of the state's rows, over its columns."""
+def _relaxation(state: _State) -> bool:
+    """Decide the state's lower-bound relaxation, over its columns.
+
+    When it is sat the state adopts its echelon and records, in `priced`,
+    the floors and exact flags it was priced with (module docstring).
+    Without an echelon record the rows go to `solve_geq`, in column order,
+    as they are: a row's multiple has the same solutions.  With one,
+    _reprice builds the same echelon from it.
+    """
+    floors, exact = _bounds(state)
+    if state.priced is not None:
+        return _reprice(state, floors, exact)
     n = len(state.columns)
-    return GeqProblem(
+    verdict = solve_geq(GeqProblem(
         tuple([tuple(row[:n]) for row in state.rows]),
         tuple([row[n] for row in state.rows]),
         state.prime,
         tuple(floors),
         tuple(exact),
-    )
-
-
-def _relaxation(state: _State) -> tuple[list[ExtInt], list[bool]] | None:
-    """Decide the state's lower-bound relaxation; None if it is unsat.
-
-    When it is sat the state adopts its echelon (module docstring), and the
-    floors and exact flags it was priced with come back by column.  Without
-    an echelon record the rows go to `solve_geq`, in column order, as they
-    are: a row's multiple has the same solutions.  With one, _reprice builds
-    the same echelon from it.
-    """
-    floors, exact = _bounds(state)
-    if state.priced is not None:
-        return _reprice(state, floors, exact)
-    verdict = solve_geq(_geq_problem(state, floors, exact), witness=False)
+    ), witness=False)
     if verdict.is_unsat:
-        return None
+        return False
     result = verdict.diagnostics["echelon"]
     col_of = inverse_permutation(result.sigma)  # position -> column
     floors, exact = [floors[c] for c in col_of], [exact[c] for c in col_of]
     rows = [_primitive(row)[0] for row in result.rows[:result.rank]]
     _adopt(state, [state.columns[c] for c in col_of], rows, [None] * len(rows), floors, exact)
-    return floors, exact
+    return True
 
 
-def _reprice(
-    state: _State, floors: list[ExtInt], exact: list[bool]
-) -> tuple[list[ExtInt], list[bool]] | None:
+def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> bool:
     """_relaxation from the state's echelon record.
 
     This is pivot_minimal_echelon's loop on the same rows in the same column
@@ -591,9 +586,9 @@ def _reprice(
     flagged = [j for j in range(n) if exact[j]]
     for i, row in enumerate(rows):
         if dirty[i] and pivot_shortfall(p, row, i, floors, flagged) is not None:
-            return None
+            return False
     _adopt(state, columns, rows, vals, floors, exact)
-    return floors, exact
+    return True
 
 
 def _adopt(
@@ -708,36 +703,29 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         narrowed.append(var)
     if narrowed:
         return _check_profiles(state, narrowed)
-    # the kernel directions with d_g = 0 on G, combined with weights
-    # 1, t, t^2, ... for the first t that leaves no open d_u zero
-    fixed = [[int(j == g) for j in range(n)] for g in floored]
-    directions = solve_affine([*A, *fixed], [0] * (len(A) + len(fixed)), n).basis
-    for t in itertools.count(1):
-        d = [sum(vec[j] * t**k for k, vec in enumerate(directions)) for j in range(n)]
-        if all(d[u] for u in open_):
-            break
-    shift = 0
+    # the free case: z in the kernel with z_g = 0 on G, and each open u below
+    # v(w_u) so that v(w_u + z_u) = v(z_u)
+    caps: list[ExtInt] = [INF] * n
+    excluded = [frozenset()] * n
     for u in open_:
         prof = state.profiles[columns[u]]
-        cap = min(prof.upper, min(prof.excluded, default=INF) - 1, w[u].valuation() - 1)
-        shift = max(shift, valuation(d[u], p) - cap)
-    return Verdict.sat(witness=[
-        w[j] + PowerSum(p, ((Fraction(d[j]), -shift),)) if d[j] else w[j]
-        for j in range(n)
-    ])
+        caps[u] = min(prof.upper, w[u].valuation() - 1)
+        excluded[u] = prof.excluded
+    fixed = [[int(j == g) for j in range(n)] for g in floored]
+    verdict = solve_leq(
+        LeqProblem.of([*A, *fixed], [0] * (len(A) + len(fixed)), p, caps, excluded)
+    )
+    if not verdict.is_sat:
+        raise InternalError(f"the free case has no kernel witness: {verdict.reason}")
+    return Verdict.sat(witness=[wj + zj for wj, zj in zip(w, verdict.witness)])
 
 
-def _solve_leaf(
-    state: _State, bounds: tuple[list[ExtInt], list[bool]], fresh: Iterator[int]
-) -> Verdict:
-    """Decide a leaf from its sat relaxation, which it has just adopted, and
-    the floors and exact flags by column that it was priced with (module
-    docstring)."""
+def _solve_leaf(state: _State, fresh: Iterator[int]) -> Verdict:
+    """Decide a leaf from its sat relaxation, which it has just adopted
+    (module docstring); a sat answer maps the leaf's variables to values."""
     columns = state.columns
-    n, rank = len(columns), len(state.rows)
     # the rows are that echelon already: row i pivots at column i
-    echelon = EchelonResult(state.rows, [1] * rank, n, tuple(range(n)), tuple(range(rank)))
-    w = geq_witness(_geq_problem(state, *bounds), echelon)
+    w = geq_witness(state.prime, state.rows, [state.priced[v][0] for v in columns])
     open_ = sorted(
         (j for j, v in enumerate(columns) if not _geq_compatible(state, v)),
         key=columns.__getitem__,
@@ -750,31 +738,18 @@ def _solve_leaf(
         if verdict.is_unsat:
             return verdict
         w = verdict.witness
-    # express the witness in the root variables before handing it upward
-    return Verdict.sat(witness=_reconstruct(state, dict(zip(columns, w))))
-
-
-def _reconstruct(state: _State, witness: dict[str, PowerSum]) -> dict[str, PowerSum]:
-    """Undo the substitution log, innermost first."""
-    p = state.prime
-    for entry in reversed(state.log):
-        if entry[0] == "zero":
-            witness[entry[1]] = PowerSum.zero(p)
-        else:
-            _, var, digit, v, fresh = entry
-            tail = witness.pop(fresh, PowerSum.zero(p))
-            witness[var] = PowerSum(p, ((Fraction(digit), v),)) + tail.shift(v + 1)
-    return witness
+    return Verdict.sat(witness=dict(zip(columns, w)))
 
 
 def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[int]):
-    """Each child of state; none has an empty window (module docstring)."""
+    """Each child of state, none with an empty window (module docstring), and
+    for a digit child its substitution (var, digit, v, fresh), else None."""
     kind, var, data = target
     if kind == "window":
         for v in data:
             child = state.copy()
             _narrow(child, var, VarProfile(v, v, frozenset()))
-            yield child
+            yield child, None
     elif kind == "digit":
         # name every digit's fresh variable before the first child is solved,
         # so the names (and with them the sorted branch order) do not depend
@@ -783,32 +758,38 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
         for digit, name in zip(range(1, state.prime), names):
             child = state.copy()
             _substitute_digit(child, var, digit, data, name)
-            yield child
+            yield child, (var, digit, data, name)
     else:  # split around an excluded value above the lower bound
         prof = state.profiles[var]
         # data is the least exclusion, above the lower edge
         for lower, upper in ((prof.lower, data - 1), (data + 1, prof.upper)):
             child = state.copy()
             _narrow(child, var, VarProfile(lower, upper, prof.excluded))
-            yield child
+            yield child, None
 
 
 def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
-    """Search state, whose every window is nonempty."""
+    """Search state, whose every window is nonempty; a sat answer maps the
+    state's variables to values, and a variable it leaves out is 0."""
     failed = _propagate(state)
     if failed is not None:
         return failed
-    bounds = _relaxation(state)
-    if bounds is None:
+    if not _relaxation(state):
         return Verdict.unsat(
             "relaxation", "already the lower-bound relaxation is unsatisfiable"
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaf(state, bounds, fresh)
-    for child in _children(state, target, fresh):
+        return _solve_leaf(state, fresh)
+    for child, step in _children(state, target, fresh):
         verdict = _solve_state(child, fresh)
         if verdict.is_sat:
+            if step is not None:
+                # undo the digit substitution var = digit*p^v + p^(v+1)*name
+                var, digit, v, name = step
+                p, witness = state.prime, verdict.witness
+                tail = witness.pop(name, PowerSum.zero(p))
+                witness[var] = PowerSum(p, ((Fraction(digit), v),)) + tail.shift(v + 1)
             return verdict
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
@@ -841,17 +822,12 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
     if verdict is None:
         verdict = _solve_state(state, itertools.count())
     if verdict.is_sat:
-        names = set(norm.variables)
-        witness = {
-            var: ps for var, ps in (verdict.witness or {}).items() if var in names
-        }
+        witness = verdict.witness
         for var in norm.variables:
-            if var not in witness:
-                witness[var] = PowerSum.zero(prime)
+            witness.setdefault(var, PowerSum.zero(prime))
         check = verify_witness(
             Instance(norm.variables, norm.equations, norm.valuations), witness
         )
         if not check:
             raise InternalError(f"assembled witness rejected: {check.detail}")
-        verdict.witness = witness
     return verdict

@@ -22,13 +22,15 @@ PowerSum.valuation runs, with no PowerSum built.
 
 geq_echelon runs the two checks and returns the echelon with the unsat
 verdict, or with None when the problem is sat; geq_witness back-substitutes
-a sat echelon into a witness, and solve_geq is the two in turn.  The pivot-
-bound check of one row is pivot_shortfall, which the branch-and-decide
-search also runs on the rows it re-prices.  With witness=False a sat answer
-carries that echelon (diagnostics["echelon"]) in place of a witness; it
-serves only the search's root relaxation (and a state's after a zero
-substitution), whose echelon the state adopts.  Unsat answers are the same
-either way.
+a sat echelon's nonzero rows, with the floors by position, into a witness
+by position, and solve_geq is the two in turn, the witness permuted back by
+sigma.  The pivot-bound check of one row is pivot_shortfall.  The branch-
+and-decide search runs pivot_shortfall on the rows it re-prices, and
+geq_witness on a leaf's rows, which are already such an echelon.  With
+witness=False a sat answer carries that echelon (diagnostics["echelon"])
+in place of a witness; it serves only the search's root relaxation (and a
+state's after a zero substitution), whose echelon the state adopts.  Unsat
+answers are the same either way.
 """
 
 from __future__ import annotations
@@ -166,25 +168,27 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
     return result, None
 
 
-def geq_witness(prob: GeqProblem, result: EchelonResult) -> list[PowerSum]:
-    """A PowerSum witness of prob from its echelon, which geq_echelon found sat."""
-    p = prob.prime
-    n = len(prob.floors)
-    k = result.rank
-    rows = result.rows
-    col_of = inverse_permutation(result.sigma)
-    # the free columns (from k on, row i pivots at i) get p**floor, pivots
-    # are back-substituted; a row's denominator cancels from its equation
+def geq_witness(p: int, rows: list[list[int]], floors: list[ExtInt]) -> list[PowerSum]:
+    """A PowerSum witness of a sat echelon, by position.
+
+    rows are the echelon's nonzero rows (B | carried b) as integers, row i
+    pivoting at position i; floors are by position.  The free positions
+    (from len(rows) on) get p**floor and the pivots are back-substituted; a
+    row's common factor cancels from its equation, so any multiple of an
+    echelon row serves.
+    """
+    n = len(floors)
+    k = len(rows)
     w: list[PowerSum | None] = [None] * n
     for j in range(k, n):
-        floor = prob.floors[col_of[j]]
+        floor = floors[j]
         w[j] = PowerSum(p, ((Fraction(1), floor),) if is_finite(floor) else ())
     for i in range(k - 1, -1, -1):
         row = rows[i]
         w[i] = PowerSum.combination(
             p, [(1, row[n]), *((-row[j], w[j]) for j in range(i + 1, n) if row[j])]
         ).scale(Fraction(1, row[i]))
-    return [w[j] for j in result.sigma]  # position sigma[c] holds column c
+    return w
 
 
 def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
@@ -196,4 +200,9 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
     diagnostics = {"rank": result.rank, "sigma": result.sigma}
     if not witness:
         return Verdict(Status.SAT, diagnostics={**diagnostics, "echelon": result})
-    return Verdict(Status.SAT, witness=geq_witness(prob, result), diagnostics=diagnostics)
+    col_of = inverse_permutation(result.sigma)  # position -> original column
+    w = geq_witness(
+        prob.prime, result.rows[:result.rank], [prob.floors[c] for c in col_of]
+    )
+    witness = [w[j] for j in result.sigma]  # position sigma[c] holds column c
+    return Verdict(Status.SAT, witness=witness, diagnostics=diagnostics)

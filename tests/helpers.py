@@ -134,8 +134,9 @@ def primitive_equations(equations):
 
 
 def substitute_reference(p, equations, entry):
-    """A substitution-log entry applied to Fraction equations: the new
-    equations, or None when an equation reads 0 = nonzero."""
+    """A substitution, ("zero", var) or ("digit", var, digit, v, fresh),
+    applied to Fraction equations: the new equations, or None when an
+    equation reads 0 = nonzero."""
     out = []
     for coeffs, rhs in equations:
         coeffs = dict(coeffs)

@@ -256,18 +256,100 @@ def test_propagation_pins_then_digit_branches():
     assert verdict.witness["y"].valuation() == 0
 
 
+def _count_substitutions(monkeypatch):
+    """Count the search's digit and zero substitutions."""
+    counts = collections.Counter()
+    for kind, name in (("digit", "_substitute_digit"), ("zero", "_substitute_zero")):
+        real = getattr(complete, name)
+
+        def spy(*args, real=real, kind=kind):
+            counts[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(complete, name, spy)
+    return counts
+
+
+def test_a_digit_child_lifts_a_zero_substituted_fresh_variable(monkeypatch):
+    # x = 3 with v_3(x) == 1: the digit child x = 1*3 + 9t reads 9t = 0, so
+    # propagation sets t = 0, and the answer leaves t out: it lifts as 0
+    i = inst(["x"], [Equation.of([1], 3)], [val(3, "x", "==", 1)])
+    counts = _count_substitutions(monkeypatch)
+    verdict = solve_hard(i)
+    assert verdict.is_sat
+    assert verdict.witness == {"x": PowerSum(3, ((Fraction(1), 1),))}
+    assert counts == {"digit": 1, "zero": 1}
+
+
+def test_a_witness_is_lifted_through_nested_digits(monkeypatch):
+    # x + y = 6 with both valuations pinned to 0 at p = 5: the leaf sits
+    # under two digit levels, and each lifts its own fresh variable
+    i = inst(
+        ["x", "y"], [Equation.of([1, 1], 6)], [val(5, "x", "==", 0), val(5, "y", "==", 0)]
+    )
+    counts = _count_substitutions(monkeypatch)
+    verdict = solve_hard(i)
+    assert verdict.is_sat
+    assert verdict.witness == {
+        "x": PowerSum(5, ((Fraction(2), 0), (Fraction(1), 1))),
+        "y": PowerSum(5, ((Fraction(4), 0), (Fraction(-1), 1))),
+    }
+    assert counts == {"digit": 6}
+
+
+def test_an_all_zero_equation_is_skipped():
+    # 0 = 0 gives the search no row: the answer is the one without it
+    i = inst(
+        ["x", "y"], [Equation.of([1, 1], 6)], [val(5, "x", "==", 0), val(5, "y", "==", 0)]
+    )
+    zero = inst(i.variables, [Equation.of([0, 0], 0), *i.equations], i.valuations)
+    assert len(normalize(zero).equations) == 2
+    assert solve_hard(zero) == solve_hard(i)
+
+
+def test_propagation_stops_after_its_rounds(monkeypatch):
+    # x = 3y + z and y = 3x give z = -8x: nothing is frozen, so x's and y's
+    # floors climb toward z's 10^6 two steps a round, and propagation
+    # returns after its PROPAGATION_ROUNDS_FACTOR * 3 rounds, far below
+    i = inst(
+        ["x", "y", "z"],
+        [Equation.of([1, -3, -1], 0), Equation.of([-3, 1, 0], 0)],
+        [val(3, "z", ">=", 10**6), val(3, "x", ">=", 0), val(3, "x", "!=", 5)],
+    )
+    floors = []
+    real = complete._propagate
+
+    def spy(state):
+        verdict = real(state)
+        floors.append((verdict, {v: prof.lower for v, prof in state.profiles.items()}))
+        return verdict
+
+    monkeypatch.setattr(complete, "_propagate", spy)
+    verdict = solve_hard(i)
+    assert floors[0] == (None, {"x": 22, "y": 23, "z": 10**6})
+    assert verdict.is_sat
+    assert verdict.witness["x"] == PowerSum(3, ((Fraction(-1, 8), 10**6),))
+    assert verify_witness(i, verdict.witness)
+
+
 def test_rejected_witness_raises_internal_error(monkeypatch):
     i = encode_coloring(Graph.complete(3), 3, 1)
     assert solve_hard(i).is_sat
-    reconstruct = complete._reconstruct
+    solve_state = complete._solve_state
+    calls = []
 
-    def corrupted(state, witness):
-        out = reconstruct(state, witness)
-        var = min(out)
-        out[var] = out[var] + PowerSum.from_rational(state.prime, 1)
-        return out
+    def corrupted(state, fresh):
+        # the first call is the root's; the search's own calls come back here
+        calls.append(state)
+        root = len(calls) == 1
+        verdict = solve_state(state, fresh)
+        if root:
+            out = verdict.witness
+            var = min(out)
+            out[var] = out[var] + PowerSum.from_rational(state.prime, 1)
+        return verdict
 
-    monkeypatch.setattr(complete, "_reconstruct", corrupted)
+    monkeypatch.setattr(complete, "_solve_state", corrupted)
     with pytest.raises(InternalError, match="assembled witness rejected"):
         solve_hard(i)
 
@@ -942,7 +1024,7 @@ def test_propagate_matches_quadratic_reference():
         outcomes["parity"] += bool(parity_raises)
         if got is not None:
             outcomes[got.code] += 1
-        elif state.log:
+        elif len(state.profiles) < len(before.profiles):
             outcomes["zero-substituted"] += 1
         else:
             outcomes["tightened" if state != before else "unchanged"] += 1
@@ -1051,16 +1133,17 @@ def test_substitutions_keep_cached_valuations():
                 break
             var = rng.choice(sorted(state.profiles))
             if rng.random() < 0.4:
+                entry = ("zero", var)
                 ok = _substitute_zero(state, var)
                 kinds["zero"] += 1
             else:
                 v = rng.randint(-3, 3)
-                _substitute_digit(
-                    state, var, rng.randint(1, state.prime - 1), v, f"$t{trial}.{step}"
-                )
+                digit = rng.randint(1, state.prime - 1)
+                entry = ("digit", var, digit, v, f"$t{trial}.{step}")
+                _substitute_digit(state, *entry[1:])
                 ok = True
                 kinds["digit-negative-v" if v < 0 else "digit"] += 1
-            reference = substitute_reference(state.prime, reference, state.log[-1])
+            reference = substitute_reference(state.prime, reference, entry)
             assert ok == (reference is not None), (trial, step)
             assert state.valuations == row_valuations(state), (trial, step)
             copied = state.copy()
@@ -1107,7 +1190,7 @@ def test_adopted_rows_have_the_same_solutions():
         rows = [list(row) for row in state.rows]
         before = state.copy()
         space = solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
-        if complete._relaxation(state) is None:
+        if not complete._relaxation(state):
             outcomes["pruned"] += 1
             continue
         assert before.rows == rows, trial
@@ -1169,21 +1252,22 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
         )
         result, unsat = geq_echelon(problem)
         assert result == pivot_minimal_echelon(A, problem.costs(), [[x] for x in b])
-        bounds = real(state)
-        assert (bounds is None) == (unsat is not None), (columns, rows)
-        if bounds is None:
+        sat = real(state)
+        assert sat == (unsat is None), (columns, rows)
+        if not sat:
             outcomes["unsat"] += 1
-            return bounds
+            return sat
         col_of = inverse_permutation(result.sigma)
         assert state.columns == [columns[c] for c in col_of], (columns, rows)
         adopted = [complete._primitive(row)[0] for row in result.rows[:result.rank]]
         assert state.rows == adopted, (columns, rows)
-        assert bounds == ([floors[c] for c in col_of], [exact[c] for c in col_of])
+        # the record the leaf reads its floors from: the pricing by variable
+        assert state.priced == {columns[c]: (floors[c], exact[c]) for c in col_of}
         outcomes["rows kept" if state.rows == rows else "rows changed"] += 1
         if (outcomes["rows kept"] + outcomes["rows changed"]) % 16 == 0:
             _audit_adopted_rows(A, b, problem.costs(), state.rows)
             outcomes["audited"] += 1
-        return bounds
+        return sat
 
     monkeypatch.setattr(complete, "_relaxation", spy)
     for i in _incremental_searches():

@@ -146,11 +146,13 @@ def test_row_substitutions_are_the_fraction_ones(run):
             break
         var = sorted(state.profiles)[pick % len(state.profiles)]
         if kind == "zero":
+            entry = ("zero", var)
             ok = _substitute_zero(state, var)
         else:
-            _substitute_digit(state, var, 1 + (digit - 1) % (p - 1), v, f"$t{k}")
+            entry = ("digit", var, 1 + (digit - 1) % (p - 1), v, f"$t{k}")
+            _substitute_digit(state, *entry[1:])
             ok = True
-        reference = substitute_reference(p, reference, state.log[-1])
+        reference = substitute_reference(p, reference, entry)
         assert ok == (reference is not None)
         if not ok:
             break

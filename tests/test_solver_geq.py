@@ -163,7 +163,8 @@ def test_witness_free_matches_full():
     # the problem's (A | b) gets and its unsat verdict is solve_geq's.  The
     # witness-free answer of the search's relaxation test has the same
     # status and unsat evidence, and on sat carries that echelon, no witness;
-    # geq_witness builds the full answer's witness from that echelon
+    # geq_witness builds the full answer's witness, by position, from that
+    # echelon's nonzero rows and the floors by position
     statuses = collections.Counter()
     for seed in range(300):
         prob = random_geq_problem(
@@ -184,7 +185,11 @@ def test_witness_free_matches_full():
             assert full.is_sat and bare.is_sat and bare.witness is None, seed
             assert full.diagnostics == {"rank": result.rank, "sigma": result.sigma}, seed
             assert bare.diagnostics == {**full.diagnostics, "echelon": result}, seed
-            assert geq_witness(prob, result) == full.witness, seed
+            col_of = inverse_permutation(result.sigma)
+            w = geq_witness(
+                prob.prime, result.rows[:result.rank], [prob.floors[c] for c in col_of]
+            )
+            assert [w[j] for j in result.sigma] == full.witness, seed
     assert min(statuses.values()) > 50, statuses
 
 
