@@ -36,12 +36,12 @@ def geq_problem_of(norm: NormalizedInstance, p: int) -> GeqProblem:
 
 def leq_problem_of(norm: NormalizedInstance, p: int) -> LeqProblem:
     profs = [norm.profile(p, v) for v in norm.variables]
-    return LeqProblem.of(
-        [list(eq.coeffs) for eq in norm.equations],
-        [eq.rhs for eq in norm.equations],
+    return LeqProblem(
+        tuple([eq.coeffs for eq in norm.equations]),
+        tuple([eq.rhs for eq in norm.equations]),
         p,
-        tuple(prof.upper for prof in profs),
-        tuple(prof.excluded for prof in profs),
+        tuple([prof.upper for prof in profs]),
+        tuple([prof.excluded for prof in profs]),
     )
 
 

@@ -2,14 +2,24 @@
 
 Matrices come in as lists of lists of Fractions and every result is exact.
 Three eliminations run on integer rows, each row an exact multiple of its
-Fraction row built by integer_row, and clear entries through one fraction-
-free row step, eliminate: the cost-driven echelon and the simplex tableau in
-simplex.py keep each row over one positive denominator, and the affine solve
-keeps its rows only up to a factor.  So an entry never outgrows a minor of
-the scaled matrix, and every pivot, sign and ratio test is the Fraction one;
-Fractions are built only when a value is read.  Each row update goes through
-subtract_multiple over the pivot row's nonzero_columns, so a sparse matrix
-costs what its nonzeros cost.
+Fraction row built by integer_row over one positive denominator, and clear
+entries through one fraction-free row step, eliminate.  So every pivot,
+sign and ratio test is the Fraction one, and Fractions are built only when
+a value is read.
+
+The cost-driven echelon and the affine solve know each step's divisor in
+advance.  By Sylvester's identity, as in Bareiss's multistep elimination, a
+row times its starting scale times the leading minor of the pivots so far
+is integral (next_minor tracks the minor and checks it), so eliminate
+divides the update by its share of that bound in the same pass, with no gcd
+over the row, and an entry never outgrows a minor of the scaled matrix.
+The echelon divides each row by its content once at the end, so its rows
+are the canonical ones; the affine solve back-substitutes by Cramer's rule
+(back_substitute) on the free and right-hand side columns only.  The
+simplex tableau in simplex.py and the search's re-pricing in complete.py
+have no such bound: their steps subtract over the pivot row's
+nonzero_columns and divide the row by its gcd with its denominator (by its
+content for the re-pricing, which keeps rows only up to a factor).
 
 The module holds only what the solvers call: affine solution spaces and row
 echelon forms that pick pivots by a per-column cost.  The Fraction algebra
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .rational import (
     INF,
     NEG_INF,
@@ -96,16 +106,32 @@ def integer_row(entries) -> tuple[list[int], int]:
 
 
 def eliminate(
-    row: list[int], den: int, top: list[int], col: int, columns: list[int], start: int
+    row: list[int],
+    den: int,
+    top: list[int],
+    col: int,
+    columns: list[int],
+    start: int,
+    bound: int = 0,
 ) -> int:
     """Clear row at col with top, fraction-free, in place; returns the new den.
 
     row / den stands for the Fraction row R and top for any multiple of the
     Fraction row T, with top[col] != 0.  The update is R - (R[col]/T[col]) T:
     with a and piv the entries row[col] and top[col] divided by their gcd and
-    signed so that piv > 0, row becomes piv row - a top over den piv, and
-    both are divided by g = gcd(den, row) when g > 1 (a row cleared to all
-    zeros has g = 0).  A canonical row, den > 0 and gcd(den, row) = 1, stays
+    signed so that piv > 0, it is (piv row - a top) / raw, raw = den piv.
+
+    With a bound, an integer known to make bound times the result integral
+    (by Sylvester's identity, a row's starting scale times the leading minor
+    of the echelon so far), raw's part q = raw / gcd(raw, bound) divides
+    every entry of piv row - a top, so the update and that division are one
+    pass over the row (with no division when q = 1), and the new den is
+    raw / q.  den must be positive; the row is exact but need not be
+    canonical.
+
+    Without one, the row becomes piv row - a top over raw, and both are
+    divided by g = gcd(den, row) when g > 1 (a row cleared to all zeros has
+    g = 0).  A canonical row, den > 0 and gcd(den, row) = 1, stays
     canonical, so the integers are the unique ones for the Fraction result.
     den = 0 keeps no scale: it stays 0 and g is the row's content, so the row
     becomes the primitive multiple of the result, for a caller that needs the
@@ -119,15 +145,40 @@ def eliminate(
     if piv < 0:
         g = -g
     a, piv = a // g, piv // g
+    den *= piv
+    if bound:
+        q = den // gcd(den, bound)
+        if q != 1:
+            row[start:] = [(piv * x - a * t) // q for x, t in zip(row[start:], top[start:])]
+        elif piv != 1:
+            row[start:] = [piv * x - a * t for x, t in zip(row[start:], top[start:])]
+        else:
+            subtract_multiple(row, a, top, columns)
+        return den // q
     if piv != 1:
         row[start:] = [x * piv for x in row[start:]]
     subtract_multiple(row, a, top, columns)
-    den *= piv
     g = gcd(den, *row[start:])
     if g > 1:
         row[start:] = [x // g for x in row[start:]]
         den //= g
     return den
+
+
+def next_minor(minor: int, scale: int, pivot: int, den: int) -> int:
+    """The leading minor one pivot on: minor scale |pivot| / den, exact.
+
+    The minors are those of the integer matrix whose row i is scale_i times
+    the Fraction row i, scale_i the den integer_row gave it; minor is |det|
+    of its leading block so far.  The next pivot row stands for the Fraction
+    row pivot_row / den, so scale pivot / den is that matrix's Schur pivot,
+    the ratio of the next leading minor to this one.  A remainder means a
+    row has left its exact value: InternalError.
+    """
+    out, rem = divmod(minor * scale * abs(pivot), den)
+    if rem:
+        raise InternalError(f"leading minor {minor} * {scale} * {pivot} / {den} is not exact")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +200,39 @@ def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
     the kernel of A, one vector per free coordinate, e_f on the free ones.
     Both are canonical, so any exact elimination gives these Fractions.  n is
     the width even when A has no rows; entries may be ints or Fractions.
+
+    The forward phase is the bounded eliminate, each row's bound its
+    integer_row scale times the leading minor; back_substitute then gives
+    minor times the reduced echelon form at the free and rhs columns, and
+    each value is that entry over the minor.
     """
     m = len(A)
     if len(b) != m:
         raise InputError("rhs length does not match row count")
     if any(len(row) != n for row in A):
         raise InputError("matrix width does not match the column count")
-    # each row of (A | b) over its lcm denominator: a row's multiple has the
-    # same solutions, so the denominators are dropped and eliminate keeps
-    # none (den 0)
-    M = [integer_row((*A[i], b[i]))[0] for i in range(m)]
+    # each row of (A | b) over its lcm denominator, its scale
+    M, dens = [], []
+    for a, rhs in zip(A, b):
+        row, den = integer_row((*a, rhs))
+        M.append(row)
+        dens.append(den)
+    scales = dens[:]
+    minor = 1  # |det| of the scaled rows' leading block, the pivots so far
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
         pivot_row = next((i for i in range(row, m) if M[i][col] != 0), None)
         if pivot_row is None:
             continue
-        M[row], M[pivot_row] = M[pivot_row], M[row]
-        columns = nonzero_columns(M[row], col)  # the rhs column n included
+        for seq in (M, dens, scales):
+            seq[row], seq[pivot_row] = seq[pivot_row], seq[row]
+        top = M[row]
+        minor = next_minor(minor, scales[row], top[col], dens[row])
+        columns = nonzero_columns(top, col)  # the rhs column n included
         for i in range(row + 1, m):
             if M[i][col] != 0:
-                eliminate(M[i], 0, M[row], col, columns, col)
+                dens[i] = eliminate(M[i], dens[i], top, col, columns, col, scales[i] * minor)
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -177,31 +240,48 @@ def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
     for i in range(row, m):
         if M[i][n] != 0:
             return None
-    # clear above the pivots too, last pivot first: a pivot row is then
-    # already zero at every later pivot column, so it adds no fill there
-    for r in range(len(pivot_cols) - 1, 0, -1):
-        col = pivot_cols[r]
-        columns = nonzero_columns(M[r], col)
-        for i in range(r):
-            if M[i][col] != 0:
-                eliminate(M[i], 0, M[r], col, columns, pivot_cols[i])
-    # row r now reads piv x_c + sum over free f of a_f x_f = rhs
     pivot_set = set(pivot_cols)
     free = [f for f in range(n) if f not in pivot_set]
+    F = back_substitute(M, pivot_cols, [*free, n], minor)
     # one shared zero and one shared one: Fractions are immutable
     zero, one = Fraction(0), Fraction(1)
     particular = [zero] * n
     basis = [[zero] * n for _ in free]
     for vec, f in zip(basis, free):
         vec[f] = one
-    for r, c in enumerate(pivot_cols):
-        top = M[r]
-        piv = top[c]
-        particular[c] = Fraction(top[n], piv)
-        for vec, f in zip(basis, free):
-            if top[f]:
-                vec[c] = Fraction(-top[f], piv)
+    for c, F_r in zip(pivot_cols, F):
+        particular[c] = Fraction(F_r[-1], minor)
+        for vec, x in zip(basis, F_r):
+            if x:
+                vec[c] = Fraction(-x, minor)
     return SolutionSpace(particular, basis)
+
+
+def back_substitute(
+    rows: list[list[int]], pivots: list[int], columns: list[int], minor: int
+) -> list[list[int]]:
+    """Cramer's back-substitution: F_r, minor times reduced row r, at columns.
+
+    rows[r], r < len(pivots), is an echelon row pivoting at pivots[r], any
+    multiple of its Fraction row, and minor is |det| of the pivot block of
+    the integer-scaled rows it was eliminated from.  By Cramer's rule minor
+    times the reduced row echelon form is integral, so F_r = (minor row_r -
+    sum over s > r of row_r[pivots[s]] F_s) / row_r[pivots[r]] divides
+    exactly, and the row's own scale cancels from it.  columns leave out the
+    pivot columns, where F_r is minor at pivots[r] and 0 elsewhere.
+    """
+    k = len(pivots)
+    F: list[list[int]] = [[]] * k
+    for r in range(k - 1, -1, -1):
+        row = rows[r]
+        acc = [minor * row[j] for j in columns]
+        for s in range(r + 1, k):
+            a = row[pivots[s]]
+            if a:
+                acc = [x - a * y for x, y in zip(acc, F[s])]
+        piv = row[pivots[r]]
+        F[r] = [x // piv for x in acc]
+    return F
 
 
 def frozen_coordinates(space: SolutionSpace) -> list[int]:
@@ -324,6 +404,8 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
         row, den = integer_row((*a, *b))
         rows.append(row)
         dens.append(den)
+    scales = dens[:]
+    minor = 1  # |det| of the scaled rows' leading block, the pivots so far
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     p, offsets = costs.prime, list(costs.doubled_offsets)  # offsets[j]: at position j
     r = 0
@@ -334,8 +416,8 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             swap = next((i for i in range(r + 1, m) if any(rows[i][r:n])), None)
             if swap is None:
                 break
-            rows[r], rows[swap] = rows[swap], rows[r]
-            dens[r], dens[swap] = dens[swap], dens[r]
+            for seq in (rows, dens, scales):
+                seq[r], seq[swap] = seq[swap], seq[r]
             top = rows[r]
             columns = nonzero_columns(top, r)
         best = cheapest_column(top, columns, n, p, offsets)
@@ -345,10 +427,17 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             col_of[r], col_of[best] = col_of[best], col_of[r]
             offsets[r], offsets[best] = offsets[best], offsets[r]
             columns = nonzero_columns(top, r)
+        minor = next_minor(minor, scales[r], top[r], dens[r])
         for i in range(r + 1, m):
             if rows[i][r]:
-                dens[i] = eliminate(rows[i], dens[i], top, r, columns, r)
+                dens[i] = eliminate(rows[i], dens[i], top, r, columns, r, scales[i] * minor)
         r += 1
+    # the bounded steps keep each row exact, not canonical: one gcd a row
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        g = gcd(den, *row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+            dens[i] = den // g
     sigma = [0] * n
     for pos, orig in enumerate(col_of):
         sigma[orig] = pos

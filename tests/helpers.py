@@ -93,6 +93,88 @@ def assert_echelon_result(A, costs, result):
 
 
 # ---------------------------------------------------------------------------
+# Fraction references for the integer eliminations
+
+
+def reference_solve_affine(A, b, n):
+    """Fraction Gauss elimination and back-substitution: (particular, basis),
+    or None when A x = b, x in Q^n, is inconsistent."""
+    m = len(A)
+    M = [list(A[i]) + [b[i]] for i in range(m)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, m) if M[i][col] != 0), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        for i in range(r + 1, m):
+            f = M[i][col] / M[r][col]
+            M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(col)
+    if any(M[i][n] != 0 for i in range(len(pivots), m)):
+        return None
+
+    def back_substitute(vec, rhs):
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            acc = rhs[r] - sum((M[r][j] * vec[j] for j in range(c + 1, n)), Fraction(0))
+            vec[c] = acc / M[r][c]
+        return vec
+
+    zero = [Fraction(0)] * m
+    particular = back_substitute([Fraction(0)] * n, [row[n] for row in M])
+    basis = [
+        back_substitute([Fraction(int(c == f)) for c in range(n)], zero)
+        for f in range(n)
+        if f not in pivots
+    ]
+    return particular, basis
+
+
+def _doubled_cost(costs, a, j):
+    """2 v_p(a) + 2 offset_j + bias_j for a nonzero entry a of column j, -inf
+    under a -inf offset."""
+    if costs.offsets[j] == NEG_INF:
+        return NEG_INF
+    return 2 * valuation(a, costs.prime) + 2 * costs.offsets[j] + costs.biases[j]
+
+
+def reference_echelon(A, costs, rhs):
+    """The cost-driven echelon on Fraction rows: (B, carried rhs, sigma,
+    rank), rhs an m x k block that undergoes B's row operations."""
+    m, n = len(A), len(costs.offsets)
+    B = [list(row) for row in A]
+    R = [list(row) for row in rhs]
+    col_of = list(range(n))
+    r = 0
+    while r < m and r < n:
+        if not any(B[r][r:]):
+            swap = next((i for i in range(r + 1, m) if any(B[i][r:])), None)
+            if swap is None:
+                break
+            B[r], B[swap] = B[swap], B[r]
+            R[r], R[swap] = R[swap], R[r]
+        top = B[r]
+        best = min(
+            (j for j in range(r, n) if top[j]),
+            key=lambda j: (_doubled_cost(costs, top[j], col_of[j]), j),
+        )
+        for row in B:
+            row[r], row[best] = row[best], row[r]
+        col_of[r], col_of[best] = col_of[best], col_of[r]
+        for i in range(r + 1, m):
+            factor = B[i][r] / top[r]
+            B[i] = [x - factor * y for x, y in zip(B[i], top)]
+            R[i] = [x - factor * y for x, y in zip(R[i], R[r])]
+        r += 1
+    sigma = [0] * n
+    for pos, orig in enumerate(col_of):
+        sigma[orig] = pos
+    return B, R, tuple(sigma), r
+
+
+# ---------------------------------------------------------------------------
 # the search state's integer rows against Fraction equations
 
 

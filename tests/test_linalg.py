@@ -7,16 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_echelon_result, rand_matrix, rand_vector
+from helpers import assert_echelon_result, rand_matrix, rand_vector, reference_solve_affine
 from padicsat import linalg
-from padicsat.errors import InputError
+from padicsat.errors import InputError, InternalError
 from padicsat.linalg import (
     PivotCosts,
+    back_substitute,
+    eliminate,
     inverse_permutation,
     matrix,
     pivot_minimal_echelon,
     solve_affine,
-    subtract_multiple,
 )
 from padicsat.rational import NEG_INF
 from padicsat.testkit import (
@@ -107,42 +108,6 @@ def test_solve_affine_without_rows_spans_every_column():
         solve_affine([[Fraction(1), Fraction(2)]], [Fraction(0)], 3)
 
 
-def _reference_solve_affine(A, b, n):
-    """Fraction Gauss elimination and back-substitution: (particular, basis),
-    or None when A x = b, x in Q^n, is inconsistent."""
-    m = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(m)]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        i = next((i for i in range(r, m) if M[i][col] != 0), None)
-        if i is None:
-            continue
-        M[r], M[i] = M[i], M[r]
-        for i in range(r + 1, m):
-            f = M[i][col] / M[r][col]
-            M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(col)
-    if any(M[i][n] != 0 for i in range(len(pivots), m)):
-        return None
-
-    def back_substitute(vec, rhs):
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = rhs[r] - sum((M[r][j] * vec[j] for j in range(c + 1, n)), Fraction(0))
-            vec[c] = acc / M[r][c]
-        return vec
-
-    zero = [Fraction(0)] * m
-    particular = back_substitute([Fraction(0)] * n, [row[n] for row in M])
-    basis = [
-        back_substitute([Fraction(int(c == f)) for c in range(n)], zero)
-        for f in range(n)
-        if f not in pivots
-    ]
-    return particular, basis
-
-
 def _affine_system(rng):
     """A random rational system: entries a / (p^k q) with k <= 3, sparse or
     dense rows, sometimes a dependent row or a zero column, and a consistent
@@ -175,16 +140,23 @@ def _affine_system(rng):
 
 def test_solve_affine_matches_fraction_reference(monkeypatch):
     # the integer-row solve must give the reference's canonical particular
-    # solution and basis exactly; every pivot row it eliminates with stays
-    # within the Hadamard bound of the scaled integer rows, which a solve
-    # that skipped the content division would outgrow
+    # solution and basis exactly; every pivot row it eliminates with and
+    # every back-substitution row F_r stays within the Hadamard bound of the
+    # scaled integer rows, which a solve that divided by too little would
+    # outgrow
     sources = []
 
-    def recording(row, factor, source, columns):
-        sources.append(source)
-        subtract_multiple(row, factor, source, columns)
+    def eliminating(row, den, top, col, columns, start, bound=0):
+        sources.append(top)
+        return eliminate(row, den, top, col, columns, start, bound)
 
-    monkeypatch.setattr(linalg, "subtract_multiple", recording)
+    def substituting(rows, pivots, columns, minor):
+        F = back_substitute(rows, pivots, columns, minor)
+        sources.extend(F)
+        return F
+
+    monkeypatch.setattr(linalg, "eliminate", eliminating)
+    monkeypatch.setattr(linalg, "back_substitute", substituting)
     rng = random.Random(2024)
     seen = Counter()
     for _ in range(1200):
@@ -192,7 +164,7 @@ def test_solve_affine_matches_fraction_reference(monkeypatch):
         m = len(A)
         sources.clear()
         space = solve_affine(A, b, n)
-        expected = _reference_solve_affine(A, b, n)
+        expected = reference_solve_affine(A, b, n)
         if expected is None:
             assert space is None
             seen["inconsistent"] += 1
@@ -209,6 +181,24 @@ def test_solve_affine_matches_fraction_reference(monkeypatch):
         seen["eliminated"] += bool(sources)
     for key in ("inconsistent", "m > n", "m < n", "m = n", "rank-deficient", "eliminated"):
         assert seen[key] >= 50, (key, seen)
+
+
+def test_a_row_off_its_exact_value_raises_internal_error(monkeypatch):
+    # a row step that returns a wrong den leaves the next pivot row off its
+    # Fraction value, and the leading minor's update, 1 * 1 * |1| / 7, then
+    # has a remainder: both bounded eliminations stop there instead of
+    # dividing by a wrong bound
+    def off(row, den, top, col, columns, start, bound=0):
+        return 7 * eliminate(row, den, top, col, columns, start, bound)
+
+    A = matrix([[1, 1], [1, 2]])
+    assert pivot_minimal_echelon(A, PivotCosts(3, (0, 0), (0, 0)), identity(2)).rank == 2
+    assert solve_affine(A, [Fraction(0)] * 2, 2).particular == [0, 0]
+    monkeypatch.setattr(linalg, "eliminate", off)
+    with pytest.raises(InternalError, match="not exact"):
+        pivot_minimal_echelon(A, PivotCosts(3, (0, 0), (0, 0)), identity(2))
+    with pytest.raises(InternalError, match="not exact"):
+        solve_affine(A, [Fraction(0)] * 2, 2)
 
 
 def test_echelon_frozen_example():

@@ -1,8 +1,10 @@
 """Property tests for the integer paths: row scaling, the fraction-free row
-step, the valuation merge and the search state's row substitutions."""
+step, the eliminations built on it, the valuation merge and the search
+state's row substitutions."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -14,14 +16,23 @@ from helpers import (
     assert_rows_canonical,
     integer_state,
     primitive_equations,
+    reference_echelon,
+    reference_solve_affine,
     row_valuations,
     state_equations,
     substitute_reference,
 )
 from padicsat.complete import _substitute_digit, _substitute_zero
-from padicsat.linalg import eliminate, integer_row, nonzero_columns
+from padicsat.linalg import (
+    PivotCosts,
+    eliminate,
+    integer_row,
+    nonzero_columns,
+    pivot_minimal_echelon,
+    solve_affine,
+)
 from padicsat.model import VarProfile
-from padicsat.rational import INF, PowerSum, merged_valuation, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, merged_valuation, valuation
 
 entry = st.one_of(
     st.just(0),
@@ -79,6 +90,100 @@ def test_eliminate_is_the_fraction_row_update(case):
     else:
         scale = free[j] / expected[j]
         assert scale and [scale * q for q in expected] == free
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_steps(), st.integers(1, 10**3), st.integers(1, 50))
+@example(([0, 2, 4], 3, [0, 1, 2], 1, 1), 1, 1)  # the row clears to all zeros
+@example(([5, 3], 2, [-4, 6], 0, 0), 7, 3)  # a negative pivot, a row times 3
+def test_bounded_eliminate_is_the_fraction_row_update(case, k, scale):
+    # any bound that makes the result integral gives the Fraction update, on
+    # a row that need not be canonical (row and den times scale), over a
+    # den that divides the bound; the least such bound is the lcm of the
+    # result's denominators, and k times it is one too
+    row, den, top, col, start = case
+    R = [Fraction(x, den) for x in row]
+    expected = [r - R[col] / top[col] * t for r, t in zip(R, top)]
+    bound = k * lcm(*(q.denominator for q in expected))
+    out = [x * scale for x in row]
+    new_den = eliminate(out, den * scale, top, col, nonzero_columns(top, start), start, bound)
+    assert [Fraction(x, new_den) for x in out] == expected
+    assert new_den > 0 and bound % new_den == 0
+    assert out[col] == 0
+
+
+@st.composite
+def dense_systems(draw):
+    """(A, rhs block, costs, x): up to 20 x 24, entries ints or a / (p^k q),
+    some rows combinations of others (rank deficiency), -inf offsets, the
+    p = 2 exact flags as biases, two carried columns, and a vector x to
+    plant a consistent right-hand side A x."""
+    # the shape and mix come from a seeded generator, not from hypothesis,
+    # which would keep most draws small
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = rng.choice((2, 3, 5))
+    m, n = rng.randint(1, 20), rng.randint(1, 24)
+    fractional = rng.choice((0.0, 0.3, 1.0))
+    density = rng.choice((0.3, 0.9, 1.0))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        a = rng.randint(-9, 9)
+        if rng.random() < fractional:
+            return Fraction(a, p ** rng.randint(0, 3) * rng.randint(1, 4))
+        return a
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    for _ in range(rng.randint(0, m - 1)):  # dependent rows
+        r, s = rng.randrange(m), rng.randrange(m)
+        a, c = Fraction(entry()), Fraction(entry())
+        A[rng.randrange(m)] = [a * x + c * y for x, y in zip(A[r], A[s])]
+    rhs = [[entry(), entry()] for _ in range(m)]
+    offsets = tuple(rng.choice([NEG_INF, *range(-4, 5)]) for _ in range(n))
+    biases = tuple(
+        rng.randint(0, 1) if p == 2 and offsets[j] != NEG_INF else 0 for j in range(n)
+    )
+    x = [Fraction(entry()) for _ in range(n)]
+    return A, rhs, PivotCosts(p, offsets, biases), x
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_systems())
+def test_echelon_is_the_fraction_one(system):
+    # the bounded row steps and the one content division a row at the end
+    # give the canonical integers of the Fraction echelon and its carried
+    # block, with the same column order and rank
+    A, rhs, costs, _ = system
+    result = pivot_minimal_echelon(A, costs, rhs)
+    B, carried, sigma, rank = reference_echelon(as_fractions(A), costs, as_fractions(rhs))
+    assert (result.sigma, result.pivots) == (sigma, tuple(range(rank)))
+    for row, den, b, c in zip(result.rows, result.dens, B, carried):
+        assert [Fraction(x, den) for x in row] == [*b, *c]
+        assert den > 0 and gcd(den, *row) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_systems(), st.booleans())
+def test_solve_affine_is_the_fraction_one(system, planted):
+    # the bounded forward steps and the Cramer back-substitution give the
+    # reference's canonical particular solution and basis, or its None
+    A, rhs, _, x = system
+    n = len(x)
+    if planted:  # consistent: x solves it
+        b = [sum((a * y for a, y in zip(row, x)), Fraction(0)) for row in A]
+    else:
+        b = [row[0] for row in rhs]
+    space = solve_affine(A, b, n)
+    expected = reference_solve_affine(as_fractions(A), b, n)
+    if expected is None:
+        assert space is None
+    else:
+        assert (space.particular, space.basis) == expected
 
 
 triple = st.tuples(

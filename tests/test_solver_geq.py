@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_echelon
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
 from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
@@ -193,51 +194,11 @@ def test_witness_free_matches_full():
     assert min(statuses.values()) > 50, statuses
 
 
-def _doubled_cost(costs, a, j):
-    """2 v_p(a) + 2 offset_j + bias_j for a nonzero entry a of column j, -inf
-    under a -inf offset."""
-    if costs.offsets[j] == NEG_INF:
-        return NEG_INF
-    return 2 * valuation(a, costs.prime) + 2 * costs.offsets[j] + costs.biases[j]
-
-
-def _reference_echelon(A, costs, b):
-    """The cost-driven echelon on Fraction rows: (B, carried b, sigma, rank)."""
-    m, n = len(A), len(costs.offsets)
-    B = [list(row) for row in A]
-    R = list(b)
-    col_of = list(range(n))
-    r = 0
-    while r < m and r < n:
-        if not any(B[r][r:]):
-            swap = next((i for i in range(r + 1, m) if any(B[i][r:])), None)
-            if swap is None:
-                break
-            B[r], B[swap] = B[swap], B[r]
-            R[r], R[swap] = R[swap], R[r]
-        top = B[r]
-        best = min(
-            (j for j in range(r, n) if top[j]),
-            key=lambda j: (_doubled_cost(costs, top[j], col_of[j]), j),
-        )
-        for row in B:
-            row[r], row[best] = row[best], row[r]
-        col_of[r], col_of[best] = col_of[best], col_of[r]
-        for i in range(r + 1, m):
-            factor = B[i][r] / top[r]
-            B[i] = [x - factor * y for x, y in zip(B[i], top)]
-            R[i] -= factor * R[r]
-        r += 1
-    sigma = [0] * n
-    for pos, orig in enumerate(col_of):
-        sigma[orig] = pos
-    return B, R, tuple(sigma), r
-
-
 def _reference_solve_geq(prob):
     """solve_geq's checks and witness computed on the Fraction echelon."""
     p, n, m = prob.prime, len(prob.floors), len(prob.A)
-    B, b2, sigma, k = _reference_echelon(prob.A, prob.costs(), prob.b)
+    B, carried, sigma, k = reference_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+    b2 = [row[0] for row in carried]
     col_of = inverse_permutation(sigma)
     floors = [prob.floors[col_of[j]] for j in range(n)]
     exact = [prob.exact[col_of[j]] for j in range(n)]
