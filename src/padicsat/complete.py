@@ -16,16 +16,18 @@ decided here by a recursive search:
   visit raised nothing and neither the row nor the profile of a variable in
   it has changed since.  A visit reads only those, so propagation skips
   quiet rows and still makes the raises of full passes, in the same order.
-  Substitutions and adopted echelon rows wake the rows they rewrite, and
-  every narrowing of a profile (a raise, a window or split child, a leaf's
-  floor raise) wakes the rows holding its variable.
-  A bound raised to +inf forces its coordinate to zero.  Bounds can also
-  climb without end when the equations alone freeze a coordinate at 0 (x = 3y
-  with y = 3x), so the first time one propagation call raises more bounds
-  than there are variables, the equations' affine solution space is solved
-  once (no solution at all makes the state unsat): a coordinate zero in
-  every kernel vector is frozen at its particular value.  Frozen at 0 it is
-  substituted by zero (unsat under a finite upper bound); frozen at a nonzero
+  Digit substitutions and adopted echelon rows wake the rows they rewrite,
+  and every narrowing of a profile (a raise, a forced zero, a window or
+  split child, a leaf's floor raise) wakes the rows holding its variable.
+  A bound raised to +inf forces its coordinate to zero: v_p(0) = +inf, so
+  x = 0 is the narrowing v(x) >= +inf (unsat under a finite upper bound),
+  and the variable keeps its column; its terms then read +inf.  Bounds can
+  also climb without end when the equations alone freeze a coordinate at 0
+  (x = 3y with y = 3x), so the first time one propagation call raises more
+  bounds than there are variables, the equations' affine solution space is
+  solved once, with x_z = 0 for each zeroed z (no solution at all makes the
+  state unsat): a coordinate zero in every kernel vector is frozen at its
+  particular value.  Frozen at 0 it is forced to zero; frozen at a nonzero
   value outside its admissible set it makes the state unsat; otherwise its
   valuation is finite and it is left alone.  So the work on such a cycle
   does not grow with the bounds and exclusions written.  The rule is exact:
@@ -46,13 +48,13 @@ decided here by a recursive search:
 A state keeps its equations as primitive integer rows (A | b) over one
 column list: an equivalent reduced system, not the equations as written.
 The root's rows are the instance's equations, each scaled to the integer
-row with content 1.  A zero substitution deletes a column; a digit
-substitution reuses the variable's column for the fresh one, scaling the
-row by a power of p when v < 0 so that it stays integral; either divides a
-changed row by its content.  States whose lower-bound relaxation is
-already unsatisfiable are pruned.  The relaxation is the cost-minimal
-echelon of the integer rows and its pivot-bound checks, with no Fraction
-and no PowerSum back-substitution.  When it is sat, the state takes that
+row with content 1.  A digit substitution reuses the variable's column for
+the fresh one, scaling the row by a power of p when v < 0 so that it stays
+integral, and divides a changed row by its content.  No step deletes a
+column.  States whose lower-bound relaxation is already unsatisfiable are
+pruned.  The relaxation is the cost-minimal echelon of the integer rows
+and its pivot-bound checks, with no Fraction and no PowerSum
+back-substitution.  When it is sat, the state takes that
 echelon's nonzero rows, made primitive, as its rows, and the echelon's
 pivot order as its column order, so row i pivots at column i; its children
 inherit both.  The echelon is U (A | b) with U invertible, so the new rows
@@ -60,17 +62,19 @@ have exactly the solutions of the old ones, and the zero rows it drops all
 read 0 = 0, as the relaxation is sat.  Propagation then reads rows that can
 show bounds no original row shows.
 
-Only the root, and a state after a zero substitution, hand their rows to
-`solve_geq` for the relaxation.  Every other state records, with its rows,
-the (floor, exact) of each variable that its echelon was priced with.  Its
-relaxation re-prices and re-checks only the rows that hold a variable whose
-(floor, exact) changed since, or that has none recorded, and eliminates
-only below a row whose pivot moved.  A digit substitution is the only step
-that rewrites a row without dropping the record, and every row it
-rewrites holds its fresh variable, which has no record; it keeps the rows'
-zero pattern.  So each other row is unchanged since its echelon: zero left
-of its diagonal, with its diagonal entry still its cheapest, which a tie
-keeps, as the leftmost.  That makes the result exactly the echelon
+Only the root hands its rows to `solve_geq` for the relaxation.  Every
+other state records, with its rows, the (floor, exact) of each variable
+that its echelon was priced with; a zeroed variable's floor is +inf, so an
+entry in its column costs +inf and pivots only in a row with nothing
+cheaper, whose check then needs a zero rhs.  Its relaxation re-prices and
+re-checks only the rows that hold a variable whose (floor, exact) changed
+since, or that has none recorded, and eliminates only below a row whose
+pivot moved.  Apart from the relaxation, a digit substitution is the only
+step that rewrites a row, and every row it rewrites holds its fresh
+variable, which has no record; it keeps the rows' zero pattern.  So each
+other row is unchanged since its echelon: zero left of its diagonal, with
+its diagonal entry still its cheapest, which a tie keeps, as the
+leftmost.  That makes the result exactly the echelon
 `pivot_minimal_echelon` computes on the same rows in the same column order.
 The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
 (`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
@@ -84,11 +88,12 @@ none is left to branch on; when every other variable does too, w is the
 answer.  Otherwise the leaf has open variables (no lower bound, but an
 upper bound or exclusions), and it is decided as one system, not
 component by component, from all its rows and w, after Guepin, Haase &
-Worrell's small-model argument (LICS 2019).  Write its solutions as
-x = x0 + N t (`solve_affine`: x0 the particular solution, the columns of N
-its kernel basis), let N_j be row j of N, and let G be the floored
-variables.  A kernel basis vector never leaves its connected component, so
-a span test below reads the same over the whole leaf as over u's component.
+Worrell's small-model argument (LICS 2019).  Write the solutions of its
+rows and of x_z = 0 for each zeroed z as x = x0 + N t (`solve_affine`: x0
+the particular solution, the columns of N its kernel basis), let N_j be
+row j of N, and let G be the floored variables.  A kernel basis vector
+never leaves its connected component, so a span test below reads the same
+over the whole leaf as over u's component.
 
 * Frozen: an open u with N_u = 0 is fixed, x_u = x0_u on every solution,
   whatever G is.  v(x0_u) outside u's admissible set is unsat
@@ -112,8 +117,9 @@ a span test below reads the same over the whole leaf as over u's component.
   is unsat only on a frozen coordinate out of range.  w + z keeps every G
   coordinate and every equation, and each open u gets v(z_u), as
   v(z_u) < v(w_u) or both are 0 (under a cap of +inf, which admits 0).  z
-  moves no frozen coordinate, and a variable neither floored nor open has
-  no constraint.  So the leaf is sat iff its lower-bound relaxation is.
+  moves no frozen coordinate, a zeroed one included, and a variable
+  neither floored, open nor zeroed has no constraint.  So the leaf is sat
+  iff its lower-bound relaxation is.
 
 The search ends: a raise turns a variable without a lower bound into one
 with a floor, floors only rise, and digit substitutions create variables
@@ -124,10 +130,9 @@ The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
 wide valuation window costs only the candidates actually tried.  A sat
 answer is lifted on its way up by the branches that made it: a digit
-child's witness gives var = digit*p^v + p^(v+1)*fresh, fresh read as 0
-when the child left it out, and no other branch renames a variable.  A
-zero substitution needs no record, as a variable missing from the answer
-is 0; the root fills in each missing variable as 0.  Profiles
+child's witness gives var = digit*p^v + p^(v+1)*fresh, and no other branch
+renames a variable.  A leaf's answer holds every one of its variables, a
+zeroed one as 0 (`geq_witness` gives a +inf floor the value 0).  Profiles
 are immutable `VarProfile`s, shared between a state and its children; a
 narrowing stores a new one.  A profile is canonical by construction (its
 finite edges admissible, its exclusions strictly inside), so there is no
@@ -180,6 +185,8 @@ from .solver_leq import LeqProblem, solve_leq
 PROPAGATION_ROUNDS_FACTOR = 4
 # the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
 _FRESH = VarProfile(0, INF, frozenset())
+# a forced zero: v >= +inf, which admits only the value 0
+_ZERO = VarProfile(INF, INF, frozenset())
 
 
 @dataclass
@@ -191,7 +198,7 @@ class _State:
     to the instance's equations under the substitutions of the branches
     that led here, not those equations themselves (module docstring).  A
     state records no substitution: the branch that made one undoes it on a
-    sat answer.  The columns are the variables of `profiles`.  A
+    sat answer.  The columns are the variables of `profiles`.  A digit
     substitution or an adopted echelon replaces the rows it changes and
     never edits one in place, and a narrowing replaces the variable's
     immutable profile, so copies share their rows and profiles.
@@ -201,9 +208,10 @@ class _State:
     `priced` then holds the (floor, exact) of each variable that echelon was
     priced with; a leaf reads its witness's floors from it.  A digit
     substitution rewrites only rows that then hold its fresh variable, which
-    has no record, and keeps their zero pattern; a zero substitution deletes
-    a column, which breaks the shape, so it drops the record.  The record
-    is shared by copies and replaced, never edited, by the next relaxation.
+    has no record, and keeps their zero pattern.  A forced zero is a
+    narrowing to v >= +inf and rewrites no row, so the columns never
+    shrink.  The record is shared by copies and replaced, never edited, by
+    the next relaxation.
     """
 
     prime: int
@@ -214,8 +222,7 @@ class _State:
     # profile order, and of its rhs.  Computed with the rows, then kept in
     # step by the substitutions and the relaxation
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
-    # the echelon record above; None before the first relaxation and after
-    # a zero substitution
+    # the echelon record above; None only at the root, before its relaxation
     priced: dict[str, tuple[ExtInt, bool]] | None = None
     # per row: its last propagation visit raised nothing, and since then
     # neither the row nor the profile of a variable in it has changed
@@ -254,37 +261,6 @@ def _primitive(row: list[int]) -> tuple[list[int], int]:
     """row divided by its content g > 0, and g; row has a nonzero entry."""
     g = gcd(*row)
     return ([x // g for x in row] if g > 1 else row), g
-
-
-def _substitute_zero(state: _State, var: str) -> bool:
-    """Replace var by 0.  Returns False if that empties an equation badly."""
-    p = state.prime
-    del state.profiles[var]
-    j = state.columns.index(var)
-    rows, valuations, quiet = [], [], []
-    for row, (vals, rhs_val), q in zip(state.rows, state.valuations, state.quiet):
-        a = row[j]
-        row = row[:j] + row[j + 1:]
-        if a:
-            if len(vals) == 1:  # var was the row's only variable
-                if row[-1]:
-                    return False
-                continue
-            q = False
-            vals = {v: e for v, e in vals.items() if v != var}
-            row, g = _primitive(row)
-            if g > 1:
-                shift = int_valuation(g, p)
-                if shift:
-                    vals = {v: e - shift for v, e in vals.items()}
-                    rhs_val -= shift
-        rows.append(row)
-        valuations.append((vals, rhs_val))
-        quiet.append(q)
-    del state.columns[j]
-    state.rows, state.valuations, state.quiet = rows, valuations, quiet
-    state.priced = None
-    return True
 
 
 def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -> None:
@@ -339,33 +315,40 @@ def _check_profiles(state: _State, names: Iterable[str]) -> Verdict | None:
 
 
 def _force_zero(state: _State, var: str) -> Verdict | None:
-    """Substitute var = 0, which every solution needs; unsat if it cannot be."""
+    """Narrow var to v >= +inf, the value 0, which every solution needs;
+    unsat under a finite upper bound."""
     if state.profiles[var].upper != INF:
         return Verdict.unsat(
             "forced-zero", f"{var} must vanish but has a finite upper bound", var=var
         )
-    if not _substitute_zero(state, var):
-        return Verdict.unsat(
-            "forced-zero", f"setting {var} = 0 contradicts an equation", var=var
-        )
+    _narrow(state, var, _ZERO)
     return None
 
 
+def _system(state: _State) -> tuple[list[list[int]], list[int]]:
+    """The state's equations as solve_affine's (A, b): its rows, and a unit
+    row x_z = 0 for each zeroed variable z."""
+    n = len(state.columns)
+    A = [row[:n] for row in state.rows]
+    b = [row[n] for row in state.rows]
+    for j, var in enumerate(state.columns):
+        if state.profiles[var].lower == INF:
+            A.append([int(k == j) for k in range(n)])
+            b.append(0)
+    return A, b
+
+
 def _substitute_frozen(state: _State) -> Verdict | None:
-    """Settle the coordinates the equations alone fix; zeros are substituted.
+    """Settle the coordinates the equations alone fix; zeros are forced.
 
     A coordinate frozen at 0 takes the force-zero path; one frozen at a
     nonzero value outside its admissible set makes the state unsat, and one
     inside it is left alone: its valuation is finite, so propagation cannot
     diverge on it.
     """
-    n = len(state.columns)
-    space = solve_affine(
-        [row[:n] for row in state.rows], [row[n] for row in state.rows], n
-    )
+    space = solve_affine(*_system(state), len(state.columns))
     if space is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
-    # named before the first zero deletes its column, and taken in name order
     frozen = sorted(
         (state.columns[j], space.particular[j]) for j in frozen_coordinates(space)
     )
@@ -396,13 +379,13 @@ def _fixed_outside(state: _State, var: str, v: ExtInt) -> Verdict | None:
 
 def _propagate(state: _State) -> Verdict | None:
     """Min-plus tightening of lower bounds, with the parity rule at p = 2;
-    substitutes forced zeros in place and skips quiet rows (module docstring).
+    skips quiet rows (module docstring).
 
     A bound raised to +inf forces its variable to zero.  Lower bounds can
     also climb without end, one step per round, when the equations freeze a
     coordinate at 0; so the first time one call has raised more bounds than
     there are variables, _substitute_frozen settles the frozen coordinates
-    exactly.
+    exactly.  Neither rewrites a row, so each round is one pass over them.
     """
     rounds = PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))
     raises = 0
@@ -410,83 +393,73 @@ def _propagate(state: _State) -> Verdict | None:
     parity = state.prime == 2
     for _ in range(rounds):
         changed = False
-        restart = True
-        while restart:
-            restart = False
-            for i, (vals, rhs_val) in enumerate(state.valuations):
-                if state.quiet[i]:
-                    continue  # its visit would raise nothing
-                state.quiet[i] = True  # until a raise below wakes it
-                terms: dict[str, ExtInt] = {}
-                for var, v in vals.items():
-                    lo = state.profiles[var].lower
-                    terms[var] = NEG_INF if lo == NEG_INF else v + lo
-                # the two smallest of the terms and the rhs valuation: the
-                # minimum over all but one term is the second if that term
-                # is the first
-                first: ExtInt = rhs_val
-                second: ExtInt = INF
-                for t in terms.values():
-                    if t < first:
-                        first, second = t, first
-                    elif t < second:
-                        second = t
-                # parity: at first and at second, the number of terms, the
-                # rhs among them, and how many of those are not exact
-                tally = None
-                if parity and second != NEG_INF:
-                    tally = {first: [0, 0], second: [0, 0]}
-                    if rhs_val in tally:
-                        tally[rhs_val][0] += 1
-                    for var, t in terms.items():
-                        if t in tally:
-                            tally[t][0] += 1
-                            tally[t][1] += not state.profiles[var].exact_at(2)
-                for var, v in vals.items():
-                    floor_others = second if terms[var] == first else first
-                    if floor_others == NEG_INF:
-                        continue
-                    prof = state.profiles[var]
-                    if floor_others == INF:
-                        new_lower: ExtInt = INF
-                    else:
-                        new_lower = floor_others - v
-                        if tally is not None:
-                            others, inexact = tally[floor_others]
-                            if terms[var] == floor_others:
-                                others -= 1
-                                inexact -= not prof.exact_at(2)
-                            if not inexact and others % 2 == 0:
-                                new_lower += 1
-                    if new_lower == NEG_INF or new_lower <= prof.lower:
-                        continue
-                    changed = True
-                    raises += 1
-                    if new_lower == INF:
-                        failed = _force_zero(state, var)
-                        if failed is not None:
-                            return failed
-                        restart = True
-                        break
-                    prof = VarProfile(new_lower, prof.upper, prof.excluded)
-                    _narrow(state, var, prof)
-                    if prof.empty():
-                        return Verdict.unsat(
-                            "empty-window",
-                            f"propagation emptied the window of {var}",
-                            var=var,
-                        )
-                    if raises > len(state.profiles) and not frozen_checked:
-                        frozen_checked = True
-                        variables = len(state.profiles)
-                        failed = _substitute_frozen(state)
-                        if failed is not None:
-                            return failed
-                        if len(state.profiles) < variables:
-                            restart = True
-                            break
-                if restart:
-                    break
+        for i, (vals, rhs_val) in enumerate(state.valuations):
+            if state.quiet[i]:
+                continue  # its visit would raise nothing
+            state.quiet[i] = True  # until a raise below wakes it
+            terms: dict[str, ExtInt] = {}
+            for var, v in vals.items():
+                lo = state.profiles[var].lower
+                terms[var] = NEG_INF if lo == NEG_INF else v + lo
+            # the two smallest of the terms and the rhs valuation: the
+            # minimum over all but one term is the second if that term is
+            # the first
+            first: ExtInt = rhs_val
+            second: ExtInt = INF
+            for t in terms.values():
+                if t < first:
+                    first, second = t, first
+                elif t < second:
+                    second = t
+            # parity: at first and at second, the number of terms, the rhs
+            # among them, and how many of those are not exact
+            tally = None
+            if parity and second != NEG_INF:
+                tally = {first: [0, 0], second: [0, 0]}
+                if rhs_val in tally:
+                    tally[rhs_val][0] += 1
+                for var, t in terms.items():
+                    if t in tally:
+                        tally[t][0] += 1
+                        tally[t][1] += not state.profiles[var].exact_at(2)
+            for var, v in vals.items():
+                floor_others = second if terms[var] == first else first
+                if floor_others == NEG_INF:
+                    continue
+                prof = state.profiles[var]
+                if floor_others == INF:
+                    new_lower: ExtInt = INF
+                else:
+                    new_lower = floor_others - v
+                    if tally is not None:
+                        others, inexact = tally[floor_others]
+                        if terms[var] == floor_others:
+                            others -= 1
+                            inexact -= not prof.exact_at(2)
+                        if not inexact and others % 2 == 0:
+                            new_lower += 1
+                if new_lower == NEG_INF or new_lower <= prof.lower:
+                    continue
+                changed = True
+                raises += 1
+                if new_lower == INF:
+                    failed = _force_zero(state, var)
+                    if failed is not None:
+                        return failed
+                    continue
+                prof = VarProfile(new_lower, prof.upper, prof.excluded)
+                _narrow(state, var, prof)
+                if prof.empty():
+                    return Verdict.unsat(
+                        "empty-window",
+                        f"propagation emptied the window of {var}",
+                        var=var,
+                    )
+                if raises > len(state.profiles) and not frozen_checked:
+                    frozen_checked = True
+                    failed = _substitute_frozen(state)
+                    if failed is not None:
+                        return failed
         if not changed:
             return None
     return None
@@ -506,10 +479,11 @@ def _relaxation(state: _State) -> bool:
     """Decide the state's lower-bound relaxation, over its columns.
 
     When it is sat the state adopts its echelon and records, in `priced`,
-    the floors and exact flags it was priced with (module docstring).
-    Without an echelon record the rows go to `solve_geq`, in column order,
-    as they are: a row's multiple has the same solutions.  With one,
-    _reprice builds the same echelon from it.
+    the floors and exact flags it was priced with (module docstring).  Only
+    the root has no echelon record: its rows go to `solve_geq`, in column
+    order, as they are, since a row's multiple has the same solutions.
+    Every other state's _reprice builds the same echelon from its record.
+    A zeroed variable's floor is +inf, which `solve_geq` reads as x = 0.
     """
     floors, exact = _bounds(state)
     if state.priced is not None:
@@ -666,12 +640,12 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
     p = state.prime
     columns = state.columns
     n = len(columns)
-    A = [row[:n] for row in state.rows]
+    A, b = _system(state)
     floored = sorted(
         (j for j, v in enumerate(columns) if is_finite(state.profiles[v].lower)),
         key=columns.__getitem__,
     )
-    space = solve_affine(A, [row[n] for row in state.rows], n)  # w solves it
+    space = solve_affine(A, b, n)  # w solves it
     x0, basis = space.particular, space.basis
     frozen = frozen_coordinates(space)
     for u in open_:
@@ -769,8 +743,8 @@ def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[in
 
 
 def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
-    """Search state, whose every window is nonempty; a sat answer maps the
-    state's variables to values, and a variable it leaves out is 0."""
+    """Search state, whose every window is nonempty; a sat answer maps each
+    of the state's variables to a value."""
     failed = _propagate(state)
     if failed is not None:
         return failed
@@ -788,7 +762,7 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
                 # undo the digit substitution var = digit*p^v + p^(v+1)*name
                 var, digit, v, name = step
                 p, witness = state.prime, verdict.witness
-                tail = witness.pop(name, PowerSum.zero(p))
+                tail = witness.pop(name)
                 witness[var] = PowerSum(p, ((Fraction(digit), v),)) + tail.shift(v + 1)
             return verdict
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
@@ -822,11 +796,8 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
     if verdict is None:
         verdict = _solve_state(state, itertools.count())
     if verdict.is_sat:
-        witness = verdict.witness
-        for var in norm.variables:
-            witness.setdefault(var, PowerSum.zero(prime))
         check = verify_witness(
-            Instance(norm.variables, norm.equations, norm.valuations), witness
+            Instance(norm.variables, norm.equations, norm.valuations), verdict.witness
         )
         if not check:
             raise InternalError(f"assembled witness rejected: {check.detail}")

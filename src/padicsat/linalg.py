@@ -41,6 +41,7 @@ from .rational import (
     as_fraction,
     check_prime,
     int_valuation,
+    is_finite,
 )
 
 Matrix = list[list[Fraction]]
@@ -299,7 +300,7 @@ def frozen_coordinates(space: SolutionSpace) -> list[int]:
 
 def doubled_offset(offset: ExtInt, bias: int) -> ExtInt:
     """2 offset + bias, the column's share of a doubled pivot cost; -inf
-    under a -inf offset."""
+    under a -inf offset and +inf under a +inf one."""
     return NEG_INF if offset == NEG_INF else 2 * offset + bias
 
 
@@ -307,10 +308,12 @@ def doubled_offset(offset: ExtInt, bias: int) -> ExtInt:
 class PivotCosts:
     """Per-entry pivot cost v_p(a) + offset_j + bias_j / 2.
 
-    A zero entry always costs +inf (it can never be a pivot), even when its
-    column offset is -inf; that is the single place the inf + (-inf) = inf
-    convention applies.  Costs are compared on the doubled integer scale so no
-    halves ever appear.
+    An offset is an int, -inf or +inf.  A zero entry always costs +inf (it
+    can never be a pivot), even when its column offset is -inf; that is the
+    single place the inf + (-inf) = inf convention applies.  A nonzero entry
+    under a +inf offset (a column whose variable must be 0) also costs +inf,
+    so it pivots only in a row with nothing cheaper.  Costs are compared on
+    the doubled integer scale so no halves ever appear.
     """
 
     prime: int
@@ -324,8 +327,8 @@ class PivotCosts:
         if len(self.offsets) != len(self.biases):
             raise InputError("offsets and biases must have equal length")
         for c in self.offsets:
-            if c != NEG_INF and not isinstance(c, int):
-                raise InputError(f"offset must be an int or -inf, got {c!r}")
+            if is_finite(c) and not isinstance(c, int):
+                raise InputError(f"offset must be an int or +-inf, got {c!r}")
         if any(b not in (0, 1) for b in self.biases):
             raise InputError("biases must be 0 or 1")
         object.__setattr__(self, "doubled_offsets", tuple(
@@ -360,9 +363,10 @@ def cheapest_column(
     columns are the row's nonzero positions, ascending, the first one below
     n (positions from n on are carried and never pivots); doubled_offsets[j]
     is the doubled_offset of the column at position j.  A zero entry costs
-    +inf and every nonzero one less, so the nonzero columns hold the
-    cheapest entry: the least doubled cost 2 v_p(a) plus the doubled offset,
-    the leftmost of a tie, and the first -inf offset ends the search.
+    +inf, so the nonzero columns hold the cheapest entry: the least doubled
+    cost 2 v_p(a) plus the doubled offset, the leftmost of a tie (the first
+    column when every cost is +inf under +inf offsets), and the first -inf
+    offset ends the search.
     """
     best, best_cost = columns[0], INF
     for j in columns:

@@ -123,7 +123,9 @@ class VarProfile:
     """Folded valuation constraints for one (variable, prime) pair.
 
     The allowed valuations are {v in Z : lower <= v <= upper, v not in
-    excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  Profiles are
+    excluded}, plus +inf (i.e. the value 0) iff upper is +inf.  A lower edge
+    of +inf is the constraint x = 0: VarProfile(+inf, +inf) admits only
+    +inf, and under a finite upper edge the window is empty.  Profiles are
     immutable: a narrowed window is a new profile, so copies can share them.
 
     A profile is canonical from construction: a finite edge is never
@@ -158,7 +160,7 @@ class VarProfile:
     def empty(self) -> bool:
         """True when no valuation is admissible: the canonical window is
         empty exactly when its edges have crossed."""
-        return is_finite(self.lower) and self.lower > self.upper
+        return self.lower > self.upper
 
     def admits(self, v: ExtInt) -> bool:
         """Whether valuation v is allowed; v = +inf stands for the value 0."""

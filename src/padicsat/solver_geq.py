@@ -1,15 +1,19 @@
 """Polynomial-time solver for equations plus valuation lower bounds.
 
 Decides systems A x = b with v_p(x_j) >= floors[j], where floors[j] = -inf
-leaves x_j unconstrained; at p = 2 a coordinate may instead be pinned to its
-floor exactly (v_2(x_j) = floors[j]) via the exact flag.
+leaves x_j unconstrained and floors[j] = +inf means x_j = 0 (v_p(0) = +inf);
+at p = 2 a coordinate may instead be pinned to its floor exactly
+(v_2(x_j) = floors[j]) via the exact flag.
 
 The method: bring A to row echelon form choosing pivots of minimal cost
 v_p(a) + floors[j] + exact[j]/2 (column swaps allowed).  In that frame the
 system is satisfiable iff the zero rows of the echelon form have zero right-
 hand sides and each pivot row passes a single valuation comparison; a witness
-follows by assigning p**floor to every non-pivot column and back-substituting
-in power-sum arithmetic.
+follows by assigning p**floor to every non-pivot column (0 under a +inf
+floor) and back-substituting in power-sum arithmetic.  An entry in a +inf
+column costs +inf, so it pivots only in a row whose other entries are all
+in such columns, and that row's comparison then needs a zero right-hand
+side.
 
 A and b may hold ints: the search's relaxation passes its integer rows as
 they are, and the echelon takes an all-int row without building a Fraction.
@@ -28,9 +32,8 @@ sigma.  The pivot-bound check of one row is pivot_shortfall.  The branch-
 and-decide search runs pivot_shortfall on the rows it re-prices, and
 geq_witness on a leaf's rows, which are already such an echelon.  With
 witness=False a sat answer carries that echelon (diagnostics["echelon"])
-in place of a witness; it serves only the search's root relaxation (and a
-state's after a zero substitution), whose echelon the state adopts.  Unsat
-answers are the same either way.
+in place of a witness; it serves only the search's root relaxation, whose
+echelon the root adopts.  Unsat answers are the same either way.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ from .rational import (
 class GeqProblem:
     """A x = b over Q with v_p(x_j) >= floors[j] (= floors[j] when exact[j]).
 
-    floors[j] is an int or -inf.  exact[j] requires prime == 2 and a finite
-    floor; it strengthens the bound to equality, which at p = 2 costs nothing
-    (the pivot rule absorbs it as a half step).
+    floors[j] is an int, -inf (x_j unconstrained) or +inf (x_j = 0).
+    exact[j] requires prime == 2 and a finite floor; it strengthens the bound
+    to equality, which at p = 2 costs nothing (the pivot rule absorbs it as
+    a half step).
     """
 
     A: tuple[tuple[Fraction, ...], ...]
@@ -120,7 +124,8 @@ def pivot_shortfall(
     lists the positions whose exact flag is set, ascending.  Returns None
     when the row passes, else (needed, got): the valuation the pivot needs
     on the right-hand side, v_p(pivot) + floor + exact flag, and the one it
-    has.  A -inf floor at the pivot passes vacuously.
+    has.  A -inf floor at the pivot passes vacuously, and a +inf one needs
+    a zero right-hand side.
     """
     floor = floors[piv]
     if floor == NEG_INF:
@@ -173,9 +178,9 @@ def geq_witness(p: int, rows: list[list[int]], floors: list[ExtInt]) -> list[Pow
 
     rows are the echelon's nonzero rows (B | carried b) as integers, row i
     pivoting at position i; floors are by position.  The free positions
-    (from len(rows) on) get p**floor and the pivots are back-substituted; a
-    row's common factor cancels from its equation, so any multiple of an
-    echelon row serves.
+    (from len(rows) on) get p**floor, 0 under an infinite floor, and the
+    pivots are back-substituted; a row's common factor cancels from its
+    equation, so any multiple of an echelon row serves.
     """
     n = len(floors)
     k = len(rows)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import frozen_coordinates, matrix, solve_affine, vector
-from .model import Status, Verdict
-from .rational import INF, ExtInt, PowerSum, check_prime, is_finite, valuation
+from .model import Status, VarProfile, Verdict
+from .rational import INF, NEG_INF, ExtInt, PowerSum, check_prime, is_finite, valuation
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,10 @@ class LeqProblem:
         )
 
 
-def _allows(v: ExtInt, cap: ExtInt, excl: frozenset[int]) -> bool:
-    if v == INF:
-        return cap == INF
-    return v <= cap and v not in excl
-
-
 def _first_forbidden(cap: ExtInt, excl: frozenset[int]) -> ExtInt:
     """Smallest integer outside the allowed set; +inf when every int is allowed."""
-    if cap == INF:
-        return min(excl) if excl else INF
-    candidates = set(excl) | {cap + 1}
-    return min(candidates)
+    prof = VarProfile(NEG_INF, cap, excl)
+    return min(prof.excluded, default=prof.upper + 1)
 
 
 def solve_leq(prob: LeqProblem) -> Verdict:
@@ -96,7 +88,7 @@ def solve_leq(prob: LeqProblem) -> Verdict:
     kernel = space.basis
     for j in frozen_coordinates(space):
         v = valuation(y0[j], p)
-        if not _allows(v, prob.caps[j], prob.excluded[j]):
+        if not VarProfile(NEG_INF, prob.caps[j], prob.excluded[j]).admits(v):
             return Verdict.unsat(
                 "fixed-out-of-range",
                 f"coordinate {j} is fixed with valuation {v}, outside its allowed set",

@@ -225,17 +225,21 @@ def smith_normal_form(A: list[list[int]]) -> tuple[list[list[int]], list[list[in
 
 
 def instance_of_geq_problem(prob: GeqProblem) -> Instance:
+    """The problem as an instance over x0..xn; a +inf floor is the equation
+    x_j = 0."""
     n = len(prob.floors)
     names = tuple(f"x{j}" for j in range(n))
-    eqs = tuple(Equation(row, rhs) for row, rhs in zip(prob.A, prob.b))
+    eqs = [Equation(row, rhs) for row, rhs in zip(prob.A, prob.b)]
     vals = []
     for j in range(n):
         f = prob.floors[j]
+        if f == INF:
+            eqs.append(Equation(tuple(Fraction(int(k == j)) for k in range(n)), Fraction(0)))
         if not is_finite(f):
             continue
         rel = "==" if prob.exact[j] else ">="
         vals.append(ValConstraint(prob.prime, names[j], rel, f))
-    return Instance(names, eqs, tuple(vals))
+    return Instance(names, tuple(eqs), tuple(vals))
 
 
 def instance_of_leq_problem(prob: LeqProblem) -> Instance:
@@ -267,8 +271,9 @@ def smith_oracle_geq(prob: GeqProblem, guard: int = DEFAULT_EXPONENT_GUARD):
     Substituting x_j = p**floor_j * z_j turns the constraint set into
     "z integral at p"; with D = U M V the system M z = u has such a solution
     iff v_p((Uu)_i) >= v_p(d_i) on the diagonal and (Uu)_i = 0 beyond the
-    rank.  Unconstrained columns (floor -inf) are eliminated rationally first.
-    Decision only; shares nothing with the echelon route.
+    rank.  Unconstrained columns (floor -inf) are eliminated rationally
+    first, and a column with floor +inf (x_j = 0) is deleted.  Decision only;
+    shares nothing with the echelon route.
     """
     if any(prob.exact):
         raise InputError("oracle handles plain lower bounds only (no exact flags)")
@@ -276,13 +281,13 @@ def smith_oracle_geq(prob: GeqProblem, guard: int = DEFAULT_EXPONENT_GUARD):
     rows = [list(r) + [rhs] for r, rhs in zip(prob.A, prob.b)]
     floors = list(prob.floors)
     keep = list(range(len(floors)))
-    # rational elimination of unconstrained columns
+    # rational elimination of unconstrained columns, deletion of zero ones
     for j in sorted(range(len(floors)), reverse=True):
         if is_finite(floors[j]):
             continue
         col = keep.index(j)
         src = next((i for i in range(len(rows)) if rows[i][col] != 0), None)
-        if src is not None:
+        if src is not None and floors[j] == NEG_INF:
             pivot_row = rows[src]
             for i in range(len(rows)):
                 if i != src and rows[i][col] != 0:

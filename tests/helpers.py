@@ -238,6 +238,21 @@ def substitute_reference(p, equations, entry):
     return out
 
 
+def zeroed_equations(state):
+    """The state's equations with each zeroed variable read as 0, as the
+    Fraction substitution of 0 leaves them: a row left without a variable
+    goes if it reads 0 = 0, and None when one reads 0 = nonzero."""
+    out = []
+    for coeffs, rhs in state_equations(state):
+        coeffs = {v: a for v, a in coeffs.items() if state.profiles[v].lower != INF}
+        if not coeffs:
+            if rhs != 0:
+                return None
+            continue
+        out.append((coeffs, rhs))
+    return out
+
+
 def row_valuations(state):
     """What _State.valuations caches: the integer rows' valuations."""
     p = state.prime

@@ -20,7 +20,6 @@ from padicsat.complete import (
     _propagate,
     _State,
     _substitute_digit,
-    _substitute_zero,
     solve_complete,
 )
 from padicsat.combiner import solve_combined
@@ -61,6 +60,7 @@ from helpers import (
     row_valuations,
     state_equations,
     substitute_reference,
+    zeroed_equations,
 )
 
 
@@ -257,9 +257,9 @@ def test_propagation_pins_then_digit_branches():
 
 
 def _count_substitutions(monkeypatch):
-    """Count the search's digit and zero substitutions."""
+    """Count the search's digit substitutions and forced zeros."""
     counts = collections.Counter()
-    for kind, name in (("digit", "_substitute_digit"), ("zero", "_substitute_zero")):
+    for kind, name in (("digit", "_substitute_digit"), ("zero", "_force_zero")):
         real = getattr(complete, name)
 
         def spy(*args, real=real, kind=kind):
@@ -272,7 +272,7 @@ def _count_substitutions(monkeypatch):
 
 def test_a_digit_child_lifts_a_zero_substituted_fresh_variable(monkeypatch):
     # x = 3 with v_3(x) == 1: the digit child x = 1*3 + 9t reads 9t = 0, so
-    # propagation sets t = 0, and the answer leaves t out: it lifts as 0
+    # propagation forces t = 0, and the leaf's answer reads t as 0
     i = inst(["x"], [Equation.of([1], 3)], [val(3, "x", "==", 1)])
     counts = _count_substitutions(monkeypatch)
     verdict = solve_hard(i)
@@ -444,6 +444,33 @@ def test_frozen_cycle_work_does_not_grow_with_the_bound(monkeypatch, rel):
         assert counts["solve_affine"] >= 1 and counts["raises"] >= 1
         work[bound] = dict(counts)
     assert work[2 * 10**4] == work[10**9], work
+
+
+def test_the_affine_solves_read_a_zeroed_variable_as_zero():
+    # a state whose variable z is zeroed (v >= +inf) while its rows alone
+    # leave z free: the frozen pass and the leaf's kernel both see z = 0.
+    # x = 3y + z and y = 3x freeze x = y = 0 once z = 0, so propagation
+    # stops climbing and forces both
+    zero = VarProfile(INF, INF)
+    cycle = integer_state(
+        3,
+        [({"x": Fraction(1), "y": Fraction(-3), "z": Fraction(-1)}, Fraction(0)),
+         ({"x": Fraction(-3), "y": Fraction(1)}, Fraction(0))],
+        {"x": VarProfile(0, INF), "y": VarProfile(0, INF), "z": zero},
+    )
+    assert _propagate(cycle) is None
+    assert cycle.profiles == {"x": zero, "y": zero, "z": zero}
+    # u + z + t = 1 with u open (v(u) <= 0) and t free: the free case adds
+    # a kernel direction to the relaxation's witness, which keeps z at 0
+    leaf = integer_state(
+        3,
+        [({"t": Fraction(1), "u": Fraction(1), "z": Fraction(1)}, Fraction(1))],
+        {"t": VarProfile(), "u": VarProfile(NEG_INF, 0), "z": zero},
+    )
+    verdict = complete._solve_state(leaf, itertools.count())
+    assert verdict.is_sat and verdict.witness["z"].is_zero()
+    t, u = verdict.witness["t"], verdict.witness["u"]
+    assert u.valuation() <= 0 and (t + u).materialize() == 1
 
 
 def test_exclusion_split_above_lower_bound():
@@ -691,6 +718,63 @@ def test_search_answers_are_pinned():
     ), statuses
 
 
+def _zero_heavy_draw(seed):
+    """A small single-prime instance whose rows often force a variable to 0:
+    2-5 variables, 1-4 rows of coefficients +-{1, 2, 3}*p^(0..2) over a
+    random support, rhs 0 with probability 0.6, 0-2 constraints of each
+    relation per variable with bounds in -1..3, and v(x_last) <= 4."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    names = tuple(f"x{j}" for j in range(rng.randint(2, 5)))
+
+    def coefficient():
+        return rng.choice((1, -1)) * rng.choice((1, 2, 3)) * p ** rng.randint(0, 2)
+
+    equations = []
+    for _ in range(rng.randint(1, 4)):
+        support = set(rng.sample(names, rng.randint(1, len(names))))
+        coeffs = [coefficient() if v in support else 0 for v in names]
+        rhs = 0 if rng.random() < 0.6 else coefficient()
+        equations.append(Equation.of(coeffs, rhs))
+    valuations = [
+        val(p, v, rng.choice((">=", "<=", "==", "!=")), rng.randint(-1, 3))
+        for v in names
+        for _ in range(rng.randint(0, 2))
+    ]
+    return inst(names, equations, [*valuations, val(p, names[-1], "<=", 4)])
+
+
+def test_zero_heavy_answers_are_pinned(monkeypatch):
+    # the search's status on 2,000 draws whose rows often force a zero,
+    # hashed in order ("refuted" where normalization already refutes the
+    # draw), and every sat witness checked; many draws force a zero, and
+    # many of those refute it under a finite cap
+    forced = collections.Counter()
+    real = complete._force_zero
+
+    def spy(state, var):
+        verdict = real(state, var)
+        forced["refuted" if verdict is not None else "narrowed"] += 1
+        return verdict
+
+    monkeypatch.setattr(complete, "_force_zero", spy)
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    for seed in range(2000):
+        i = _zero_heavy_draw(seed)
+        verdict = solve_hard(i)
+        status = "refuted" if verdict is None else verdict.status.value
+        statuses[status] += 1
+        if status == "sat":
+            assert verify_witness(i, verdict.witness), seed
+        digest.update(status.encode() + b"\0")
+    assert min(statuses.values()) >= 400 and len(statuses) == 3, statuses
+    assert min(forced.values()) >= 200, forced
+    assert digest.hexdigest() == (
+        "e33e56e7e8aa255493dd951b34b3814f69875ffe17521e8cd46392e5537fda5d"
+    ), statuses
+
+
 # ---------------------------------------------------------------------------
 # agreement with the polynomial solvers on their own fragments
 
@@ -838,9 +922,11 @@ def test_mixed_fuzz_witnesses_verify():
 
 def _frozen_reference(state):
     """The frozen-coordinate pass, read straight off solve_affine's canonical
-    particular solution and kernel basis."""
+    particular solution and kernel basis, with x_z = 0 for each zeroed z."""
     names = sorted(state.profiles)
-    equations = state_equations(state)
+    equations = state_equations(state) + [
+        ({v: 1}, 0) for v in names if state.profiles[v].lower == INF
+    ]
     space = solve_affine(
         [[coeffs.get(v, 0) for v in names] for coeffs, _ in equations],
         [rhs for _, rhs in equations],
@@ -860,12 +946,7 @@ def _frozen_reference(state):
                     f"{var} must vanish but has a finite upper bound",
                     var=var,
                 )
-            if not _substitute_zero(state, var):
-                return Verdict.unsat(
-                    "forced-zero",
-                    f"setting {var} = 0 contradicts an equation",
-                    var=var,
-                )
+            state.profiles[var] = VarProfile(INF, INF)
             continue
         v = valuation(value, state.prime)
         if not (prof.lower <= v <= prof.upper and v not in prof.excluded):
@@ -891,72 +972,57 @@ def _propagate_reference(state, parity_raises=None):
     frozen_checked = False
     for _ in range(PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))):
         changed = False
-        restart = True
-        while restart:
-            restart = False
-            for coeffs, rhs in state_equations(state):
-                terms, exact = {}, {}
-                for var, a in coeffs.items():
-                    prof = state.profiles[var]
-                    lo = prof.lower
-                    terms[var] = NEG_INF if lo == NEG_INF else valuation(a, p) + lo
-                    exact[var] = p == 2 and is_finite(lo) and lo == prof.upper
-                rhs_val = INF if rhs == 0 else valuation(rhs, p)
-                for var, a in coeffs.items():
-                    others = [(t, exact[w]) for w, t in terms.items() if w != var]
-                    if rhs != 0:
-                        others.append((rhs_val, True))
-                    floor_others = min([t for t, _ in others] + [INF])
-                    if floor_others == NEG_INF:
-                        continue
-                    prof = state.profiles[var]
-                    new_lower = (
-                        INF if floor_others == INF else floor_others - valuation(a, p)
-                    )
-                    at_floor = [e for t, e in others if t == floor_others]
-                    if (p == 2 and new_lower != INF and all(at_floor)
-                            and len(at_floor) % 2 == 0):
-                        new_lower += 1
-                        if parity_raises is not None and prof.lower < new_lower:
-                            parity_raises.append(var)
-                    if new_lower == NEG_INF or new_lower <= prof.lower:
-                        continue
-                    changed = True
-                    raises += 1
-                    if new_lower == INF:
-                        if prof.upper != INF:
-                            return Verdict.unsat(
-                                "forced-zero",
-                                f"{var} must vanish but has a finite upper bound",
-                                var=var,
-                            )
-                        if not _substitute_zero(state, var):
-                            return Verdict.unsat(
-                                "forced-zero",
-                                f"setting {var} = 0 contradicts an equation",
-                                var=var,
-                            )
-                        restart = True
-                        break
-                    prof = VarProfile(new_lower, prof.upper, prof.excluded)
-                    state.profiles[var] = prof
-                    if prof.empty():
+        for coeffs, rhs in state_equations(state):
+            terms, exact = {}, {}
+            for var, a in coeffs.items():
+                prof = state.profiles[var]
+                lo = prof.lower
+                terms[var] = NEG_INF if lo == NEG_INF else valuation(a, p) + lo
+                exact[var] = p == 2 and is_finite(lo) and lo == prof.upper
+            rhs_val = INF if rhs == 0 else valuation(rhs, p)
+            for var, a in coeffs.items():
+                others = [(t, exact[w]) for w, t in terms.items() if w != var]
+                if rhs != 0:
+                    others.append((rhs_val, True))
+                floor_others = min([t for t, _ in others] + [INF])
+                if floor_others == NEG_INF:
+                    continue
+                prof = state.profiles[var]
+                new_lower = (
+                    INF if floor_others == INF else floor_others - valuation(a, p)
+                )
+                at_floor = [e for t, e in others if t == floor_others]
+                if (p == 2 and new_lower != INF and all(at_floor)
+                        and len(at_floor) % 2 == 0):
+                    new_lower += 1
+                    if parity_raises is not None and prof.lower < new_lower:
+                        parity_raises.append(var)
+                if new_lower == NEG_INF or new_lower <= prof.lower:
+                    continue
+                changed = True
+                raises += 1
+                if new_lower == INF:
+                    if prof.upper != INF:
                         return Verdict.unsat(
-                            "empty-window",
-                            f"propagation emptied the window of {var}",
+                            "forced-zero",
+                            f"{var} must vanish but has a finite upper bound",
                             var=var,
                         )
-                    if raises > len(state.profiles) and not frozen_checked:
-                        frozen_checked = True
-                        before = len(state.profiles)
-                        failed = _frozen_reference(state)
-                        if failed is not None:
-                            return failed
-                        if len(state.profiles) < before:
-                            restart = True
-                            break
-                if restart:
-                    break
+                    state.profiles[var] = VarProfile(INF, INF)
+                    continue
+                prof = VarProfile(new_lower, prof.upper, prof.excluded)
+                state.profiles[var] = prof
+                if prof.empty():
+                    return Verdict.unsat(
+                        "empty-window",
+                        f"propagation emptied the window of {var}",
+                        var=var,
+                    )
+                if raises > len(state.profiles) and not frozen_checked:
+                    frozen_checked = True
+                    failed = _frozen_reference(state)
+                    if failed is not None:
+                        return failed
         if not changed:
             return None
     return None
@@ -1024,11 +1090,11 @@ def test_propagate_matches_quadratic_reference():
         outcomes["parity"] += bool(parity_raises)
         if got is not None:
             outcomes[got.code] += 1
-        elif len(state.profiles) < len(before.profiles):
-            outcomes["zero-substituted"] += 1
+        elif any(prof.lower == INF for prof in state.profiles.values()):
+            outcomes["zero-forced"] += 1
         else:
             outcomes["tightened" if state != before else "unchanged"] += 1
-    five = ("forced-zero", "empty-window", "zero-substituted", "tightened", "unchanged")
+    five = ("forced-zero", "empty-window", "zero-forced", "tightened", "unchanged")
     assert all(outcomes[c] >= 10 for c in (*five, "parity")), outcomes
     # the frozen-coordinate pass's own unsat answers
     frozen = ("no-solution", "fixed-out-of-range")
@@ -1117,10 +1183,14 @@ def test_quiet_rows_are_skipped_exactly(monkeypatch):
 
 
 def test_substitutions_keep_cached_valuations():
-    # after every zero and digit substitution, digits at negative v and
-    # fractional coefficients included, and after propagation: the rows stay
-    # canonical and equal the Fraction substitution, and the coefficient and
-    # rhs valuations _State caches for propagation match the integer rows
+    # after every digit substitution, digits at negative v and fractional
+    # coefficients included, every forced zero, and after propagation: the
+    # rows stay canonical, with each zeroed variable read as 0 they are the
+    # Fraction substitution, and the coefficient and rhs valuations _State
+    # caches for propagation match the integer rows.  A forced zero narrows
+    # its variable to v >= +inf and leaves the rows and their valuations as
+    # they were; when the substitution reads 0 = nonzero, the lower-bound
+    # relaxation refutes the state
     rng = random.Random(777)
     kinds = collections.Counter()
     for trial in range(300):
@@ -1129,29 +1199,35 @@ def test_substitutions_keep_cached_valuations():
         assert state.valuations == row_valuations(state), trial
         assert_rows_canonical(state)
         for step in range(4):
-            if not state.profiles:
+            live = sorted(v for v, prof in state.profiles.items() if prof.lower != INF)
+            if not live:
                 break
-            var = rng.choice(sorted(state.profiles))
+            var = rng.choice(live)
             if rng.random() < 0.4:
                 entry = ("zero", var)
-                ok = _substitute_zero(state, var)
+                rows, valuations = list(state.rows), list(state.valuations)
+                complete._narrow(state, var, complete._ZERO)
+                assert (state.rows, state.valuations) == (rows, valuations), (trial, step)
+                prof = state.profiles[var]
+                assert (prof.lower, prof.upper) == (INF, INF) and not prof.empty()
                 kinds["zero"] += 1
             else:
                 v = rng.randint(-3, 3)
                 digit = rng.randint(1, state.prime - 1)
                 entry = ("digit", var, digit, v, f"$t{trial}.{step}")
                 _substitute_digit(state, *entry[1:])
-                ok = True
                 kinds["digit-negative-v" if v < 0 else "digit"] += 1
             reference = substitute_reference(state.prime, reference, entry)
-            assert ok == (reference is not None), (trial, step)
+            zeroed = zeroed_equations(state)
+            assert (zeroed is None) == (reference is None), (trial, step)
             assert state.valuations == row_valuations(state), (trial, step)
             copied = state.copy()
             assert copied.valuations == state.valuations, (trial, step)
-            if not ok:  # the search drops such a state
+            if reference is None:  # the search's relaxation prunes such a state
+                assert not complete._relaxation(state), (trial, step)
                 kinds["contradiction"] += 1
                 break
-            assert state_equations(state) == primitive_equations(reference), (trial, step)
+            assert primitive_equations(zeroed) == primitive_equations(reference), (trial, step)
             assert_rows_canonical(state)
         else:
             if _propagate(state) is None:
@@ -1302,11 +1378,19 @@ def test_threshold_search_is_pinned(monkeypatch):
         [Equation.of([-1, 1, 0, 1], 1), Equation.of([0, 1, -3, -1], 1)],
         [val(3, "x", ">=", 0), val(3, "z", ">=", 0), val(3, "y", "<=", 0)],
     ), True),
-], ids=["K5", "C5", "mixed"])
+    # x = 3y and y = 3x freeze x = y = 0, so z = 1: the frozen pass forces
+    # the zeros, which narrow x and y and keep their columns
+    (inst(
+        ["x", "y", "z"],
+        [Equation.of([1, -3, 0], 0), Equation.of([-3, 1, 0], 0), Equation.of([1, 0, 1], 1)],
+        [val(3, "x", ">=", 0), val(3, "z", "<=", 0)],
+    ), True),
+], ids=["K5", "C5", "mixed", "zeroed"])
 def test_one_echelon_from_scratch_per_search(monkeypatch, i, sat):
     # only the root's relaxation runs pivot_minimal_echelon; every child
-    # starts from its parent's echelon record, and a leaf builds its witness
-    # from the relaxation's echelon instead of eliminating again
+    # starts from its parent's echelon record, a forced zero keeps that
+    # record, and a leaf builds its witness from the relaxation's echelon
+    # instead of eliminating again
     calls = collections.Counter()
 
     def spy(target, name):

@@ -169,6 +169,17 @@ def test_profile_is_empty_iff_its_edges_cross():
     assert not VarProfile(0, INF, frozenset({0, 1})).empty()
 
 
+def test_a_lower_edge_of_inf_admits_only_zero():
+    # v >= +inf is the constraint x = 0: with no cap it admits only +inf,
+    # and under a finite cap the window is empty
+    zero = VarProfile(INF, INF, frozenset({2}))
+    assert _fields(zero) == (INF, INF, frozenset()) and not zero.empty()
+    assert zero.admits(INF)
+    assert not any(zero.admits(v) for v in (NEG_INF, -10**9, -1, 0, 1, 10**9))
+    assert VarProfile(INF, 3).empty()
+    assert VarProfile(INF, 3, frozenset({3})).empty()
+
+
 def test_profile_admits_the_value_zero_iff_uncapped():
     assert VarProfile(0, INF, frozenset({2})).admits(INF)
     assert VarProfile().admits(INF)

@@ -21,8 +21,9 @@ from helpers import (
     row_valuations,
     state_equations,
     substitute_reference,
+    zeroed_equations,
 )
-from padicsat.complete import _substitute_digit, _substitute_zero
+from padicsat.complete import _force_zero, _relaxation, _substitute_digit
 from padicsat.linalg import (
     PivotCosts,
     eliminate,
@@ -237,8 +238,11 @@ def substitution_runs(draw):
           [("digit", 0, 1, 0)]))  # (1, 3 | 1) -> (3, 3 | 0), content 3
 @example((2, [({"x0": Fraction(1)}, Fraction(0))], [("digit", 0, 1, -3)]))
 @example((5, [({"x0": Fraction(2), "x1": Fraction(5, 7)}, Fraction(1))],
-          [("zero", 1, 1, 0)]))  # deleting the column leaves (14 | 7)
+          [("zero", 1, 1, 0)]))  # reading x1 as 0 leaves (14 | 7)
 def test_row_substitutions_are_the_fraction_ones(run):
+    # a forced zero narrows its variable to v >= +inf and leaves the rows and
+    # their valuations as they were; with each zeroed variable read as 0 the
+    # rows are the Fraction substitution
     p, equations, steps = run
     profiles = {v: VarProfile(0, INF, frozenset()) for v in sorted({
         v for coeffs, _ in equations for v in coeffs
@@ -247,20 +251,25 @@ def test_row_substitutions_are_the_fraction_ones(run):
     reference = state_equations(state)
     assert reference == primitive_equations(equations)
     for k, (kind, pick, digit, v) in enumerate(steps):
-        if not state.profiles:
+        live = sorted(v for v, prof in state.profiles.items() if prof.lower != INF)
+        if not live:
             break
-        var = sorted(state.profiles)[pick % len(state.profiles)]
+        var = live[pick % len(live)]
         if kind == "zero":
             entry = ("zero", var)
-            ok = _substitute_zero(state, var)
+            rows, valuations = list(state.rows), list(state.valuations)
+            assert _force_zero(state, var) is None
+            assert (state.rows, state.valuations) == (rows, valuations)
+            assert (state.profiles[var].lower, state.profiles[var].upper) == (INF, INF)
         else:
             entry = ("digit", var, 1 + (digit - 1) % (p - 1), v, f"$t{k}")
             _substitute_digit(state, *entry[1:])
-            ok = True
         reference = substitute_reference(p, reference, entry)
-        assert ok == (reference is not None)
-        if not ok:
+        zeroed = zeroed_equations(state)
+        assert (zeroed is None) == (reference is None)
+        if reference is None:  # the search's relaxation prunes such a state
+            assert not _relaxation(state)
             break
-        assert state_equations(state) == primitive_equations(reference)
+        assert primitive_equations(zeroed) == primitive_equations(reference)
         assert_rows_canonical(state)
         assert state.valuations == row_valuations(state)

@@ -9,7 +9,7 @@ from padicsat.certify import verify_witness
 from padicsat.errors import InputError
 from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
 from padicsat.model import Status, Verdict
-from padicsat.rational import NEG_INF, PowerSum, is_finite, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import GeqProblem, geq_echelon, geq_witness, solve_geq
 from padicsat.testkit import (
     determinant,
@@ -110,6 +110,70 @@ def test_oracle_agreement_small():
         else:
             agree_unsat += 1
     assert agree_sat > 20 and agree_unsat > 20
+
+
+def _zeroed_geq_problem(rng):
+    """A small problem with +inf floors (x_j = 0) on some columns, -inf and
+    finite floors on others, at p = 2 exact flags on some finite ones; a
+    third of the draws gets a combination of two rows as one more row, and
+    half a right-hand side planted from a point that meets every floor."""
+    p = rng.choice((2, 3, 5))
+    n, m = rng.randint(1, 5), rng.randint(1, 4)
+    A = [[rng.choice((0, 0, 1, -1, 2, 3, p, -p * p)) for _ in range(n)] for _ in range(m)]
+    floors, exact = [], []
+    for _ in range(n):
+        roll = rng.random()
+        floor = INF if roll < 0.35 else NEG_INF if roll < 0.5 else rng.randint(-2, 3)
+        floors.append(floor)
+        exact.append(p == 2 and is_finite(floor) and rng.random() < 0.4)
+    if rng.random() < 0.5:
+        # x_j = 0 under +inf, p^floor times a unit (pinned at p = 2) otherwise
+        x = [
+            0 if f == INF else Fraction(rng.choice((1, -1, 3)), p**2) if f == NEG_INF
+            else Fraction(p) ** f * rng.choice((1, -1, 3, 5)) * (1 if e else rng.choice((1, p)))
+            for f, e in zip(floors, exact)
+        ]
+        b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+    else:
+        b = [rng.choice((0, 0, 1, -1, p, 3 * p)) for _ in range(m)]
+    deficient = rng.random() < 1 / 3
+    if deficient:
+        (r, rb), (s, sb) = rng.choices(list(zip(A, b)), k=2)
+        c = rng.choice((1, -2, p))
+        A.append([x + c * y for x, y in zip(r, s)])
+        b.append(rb + c * sb + rng.choice((0, 0, 1)))
+    return GeqProblem.of(A, b, p, tuple(floors), tuple(exact)), deficient
+
+
+def test_inf_floors_read_as_zero():
+    # a +inf floor is x_j = 0: solve_geq answers as on the problem with those
+    # columns deleted, and as the Smith oracle on draws without exact flags;
+    # a sat witness is 0 on each such coordinate and verifies against the
+    # instance that adds x_j = 0
+    rng = random.Random(2701)
+    outcomes = collections.Counter()
+    for trial in range(600):
+        prob, deficient = _zeroed_geq_problem(rng)
+        keep = [j for j, f in enumerate(prob.floors) if f != INF]
+        deleted = GeqProblem.of(
+            [[row[j] for j in keep] for row in prob.A], prob.b, prob.prime,
+            tuple(prob.floors[j] for j in keep), tuple(prob.exact[j] for j in keep),
+        )
+        verdict = solve_geq(prob)
+        assert verdict.status == solve_geq(deleted).status, trial
+        if any(prob.exact):
+            outcomes["exact flags"] += 1
+        else:
+            assert verdict.status == smith_oracle_geq(prob).status, trial
+        outcomes["rank-deficient"] += deficient
+        outcomes["zeroed"] += len(keep) < len(prob.floors)
+        outcomes[verdict.status.value] += 1
+        if verdict.is_sat:
+            ws = verdict.witness
+            assert all(ws[j].is_zero() for j, f in enumerate(prob.floors) if f == INF)
+            check = verify_witness(instance_of_geq_problem(prob), witness_map(prob, ws))
+            assert check.ok, (trial, check.detail)
+    assert min(outcomes.values()) >= 60 and len(outcomes) == 5, outcomes
 
 
 def test_exact_flags_fuzz_verified():

@@ -12,7 +12,7 @@ from padicsat.certify import verify_witness
 from padicsat.dispatch import solve_instance
 from padicsat.errors import InputError, OverflowGuardError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
-from padicsat.rational import NEG_INF, PowerSum, as_fraction, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, as_fraction, valuation
 from padicsat.solver_geq import GeqProblem, solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.testkit import (
@@ -337,6 +337,20 @@ def test_oracle_eliminates_unconstrained_columns():
         [[1, 1], [2, 2]], [1, 3], 5, (NEG_INF, NEG_INF), (False, False)
     )
     assert smith_oracle_geq(contradictory).is_unsat
+
+
+def test_an_inf_floor_reads_as_zero():
+    # floor +inf is x = 0: the oracle deletes the column, and the instance
+    # carries the equation x0 = 0, so x0 = 1, x1 = 0 solves the rows and
+    # meets x1's floor but is rejected
+    prob = GeqProblem.of([[1, 1]], [1], 3, (INF, 0))
+    assert smith_oracle_geq(prob).is_sat
+    assert smith_oracle_geq(GeqProblem.of([[1, 1]], [1], 3, (INF, 1))).is_unsat
+    assert smith_oracle_geq(GeqProblem.of([[1, 0]], [1], 3, (INF, 0))).is_unsat
+    instance = instance_of_geq_problem(prob)
+    one, zero = Fraction(1), Fraction(0)
+    assert verify_witness(instance, {"x0": zero, "x1": one})
+    assert not verify_witness(instance, {"x0": one, "x1": zero})
 
 
 def test_oracle_agrees_with_solver_on_unbounded_problems():
