@@ -12,7 +12,8 @@ Witness coordinates are power sums over the instance's prime, serialized as
 coefficients as strings; plain rational coordinates use "p": 0 and a single
 term at exponent 0.  A "value" field with the exact rational value is added
 whenever materializing it fits under the exponent guard (--guard, a positive
-integer) and the interpreter can print its digits.
+integer) and the interpreter can print its digits; the coefficients are
+written and read with the interpreter's int/str digit limit lifted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .certify import verify_witness
@@ -85,26 +87,39 @@ def _guard(args) -> int:
     return args.guard
 
 
+@contextmanager
+def _unlimited_digits():
+    """Lift the interpreter's int/str digit limit (Python 3.10.7 on) until
+    the block ends."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _coordinate_json(value, guard: int) -> dict:
     if isinstance(value, PowerSum):
-        out = {
-            "p": value.prime,
-            "terms": [[str(c), e] for c, e in value.terms],
-        }
+        with _unlimited_digits():
+            out = {"p": value.prime, "terms": [[str(c), e] for c, e in value.terms]}
         try:
             out["value"] = str(value.materialize(guard))
         except (OverflowGuardError, ValueError):
             pass  # past the guard, or past the interpreter's digit limit
         return out
-    q = as_fraction(value)
-    return {"p": 0, "terms": [[str(q), 0]], "value": str(q)}
+    with _unlimited_digits():
+        q = str(as_fraction(value))
+    return {"p": 0, "terms": [[q, 0]], "value": q}
 
 
 def _coordinate_text(value) -> str:
-    if isinstance(value, PowerSum):
-        v = value.valuation()
-        return f"{value}  (v_{value.prime} = {v})"
-    return str(as_fraction(value))
+    with _unlimited_digits():
+        if isinstance(value, PowerSum):
+            return f"{value}  (v_{value.prime} = {value.valuation()})"
+        return str(as_fraction(value))
 
 
 def _fragment_string(inst: Instance) -> str | None:
@@ -188,12 +203,14 @@ def _exponent(e) -> int:
 
 def _coordinate_from_json(entry):
     if isinstance(entry, str):
-        return Fraction(entry)
+        with _unlimited_digits():
+            return Fraction(entry)
     if not isinstance(entry, dict):
         raise InputError("must be a string or an object")
     p = entry.get("p")
     # as_fraction refuses JSON floats, which would round exact coefficients
-    terms = [(as_fraction(c), _exponent(e)) for c, e in entry.get("terms", [])]
+    with _unlimited_digits():
+        terms = [(as_fraction(c), _exponent(e)) for c, e in entry.get("terms", [])]
     if p == 0:
         if len(terms) != 1 or terms[0][1] != 0:
             raise InputError("a rational coordinate must have one term at exponent 0")

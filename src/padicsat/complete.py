@@ -5,8 +5,8 @@ instance mixes lower bounds with upper bounds or exclusions, satisfiability is
 decided here by a recursive search:
 
 * lower bounds are tightened by min-plus propagation over the valuations each
-  state keeps of its equations' coefficients (updated by every substitution):
-  in a row a_k x_k is minus the sum of the other terms and the rhs, so
+  state keeps of its rows' coefficients and right-hand sides: in a row
+  a_k x_k is minus the sum of the other terms and the rhs, so
   v(x_k) >= m - v(a_k), m the least floor of those terms' valuations.  At
   p = 2 the bound is m + 1 - v(a_k) when the terms at m are all exact and
   even in number, a nonzero rhs counting as one exact term: a pinned
@@ -14,32 +14,35 @@ decided here by a recursive search:
   the rhs is, and 2^m*odd + 2^m*odd = 2^(m+1)*k.  At p >= 3 two units can
   sum to a unit, so there is no such rule.  A row is quiet when its last
   visit raised nothing and neither the row nor the profile of a variable in
-  it has changed since.  A visit reads only those, so propagation skips
-  quiet rows and still makes the raises of full passes, in the same order.
-  Digit substitutions and adopted echelon rows wake the rows they rewrite,
-  and every narrowing of a profile (a raise, a forced zero, a window or
-  split child, a leaf's floor raise) wakes the rows holding its variable.
-  A bound raised to +inf forces its coordinate to zero: v_p(0) = +inf, so
-  x = 0 is the narrowing v(x) >= +inf (unsat under a finite upper bound),
-  and the variable keeps its column; its terms then read +inf.  Bounds can
-  also climb without end when the equations alone freeze a coordinate at 0
-  (x = 3y with y = 3x), so the first time one propagation call raises more
-  bounds than there are variables, the equations' affine solution space is
-  solved once, with x_z = 0 for each zeroed z (no solution at all makes the
-  state unsat): a coordinate zero in every kernel vector is frozen at its
-  particular value.  Frozen at 0 it is forced to zero; frozen at a nonzero
-  value outside its admissible set it makes the state unsat; otherwise its
-  valuation is finite and it is left alone.  So the work on such a cycle
-  does not grow with the bounds and exclusions written.  The rule is exact:
-  diverging lower bounds mean the coordinate vanishes on the lower-bound
-  relaxation's solution set, an open subset of the affine solution space, so
-  it is frozen at 0 whenever that set is nonempty, and an empty one is
-  caught by the relaxation prune;
+  it has changed since; propagation skips quiet rows and still makes the
+  raises of full passes, in the same order.  Adopted echelon rows, and
+  every narrowing of a profile (a raise, a forced zero, a child, a leaf's
+  floor raise), wake the rows they touch.  A bound raised to +inf forces
+  its coordinate to zero: x = 0 is the narrowing v(x) >= +inf (unsat under
+  a finite upper bound), the variable keeps its column, and its terms read
+  +inf.  Bounds can also climb without end when the rows alone freeze a
+  coordinate at 0 (x = 3y with y = 3x), so the first time one propagation
+  call raises more bounds than there are variables, the rows' affine
+  solution space is solved once (no solution makes the state unsat).  A
+  coordinate frozen at 0 is forced to zero, one frozen at a nonzero value
+  outside its admissible set makes the state unsat, and any other is left
+  alone, its valuation finite; so the work on such a cycle does not grow
+  with the bounds written.  The rule is exact: diverging lower bounds mean
+  the coordinate vanishes on the lower-bound relaxation's solution set, an
+  open subset of the affine solution space, so it is frozen at 0 whenever
+  that set is nonempty, and an empty one is caught by the relaxation prune.
+  A zero is forced only where a row's other terms and rhs all read +inf, or
+  by the frozen pass, so the rows alone freeze every zeroed coordinate at
+  0, and no affine solve needs a row x_z = 0;
 * finitely windowed variables are branched on, smallest window first.  At
-  p >= 3 pinning a valuation to one value still leaves p-1 leading digits, so
-  a pinned variable is split by digit substitution x = i*p^v + p^(v+1)*y;
-  at p = 2 the single digit makes a pinned valuation an exact constraint the
-  echelon solver handles natively;
+  p >= 3 a pinned valuation v still leaves p-1 leading digits, so a pinned x
+  is split by digit: x = d*p^v + r with v(r) >= v + 1.  The child records
+  (d, v) in `_State.consts` and narrows x to the remainder's profile, so x's
+  column and profile stand for r from then on; every valuation of a linear
+  form's constant (a row's rhs, a frozen coordinate, `_solve_mixed`'s
+  bounded-case constant) is read with the digit terms a*d*p^v moved into
+  it (`_less_digits`).  At p = 2 the single digit makes a pinned valuation
+  an exact constraint the echelon solver handles natively;
 * a variable bounded below with an exclusion above the bound is split around
   the exclusion;
 * once no variable is left to branch on, the state is a leaf, decided from
@@ -48,111 +51,104 @@ decided here by a recursive search:
 A state keeps its equations as primitive integer rows (A | b) over one
 column list: an equivalent reduced system, not the equations as written.
 The root's rows are the instance's equations, each scaled to the integer
-row with content 1.  A digit substitution reuses the variable's column for
-the fresh one, scaling the row by a power of p when v < 0 so that it stays
-integral, and divides a changed row by its content.  No step deletes a
-column.  States whose lower-bound relaxation is already unsatisfiable are
-pruned.  The relaxation is the cost-minimal echelon of the integer rows
-and its pivot-bound checks, with no Fraction and no PowerSum
-back-substitution.  When it is sat, the state takes that
-echelon's nonzero rows, made primitive, as its rows, and the echelon's
-pivot order as its column order, so row i pivots at column i; its children
-inherit both.  The echelon is U (A | b) with U invertible, so the new rows
-have exactly the solutions of the old ones, and the zero rows it drops all
-read 0 = 0, as the relaxation is sat.  Propagation then reads rows that can
-show bounds no original row shows.
+row with content 1.  No step renames or deletes a column, and none but the
+relaxation rewrites a row.  States whose lower-bound relaxation is already
+unsatisfiable are pruned.  The relaxation is the cost-minimal echelon of the
+integer rows and its pivot-bound checks, with no Fraction and no PowerSum
+back-substitution.  When it is sat, the state takes that echelon's nonzero
+rows, made primitive, as its rows, and the echelon's pivot order as its
+column order, so row i pivots at column i; its children inherit both.  The
+echelon is U (A | b) with U invertible, so the new rows have exactly the
+solutions of the old ones, and the zero rows it drops all read 0 = 0, as the
+relaxation is sat.  Propagation then reads rows that can show bounds no
+original row shows.
 
-Only the root hands its rows to `solve_geq` for the relaxation.  Every
-other state records, with its rows, the (floor, exact) of each variable
-that its echelon was priced with; a zeroed variable's floor is +inf, so an
-entry in its column costs +inf and pivots only in a row with nothing
-cheaper, whose check then needs a zero rhs.  Its relaxation re-prices and
-re-checks only the rows that hold a variable whose (floor, exact) changed
-since, or that has none recorded, and eliminates only below a row whose
-pivot moved.  Apart from the relaxation, a digit substitution is the only
-step that rewrites a row, and every row it rewrites holds its fresh
-variable, which has no record; it keeps the rows' zero pattern.  So each
-other row is unchanged since its echelon: zero left of its diagonal, with
-its diagonal entry still its cheapest, which a tie keeps, as the
-leftmost.  That makes the result exactly the echelon
+Only the root, which has no digit variable, hands its rows to `solve_geq`
+for the relaxation.  Every other state records, with its rows, the
+(floor, exact) of each variable that its echelon was priced with; a zeroed
+variable's floor is +inf, so an entry in its column costs +inf and pivots
+only in a row with nothing cheaper, whose check then needs a zero rhs.  Its
+relaxation re-prices and re-checks only the rows that hold a variable whose
+(floor, exact) changed since, and eliminates only below a row whose pivot
+moved.  A check reads the row's rhs valuation with its digit terms moved
+in, which changes only with a digit child, and that raises its variable's
+floor.  So every other row is unchanged since its echelon: zero left of its
+diagonal, with its diagonal entry still its cheapest, which a tie keeps, as
+the leftmost.  That makes the result exactly the echelon
 `pivot_minimal_echelon` computes on the same rows in the same column order.
 The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
 (`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
 
-The relaxation is the search's only lower-bound decision.  A leaf's rows
-are its relaxation's echelon, row i pivoting at column i, so it hands them
-with the floors they were priced with (`priced`) to `geq_witness`, which
-back-substitutes them into a witness w by column.  At a leaf every
-floored variable (a finite lower bound) fits the lower-bound fragment, as
-none is left to branch on; when every other variable does too, w is the
-answer.  Otherwise the leaf has open variables (no lower bound, but an
-upper bound or exclusions), and it is decided as one system, not
+The relaxation is the search's only lower-bound decision.  A leaf's rows are
+its relaxation's echelon, row i pivoting at column i, so it hands them with
+the floors they were priced with (`priced`) and its digit terms to
+`geq_witness`, which back-substitutes them into a witness w by column.  At a
+leaf every floored variable (a finite lower bound) fits the lower-bound
+fragment, as none is left to branch on; when every other variable does too,
+w is the answer.  Otherwise the leaf has open variables (no lower bound, but
+an upper bound or exclusions), and it is decided as one system, not
 component by component, from all its rows and w, after Guepin, Haase &
-Worrell's small-model argument (LICS 2019).  Write the solutions of its
-rows and of x_z = 0 for each zeroed z as x = x0 + N t (`solve_affine`: x0
-the particular solution, the columns of N its kernel basis), let N_j be
-row j of N, and let G be the floored variables.  A kernel basis vector
-never leaves its connected component, so a span test below reads the same
-over the whole leaf as over u's component.
+Worrell's small-model argument (LICS 2019).  Write the solutions of its rows
+as x = x0 + N t (`solve_affine`: x0 the particular solution, the columns of
+N its kernel basis), let N_j be row j of N, and let G be the floored
+variables.  A kernel basis vector never leaves its connected component, so a
+span test below reads the same over the whole leaf as over u's component.
 
 * Frozen: an open u with N_u = 0 is fixed, x_u = x0_u on every solution,
   whatever G is.  v(x0_u) outside u's admissible set is unsat
   ("fixed-out-of-range"); otherwise u stays at w_u = x0_u and is no longer
   open.
-* Bounded case: some remaining open u has N_u = sum over g in G of
-  l_g N_g.  Then x_u = c + sum l_g x_g on every solution, c = x0_u - sum
-  l_g x0_g, and by the ultrametric inequality v(x_u) >= min(v(c), min over
-  l_g != 0 of v(l_g) + lower_g), a bound every solution meets.  As N_u != 0
-  some l_g is nonzero, so the bound is finite.  u's floor is raised to it
-  and the leaf is searched again; the raise changes no solution, and u now
-  has a finite window or exclusions above its floor, so the search
-  branches on it.
+* Bounded case: some remaining open u has N_u = sum over g in G of l_g N_g.
+  Then x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, a
+  digit variable g's term l_g*d*p^v moved into c and l_g x_g read with g's
+  remainder.  By the ultrametric inequality v(x_u) >= min(v(c), min over
+  l_g != 0 of v(l_g) + lower_g), a bound every solution meets, finite as
+  N_u != 0 makes some l_g nonzero.  u's floor is raised to it and the leaf
+  is searched again; the raise changes no solution, and u now has a finite
+  window or exclusions above its floor, so the search branches on it.
 * Free case: no remaining open u is such a combination.  Then for each of
   them there is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u
   vanishes on the common kernel of the N_g exactly when it lies in their
   span).  So no open u is frozen in the homogeneous system
   [A; e_g for g in G] z = 0, and `solve_leq` finds a z in it with each open
   u's valuation at most min(upper_u, v(w_u) - 1) and outside u's
-  exclusions, every other column unconstrained: the upper-bound fragment
-  is unsat only on a frozen coordinate out of range.  w + z keeps every G
+  exclusions, every other column unconstrained: the upper-bound fragment is
+  unsat only on a frozen coordinate out of range.  w + z keeps every G
   coordinate and every equation, and each open u gets v(z_u), as
   v(z_u) < v(w_u) or both are 0 (under a cap of +inf, which admits 0).  z
-  moves no frozen coordinate, a zeroed one included, and a variable
-  neither floored, open nor zeroed has no constraint.  So the leaf is sat
-  iff its lower-bound relaxation is.
+  moves no frozen coordinate, a zeroed one included, and a variable neither
+  floored, open nor zeroed has no constraint.  So the leaf is sat iff its
+  lower-bound relaxation is.
 
 The search ends: a raise turns a variable without a lower bound into one
-with a floor, floors only rise, and digit substitutions create variables
-with floor 0, so along every branch the count of variables unbounded below
-falls at each raise, and a leaf without raises is decided outright.
+with a floor, floors only rise, and a digit child leaves its variable a
+floor, so along every branch the count of variables unbounded below falls
+at each raise, and a leaf without raises is decided outright.
 
 The search is one sequential depth-first loop: children are generated lazily
 and tried in order, and the first satisfiable child ends the search, so a
-wide valuation window costs only the candidates actually tried.  A sat
-answer is lifted on its way up by the branches that made it: a digit
-child's witness gives var = digit*p^v + p^(v+1)*fresh, and no other branch
-renames a variable.  A leaf's answer holds every one of its variables, a
-zeroed one as 0 (`geq_witness` gives a +inf floor the value 0).  Profiles
-are immutable `VarProfile`s, shared between a state and its children; a
+wide valuation window costs only the candidates actually tried.  A leaf's
+answer is the search's, with every variable: its rows are over the
+instance's variables, and `geq_witness` gives a free digit variable its
+digit term d*p^v (remainder 0) and a free zeroed one 0.  Profiles are
+immutable `VarProfile`s, shared between a state and its children; a
 narrowing stores a new one.  A profile is canonical by construction (its
-finite edges admissible, its exclusions strictly inside), so there is no
-trimming pass, and a window is empty exactly when its edges cross.  Every
-state's windows are nonempty, so emptiness is tested only where a window
-can narrow: over every profile at the root, at each bound propagation
-raises, and over the floors a leaf raised, in name order.  A window
-child pins an admissible value, a digit child's fresh variable has floor 0
-and no cap, a split's low child keeps its admissible lower edge below the
-least exclusion, and its high child has no cap.  A
-satisfiable answer is re-checked by certify.verify_witness against
-the equations and the valuation constraints as written (the ones the
-normalized instance was folded from) before it is returned; a rejected
-witness raises InternalError, never a wrong answer.
+finite edges admissible, its exclusions strictly inside), so a window is
+empty exactly when its edges cross.  Every state's windows are nonempty, so
+emptiness is tested only where a window can narrow: over every profile at
+the root, at each bound propagation raises, and over the floors a leaf
+raised, in name order.  A window child pins an admissible value, a digit
+child leaves a floor and no cap, a split's low child keeps its admissible
+lower edge below the least exclusion, and its high child has no cap.  A
+satisfiable answer is re-checked by certify.verify_witness against the
+equations and the valuation constraints as written (the ones the normalized
+instance was folded from) before it is returned; a rejected witness raises
+InternalError, never a wrong answer.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -177,14 +173,13 @@ from .rational import (
     PowerSum,
     int_valuation,
     is_finite,
+    merged_valuation,
     valuation,
 )
 from .solver_geq import GeqProblem, geq_witness, pivot_shortfall, solve_geq
 from .solver_leq import LeqProblem, solve_leq
 
 PROPAGATION_ROUNDS_FACTOR = 4
-# the profile of every digit's fresh variable: v >= 0, no cap, no exclusion
-_FRESH = VarProfile(0, INF, frozenset())
 # a forced zero: v >= +inf, which admits only the value 0
 _ZERO = VarProfile(INF, INF, frozenset())
 
@@ -195,32 +190,34 @@ class _State:
 
     rows[i] is one equation (A | b) over `columns`, as integers with content
     1 and a nonzero coefficient; together the rows are a system equivalent
-    to the instance's equations under the substitutions of the branches
-    that led here, not those equations themselves (module docstring).  A
-    state records no substitution: the branch that made one undoes it on a
-    sat answer.  The columns are the variables of `profiles`.  A digit
-    substitution or an adopted echelon replaces the rows it changes and
-    never edits one in place, and a narrowing replaces the variable's
-    immutable profile, so copies share their rows and profiles.
+    to the instance's equations, not those equations themselves (module
+    docstring).  The columns are the variables of `profiles`, and they are
+    the instance's: a digit child records its variable's leading term in
+    `consts` and narrows the variable to its remainder's profile, so that
+    variable's column and profile stand for the remainder.  An adopted
+    echelon replaces the rows it changes and never edits one in place, and
+    a narrowing replaces the variable's immutable profile, so copies share
+    their rows and profiles.
 
     After a sat relaxation the rows are its echelon and the columns are in
     its pivot order: row i is zero left of column i and nonzero at it.
     `priced` then holds the (floor, exact) of each variable that echelon was
-    priced with; a leaf reads its witness's floors from it.  A digit
-    substitution rewrites only rows that then hold its fresh variable, which
-    has no record, and keeps their zero pattern.  A forced zero is a
-    narrowing to v >= +inf and rewrites no row, so the columns never
-    shrink.  The record is shared by copies and replaced, never edited, by
-    the next relaxation.
+    priced with; a leaf reads its witness's floors from it.  A forced zero
+    is a narrowing to v >= +inf, and no step but the relaxation rewrites a
+    row, so the columns never change.  The record is shared by copies and
+    replaced, never edited, by the next relaxation.
     """
 
     prime: int
     columns: list[str]
     rows: list[list[int]]
     profiles: dict[str, VarProfile]
+    # per digit variable x, its leading term (d, v): x = d*p^v + r with
+    # v(r) >= v + 1.  Shared by copies and replaced, never edited
+    consts: dict[str, tuple[int, int]] = field(default_factory=dict)
     # per row, the valuations of its nonzero coefficients by variable, in
-    # profile order, and of its rhs.  Computed with the rows, then kept in
-    # step by the substitutions and the relaxation
+    # profile order, and of its rhs less its digit terms.  Computed with the
+    # rows, then kept in step by the digit children and the relaxation
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
     # the echelon record above; None only at the root, before its relaxation
     priced: dict[str, tuple[ExtInt, bool]] | None = None
@@ -240,60 +237,63 @@ class _State:
     ) -> tuple[dict[str, int], ExtInt]:
         """What `valuations` keeps for row; index maps a variable to its column."""
         p = self.prime
-        return (
-            {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]},
-            int_valuation(row[-1], p),
-        )
+        vals = {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]}
+        return vals, self.rhs_valuation(row, index, vals)
+
+    def rhs_valuation(
+        self, row: list[int], index: dict[str, int], support: Iterable[str]
+    ) -> ExtInt:
+        """v_p of row's rhs less the terms a*d*p^v of its digit variables;
+        support holds the variables of row's nonzero coefficients."""
+        consts = self.consts
+        terms = [(row[index[x]], *consts[x]) for x in support if x in consts] if consts else ()
+        return _less_digits(self.prime, row[-1], terms)
 
     def copy(self) -> "_State":
-        return _State(
-            self.prime,
-            list(self.columns),
-            list(self.rows),
-            dict(self.profiles),
-            list(self.valuations),
-            self.priced,
-            list(self.quiet),
-        )
+        return _State(self.prime, list(self.columns), list(self.rows), dict(self.profiles),
+                      self.consts, list(self.valuations), self.priced, list(self.quiet))
 
 
-def _primitive(row: list[int]) -> tuple[list[int], int]:
-    """row divided by its content g > 0, and g; row has a nonzero entry."""
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by its content; row has a nonzero entry."""
     g = gcd(*row)
-    return ([x // g for x in row] if g > 1 else row), g
+    return [x // g for x in row] if g > 1 else row
 
 
-def _substitute_digit(state: _State, var: str, digit: int, v: int, fresh: str) -> None:
-    """Replace var by digit*p^v + p^(v+1)*fresh with fresh ranging over v >= 0.
+def _less_digits(p: int, q: int | Fraction, terms: Iterable[tuple]) -> ExtInt:
+    """v_p(q - sum of a*d*p^v over terms (a, d, v)): a linear form's constant
+    q with each digit variable's term a*x = a*d*p^v + a*r moved into it.
 
-    fresh takes var's column: a row with coefficient a there gets a*p^(v+1)
-    in it and a*digit*p^v off its rhs, after scaling by p^s, s = max(0, -v),
-    which keeps it integral; then it is divided by its content.
+    The terms are summed exactly per exponent, those at exponent 0 into q,
+    and the sums merged with q by rational.merged_valuation, so no p^v is
+    built.
     """
-    p = state.prime
-    del state.profiles[var]
-    state.profiles[fresh] = _FRESH
-    j = state.columns.index(var)
-    state.columns[j] = fresh
-    s = max(0, -v)
-    scale = p**s
-    unit = p ** (s + v)
-    for i, row in enumerate(state.rows):
-        a = row[j]
-        if not a:
-            continue
-        row = [x * scale for x in row] if s else row[:]
-        row[j] = a * unit * p
-        row[-1] -= a * digit * unit
-        row, g = _primitive(row)
-        shift = s - int_valuation(g, p)
-        vals = state.valuations[i][0]
-        # fresh is a new name, so it goes last, as in a dict built afresh
-        new_vals = {w: e + shift for w, e in vals.items() if w != var}
-        new_vals[fresh] = vals[var] + v + 1 + shift
-        state.rows[i] = row
-        state.valuations[i] = (new_vals, int_valuation(row[-1], p))
-        state.quiet[i] = False
+    sums: dict[int, int | Fraction] = {}
+    for a, d, v in terms:
+        if v:
+            sums[v] = sums.get(v, 0) + a * d
+        else:
+            q -= a * d
+    if not sums:
+        return valuation(q, p)
+    merged = [(q.numerator, q.denominator, 0)]
+    merged += [(-s.numerator, s.denominator, v) for v, s in sums.items()]
+    return merged_valuation(p, merged)
+
+
+def _fix_digit(state: _State, var: str, digit: int, v: int) -> None:
+    """Give var, pinned at valuation v, the leading term digit*p^v.
+
+    var = digit*p^v + r with v(r) >= v + 1: var is narrowed to r's profile
+    and its column stands for r.  No row changes; each row holding var
+    re-reads its rhs valuation with the new digit term moved in.
+    """
+    state.consts = {**state.consts, var: (digit, v)}
+    index = {c: j for j, c in enumerate(state.columns)}
+    for i, (vals, _) in enumerate(state.valuations):
+        if var in vals:
+            state.valuations[i] = (vals, state.rhs_valuation(state.rows[i], index, vals))
+    _narrow(state, var, VarProfile(v + 1, INF, frozenset()))
 
 
 def _narrow(state: _State, var: str, prof: VarProfile) -> None:
@@ -326,25 +326,18 @@ def _force_zero(state: _State, var: str) -> Verdict | None:
 
 
 def _system(state: _State) -> tuple[list[list[int]], list[int]]:
-    """The state's equations as solve_affine's (A, b): its rows, and a unit
-    row x_z = 0 for each zeroed variable z."""
+    """The state's rows as solve_affine's (A, b)."""
     n = len(state.columns)
-    A = [row[:n] for row in state.rows]
-    b = [row[n] for row in state.rows]
-    for j, var in enumerate(state.columns):
-        if state.profiles[var].lower == INF:
-            A.append([int(k == j) for k in range(n)])
-            b.append(0)
-    return A, b
+    return [row[:n] for row in state.rows], [row[n] for row in state.rows]
 
 
 def _substitute_frozen(state: _State) -> Verdict | None:
     """Settle the coordinates the equations alone fix; zeros are forced.
 
-    A coordinate frozen at 0 takes the force-zero path; one frozen at a
-    nonzero value outside its admissible set makes the state unsat, and one
-    inside it is left alone: its valuation is finite, so propagation cannot
-    diverge on it.
+    A coordinate frozen at 0 (a digit variable's: at its digit term) takes
+    the force-zero path; one frozen at a nonzero value outside its
+    admissible set makes the state unsat, and one inside it is left alone:
+    its valuation is finite, so propagation cannot diverge on it.
     """
     space = solve_affine(*_system(state), len(state.columns))
     if space is None:
@@ -353,12 +346,9 @@ def _substitute_frozen(state: _State) -> Verdict | None:
         (state.columns[j], space.particular[j]) for j in frozen_coordinates(space)
     )
     for var, value in frozen:
-        if value == 0:
-            failed = _force_zero(state, var)
-            if failed is not None:
-                return failed
-            continue
-        failed = _fixed_outside(state, var, valuation(value, state.prime))
+        digit = state.consts.get(var)
+        v = _less_digits(state.prime, value, [(1, *digit)] if digit else [])
+        failed = _force_zero(state, var) if v == INF else _fixed_outside(state, var, v)
         if failed is not None:
             return failed
     return None
@@ -469,59 +459,66 @@ def _bounds(state: _State) -> tuple[list[ExtInt], list[bool]]:
     """The floors and exact flags of the lower-bound relaxation, by column; a
     flag can be set only at p = 2."""
     profs = [state.profiles[v] for v in state.columns]
-    floors = [prof.lower for prof in profs]
-    if state.prime != 2:
-        return floors, [False] * len(profs)
-    return floors, [prof.exact_at(2) for prof in profs]
+    parity = state.prime == 2
+    return [prof.lower for prof in profs], [parity and prof.exact_at(2) for prof in profs]
 
 
 def _relaxation(state: _State) -> bool:
     """Decide the state's lower-bound relaxation, over its columns.
 
-    When it is sat the state adopts its echelon and records, in `priced`,
-    the floors and exact flags it was priced with (module docstring).  Only
-    the root has no echelon record: its rows go to `solve_geq`, in column
-    order, as they are, since a row's multiple has the same solutions.
+    When it is sat the state adopts its echelon: its nonzero rows, made
+    primitive, over the columns in pivot order, with each row's valuations
+    and quiet flag, and records, in `priced`, the floors and exact flags it
+    was priced with (module docstring).  Only the root has no echelon
+    record: its rows go to `solve_geq`, in column order, as they are, since
+    a row's multiple has the same solutions, and every adopted row is woken.
     Every other state's _reprice builds the same echelon from its record.
     A zeroed variable's floor is +inf, which `solve_geq` reads as x = 0.
     """
     floors, exact = _bounds(state)
     if state.priced is not None:
-        return _reprice(state, floors, exact)
-    n = len(state.columns)
-    verdict = solve_geq(GeqProblem(
-        tuple([tuple(row[:n]) for row in state.rows]),
-        tuple([row[n] for row in state.rows]),
-        state.prime,
-        tuple(floors),
-        tuple(exact),
-    ), witness=False)
-    if verdict.is_unsat:
-        return False
-    result = verdict.diagnostics["echelon"]
-    col_of = inverse_permutation(result.sigma)  # position -> column
-    floors, exact = [floors[c] for c in col_of], [exact[c] for c in col_of]
-    rows = [_primitive(row)[0] for row in result.rows[:result.rank]]
-    _adopt(state, [state.columns[c] for c in col_of], rows, [None] * len(rows), floors, exact)
+        echelon = _reprice(state, floors, exact)
+        if echelon is None:
+            return False
+        columns, rows, vals, quiet, floors, exact = echelon
+    else:
+        A, b = _system(state)
+        verdict = solve_geq(GeqProblem(
+            tuple(map(tuple, A)), tuple(b), state.prime, tuple(floors), tuple(exact)
+        ), witness=False)
+        if verdict.is_unsat:
+            return False
+        result = verdict.diagnostics["echelon"]
+        col_of = inverse_permutation(result.sigma)  # position -> column
+        floors, exact = [floors[c] for c in col_of], [exact[c] for c in col_of]
+        columns = [state.columns[c] for c in col_of]
+        rows = [_primitive(row) for row in result.rows[:result.rank]]
+        index = {c: j for j, c in enumerate(columns)}
+        vals, quiet = [state.row_valuation(row, index) for row in rows], [False] * len(rows)
+    state.columns, state.rows, state.valuations, state.quiet = columns, rows, vals, quiet
+    state.priced = dict(zip(columns, zip(floors, exact)))
     return True
 
 
-def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> bool:
-    """_relaxation from the state's echelon record.
+def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | None:
+    """_relaxation's echelon from the state's echelon record, None if unsat:
+    (columns, rows, valuations, quiet flags, floors, exact flags).
 
     This is pivot_minimal_echelon's loop on the same rows in the same column
     order, and it ends in the same echelon, but it prices only the rows the
     record does not vouch for.  The rows are independent: an echelon's
-    nonzero rows, and a digit substitution scales a column and rows by
-    nonzero factors.  So no row is eliminated to zero, and no row swap or
-    zero row can occur.  A row whose variables all keep their recorded
-    (floor, exact), and that no elimination has touched, is still zero left
-    of its old pivot, which is still its cheapest entry, so the pivot choice
-    keeps it (the leftmost of a tie), and its pivot-bound check still
-    passes.  Until some pivot moves, every row below step r is untouched, so
-    zero at column r, and there is nothing to eliminate.  So every edit
-    follows the first column swap, which copies all rows: the parent shares
-    them.
+    nonzero rows, which no other step rewrites.  So no row is eliminated to
+    zero, and no row swap or zero row can occur.  A row whose variables all
+    keep their recorded (floor, exact), and that no elimination has touched,
+    is still zero left of its old pivot, which is still its cheapest entry,
+    so the pivot choice keeps it (the leftmost of a tie), and its
+    pivot-bound check still passes, as its rhs valuation (digit terms moved
+    in) changes only with a digit child, which raises its variable's floor.
+    A checked row reads that valuation from `valuations`, computed afresh
+    for a row an elimination changed.  Until some pivot moves, every row
+    below step r is untouched, so zero at column r, and there is nothing to
+    eliminate.  So every edit follows the first column swap, which copies
+    all rows: the parent shares them.
     """
     p = state.prime
     n = len(state.columns)
@@ -558,42 +555,26 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> bool:
                     eliminate(rows[i], 0, top, r, nonzero, r)
                     vals[i], dirty[i] = None, True
     flagged = [j for j in range(n) if exact[j]]
+    # an eliminated row is woken, and its valuations are computed afresh
+    quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
+    index = {c: j for j, c in enumerate(columns)} if moved else None
     for i, row in enumerate(rows):
-        if dirty[i] and pivot_shortfall(p, row, i, floors, flagged) is not None:
-            return False
-    _adopt(state, columns, rows, vals, floors, exact)
-    return True
-
-
-def _adopt(
-    state: _State,
-    columns: list[str],
-    rows: list[list[int]],
-    vals: list[tuple[dict[str, int], ExtInt] | None],
-    floors: list[ExtInt],
-    exact: list[bool],
-) -> None:
-    """Take a sat relaxation's echelon: its nonzero rows, made primitive, over
-    columns in pivot order, priced with floors and exact by column; a row's
-    valuations are computed, and the row woken, where vals holds None.  Only
-    an incremental relaxation passes a row's valuations on, and it keeps
-    the state's row order."""
-    state.quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
-    if None in vals:
-        index = {c: j for j, c in enumerate(columns)}
-        vals = [
-            state.row_valuation(row, index) if v is None else v for row, v in zip(rows, vals)
-        ]
-    state.columns, state.rows, state.valuations = columns, rows, vals
-    state.priced = dict(zip(columns, zip(floors, exact)))
+        if not dirty[i]:
+            continue
+        if vals[i] is None:
+            vals[i] = state.row_valuation(row, index)
+        if pivot_shortfall(p, row, i, floors, flagged, vals[i][1]) is not None:
+            return None
+    return columns, rows, vals, quiet, floors, exact
 
 
 def _branch_target(state: _State) -> tuple[str, str, object] | None:
     """Pick the next variable to branch on, or None at a leaf state.
 
     Finite windows come first, smallest first (a pinned valuation at p >= 3
-    is a digit substitution; at p = 2 it is an exact constraint the echelon
-    leaf takes directly); then exclusion splits on variables bounded below.
+    is split by its leading digit; at p = 2 it is an exact constraint the
+    echelon leaf takes directly); then exclusion splits on variables bounded
+    below.
     """
     p = state.prime
     best: tuple[int, str] | None = None
@@ -666,9 +647,12 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         var = columns[u]
         lam = span.particular
         c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
+        # a floored digit variable's term l*(d*p^v + r) puts l*d*p^v into c
+        digits = [(-l, *state.consts[columns[g]])
+                  for l, g in zip(lam, floored) if l and columns[g] in state.consts]
         # finite: N_u != 0, so some l_g != 0
         bound = min(
-            [valuation(c, p)]
+            [_less_digits(p, c, digits)]
             + [valuation(l, p) + state.profiles[columns[g]].lower
                for l, g in zip(lam, floored) if l]
         )
@@ -694,12 +678,13 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
     return Verdict.sat(witness=[wj + zj for wj, zj in zip(w, verdict.witness)])
 
 
-def _solve_leaf(state: _State, fresh: Iterator[int]) -> Verdict:
+def _solve_leaf(state: _State) -> Verdict:
     """Decide a leaf from its sat relaxation, which it has just adopted
-    (module docstring); a sat answer maps the leaf's variables to values."""
+    (module docstring); a sat answer maps every variable to a value."""
     columns = state.columns
     # the rows are that echelon already: row i pivots at column i
-    w = geq_witness(state.prime, state.rows, [state.priced[v][0] for v in columns])
+    digits = {j: state.consts[v] for j, v in enumerate(columns) if v in state.consts}
+    w = geq_witness(state.prime, state.rows, [state.priced[v][0] for v in columns], digits)
     open_ = sorted(
         (j for j, v in enumerate(columns) if not _geq_compatible(state, v)),
         key=columns.__getitem__,
@@ -708,43 +693,38 @@ def _solve_leaf(state: _State, fresh: Iterator[int]) -> Verdict:
         verdict = _solve_mixed(state, open_, w)
         if verdict is None:
             # a raised floor: fewer variables are unbounded below
-            return _solve_state(state, fresh)
+            return _solve_state(state)
         if verdict.is_unsat:
             return verdict
         w = verdict.witness
     return Verdict.sat(witness=dict(zip(columns, w)))
 
 
-def _children(state: _State, target: tuple[str, str, object], fresh: Iterator[int]):
-    """Each child of state, none with an empty window (module docstring), and
-    for a digit child its substitution (var, digit, v, fresh), else None."""
+def _children(state: _State, target: tuple[str, str, object]):
+    """Each child of state, none with an empty window (module docstring)."""
     kind, var, data = target
     if kind == "window":
         for v in data:
             child = state.copy()
             _narrow(child, var, VarProfile(v, v, frozenset()))
-            yield child, None
+            yield child
     elif kind == "digit":
-        # name every digit's fresh variable before the first child is solved,
-        # so the names (and with them the sorted branch order) do not depend
-        # on how deep earlier children search
-        names = [f"$d{next(fresh)}" for _ in range(1, state.prime)]
-        for digit, name in zip(range(1, state.prime), names):
+        for digit in range(1, state.prime):
             child = state.copy()
-            _substitute_digit(child, var, digit, data, name)
-            yield child, (var, digit, data, name)
+            _fix_digit(child, var, digit, data)
+            yield child
     else:  # split around an excluded value above the lower bound
         prof = state.profiles[var]
         # data is the least exclusion, above the lower edge
         for lower, upper in ((prof.lower, data - 1), (data + 1, prof.upper)):
             child = state.copy()
             _narrow(child, var, VarProfile(lower, upper, prof.excluded))
-            yield child, None
+            yield child
 
 
-def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
+def _solve_state(state: _State) -> Verdict:
     """Search state, whose every window is nonempty; a sat answer maps each
-    of the state's variables to a value."""
+    variable to a value."""
     failed = _propagate(state)
     if failed is not None:
         return failed
@@ -754,16 +734,10 @@ def _solve_state(state: _State, fresh: Iterator[int]) -> Verdict:
         )
     target = _branch_target(state)
     if target is None:
-        return _solve_leaf(state, fresh)
-    for child, step in _children(state, target, fresh):
-        verdict = _solve_state(child, fresh)
+        return _solve_leaf(state)
+    for child in _children(state, target):
+        verdict = _solve_state(child)
         if verdict.is_sat:
-            if step is not None:
-                # undo the digit substitution var = digit*p^v + p^(v+1)*name
-                var, digit, v, name = step
-                p, witness = state.prime, verdict.witness
-                tail = witness.pop(name)
-                witness[var] = PowerSum(p, ((Fraction(digit), v),)) + tail.shift(v + 1)
             return verdict
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
@@ -789,12 +763,12 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
                 return Verdict.unsat("no-solution", "an equation reads 0 = nonzero")
             continue
         row = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])[0]
-        rows.append(_primitive(row)[0])
+        rows.append(_primitive(row))
     profiles = {var: norm.profile(prime, var) for var in norm.variables}
     state = _State(prime, columns, rows, profiles)
     verdict = _check_profiles(state, profiles)
     if verdict is None:
-        verdict = _solve_state(state, itertools.count())
+        verdict = _solve_state(state)
     if verdict.is_sat:
         check = verify_witness(
             Instance(norm.variables, norm.equations, norm.valuations), verdict.witness

@@ -30,7 +30,9 @@ a sat echelon's nonzero rows, with the floors by position, into a witness
 by position, and solve_geq is the two in turn, the witness permuted back by
 sigma.  The pivot-bound check of one row is pivot_shortfall.  The branch-
 and-decide search runs pivot_shortfall on the rows it re-prices, and
-geq_witness on a leaf's rows, which are already such an echelon.  With
+geq_witness on a leaf's rows, which are already such an echelon; there a
+digit variable x = d*p^v + r is priced with r's floor, each row's rhs
+valuation has the terms a*d*p^v moved in, and a free x gets d*p^v.  With
 witness=False a sat answer carries that echelon (diagnostics["echelon"])
 in place of a witness; it serves only the search's root relaxation, whose
 echelon the root adopts.  Unsat answers are the same either way.
@@ -116,16 +118,18 @@ class GeqProblem:
 
 
 def pivot_shortfall(
-    p: int, row: list[int], piv: int, floors: list[ExtInt], exact: list[int]
+    p: int, row: list[int], piv: int, floors: list[ExtInt], exact: list[int], rhs_val: ExtInt
 ) -> tuple[int, ExtInt] | None:
     """The pivot-bound check of an echelon row that pivots at position piv.
 
     row is (B | carried b) as integers, floors are by position and exact
-    lists the positions whose exact flag is set, ascending.  Returns None
-    when the row passes, else (needed, got): the valuation the pivot needs
-    on the right-hand side, v_p(pivot) + floor + exact flag, and the one it
-    has.  A -inf floor at the pivot passes vacuously, and a +inf one needs
-    a zero right-hand side.
+    lists the positions whose exact flag is set, ascending; rhs_val is the
+    right-hand side's valuation, read when no exact flag adds terms to it
+    (the search's has its digit terms moved in).  Returns None when the row
+    passes, else (needed, got): the valuation the pivot needs on the
+    right-hand side, v_p(pivot) + floor + exact flag, and the one it has.
+    A -inf floor at the pivot passes vacuously, and a +inf one needs a zero
+    right-hand side.
     """
     floor = floors[piv]
     if floor == NEG_INF:
@@ -134,7 +138,7 @@ def pivot_shortfall(
     needed = int_valuation(row[piv], p) + floor + int(piv in exact)
     # exact flags add integer terms -a p^floor to the right-hand side
     terms = [(-row[j], 1, floors[j]) for j in exact if j >= piv and row[j]]
-    got = merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else int_valuation(row[n], p)
+    got = merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else rhs_val
     return None if needed <= got else (needed, got)
 
 
@@ -159,7 +163,8 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
                 row=i,
             )
     for i, piv in enumerate(result.pivots):
-        shortfall = pivot_shortfall(p, rows[i], piv, floors2, exact_positions)
+        rhs_val = int_valuation(rows[i][n], p)
+        shortfall = pivot_shortfall(p, rows[i], piv, floors2, exact_positions, rhs_val)
         if shortfall is not None:
             shift = int_valuation(dens[i], p)  # back to the Fraction row
             required, actual = shortfall[0] - shift, shortfall[1] - shift
@@ -173,21 +178,25 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
     return result, None
 
 
-def geq_witness(p: int, rows: list[list[int]], floors: list[ExtInt]) -> list[PowerSum]:
+def geq_witness(
+    p: int, rows: list[list[int]], floors: list[ExtInt], digits: dict | None = None
+) -> list[PowerSum]:
     """A PowerSum witness of a sat echelon, by position.
 
     rows are the echelon's nonzero rows (B | carried b) as integers, row i
-    pivoting at position i; floors are by position.  The free positions
-    (from len(rows) on) get p**floor, 0 under an infinite floor, and the
-    pivots are back-substituted; a row's common factor cancels from its
-    equation, so any multiple of an echelon row serves.
+    pivoting at position i; floors are by position, and digits maps a digit
+    variable's position to (d, v).  The free positions (from len(rows) on)
+    get d*p^v when they are a digit variable's, else p**floor, 0 under an
+    infinite floor, and the pivots are back-substituted; a row's common
+    factor cancels from its equation, so any multiple of an echelon row
+    serves.
     """
     n = len(floors)
     k = len(rows)
     w: list[PowerSum | None] = [None] * n
     for j in range(k, n):
-        floor = floors[j]
-        w[j] = PowerSum(p, ((Fraction(1), floor),) if is_finite(floor) else ())
+        d, v = (digits or {}).get(j, (1, floors[j]))
+        w[j] = PowerSum(p, ((Fraction(d), v),) if is_finite(v) else ())
     for i in range(k - 1, -1, -1):
         row = rows[i]
         w[i] = PowerSum.combination(

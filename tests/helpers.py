@@ -216,20 +216,19 @@ def primitive_equations(equations):
 
 
 def substitute_reference(p, equations, entry):
-    """A substitution, ("zero", var) or ("digit", var, digit, v, fresh),
-    applied to Fraction equations: the new equations, or None when an
-    equation reads 0 = nonzero."""
+    """A substitution, ("zero", var) or ("digit", var, digit, v), applied to
+    Fraction equations: the new equations, or None when an equation reads
+    0 = nonzero.  var = digit*p^v + r moves a*digit*p^v into the rhs and
+    keeps a*var, read from then on as a*r."""
     out = []
     for coeffs, rhs in equations:
         coeffs = dict(coeffs)
         if entry[0] == "zero":
             coeffs.pop(entry[1], None)
         else:
-            _, var, digit, v, fresh = entry
+            _, var, digit, v = entry
             if var in coeffs:
-                a = coeffs.pop(var)
-                rhs -= a * digit * Fraction(p) ** v
-                coeffs[fresh] = a * Fraction(p) ** (v + 1)
+                rhs -= coeffs[var] * digit * Fraction(p) ** v
         if not coeffs:
             if rhs != 0:
                 return None
@@ -238,12 +237,23 @@ def substitute_reference(p, equations, entry):
     return out
 
 
+def digit_rhs(state, coeffs, rhs):
+    """rhs less the digit terms a*d*p^v of coeffs' digit variables, as a
+    Fraction: the constant the search reads a row's rhs valuation from."""
+    p = state.prime
+    for var, (d, v) in state.consts.items():
+        rhs -= coeffs.get(var, 0) * d * Fraction(p) ** v
+    return rhs
+
+
 def zeroed_equations(state):
-    """The state's equations with each zeroed variable read as 0, as the
-    Fraction substitution of 0 leaves them: a row left without a variable
-    goes if it reads 0 = 0, and None when one reads 0 = nonzero."""
+    """The state's equations over its digit variables' remainders, with
+    each zeroed variable read as 0, as the Fraction substitution leaves
+    them: a row left without a variable goes if it reads 0 = 0, and None
+    when one reads 0 = nonzero."""
     out = []
     for coeffs, rhs in state_equations(state):
+        rhs = digit_rhs(state, coeffs, rhs)
         coeffs = {v: a for v, a in coeffs.items() if state.profiles[v].lower != INF}
         if not coeffs:
             if rhs != 0:
@@ -254,14 +264,15 @@ def zeroed_equations(state):
 
 
 def row_valuations(state):
-    """What _State.valuations caches: the integer rows' valuations."""
+    """What _State.valuations caches: the integer rows' coefficient
+    valuations, and the valuation of each rhs less its digit terms."""
     p = state.prime
     return [
         (
             {c: int_valuation(a, p) for c, a in zip(state.columns, row) if a},
-            int_valuation(row[-1], p),
+            valuation(digit_rhs(state, coeffs, rhs), p),
         )
-        for row in state.rows
+        for row, (coeffs, rhs) in zip(state.rows, state_equations(state))
     ]
 
 

@@ -163,6 +163,37 @@ def test_solve_json_omits_value_past_digit_limit(monkeypatch, capsys):
     assert "value" not in entry
 
 
+def test_witness_coefficients_past_the_digit_limit_round_trip(tmp_path, capsys):
+    # a coefficient of 4,000 digits, which the parser accepts, in both rows
+    # gives witness coefficients of about 8,000 digits: solve prints them as
+    # text and as JSON, and check reads the JSON back.  The interpreter's
+    # int/str digit limit is lifted only meanwhile
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    big = 10**3999 + 1
+    path = write(tmp_path, "big.txt", (
+        f"vars x y z\neq {big} x + 3 y + 1 z = 7\neq 9 x + {big} y + 11 z = 7\n"
+        "val 3 : v(x) >= 0\nval 3 : v(y) >= 0\nval 3 : v(z) >= 0\n"
+    ))
+    assert main(["solve", path, "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sat" and max(map(len, lines)) > 8000
+    assert main(["solve", path, "--json", "--witness"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    digits = [
+        len(part)
+        for entry in witness.values()
+        for c, _ in entry["terms"]
+        for part in c.lstrip("-").split("/")
+    ]
+    assert max(digits) > 4300 and "value" not in witness["x"]
+    witness_path = tmp_path / "witness.json"
+    witness_path.write_text(json.dumps(witness))
+    assert main(["check", path, str(witness_path)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+    assert get_limit() == limit
+
+
 def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")

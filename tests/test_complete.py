@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import itertools
+import json
 import os
 import random
 import resource
@@ -18,8 +19,8 @@ from padicsat.certify import verify_witness
 from padicsat.complete import (
     PROPAGATION_ROUNDS_FACTOR,
     _propagate,
+    _fix_digit,
     _State,
-    _substitute_digit,
     solve_complete,
 )
 from padicsat.combiner import solve_combined
@@ -35,11 +36,17 @@ from padicsat.model import (
     Verdict,
     normalize,
 )
+from padicsat.parser import parse_instance
 from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
-from padicsat.linalg import inverse_permutation, pivot_minimal_echelon, solve_affine
+from padicsat.linalg import (
+    frozen_coordinates,
+    inverse_permutation,
+    pivot_minimal_echelon,
+    solve_affine,
+)
 from padicsat.solver_geq import GeqProblem, geq_echelon
 from padicsat.testkit import (
     Graph,
@@ -55,6 +62,7 @@ from padicsat.testkit import (
 from helpers import (
     assert_echelon_result,
     assert_rows_canonical,
+    digit_rhs,
     integer_state,
     primitive_equations,
     row_valuations,
@@ -202,15 +210,9 @@ def solve_hard(i):
     return solve_complete(norm)
 
 
-def test_wide_window_is_not_walked():
-    # a valuation window 10^9 wide with one exclusion: emptiness, edge
-    # trimming and window branching must not walk every value in it.  The
-    # run gets its own process under a time and memory cap, so a regression
-    # fails instead of exhausting the machine.
-    text = (
-        "vars x\neq 1 x = 9\nval 3 : v(x) >= 0\n"
-        "val 3 : v(x) <= 1000000000\nval 3 : v(x) != 3\n"
-    )
+def _cli_capped(args, text=None, timeout=30):
+    """The CLI's answer in its own process under a time and memory cap, so
+    a regression fails instead of exhausting the machine."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -218,18 +220,47 @@ def test_wide_window_is_not_walked():
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicsat.cli", "solve", "-", "--witness"],
+    return subprocess.run(
+        [sys.executable, "-m", "padicsat.cli", *args],
         input=text,
         capture_output=True,
         text=True,
         env=env,
-        timeout=30,
+        timeout=timeout,
         preexec_fn=cap_memory,
     )
+
+
+def test_wide_window_is_not_walked():
+    # a valuation window 10^9 wide with one exclusion: emptiness, edge
+    # trimming and window branching must not walk every value in it
+    text = (
+        "vars x\neq 1 x = 9\nval 3 : v(x) >= 0\n"
+        "val 3 : v(x) <= 1000000000\nval 3 : v(x) != 3\n"
+    )
+    proc = _cli_capped(["solve", "-", "--witness"], text)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "sat"
-    assert "x = 1@2" in proc.stdout
+    # the digit child x = 1*9 + r reads r = 0, and x is its row's pivot
+    assert "x = 9@0" in proc.stdout
+
+
+@pytest.mark.parametrize("v", [-10**6, 10**6])
+def test_far_window_is_not_scaled_into_the_rows(tmp_path, v):
+    # v_3(x) == v at distance 10^6 from 0: the digit child records
+    # x = d*3^v + r and no row is scaled by 3^|v|, so solve and check of
+    # the JSON witness each answer well inside the caps
+    path = tmp_path / "far.txt"
+    path.write_text(f"vars x y\neq 1 x + 1 y = 1\nval 3 : v(x) == {v}\nval 3 : v(y) <= 0\n")
+    proc = _cli_capped(["solve", str(path), "--json", "--witness"], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "sat"
+    assert payload["witness"]["x"]["terms"] == [["1", v]]
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(payload["witness"]))
+    check = _cli_capped(["check", str(path), str(witness)], timeout=10)
+    assert check.returncode == 0 and check.stdout.strip() == "valid", check.stderr
 
 
 def test_propagation_empties_a_capped_window():
@@ -257,9 +288,9 @@ def test_propagation_pins_then_digit_branches():
 
 
 def _count_substitutions(monkeypatch):
-    """Count the search's digit substitutions and forced zeros."""
+    """Count the search's digit children and forced zeros."""
     counts = collections.Counter()
-    for kind, name in (("digit", "_substitute_digit"), ("zero", "_force_zero")):
+    for kind, name in (("digit", "_fix_digit"), ("zero", "_force_zero")):
         real = getattr(complete, name)
 
         def spy(*args, real=real, kind=kind):
@@ -271,19 +302,21 @@ def _count_substitutions(monkeypatch):
 
 
 def test_a_digit_child_lifts_a_zero_substituted_fresh_variable(monkeypatch):
-    # x = 3 with v_3(x) == 1: the digit child x = 1*3 + 9t reads 9t = 0, so
-    # propagation forces t = 0, and the leaf's answer reads t as 0
+    # x = 3 with v_3(x) == 1: the digit child x = 1*3 + r, v(r) >= 2, reads
+    # its row's rhs as 3 - 3 = 0, so propagation forces r = 0; the leaf's
+    # answer is its row x = 3 solved as written, with no lift
     i = inst(["x"], [Equation.of([1], 3)], [val(3, "x", "==", 1)])
     counts = _count_substitutions(monkeypatch)
     verdict = solve_hard(i)
     assert verdict.is_sat
-    assert verdict.witness == {"x": PowerSum(3, ((Fraction(1), 1),))}
+    assert verdict.witness == {"x": PowerSum(3, ((Fraction(3), 0),))}
     assert counts == {"digit": 1, "zero": 1}
 
 
 def test_a_witness_is_lifted_through_nested_digits(monkeypatch):
     # x + y = 6 with both valuations pinned to 0 at p = 5: the leaf sits
-    # under two digit levels, and each lifts its own fresh variable
+    # under two digit levels, x = 2 + r and y = 4 + s, and its answer is the
+    # search's: the free remainders are 0, so each variable is its digit
     i = inst(
         ["x", "y"], [Equation.of([1, 1], 6)], [val(5, "x", "==", 0), val(5, "y", "==", 0)]
     )
@@ -291,8 +324,8 @@ def test_a_witness_is_lifted_through_nested_digits(monkeypatch):
     verdict = solve_hard(i)
     assert verdict.is_sat
     assert verdict.witness == {
-        "x": PowerSum(5, ((Fraction(2), 0), (Fraction(1), 1))),
-        "y": PowerSum(5, ((Fraction(4), 0), (Fraction(-1), 1))),
+        "x": PowerSum(5, ((Fraction(2), 0),)),
+        "y": PowerSum(5, ((Fraction(4), 0),)),
     }
     assert counts == {"digit": 6}
 
@@ -338,11 +371,11 @@ def test_rejected_witness_raises_internal_error(monkeypatch):
     solve_state = complete._solve_state
     calls = []
 
-    def corrupted(state, fresh):
+    def corrupted(state):
         # the first call is the root's; the search's own calls come back here
         calls.append(state)
         root = len(calls) == 1
-        verdict = solve_state(state, fresh)
+        verdict = solve_state(state)
         if root:
             out = verdict.witness
             var = min(out)
@@ -446,31 +479,66 @@ def test_frozen_cycle_work_does_not_grow_with_the_bound(monkeypatch, rel):
     assert work[2 * 10**4] == work[10**9], work
 
 
-def test_the_affine_solves_read_a_zeroed_variable_as_zero():
-    # a state whose variable z is zeroed (v >= +inf) while its rows alone
-    # leave z free: the frozen pass and the leaf's kernel both see z = 0.
-    # x = 3y + z and y = 3x freeze x = y = 0 once z = 0, so propagation
-    # stops climbing and forces both
-    zero = VarProfile(INF, INF)
-    cycle = integer_state(
-        3,
-        [({"x": Fraction(1), "y": Fraction(-3), "z": Fraction(-1)}, Fraction(0)),
-         ({"x": Fraction(-3), "y": Fraction(1)}, Fraction(0))],
-        {"x": VarProfile(0, INF), "y": VarProfile(0, INF), "z": zero},
-    )
-    assert _propagate(cycle) is None
-    assert cycle.profiles == {"x": zero, "y": zero, "z": zero}
-    # u + z + t = 1 with u open (v(u) <= 0) and t free: the free case adds
-    # a kernel direction to the relaxation's witness, which keeps z at 0
-    leaf = integer_state(
-        3,
-        [({"t": Fraction(1), "u": Fraction(1), "z": Fraction(1)}, Fraction(1))],
-        {"t": VarProfile(), "u": VarProfile(NEG_INF, 0), "z": zero},
-    )
-    verdict = complete._solve_state(leaf, itertools.count())
-    assert verdict.is_sat and verdict.witness["z"].is_zero()
-    t, u = verdict.witness["t"], verdict.witness["u"]
-    assert u.valuation() <= 0 and (t + u).materialize() == 1
+def _digit_heavy_draw(seed):
+    """A small instance at p = 3 or 5 whose pins make digit children: 2-4
+    variables, 1-3 rows of coefficients +-{1, 2}*p^(0..1) over a random
+    support, rhs 0 with probability 0.3, at most one constraint per
+    variable, == twice as likely as >= or <=, bounds in 0..2, and
+    v(x_last) <= 4."""
+    rng = random.Random(seed)
+    p = rng.choice((3, 5))
+    names = tuple(f"x{j}" for j in range(rng.randint(2, 4)))
+
+    def coefficient():
+        return rng.choice((1, -1)) * rng.choice((1, 2)) * p ** rng.randint(0, 1)
+
+    equations = []
+    for _ in range(rng.randint(1, 3)):
+        support = set(rng.sample(names, rng.randint(1, len(names))))
+        coeffs = [coefficient() if v in support else 0 for v in names]
+        rhs = 0 if rng.random() < 0.3 else coefficient()
+        equations.append(Equation.of(coeffs, rhs))
+    valuations = [
+        val(p, v, rng.choice(("==", "==", ">=", "<=")), rng.randint(0, 2))
+        for v in names
+        for _ in range(rng.randint(0, 1))
+    ]
+    return inst(names, equations, [*valuations, val(p, names[-1], "<=", 4)])
+
+
+def test_a_zeroed_variable_is_frozen_by_the_rows_alone(monkeypatch):
+    # at every forced zero inside real searches, the state's rows alone
+    # freeze the variable at 0, a digit variable at its digit term d*p^v (its
+    # remainder at 0), or have no solution at all (only at the root, before
+    # its relaxation).  That is why the affine solves of the frozen pass and
+    # of a leaf need no row x_z = 0
+    outcomes = collections.Counter()
+    real = complete._force_zero
+
+    def spy(state, var):
+        verdict = real(state, var)
+        if verdict is not None:
+            return verdict
+        n = len(state.columns)
+        space = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
+        if space is None:
+            assert state.priced is None
+            outcomes["inconsistent root"] += 1
+            return verdict
+        j = state.columns.index(var)
+        assert j in frozen_coordinates(space), (var, state.rows)
+        d, v = state.consts.get(var, (0, 0))
+        assert space.particular[j] == d * Fraction(state.prime) ** v, (var, state.rows)
+        outcomes["digit" if var in state.consts else "under a digit" if state.consts else "zero"] += 1
+        return verdict
+
+    monkeypatch.setattr(complete, "_force_zero", spy)
+    for seed in range(3000):
+        for i in (_zero_heavy_draw(seed), _digit_heavy_draw(seed)):
+            verdict = solve_combined(i)
+            if verdict.is_sat:
+                assert verify_witness(i, verdict.witness), seed
+    assert outcomes["zero"] >= 250 and outcomes["digit"] >= 60, outcomes
 
 
 def test_exclusion_split_above_lower_bound():
@@ -607,13 +675,13 @@ def test_floor_raise_then_branch(monkeypatch):
     )
     results = _spy_mixed(monkeypatch)
     digits = []
-    real_digit = complete._substitute_digit
+    real_digit = complete._fix_digit
 
     def digit(state, var, *args):
         digits.append(var)
         real_digit(state, var, *args)
 
-    monkeypatch.setattr(complete, "_substitute_digit", digit)
+    monkeypatch.setattr(complete, "_fix_digit", digit)
     verdict = solve_hard(i)
     assert verdict.is_sat
     assert verify_witness(i, verdict.witness)
@@ -715,6 +783,77 @@ def test_search_answers_are_pinned():
     assert statuses["sat"] > 300 and statuses["unsat"] > 300, statuses
     assert digest.hexdigest() == (
         "8023bdb2b9c9fd5e5b378f74fd817e4dd90389388bad805218e010a429c4f741"
+    ), statuses
+
+
+@pytest.mark.parametrize("text", [
+    # the rows fix x2 = 334/417, a unit at p = 5, and the frozen pass runs
+    # under x2's digit child: it reads x2's remainder 334/417 - d, not x2
+    "vars x0 x1 x2\neq 10 x0 - 5 x1 - 1 x2 = -2\neq -1 x0 - 1 x1 - 5 x2 = -5\n"
+    "eq 10 x0 + 2 x1 - 5 x2 = 0\nval 5 : v(x2) == 0\n",
+    # under the digit children of x0 and x1, the open x2 is a combination of
+    # floored variables, some of them digit variables: their digit terms
+    # join the bounded case's constant, which then reads valuation 0
+    "vars x0 x1 x2 x3 x4\neq 1 x0 - 1 x1 + 3 x2 + 6 x3 + 6 x4 = 0\n"
+    "eq 2 x0 + 2 x1 - 6 x2 + 3 x3 + 3 x4 = 0\nval 3 : v(x0) == 0\n"
+    "val 3 : v(x1) == 0\nval 3 : v(x2) <= 1\n",
+], ids=["frozen", "bounded"])
+def test_digit_terms_move_into_the_frozen_and_bounded_constants(text):
+    # reading either constant without the digit terms refutes these sat
+    # instances
+    i = parse_instance(text)
+    verdict = solve_combined(i)
+    assert verdict.is_sat and verify_witness(i, verdict.witness)
+
+
+def _digit_searches():
+    """Mixed draws at p = 3, 5 and 7 with 8, 10 and 12 variables, 45 seeds
+    each, then acceptance 11's == encodings: K3, K4 and 60 random graphs."""
+    for p in (3, 5, 7):
+        for n in (8, 10, 12):
+            for seed in range(45):
+                yield random_instance(
+                    seed, fragment="mixed", primes=(p,), num_vars=n, num_eqs=n // 2
+                )
+    graphs = [Graph.complete(3), Graph.complete(4)]
+    graphs += [Graph.random(seed, 4 + seed % 3, 0.5) for seed in range(60)]
+    for g in graphs:
+        yield encode_three_coloring_eq(g)
+
+
+def test_digit_search_states_are_pinned(monkeypatch):
+    # each search's status, code and number of states (_propagate calls),
+    # hashed in order, on searches rich in digit children.  An unsound
+    # shortcut in how a digit child reads its rows can keep every status of
+    # an unsat family while it cuts states; the digest was computed before
+    # digit children stopped rewriting rows, and every sat witness verifies
+    states = collections.Counter()
+    real_propagate, real_digit = complete._propagate, complete._fix_digit
+
+    def propagate(state):
+        states["search"] += 1
+        return real_propagate(state)
+
+    def digit(*args):
+        states["digit children"] += 1
+        return real_digit(*args)
+
+    monkeypatch.setattr(complete, "_propagate", propagate)
+    monkeypatch.setattr(complete, "_fix_digit", digit)
+    digest = hashlib.sha256()
+    statuses = collections.Counter()
+    for i in _digit_searches():
+        states["search"] = 0
+        verdict = solve_combined(i)
+        statuses[verdict.status.value] += 1
+        states["all"] += states["search"]
+        if verdict.is_sat:
+            assert verify_witness(i, verdict.witness)
+        digest.update(repr((verdict.status.value, verdict.code, states["search"])).encode() + b"\0")
+    assert statuses == {"sat": 193, "unsat": 274}, statuses
+    assert states["all"] == 45052 and states["digit children"] >= 10000, states
+    assert digest.hexdigest() == (
+        "7401e09537d545e9ce780dbe459b197d939583d1c36b43a2f59cef2c97e9e51d"
     ), statuses
 
 
@@ -1184,26 +1323,33 @@ def test_quiet_rows_are_skipped_exactly(monkeypatch):
 
 def test_substitutions_keep_cached_valuations():
     # after every digit substitution, digits at negative v and fractional
-    # coefficients included, every forced zero, and after propagation: the
-    # rows stay canonical, with each zeroed variable read as 0 they are the
-    # Fraction substitution, and the coefficient and rhs valuations _State
-    # caches for propagation match the integer rows.  A forced zero narrows
-    # its variable to v >= +inf and leaves the rows and their valuations as
-    # they were; when the substitution reads 0 = nonzero, the lower-bound
-    # relaxation refutes the state
+    # coefficients included, every forced zero, and after propagation: a
+    # digit child leaves the rows as they are, and the rows stay canonical;
+    # read over the digit variables' remainders, with each zeroed variable
+    # read as 0, they are the Fraction substitution, and the coefficient
+    # and rhs valuations _State caches for propagation match the integer
+    # rows, each rhs less its digit terms as a Fraction.  A forced zero
+    # narrows its variable to v >= +inf and leaves the rows and their
+    # valuations as they were; when the substitution reads 0 = nonzero, the
+    # lower-bound relaxation refutes the state.  As in the search, the
+    # root's relaxation runs before any digit child, so that refutation is
+    # an incremental one
     rng = random.Random(777)
     kinds = collections.Counter()
     for trial in range(300):
         state = _random_state(rng)
-        reference = state_equations(state)
         assert state.valuations == row_valuations(state), trial
         assert_rows_canonical(state)
+        if not complete._relaxation(state):
+            kinds["root pruned"] += 1
+            continue
+        reference = state_equations(state)
         for step in range(4):
             live = sorted(v for v, prof in state.profiles.items() if prof.lower != INF)
             if not live:
                 break
             var = rng.choice(live)
-            if rng.random() < 0.4:
+            if rng.random() < 0.4 or var in state.consts:
                 entry = ("zero", var)
                 rows, valuations = list(state.rows), list(state.valuations)
                 complete._narrow(state, var, complete._ZERO)
@@ -1214,8 +1360,11 @@ def test_substitutions_keep_cached_valuations():
             else:
                 v = rng.randint(-3, 3)
                 digit = rng.randint(1, state.prime - 1)
-                entry = ("digit", var, digit, v, f"$t{trial}.{step}")
-                _substitute_digit(state, *entry[1:])
+                entry = ("digit", var, digit, v)
+                rows = list(state.rows)
+                _fix_digit(state, *entry[1:])
+                assert state.rows == rows and state.consts[var] == (digit, v), (trial, step)
+                assert state.profiles[var] == VarProfile(v + 1, INF), (trial, step)
                 kinds["digit-negative-v" if v < 0 else "digit"] += 1
             reference = substitute_reference(state.prime, reference, entry)
             zeroed = zeroed_equations(state)
@@ -1233,7 +1382,7 @@ def test_substitutions_keep_cached_valuations():
             if _propagate(state) is None:
                 assert_rows_canonical(state)
                 assert state.valuations == row_valuations(state), trial
-    assert min(kinds.values()) >= 20 and len(kinds) == 4, kinds
+    assert min(kinds.values()) >= 20 and len(kinds) == 5, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -1309,9 +1458,10 @@ def _incremental_searches():
 
 def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
     # at every relaxation that starts from an echelon record, inside real
-    # searches: pivot_minimal_echelon and geq_echelon on a copy of the same
-    # rows in the same column order give the same answer, and on sat the
-    # same rows and column order the state adopts.  Every 16th such echelon
+    # searches: geq_echelon on a copy of the same rows in the same column
+    # order, each rhs less its digit terms as a Fraction, gives the same
+    # answer, and on sat pivot_minimal_echelon on the rows as they are gives
+    # the rows and column order the state adopts.  Every 16th such echelon
     # also passes acceptance 07's audit
     real = complete._relaxation
     outcomes = collections.Counter()
@@ -1323,11 +1473,15 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
         columns, rows = list(state.columns), [list(row) for row in state.rows]
         floors, exact = complete._bounds(state)
         A, b = [row[:n] for row in rows], [row[n] for row in rows]
+        folded = [
+            digit_rhs(state, dict(zip(columns, row)), row[n]) for row in rows
+        ]
         problem = GeqProblem(
-            tuple(map(tuple, A)), tuple(b), state.prime, tuple(floors), tuple(exact)
+            tuple(map(tuple, A)), tuple(folded), state.prime, tuple(floors), tuple(exact)
         )
-        result, unsat = geq_echelon(problem)
-        assert result == pivot_minimal_echelon(A, problem.costs(), [[x] for x in b])
+        _, unsat = geq_echelon(problem)
+        result = pivot_minimal_echelon(A, problem.costs(), [[x] for x in b])
+        outcomes["with digits"] += folded != b
         sat = real(state)
         assert sat == (unsat is None), (columns, rows)
         if not sat:
@@ -1335,7 +1489,7 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
             return sat
         col_of = inverse_permutation(result.sigma)
         assert state.columns == [columns[c] for c in col_of], (columns, rows)
-        adopted = [complete._primitive(row)[0] for row in result.rows[:result.rank]]
+        adopted = [complete._primitive(row) for row in result.rows[:result.rank]]
         assert state.rows == adopted, (columns, rows)
         # the record the leaf reads its floors from: the pricing by variable
         assert state.priced == {columns[c]: (floors[c], exact[c]) for c in col_of}
@@ -1350,7 +1504,8 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
         verdict = solve_combined(i)
         if verdict.is_sat:
             assert verify_witness(i, verdict.witness)
-    assert outcomes["audited"] >= 50 and len(outcomes) == 4, outcomes
+    assert outcomes["audited"] >= 50 and outcomes["with digits"] >= 300, outcomes
+    assert len(outcomes) == 5, outcomes
     assert min(outcomes[k] for k in ("unsat", "rows kept", "rows changed")) >= 300, outcomes
 
 
@@ -1360,9 +1515,9 @@ def test_threshold_search_is_pinned(monkeypatch):
     states = []
     real = complete._solve_state
 
-    def spy(state, fresh):
+    def spy(state):
         states.append(None)
-        return real(state, fresh)
+        return real(state)
 
     monkeypatch.setattr(complete, "_solve_state", spy)
     g = Graph.random(100, 18, 4.6 / 17)
@@ -1421,9 +1576,9 @@ def test_coloring_search_states_are_pinned(monkeypatch, seed, n, parent_states):
     states = []
     real = complete._solve_state
 
-    def spy(state, fresh):
+    def spy(state):
         states.append(state)
-        return real(state, fresh)
+        return real(state)
 
     monkeypatch.setattr(complete, "_solve_state", spy)
     g = Graph.random(seed, n, 0.6)
@@ -1440,9 +1595,9 @@ def test_parity_prunes_the_four_colorings_at_two(monkeypatch):
     states = []
     real = complete._solve_state
 
-    def spy(state, fresh):
+    def spy(state):
         states.append(None)
-        return real(state, fresh)
+        return real(state)
 
     monkeypatch.setattr(complete, "_solve_state", spy)
     graphs = [Graph.complete(6)] + [Graph.random(seed, 9, 0.7) for seed in range(12)]

@@ -23,7 +23,7 @@ from helpers import (
     substitute_reference,
     zeroed_equations,
 )
-from padicsat.complete import _force_zero, _relaxation, _substitute_digit
+from padicsat.complete import _fix_digit, _force_zero, _relaxation
 from padicsat.linalg import (
     PivotCosts,
     eliminate,
@@ -235,35 +235,42 @@ def substitution_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(substitution_runs())
 @example((3, [({"x0": Fraction(1, 3), "x1": Fraction(1)}, Fraction(1, 3))],
-          [("digit", 0, 1, 0)]))  # (1, 3 | 1) -> (3, 3 | 0), content 3
+          [("digit", 0, 1, 0)]))  # (1, 3 | 1) reads its rhs as 1 - 1 = 0
 @example((2, [({"x0": Fraction(1)}, Fraction(0))], [("digit", 0, 1, -3)]))
 @example((5, [({"x0": Fraction(2), "x1": Fraction(5, 7)}, Fraction(1))],
           [("zero", 1, 1, 0)]))  # reading x1 as 0 leaves (14 | 7)
 def test_row_substitutions_are_the_fraction_ones(run):
-    # a forced zero narrows its variable to v >= +inf and leaves the rows and
-    # their valuations as they were; with each zeroed variable read as 0 the
-    # rows are the Fraction substitution
+    # a forced zero narrows its variable to v >= +inf and a digit child its
+    # variable to the remainder's profile, and both leave the rows as they
+    # were; read over the remainders, with each zeroed variable read as 0,
+    # the rows are the Fraction substitution, and each cached rhs valuation
+    # is that of the rhs less its digit terms.  As in the search, the root's
+    # relaxation runs before any digit child
     p, equations, steps = run
     profiles = {v: VarProfile(0, INF, frozenset()) for v in sorted({
         v for coeffs, _ in equations for v in coeffs
     })}
     state = integer_state(p, equations, profiles)
+    assert state_equations(state) == primitive_equations(equations)
+    if not _relaxation(state):
+        return
     reference = state_equations(state)
-    assert reference == primitive_equations(equations)
     for k, (kind, pick, digit, v) in enumerate(steps):
         live = sorted(v for v, prof in state.profiles.items() if prof.lower != INF)
         if not live:
             break
         var = live[pick % len(live)]
-        if kind == "zero":
+        if kind == "zero" or var in state.consts:
             entry = ("zero", var)
             rows, valuations = list(state.rows), list(state.valuations)
             assert _force_zero(state, var) is None
             assert (state.rows, state.valuations) == (rows, valuations)
             assert (state.profiles[var].lower, state.profiles[var].upper) == (INF, INF)
         else:
-            entry = ("digit", var, 1 + (digit - 1) % (p - 1), v, f"$t{k}")
-            _substitute_digit(state, *entry[1:])
+            entry = ("digit", var, 1 + (digit - 1) % (p - 1), v)
+            rows = list(state.rows)
+            _fix_digit(state, *entry[1:])
+            assert state.rows == rows
         reference = substitute_reference(p, reference, entry)
         zeroed = zeroed_equations(state)
         assert (zeroed is None) == (reference is None)
