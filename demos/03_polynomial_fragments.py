@@ -67,8 +67,10 @@ prob = LeqProblem.of([[3]], [F(3)], 2, (-1,), (frozenset(),))
 verdict = solve_leq(prob)
 print("3x = 3, v2(x) <= -1:", verdict.status.value, "--", verdict.reason)
 
-# With slack in the system the solver spreads witnesses across disjoint
-# valuation bands so that every cap and exclusion is met simultaneously.
+# With slack in the system the solver adds one kernel direction z, nonzero
+# on every coordinate the equations leave free, scaled by p**-E: each such
+# coordinate then has valuation v(z_j) - E, below every cap and exclusion at
+# once, and is a power sum of two terms.
 prob = LeqProblem.of(
     [[1, 1, 0], [0, 1, 1]],
     [F(2), F(4)],
@@ -78,6 +80,6 @@ prob = LeqProblem.of(
 )
 verdict = solve_leq(prob)
 named = witness_map(prob, verdict.witness)
-print("banded witness:", {k: str(v) for k, v in named.items()})
+print("kernel-direction witness:", {k: str(v) for k, v in named.items()})
 assert verify_witness(instance_of_leq_problem(prob), named)
 print("verified against caps", prob.caps, "and exclusions", prob.excluded)

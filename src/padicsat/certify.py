@@ -110,17 +110,44 @@ def _residual_is_zero(p: int, eq: Equation, columns) -> bool:
     return merged_valuation(p, triples) == INF
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of |n| (1 for 0), counted without str."""
+    n = abs(n)
+    # 0.30102999566 < log10(2): a lower bound on the digits, then counted up
+    k = (max(n.bit_length(), 1) - 1) * 30102999566 // 10**11 + 1
+    while n >= 10**k:
+        k += 1
+    return k
+
+
+def _longest(x: PowerSum | Fraction) -> int:
+    """Digits of the longest numerator or denominator in x."""
+    coeffs = [c for c, _ in x.terms] if isinstance(x, PowerSum) else [x]
+    return max([_digits(part) for c in coeffs for part in c.as_integer_ratio()], default=1)
+
+
 def _equation_rejection(idx: int, eq: Equation, values: list, p: int | None) -> CheckResult:
-    """The rejection of a failed equation, worded by its residual."""
+    """The rejection of a failed equation, worded by its residual; a residual
+    past the interpreter's int/str digit limit is worded by its size."""
     if p is not None:
         residual = PowerSum.combination(p, [(-1, eq.rhs), *zip(eq.coeffs, values)])
-        return CheckResult.reject(
-            "equation", f"equation {idx} has nonzero residual {residual}"
-        )
+        try:
+            detail = f"equation {idx} has nonzero residual {residual}"
+        except ValueError:
+            detail = (
+                f"equation {idx} has a nonzero residual of valuation {residual.valuation()} "
+                f"whose longest coefficient has {_longest(residual)} digits"
+            )
+        return CheckResult.reject("equation", detail)
     total = sum((c * x for c, x in zip(eq.coeffs, values)), Fraction(0))
-    return CheckResult.reject(
-        "equation", f"equation {idx} evaluates to {total}, expected {eq.rhs}"
-    )
+    try:
+        detail = f"equation {idx} evaluates to {total}, expected {eq.rhs}"
+    except ValueError:
+        detail = (
+            f"equation {idx} evaluates to a rational of {_longest(total)} digits, "
+            f"not its right-hand side"
+        )
+    return CheckResult.reject("equation", detail)
 
 
 def _order_holds(oc: OrderConstraint, X: list[int], D: int) -> bool:

@@ -15,11 +15,15 @@ divides the update by its share of that bound in the same pass, with no gcd
 over the row, and an entry never outgrows a minor of the scaled matrix.
 The echelon divides each row by its content once at the end, so its rows
 are the canonical ones; the affine solve back-substitutes by Cramer's rule
-(back_substitute) on the free and right-hand side columns only.  The
-simplex tableau in simplex.py and the search's re-pricing in complete.py
-have no such bound: their steps subtract over the pivot row's
-nonzero_columns and divide the row by its gcd with its denominator (by its
-content for the re-pricing, which keeps rows only up to a factor).
+(back_substitute) on the free and right-hand side columns only.  Its
+integer core, affine_solution, returns the pivots, the free columns, the
+minor and minor times the reduced echelon form at those columns, which
+solver_leq reads without a Fraction; solve_affine is the Fraction view of
+the same integers.  The simplex tableau in simplex.py and the search's
+re-pricing in complete.py have no such bound: their steps subtract over the
+pivot row's nonzero_columns and divide the row by its gcd with its
+denominator (by its content for the re-pricing, which keeps rows only up to
+a factor).
 
 The module holds only what the solvers call: affine solution spaces and row
 echelon forms that pick pivots by a per-column cost.  The Fraction algebra
@@ -194,18 +198,23 @@ class SolutionSpace:
     basis: list[Vector]
 
 
-def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
-    """Solve A x = b over Q, x in Q^n.  Returns None when it is inconsistent.
+def affine_solution(
+    A: Matrix, b: Vector, n: int
+) -> tuple[list[int], list[int], list[list[int]], int] | None:
+    """The integer core of solve_affine: (pivots, free, F, minor), or None
+    when A x = b, x in Q^n, is inconsistent.
 
-    The particular solution sets all free coordinates to 0; the basis spans
-    the kernel of A, one vector per free coordinate, e_f on the free ones.
-    Both are canonical, so any exact elimination gives these Fractions.  n is
-    the width even when A has no rows; entries may be ints or Fractions.
+    pivots are the pivot columns, ascending, and free the other columns,
+    ascending.  minor > 0 is |det| of the pivot block of A's rows scaled to
+    integers, and F[r] is minor times reduced echelon row r at the columns
+    [*free, n]: on the solution with free coordinates t, x at pivots[r] is
+    (F[r][-1] - sum_k F[r][k] t[free[k]]) / minor.  So pivot coordinate
+    pivots[r] is frozen exactly when F[r][:-1] is all zero.
 
     The forward phase is the bounded eliminate, each row's bound its
-    integer_row scale times the leading minor; back_substitute then gives
-    minor times the reduced echelon form at the free and rhs columns, and
-    each value is that entry over the minor.
+    integer_row scale times the leading minor; back_substitute then gives F.
+    n is the width even when A has no rows; entries may be ints or
+    Fractions.
     """
     m = len(A)
     if len(b) != m:
@@ -243,7 +252,22 @@ def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
             return None
     pivot_set = set(pivot_cols)
     free = [f for f in range(n) if f not in pivot_set]
-    F = back_substitute(M, pivot_cols, [*free, n], minor)
+    return pivot_cols, free, back_substitute(M, pivot_cols, [*free, n], minor), minor
+
+
+def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
+    """Solve A x = b over Q, x in Q^n.  Returns None when it is inconsistent.
+
+    The particular solution sets all free coordinates to 0; the basis spans
+    the kernel of A, one vector per free coordinate, e_f on the free ones.
+    Both are canonical, so any exact elimination gives these Fractions.  n is
+    the width even when A has no rows; entries may be ints or Fractions.
+    They are affine_solution's integers, each entry of F over the minor.
+    """
+    solution = affine_solution(A, b, n)
+    if solution is None:
+        return None
+    pivot_cols, free, F, minor = solution
     # one shared zero and one shared one: Fractions are immutable
     zero, one = Fraction(0), Fraction(1)
     particular = [zero] * n

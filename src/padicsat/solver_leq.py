@@ -4,9 +4,12 @@ Decides systems A x = b where every coordinate carries an allowed valuation
 set of the form (-inf, cap] minus finitely many excluded integers (cap = +inf
 means only the exclusions bite, and the value 0 is allowed).  The key fact:
 once the affine solution space is nonempty and no frozen coordinate violates
-its allowed set, the system is satisfiable, and a witness can be written down
-as a short power sum by spreading the kernel basis across disjoint valuation
-bands so no cancellation can push a coordinate's valuation up to its cap.
+its allowed set, the system is satisfiable.  A witness is the particular
+solution plus one kernel direction z, nonzero on every coordinate that is not
+frozen, scaled by p**-E: with E large, each such coordinate's valuation is
+v(z_j) - E, below its first forbidden valuation (the small-model argument of
+Guepin, Haase and Worrell).  Each coordinate is a power sum of two terms, and
+the whole solve runs on the integers of linalg.affine_solution.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import frozen_coordinates, matrix, solve_affine, vector
+from .linalg import affine_solution, matrix, vector
 from .model import Status, VarProfile, Verdict
-from .rational import INF, NEG_INF, ExtInt, PowerSum, check_prime, is_finite, valuation
+from .rational import INF, NEG_INF, ExtInt, PowerSum, check_prime, int_valuation, is_finite
 
 
 @dataclass(frozen=True)
@@ -65,53 +68,85 @@ def _first_forbidden(cap: ExtInt, excl: frozenset[int]) -> ExtInt:
     return min(prof.excluded, default=prof.upper + 1)
 
 
+def _direction(F: list[list[int]], d: int) -> tuple[list[int], list[int]]:
+    """A kernel direction nonzero on every coordinate that is not frozen.
+
+    z = sum_f c_f y_f over the kernel basis of affine_solution's F, whose d
+    free columns come first: z_f = c_f, and z at pivot r is -S_r / minor with
+    S_r = sum_f c_f F[r][f].  Each c_f is the least positive integer that
+    zeroes no S_r that is already nonzero; a row rules out at most one value,
+    so c_f <= rank + 1, and once S_r is nonzero it stays so.  Returns
+    (c, S).
+    """
+    S = [0] * len(F)
+    c = []
+    for k in range(d):
+        ruled_out = set()
+        for s, F_r in zip(S, F):
+            a = F_r[k]
+            if s and a and s % a == 0:
+                ruled_out.add(-s // a)
+        c_f = next(i for i in range(1, len(ruled_out) + 2) if i not in ruled_out)
+        S = [s + c_f * F_r[k] for s, F_r in zip(S, F)]
+        c.append(c_f)
+    return c, S
+
+
 def solve_leq(prob: LeqProblem) -> Verdict:
     """Decide an upper-bound system and produce a power-sum witness.
 
     Unsat exactly when the equations are inconsistent or some coordinate that
     is frozen by them (zero in every kernel vector) has a valuation outside
-    its allowed set.  Otherwise the witness is
+    its allowed set; they are checked in ascending order.  Otherwise the
+    witness is
 
-        x = y0 + sum_k p**(-2 k e) y_k
+        x = y0 + p**(-E) z
 
-    over the kernel basis y_1..y_d, with e chosen so large that the terms
-    occupy pairwise disjoint valuation bands: each coordinate's valuation is
-    then decided by its last contributing kernel vector and lands strictly
-    below every forbidden integer.
+    with y0 the particular solution and z a kernel direction nonzero on
+    every coordinate that is not frozen (_direction).  E, the diagnostics'
+    step, is the least integer >= 0 with v(z_j) - E < min(v(y0_j), t_j) on
+    each such coordinate, t_j its first forbidden valuation: then
+    v(x_j) = v(z_j) - E < t_j.  The only Fractions built are the witness's.
     """
     p = prob.prime
     n = len(prob.caps)
-    space = solve_affine(prob.A, prob.b, n)
-    if space is None:
+    solution = affine_solution(prob.A, prob.b, n)
+    if solution is None:
         return Verdict.unsat("no-solution", "the linear system is inconsistent")
-    y0 = space.particular
-    kernel = space.basis
-    for j in frozen_coordinates(space):
-        v = valuation(y0[j], p)
-        if not VarProfile(NEG_INF, prob.caps[j], prob.excluded[j]).admits(v):
-            return Verdict.unsat(
-                "fixed-out-of-range",
-                f"coordinate {j} is fixed with valuation {v}, outside its allowed set",
-                coordinate=j,
-                valuation=v,
-            )
-    columns = [[y0[j]] + [vec[j] for vec in kernel] for j in range(n)]
+    pivots, free, F, minor = solution
+    v_minor = int_valuation(minor, p)
+    for c, F_r in zip(pivots, F):
+        if not any(F_r[:-1]):
+            v = int_valuation(F_r[-1], p) - v_minor
+            if not VarProfile(NEG_INF, prob.caps[c], prob.excluded[c]).admits(v):
+                return Verdict.unsat(
+                    "fixed-out-of-range",
+                    f"coordinate {c} is fixed with valuation {v}, outside its allowed set",
+                    coordinate=c,
+                    valuation=v,
+                )
     thresholds = [_first_forbidden(prob.caps[j], prob.excluded[j]) for j in range(n)]
-    entry_vals = [
-        abs(valuation(c, p))
-        for col in columns
-        for c in col
-        if c != 0
-    ]
-    depth = max(entry_vals, default=0)
-    drop = max([0] + [-t for t in thresholds if is_finite(t)])
-    e = depth + drop + 1
-    witness = []
-    for j in range(n):
-        terms = [(columns[j][k], -2 * k * e) for k in range(len(columns[j]))]
-        witness.append(PowerSum(p, tuple(terms)))
+    coeffs, S = _direction(F, len(free))
+    # v(z_j) - min(v(y0_j), t_j) on each coordinate that is not frozen: on a
+    # free one y0_j = 0 and z_j = c_f, on pivot r y0_j = F_r[-1] / minor and
+    # z_j = -S_r / minor, S_r != 0
+    gaps = [int_valuation(c_f, p) - thresholds[f]
+            for f, c_f in zip(free, coeffs) if is_finite(thresholds[f])]
+    for c, F_r, s in zip(pivots, F, S):
+        if s:
+            low = min(int_valuation(F_r[-1], p) - v_minor, thresholds[c])
+            if is_finite(low):
+                gaps.append(int_valuation(s, p) - v_minor - low)
+    step = max([0] + [gap + 1 for gap in gaps])
+    zero = Fraction(0)
+    y0, z = [zero] * n, [zero] * n
+    for f, c_f in zip(free, coeffs):
+        z[f] = Fraction(c_f)
+    for c, F_r, s in zip(pivots, F, S):
+        y0[c], z[c] = Fraction(F_r[-1], minor), Fraction(-s, minor)
+    witness = [PowerSum(p, ((y, 0), (zj, -step))) for y, zj in zip(y0, z)]
     return Verdict(
         Status.SAT,
         witness=witness,
-        diagnostics={"step": e, "thresholds": thresholds, "dimension": len(kernel)},
+        diagnostics={"step": step, "thresholds": thresholds, "dimension": len(free)},
     )

@@ -4,7 +4,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from padicsat.complete import _State
-from padicsat.linalg import dims, integer_row, inverse_permutation
+from padicsat.linalg import dims, frozen_coordinates, integer_row, inverse_permutation, solve_affine
+from padicsat.model import VarProfile, Verdict
 from padicsat.rational import INF, NEG_INF, int_valuation, valuation
 from padicsat.testkit import (
     carried_matrix,
@@ -130,6 +131,31 @@ def reference_solve_affine(A, b, n):
         if f not in pivots
     ]
     return particular, basis
+
+
+def reference_solve_leq(prob):
+    """solve_leq's decision on the Fraction solve_affine and its frozen
+    coordinates: the unsat verdict, or a sat one with the thresholds and
+    dimension diagnostics and no witness or step."""
+    p, n = prob.prime, len(prob.caps)
+    space = solve_affine([list(r) for r in prob.A], list(prob.b), n)
+    if space is None:
+        return Verdict.unsat("no-solution", "the linear system is inconsistent")
+    for j in frozen_coordinates(space):
+        v = valuation(space.particular[j], p)
+        if not VarProfile(NEG_INF, prob.caps[j], prob.excluded[j]).admits(v):
+            return Verdict.unsat(
+                "fixed-out-of-range",
+                f"coordinate {j} is fixed with valuation {v}, outside its allowed set",
+                coordinate=j,
+                valuation=v,
+            )
+    # the least integer above the cap or excluded below it
+    thresholds = [
+        min([e for e in excl if e <= cap] + [cap + 1])
+        for cap, excl in zip(prob.caps, prob.excluded)
+    ]
+    return Verdict.sat(thresholds=thresholds, dimension=len(space.basis))
 
 
 def _doubled_cost(costs, a, j):

@@ -167,7 +167,8 @@ def test_witness_coefficients_past_the_digit_limit_round_trip(tmp_path, capsys):
     # a coefficient of 4,000 digits, which the parser accepts, in both rows
     # gives witness coefficients of about 8,000 digits: solve prints them as
     # text and as JSON, and check reads the JSON back.  The interpreter's
-    # int/str digit limit is lifted only meanwhile
+    # int/str digit limit is lifted only meanwhile.  A wrong witness whose
+    # residual is as long is rejected, not a crash
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
     limit = get_limit()
     big = 10**3999 + 1
@@ -191,6 +192,12 @@ def test_witness_coefficients_past_the_digit_limit_round_trip(tmp_path, capsys):
     witness_path.write_text(json.dumps(witness))
     assert main(["check", path, str(witness_path)]) == 0
     assert capsys.readouterr().out.strip() == "valid"
+    # one more term on z with 5,001 digits: its residual is past the limit
+    # too, and check words it by its size and exits 1
+    witness["z"]["terms"].append(["1" + "0" * 5000, 40])
+    witness_path.write_text(json.dumps(witness))
+    assert main(["check", path, str(witness_path)]) == 1
+    assert capsys.readouterr().out.startswith("invalid (equation): equation 0 has")
     assert get_limit() == limit
 
 

@@ -782,7 +782,7 @@ def test_search_answers_are_pinned():
         digest.update(repr(key).encode() + b"\0")
     assert statuses["sat"] > 300 and statuses["unsat"] > 300, statuses
     assert digest.hexdigest() == (
-        "8023bdb2b9c9fd5e5b378f74fd817e4dd90389388bad805218e010a429c4f741"
+        "9aeff6f86ffec786f5b61a4bc8a40f58990f1878b719ed9bc850107cd6d70d17"
     ), statuses
 
 

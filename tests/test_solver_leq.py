@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from helpers import reference_solve_leq
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
-from padicsat.linalg import solve_affine
+from padicsat.linalg import affine_solution, solve_affine
 from padicsat.rational import INF, is_finite
-from padicsat.solver_leq import LeqProblem, solve_leq, _first_forbidden
+from padicsat.solver_leq import LeqProblem, solve_leq, _direction, _first_forbidden
 from padicsat.testkit import (
     instance_of_leq_problem,
     random_leq_problem,
@@ -109,8 +111,58 @@ def test_random_sat_witnesses_and_margin():
                 v = ws[j].valuation()
                 if is_finite(thresholds[j]):
                     assert v < thresholds[j]
-                assert len(ws[j].terms) <= len(space.basis) + 1
+                assert len(ws[j].terms) <= 2
     assert sat > 30 and unsat > 30  # the generator exercises both sides
+
+
+def test_matches_the_fraction_reference():
+    # the integer solve decides as the Fraction solve_affine and its frozen
+    # coordinates do, with the same unsat answers and sat diagnostics but
+    # the step; the sparse draws up to 6 x 6 reach fixed coordinates, and
+    # the dense ones up to 24 x 24 include wide shapes (m <= n / 2, n >= 12)
+    # with kernels of up to 20 dimensions
+    draws = [random_leq_problem(seed, max_dim=6, density=0.5) for seed in range(150)]
+    draws += [random_leq_problem(seed, max_dim=24) for seed in range(60)]
+    codes = Counter()
+    wide = 0
+    for prob in draws:
+        verdict, expected = solve_leq(prob), reference_solve_leq(prob)
+        assert verdict.status == expected.status
+        n = len(prob.caps)
+        if verdict.is_unsat:
+            codes[verdict.code] += 1
+            assert (verdict.code, verdict.reason, verdict.diagnostics) == (
+                expected.code, expected.reason, expected.diagnostics
+            )
+            continue
+        codes["sat"] += 1
+        wide += len(prob.A) <= n // 2 and n >= 12
+        diagnostics = dict(verdict.diagnostics)
+        assert diagnostics.pop("step") >= 0
+        assert diagnostics == expected.diagnostics
+        assert all(len(x.terms) <= 2 for x in verdict.witness)
+        check = verify_witness(instance_of_leq_problem(prob), witness_map(prob, verdict.witness))
+        assert check.ok, check.detail
+    assert min(codes["sat"], codes["no-solution"], codes["fixed-out-of-range"]) >= 10, codes
+    assert wide >= 5
+
+
+def test_direction_skips_a_coefficient_that_cancels():
+    # x0 + x2 - x3 = 0 and x1 + 2 x2 - x3 = 0, pivots x0, x1, free x2, x3:
+    # after c_2 = 1 the pivots hold S = (1, 2), so c_3 = 1 would zero x0 and
+    # c_3 = 2 would zero x1; c_3 = 3 keeps both, and z = (2, 1, 1, 3)
+    A = [[1, 0, 1, -1], [0, 1, 2, -1]]
+    pivots, free, F, minor = affine_solution(A, [0, 0], 4)
+    assert (pivots, free, minor) == ([0, 1], [2, 3], 1)
+    assert _direction(F, 2) == ([1, 3], [-2, -1])
+    # every coordinate at most -1 at p = 2: z's valuations (1, 0, 0, 0)
+    # less the step 2 are the coordinates'
+    prob = LeqProblem.of(A, [0, 0], 2, (-1, -1, -1, -1), [set()] * 4)
+    verdict = solve_leq(prob)
+    assert verdict.is_sat and verdict.diagnostics["step"] == 2
+    assert [x.valuation() for x in verdict.witness] == [-1, -2, -2, -2]
+    check = verify_witness(instance_of_leq_problem(prob), witness_map(prob, verdict.witness))
+    assert check.ok, check.detail
 
 
 def test_huge_bounds_stay_symbolic():

@@ -2,6 +2,7 @@
 generators."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,28 @@ def test_verify_witness_accepts_and_pinpoints_failures():
     assert verify_witness(inst, wrong_sum).code == "equation"
     bad_val = {"x": Fraction(1, 3), "y": Fraction(8, 3)}
     assert verify_witness(inst, bad_val).code == "valuation"
+
+
+def test_verify_witness_words_a_residual_past_the_digit_limit():
+    # x = 1 + 10**5000 * 3**40 with y = 2 leaves x + y - 3 a residual whose
+    # coefficient has 5,001 digits, past the int/str limit (Python 3.10.7 on): the
+    # rejection names its valuation and size instead of printing it, and a
+    # rational witness's total likewise
+    inst = simple_instance()
+    huge = 10**5000
+    far = {"x": PowerSum(3, ((Fraction(1), 0), (Fraction(huge), 40))), "y": Fraction(2)}
+    result = verify_witness(inst, far)
+    assert result.code == "equation"
+    near = {"x": Fraction(huge + 1), "y": Fraction(2)}
+    assert verify_witness(inst, near).code == "equation"
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert result.detail == (
+            "equation 0 has a nonzero residual of valuation 40 "
+            "whose longest coefficient has 5001 digits"
+        )
+        assert verify_witness(inst, near).detail == (
+            "equation 0 evaluates to a rational of 5001 digits, not its right-hand side"
+        )
 
 
 def test_verify_witness_checks_orders():
