@@ -554,7 +554,7 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
                 if rows[i][r]:
                     eliminate(rows[i], 0, top, r, nonzero, r)
                     vals[i], dirty[i] = None, True
-    flagged = [j for j in range(n) if exact[j]]
+    flagged = [(j, floors[j]) for j in range(n) if exact[j]]
     # an eliminated row is woken, and its valuations are computed afresh
     quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
     index = {c: j for j, c in enumerate(columns)} if moved else None
@@ -563,7 +563,7 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
             continue
         if vals[i] is None:
             vals[i] = state.row_valuation(row, index)
-        if pivot_shortfall(p, row, i, floors, flagged, vals[i][1]) is not None:
+        if pivot_shortfall(p, row, i, floors[i] + exact[i], flagged, vals[i][1]) is not None:
             return None
     return columns, rows, vals, quiet, floors, exact
 

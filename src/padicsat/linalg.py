@@ -33,9 +33,11 @@ testkit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import TypeVar
 
 from .errors import InputError, InternalError
 from .rational import (
@@ -50,6 +52,7 @@ from .rational import (
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+T = TypeVar("T")
 
 
 def matrix(rows) -> Matrix:
@@ -390,7 +393,9 @@ def cheapest_column(
     +inf, so the nonzero columns hold the cheapest entry: the least doubled
     cost 2 v_p(a) plus the doubled offset, the leftmost of a tie (the first
     column when every cost is +inf under +inf offsets), and the first -inf
-    offset ends the search.
+    offset ends the search.  An entry's doubled cost is at least its doubled
+    offset, so an entry whose offset reaches the best cost so far cannot win
+    and its valuation is not taken.
     """
     best, best_cost = columns[0], INF
     for j in columns:
@@ -399,13 +404,20 @@ def cheapest_column(
         offset = doubled_offsets[j]
         if offset == NEG_INF:
             return j
+        if offset >= best_cost:
+            continue
         cost = 2 * int_valuation(row[j], p) + offset
         if cost < best_cost:
             best, best_cost = j, cost
     return best
 
 
-def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonResult:
+def pivot_minimal_echelon(
+    A: Matrix,
+    costs: PivotCosts,
+    rhs: Matrix,
+    check: Callable[[list[int], int, int, list[int]], T | None] | None = None,
+) -> EchelonResult | T:
     """Gaussian elimination with full column choice by minimal pivot cost.
 
     At each step the working submatrix's top row is made nonzero by a row
@@ -417,6 +429,15 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
     rhs is an m x k block that undergoes the same row operations as A; pass
     the right-hand side of A x = b as one column, or testkit.identity(m) to read the
     transform U itself from the result's carried block.
+
+    check, when given, is called at step r as check(row, den, r, col_of) once
+    row r is fixed: after its column swap, before it clears the rows below.
+    row / den is the echelon's Fraction row r (the final gcd is not yet
+    taken, so row is a multiple of the returned one), and col_of[j] the
+    original column at position j.  Neither row r nor the rows above it change after that, and
+    later swaps only permute the positions past r.  The first value other
+    than None that check returns stops the elimination there, and is
+    returned in place of the echelon.
     """
     m, n = dims(A)
     if m == 0:
@@ -455,6 +476,10 @@ def pivot_minimal_echelon(A: Matrix, costs: PivotCosts, rhs: Matrix) -> EchelonR
             col_of[r], col_of[best] = col_of[best], col_of[r]
             offsets[r], offsets[best] = offsets[best], offsets[r]
             columns = nonzero_columns(top, r)
+        if check is not None:
+            stop = check(top, dens[r], r, col_of)
+            if stop is not None:
+                return stop
         minor = next_minor(minor, scales[r], top[r], dens[r])
         for i in range(r + 1, m):
             if rows[i][r]:

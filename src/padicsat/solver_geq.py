@@ -24,11 +24,19 @@ At p = 2 an exact flag adds terms to a pivot row's right-hand side; their
 valuation is rational.merged_valuation's integer merge, the one
 PowerSum.valuation runs, with no PowerSum built.
 
-geq_echelon runs the two checks and returns the echelon with the unsat
-verdict, or with None when the problem is sat; geq_witness back-substitutes
-a sat echelon's nonzero rows, with the floors by position, into a witness
-by position, and solve_geq is the two in turn, the witness permuted back by
-sigma.  The pivot-bound check of one row is pivot_shortfall.  The branch-
+The checks run in this order.  Each pivot row gets its pivot-bound check
+(pivot_shortfall) as soon as the elimination fixes it, after its column
+swap and before it clears the rows below; no later step changes that row
+or the check's outcome, so the first row that fails stops the elimination
+there and refutes the system ("pivot-bound").  Only when every pivot row
+passes are the zero rows checked ("rank-deficient-rhs").  So a system with
+both defects is reported by its first failing pivot row, the row a
+certificate u = row i of U would read.  geq_echelon returns the unsat
+verdict with no echelon when a pivot row stopped it, and otherwise the
+echelon with the zero rows' verdict, or with None when the problem is sat;
+geq_witness back-substitutes a sat echelon's nonzero rows, with the floors
+by position, into a witness by position, and solve_geq is the two in turn,
+the witness permuted back by sigma.  The branch-
 and-decide search runs pivot_shortfall on the rows it re-prices, and
 geq_witness on a leaf's rows, which are already such an echelon; there a
 digit variable x = d*p^v + r is priced with r's floor, each row's rhs
@@ -118,62 +126,78 @@ class GeqProblem:
 
 
 def pivot_shortfall(
-    p: int, row: list[int], piv: int, floors: list[ExtInt], exact: list[int], rhs_val: ExtInt
+    p: int,
+    row: list[int],
+    piv: int,
+    offset: ExtInt,
+    flagged: list[tuple[int, ExtInt]],
+    rhs_val: ExtInt | None = None,
 ) -> tuple[int, ExtInt] | None:
     """The pivot-bound check of an echelon row that pivots at position piv.
 
-    row is (B | carried b) as integers, floors are by position and exact
-    lists the positions whose exact flag is set, ascending; rhs_val is the
-    right-hand side's valuation, read when no exact flag adds terms to it
-    (the search's has its digit terms moved in).  Returns None when the row
-    passes, else (needed, got): the valuation the pivot needs on the
-    right-hand side, v_p(pivot) + floor + exact flag, and the one it has.
-    A -inf floor at the pivot passes vacuously, and a +inf one needs a zero
-    right-hand side.
+    row is (B | carried b) as integers, the right-hand side last; offset is
+    the pivot's floor plus its exact flag, and flagged holds (j, floor) for
+    the positions j whose exact flag is set (those left of piv are skipped).
+    rhs_val is the right-hand side's valuation, read when no exact flag adds
+    terms to it (the search's has its digit terms moved in); None takes it
+    off the row.  Returns None when the row passes, else (needed, got): the
+    valuation the pivot needs on the right-hand side, v_p(pivot) + offset,
+    and the one it has.  A -inf floor at the pivot passes vacuously, and a
+    +inf one needs a zero right-hand side.
     """
-    floor = floors[piv]
-    if floor == NEG_INF:
+    if offset == NEG_INF:
         return None
-    n = len(floors)
-    needed = int_valuation(row[piv], p) + floor + int(piv in exact)
+    needed = int_valuation(row[piv], p) + offset
     # exact flags add integer terms -a p^floor to the right-hand side
-    terms = [(-row[j], 1, floors[j]) for j in exact if j >= piv and row[j]]
-    got = merged_valuation(p, [(row[n], 1, 0), *terms]) if terms else rhs_val
+    terms = [(-row[j], 1, floor) for j, floor in flagged if j >= piv and row[j]]
+    if terms:
+        got = merged_valuation(p, [(row[-1], 1, 0), *terms])
+    else:
+        got = int_valuation(row[-1], p) if rhs_val is None else rhs_val
     return None if needed <= got else (needed, got)
 
 
-def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult, Verdict | None]:
-    """The cost-minimal echelon of (A | b) and the unsat verdict, None if sat."""
+def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult | None, Verdict | None]:
+    """The cost-minimal echelon of (A | b) and the unsat verdict, None if sat.
+
+    Each pivot row is checked as soon as the elimination fixes it, and the
+    first that fails stops the elimination: that verdict comes with no
+    echelon.  The zero rows are checked once every pivot row has passed.
+    """
     p = prob.prime
     n = len(prob.floors)
-    m = len(prob.A)
-    result: EchelonResult = pivot_minimal_echelon(
-        prob.A, prob.costs(), [[x] for x in prob.b]
-    )
+    floors, exact = prob.floors, prob.exact
+    any_exact = any(exact)
+
+    def check(row, den, r, col_of):  # floors and flags read through col_of
+        c = col_of[r]
+        flagged = []
+        if any_exact:
+            flagged = [(j, floors[col_of[j]]) for j in range(r, n) if exact[col_of[j]]]
+        shortfall = pivot_shortfall(p, row, r, floors[c] + exact[c], flagged)
+        if shortfall is None:
+            return None
+        shift = int_valuation(den, p)  # back to the Fraction row
+        required, actual = shortfall[0] - shift, shortfall[1] - shift
+        return Verdict.unsat(
+            "pivot-bound",
+            f"pivot row {r} needs valuation >= {required} on the right-hand side, got {actual}",
+            row=r,
+            required=required,
+            actual=actual,
+        )
+
+    result = pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b], check)
+    if isinstance(result, Verdict):
+        return None, result
     rows, dens = result.rows, result.dens  # row i: (B | U b) times dens[i]
-    col_of = inverse_permutation(result.sigma)  # position -> original column
-    floors2 = [prob.floors[col_of[j]] for j in range(n)]
-    exact_positions = [j for j in range(n) if prob.exact[col_of[j]]]
-    for i in range(result.rank, m):
+    for i in range(result.rank, len(rows)):
         if rows[i][n] != 0:
             rhs = Fraction(rows[i][n], dens[i])
             return result, Verdict.unsat(
                 "rank-deficient-rhs",
                 f"echelon row {i} is zero but its right-hand side is {rhs}",
                 row=i,
-            )
-    for i, piv in enumerate(result.pivots):
-        rhs_val = int_valuation(rows[i][n], p)
-        shortfall = pivot_shortfall(p, rows[i], piv, floors2, exact_positions, rhs_val)
-        if shortfall is not None:
-            shift = int_valuation(dens[i], p)  # back to the Fraction row
-            required, actual = shortfall[0] - shift, shortfall[1] - shift
-            return result, Verdict.unsat(
-                "pivot-bound",
-                f"pivot row {i} needs valuation >= {required} on the right-hand side, got {actual}",
-                row=i,
-                required=required,
-                actual=actual,
             )
     return result, None
 

@@ -13,13 +13,15 @@ from padicsat.errors import InputError, InternalError
 from padicsat.linalg import (
     PivotCosts,
     back_substitute,
+    cheapest_column,
+    doubled_offset,
     eliminate,
     inverse_permutation,
     matrix,
     pivot_minimal_echelon,
     solve_affine,
 )
-from padicsat.rational import NEG_INF
+from padicsat.rational import INF, NEG_INF, int_valuation
 from padicsat.testkit import (
     carried_matrix,
     determinant,
@@ -230,6 +232,86 @@ def test_echelon_zero_matrix():
     assert res.pivots == ()
     assert echelon_matrix(res) == A
     assert_echelon_result(A, costs, res)
+
+
+def test_cheapest_column_matches_brute_force(monkeypatch):
+    # the least doubled cost over the row's nonzero entries, the leftmost of
+    # a tie, on rows with -inf and +inf offsets and many ties; an entry whose
+    # offset already reaches the best cost is passed over unvalued
+    rng = random.Random(404)
+    for trial in range(3000):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 7)
+        row = [rng.choice((0, 1, -1, p, 2 * p, p * p, -p**3, 7)) for _ in range(n)]
+        row.append(rng.randint(-3, 3))  # a carried column, never a pivot
+        if not any(row[:n]):
+            continue
+        offsets = [
+            doubled_offset(rng.choice((NEG_INF, INF, -1, 0, 0, 1, 2)), rng.randint(0, 1))
+            for _ in range(n)
+        ]
+        nonzero = [j for j in range(n + 1) if row[j]]
+        cost = [
+            NEG_INF if offsets[j] == NEG_INF else 2 * int_valuation(row[j], p) + offsets[j]
+            for j in range(n)
+        ]
+        want = min((j for j in nonzero if j < n), key=lambda j: (cost[j], j))
+        assert cheapest_column(row, nonzero, n, p, offsets) == want, trial
+    valued = []
+
+    def spy(a, p):
+        valued.append(a)
+        return int_valuation(a, p)
+
+    monkeypatch.setattr(linalg, "int_valuation", spy)
+    assert cheapest_column([3, 5, 9, 1], [0, 1, 2, 3], 4, 5, [0, 0, 1, -1]) == 3
+    assert valued == [3, 1]
+
+
+def test_echelon_check_sees_each_fixed_row(monkeypatch):
+    # check(row, den, r, col_of) sees row r as it ends in the echelon, up to
+    # the final gcd and the later swaps past r, and its first value other
+    # than None is returned in place of the echelon, after exactly the row
+    # steps of the steps before it
+    cols = []
+    real = linalg.eliminate
+
+    def spy(row, den, top, col, *rest):
+        cols.append(col)
+        return real(row, den, top, col, *rest)
+
+    monkeypatch.setattr(linalg, "eliminate", spy)
+    rng = random.Random(77)
+    for trial in range(200):
+        p = rng.choice((2, 3, 5))
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = _fractional_matrix(rng, m, n, p, 0.7)
+        offsets = tuple(rng.choice((NEG_INF, 0, 1, 2)) for _ in range(n))
+        costs = PivotCosts(p, offsets, (0,) * n)
+        b = [[Fraction(rng.randint(-9, 9))] for _ in range(m)]
+        seen = []
+
+        def check(row, den, r, col_of):
+            by_column = [None] * n
+            for j, c in enumerate(col_of):
+                by_column[c] = Fraction(row[j], den)
+            seen.append((r, by_column, Fraction(row[n], den)))
+
+        cols.clear()
+        full = pivot_minimal_echelon(A, costs, b, check)
+        steps = cols[:]
+        assert full == pivot_minimal_echelon(A, costs, b), trial
+        assert [r for r, _, _ in seen] == list(full.pivots), trial
+        for r, by_column, rhs in seen:
+            final = full.rows[r]
+            assert by_column == [Fraction(final[full.sigma[c]], full.dens[r]) for c in range(n)]
+            assert rhs == Fraction(final[n], full.dens[r])
+        if not full.pivots:
+            continue
+        stop = rng.choice(full.pivots)
+        cols.clear()
+        assert pivot_minimal_echelon(A, costs, b, lambda *args: args[2] == stop or None) is True
+        assert cols == [col for col in steps if col < stop], trial
 
 
 def _fractional_matrix(rng, m, n, p, density):

@@ -5,12 +5,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import reference_echelon
+from padicsat import linalg
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
 from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
 from padicsat.model import Status, Verdict
 from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
-from padicsat.solver_geq import GeqProblem, geq_echelon, geq_witness, solve_geq
+from padicsat.solver_geq import (
+    GeqProblem,
+    geq_echelon,
+    geq_witness,
+    pivot_shortfall,
+    solve_geq,
+)
 from padicsat.testkit import (
     determinant,
     instance_of_geq_problem,
@@ -224,8 +231,9 @@ def test_huge_floors_stay_symbolic():
 
 
 def test_witness_free_matches_full():
-    # geq_echelon is the decision both answers share: its echelon is the one
-    # the problem's (A | b) gets and its unsat verdict is solve_geq's.  The
+    # geq_echelon is the decision both answers share: its echelon, when a
+    # failing pivot row has not stopped it, is the one the problem's (A | b)
+    # gets, and its unsat verdict is solve_geq's.  The
     # witness-free answer of the search's relaxation test has the same
     # status and unsat evidence, and on sat carries that echelon, no witness;
     # geq_witness builds the full answer's witness, by position, from that
@@ -237,7 +245,10 @@ def test_witness_free_matches_full():
             allow_exact=seed % 2 == 0, allow_unbounded=seed % 3 == 0,
         )
         result, unsat = geq_echelon(prob)
-        assert result == pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+        if result is None:
+            assert unsat.code == "pivot-bound", seed
+        else:
+            assert result == pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
         full = solve_geq(prob)
         bare = solve_geq(prob, witness=False)
         statuses[full.status.value] += 1
@@ -259,20 +270,14 @@ def test_witness_free_matches_full():
 
 
 def _reference_solve_geq(prob):
-    """solve_geq's checks and witness computed on the Fraction echelon."""
+    """solve_geq's checks and witness computed on the Fraction echelon: the
+    pivot rows first, then the zero rows."""
     p, n, m = prob.prime, len(prob.floors), len(prob.A)
     B, carried, sigma, k = reference_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
     b2 = [row[0] for row in carried]
     col_of = inverse_permutation(sigma)
     floors = [prob.floors[col_of[j]] for j in range(n)]
     exact = [prob.exact[col_of[j]] for j in range(n)]
-    for i in range(k, m):
-        if b2[i] != 0:
-            return Verdict.unsat(
-                "rank-deficient-rhs",
-                f"echelon row {i} is zero but its right-hand side is {b2[i]}",
-                row=i,
-            )
     for i in range(k):
         if floors[i] == NEG_INF:
             continue
@@ -287,6 +292,13 @@ def _reference_solve_geq(prob):
                 row=i,
                 required=lhs,
                 actual=rhs_val,
+            )
+    for i in range(k, m):
+        if b2[i] != 0:
+            return Verdict.unsat(
+                "rank-deficient-rhs",
+                f"echelon row {i} is zero but its right-hand side is {b2[i]}",
+                row=i,
             )
     w = [
         PowerSum(p, ((Fraction(1), floors[j]),)) if is_finite(floors[j])
@@ -336,3 +348,134 @@ def test_fractional_inputs_match_fraction_reference():
         if got.code == "pivot-bound" and any(prob.exact):
             codes["pivot-bound-exact"] += 1
     assert min(codes.values()) >= 10 and len(codes) == 4, codes
+
+
+def _full_echelon_verdict(prob):
+    """solve_geq's answer read off the full, unstopped echelon: every pivot
+    row's check first, then the zero rows, then the witness; with the number
+    of inconsistent zero rows."""
+    p, n = prob.prime, len(prob.floors)
+    result = pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+    rows, dens = result.rows, result.dens
+    col_of = inverse_permutation(result.sigma)
+    floors = [prob.floors[c] for c in col_of]
+    flagged = [(j, floors[j]) for j in range(n) if prob.exact[col_of[j]]]
+    inconsistent = sum(rows[i][n] != 0 for i in range(result.rank, len(rows)))
+    for i in range(result.rank):
+        offset = floors[i] + prob.exact[col_of[i]]
+        shortfall = pivot_shortfall(p, rows[i], i, offset, flagged)
+        if shortfall is not None:
+            shift = valuation(dens[i], p)
+            required, actual = shortfall[0] - shift, shortfall[1] - shift
+            return Verdict.unsat(
+                "pivot-bound",
+                f"pivot row {i} needs valuation >= {required} on the right-hand side, got {actual}",
+                row=i,
+                required=required,
+                actual=actual,
+            ), inconsistent
+    for i in range(result.rank, len(rows)):
+        if rows[i][n] != 0:
+            return Verdict.unsat(
+                "rank-deficient-rhs",
+                f"echelon row {i} is zero but its right-hand side is {Fraction(rows[i][n], dens[i])}",
+                row=i,
+            ), inconsistent
+    w = geq_witness(p, rows[:result.rank], floors)
+    return Verdict(
+        Status.SAT,
+        witness=[w[j] for j in result.sigma],
+        diagnostics={"rank": result.rank, "sigma": result.sigma},
+    ), inconsistent
+
+
+def test_early_stop_matches_the_full_echelon():
+    # the elimination stops at its first failing pivot row; the verdict is
+    # the one the full echelon gives when its pivot rows are checked before
+    # its zero rows, also on fractional entries, p = 2 exact flags, +inf
+    # floors and rank-deficient draws, and where a failing pivot row sits
+    # ahead of an inconsistent zero row
+    rng = random.Random(3003)
+    outcomes = collections.Counter()
+    for trial in range(900):
+        base, _ = _zeroed_geq_problem(rng)
+        p = base.prime
+
+        def scaled(x):
+            return x / (p ** rng.randint(0, 2) * rng.choice((1, 1, 2, 7)))
+
+        prob = GeqProblem.of(
+            [[scaled(x) for x in row] for row in base.A],
+            [scaled(x) for x in base.b],
+            p, base.floors, base.exact,
+        )
+        got = solve_geq(prob)
+        want, inconsistent = _full_echelon_verdict(prob)
+        assert (got.status, got.code, got.reason, got.diagnostics, got.witness) == (
+            want.status, want.code, want.reason, want.diagnostics, want.witness
+        ), trial
+        if got.code == "pivot-bound" and inconsistent:
+            outcomes["pivot row ahead of a zero row"] += 1
+        else:
+            outcomes[got.code or "sat"] += 1
+        outcomes["exact flags"] += any(prob.exact)
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 5, outcomes
+
+
+def _planted_unsat(seed, n, p):
+    """A x = b with A = L U square, L and U unit-triangular, and b planted
+    from a point whose coordinate `broken` sits one step below its floor:
+    the only solution breaks that floor."""
+    rng = random.Random(seed)
+
+    def triangular(lower):
+        out = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i) if lower else range(i + 1, n):
+                if rng.random() < 0.5:
+                    out[i][j] = rng.randint(-2, 2)
+        return out
+
+    L, U = triangular(True), triangular(False)
+    A = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    floors = [rng.randint(-3, 3) for _ in range(n)]
+    vals = [f + rng.choice((0, 0, 1, 2)) for f in floors]
+    broken = rng.randrange(n)
+    vals[broken] = floors[broken] - 1
+    x = [Fraction(p) ** v * rng.choice((1, 2, 4, 5, 7)) for v in vals]
+    b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+    return GeqProblem.of(A, b, p, tuple(floors))
+
+
+def test_early_stop_eliminates_only_before_the_failing_row(monkeypatch):
+    # a planted unsat system at n = 48 fails at pivot row 9: the solve runs
+    # exactly the row steps of the full echelon's first 9 steps, fewer than
+    # half of the full run's
+    prob = _planted_unsat(0, 48, 3)
+    cols = []
+    real = linalg.eliminate
+
+    def spy(row, den, top, col, *rest):
+        cols.append(col)
+        return real(row, den, top, col, *rest)
+
+    monkeypatch.setattr(linalg, "eliminate", spy)
+    verdict = solve_geq(prob)
+    stopped, cols[:] = cols[:], []
+    pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+    assert (verdict.code, verdict.diagnostics["row"]) == ("pivot-bound", 9)
+    assert stopped == [c for c in cols if c < 9]
+    assert 2 * len(stopped) < len(cols), (len(stopped), len(cols))
+
+
+def test_both_defects_report_the_pivot_row():
+    # x + y = 1 and 2x + 2y = 3 at p = 3: the zero row reads 0 = 1, and with
+    # floors 1 on both the pivot row fails first; with y unbounded the pivot
+    # row passes and the zero row refutes
+    A, b = [[1, 1], [2, 2]], [1, 3]
+    both = solve_geq(GeqProblem.of(A, b, 3, (1, 1)))
+    assert (both.code, both.diagnostics) == (
+        "pivot-bound", {"row": 0, "required": 1, "actual": 0}
+    )
+    rankdef = solve_geq(GeqProblem.of(A, b, 3, (0, NEG_INF)))
+    assert (rankdef.code, rankdef.diagnostics) == ("rank-deficient-rhs", {"row": 1})
