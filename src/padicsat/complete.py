@@ -2,7 +2,7 @@
 
 The polynomial solvers each handle one direction of valuation bounds.  When an
 instance mixes lower bounds with upper bounds or exclusions, satisfiability is
-decided here by a recursive search:
+decided here by a branch-and-propagate search:
 
 * lower bounds are tightened by min-plus propagation over the valuations each
   state keeps of its rows' coefficients and right-hand sides: in a row
@@ -39,10 +39,10 @@ decided here by a recursive search:
   is split by digit: x = d*p^v + r with v(r) >= v + 1.  The child records
   (d, v) in `_State.consts` and narrows x to the remainder's profile, so x's
   column and profile stand for r from then on; every valuation of a linear
-  form's constant (a row's rhs, a frozen coordinate, `_solve_mixed`'s
-  bounded-case constant) is read with the digit terms a*d*p^v moved into
-  it (`_less_digits`).  At p = 2 the single digit makes a pinned valuation
-  an exact constraint the echelon solver handles natively;
+  form's constant (a row's rhs, a frozen coordinate) is read with the digit
+  terms a*d*p^v moved into it (`_less_digits`).  At p = 2 the single digit
+  makes a pinned valuation an exact constraint the echelon solver handles
+  natively;
 * a variable bounded below with an exclusion above the bound is split around
   the exclusion;
 * once no variable is left to branch on, the state is a leaf, decided from
@@ -95,17 +95,18 @@ variables.  A kernel basis vector never leaves its connected component, so a
 span test below reads the same over the whole leaf as over u's component.
 
 * Frozen: an open u with N_u = 0 is fixed, x_u = x0_u on every solution,
-  whatever G is.  v(x0_u) outside u's admissible set is unsat
-  ("fixed-out-of-range"); otherwise u stays at w_u = x0_u and is no longer
-  open.
+  whatever G is, so x_u = w_u.  v(w_u) outside u's admissible set is unsat
+  ("fixed-out-of-range"); otherwise u stays at w_u and is no longer open.
 * Bounded case: some remaining open u has N_u = sum over g in G of l_g N_g.
-  Then x_u = c + sum l_g x_g on every solution, c = x0_u - sum l_g x0_g, a
-  digit variable g's term l_g*d*p^v moved into c and l_g x_g read with g's
-  remainder.  By the ultrametric inequality v(x_u) >= min(v(c), min over
-  l_g != 0 of v(l_g) + lower_g), a bound every solution meets, finite as
-  N_u != 0 makes some l_g nonzero.  u's floor is raised to it and the leaf
-  is searched again; the raise changes no solution, and u now has a finite
-  window or exclusions above its floor, so the search branches on it.
+  Then x_u = c + sum l_g r_g on every solution, for one constant c, where
+  r_g is g's remainder x_g - d*p^v for a digit variable g and x_g for any
+  other.  By the ultrametric inequality v(x_u) >= min(v(c), m), m the least
+  v(l_g) + lower_g over l_g != 0, a bound every solution meets, finite as
+  N_u != 0 makes some l_g nonzero.  It is min(v(w_u), m): w is a solution,
+  so c = w_u - sum l_g r_g(w), and w meets every floor, so each
+  v(l_g r_g(w)) >= m.  u's floor is raised to it and the leaf is decided
+  again; the raise changes no solution, and u now has a finite window or
+  exclusions above its floor, so the search branches on it.
 * Free case: no remaining open u is such a combination.  Then for each of
   them there is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u
   vanishes on the common kernel of the N_g exactly when it lies in their
@@ -125,30 +126,33 @@ with a floor, floors only rise, and a digit child leaves its variable a
 floor, so along every branch the count of variables unbounded below falls
 at each raise, and a leaf without raises is decided outright.
 
-The search is one sequential depth-first loop: children are generated lazily
-and tried in order, and the first satisfiable child ends the search, so a
-wide valuation window costs only the candidates actually tried.  A leaf's
-answer is the search's, with every variable: its rows are over the
-instance's variables, and `geq_witness` gives a free digit variable its
-digit term d*p^v (remainder 0) and a free zeroed one 0.  Profiles are
-immutable `VarProfile`s, shared between a state and its children; a
-narrowing stores a new one.  A profile is canonical by construction (its
-finite edges admissible, its exclusions strictly inside), so a window is
-empty exactly when its edges cross.  Every state's windows are nonempty, so
-emptiness is tested only where a window can narrow: over every profile at
-the root, at each bound propagation raises, and over the floors a leaf
-raised, in name order.  A window child pins an admissible value, a digit
-child leaves a floor and no cap, a split's low child keeps its admissible
-lower edge below the least exclusion, and its high child has no cap.  A
-satisfiable answer is re-checked by certify.verify_witness against the
-equations and the valuation constraints as written (the ones the normalized
-instance was folded from) before it is returned; a rejected witness raises
-InternalError, never a wrong answer.
+The search is one sequential depth-first loop over a stack of children
+iterators, one per branching state from the root down, so the interpreter's
+recursion limit does not bound its depth.  Children are generated lazily and
+tried in order, the first satisfiable child ends the search, and an
+exhausted iterator is popped, so a wide valuation window costs only the
+candidates actually tried.  A leaf that raised a floor is decided again as
+the same state.  A leaf's answer is the search's, with every variable: its
+rows are over the instance's variables, and `geq_witness` gives a free digit
+variable its digit term d*p^v (remainder 0) and a free zeroed one 0.
+Profiles are immutable `VarProfile`s, shared between a state and its
+children; a narrowing stores a new one.  A profile is canonical by
+construction (its finite edges admissible, its exclusions strictly inside),
+so a window is empty exactly when its edges cross.  Every state's windows
+are nonempty, so emptiness is tested only where a window can narrow: over
+every profile at the root, at each bound propagation raises, and over the
+floors a leaf raised, in name order.  A window child pins an admissible
+value, a digit child leaves a floor and no cap, a split's low child keeps
+its admissible lower edge below the least exclusion, and its high child has
+no cap.  A satisfiable answer is re-checked by certify.verify_witness
+against the equations and the valuation constraints as written (the ones the
+normalized instance was folded from) before it is returned; a rejected
+witness raises InternalError, never a wrong answer.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -568,43 +572,6 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
     return columns, rows, vals, quiet, floors, exact
 
 
-def _branch_target(state: _State) -> tuple[str, str, object] | None:
-    """Pick the next variable to branch on, or None at a leaf state.
-
-    Finite windows come first, smallest first (a pinned valuation at p >= 3
-    is split by its leading digit; at p = 2 it is an exact constraint the
-    echelon leaf takes directly); then exclusion splits on variables bounded
-    below.
-    """
-    p = state.prime
-    best: tuple[int, str] | None = None
-    for var in sorted(state.profiles):
-        prof = state.profiles[var]
-        if not (is_finite(prof.lower) and is_finite(prof.upper)):
-            continue
-        if prof.exact_at(p):
-            continue  # the echelon leaf takes it
-        if prof.lower == prof.upper:
-            return ("digit", var, prof.lower)
-        size = prof.upper - prof.lower + 1 - len(prof.excluded)
-        if best is None or size < best[0]:
-            best = (size, var)
-    if best is not None:
-        var = best[1]
-        prof = state.profiles[var]
-        excluded = prof.excluded
-        # lazy: the search stops at the first satisfiable candidate
-        candidates = (
-            v for v in range(prof.lower, prof.upper + 1) if v not in excluded
-        )
-        return ("window", var, candidates)
-    for var in sorted(state.profiles):
-        prof = state.profiles[var]
-        if prof.upper == INF and is_finite(prof.lower) and prof.excluded:
-            return ("split", var, min(prof.excluded))
-    return None
-
-
 def _geq_compatible(state: _State, var: str) -> bool:
     prof = state.profiles[var]
     return prof.exact_at(state.prime) or (prof.upper == INF and not prof.excluded)
@@ -627,11 +594,11 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         key=columns.__getitem__,
     )
     space = solve_affine(A, b, n)  # w solves it
-    x0, basis = space.particular, space.basis
+    basis = space.basis
     frozen = frozen_coordinates(space)
     for u in open_:
-        if u in frozen:
-            failed = _fixed_outside(state, columns[u], valuation(x0[u], p))
+        if u in frozen:  # x_u is w_u on every solution
+            failed = _fixed_outside(state, columns[u], w[u].valuation())
             if failed is not None:
                 return failed
     open_ = [u for u in open_ if u not in frozen]
@@ -645,16 +612,11 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         if span is None:
             continue
         var = columns[u]
-        lam = span.particular
-        c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
-        # a floored digit variable's term l*(d*p^v + r) puts l*d*p^v into c
-        digits = [(-l, *state.consts[columns[g]])
-                  for l, g in zip(lam, floored) if l and columns[g] in state.consts]
         # finite: N_u != 0, so some l_g != 0
         bound = min(
-            [_less_digits(p, c, digits)]
+            [w[u].valuation()]
             + [valuation(l, p) + state.profiles[columns[g]].lower
-               for l, g in zip(lam, floored) if l]
+               for l, g in zip(span.particular, floored) if l]
         )
         prof = state.profiles[var]
         _narrow(state, var, VarProfile(bound, prof.upper, prof.excluded))
@@ -678,9 +640,11 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
     return Verdict.sat(witness=[wj + zj for wj, zj in zip(w, verdict.witness)])
 
 
-def _solve_leaf(state: _State) -> Verdict:
+def _solve_leaf(state: _State) -> Verdict | None:
     """Decide a leaf from its sat relaxation, which it has just adopted
-    (module docstring); a sat answer maps every variable to a value."""
+    (module docstring); a sat answer maps every variable to a value.  None
+    after a raised floor: the state is decided again, with fewer variables
+    unbounded below."""
     columns = state.columns
     # the rows are that echelon already: row i pivots at column i
     digits = {j: state.consts[v] for j, v in enumerate(columns) if v in state.consts}
@@ -691,54 +655,93 @@ def _solve_leaf(state: _State) -> Verdict:
     )
     if open_:
         verdict = _solve_mixed(state, open_, w)
-        if verdict is None:
-            # a raised floor: fewer variables are unbounded below
-            return _solve_state(state)
-        if verdict.is_unsat:
+        if verdict is None or verdict.is_unsat:
             return verdict
         w = verdict.witness
     return Verdict.sat(witness=dict(zip(columns, w)))
 
 
-def _children(state: _State, target: tuple[str, str, object]):
-    """Each child of state, none with an empty window (module docstring)."""
-    kind, var, data = target
-    if kind == "window":
-        for v in data:
-            child = state.copy()
-            _narrow(child, var, VarProfile(v, v, frozenset()))
-            yield child
-    elif kind == "digit":
-        for digit in range(1, state.prime):
-            child = state.copy()
-            _fix_digit(child, var, digit, data)
-            yield child
-    else:  # split around an excluded value above the lower bound
+def _child(state: _State, narrowing, *args) -> _State:
+    """A copy of state with narrowing(copy, *args) applied."""
+    child = state.copy()
+    narrowing(child, *args)
+    return child
+
+
+def _children(state: _State) -> Iterator[_State] | None:
+    """The children of the next variable to branch on, lazily and in order,
+    or None at a leaf; none has an empty window (module docstring).
+
+    Finite windows come first, smallest first: a pinned valuation at p >= 3
+    is split by its leading digit (at p = 2 it is an exact constraint the
+    echelon leaf takes directly), any other window into its admissible
+    valuations, and the search stops at the first satisfiable one.  Then a
+    variable bounded below is split around its least exclusion.
+    """
+    p = state.prime
+    best: tuple[int, str] | None = None
+    for var in sorted(state.profiles):
         prof = state.profiles[var]
-        # data is the least exclusion, above the lower edge
-        for lower, upper in ((prof.lower, data - 1), (data + 1, prof.upper)):
-            child = state.copy()
-            _narrow(child, var, VarProfile(lower, upper, prof.excluded))
-            yield child
+        if not (is_finite(prof.lower) and is_finite(prof.upper)) or prof.exact_at(p):
+            continue
+        if prof.lower == prof.upper:
+            return (_child(state, _fix_digit, var, d, prof.lower) for d in range(1, p))
+        size = prof.upper - prof.lower + 1 - len(prof.excluded)
+        if best is None or size < best[0]:
+            best = (size, var)
+    if best is not None:
+        var = best[1]
+        prof = state.profiles[var]
+        return (_child(state, _narrow, var, VarProfile(v, v, frozenset()))
+                for v in range(prof.lower, prof.upper + 1) if v not in prof.excluded)
+    for var in sorted(state.profiles):
+        prof = state.profiles[var]
+        if prof.upper == INF and is_finite(prof.lower) and prof.excluded:
+            x = min(prof.excluded)  # above the lower edge
+            return (_child(state, _narrow, var, VarProfile(lower, upper, prof.excluded))
+                    for lower, upper in ((prof.lower, x - 1), (x + 1, prof.upper)))
+    return None
 
 
-def _solve_state(state: _State) -> Verdict:
-    """Search state, whose every window is nonempty; a sat answer maps each
-    variable to a value."""
-    failed = _propagate(state)
-    if failed is not None:
-        return failed
-    if not _relaxation(state):
-        return Verdict.unsat(
-            "relaxation", "already the lower-bound relaxation is unsatisfiable"
-        )
-    target = _branch_target(state)
-    if target is None:
-        return _solve_leaf(state)
-    for child in _children(state, target):
-        verdict = _solve_state(child)
-        if verdict.is_sat:
+def _decide(state: _State) -> Verdict | Iterator[_State]:
+    """Propagate state, whose every window is nonempty, decide its
+    relaxation, and return its verdict or, if it branches, its children.
+    A leaf that raised a floor is decided again."""
+    while True:
+        failed = _propagate(state)
+        if failed is not None:
+            return failed
+        if not _relaxation(state):
+            return Verdict.unsat(
+                "relaxation", "already the lower-bound relaxation is unsatisfiable"
+            )
+        children = _children(state)
+        if children is not None:
+            return children
+        verdict = _solve_leaf(state)
+        if verdict is not None:
             return verdict
+
+
+def _solve_state(root: _State) -> Verdict:
+    """Search from root, whose every window is nonempty, in one depth-first
+    loop over a stack of children iterators: a sat child ends the search, and
+    an exhausted iterator is popped.  A sat answer maps each variable to a
+    value."""
+    outcome = _decide(root)
+    if isinstance(outcome, Verdict):
+        return outcome  # the root is refuted or decided as a leaf
+    frames = [outcome]
+    while frames:
+        for child in frames[-1]:
+            outcome = _decide(child)
+            if not isinstance(outcome, Verdict):
+                frames.append(outcome)
+                break
+            if outcome.is_sat:
+                return outcome
+        else:
+            frames.pop()
     return Verdict.unsat("branches-exhausted", "every branch is unsatisfiable")
 
 

@@ -1,13 +1,16 @@
 """The evidence checkers' boundary: certify imports only the rational core,
-the errors and the model, and no solver module reaches testkit."""
+the errors and the model, and no solver module reaches testkit.  Also
+certificates that check_certificate must reject."""
 
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import padicsat
+from padicsat.certify import check_certificate
 
 PACKAGE = Path(padicsat.__file__).parent
 SOLVER_MODULES = ("complete", "solver_geq", "solver_leq", "simplex", "dispatch", "combiner")
@@ -65,3 +68,23 @@ def test_importing_the_package_leaves_testkit_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_a_certificate_of_positive_value_refutes_nothing():
+    # the strict rows x < 1 and -x < 0, which 0 < x < 1 satisfies, combine
+    # with both multipliers 1 to 0 < 1: value 1 is not <= 0
+    F = Fraction
+    ok, why = check_certificate([], [], [], [], [[1], [-1]], [1, 0], (), (), (F(1), F(1)))
+    assert not ok and why == "value 1 refutes nothing"
+
+
+def test_a_certificate_with_one_block_of_the_wrong_length_is_rejected():
+    # x = 1 and -x <= -2 add up to 0 = -1 (lam = mu = 1), x < 5 is not
+    # engaged (nu = 0); one multiplier too many, in any one block, is rejected
+    F = Fraction
+    blocks = ([[1]], [1], [[-1]], [-2], [[1]], [5])
+    lam, mu, nu = (F(1),), (F(1),), (F(0),)
+    assert check_certificate(*blocks, lam, mu, nu)[0]
+    for wrong in ((*lam, F(0)), mu, nu), (lam, (*mu, F(0)), nu), (lam, mu, (*nu, F(0))):
+        ok, why = check_certificate(*blocks, *wrong)
+        assert not ok and why == "multiplier lengths do not match the blocks", wrong

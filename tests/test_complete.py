@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -755,6 +756,78 @@ def test_mixed_draws_are_decided_and_cross_examined(monkeypatch):
                 assert len(results) == calls
     assert results  # the rule ran on the draws themselves
     assert counts["sat"] > 300 and counts["unsat"] > 300
+
+
+
+def test_bounded_raise_matches_the_constant_formula(monkeypatch):
+    # _solve_mixed reads a bounded open u's floor off the relaxation's
+    # witness w as min(v(w_u), m), m the least v(l_g) + lower_g over
+    # l_g != 0.  The reference is the formula it replaced: x_u = c + sum
+    # l_g x_g with c = x0_u - sum l_g x0_g, each floored digit variable's
+    # term l_g*d*p^v moved into c, and the floor min(v(c), m).  At every
+    # leaf w meets each floor with the digit terms taken off, which the
+    # proof needs, and a frozen open u reads the same valuation from w_u
+    # as from x0_u
+    counts = collections.Counter()
+    real = complete._solve_mixed
+
+    def spy(state, open_, w):
+        p, columns = state.prime, state.columns
+        n = len(columns)
+        floored = sorted(
+            (j for j, v in enumerate(columns) if is_finite(state.profiles[v].lower)),
+            key=columns.__getitem__,
+        )
+        for g in floored:
+            d, v = state.consts.get(columns[g], (0, 0))
+            r = w[g] - PowerSum(p, ((Fraction(d), v),)) if d else w[g]
+            assert r.valuation() >= state.profiles[columns[g]].lower
+        space = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
+        x0, basis = space.particular, space.basis
+        frozen = frozen_coordinates(space)
+        expected = {}
+        for u in open_:
+            if u in frozen:
+                assert w[u].valuation() == valuation(x0[u], p)
+                counts["frozen"] += 1
+                continue
+            span = solve_affine(
+                [[vec[g] for g in floored] for vec in basis], [vec[u] for vec in basis],
+                len(floored),
+            )
+            if span is None:
+                continue
+            lam = span.particular
+            c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
+            digits = [(l, *state.consts[columns[g]])
+                      for l, g in zip(lam, floored) if l and columns[g] in state.consts]
+            bound = min(
+                [valuation(c + sum(l * d * Fraction(p) ** v for l, d, v in digits), p)]
+                + [valuation(l, p) + state.profiles[columns[g]].lower
+                   for l, g in zip(lam, floored) if l]
+            )
+            prof = state.profiles[columns[u]]
+            expected[columns[u]] = VarProfile(bound, prof.upper, prof.excluded)
+            counts["digit terms"] += bool(digits)
+            counts["sum x0 nonzero"] += c != x0[u]
+        verdict = real(state, open_, w)
+        assert {var: state.profiles[var] for var in expected} == expected
+        counts["leaves"] += 1
+        counts["raises"] += len(expected)
+        return verdict
+
+    monkeypatch.setattr(complete, "_solve_mixed", spy)
+    settings = MIXED_SETTINGS + [
+        {"primes": (3,), "bound_mag": 1},
+        {"primes": (3,), "coeff_mag": 3},
+        {"primes": (3,), "num_vars": 5, "num_eqs": 3, "bound_mag": 2},
+    ]
+    for setting in settings:
+        for seed in range(1000):
+            solve_combined(random_instance(seed, fragment="mixed", **setting))
+    assert counts["leaves"] >= 2000 and counts["raises"] >= 400, counts
+    assert counts["digit terms"] >= 5 and counts["sum x0 nonzero"] >= 5, counts
+    assert counts["frozen"] >= 1, counts
 
 
 def _pinned_verdicts():
@@ -1511,19 +1584,42 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
 
 def test_threshold_search_is_pinned(monkeypatch):
     # the n = 18 threshold graph of seed 100 (average degree 4.6): the
-    # incremental relaxations search the tree the parent searched
+    # incremental relaxations search the tree the parent searched.  A state
+    # is counted by its _propagate calls, one per decision
     states = []
-    real = complete._solve_state
+    real = complete._propagate
 
     def spy(state):
         states.append(None)
         return real(state)
 
-    monkeypatch.setattr(complete, "_solve_state", spy)
+    monkeypatch.setattr(complete, "_propagate", spy)
     g = Graph.random(100, 18, 4.6 / 17)
     assert solve_combined(encode_coloring(g, 3, 1)).is_unsat
     assert len(states) == 2603
 
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the chain x_k - x_(k+1) = 0 with v_3(x_k) == 0 on 300 variables is sat,
+    # every x_k = 1, and its search goes one digit child deeper per
+    # variable.  The search is one loop, so it answers with the recursion
+    # limit only 150 frames above the caller's depth
+    n = 300
+    i = inst(
+        [f"x{k}" for k in range(n)],
+        [Equation.of([int(j == k) - int(j == k + 1) for j in range(n)], 0)
+         for k in range(n - 1)],
+        [val(3, f"x{k}", "==", 0) for k in range(n)],
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        verdict = solve_combined(i)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.is_sat
+    assert verify_witness(i, verdict.witness)
 
 @pytest.mark.parametrize("i, sat", [
     (encode_coloring(Graph.complete(5), 3, 1), False),
@@ -1545,7 +1641,8 @@ def test_one_echelon_from_scratch_per_search(monkeypatch, i, sat):
     # only the root's relaxation runs pivot_minimal_echelon; every child
     # starts from its parent's echelon record, a forced zero keeps that
     # record, and a leaf builds its witness from the relaxation's echelon
-    # instead of eliminating again
+    # instead of eliminating again.  The search decides more than one state
+    # (_propagate runs once per decision)
     calls = collections.Counter()
 
     def spy(target, name):
@@ -1559,12 +1656,12 @@ def test_one_echelon_from_scratch_per_search(monkeypatch, i, sat):
 
     spy(solver_geq, "pivot_minimal_echelon")
     spy(complete, "solve_complete")
-    spy(complete, "_solve_state")
+    spy(complete, "_propagate")
     verdict = solve_combined(i)
     assert verdict.is_sat == sat and not verdict.is_unknown
     if sat:
         assert verify_witness(i, verdict.witness)
-    assert calls["solve_complete"] == 1 < calls["_solve_state"], calls
+    assert calls["solve_complete"] == 1 < calls["_propagate"], calls
     assert calls["pivot_minimal_echelon"] == calls["solve_complete"], calls
 
 
@@ -1572,15 +1669,16 @@ def test_one_echelon_from_scratch_per_search(monkeypatch, i, sat):
 def test_coloring_search_states_are_pinned(monkeypatch, seed, n, parent_states):
     # 3-coloring encodings at (p, e) = (3, 1), both unsat: propagation on the
     # adopted rows refutes most states that searching the original rows
-    # visited (parent_states, before the rows were adopted)
+    # visited (parent_states, before the rows were adopted); a state is
+    # counted by its _propagate calls
     states = []
-    real = complete._solve_state
+    real = complete._propagate
 
     def spy(state):
         states.append(state)
         return real(state)
 
-    monkeypatch.setattr(complete, "_solve_state", spy)
+    monkeypatch.setattr(complete, "_propagate", spy)
     g = Graph.random(seed, n, 0.6)
     verdict = solve_combined(encode_coloring(g, 3, 1))
     assert verdict.is_unsat and not brute_color(g, 3)
@@ -1591,15 +1689,15 @@ def test_parity_prunes_the_four_colorings_at_two(monkeypatch):
     # 4-colorings in the window encoding at (p, e) = (2, 2): two edge units
     # pinned at one valuation cancel their leading digit, which propagation
     # reads.  Before it read parity, K6 took 99 states and the twelve random
-    # graphs 3,769
+    # graphs 3,769.  A state is counted by its _propagate calls
     states = []
-    real = complete._solve_state
+    real = complete._propagate
 
     def spy(state):
         states.append(None)
         return real(state)
 
-    monkeypatch.setattr(complete, "_solve_state", spy)
+    monkeypatch.setattr(complete, "_propagate", spy)
     graphs = [Graph.complete(6)] + [Graph.random(seed, 9, 0.7) for seed in range(12)]
     counts = []
     for g in graphs:
