@@ -13,12 +13,18 @@ row times its starting scale times the leading minor of the pivots so far
 is integral (next_minor tracks the minor and checks it), so eliminate
 divides the update by its share of that bound in the same pass, with no gcd
 over the row, and an entry never outgrows a minor of the scaled matrix.
-The echelon divides each row by its content once at the end, so its rows
-are the canonical ones; the affine solve back-substitutes by Cramer's rule
-(back_substitute) on the free and right-hand side columns only.  Its
-integer core, affine_solution, returns the pivots, the free columns, the
-minor and minor times the reduced echelon form at those columns, which
-solver_leq reads without a Fraction; solve_affine is the Fraction view of
+The echelon is left-looking: a row is scaled to integers and cleared by
+the pivots above it only when the elimination reaches it, each pivot with
+its own step's bound, so every integer is the one a right-looking loop
+would hold, and a stop at a failing pivot row has cleared no row below it.
+It divides each row by its content once at the end, so its rows are the
+canonical ones, and returns the last leading minor with them
+(EchelonResult.minor).  Cramer's rule (back_substitute) solves such rows in
+integers at chosen columns: the affine solve at its free and right-hand
+side columns, solver_geq's witness at one summed column per exponent.  The
+affine solve's integer core, affine_solution, returns the pivots, the free
+columns, the minor and minor times the reduced echelon form at those
+columns, which solver_leq reads without a Fraction; solve_affine is the Fraction view of
 the same integers.  The simplex tableau in simplex.py and the search's
 re-pricing in complete.py have no such bound: their steps subtract over the
 pivot row's nonzero_columns and divide the row by its gcd with its
@@ -97,16 +103,21 @@ def integer_row(entries) -> tuple[list[int], int]:
     """(numerators, den): the rationals as integers over their lcm denominator.
 
     An all-int row is returned as it is, over 1.  Otherwise an int entry is
-    taken as (x, 1) without building a Fraction, and a row whose lcm
-    denominator is 1 skips the scaling pass.
+    taken as (x, 1) without building a Fraction (an all-Fraction row skips
+    the per-entry type tests), and a row whose lcm denominator is 1 skips
+    the scaling pass.
     """
-    if set(map(type, entries)) <= {int}:
+    types = set(map(type, entries))
+    if types <= {int}:
         return list(entries), 1
-    ratios = [
-        (x, 1) if type(x) is int
-        else (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
-        for x in entries
-    ]
+    if types == {Fraction}:
+        ratios = [x.as_integer_ratio() for x in entries]
+    else:
+        ratios = [
+            (x, 1) if type(x) is int
+            else (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+            for x in entries
+        ]
     den = lcm(*[d for _, d in ratios])
     if den == 1:
         return [num for num, _ in ratios], 1
@@ -376,6 +387,9 @@ class EchelonResult:
     width: int                  # columns of B; the rest of each row is carried
     sigma: tuple[int, ...]      # column permutation; B's col j holds A's col sigma^-1(j)
     pivots: tuple[int, ...]     # pivot column positions of the nonzero rows
+    # |det| of the pivot block of the rows of (A | rhs) scaled to integers, as
+    # back_substitute takes it
+    minor: int
 
     @property
     def rank(self) -> int:
@@ -422,22 +436,34 @@ def pivot_minimal_echelon(
 
     At each step the working submatrix's top row is made nonzero by a row
     swap, the cheapest entry of that row (ties: leftmost) is swapped into the
-    diagonal position, and the entries below it are eliminated.  The result is
-    a row echelon form in which every pivot minimizes the cost over its row's
-    remaining columns.
+    diagonal position, and it becomes the pivot row of that column.  The
+    result is a row echelon form in which every pivot minimizes the cost over
+    its row's remaining columns.
+
+    The order is left-looking.  An input row is scaled by integer_row when
+    the elimination first reaches it, as step r's top row or in the search
+    for a nonzero one below, and is then cleared by pivots 0..r-1, pivot s
+    with step s's bound: the row's starting scale times the leading minor
+    once pivot s is in.  A later column swap permutes only positions past
+    the pivots, so the integers are those of clearing every row below at
+    every step.  Each pivot row keeps its nonzero-column list, updated at
+    each later swap, for eliminate.  Once the loop ends, the rows from the
+    rank on are cleared through every pivot, and the result carries the last
+    leading minor (minor), as back_substitute takes it.
 
     rhs is an m x k block that undergoes the same row operations as A; pass
     the right-hand side of A x = b as one column, or testkit.identity(m) to read the
     transform U itself from the result's carried block.
 
     check, when given, is called at step r as check(row, den, r, col_of) once
-    row r is fixed: after its column swap, before it clears the rows below.
+    row r is fixed: after its column swap, before any row below reads it.
     row / den is the echelon's Fraction row r (the final gcd is not yet
     taken, so row is a multiple of the returned one), and col_of[j] the
-    original column at position j.  Neither row r nor the rows above it change after that, and
-    later swaps only permute the positions past r.  The first value other
-    than None that check returns stops the elimination there, and is
-    returned in place of the echelon.
+    original column at position j.  Neither row r nor the rows above it
+    change after that, and later swaps only permute the positions past r.
+    The first value other than None that check returns stops the
+    elimination there, with only rows 0..r (and those the search for a
+    nonzero row read) cleared, and is returned in place of the echelon.
     """
     m, n = dims(A)
     if m == 0:
@@ -448,43 +474,73 @@ def pivot_minimal_echelon(
         raise InputError("rhs row count does not match the matrix")
     if any(len(a) != n for a in A) or len({len(b) for b in rhs}) > 1:
         raise InputError("ragged matrix")
-    rows, dens = [], []
-    for a, b in zip(A, rhs):  # each row of (A | rhs) over its lcm denominator
-        row, den = integer_row((*a, *b))
-        rows.append(row)
-        dens.append(den)
-    scales = dens[:]
-    minor = 1  # |det| of the scaled rows' leading block, the pivots so far
+    # the rows reached so far, a prefix of the input: row i of (A | rhs) over
+    # its lcm denominator dens[i], times its starting scale scales[i]
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    scales: list[int] = []
+    cleared: list[int] = []  # cleared[i]: the pivots already cleared from row i
+    minors = [1]  # minors[s]: |det| of the leading block of the first s pivots
+    pivot_columns: list[list[int]] = []  # pivot row s's nonzero positions from s on
     col_of = list(range(n))  # col_of[j]: original column currently at position j
     p, offsets = costs.prime, list(costs.doubled_offsets)  # offsets[j]: at position j
+
+    def clear(i: int) -> list[int]:
+        """Row i cleared through every pivot so far, pivot s with its own
+        step's bound.  The next input row is first scaled to integers, in the
+        current column order."""
+        if i == len(rows):
+            a = A[i]
+            row, den = integer_row([a[c] for c in col_of] + list(rhs[i]))
+            rows.append(row)
+            dens.append(den)
+            scales.append(den)
+            cleared.append(0)
+        row, den, scale, k = rows[i], dens[i], scales[i], len(pivot_columns)
+        for s in range(cleared[i], k):
+            if row[s]:
+                den = eliminate(row, den, rows[s], s, pivot_columns[s], s, scale * minors[s + 1])
+        dens[i], cleared[i] = den, k
+        return row
+
     r = 0
     while r < m and r < n:
-        top = rows[r]
+        top = clear(r)
         columns = nonzero_columns(top, r)  # the carried columns from n on included
         if not columns or columns[0] >= n:
-            swap = next((i for i in range(r + 1, m) if any(rows[i][r:n])), None)
+            swap = next((i for i in range(r + 1, m) if any(clear(i)[r:n])), None)
             if swap is None:
                 break
-            for seq in (rows, dens, scales):
+            for seq in (rows, dens, scales, cleared):
                 seq[r], seq[swap] = seq[swap], seq[r]
             top = rows[r]
             columns = nonzero_columns(top, r)
         best = cheapest_column(top, columns, n, p, offsets)
         if best != r:
-            for row in rows:
-                row[r], row[best] = row[best], row[r]
             col_of[r], col_of[best] = col_of[best], col_of[r]
             offsets[r], offsets[best] = offsets[best], offsets[r]
-            columns = nonzero_columns(top, r)
+            top[r], top[best] = top[best], top[r]
+            if not top[best]:  # the top row's nonzero entry at best moved to r
+                columns[columns.index(best)] = r
+            # the rows reached past r are zero from r on; a pivot row nonzero
+            # at just one of the two positions moves it in its column list
+            for row, nonzero in zip(rows, pivot_columns):
+                x, y = row[r], row[best]
+                if x or y:
+                    row[r], row[best] = y, x
+                    if not x:
+                        nonzero[nonzero.index(best)] = r
+                    elif not y:
+                        nonzero[nonzero.index(r)] = best
         if check is not None:
             stop = check(top, dens[r], r, col_of)
             if stop is not None:
                 return stop
-        minor = next_minor(minor, scales[r], top[r], dens[r])
-        for i in range(r + 1, m):
-            if rows[i][r]:
-                dens[i] = eliminate(rows[i], dens[i], top, r, columns, r, scales[i] * minor)
+        minors.append(next_minor(minors[-1], scales[r], top[r], dens[r]))
+        pivot_columns.append(columns)
         r += 1
+    for i in range(r, m):  # the zero rows, which the caller reads
+        clear(i)
     # the bounded steps keep each row exact, not canonical: one gcd a row
     for i, (row, den) in enumerate(zip(rows, dens)):
         g = gcd(den, *row)
@@ -494,6 +550,6 @@ def pivot_minimal_echelon(
     sigma = [0] * n
     for pos, orig in enumerate(col_of):
         sigma[orig] = pos
-    # row i < r pivots at position i: the rows below each pivot were cleared
-    # left of it, and the rows from r on are zero
-    return EchelonResult(rows, dens, n, tuple(sigma), tuple(range(r)))
+    # row i < r pivots at position i: each row was cleared left of its
+    # diagonal, and the rows from r on are zero
+    return EchelonResult(rows, dens, n, tuple(sigma), tuple(range(r)), minors[-1])

@@ -346,7 +346,8 @@ def instance_size(inst: Instance) -> int:
 
     Blocks counted: the equation matrix and right-hand sides, the order matrix
     and right-hand sides, and for every valuation constraint its prime and
-    bound as 1x1 blocks.
+    bound as 1x1 blocks.  A zero entry of a row counts h(0) = 1 without a
+    call to height: dense rows are mostly zeros.
     """
     n = len(inst.variables)
     dims = [1]
@@ -355,10 +356,8 @@ def instance_size(inst: Instance) -> int:
     if inst.orders:
         dims += [len(inst.orders), n]
     total = 0
-    for eq in inst.equations:
-        total += sum(height(c) for c in eq.coeffs) + height(eq.rhs)
-    for oc in inst.orders:
-        total += sum(height(c) for c in oc.coeffs) + height(oc.rhs)
+    for row in (*inst.equations, *inst.orders):
+        total += sum(height(c) if c else 1 for c in (*row.coeffs, row.rhs))
     for vc in inst.valuations:
         total += height(vc.prime) + height(vc.bound)
     return max(dims) + total

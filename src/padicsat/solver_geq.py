@@ -9,8 +9,11 @@ The method: bring A to row echelon form choosing pivots of minimal cost
 v_p(a) + floors[j] + exact[j]/2 (column swaps allowed).  In that frame the
 system is satisfiable iff the zero rows of the echelon form have zero right-
 hand sides and each pivot row passes a single valuation comparison; a witness
-follows by assigning p**floor to every non-pivot column (0 under a +inf
-floor) and back-substituting in power-sum arithmetic.  An entry in a +inf
+follows by assigning p**floor to every non-pivot column (0 under an infinite
+floor) and solving for the pivots.  Each pivot is then a power sum with one
+term per distinct free exponent (and the rhs at exponent 0), and its
+coefficients come from one integer back-substitution over the echelon's
+rows (geq_witness).  An entry in a +inf
 column costs +inf, so it pivots only in a row whose other entries are all
 in such columns, and that row's comparison then needs a zero right-hand
 side.
@@ -26,35 +29,40 @@ PowerSum.valuation runs, with no PowerSum built.
 
 The checks run in this order.  Each pivot row gets its pivot-bound check
 (pivot_shortfall) as soon as the elimination fixes it, after its column
-swap and before it clears the rows below; no later step changes that row
-or the check's outcome, so the first row that fails stops the elimination
-there and refutes the system ("pivot-bound").  Only when every pivot row
-passes are the zero rows checked ("rank-deficient-rhs").  So a system with
+swap and before any row below reads it; no later step changes that row or
+the check's outcome, so the first row that fails stops the elimination
+there and refutes the system ("pivot-bound").  The elimination is
+left-looking, so a row below the failing one has not been cleared, or even
+scaled to integers, when it stops.  Only when every pivot row passes are
+the zero rows checked ("rank-deficient-rhs").  So a system with
 both defects is reported by its first failing pivot row, the row a
 certificate u = row i of U would read.  geq_echelon returns the unsat
 verdict with no echelon when a pivot row stopped it, and otherwise the
 echelon with the zero rows' verdict, or with None when the problem is sat;
-geq_witness back-substitutes a sat echelon's nonzero rows, with the floors
-by position, into a witness by position, and solve_geq is the two in turn,
-the witness permuted back by sigma.  The branch-
+geq_witness solves a sat echelon's nonzero rows, with the floors by
+position and the echelon's minor, into a witness by position, and solve_geq
+is the two in turn, the witness permuted back by sigma.  The branch-
 and-decide search runs pivot_shortfall on the rows it re-prices, and
-geq_witness on a leaf's rows, which are already such an echelon; there a
-digit variable x = d*p^v + r is priced with r's floor, each row's rhs
-valuation has the terms a*d*p^v moved in, and a free x gets d*p^v.  With
-witness=False a sat answer carries that echelon (diagnostics["echelon"])
-in place of a witness; it serves only the search's root relaxation, whose
-echelon the root adopts.  Unsat answers are the same either way.
+geq_witness on a leaf's rows, which are already such an echelon but carry
+no minor (the product of the |pivots| stands in); there a digit variable
+x = d*p^v + r is priced with r's floor, each row's rhs valuation has the
+terms a*d*p^v moved in, and a free x gets d*p^v.  With witness=False a
+sat answer carries that echelon (diagnostics["echelon"]) in place of a
+witness; it serves only the search's root relaxation, whose echelon the
+root adopts.  Unsat answers are the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import InputError
 from .linalg import (
     EchelonResult,
     PivotCosts,
+    back_substitute,
     inverse_permutation,
     matrix,
     pivot_minimal_echelon,
@@ -203,29 +211,50 @@ def geq_echelon(prob: GeqProblem) -> tuple[EchelonResult | None, Verdict | None]
 
 
 def geq_witness(
-    p: int, rows: list[list[int]], floors: list[ExtInt], digits: dict | None = None
+    p: int,
+    rows: list[list[int]],
+    floors: list[ExtInt],
+    digits: dict | None = None,
+    minor: int | None = None,
 ) -> list[PowerSum]:
     """A PowerSum witness of a sat echelon, by position.
 
     rows are the echelon's nonzero rows (B | carried b) as integers, row i
     pivoting at position i; floors are by position, and digits maps a digit
     variable's position to (d, v).  The free positions (from len(rows) on)
-    get d*p^v when they are a digit variable's, else p**floor, 0 under an
-    infinite floor, and the pivots are back-substituted; a row's common
-    factor cancels from its equation, so any multiple of an echelon row
-    serves.
+    get d*p^v when they are a digit variable's, else p**floor (d = 1), 0
+    under an infinite floor.  The pivots' values are then linear in the
+    powers p^v: the free columns are summed, d times each, into one integer
+    column per exponent v, the rhs joins exponent 0 with d = -1, and one
+    integer back-substitution (linalg.back_substitute) gives F_v, minor times
+    the reduced echelon form at each, so pivot i is the sum of
+    -F_v[i]/minor p^v.  minor is EchelonResult.minor when the rows are an
+    echelon's; without it the product of the |pivots| serves, as the
+    adjugate of an upper-triangular integer block is integral.  A row's
+    common factor cancels, so any multiple of an echelon row serves.
     """
     n = len(floors)
     k = len(rows)
     w: list[PowerSum | None] = [None] * n
+    groups: dict[int, list[tuple[int, int]]] = {0: [(n, -1)]}  # v -> [(j, d)]
     for j in range(k, n):
         d, v = (digits or {}).get(j, (1, floors[j]))
-        w[j] = PowerSum(p, ((Fraction(d), v),) if is_finite(v) else ())
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        w[i] = PowerSum.combination(
-            p, [(1, row[n]), *((-row[j], w[j]) for j in range(i + 1, n) if row[j])]
-        ).scale(Fraction(1, row[i]))
+        if is_finite(v):
+            groups.setdefault(v, []).append((j, d))
+            w[j] = PowerSum(p, ((Fraction(d), v),))
+        else:
+            w[j] = PowerSum.zero(p)
+    if not k:
+        return w
+    if minor is None:
+        minor = prod(abs(row[i]) for i, row in enumerate(rows))
+    exponents = sorted(groups)
+    summed = [
+        row[:k] + [sum(d * row[j] for j, d in groups[v]) for v in exponents] for row in rows
+    ]
+    F = back_substitute(summed, range(k), range(k, k + len(exponents)), minor)
+    for i, F_i in enumerate(F):
+        w[i] = PowerSum(p, tuple((Fraction(-x, minor), v) for x, v in zip(F_i, exponents) if x))
     return w
 
 
@@ -240,7 +269,8 @@ def solve_geq(prob: GeqProblem, *, witness: bool = True) -> Verdict:
         return Verdict(Status.SAT, diagnostics={**diagnostics, "echelon": result})
     col_of = inverse_permutation(result.sigma)  # position -> original column
     w = geq_witness(
-        prob.prime, result.rows[:result.rank], [prob.floors[c] for c in col_of]
+        prob.prime, result.rows[:result.rank], [prob.floors[c] for c in col_of],
+        minor=result.minor,
     )
     witness = [w[j] for j in result.sigma]  # position sigma[c] holds column c
     return Verdict(Status.SAT, witness=witness, diagnostics=diagnostics)

@@ -3,10 +3,11 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+from padicsat import linalg
 from padicsat.complete import _State
 from padicsat.linalg import dims, frozen_coordinates, integer_row, inverse_permutation, solve_affine
 from padicsat.model import VarProfile, Verdict
-from padicsat.rational import INF, NEG_INF, int_valuation, valuation
+from padicsat.rational import INF, NEG_INF, PowerSum, int_valuation, is_finite, valuation
 from padicsat.testkit import (
     carried_matrix,
     determinant,
@@ -312,3 +313,83 @@ def assert_rows_canonical(state):
         assert all(type(x) is int for x in row)
         assert gcd(*row) == 1
         assert any(row[:-1])
+
+
+def spy_echelon_schedule(monkeypatch, module):
+    """Spy on module.pivot_minimal_echelon's row steps.
+
+    Each call appends its schedule to the returned list: its events in order,
+    ("check", r) when step r fixes its pivot row (through a check hook put in
+    front of the caller's, if any), and (label, col, key) for each
+    linalg.eliminate call, which clears pivot col from a row.  label is the
+    step whose pivot row that row becomes, or None for a row that never
+    pivots; key numbers the rows in the order of their first row step.
+    """
+    runs = []
+    events = []
+    real_eliminate, real_echelon = linalg.eliminate, module.pivot_minimal_echelon
+
+    def eliminate(row, den, top, col, *rest):
+        events.append((row, col))
+        return real_eliminate(row, den, top, col, *rest)
+
+    def echelon(A, costs, rhs, check=None):
+        events.clear()
+        steps = {}  # id of a fixed pivot row -> its step
+
+        def hooked(row, den, r, col_of):
+            steps[id(row)] = r
+            events.append(("check", r))
+            return None if check is None else check(row, den, r, col_of)
+
+        try:
+            return real_echelon(A, costs, rhs, hooked)
+        finally:
+            # every row is alive until the run ends, so ids stay unique
+            keys = {}
+            runs.append([
+                event if event[0] == "check"
+                else (steps.get(id(event[0])), event[1], keys.setdefault(id(event[0]), len(keys)))
+                for event in events
+            ])
+            events.clear()
+
+    monkeypatch.setattr(linalg, "eliminate", eliminate)
+    monkeypatch.setattr(module, "pivot_minimal_echelon", echelon)
+    return runs
+
+
+def assert_left_looking(schedule):
+    """A row is cleared only when the elimination reaches it: before step r's
+    check, only into row r or a row that never pivots (the zero-row search's
+    and, after the last check, the rows left), and only by pivots already
+    fixed, each once and in pivot order."""
+    step = 0
+    last_col = {}
+    for event in schedule:
+        if event[0] == "check":
+            assert event[1] == step
+            step += 1
+            continue
+        label, col, key = event
+        assert label in (step, None), (event, step)
+        assert last_col.get(key, -1) < col < step, (event, step)
+        last_col[key] = col
+
+
+def powersum_witness(p, rows, floors, digits=None):
+    """geq_witness's answer back-substituted in PowerSum arithmetic, one
+    PowerSum.combination per pivot: the free positions get d*p^v (d = 1 and
+    v the floor unless a digit is recorded), 0 under an infinite floor, and
+    pivot i is (rhs_i - sum of row_i[j] w_j over j > i) / row_i[i]."""
+    n, k = len(floors), len(rows)
+    w = [None] * n
+    for j in range(k, n):
+        d, v = (digits or {}).get(j, (1, floors[j]))
+        w[j] = PowerSum(p, ((Fraction(d), v),) if is_finite(v) else ())
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        w[i] = PowerSum.combination(
+            p, [(1, row[n]), *((-row[j], w[j]) for j in range(i + 1, n) if row[j])]
+        ).scale(Fraction(1, row[i]))
+    return w

@@ -65,6 +65,7 @@ from helpers import (
     assert_rows_canonical,
     digit_rhs,
     integer_state,
+    powersum_witness,
     primitive_equations,
     row_valuations,
     state_equations,
@@ -373,19 +374,19 @@ def test_rejected_witness_raises_internal_error(monkeypatch):
     calls = []
 
     def corrupted(state):
-        # the first call is the root's; the search's own calls come back here
+        # the search is one loop, so _solve_state runs once, on the root, and
+        # its sat answer is corrupted before solve_complete checks it
         calls.append(state)
-        root = len(calls) == 1
         verdict = solve_state(state)
-        if root:
-            out = verdict.witness
-            var = min(out)
-            out[var] = out[var] + PowerSum.from_rational(state.prime, 1)
+        out = verdict.witness
+        var = min(out)
+        out[var] = out[var] + PowerSum.from_rational(state.prime, 1)
         return verdict
 
     monkeypatch.setattr(complete, "_solve_state", corrupted)
     with pytest.raises(InternalError, match="assembled witness rejected"):
         solve_hard(i)
+    assert len(calls) == 1
 
 
 def test_forced_zero_against_finite_cap():
@@ -828,6 +829,37 @@ def test_bounded_raise_matches_the_constant_formula(monkeypatch):
     assert counts["leaves"] >= 2000 and counts["raises"] >= 400, counts
     assert counts["digit terms"] >= 5 and counts["sum x0 nonzero"] >= 5, counts
     assert counts["frozen"] >= 1, counts
+
+
+def test_leaf_witness_matches_the_powersum_reference(monkeypatch):
+    # a leaf has no tracked minor, so geq_witness back-substitutes over the
+    # product of the |pivots|; its terms are the PowerSum back-substitution's
+    # at every leaf of coloring searches and mixed draws, digit terms included
+    counts = collections.Counter()
+    real = complete.geq_witness
+
+    def spy(p, rows, floors, digits=None):
+        w = real(p, rows, floors, digits)
+        assert [x.terms for x in w] == [x.terms for x in powersum_witness(p, rows, floors, digits)]
+        exponents = {(digits or {}).get(j, (1, floors[j]))[1] for j in range(len(rows), len(floors))}
+        counts["leaves"] += 1
+        counts["digit terms"] += bool(digits)
+        counts["3+ exponents"] += len(exponents - {INF, NEG_INF}) >= 3
+        return w
+
+    monkeypatch.setattr(complete, "geq_witness", spy)
+    for p, e in ((3, 1), (2, 2), (5, 1)):
+        for seed in range(12):
+            solve_combined(encode_coloring(Graph.random(seed, 6, 0.5), p, e))
+    wide = [  # more variables and wider floors: more exponents a leaf
+        {"primes": (2,), "num_vars": 7, "num_eqs": 2, "bound_mag": 4},
+        {"primes": (3,), "num_vars": 8, "num_eqs": 2, "bound_mag": 6},
+        {"primes": (5,), "num_vars": 7, "num_eqs": 3, "bound_mag": 5},
+    ]
+    for setting in MIXED_SETTINGS + wide:
+        for seed in range(300):
+            solve_combined(random_instance(seed, fragment="mixed", **setting))
+    assert counts["leaves"] >= 1000 and min(counts.values()) >= 100, counts
 
 
 def _pinned_verdicts():

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_echelon_result, rand_matrix, rand_vector, reference_solve_affine
+from helpers import (
+    assert_echelon_result,
+    assert_left_looking,
+    rand_matrix,
+    rand_vector,
+    reference_solve_affine,
+    spy_echelon_schedule,
+)
 from padicsat import linalg
 from padicsat.errors import InputError, InternalError
 from padicsat.linalg import (
@@ -271,21 +278,21 @@ def test_cheapest_column_matches_brute_force(monkeypatch):
 def test_echelon_check_sees_each_fixed_row(monkeypatch):
     # check(row, den, r, col_of) sees row r as it ends in the echelon, up to
     # the final gcd and the later swaps past r, and its first value other
-    # than None is returned in place of the echelon, after exactly the row
-    # steps of the steps before it
-    cols = []
-    real = linalg.eliminate
-
-    def spy(row, den, top, col, *rest):
-        cols.append(col)
-        return real(row, den, top, col, *rest)
-
-    monkeypatch.setattr(linalg, "eliminate", spy)
+    # than None is returned in place of the echelon.  The elimination is
+    # left-looking: a row is cleared only when the elimination reaches it,
+    # so a stopped run's row steps are the full run's up to the stopping
+    # check, the clears into rows 0..stop and into the rows the zero-row
+    # search read, and the full run has one row step for each (row, pivot)
+    # pair it clears
+    runs = spy_echelon_schedule(monkeypatch, linalg)
     rng = random.Random(77)
+    counts = Counter()
     for trial in range(200):
         p = rng.choice((2, 3, 5))
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = _fractional_matrix(rng, m, n, p, 0.7)
+        if m > 2 and trial % 4 == 0:  # a row the elimination zeroes
+            A[1] = [3 * x for x in A[0]]
         offsets = tuple(rng.choice((NEG_INF, 0, 1, 2)) for _ in range(n))
         costs = PivotCosts(p, offsets, (0,) * n)
         b = [[Fraction(rng.randint(-9, 9))] for _ in range(m)]
@@ -297,21 +304,27 @@ def test_echelon_check_sees_each_fixed_row(monkeypatch):
                 by_column[c] = Fraction(row[j], den)
             seen.append((r, by_column, Fraction(row[n], den)))
 
-        cols.clear()
-        full = pivot_minimal_echelon(A, costs, b, check)
-        steps = cols[:]
-        assert full == pivot_minimal_echelon(A, costs, b), trial
+        full = linalg.pivot_minimal_echelon(A, costs, b, check)
+        schedule = runs[-1]
+        assert full == linalg.pivot_minimal_echelon(A, costs, b), trial
         assert [r for r, _, _ in seen] == list(full.pivots), trial
         for r, by_column, rhs in seen:
             final = full.rows[r]
             assert by_column == [Fraction(final[full.sigma[c]], full.dens[r]) for c in range(n)]
             assert rhs == Fraction(final[n], full.dens[r])
+        assert_left_looking(schedule)
+        counts["zero-row steps"] += any(e[0] is None for e in schedule)
         if not full.pivots:
             continue
         stop = rng.choice(full.pivots)
-        cols.clear()
-        assert pivot_minimal_echelon(A, costs, b, lambda *args: args[2] == stop or None) is True
-        assert cols == [col for col in steps if col < stop], trial
+        assert linalg.pivot_minimal_echelon(
+            A, costs, b, lambda *args: args[2] == stop or None
+        ) is True
+        stopped = runs[-1]
+        assert stopped[-1] == ("check", stop), trial
+        assert stopped == schedule[:len(stopped)], trial
+        counts["stopped early"] += len(stopped) < len(schedule)
+    assert min(counts.values()) >= 20, counts
 
 
 def _fractional_matrix(rng, m, n, p, density):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicsat import model
 from padicsat.errors import InputError
 from padicsat.model import (
     Equation,
@@ -22,6 +23,7 @@ from padicsat.model import (
     normalize,
 )
 from padicsat.rational import INF, NEG_INF
+from padicsat.testkit import random_instance
 
 
 def inst(variables, equations=(), valuations=(), orders=()):
@@ -273,6 +275,37 @@ def test_instance_size_counts_valuations_and_orders():
     assert instance_size(with_val) == 1 + height(3) + height(4)
     with_ord = inst(["x"], orders=[OrderConstraint.of([Fraction(3, 8)], "<", 1)])
     assert instance_size(with_ord) == 1 + height(Fraction(3, 8)) + height(1)
+
+
+def test_instance_size_calls_height_only_on_nonzero_entries(monkeypatch):
+    # a zero entry of an equation or order row counts h(0) = 1 without a
+    # call to height; the size is still the maximum block dimension plus the
+    # height of every entry
+    def all_entries(i):
+        rows = (*i.equations, *i.orders)
+        dims = [1, *(d for block in (i.equations, i.orders) if block
+                     for d in (len(block), len(i.variables)))]
+        entries = [x for row in rows for x in (*row.coeffs, row.rhs)]
+        entries += [x for vc in i.valuations for x in (vc.prime, vc.bound)]
+        return rows, max(dims) + sum(map(height, entries))
+
+    seen = []
+    real = model.height
+    monkeypatch.setattr(model, "height", lambda x: seen.append(x) or real(x))
+    zeros = 0
+    for seed in range(300):
+        i = random_instance(
+            seed, num_vars=2 + seed % 6, num_eqs=seed % 4, num_orders=seed % 3,
+            primes=(2, 3, 5),
+        )
+        rows, want = all_entries(i)
+        seen.clear()
+        assert instance_size(i) == want, seed
+        nonzero = [x for row in rows for x in (*row.coeffs, row.rhs) if x]
+        valuations = [x for vc in i.valuations for x in (vc.prime, vc.bound)]
+        assert seen == nonzero + valuations, seed
+        zeros += sum(x == 0 for row in rows for x in row.coeffs)
+    assert zeros >= 100, zeros
 
 
 def test_normalize_is_idempotent_on_profiles():

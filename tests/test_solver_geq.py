@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_echelon
-from padicsat import linalg
+from helpers import (
+    assert_left_looking,
+    powersum_witness,
+    reference_echelon,
+    spy_echelon_schedule,
+)
+from padicsat import solver_geq
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
 from padicsat.linalg import inverse_permutation, matrix, pivot_minimal_echelon
@@ -269,6 +274,49 @@ def test_witness_free_matches_full():
     assert min(statuses.values()) > 50, statuses
 
 
+def test_integer_witness_matches_the_powersum_reference():
+    # geq_witness sums the free columns per exponent and back-substitutes
+    # them in integers, over the echelon's minor or, without one, the product
+    # of the |pivots|; both give the PowerSum back-substitution's terms
+    # exactly, on draws with exact flags, +-inf floors and rank deficiency,
+    # with and without digit terms on the free positions
+    rng = random.Random(4242)
+    counts = collections.Counter()
+    for trial in range(2000):
+        if trial % 3 == 0:
+            prob, _ = _zeroed_geq_problem(rng)
+        else:
+            prob = random_geq_problem(
+                trial, max_dim=8, coeff_mag=9, bound_mag=5, primes=(2, 2, 3, 5),
+                allow_exact=True, allow_unbounded=trial % 5 == 0,
+                density=rng.choice((0.5, 0.85)),
+            )
+        result, unsat = geq_echelon(prob)
+        if unsat is not None:
+            continue
+        p, n, k = prob.prime, len(prob.floors), result.rank
+        col_of = inverse_permutation(result.sigma)
+        floors = [prob.floors[c] for c in col_of]
+        rows = result.rows[:k]
+        digits = {
+            j: (rng.randrange(1, p) if p > 2 else 1, rng.randint(-6, 6))
+            for j in range(k, n) if rng.random() < 0.5
+        }
+        for digit_terms in ({}, digits):
+            want = [x.terms for x in powersum_witness(p, rows, floors, digit_terms)]
+            for minor in (result.minor, None):
+                got = geq_witness(p, rows, floors, digit_terms, minor)
+                assert [x.terms for x in got] == want, (trial, minor)
+            exponents = {digit_terms.get(j, (1, floors[j]))[1] for j in range(k, n)}
+            counts["3+ exponents"] += len(exponents - {INF, NEG_INF}) >= 3
+            counts["digits"] += bool(digit_terms)
+        counts["sat"] += 1
+        counts["exact flags"] += any(prob.exact)
+        counts["+inf floor"] += INF in prob.floors
+        counts["rank deficient"] += k < len(prob.A)
+    assert min(counts.values()) >= 100, counts
+
+
 def _reference_solve_geq(prob):
     """solve_geq's checks and witness computed on the Fraction echelon: the
     pivot rows first, then the zero rows."""
@@ -448,24 +496,23 @@ def _planted_unsat(seed, n, p):
 
 
 def test_early_stop_eliminates_only_before_the_failing_row(monkeypatch):
-    # a planted unsat system at n = 48 fails at pivot row 9: the solve runs
-    # exactly the row steps of the full echelon's first 9 steps, fewer than
-    # half of the full run's
+    # a planted unsat system at n = 48 fails at pivot row 9.  The elimination
+    # is left-looking, so the solve clears only rows 1..9, each by the pivots
+    # above it and once by each: at most 1 + ... + 9 = 45 row steps, the full
+    # echelon's schedule up to its check of row 9, and under a quarter of it
     prob = _planted_unsat(0, 48, 3)
-    cols = []
-    real = linalg.eliminate
-
-    def spy(row, den, top, col, *rest):
-        cols.append(col)
-        return real(row, den, top, col, *rest)
-
-    monkeypatch.setattr(linalg, "eliminate", spy)
+    runs = spy_echelon_schedule(monkeypatch, solver_geq)
     verdict = solve_geq(prob)
-    stopped, cols[:] = cols[:], []
-    pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+    solver_geq.pivot_minimal_echelon(prob.A, prob.costs(), [[x] for x in prob.b])
+    stopped, full = runs
     assert (verdict.code, verdict.diagnostics["row"]) == ("pivot-bound", 9)
-    assert stopped == [c for c in cols if c < 9]
-    assert 2 * len(stopped) < len(cols), (len(stopped), len(cols))
+    assert_left_looking(stopped)
+    assert stopped[-1] == ("check", 9)
+    assert stopped == full[:len(stopped)]
+    steps, full_steps = ([e for e in run if e[0] != "check"] for run in runs)
+    assert {label for label, _, _ in steps} <= set(range(1, 10))
+    assert len(steps) <= 45
+    assert 4 * len(steps) < len(full_steps), (len(steps), len(full_steps))
 
 
 def test_both_defects_report_the_pivot_row():
