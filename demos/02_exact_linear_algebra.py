@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: affine solution spaces, cost-minimal
-echelon forms, and the Smith normal form."""
+"""Exact rational linear algebra: affine solution spaces read off integers,
+cost-minimal echelon forms, and the Smith normal form."""
 
 import random
 from fractions import Fraction
@@ -24,17 +24,30 @@ F = Fraction
 
 # --- solving A x = b over the rationals --------------------------------
 
-# solve_affine returns the full solution set: one particular solution plus
-# a basis of the kernel.  Everything is Fraction arithmetic, so there is no
-# roundoff to reason about.
+# solve_affine returns the full solution set in integers: the pivot
+# columns, the free columns, F and a positive minor, where F[r] is minor
+# times the reduced echelon row of pivot r at the free columns and the
+# right-hand side.  Everything is exact, so there is no roundoff to reason
+# about.
 A = matrix([[2, 4, -2], [1, 2, 3]])
 b = [F(6), F(11)]
-space = solve_affine(A, b, 3)
-print("particular:", space.particular)
-print("kernel basis:", space.basis)
+pivots, free, Fr, minor = solve_affine(A, b, 3)
+print("pivots:", pivots, " free:", free, " F:", Fr, " minor:", minor)
+
+# The particular solution is 0 at the free columns and F[r][-1] / minor at
+# pivot r; the kernel has one basis vector per free column f, 1 at f and
+# -F[r][k] / minor at pivot r.
+particular = [F(0)] * 3
+basis = [[F(int(j == f)) for j in range(3)] for f in free]
+for c, row in zip(pivots, Fr):
+    particular[c] = F(row[-1], minor)
+    for vec, x in zip(basis, row):
+        vec[c] = F(-x, minor)
+print("particular:", [str(x) for x in particular])
+print("kernel basis:", [[str(x) for x in vec] for vec in basis])
 
 # Any kernel combination stays a solution; check one by hand.
-x = [p + 5 * k for p, k in zip(space.particular, space.basis[0])]
+x = [p + 5 * k for p, k in zip(particular, basis[0])]
 for row, rhs in zip(A, b):
     assert sum(c * v for c, v in zip(row, x)) == rhs
 print("particular + 5 * basis[0] still solves the system")

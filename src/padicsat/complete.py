@@ -89,14 +89,19 @@ w is the answer.  Otherwise the leaf has open variables (no lower bound, but
 an upper bound or exclusions), and it is decided as one system, not
 component by component, from all its rows and w, after Guepin, Haase &
 Worrell's small-model argument (LICS 2019).  Write the solutions of its rows
-as x = x0 + N t (`solve_affine`: x0 the particular solution, the columns of
-N its kernel basis), let N_j be row j of N, and let G be the floored
-variables.  A kernel basis vector never leaves its connected component, so a
-span test below reads the same over the whole leaf as over u's component.
+as x = x0 + N t, read off `solve_affine`'s integers (pivots, free columns,
+F, minor): x0 is 0 at the free columns and F_r[-1] / minor at pivot r, and
+N has one column per free column, its row N_j e_k at free column free[k]
+and -F_r[:-1] / minor at pivot r.  Let G be the floored variables.  A span
+test below solves the integer rows minor N_j and reads each v(l_g) off that
+solve's own integers.  A kernel basis vector never leaves its connected
+component, so a span test reads the same over the whole leaf as over u's
+component.
 
-* Frozen: an open u with N_u = 0 is fixed, x_u = x0_u on every solution,
-  whatever G is, so x_u = w_u.  v(w_u) outside u's admissible set is unsat
-  ("fixed-out-of-range"); otherwise u stays at w_u and is no longer open.
+* Frozen: an open u with N_u = 0 (`frozen_coordinates`) is fixed,
+  x_u = x0_u on every solution, whatever G is, so x_u = w_u.  v(w_u)
+  outside u's admissible set is unsat ("fixed-out-of-range"); otherwise u
+  stays at w_u and is no longer open.
 * Bounded case: some remaining open u has N_u = sum over g in G of l_g N_g.
   Then x_u = c + sum l_g r_g on every solution, for one constant c, where
   r_g is g's remainder x_g - d*p^v for a digit variable g and x_g for any
@@ -111,15 +116,15 @@ span test below reads the same over the whole leaf as over u's component.
   them there is a kernel direction d with d_g = 0 on G and d_u != 0 (N_u
   vanishes on the common kernel of the N_g exactly when it lies in their
   span).  So no open u is frozen in the homogeneous system
-  [A; e_g for g in G] z = 0, and `solve_leq` finds a z in it with each open
-  u's valuation at most min(upper_u, v(w_u) - 1) and outside u's
-  exclusions, every other column unconstrained: the upper-bound fragment is
-  unsat only on a frozen coordinate out of range.  w + z keeps every G
-  coordinate and every equation, and each open u gets v(z_u), as
-  v(z_u) < v(w_u) or both are 0 (under a cap of +inf, which admits 0).  z
-  moves no frozen coordinate, a zeroed one included, and a variable neither
-  floored, open nor zeroed has no constraint.  So the leaf is sat iff its
-  lower-bound relaxation is.
+  [A; e_g for g in G] z = 0, and `solve_leq`, handed those integer rows,
+  finds a z in it with each open u's valuation at most
+  min(upper_u, v(w_u) - 1) and outside u's exclusions, every other column
+  unconstrained: the upper-bound fragment is unsat only on a frozen
+  coordinate out of range.  w + z keeps every G coordinate and every
+  equation, and each open u gets v(z_u), as v(z_u) < v(w_u) or both are 0
+  (under a cap of +inf, which admits 0).  z moves no frozen coordinate, a
+  zeroed one included, and a variable neither floored, open nor zeroed has
+  no constraint.  So the leaf is sat iff its lower-bound relaxation is.
 
 The search ends: a raise turns a variable without a lower bound into one
 with a floor, floors only rise, and a digit child leaves its variable a
@@ -343,11 +348,12 @@ def _substitute_frozen(state: _State) -> Verdict | None:
     admissible set makes the state unsat, and one inside it is left alone:
     its valuation is finite, so propagation cannot diverge on it.
     """
-    space = solve_affine(*_system(state), len(state.columns))
-    if space is None:
+    solution = solve_affine(*_system(state), len(state.columns))
+    if solution is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
+    pivots, _, F, minor = solution
     frozen = sorted(
-        (state.columns[j], space.particular[j]) for j in frozen_coordinates(space)
+        (state.columns[j], Fraction(num, minor)) for j, num in frozen_coordinates(pivots, F)
     )
     for var, value in frozen:
         digit = state.consts.get(var)
@@ -381,7 +387,7 @@ def _propagate(state: _State) -> Verdict | None:
     there are variables, _substitute_frozen settles the frozen coordinates
     exactly.  Neither rewrites a row, so each round is one pass over them.
     """
-    rounds = PROPAGATION_ROUNDS_FACTOR * max(1, len(state.profiles))
+    rounds = PROPAGATION_ROUNDS_FACTOR * len(state.profiles)
     raises = 0
     frozen_checked = False
     parity = state.prime == 2
@@ -593,30 +599,35 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         (j for j, v in enumerate(columns) if is_finite(state.profiles[v].lower)),
         key=columns.__getitem__,
     )
-    space = solve_affine(A, b, n)  # w solves it
-    basis = space.basis
-    frozen = frozen_coordinates(space)
+    pivots, free, F, minor = solve_affine(A, b, n)  # w solves it
+    frozen = {c for c, _ in frozen_coordinates(pivots, F)}
     for u in open_:
         if u in frozen:  # x_u is w_u on every solution
             failed = _fixed_outside(state, columns[u], w[u].valuation())
             if failed is not None:
                 return failed
     open_ = [u for u in open_ if u not in frozen]
+    # minor N_j as integers: -F_r[:-1] at pivot r, minor e_k at free[k]
+    N = {c: [-x for x in F_r[:-1]] for c, F_r in zip(pivots, F)}
+    for k, f in enumerate(free):
+        N[f] = [minor * (i == k) for i in range(len(free))]
+    span_rows = [[N[g][k] for g in floored] for k in range(len(free))]
+    lows = [state.profiles[columns[g]].lower for g in floored]
     narrowed = []
     for u in open_:
-        # N_u = sum l_g N_g, with N_j = (vec[j] for vec in basis)
-        span = solve_affine(
-            [[vec[g] for g in floored] for vec in basis], [vec[u] for vec in basis],
-            len(floored),
-        )
+        # N_u = sum l_g N_g; the particular l is 0 at the span's free
+        # columns and F_r[-1] / minor at its pivot r
+        span = solve_affine(span_rows, N[u], len(floored))
         if span is None:
             continue
+        span_pivots, _, span_F, span_minor = span
+        v_minor = int_valuation(span_minor, p)
         var = columns[u]
         # finite: N_u != 0, so some l_g != 0
         bound = min(
             [w[u].valuation()]
-            + [valuation(l, p) + state.profiles[columns[g]].lower
-               for l, g in zip(span.particular, floored) if l]
+            + [int_valuation(F_r[-1], p) - v_minor + lows[i]
+               for i, F_r in zip(span_pivots, span_F) if F_r[-1]]
         )
         prof = state.profiles[var]
         _narrow(state, var, VarProfile(bound, prof.upper, prof.excluded))
@@ -631,9 +642,9 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
         prof = state.profiles[columns[u]]
         caps[u] = min(prof.upper, w[u].valuation() - 1)
         excluded[u] = prof.excluded
-    fixed = [[int(j == g) for j in range(n)] for g in floored]
+    rows = [*A, *([int(j == g) for j in range(n)] for g in floored)]
     verdict = solve_leq(
-        LeqProblem.of([*A, *fixed], [0] * (len(A) + len(fixed)), p, caps, excluded)
+        LeqProblem(tuple(map(tuple, rows)), (0,) * len(rows), p, tuple(caps), tuple(excluded))
     )
     if not verdict.is_sat:
         raise InternalError(f"the free case has no kernel witness: {verdict.reason}")

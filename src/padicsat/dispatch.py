@@ -8,6 +8,8 @@ valuation-free instances to plain linear algebra.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InputError
 from .linalg import solve_affine
 from .model import (
@@ -58,14 +60,18 @@ def solve_single_prime(norm: NormalizedInstance, p: int | None) -> Verdict:
     norm.require_prime(p)
     if p is None:
         # no valuation constraints at all: plain linear algebra
-        space = solve_affine(
-            [list(eq.coeffs) for eq in norm.equations],
-            [eq.rhs for eq in norm.equations],
-            len(norm.variables),
+        n = len(norm.variables)
+        solution = solve_affine(
+            [list(eq.coeffs) for eq in norm.equations], [eq.rhs for eq in norm.equations], n
         )
-        if space is None:
+        if solution is None:
             return Verdict.unsat("no-solution", "the linear system is inconsistent")
-        v = Verdict.sat(witness=dict(zip(norm.variables, space.particular)))
+        # the particular solution: 0 at the free columns, F_r[-1] / minor at pivot r
+        pivots, _, F, minor = solution
+        x = [Fraction(0)] * n
+        for c, F_r in zip(pivots, F):
+            x[c] = Fraction(F_r[-1], minor)
+        v = Verdict.sat(witness=dict(zip(norm.variables, x)))
         v.diagnostics["fragment"] = Fragment.NONE.value
         return v
     frag = classify_kinds(p, norm.kinds.get(p, frozenset()))

@@ -21,15 +21,20 @@ It divides each row by its content once at the end, so its rows are the
 canonical ones, and returns the last leading minor with them
 (EchelonResult.minor).  Cramer's rule (back_substitute) solves such rows in
 integers at chosen columns: the affine solve at its free and right-hand
-side columns, solver_geq's witness at one summed column per exponent.  The
-affine solve's integer core, affine_solution, returns the pivots, the free
-columns, the minor and minor times the reduced echelon form at those
-columns, which solver_leq reads without a Fraction; solve_affine is the Fraction view of
-the same integers.  The simplex tableau in simplex.py and the search's
-re-pricing in complete.py have no such bound: their steps subtract over the
-pivot row's nonzero_columns and divide the row by its gcd with its
-denominator (by its content for the re-pricing, which keeps rows only up to
-a factor).
+side columns, solver_geq's witness at one summed column per exponent.
+The simplex tableau in simplex.py and the search's re-pricing in
+complete.py have no such bound: their steps subtract over the pivot row's
+nonzero_columns and divide the row by its gcd with its denominator (by its
+content for the re-pricing, which keeps rows only up to a factor).
+
+There is one affine solve, solve_affine, and it answers in integers: the
+pivot columns, the free columns, F, minor times the reduced echelon form at
+the free and right-hand side columns, and the minor.  Its callers read the
+particular solution, the kernel and the frozen coordinates off those
+integers, and build a Fraction only where they read a value.  A coordinate
+is frozen, the same on every solution, exactly when it is a pivot whose row
+of F is zero at every free column; frozen_coordinates is the one place that
+rule is written.
 
 The module holds only what the solvers call: affine solution spaces and row
 echelon forms that pick pivots by a per-column cost.  The Fraction algebra
@@ -204,26 +209,21 @@ def next_minor(minor: int, scale: int, pivot: int, den: int) -> int:
 # affine solution spaces
 
 
-@dataclass
-class SolutionSpace:
-    """All solutions of A x = b, as particular + span(basis)."""
-
-    particular: Vector
-    basis: list[Vector]
-
-
-def affine_solution(
+def solve_affine(
     A: Matrix, b: Vector, n: int
 ) -> tuple[list[int], list[int], list[list[int]], int] | None:
-    """The integer core of solve_affine: (pivots, free, F, minor), or None
-    when A x = b, x in Q^n, is inconsistent.
+    """Solve A x = b over Q, x in Q^n: (pivots, free, F, minor), or None when
+    it is inconsistent.
 
     pivots are the pivot columns, ascending, and free the other columns,
     ascending.  minor > 0 is |det| of the pivot block of A's rows scaled to
     integers, and F[r] is minor times reduced echelon row r at the columns
     [*free, n]: on the solution with free coordinates t, x at pivots[r] is
-    (F[r][-1] - sum_k F[r][k] t[free[k]]) / minor.  So pivot coordinate
-    pivots[r] is frozen exactly when F[r][:-1] is all zero.
+    (F[r][-1] - sum_k F[r][k] t[free[k]]) / minor.  So the particular
+    solution is 0 at the free columns and F[r][-1] / minor at pivot r, and
+    the kernel has one basis vector per free column free[k]: 1 there, 0 at
+    the other free columns and -F[r][k] / minor at pivot r.  Both are
+    canonical, so any exact elimination gives these rationals.
 
     The forward phase is the bounded eliminate, each row's bound its
     integer_row scale times the leading minor; back_substitute then gives F.
@@ -269,33 +269,6 @@ def affine_solution(
     return pivot_cols, free, back_substitute(M, pivot_cols, [*free, n], minor), minor
 
 
-def solve_affine(A: Matrix, b: Vector, n: int) -> SolutionSpace | None:
-    """Solve A x = b over Q, x in Q^n.  Returns None when it is inconsistent.
-
-    The particular solution sets all free coordinates to 0; the basis spans
-    the kernel of A, one vector per free coordinate, e_f on the free ones.
-    Both are canonical, so any exact elimination gives these Fractions.  n is
-    the width even when A has no rows; entries may be ints or Fractions.
-    They are affine_solution's integers, each entry of F over the minor.
-    """
-    solution = affine_solution(A, b, n)
-    if solution is None:
-        return None
-    pivot_cols, free, F, minor = solution
-    # one shared zero and one shared one: Fractions are immutable
-    zero, one = Fraction(0), Fraction(1)
-    particular = [zero] * n
-    basis = [[zero] * n for _ in free]
-    for vec, f in zip(basis, free):
-        vec[f] = one
-    for c, F_r in zip(pivot_cols, F):
-        particular[c] = Fraction(F_r[-1], minor)
-        for vec, x in zip(basis, F_r):
-            if x:
-                vec[c] = Fraction(-x, minor)
-    return SolutionSpace(particular, basis)
-
-
 def back_substitute(
     rows: list[list[int]], pivots: list[int], columns: list[int], minor: int
 ) -> list[list[int]]:
@@ -323,13 +296,12 @@ def back_substitute(
     return F
 
 
-def frozen_coordinates(space: SolutionSpace) -> list[int]:
-    """The coordinates zero in every kernel vector, ascending: each takes its
-    particular value on every solution."""
-    return [
-        j for j in range(len(space.particular))
-        if all(vec[j] == 0 for vec in space.basis)
-    ]
+def frozen_coordinates(pivots: list[int], F: list[list[int]]) -> list[tuple[int, int]]:
+    """(column, numerator) of each coordinate solve_affine's equations fix,
+    ascending: the pivot rows whose free entries are all zero, each
+    coordinate numerator / minor on every solution.  A free coordinate is
+    never fixed."""
+    return [(c, F_r[-1]) for c, F_r in zip(pivots, F) if not any(F_r[:-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,10 @@ def pivot_shortfall(
 ) -> tuple[int, ExtInt] | None:
     """The pivot-bound check of an echelon row that pivots at position piv.
 
-    row is (B | carried b) as integers, the right-hand side last; offset is
-    the pivot's floor plus its exact flag, and flagged holds (j, floor) for
-    the positions j whose exact flag is set (those left of piv are skipped).
+    row is (B | carried b) as integers, the right-hand side last; it must be
+    zero left of piv, as every echelon row is, so a flagged position there
+    adds no term.  offset is the pivot's floor plus its exact flag, and
+    flagged holds (j, floor) for the positions j whose exact flag is set.
     rhs_val is the right-hand side's valuation, read when no exact flag adds
     terms to it (the search's has its digit terms moved in); None takes it
     off the row.  Returns None when the row passes, else (needed, got): the
@@ -157,7 +158,7 @@ def pivot_shortfall(
         return None
     needed = int_valuation(row[piv], p) + offset
     # exact flags add integer terms -a p^floor to the right-hand side
-    terms = [(-row[j], 1, floor) for j, floor in flagged if j >= piv and row[j]]
+    terms = [(-row[j], 1, floor) for j, floor in flagged if row[j]]
     if terms:
         got = merged_valuation(p, [(row[-1], 1, 0), *terms])
     else:

@@ -9,7 +9,9 @@ solution plus one kernel direction z, nonzero on every coordinate that is not
 frozen, scaled by p**-E: with E large, each such coordinate's valuation is
 v(z_j) - E, below its first forbidden valuation (the small-model argument of
 Guepin, Haase and Worrell).  Each coordinate is a power sum of two terms, and
-the whole solve runs on the integers of linalg.affine_solution.
+the whole solve runs on the integers of linalg.solve_affine: the frozen
+coordinates are linalg.frozen_coordinates, and the particular solution and
+the kernel direction are read off its rows of F over the minor.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import affine_solution, matrix, vector
+from .linalg import frozen_coordinates, matrix, solve_affine, vector
 from .model import Status, VarProfile, Verdict
 from .rational import INF, NEG_INF, ExtInt, PowerSum, check_prime, int_valuation, is_finite
 
@@ -71,7 +73,7 @@ def _first_forbidden(cap: ExtInt, excl: frozenset[int]) -> ExtInt:
 def _direction(F: list[list[int]], d: int) -> tuple[list[int], list[int]]:
     """A kernel direction nonzero on every coordinate that is not frozen.
 
-    z = sum_f c_f y_f over the kernel basis of affine_solution's F, whose d
+    z = sum_f c_f y_f over the kernel basis of solve_affine's F, whose d
     free columns come first: z_f = c_f, and z at pivot r is -S_r / minor with
     S_r = sum_f c_f F[r][f].  Each c_f is the least positive integer that
     zeroes no S_r that is already nonzero; a row rules out at most one value,
@@ -110,21 +112,20 @@ def solve_leq(prob: LeqProblem) -> Verdict:
     """
     p = prob.prime
     n = len(prob.caps)
-    solution = affine_solution(prob.A, prob.b, n)
+    solution = solve_affine(prob.A, prob.b, n)
     if solution is None:
         return Verdict.unsat("no-solution", "the linear system is inconsistent")
     pivots, free, F, minor = solution
     v_minor = int_valuation(minor, p)
-    for c, F_r in zip(pivots, F):
-        if not any(F_r[:-1]):
-            v = int_valuation(F_r[-1], p) - v_minor
-            if not VarProfile(NEG_INF, prob.caps[c], prob.excluded[c]).admits(v):
-                return Verdict.unsat(
-                    "fixed-out-of-range",
-                    f"coordinate {c} is fixed with valuation {v}, outside its allowed set",
-                    coordinate=c,
-                    valuation=v,
-                )
+    for c, num in frozen_coordinates(pivots, F):
+        v = int_valuation(num, p) - v_minor
+        if not VarProfile(NEG_INF, prob.caps[c], prob.excluded[c]).admits(v):
+            return Verdict.unsat(
+                "fixed-out-of-range",
+                f"coordinate {c} is fixed with valuation {v}, outside its allowed set",
+                coordinate=c,
+                valuation=v,
+            )
     thresholds = [_first_forbidden(prob.caps[j], prob.excluded[j]) for j in range(n)]
     coeffs, S = _direction(F, len(free))
     # v(z_j) - min(v(y0_j), t_j) on each coordinate that is not frozen: on a

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 from padicsat import linalg
 from padicsat.complete import _State
-from padicsat.linalg import dims, frozen_coordinates, integer_row, inverse_permutation, solve_affine
+from padicsat.linalg import dims, integer_row, inverse_permutation
 from padicsat.model import VarProfile, Verdict
 from padicsat.rational import INF, NEG_INF, PowerSum, int_valuation, is_finite, valuation
 from padicsat.testkit import (
@@ -100,9 +100,10 @@ def assert_echelon_result(A, costs, result):
 
 def reference_solve_affine(A, b, n):
     """Fraction Gauss elimination and back-substitution: (particular, basis),
-    or None when A x = b, x in Q^n, is inconsistent."""
+    or None when A x = b, x in Q^n, is inconsistent.  Entries may be ints or
+    Fractions."""
     m = len(A)
-    M = [list(A[i]) + [b[i]] for i in range(m)]
+    M = [[Fraction(x) for x in (*A[i], b[i])] for i in range(m)]
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -134,16 +135,41 @@ def reference_solve_affine(A, b, n):
     return particular, basis
 
 
+def reference_frozen(particular, basis):
+    """(column, value) of each coordinate zero in every kernel basis vector,
+    ascending: the coordinates the equations fix, at their particular
+    values."""
+    return [
+        (j, x) for j, x in enumerate(particular) if all(vec[j] == 0 for vec in basis)
+    ]
+
+
+def fraction_space(solution, n):
+    """solve_affine's integers (pivots, free, F, minor) read as Fractions:
+    (particular, basis) as reference_solve_affine gives them, or None."""
+    if solution is None:
+        return None
+    pivots, free, F, minor = solution
+    particular = [Fraction(0)] * n
+    basis = [[Fraction(int(j == f)) for j in range(n)] for f in free]
+    for c, F_r in zip(pivots, F):
+        particular[c] = Fraction(F_r[-1], minor)
+        for vec, x in zip(basis, F_r):
+            vec[c] = Fraction(-x, minor)
+    return particular, basis
+
+
 def reference_solve_leq(prob):
-    """solve_leq's decision on the Fraction solve_affine and its frozen
-    coordinates: the unsat verdict, or a sat one with the thresholds and
-    dimension diagnostics and no witness or step."""
+    """solve_leq's decision on the Fraction reference_solve_affine and its
+    frozen coordinates: the unsat verdict, or a sat one with the thresholds
+    and dimension diagnostics and no witness or step."""
     p, n = prob.prime, len(prob.caps)
-    space = solve_affine([list(r) for r in prob.A], list(prob.b), n)
+    space = reference_solve_affine([list(r) for r in prob.A], list(prob.b), n)
     if space is None:
         return Verdict.unsat("no-solution", "the linear system is inconsistent")
-    for j in frozen_coordinates(space):
-        v = valuation(space.particular[j], p)
+    particular, basis = space
+    for j, value in reference_frozen(particular, basis):
+        v = valuation(value, p)
         if not VarProfile(NEG_INF, prob.caps[j], prob.excluded[j]).admits(v):
             return Verdict.unsat(
                 "fixed-out-of-range",
@@ -156,7 +182,7 @@ def reference_solve_leq(prob):
         min([e for e in excl if e <= cap] + [cap + 1])
         for cap, excl in zip(prob.caps, prob.excluded)
     ]
-    return Verdict.sat(thresholds=thresholds, dimension=len(space.basis))
+    return Verdict.sat(thresholds=thresholds, dimension=len(basis))
 
 
 def _doubled_cost(costs, a, j):

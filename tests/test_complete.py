@@ -42,12 +42,7 @@ from padicsat.rational import INF, NEG_INF, PowerSum, is_finite, valuation
 from padicsat.solver_geq import solve_geq
 from padicsat.solver_leq import solve_leq
 from padicsat.dispatch import geq_problem_of, leq_problem_of
-from padicsat.linalg import (
-    frozen_coordinates,
-    inverse_permutation,
-    pivot_minimal_echelon,
-    solve_affine,
-)
+from padicsat.linalg import inverse_permutation, pivot_minimal_echelon
 from padicsat.solver_geq import GeqProblem, geq_echelon
 from padicsat.testkit import (
     Graph,
@@ -67,6 +62,8 @@ from helpers import (
     integer_state,
     powersum_witness,
     primitive_equations,
+    reference_frozen,
+    reference_solve_affine,
     row_valuations,
     state_equations,
     substitute_reference,
@@ -522,15 +519,18 @@ def test_a_zeroed_variable_is_frozen_by_the_rows_alone(monkeypatch):
         if verdict is not None:
             return verdict
         n = len(state.columns)
-        space = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
+        space = reference_solve_affine(
+            [row[:n] for row in state.rows], [row[n] for row in state.rows], n
+        )
         if space is None:
             assert state.priced is None
             outcomes["inconsistent root"] += 1
             return verdict
         j = state.columns.index(var)
-        assert j in frozen_coordinates(space), (var, state.rows)
+        frozen = dict(reference_frozen(*space))
+        assert j in frozen, (var, state.rows)
         d, v = state.consts.get(var, (0, 0))
-        assert space.particular[j] == d * Fraction(state.prime) ** v, (var, state.rows)
+        assert frozen[j] == d * Fraction(state.prime) ** v, (var, state.rows)
         outcomes["digit" if var in state.consts else "under a digit" if state.consts else "zero"] += 1
         return verdict
 
@@ -783,22 +783,23 @@ def test_bounded_raise_matches_the_constant_formula(monkeypatch):
             d, v = state.consts.get(columns[g], (0, 0))
             r = w[g] - PowerSum(p, ((Fraction(d), v),)) if d else w[g]
             assert r.valuation() >= state.profiles[columns[g]].lower
-        space = solve_affine([row[:n] for row in state.rows], [row[n] for row in state.rows], n)
-        x0, basis = space.particular, space.basis
-        frozen = frozen_coordinates(space)
+        x0, basis = reference_solve_affine(
+            [row[:n] for row in state.rows], [row[n] for row in state.rows], n
+        )
+        frozen = [j for j, _ in reference_frozen(x0, basis)]
         expected = {}
         for u in open_:
             if u in frozen:
                 assert w[u].valuation() == valuation(x0[u], p)
                 counts["frozen"] += 1
                 continue
-            span = solve_affine(
+            span = reference_solve_affine(
                 [[vec[g] for g in floored] for vec in basis], [vec[u] for vec in basis],
                 len(floored),
             )
             if span is None:
                 continue
-            lam = span.particular
+            lam = span[0]
             c = x0[u] - sum(l * x0[g] for l, g in zip(lam, floored))
             digits = [(l, *state.consts[columns[g]])
                       for l, g in zip(lam, floored) if l and columns[g] in state.consts]
@@ -1165,24 +1166,26 @@ def test_mixed_fuzz_witnesses_verify():
 
 
 def _frozen_reference(state):
-    """The frozen-coordinate pass, read straight off solve_affine's canonical
-    particular solution and kernel basis, with x_z = 0 for each zeroed z."""
+    """The frozen-coordinate pass, read straight off the Fraction reference
+    solve's canonical particular solution and kernel basis, with x_z = 0 for
+    each zeroed z."""
     names = sorted(state.profiles)
     equations = state_equations(state) + [
         ({v: 1}, 0) for v in names if state.profiles[v].lower == INF
     ]
-    space = solve_affine(
+    space = reference_solve_affine(
         [[coeffs.get(v, 0) for v in names] for coeffs, _ in equations],
         [rhs for _, rhs in equations],
         len(names),
     )
     if space is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
+    particular, basis = space
     for j, var in enumerate(names):
-        if any(vec[j] != 0 for vec in space.basis):
+        if any(vec[j] != 0 for vec in basis):
             continue
         prof = state.profiles[var]
-        value = space.particular[j]
+        value = particular[j]
         if value == 0:
             if prof.upper != INF:
                 return Verdict.unsat(
@@ -1497,7 +1500,7 @@ def test_substitutions_keep_cached_valuations():
 def test_adopted_rows_have_the_same_solutions():
     # a sat relaxation replaces the rows by the echelon's nonzero rows, over
     # the columns in pivot order: the affine solution space, canonical in
-    # solve_affine for one column order, stays the same by variable, the
+    # the reference solve for one column order, stays the same by variable, the
     # rows stay canonical with their valuations cached, and the parent's
     # rows, which its other children share, are not edited.  Half the states
     # get a combination of two rows as one more row, which the echelon drops
@@ -1519,7 +1522,7 @@ def test_adopted_rows_have_the_same_solutions():
         n = len(state.columns)
         rows = [list(row) for row in state.rows]
         before = state.copy()
-        space = solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
+        space = reference_solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
         if not complete._relaxation(state):
             outcomes["pruned"] += 1
             continue
@@ -1528,7 +1531,7 @@ def test_adopted_rows_have_the_same_solutions():
         assert sorted(state.columns) == before.columns and state.profiles == before.profiles
         index = {c: j for j, c in enumerate(state.columns)}
         back = [[row[index[c]] for c in before.columns] + [row[n]] for row in state.rows]
-        after = solve_affine([row[:n] for row in back], [row[n] for row in back], n)
+        after = reference_solve_affine([row[:n] for row in back], [row[n] for row in back], n)
         assert after == space, trial
         assert_rows_canonical(state)
         assert state.valuations == row_valuations(state), trial

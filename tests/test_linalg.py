@@ -10,8 +10,10 @@ import pytest
 from helpers import (
     assert_echelon_result,
     assert_left_looking,
+    fraction_space,
     rand_matrix,
     rand_vector,
+    reference_frozen,
     reference_solve_affine,
     spy_echelon_schedule,
 )
@@ -23,6 +25,7 @@ from padicsat.linalg import (
     cheapest_column,
     doubled_offset,
     eliminate,
+    frozen_coordinates,
     inverse_permutation,
     matrix,
     pivot_minimal_echelon,
@@ -89,18 +92,19 @@ def test_solve_affine_properties():
         A = rand_matrix(rng, m, n, mag=6)
         x = rand_vector(rng, n, mag=6)
         b = mat_vec(A, x)
-        space = solve_affine(A, b, n)
-        assert space is not None  # b was built from a solution
-        assert len(space.particular) == n and all(len(vec) == n for vec in space.basis)
-        assert mat_vec(A, space.particular) == b
-        for vec in space.basis:
+        solution = solve_affine(A, b, n)
+        assert solution is not None  # b was built from a solution
+        particular, basis = fraction_space(solution, n)
+        assert len(particular) == n and all(len(vec) == n for vec in basis)
+        assert mat_vec(A, particular) == b
+        for vec in basis:
             assert mat_vec(A, vec) == [Fraction(0)] * m
         # dimension = n - rank: check by brute rank via determinant-free elim
-        rank = len(solve_affine(A, [Fraction(0)] * m, n).basis)
-        assert rank == len(space.basis)
+        rank = len(solve_affine(A, [Fraction(0)] * m, n)[1])
+        assert rank == len(basis)
         # a random combination still solves the system
-        combo = space.particular[:]
-        for vec in space.basis:
+        combo = particular[:]
+        for vec in basis:
             c = Fraction(rng.randint(-3, 3))
             combo = [a + c * v for a, v in zip(combo, vec)]
         assert mat_vec(A, combo) == b
@@ -109,10 +113,12 @@ def test_solve_affine_properties():
 def test_solve_affine_without_rows_spans_every_column():
     # the width is the caller's, not the first row's: no equations leave
     # all of Q^3, with 0 as the canonical particular solution
-    space = solve_affine([], [], 3)
-    assert len(space.basis) == 3
-    assert space.particular == [Fraction(0)] * 3
-    assert space.basis == identity(3)
+    solution = solve_affine([], [], 3)
+    assert solution == ([], [0, 1, 2], [], 1)
+    particular, basis = fraction_space(solution, 3)
+    assert len(basis) == 3
+    assert particular == [Fraction(0)] * 3
+    assert basis == identity(3)
     with pytest.raises(InputError):
         solve_affine([[Fraction(1), Fraction(2)]], [Fraction(0)], 3)
 
@@ -149,7 +155,8 @@ def _affine_system(rng):
 
 def test_solve_affine_matches_fraction_reference(monkeypatch):
     # the integer-row solve must give the reference's canonical particular
-    # solution and basis exactly; every pivot row it eliminates with and
+    # solution and basis exactly, and frozen_coordinates the reference's
+    # basis scan, by column and value; every pivot row it eliminates with and
     # every back-substitution row F_r stays within the Hadamard bound of the
     # scaled integer rows, which a solve that divided by too little would
     # outgrow
@@ -172,23 +179,30 @@ def test_solve_affine_matches_fraction_reference(monkeypatch):
         A, b, n = _affine_system(rng)
         m = len(A)
         sources.clear()
-        space = solve_affine(A, b, n)
+        solution = solve_affine(A, b, n)
         expected = reference_solve_affine(A, b, n)
         if expected is None:
-            assert space is None
+            assert solution is None
             seen["inconsistent"] += 1
             continue
-        assert (space.particular, space.basis) == expected
-        assert all(type(x) is Fraction for x in space.particular)
+        assert fraction_space(solution, n) == expected
+        pivots, free, F, minor = solution
+        assert all(type(x) is int for F_r in F for x in F_r)
+        assert type(minor) is int and minor > 0
+        frozen = [(c, Fraction(num, minor)) for c, num in frozen_coordinates(pivots, F)]
+        assert frozen == reference_frozen(*expected)
+        seen["frozen"] += bool(frozen)
+        seen["no rows"] += m == 0
         bound2 = 1  # squared Hadamard bound: prod over rows of max(1, |row|^2)
         for row in [(*a, rhs) for a, rhs in zip(A, b)]:
             den = lcm(*(x.denominator for x in row))
             bound2 *= max(1, sum(int(x * den) ** 2 for x in row))
         assert all(x * x <= bound2 for source in sources for x in source)
         seen["m > n" if m > n else "m < n" if m < n else "m = n"] += 1
-        seen["rank-deficient" if len(space.basis) > max(0, n - m) else "full rank"] += 1
+        seen["rank-deficient" if len(free) > max(0, n - m) else "full rank"] += 1
         seen["eliminated"] += bool(sources)
-    for key in ("inconsistent", "m > n", "m < n", "m = n", "rank-deficient", "eliminated"):
+    for key in ("inconsistent", "m > n", "m < n", "m = n", "rank-deficient", "eliminated",
+                "frozen", "no rows"):
         assert seen[key] >= 50, (key, seen)
 
 
@@ -202,7 +216,7 @@ def test_a_row_off_its_exact_value_raises_internal_error(monkeypatch):
 
     A = matrix([[1, 1], [1, 2]])
     assert pivot_minimal_echelon(A, PivotCosts(3, (0, 0), (0, 0)), identity(2)).rank == 2
-    assert solve_affine(A, [Fraction(0)] * 2, 2).particular == [0, 0]
+    assert fraction_space(solve_affine(A, [Fraction(0)] * 2, 2), 2)[0] == [0, 0]
     monkeypatch.setattr(linalg, "eliminate", off)
     with pytest.raises(InternalError, match="not exact"):
         pivot_minimal_echelon(A, PivotCosts(3, (0, 0), (0, 0)), identity(2))

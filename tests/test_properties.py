@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_rows_canonical,
+    fraction_space,
     integer_state,
     primitive_equations,
     reference_echelon,
@@ -171,20 +172,21 @@ def test_echelon_is_the_fraction_one(system):
 @settings(max_examples=60, deadline=None)
 @given(dense_systems(), st.booleans())
 def test_solve_affine_is_the_fraction_one(system, planted):
-    # the bounded forward steps and the Cramer back-substitution give the
-    # reference's canonical particular solution and basis, or its None
+    # the bounded forward steps and the Cramer back-substitution give, read
+    # as Fractions, the reference's canonical particular solution and basis,
+    # or its None
     A, rhs, _, x = system
     n = len(x)
     if planted:  # consistent: x solves it
         b = [sum((a * y for a, y in zip(row, x)), Fraction(0)) for row in A]
     else:
         b = [row[0] for row in rhs]
-    space = solve_affine(A, b, n)
+    solution = solve_affine(A, b, n)
     expected = reference_solve_affine(as_fractions(A), b, n)
     if expected is None:
-        assert space is None
+        assert solution is None
     else:
-        assert (space.particular, space.basis) == expected
+        assert fraction_space(solution, n) == expected
 
 
 triple = st.tuples(

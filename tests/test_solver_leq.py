@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_solve_leq
+from helpers import reference_frozen, reference_solve_affine, reference_solve_leq
 from padicsat.certify import verify_witness
 from padicsat.errors import InputError
-from padicsat.linalg import affine_solution, solve_affine
+from padicsat.linalg import solve_affine
 from padicsat.rational import INF, is_finite
 from padicsat.solver_leq import LeqProblem, solve_leq, _direction, _first_forbidden
 from padicsat.testkit import (
@@ -91,12 +91,12 @@ def test_random_sat_witnesses_and_margin():
         if verdict.is_unsat:
             unsat += 1
             # audit the stated reason
-            space = solve_affine([list(r) for r in prob.A], list(prob.b), len(prob.caps))
+            space = reference_solve_affine(list(prob.A), list(prob.b), len(prob.caps))
             if verdict.code == "no-solution":
                 assert space is None
             else:
                 j = verdict.diagnostics["coordinate"]
-                assert all(vec[j] == 0 for vec in space.basis)
+                assert j in dict(reference_frozen(*space))
             continue
         sat += 1
         ws = verdict.witness
@@ -104,10 +104,10 @@ def test_random_sat_witnesses_and_margin():
         assert check.ok, check.detail
         # margin: every non-fixed coordinate lands strictly below the first
         # forbidden valuation
-        space = solve_affine([list(r) for r in prob.A], list(prob.b), len(prob.caps))
+        _, basis = reference_solve_affine(list(prob.A), list(prob.b), len(prob.caps))
         thresholds = verdict.diagnostics["thresholds"]
         for j in range(len(prob.caps)):
-            if any(vec[j] != 0 for vec in space.basis):
+            if any(vec[j] != 0 for vec in basis):
                 v = ws[j].valuation()
                 if is_finite(thresholds[j]):
                     assert v < thresholds[j]
@@ -116,9 +116,9 @@ def test_random_sat_witnesses_and_margin():
 
 
 def test_matches_the_fraction_reference():
-    # the integer solve decides as the Fraction solve_affine and its frozen
-    # coordinates do, with the same unsat answers and sat diagnostics but
-    # the step; the sparse draws up to 6 x 6 reach fixed coordinates, and
+    # the integer solve decides as the Fraction reference solve and its
+    # frozen coordinates do, with the same unsat answers and sat diagnostics
+    # but the step; the sparse draws up to 6 x 6 reach fixed coordinates, and
     # the dense ones up to 24 x 24 include wide shapes (m <= n / 2, n >= 12)
     # with kernels of up to 20 dimensions
     draws = [random_leq_problem(seed, max_dim=6, density=0.5) for seed in range(150)]
@@ -152,7 +152,7 @@ def test_direction_skips_a_coefficient_that_cancels():
     # after c_2 = 1 the pivots hold S = (1, 2), so c_3 = 1 would zero x0 and
     # c_3 = 2 would zero x1; c_3 = 3 keeps both, and z = (2, 1, 1, 3)
     A = [[1, 0, 1, -1], [0, 1, 2, -1]]
-    pivots, free, F, minor = affine_solution(A, [0, 0], 4)
+    pivots, free, F, minor = solve_affine(A, [0, 0], 4)
     assert (pivots, free, minor) == ([0, 1], [2, 3], 1)
     assert _direction(F, 2) == ([1, 3], [-2, -1])
     # every coordinate at most -1 at p = 2: z's valuations (1, 0, 0, 0)
