@@ -21,6 +21,13 @@ Unicode digits are not read), ASCII names, and the operators
 `1x`, `-2 y` and `- 2 y` all read as terms.  A numeral longer than the
 interpreter's int conversion limit is an error, and every ParseError carries
 the line and column of the token it is about.
+
+A line is lexed word by word: it is split at whitespace, and each distinct
+word is lexed once per parse, its tokens kept in a table that lives for the
+call, so a dense row's repeated names and coefficients cost a lookup.  The
+lexer is greedy: `a1/2` stops at the `/`, it is not `a` and `1/2`.  A word
+that does not lex hands the line to the line lexer, whose first unread
+character is the error's column.
 """
 
 from __future__ import annotations
@@ -43,6 +50,15 @@ _ZERO = Fraction(0)
 # A line is walked as the list of its token strings, closed by "" so that
 # reading past the last token reads the empty string.  A token's kind shows in
 # its first character; columns are only worked out for an error.
+
+
+def _lex_word(word: str) -> list[str] | None:
+    """The tokens of a word without whitespace, or None if the greedy line
+    lexer stops inside it.  Tokens hold no whitespace, so a line's tokens
+    are its words' tokens in order, and a line lexes iff each word does."""
+    if _LEXABLE.match(word).end() != len(word):
+        return None
+    return _TOKEN.findall(word)
 
 
 def _is_number(tok: str) -> bool:
@@ -198,17 +214,26 @@ def parse_instance(text: str) -> Instance:
     variables: tuple[str, ...] | None = None
     index: dict[str, int] = {}  # variable name -> column
     numbers: dict[str, Fraction] = {}  # signed numeral text -> its value
+    words: dict[str, list[str]] = {}  # whitespace-free word -> its tokens
     equations = []
     valuations = []
     orders = []
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        if not body.strip():
+        toks = []
+        for word in body.split():
+            lexed = words.get(word)
+            if lexed is None:
+                lexed = _lex_word(word)
+                if lexed is None:  # the line lexer finds the column
+                    end = _LEXABLE.match(body).end()
+                    raise ParseError(
+                        f"unexpected character {body[end]!r}", number, end + 1
+                    )
+                words[word] = lexed
+            toks += lexed
+        if not toks:
             continue
-        end = _LEXABLE.match(body).end()
-        if end != len(body):
-            raise ParseError(f"unexpected character {body[end]!r}", number, end + 1)
-        toks = _TOKEN.findall(body)
         toks.append("")
         keyword = toks[0]
         if keyword == "vars":

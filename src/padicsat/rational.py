@@ -103,27 +103,34 @@ def check_prime(p: int) -> int:
 # ---------------------------------------------------------------------------
 # valuations
 
+# factors of p that int_valuation divides out one at a time before it squares
+_TRIAL_DIVISIONS = 5
+
+
 def int_valuation(n: int, p: int) -> ExtInt:
     """Largest e with p**e dividing n, or +inf for n == 0.
 
-    Uses repeated squaring of the divisor so huge powers (think 2**(10**6))
-    cost O(log e) big-int divisions instead of e of them.
+    The first few factors of p are divided out one at a time, as most
+    valuations met are small; what is left goes to repeated squaring of the
+    divisor, so huge powers (think 3**(10**6)) cost O(log e) big-int
+    divisions instead of e of them.
     """
     if n == 0:
         return INF
     n = abs(n)
     if p == 2:
         return (n & -n).bit_length() - 1
-    if n % p:
-        return 0
+    for v in range(_TRIAL_DIVISIONS):
+        if n % p:
+            return v
+        n //= p
     powers = []
     q = p
     while n % q == 0:
         powers.append(q)
         q *= q
-    v = 1 << (len(powers) - 1)
-    n //= powers[-1]
-    for i in range(len(powers) - 2, -1, -1):
+    v = _TRIAL_DIVISIONS
+    for i in range(len(powers) - 1, -1, -1):
         if n % powers[i] == 0:
             n //= powers[i]
             v += 1 << i

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicsat import parser
 from padicsat.errors import ParseError
 from padicsat.model import Equation, Instance, OrderConstraint, ValConstraint
 from padicsat.parser import parse_instance, serialize_instance
@@ -197,6 +198,7 @@ def test_round_trip_is_idempotent_even_with_strict_input():
 MALFORMED = [
     ("vars x\neq 1 x ?\n", "unexpected character '?'", 2, 8),
     ("vars x\neq 1/ x = 1\n", "unexpected character '/'", 2, 5),
+    ("vars a1\neq 1 a1/2 = 0\n", "unexpected character '/'", 2, 8),
     ("vars x!\n", "unexpected character '!'", 1, 7),
     ("vars x\neq 1 x =\n", "unexpected end of line, expected a right-hand side", 2, 9),
     ("vars x\neq\n", "unexpected end of line, expected a coefficient", 2, 3),
@@ -276,6 +278,24 @@ def test_parse_error_table(text, message, line, column):
         parse_instance(text)
     got = (str(err.value).split(": ", 1)[1], err.value.line, err.value.column)
     assert got == (message, line, column)
+
+
+def test_each_distinct_word_is_lexed_once_per_parse(monkeypatch):
+    inst = random_instance(1, fragment="geq", primes=(3,), num_vars=64, num_eqs=32)
+    text = serialize_instance(inst)
+    lex_word = parser._lex_word
+    lexed = []
+
+    def spy(word):
+        lexed.append(word)
+        return lex_word(word)
+
+    monkeypatch.setattr(parser, "_lex_word", spy)
+    assert parse_instance(text) == inst
+    assert sorted(lexed) == sorted(set(text.split()))
+    # the table lives for one call: a second parse lexes every word again
+    parse_instance(text)
+    assert len(lexed) == 2 * len(set(text.split()))
 
 
 # valid texts the fuzzer starts from: every line kind, comments, strict

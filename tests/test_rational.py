@@ -51,6 +51,26 @@ def test_int_valuation_huge():
     assert int_valuation(0, 5) == INF
 
 
+def test_int_valuation_matches_repeated_division():
+    # the trial divisions, the hand-over to repeated squaring at every
+    # small valuation, and one valuation near 10**4
+    def naive(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    rng = random.Random(20261020)
+    for p in (3, 5, 7):
+        for v in [*range(13), 9_999 + rng.randrange(3)]:
+            for _ in range(4):
+                unit = rng.randrange(1, 10**30)
+                unit += (unit % p == 0)  # keep it prime to p
+                n = rng.choice((1, -1)) * unit * p**v
+                assert int_valuation(n, p) == naive(abs(n), p) == v
+
+
 def test_valuation_rejects_non_prime():
     with pytest.raises(InputError):
         valuation(10, 4)
