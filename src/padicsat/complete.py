@@ -64,31 +64,35 @@ relaxation is sat.  Propagation then reads rows that can show bounds no
 original row shows.
 
 Only the root, which has no digit variable, hands its rows to `solve_geq`
-for the relaxation.  Every other state records, with its rows, the
-(floor, exact) of each variable that its echelon was priced with; a zeroed
-variable's floor is +inf, so an entry in its column costs +inf and pivots
-only in a row with nothing cheaper, whose check then needs a zero rhs.  Its
-relaxation re-prices and re-checks only the rows that hold a variable whose
-(floor, exact) changed since, and eliminates only below a row whose pivot
-moved.  A check reads the row's rhs valuation with its digit terms moved
-in, which changes only with a digit child, and that raises its variable's
-floor.  So every other row is unchanged since its echelon: zero left of its
-diagonal, with its diagonal entry still its cheapest, which a tie keeps, as
-the leftmost.  That makes the result exactly the echelon
+for the relaxation.  Every other state keeps, with its rows, a stale flag
+per row: every narrowing of a profile, as it wakes the rows that hold the
+variable, marks them stale, and the adopted echelon starts with none.  A
+zeroed variable's floor is +inf, so an entry in its column costs +inf and
+pivots only in a row with nothing cheaper, whose check then needs a zero
+rhs.  The relaxation re-prices and re-checks only the stale rows, and
+eliminates only below a row whose pivot moved.  A check reads the row's rhs
+valuation with its digit terms moved in, which changes only with a digit
+child, and that narrows its variable.  Only the relaxation rewrites a row,
+so the rows that hold a variable when it narrows are the ones that hold it
+at the next relaxation, and every row that is not stale is unchanged since
+its echelon: zero left of its diagonal, with its diagonal entry still its
+cheapest, which a tie keeps, as the leftmost.  A stale row none of whose
+costs moved is the same.  That makes the result exactly the echelon
 `pivot_minimal_echelon` computes on the same rows in the same column order.
 The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
 (`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
 
 The relaxation is the search's only lower-bound decision.  A leaf's rows are
-its relaxation's echelon, row i pivoting at column i, so it hands them with
-the floors they were priced with (`priced`) and its digit terms to
-`geq_witness`, which back-substitutes them into a witness w by column.  At a
-leaf every floored variable (a finite lower bound) fits the lower-bound
-fragment, as none is left to branch on; when every other variable does too,
-w is the answer.  Otherwise the leaf has open variables (no lower bound, but
-an upper bound or exclusions), and it is decided as one system, not
-component by component, from all its rows and w, after Guepin, Haase &
-Worrell's small-model argument (LICS 2019).  Write the solutions of its rows
+its relaxation's echelon, row i pivoting at column i, and no profile has
+narrowed since, so it hands them with its profiles' floors, the ones that
+echelon's costs were read from, and its digit terms to `geq_witness`, which
+back-substitutes them into a witness w by column.  At a leaf every floored
+variable (a finite lower bound) fits the lower-bound fragment, as none is
+left to branch on; when every other variable does too, w is the answer.
+Otherwise the leaf has open variables (no lower bound, but an upper bound
+or exclusions), and it is decided as one system, not component by
+component, from all its rows and w, after Guepin, Haase & Worrell's
+small-model argument (LICS 2019).  Write the solutions of its rows
 as x = x0 + N t, read off `solve_affine`'s integers (pivots, free columns,
 F, minor): x0 is 0 at the free columns and F_r[-1] / minor at pivot r, and
 N has one column per free column, its row N_j e_k at free column free[k]
@@ -210,11 +214,10 @@ class _State:
 
     After a sat relaxation the rows are its echelon and the columns are in
     its pivot order: row i is zero left of column i and nonzero at it.
-    `priced` then holds the (floor, exact) of each variable that echelon was
-    priced with; a leaf reads its witness's floors from it.  A forced zero
-    is a narrowing to v >= +inf, and no step but the relaxation rewrites a
-    row, so the columns never change.  The record is shared by copies and
-    replaced, never edited, by the next relaxation.
+    `stale` then marks the rows that hold a variable narrowed since, the
+    only rows the next relaxation re-prices.  A forced zero is a narrowing
+    to v >= +inf, and no step but the relaxation rewrites a row, so the
+    columns never change.
     """
 
     prime: int
@@ -228,11 +231,13 @@ class _State:
     # profile order, and of its rhs less its digit terms.  Computed with the
     # rows, then kept in step by the digit children and the relaxation
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
-    # the echelon record above; None only at the root, before its relaxation
-    priced: dict[str, tuple[ExtInt, bool]] | None = None
     # per row: its last propagation visit raised nothing, and since then
     # neither the row nor the profile of a variable in it has changed
     quiet: list[bool] | None = field(default=None, compare=False)
+    # per row: the profile of a variable in it has narrowed since the state
+    # adopted its echelon, so the next relaxation re-prices the row.  None
+    # only at the root, before its relaxation
+    stale: list[bool] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.valuations is None:
@@ -260,7 +265,8 @@ class _State:
 
     def copy(self) -> "_State":
         return _State(self.prime, list(self.columns), list(self.rows), dict(self.profiles),
-                      self.consts, list(self.valuations), self.priced, list(self.quiet))
+                      self.consts, list(self.valuations), list(self.quiet),
+                      None if self.stale is None else list(self.stale))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -306,12 +312,15 @@ def _fix_digit(state: _State, var: str, digit: int, v: int) -> None:
 
 
 def _narrow(state: _State, var: str, prof: VarProfile) -> None:
-    """Store var's narrowed profile and wake every row that holds var."""
+    """Store var's narrowed profile, and wake every row that holds var and
+    mark it stale (after the root's relaxation)."""
     state.profiles[var] = prof
-    quiet = state.quiet
+    quiet, stale = state.quiet, state.stale
     for i, (vals, _) in enumerate(state.valuations):
         if var in vals:
             quiet[i] = False
+            if stale is not None:
+                stale[i] = True
 
 
 def _check_profiles(state: _State, names: Iterable[str]) -> Verdict | None:
@@ -478,19 +487,19 @@ def _relaxation(state: _State) -> bool:
 
     When it is sat the state adopts its echelon: its nonzero rows, made
     primitive, over the columns in pivot order, with each row's valuations
-    and quiet flag, and records, in `priced`, the floors and exact flags it
-    was priced with (module docstring).  Only the root has no echelon
-    record: its rows go to `solve_geq`, in column order, as they are, since
-    a row's multiple has the same solutions, and every adopted row is woken.
-    Every other state's _reprice builds the same echelon from its record.
-    A zeroed variable's floor is +inf, which `solve_geq` reads as x = 0.
+    and quiet flag, and no row stale (module docstring).  Only the root has
+    no echelon yet: its rows go to `solve_geq`, in column order, as they
+    are, since a row's multiple has the same solutions, and every adopted
+    row is woken.  Every other state's _reprice builds the same echelon from
+    its stale rows.  A zeroed variable's floor is +inf, which `solve_geq`
+    reads as x = 0.
     """
     floors, exact = _bounds(state)
-    if state.priced is not None:
+    if state.stale is not None:
         echelon = _reprice(state, floors, exact)
         if echelon is None:
             return False
-        columns, rows, vals, quiet, floors, exact = echelon
+        columns, rows, vals, quiet = echelon
     else:
         A, b = _system(state)
         verdict = solve_geq(GeqProblem(
@@ -500,30 +509,32 @@ def _relaxation(state: _State) -> bool:
             return False
         result = verdict.diagnostics["echelon"]
         col_of = inverse_permutation(result.sigma)  # position -> column
-        floors, exact = [floors[c] for c in col_of], [exact[c] for c in col_of]
         columns = [state.columns[c] for c in col_of]
         rows = [_primitive(row) for row in result.rows[:result.rank]]
         index = {c: j for j, c in enumerate(columns)}
         vals, quiet = [state.row_valuation(row, index) for row in rows], [False] * len(rows)
     state.columns, state.rows, state.valuations, state.quiet = columns, rows, vals, quiet
-    state.priced = dict(zip(columns, zip(floors, exact)))
+    state.stale = [False] * len(rows)
     return True
 
 
 def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | None:
-    """_relaxation's echelon from the state's echelon record, None if unsat:
-    (columns, rows, valuations, quiet flags, floors, exact flags).
+    """_relaxation's echelon from the state's adopted one, given the floors
+    and exact flags by column, None if unsat: (columns, rows, valuations,
+    quiet flags).
 
     This is pivot_minimal_echelon's loop on the same rows in the same column
-    order, and it ends in the same echelon, but it prices only the rows the
-    record does not vouch for.  The rows are independent: an echelon's
-    nonzero rows, which no other step rewrites.  So no row is eliminated to
-    zero, and no row swap or zero row can occur.  A row whose variables all
-    keep their recorded (floor, exact), and that no elimination has touched,
-    is still zero left of its old pivot, which is still its cheapest entry,
-    so the pivot choice keeps it (the leftmost of a tie), and its
-    pivot-bound check still passes, as its rhs valuation (digit terms moved
-    in) changes only with a digit child, which raises its variable's floor.
+    order, and it ends in the same echelon, but it prices only the stale
+    rows and the ones an elimination changed.  The rows are independent: an
+    echelon's nonzero rows, which no other step rewrites.  So no row is
+    eliminated to zero, and no row swap or zero row can occur.  A row that
+    is not stale holds no variable narrowed since the state adopted its
+    echelon, and no elimination has touched it, so it is still zero left of
+    its old pivot, which is still its cheapest entry, so the pivot choice
+    keeps it (the leftmost of a tie), and its pivot-bound check still
+    passes, as its rhs valuation (digit terms moved in) changes only with a
+    digit child, which narrows its variable.  A stale row none of whose
+    costs moved keeps its pivot and passes its check for the same reason.
     A checked row reads that valuation from `valuations`, computed afresh
     for a row an elimination changed.  Until some pivot moves, every row
     below step r is untouched, so zero at column r, and there is nothing to
@@ -534,12 +545,9 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
     n = len(state.columns)
     columns = list(state.columns)
     offsets = list(map(doubled_offset, floors, exact))
-    changed = {
-        v for v, f, e in zip(columns, floors, exact) if state.priced.get(v) != (f, e)
-    }
     rows, vals = list(state.rows), list(state.valuations)
     # per row: re-price it; an eliminated row's valuations also go (None)
-    dirty = [not changed.isdisjoint(v) for v, _ in vals]
+    dirty = list(state.stale)
     moved = False  # a pivot moved, and every row has been copied for the swap
     m = len(rows)
     for r in range(m):
@@ -575,7 +583,7 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
             vals[i] = state.row_valuation(row, index)
         if pivot_shortfall(p, row, i, floors[i] + exact[i], flagged, vals[i][1]) is not None:
             return None
-    return columns, rows, vals, quiet, floors, exact
+    return columns, rows, vals, quiet
 
 
 def _geq_compatible(state: _State, var: str) -> bool:
@@ -657,9 +665,10 @@ def _solve_leaf(state: _State) -> Verdict | None:
     after a raised floor: the state is decided again, with fewer variables
     unbounded below."""
     columns = state.columns
-    # the rows are that echelon already: row i pivots at column i
+    # the rows are that echelon already: row i pivots at column i, costed
+    # with the profiles' floors, as nothing has narrowed since
     digits = {j: state.consts[v] for j, v in enumerate(columns) if v in state.consts}
-    w = geq_witness(state.prime, state.rows, [state.priced[v][0] for v in columns], digits)
+    w = geq_witness(state.prime, state.rows, [state.profiles[v].lower for v in columns], digits)
     open_ = sorted(
         (j for j, v in enumerate(columns) if not _geq_compatible(state, v)),
         key=columns.__getitem__,

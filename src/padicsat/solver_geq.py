@@ -45,7 +45,7 @@ is the two in turn, the witness permuted back by sigma.  The branch-
 and-decide search runs pivot_shortfall on the rows it re-prices, and
 geq_witness on a leaf's rows, which are already such an echelon but carry
 no minor (the product of the |pivots| stands in); there a digit variable
-x = d*p^v + r is priced with r's floor, each row's rhs valuation has the
+x = d*p^v + r is costed with r's floor, each row's rhs valuation has the
 terms a*d*p^v moved in, and a free x gets d*p^v.  With witness=False a
 sat answer carries that echelon (diagnostics["echelon"]) in place of a
 witness; it serves only the search's root relaxation, whose echelon the

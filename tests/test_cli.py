@@ -221,6 +221,10 @@ def test_check_rejects_bad_witness(tmp_path, capsys):
     assert main(["check", path, str(witness_path)]) == 3
     assert "error" in capsys.readouterr().err
 
+    witness_path.write_text(json.dumps(["1", "2"]))
+    assert main(["check", path, str(witness_path)]) == 3
+    assert "witness JSON must be an object mapping variables" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "entry",
@@ -232,6 +236,9 @@ def test_check_rejects_bad_witness(tmp_path, capsys):
         {"p": 2, "terms": [["1/0", 1]]},
         {"p": 3, "terms": [["1", 1.5]]},
         {"p": 0, "terms": [[1.5, 0]]},
+        5,
+        {"p": 0, "terms": [["1", 0], ["2", 0]]},
+        {"p": 0, "terms": [["1", 1]]},
     ],
 )
 def test_check_reports_malformed_coordinate(tmp_path, capsys, entry):
@@ -321,9 +328,19 @@ def test_oracle_agrees_with_solver(tmp_path, capsys):
 
 
 def test_oracle_rejects_other_fragments(tmp_path, capsys):
-    path = write(tmp_path, "leq.txt", "vars x\nval 3 : v(x) <= 1\n")
-    assert main(["oracle", path]) == 3
-    assert "lower-bound" in capsys.readouterr().err
+    # (file, exit code, what stderr says, or stdout for an answer)
+    table = [
+        ("vars x\nval 3 : v(x) <= 1\n", 3, "lower-bound"),
+        ("vars x\nval 3 : v(x) >= 0\nord 1 x <= 1\n", 3, "not orders"),
+        ("vars x y\nval 3 : v(x) >= 0\nval 5 : v(y) >= 0\n", 3, "exactly one prime"),
+        ("vars x\nval 2 : v(x) == 1\n", 3, "exact valuation pins"),
+        # normalization refutes it before a fragment is asked for
+        ("vars x\nval 3 : v(x) >= 2\nval 3 : v(x) <= 1\n", 1, "unsat"),
+    ]
+    for text, code, message in table:
+        assert main(["oracle", write(tmp_path, "case.txt", text)]) == code, text
+        out, err = capsys.readouterr()
+        assert message in (err if code == 3 else out.strip()), (text, out, err)
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -81,6 +81,11 @@ def test_certificate_checker_rejects_junk():
     assert not ok  # combines to x <= 5, refutes nothing
     ok, _ = check_certificate([[1]], [0], [], [], [], [], (F(1),), (), ())
     assert not ok  # 0 = 0 is not a refutation
+    # x <= 0 and x < 5 combine under nu = -1 to 0 = -5, which the value test
+    # alone accepts, although x = 0 satisfies both rows
+    assert check_certificate([], [], [[1]], [0], [[1]], [5], (), (F(1),), (F(-1),)) == (
+        False, "a strict multiplier is negative"
+    )
 
 
 def test_certificate_checker_rejects_ragged_blocks():

@@ -523,7 +523,7 @@ def test_a_zeroed_variable_is_frozen_by_the_rows_alone(monkeypatch):
             [row[:n] for row in state.rows], [row[n] for row in state.rows], n
         )
         if space is None:
-            assert state.priced is None
+            assert state.stale is None
             outcomes["inconsistent root"] += 1
             return verdict
         j = state.columns.index(var)
@@ -1575,7 +1575,7 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
     outcomes = collections.Counter()
 
     def spy(state):
-        if state.priced is None:
+        if state.stale is None:
             return real(state)
         n = len(state.columns)
         columns, rows = list(state.columns), [list(row) for row in state.rows]
@@ -1599,8 +1599,8 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
         assert state.columns == [columns[c] for c in col_of], (columns, rows)
         adopted = [complete._primitive(row) for row in result.rows[:result.rank]]
         assert state.rows == adopted, (columns, rows)
-        # the record the leaf reads its floors from: the pricing by variable
-        assert state.priced == {columns[c]: (floors[c], exact[c]) for c in col_of}
+        # no row is stale right after the echelon is adopted
+        assert not any(state.stale)
         outcomes["rows kept" if state.rows == rows else "rows changed"] += 1
         if (outcomes["rows kept"] + outcomes["rows changed"]) % 16 == 0:
             _audit_adopted_rows(A, b, problem.costs(), state.rows)
