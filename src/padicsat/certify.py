@@ -3,16 +3,18 @@ that shares only the rational core and the model with the solvers.
 
 verify_witness checks a claimed satisfying assignment against an instance:
 equations one exponent at a time, valuation constraints symbolically, order
-constraints on materialized values.  It groups the witness's terms by
-exponent into sparse integer columns once per check, takes one integer dot
-product per exponent and equation, and hands the resulting terms to
+constraints on materialized values.  Every row, equation or order, is read
+in one integer form (_integer_form): its nonzero coefficients and its rhs
+scaled to integers over one lcm.  The witness's terms are written once per
+check over one denominator per exponent and listed by coordinate, so an
+equation walks only its nonzero coefficients and their coordinates' terms,
+summing one integer per exponent, and hands the resulting terms to
 rational.merged_valuation, whose answer is +inf exactly when the equation
 holds.  No p**e is materialized for an equation, and a residual PowerSum is
 built only to word a rejection.  Order rows are checked on integers too: the
-materialized point is written over one common denominator, x = X / D, each
-row is scaled to integers over its lcm, and one integer dot product is
-compared with the scaled rhs; a Fraction total is built only to word a
-rejection.
+materialized point is written over one common denominator, x = X / D, and
+one integer dot product is compared with the scaled rhs; a Fraction total
+is built only to word a rejection.
 
 check_certificate checks a Farkas certificate from simplex.lp_feasible
 against the original equality, weak and strict blocks, on Fractions.
@@ -75,38 +77,58 @@ def _coordinate_valuation(value, p: int, guard: int):
     return valuation(as_fraction(value), p)
 
 
-def _exponent_columns(values: list) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """The witness's terms grouped by exponent, once per check.
+def _exponent_terms(values: list) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """The witness's terms over one denominator per exponent, once per check.
 
-    Each entry (e, den, column) lists the pairs (j, num) with num/den * p**e a
-    term of coordinate j, den the lcm of the exponent's denominators; a
-    rational coordinate is one term at exponent 0.  O(terms) in all.
+    Returns the exponents, the k-th as (den, e) with den the lcm of the
+    denominators of the terms at e, and per coordinate j the pairs (k, num)
+    with num/den * p**e a term of x_j; a rational coordinate is one term at
+    exponent 0.  O(terms) in all, however many exponents there are.
     """
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for j, x in enumerate(values):
         for c, e in x.terms if isinstance(x, PowerSum) else ((x, 0),):
             if c:
                 groups.setdefault(e, []).append((j, c.numerator, c.denominator))
-    out = []
-    for e, group in groups.items():
+    exponents = []
+    terms: list[list[tuple[int, int]]] = [[] for _ in values]
+    for k, (e, group) in enumerate(groups.items()):
         den = math.lcm(*[d for _, _, d in group])
-        out.append((e, den, [(j, num * (den // d)) for j, num, d in group]))
-    return out
+        exponents.append((den, e))
+        for j, num, d in group:
+            terms[j].append((k, num * (den // d)))
+    return exponents, terms
 
 
-def _residual_is_zero(p: int, eq: Equation, columns) -> bool:
-    """Whether sum_j c_j x_j - rhs vanishes: the equation scaled to integers
-    over its lcm, one integer dot product per exponent, and the valuation
-    merge of the (dot, den, e) triples with the rhs, +inf exactly at 0."""
-    ratios = [_ratio(c) for c in eq.coeffs]
-    rhs_num, rhs_den = _ratio(eq.rhs)
-    scale = math.lcm(rhs_den, *[d for _, d in ratios])
-    coeffs = [num * (scale // d) for num, d in ratios]
-    triples = [
-        (sum([coeffs[j] * num for j, num in column]), den, e)
-        for e, den, column in columns
-    ]
-    triples.append((-rhs_num * (scale // rhs_den), 1, 0))
+def _integer_form(coeffs, rhs) -> tuple[list[tuple[int, int]], int]:
+    """A row's nonzero coefficients, as pairs (j, num), and its rhs, scaled
+    to integers over the lcm of their denominators; each coefficient is
+    read once, as its ratio."""
+    rhs_num, rhs_den = _ratio(rhs)
+    scale, ratios = rhs_den, []
+    for j, c in enumerate(coeffs):
+        # _ratio's Fraction case inline: every parsed coefficient is one
+        num, den = c.as_integer_ratio() if type(c) is Fraction else _ratio(c)
+        if num:
+            ratios.append((j, num, den))
+            if scale % den:
+                scale = math.lcm(scale, den)
+    return [(j, num * (scale // d)) for j, num, d in ratios], rhs_num * (scale // rhs_den)
+
+
+def _residual_is_zero(p: int, eq: Equation, exponents, terms) -> bool:
+    """Whether sum_j c_j x_j - rhs vanishes: the equation in integer form,
+    one integer sum per exponent over the terms of its nonzero
+    coefficients' coordinates, and the valuation merge of the (sum, den, e)
+    triples with the rhs, +inf exactly at 0.  The exponents and those terms
+    are each at most the witness's terms."""
+    coeffs, rhs = _integer_form(eq.coeffs, eq.rhs)
+    sums = [0] * len(exponents)
+    for j, a in coeffs:
+        for k, num in terms[j]:
+            sums[k] += a * num
+    triples = [(total, *exponent) for total, exponent in zip(sums, exponents)]
+    triples.append((-rhs, 1, 0))
     return merged_valuation(p, triples) == INF
 
 
@@ -151,14 +173,11 @@ def _equation_rejection(idx: int, eq: Equation, values: list, p: int | None) -> 
 
 
 def _order_holds(oc: OrderConstraint, X: list[int], D: int) -> bool:
-    """Whether the order row holds at x = X / D (D > 0): the row scaled to
-    integers over its lcm, zero coefficients skipped, compared with the rhs
-    scaled by the same lcm and by D."""
-    ratios = [(j, _ratio(c)) for j, c in enumerate(oc.coeffs) if c]
-    rhs_num, rhs_den = _ratio(oc.rhs)
-    scale = math.lcm(rhs_den, *[d for _, (_, d) in ratios])
-    lhs = sum([num * (scale // d) * X[j] for j, (num, d) in ratios])
-    cap = rhs_num * (scale // rhs_den) * D
+    """Whether the order row holds at x = X / D (D > 0): the row in integer
+    form, compared with its scaled rhs times D."""
+    coeffs, rhs = _integer_form(oc.coeffs, oc.rhs)
+    lhs = sum([a * X[j] for j, a in coeffs])
+    cap = rhs * D
     return lhs < cap if oc.rel == "<" else lhs <= cap
 
 
@@ -170,8 +189,8 @@ def verify_witness(
     """Exactly check a claimed satisfying assignment against an instance.
 
     Witness coordinates may be PowerSums (all over one prime) or plain
-    rationals.  Equations are checked one exponent at a time on integer
-    columns (see the module docstring) and valuation constraints
+    rationals.  Equations are checked one exponent at a time on integers
+    (see the module docstring) and valuation constraints
     symbolically, each (variable, prime) valuation computed once; order
     constraints require materialization, and if the guard refuses, the
     witness is rejected with an explanation rather than guessed about.
@@ -197,10 +216,10 @@ def verify_witness(
         )
     p = next(iter(primes_used), None)
     ordered = [values[var] for var in inst.variables]
-    columns = _exponent_columns(ordered)
+    exponents, terms = _exponent_terms(ordered)
     for idx, eq in enumerate(inst.equations):
         # without power sums every exponent is 0, where any prime decides
-        if not _residual_is_zero(p or 2, eq, columns):
+        if not _residual_is_zero(p or 2, eq, exponents, terms):
             return _equation_rejection(idx, eq, ordered, p)
     memo: dict[tuple[str, int], object] = {}
     for vc in inst.valuations:

@@ -51,17 +51,25 @@ decided here by a branch-and-propagate search:
 A state keeps its equations as primitive integer rows (A | b) over one
 column list: an equivalent reduced system, not the equations as written.
 The root's rows are the instance's equations, each scaled to the integer
-row with content 1.  No step renames or deletes a column, and none but the
-relaxation rewrites a row.  States whose lower-bound relaxation is already
-unsatisfiable are pruned.  The relaxation is the cost-minimal echelon of the
-integer rows and its pivot-bound checks, with no Fraction and no PowerSum
-back-substitution.  When it is sat, the state takes that echelon's nonzero
-rows, made primitive, as its rows, and the echelon's pivot order as its
-column order, so row i pivots at column i; its children inherit both.  The
-echelon is U (A | b) with U invertible, so the new rows have exactly the
-solutions of the old ones, and the zero rows it drops all read 0 = 0, as the
-relaxation is sat.  Propagation then reads rows that can show bounds no
-original row shows.
+row with content 1, over the variables in name order.  No step renames or
+deletes a column, and none but the relaxation rewrites a row.  The search
+has one variable order, the names': the profiles keep it, and every walk
+over the variables (propagation within a row, branching, the frozen pass,
+a leaf's floored and open variables) goes through the profiles, reading a
+variable's column from one index that the state shares with its copies and
+replaces when it adopts an echelon's column order.  So no answer depends
+on the order of the instance's vars line.
+
+States whose lower-bound relaxation is already unsatisfiable are pruned.
+The relaxation is the cost-minimal echelon of the integer rows and its
+pivot-bound checks, with no Fraction and no PowerSum back-substitution.
+When it is sat, the state takes that echelon's nonzero rows, made
+primitive, as its rows, and the echelon's pivot order as its column order,
+so row i pivots at column i; its children inherit both.  The echelon is
+U (A | b) with U invertible, so the new rows have exactly the solutions of
+the old ones, and the zero rows it drops all read 0 = 0, as the relaxation
+is sat.  Propagation then reads rows that can show bounds no original row
+shows.
 
 Only the root, which has no digit variable, hands its rows to `solve_geq`
 for the relaxation.  Every other state keeps, with its rows, a stale flag
@@ -210,7 +218,9 @@ class _State:
     variable's column and profile stand for the remainder.  An adopted
     echelon replaces the rows it changes and never edits one in place, and
     a narrowing replaces the variable's immutable profile, so copies share
-    their rows and profiles.
+    their rows and profiles.  The profiles are in name order, the search's
+    one variable order, and `index` maps a variable to its column: it and
+    `columns` are replaced together, never edited, so copies share both.
 
     After a sat relaxation the rows are its echelon and the columns are in
     its pivot order: row i is zero left of column i and nonzero at it.
@@ -225,10 +235,10 @@ class _State:
     rows: list[list[int]]
     profiles: dict[str, VarProfile]
     # per digit variable x, its leading term (d, v): x = d*p^v + r with
-    # v(r) >= v + 1.  Shared by copies and replaced, never edited
+    # v(r) >= v + 1.  Copied with the profiles; a digit child adds its entry
     consts: dict[str, tuple[int, int]] = field(default_factory=dict)
     # per row, the valuations of its nonzero coefficients by variable, in
-    # profile order, and of its rhs less its digit terms.  Computed with the
+    # name order, and of its rhs less its digit terms.  Computed with the
     # rows, then kept in step by the digit children and the relaxation
     valuations: list[tuple[dict[str, int], ExtInt]] | None = None
     # per row: its last propagation visit raised nothing, and since then
@@ -238,11 +248,15 @@ class _State:
     # adopted its echelon, so the next relaxation re-prices the row.  None
     # only at the root, before its relaxation
     stale: list[bool] | None = field(default=None, compare=False)
+    # variable -> its column.  Built with the columns, replaced with them
+    # when the relaxation adopts an echelon, and shared by copies
+    index: dict[str, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.index is None:
+            self.index = {c: j for j, c in enumerate(self.columns)}
         if self.valuations is None:
-            index = {c: j for j, c in enumerate(self.columns)}
-            self.valuations = [self.row_valuation(row, index) for row in self.rows]
+            self.valuations = [self.row_valuation(row, self.index) for row in self.rows]
         if self.quiet is None:
             self.quiet = [False] * len(self.rows)
 
@@ -264,9 +278,9 @@ class _State:
         return _less_digits(self.prime, row[-1], terms)
 
     def copy(self) -> "_State":
-        return _State(self.prime, list(self.columns), list(self.rows), dict(self.profiles),
-                      self.consts, list(self.valuations), list(self.quiet),
-                      None if self.stale is None else list(self.stale))
+        return _State(self.prime, self.columns, list(self.rows), dict(self.profiles),
+                      dict(self.consts), list(self.valuations), list(self.quiet),
+                      None if self.stale is None else list(self.stale), self.index)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -303,11 +317,10 @@ def _fix_digit(state: _State, var: str, digit: int, v: int) -> None:
     and its column stands for r.  No row changes; each row holding var
     re-reads its rhs valuation with the new digit term moved in.
     """
-    state.consts = {**state.consts, var: (digit, v)}
-    index = {c: j for j, c in enumerate(state.columns)}
+    state.consts[var] = (digit, v)
     for i, (vals, _) in enumerate(state.valuations):
         if var in vals:
-            state.valuations[i] = (vals, state.rhs_valuation(state.rows[i], index, vals))
+            state.valuations[i] = (vals, state.rhs_valuation(state.rows[i], state.index, vals))
     _narrow(state, var, VarProfile(v + 1, INF, frozenset()))
 
 
@@ -324,8 +337,8 @@ def _narrow(state: _State, var: str, prof: VarProfile) -> None:
 
 
 def _check_profiles(state: _State, names: Iterable[str]) -> Verdict | None:
-    """The first of names, in sorted order, whose window is empty."""
-    for var in sorted(names):
+    """The first of names, given in name order, whose window is empty."""
+    for var in names:
         if state.profiles[var].empty():
             return Verdict.unsat("empty-window", f"no admissible valuation for {var}",
                                  var=var)
@@ -361,12 +374,13 @@ def _substitute_frozen(state: _State) -> Verdict | None:
     if solution is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
     pivots, _, F, minor = solution
-    frozen = sorted(
-        (state.columns[j], Fraction(num, minor)) for j, num in frozen_coordinates(pivots, F)
-    )
-    for var, value in frozen:
+    frozen = dict(frozen_coordinates(pivots, F))
+    for var in state.profiles:
+        num = frozen.get(state.index[var])
+        if num is None:
+            continue
         digit = state.consts.get(var)
-        v = _less_digits(state.prime, value, [(1, *digit)] if digit else [])
+        v = _less_digits(state.prime, Fraction(num, minor), [(1, *digit)] if digit else [])
         failed = _force_zero(state, var) if v == INF else _fixed_outside(state, var, v)
         if failed is not None:
             return failed
@@ -486,11 +500,11 @@ def _relaxation(state: _State) -> bool:
     """Decide the state's lower-bound relaxation, over its columns.
 
     When it is sat the state adopts its echelon: its nonzero rows, made
-    primitive, over the columns in pivot order, with each row's valuations
-    and quiet flag, and no row stale (module docstring).  Only the root has
-    no echelon yet: its rows go to `solve_geq`, in column order, as they
-    are, since a row's multiple has the same solutions, and every adopted
-    row is woken.  Every other state's _reprice builds the same echelon from
+    primitive, over the columns in pivot order and their index, with each
+    row's valuations and quiet flag, and no row stale (module docstring).
+    Only the root has no echelon yet: its rows go to `solve_geq`, in column
+    order, as they are, since a row's multiple has the same solutions, and
+    every adopted row is woken.  Every other state's _reprice builds the same echelon from
     its stale rows.  A zeroed variable's floor is +inf, which `solve_geq`
     reads as x = 0.
     """
@@ -499,7 +513,7 @@ def _relaxation(state: _State) -> bool:
         echelon = _reprice(state, floors, exact)
         if echelon is None:
             return False
-        columns, rows, vals, quiet = echelon
+        columns, rows, vals, quiet, index = echelon
     else:
         A, b = _system(state)
         verdict = solve_geq(GeqProblem(
@@ -514,6 +528,7 @@ def _relaxation(state: _State) -> bool:
         index = {c: j for j, c in enumerate(columns)}
         vals, quiet = [state.row_valuation(row, index) for row in rows], [False] * len(rows)
     state.columns, state.rows, state.valuations, state.quiet = columns, rows, vals, quiet
+    state.index = index
     state.stale = [False] * len(rows)
     return True
 
@@ -521,7 +536,7 @@ def _relaxation(state: _State) -> bool:
 def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | None:
     """_relaxation's echelon from the state's adopted one, given the floors
     and exact flags by column, None if unsat: (columns, rows, valuations,
-    quiet flags).
+    quiet flags, index), a new index only when a pivot moved.
 
     This is pivot_minimal_echelon's loop on the same rows in the same column
     order, and it ends in the same echelon, but it prices only the stale
@@ -575,7 +590,7 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
     flagged = [(j, floors[j]) for j in range(n) if exact[j]]
     # an eliminated row is woken, and its valuations are computed afresh
     quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
-    index = {c: j for j, c in enumerate(columns)} if moved else None
+    index = {c: j for j, c in enumerate(columns)} if moved else state.index
     for i, row in enumerate(rows):
         if not dirty[i]:
             continue
@@ -583,7 +598,7 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
             vals[i] = state.row_valuation(row, index)
         if pivot_shortfall(p, row, i, floors[i] + exact[i], flagged, vals[i][1]) is not None:
             return None
-    return columns, rows, vals, quiet
+    return columns, rows, vals, quiet, index
 
 
 def _geq_compatible(state: _State, var: str) -> bool:
@@ -603,10 +618,7 @@ def _solve_mixed(state: _State, open_: list[int], w: list[PowerSum]) -> Verdict 
     columns = state.columns
     n = len(columns)
     A, b = _system(state)
-    floored = sorted(
-        (j for j, v in enumerate(columns) if is_finite(state.profiles[v].lower)),
-        key=columns.__getitem__,
-    )
+    floored = [state.index[v] for v, prof in state.profiles.items() if is_finite(prof.lower)]
     pivots, free, F, minor = solve_affine(A, b, n)  # w solves it
     frozen = {c for c, _ in frozen_coordinates(pivots, F)}
     for u in open_:
@@ -664,15 +676,12 @@ def _solve_leaf(state: _State) -> Verdict | None:
     (module docstring); a sat answer maps every variable to a value.  None
     after a raised floor: the state is decided again, with fewer variables
     unbounded below."""
-    columns = state.columns
+    columns, index = state.columns, state.index
     # the rows are that echelon already: row i pivots at column i, costed
     # with the profiles' floors, as nothing has narrowed since
-    digits = {j: state.consts[v] for j, v in enumerate(columns) if v in state.consts}
+    digits = {index[v]: digit for v, digit in state.consts.items()}
     w = geq_witness(state.prime, state.rows, [state.profiles[v].lower for v in columns], digits)
-    open_ = sorted(
-        (j for j, v in enumerate(columns) if not _geq_compatible(state, v)),
-        key=columns.__getitem__,
-    )
+    open_ = [index[v] for v in state.profiles if not _geq_compatible(state, v)]
     if open_:
         verdict = _solve_mixed(state, open_, w)
         if verdict is None or verdict.is_unsat:
@@ -700,8 +709,7 @@ def _children(state: _State) -> Iterator[_State] | None:
     """
     p = state.prime
     best: tuple[int, str] | None = None
-    for var in sorted(state.profiles):
-        prof = state.profiles[var]
+    for var, prof in state.profiles.items():
         if not (is_finite(prof.lower) and is_finite(prof.upper)) or prof.exact_at(p):
             continue
         if prof.lower == prof.upper:
@@ -714,8 +722,7 @@ def _children(state: _State) -> Iterator[_State] | None:
         prof = state.profiles[var]
         return (_child(state, _narrow, var, VarProfile(v, v, frozenset()))
                 for v in range(prof.lower, prof.upper + 1) if v not in prof.excluded)
-    for var in sorted(state.profiles):
-        prof = state.profiles[var]
+    for var, prof in state.profiles.items():
         if prof.upper == INF and is_finite(prof.lower) and prof.excluded:
             x = min(prof.excluded)  # above the lower edge
             return (_child(state, _narrow, var, VarProfile(lower, upper, prof.excluded))
@@ -774,9 +781,9 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
             raise InputError("a prime is required for valuation-free instances")
         prime = norm.primes[0]
     norm.require_prime(prime)  # multi-prime instances go through the combiner
-    # sorted columns make for fewer eliminations in the echelon; the profiles,
-    # and with them each row's valuations, keep the declaration order, the
-    # order in which propagation visits a row's variables
+    # the search's one variable order is the names': the columns start in it
+    # (fewer eliminations in the echelon than the declaration order), and the
+    # profiles, with each row's valuations, keep it
     columns = sorted(norm.variables)
     position = {v: k for k, v in enumerate(norm.variables)}
     rows = []
@@ -787,7 +794,7 @@ def solve_complete(norm: NormalizedInstance, prime: int | None = None) -> Verdic
             continue
         row = integer_row([*(eq.coeffs[position[v]] for v in columns), eq.rhs])[0]
         rows.append(_primitive(row))
-    profiles = {var: norm.profile(prime, var) for var in norm.variables}
+    profiles = {var: norm.profile(prime, var) for var in columns}
     state = _State(prime, columns, rows, profiles)
     verdict = _check_profiles(state, profiles)
     if verdict is None:

@@ -451,7 +451,6 @@ def pivot_minimal_echelon(
     rows: list[list[int]] = []
     dens: list[int] = []
     scales: list[int] = []
-    cleared: list[int] = []  # cleared[i]: the pivots already cleared from row i
     minors = [1]  # minors[s]: |det| of the leading block of the first s pivots
     pivot_columns: list[list[int]] = []  # pivot row s's nonzero positions from s on
     col_of = list(range(n))  # col_of[j]: original column currently at position j
@@ -460,19 +459,20 @@ def pivot_minimal_echelon(
     def clear(i: int) -> list[int]:
         """Row i cleared through every pivot so far, pivot s with its own
         step's bound.  The next input row is first scaled to integers, in the
-        current column order."""
+        current column order.  A row already cleared through some pivots is
+        zero at their positions, which later swaps never move, so it walks
+        every pivot and skips those."""
         if i == len(rows):
             a = A[i]
             row, den = integer_row([a[c] for c in col_of] + list(rhs[i]))
             rows.append(row)
             dens.append(den)
             scales.append(den)
-            cleared.append(0)
-        row, den, scale, k = rows[i], dens[i], scales[i], len(pivot_columns)
-        for s in range(cleared[i], k):
+        row, den, scale = rows[i], dens[i], scales[i]
+        for s, nonzero in enumerate(pivot_columns):
             if row[s]:
-                den = eliminate(row, den, rows[s], s, pivot_columns[s], s, scale * minors[s + 1])
-        dens[i], cleared[i] = den, k
+                den = eliminate(row, den, rows[s], s, nonzero, s, scale * minors[s + 1])
+        dens[i] = den
         return row
 
     r = 0
@@ -483,7 +483,7 @@ def pivot_minimal_echelon(
             swap = next((i for i in range(r + 1, m) if any(clear(i)[r:n])), None)
             if swap is None:
                 break
-            for seq in (rows, dens, scales, cleared):
+            for seq in (rows, dens, scales):
                 seq[r], seq[swap] = seq[swap], seq[r]
             top = rows[r]
             columns = nonzero_columns(top, r)

@@ -29,12 +29,14 @@ from padicsat.dispatch import solve_instance, solve_single_prime
 from padicsat.errors import InputError, InternalError
 from padicsat.model import (
     Equation,
+    Fragment,
     ImmediateUnsat,
     Instance,
     OrderConstraint,
     ValConstraint,
     VarProfile,
     Verdict,
+    classify,
     normalize,
 )
 from padicsat.parser import parse_instance
@@ -961,6 +963,65 @@ def test_digit_search_states_are_pinned(monkeypatch):
     assert digest.hexdigest() == (
         "7401e09537d545e9ce780dbe459b197d939583d1c36b43a2f59cef2c97e9e51d"
     ), statuses
+
+
+def _permuted(i, rng):
+    """i with its vars line shuffled, and each equation's coefficients with it."""
+    order = list(range(len(i.variables)))
+    rng.shuffle(order)
+    return Instance(
+        tuple(i.variables[j] for j in order),
+        tuple(Equation(tuple(eq.coeffs[j] for j in order), eq.rhs) for eq in i.equations),
+        i.valuations,
+    )
+
+
+def _order_free_searches():
+    """HARD draws at p = 2, 3 and 5 with 6-12 variables and n/2 or n - 2
+    rows, colorings at (3, 1) and (2, 2), and == encodings, K4 and K5
+    included."""
+    for p in (2, 3, 5):
+        for n in range(6, 13):
+            for seed in range(24):
+                i = random_instance(seed, fragment="mixed", primes=(p,), num_vars=n,
+                                    num_eqs=n // 2 if seed % 2 else n - 2)
+                norm = normalize(i)
+                if (not isinstance(norm, ImmediateUnsat)
+                        and classify(norm).per_prime.get(p) is Fragment.HARD):
+                    yield i
+    graphs = [Graph.complete(4), Graph.complete(5)]
+    graphs += [Graph.random(seed, 5 + seed % 3, 0.5) for seed in range(8)]
+    for g in graphs:
+        yield encode_coloring(g, 3, 1)
+        yield encode_coloring(g, 2, 2)
+    for g in [Graph.complete(4), *(Graph.random(seed, 4 + seed % 2, 0.5) for seed in range(8))]:
+        yield encode_three_coloring_eq(g)
+
+
+def test_the_search_does_not_read_the_vars_line_order(monkeypatch):
+    # the search has one variable order, the names', so shuffling the vars
+    # line (and each equation's coefficients with it) changes no status,
+    # code, reason, diagnostics or witness, nor the number of states
+    calls = collections.Counter()
+    real = complete._propagate
+
+    def propagate(state):
+        calls["states"] += 1
+        return real(state)
+
+    monkeypatch.setattr(complete, "_propagate", propagate)
+    rng = random.Random(36)
+    outcomes = collections.Counter()
+    for i in _order_free_searches():
+        answers = []
+        for case in (i, _permuted(i, rng)):
+            calls["states"] = 0
+            verdict = solve_hard(case)
+            answers.append((verdict.status, verdict.code, verdict.reason,
+                            verdict.diagnostics, verdict.witness, calls["states"]))
+        assert answers[0] == answers[1], i
+        outcomes[verdict.status.value] += 1
+    assert outcomes["sat"] >= 120 and outcomes["unsat"] >= 60, outcomes
 
 
 def _zero_heavy_draw(seed):
