@@ -42,7 +42,14 @@ decided here by a branch-and-propagate search:
   form's constant (a row's rhs, a frozen coordinate) is read with the digit
   terms a*d*p^v moved into it (`_less_digits`).  At p = 2 the single digit
   makes a pinned valuation an exact constraint the echelon solver handles
-  natively;
+  natively.  Unit scaling cuts the first digit split of a homogeneous state
+  to its child d = 1: while no digit is fixed and every row's rhs is 0,
+  x -> u*x for an integer u prime to p keeps every row and every valuation
+  (so every window, exclusion and forced zero), and u = d^-1 mod p maps a
+  solution with digit d to one with digit 1.  This is lex-leader symmetry
+  breaking for the group of p-adic units (Crawford, Ginsberg, Luks & Roy,
+  KR 1996).  A fixed digit is kept only by u = 1 mod p, so the cut fires
+  at most once on any path;
 * a variable bounded below with an exclusion above the bound is split around
   the exclusion;
 * once no variable is left to branch on, the state is a leaf, decided from
@@ -587,7 +594,8 @@ def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | 
                 if rows[i][r]:
                     eliminate(rows[i], 0, top, r, nonzero, r)
                     vals[i], dirty[i] = None, True
-    flagged = [(j, floors[j]) for j in range(n) if exact[j]]
+    # _bounds sets an exact flag only at p = 2
+    flagged = [(j, floors[j]) for j in range(n) if exact[j]] if p == 2 else []
     # an eliminated row is woken, and its valuations are computed afresh
     quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
     index = {c: j for j, c in enumerate(columns)} if moved else state.index
@@ -706,6 +714,15 @@ def _children(state: _State) -> Iterator[_State] | None:
     echelon leaf takes directly), any other window into its admissible
     valuations, and the search stops at the first satisfiable one.  Then a
     variable bounded below is split around its least exclusion.
+
+    Unit scaling: while no digit is fixed and every row's rhs is 0, a digit
+    split has only its child d = 1.  On such a state x -> u*x, for an
+    integer u with p not dividing u, maps solutions to solutions: it keeps
+    every homogeneous row and every valuation, so every window, exclusion
+    and forced zero.  With u = d^-1 mod p it maps a solution whose split
+    variable has digit d to one with digit 1, so child d is sat only if
+    child 1 is.  Once a digit is fixed only u = 1 mod p keeps it, so the cut
+    fires at most once on any path.
     """
     p = state.prime
     best: tuple[int, str] | None = None
@@ -713,7 +730,9 @@ def _children(state: _State) -> Iterator[_State] | None:
         if not (is_finite(prof.lower) and is_finite(prof.upper)) or prof.exact_at(p):
             continue
         if prof.lower == prof.upper:
-            return (_child(state, _fix_digit, var, d, prof.lower) for d in range(1, p))
+            homogeneous = not state.consts and not any(row[-1] for row in state.rows)
+            return (_child(state, _fix_digit, var, d, prof.lower)
+                    for d in range(1, 2 if homogeneous else p))
         size = prof.upper - prof.lower + 1 - len(prof.excluded)
         if best is None or size < best[0]:
             best = (size, var)

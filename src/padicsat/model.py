@@ -27,6 +27,14 @@ from .rational import (
 
 VAL_RELATIONS = ("<=", ">=", "==", "!=", "<", ">")
 ORD_RELATIONS = ("<", "<=")
+# every zero that Equation.of and OrderConstraint.of read, so that a dense
+# row of zeros holds one object, not one Fraction per coefficient
+_ZERO = Fraction(0)
+
+
+def _exact(x) -> Fraction:
+    """as_fraction(x), a zero as the shared _ZERO."""
+    return as_fraction(x) or _ZERO
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class Equation:
 
     @classmethod
     def of(cls, coeffs, rhs) -> "Equation":
-        return cls(tuple(as_fraction(c) for c in coeffs), as_fraction(rhs))
+        return cls(tuple(map(_exact, coeffs)), _exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class OrderConstraint:
 
     @classmethod
     def of(cls, coeffs, rel, rhs) -> "OrderConstraint":
-        return cls(tuple(as_fraction(c) for c in coeffs), rel, as_fraction(rhs))
+        return cls(tuple(map(_exact, coeffs)), rel, _exact(rhs))
 
 
 @dataclass(frozen=True)

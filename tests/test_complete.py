@@ -933,8 +933,9 @@ def test_digit_search_states_are_pinned(monkeypatch):
     # each search's status, code and number of states (_propagate calls),
     # hashed in order, on searches rich in digit children.  An unsound
     # shortcut in how a digit child reads its rows can keep every status of
-    # an unsat family while it cuts states; the digest was computed before
-    # digit children stopped rewriting rows, and every sat witness verifies
+    # an unsat family while it cuts states; the digest was last computed
+    # when unit scaling cut the first digit split of homogeneous states, and
+    # every sat witness verifies
     states = collections.Counter()
     real_propagate, real_digit = complete._propagate, complete._fix_digit
 
@@ -959,10 +960,128 @@ def test_digit_search_states_are_pinned(monkeypatch):
             assert verify_witness(i, verdict.witness)
         digest.update(repr((verdict.status.value, verdict.code, states["search"])).encode() + b"\0")
     assert statuses == {"sat": 193, "unsat": 274}, statuses
-    assert states["all"] == 45052 and states["digit children"] >= 10000, states
+    assert states["all"] == 34746 and states["digit children"] >= 10000, states
     assert digest.hexdigest() == (
-        "7401e09537d545e9ce780dbe459b197d939583d1c36b43a2f59cef2c97e9e51d"
+        "5414c7ba3a5c559625b5790ddb5cc82e6ee782cbb6df42f92c8c7035a9cd75b9"
     ), statuses
+
+
+def _digit_children(monkeypatch):
+    """Record the search's digit children as (variable, digit, the digits
+    fixed before it)."""
+    children = []
+    real = complete._fix_digit
+
+    def spy(state, var, digit, v):
+        children.append((var, digit, tuple(state.consts.items())))
+        return real(state, var, digit, v)
+
+    monkeypatch.setattr(complete, "_fix_digit", spy)
+    return children
+
+
+@pytest.mark.parametrize("text, children", [
+    # homogeneous at p = 5: x's split, the first, tries only d = 1; then
+    # y = x/4 needs digit 4 (4*4 = 1 mod 5), and y's split, under x's digit,
+    # tries all four
+    ("vars x y\neq 1 x - 4 y = 0\nval 5 : v(x) == 0\nval 5 : v(y) == 0\n",
+     [("x", 1, ()), *(("y", d, (("x", (1, 0)),)) for d in (1, 2, 3, 4))]),
+    # the row y = 1 has rhs 1, so x's split tries every digit up to x = 4
+    ("vars x y\neq 1 x - 4 y = 0\neq 1 y = 1\nval 5 : v(x) == 0\nval 5 : v(y) == 0\n",
+     [*(("x", d, ()) for d in (1, 2, 3, 4)), ("y", 1, (("x", (4, 0)),))]),
+], ids=["homogeneous", "nonzero-rhs"])
+def test_unit_scaling_cuts_only_the_first_homogeneous_split(monkeypatch, text, children):
+    # unit scaling: while no digit is fixed and every row's rhs is 0, a
+    # digit split has only its child d = 1; otherwise it has all p - 1
+    i = parse_instance(text)
+    tried = _digit_children(monkeypatch)
+    verdict = solve_combined(i)
+    assert verdict.is_sat and verify_witness(i, verdict.witness)
+    assert tried == children
+
+
+def test_unit_scaling_cuts_one_split_of_an_exhausted_search(monkeypatch):
+    # K4 in the window encoding at (3, 1) is homogeneous and unsat, so its
+    # search tries every child it has: the first split only d = 1, and every
+    # split under a fixed digit both digits
+    tried = _digit_children(monkeypatch)
+    assert solve_combined(encode_coloring(Graph.complete(4), 3, 1)).is_unsat
+    splits = collections.defaultdict(list)
+    for var, digit, fixed in tried:
+        splits[fixed, var].append(digit)
+    assert [digits for (fixed, _), digits in splits.items() if not fixed] == [[1]]
+    later = [digits for (fixed, _), digits in splits.items() if fixed]
+    assert later and all(digits == [1, 2] for digits in later), splits
+
+
+@pytest.mark.parametrize("text", [
+    # the only digit of x is 2, and the row's rhs is not 0
+    "vars x\neq 1 x = 2\nval 3 : v(x) == 0\n",
+    # homogeneous: x's digit is cut to 1, and then y's must be 2
+    "vars x y\neq 1 x - 2 y = 0\nval 3 : v(x) == 0\nval 3 : v(y) == 0\n",
+], ids=["digit2", "unitpair"])
+def test_unit_scaling_keeps_the_digits_a_solution_needs(text):
+    i = parse_instance(text)
+    verdict = solve_combined(i)
+    assert verdict.is_sat and verify_witness(i, verdict.witness)
+
+
+def _homogeneous_searches():
+    """Searches whose rows are all homogeneous: colorings at (3, 1), (5, 1)
+    and (3, 2), == encodings, and mixed draws at p = 3, 5 and 7 that reach
+    the search, with every rhs set to 0."""
+    graphs = [Graph.complete(4), Graph.complete(6)]
+    graphs += [Graph.random(seed, 6 + seed % 3, 0.7) for seed in range(16)]
+    for g in graphs:
+        for p, e in ((3, 1), (5, 1), (3, 2)):
+            yield encode_coloring(g, p, e)
+    for g in [Graph.complete(4), *(Graph.random(seed, 4 + seed % 2, 0.6) for seed in range(10))]:
+        yield encode_three_coloring_eq(g)
+    for p in (3, 5, 7):
+        for seed in range(200):
+            i = random_instance(seed, fragment="mixed", primes=(p,), num_vars=4 + seed % 5,
+                                num_eqs=2 + seed % 3)
+            i = Instance(i.variables, tuple(Equation(eq.coeffs, Fraction(0)) for eq in i.equations),
+                         i.valuations)
+            norm = normalize(i)
+            if (not isinstance(norm, ImmediateUnsat)
+                    and classify(norm).per_prime.get(p) is Fragment.HARD):
+                yield i
+
+
+def _with_unit(i):
+    """i with a fresh variable z, the row z = 1 and v_p(z) >= 0: the same
+    status, and a nonzero rhs, which turns unit scaling off."""
+    p = i.valuations[0].prime
+    n = len(i.variables)
+    return Instance(
+        (*i.variables, "z"),
+        (*(Equation((*eq.coeffs, Fraction(0)), eq.rhs) for eq in i.equations),
+         Equation.of([0] * n + [1], 1)),
+        (*i.valuations, val(p, "z", ">=", 0)),
+    )
+
+
+def test_unit_scaling_keeps_every_status(monkeypatch):
+    # each homogeneous search against itself with unit scaling turned off by
+    # an extra row z = 1: the same status, every sat witness verifies, and
+    # the cut saves digit children
+    tried = _digit_children(monkeypatch)
+    outcomes = collections.Counter()
+    for i in _homogeneous_searches():
+        answers = []
+        for case in (i, _with_unit(i)):
+            start = len(tried)
+            verdict = solve_combined(case)
+            assert not verdict.is_unknown
+            if verdict.is_sat:
+                assert verify_witness(case, verdict.witness)
+            answers.append((verdict.status, len(tried) - start))
+        assert answers[0][0] == answers[1][0], i
+        outcomes[answers[0][0].value] += 1
+        outcomes["cut"] += answers[0][1] < answers[1][1]
+    assert outcomes["sat"] >= 250 and outcomes["unsat"] >= 80, outcomes
+    assert outcomes["cut"] >= 60, outcomes
 
 
 def _permuted(i, rng):
@@ -1692,7 +1811,7 @@ def test_threshold_search_is_pinned(monkeypatch):
     monkeypatch.setattr(complete, "_propagate", spy)
     g = Graph.random(100, 18, 4.6 / 17)
     assert solve_combined(encode_coloring(g, 3, 1)).is_unsat
-    assert len(states) == 2603
+    assert len(states) == 1302
 
 
 

@@ -48,6 +48,19 @@ def test_validation_rejects_malformed_instances():
         ValConstraint(2, "x", "~", 0)  # unknown relation
 
 
+def test_the_zeros_of_a_row_are_one_object():
+    # a dense row of zeros holds one shared Fraction, not one per
+    # coefficient, whatever form each zero is written in
+    eq = Equation.of([0, 1, Fraction(0), "0", "0/5", -2], 0)
+    zeros = [c for c in (*eq.coeffs, eq.rhs) if c == 0]
+    assert len(zeros) == 5 and all(z is zeros[0] for z in zeros)
+    assert eq.coeffs[1] == 1 and eq.coeffs[5] == -2
+    oc = OrderConstraint.of([0, "0", 3], "<=", Fraction(0))
+    assert oc.coeffs[0] is oc.coeffs[1] is oc.rhs is zeros[0]
+    with pytest.raises(InputError):
+        Equation.of([0.0], 0)  # a float is not an exact rational, zero or not
+
+
 def test_desugared_strict_relations():
     assert ValConstraint(3, "x", "<", 5).desugared() == ValConstraint(3, "x", "<=", 4)
     assert ValConstraint(3, "x", ">", 5).desugared() == ValConstraint(3, "x", ">=", 6)
