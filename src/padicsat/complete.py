@@ -63,9 +63,9 @@ deletes a column, and none but the relaxation rewrites a row.  The search
 has one variable order, the names': the profiles keep it, and every walk
 over the variables (propagation within a row, branching, the frozen pass,
 a leaf's floored and open variables) goes through the profiles, reading a
-variable's column from one index that the state shares with its copies and
-replaces when it adopts an echelon's column order.  So no answer depends
-on the order of the instance's vars line.
+variable's column from one index, which copies share and an adopted
+echelon replaces.  So no answer depends on the order of the instance's
+vars line.
 
 States whose lower-bound relaxation is already unsatisfiable are pruned.
 The relaxation is the cost-minimal echelon of the integer rows and its
@@ -84,8 +84,15 @@ per row: every narrowing of a profile, as it wakes the rows that hold the
 variable, marks them stale, and the adopted echelon starts with none.  A
 zeroed variable's floor is +inf, so an entry in its column costs +inf and
 pivots only in a row with nothing cheaper, whose check then needs a zero
-rhs.  The relaxation re-prices and re-checks only the stale rows, and
-eliminates only below a row whose pivot moved.  A check reads the row's rhs
+rhs.  The relaxation is one pass over the rows that writes the state it
+decides.  It re-prices and re-checks only the stale rows, each against the
+profiles of its own nonzero columns, and eliminates only below a row whose
+pivot moved, marking each row it changes stale.  Each row is checked at its
+own step, as `geq_echelon` checks them, and the pass stops at the first
+that fails, leaving a state the search drops: a check reads only the row's
+entries and their columns' profiles, which later column swaps permute
+together.  The first swap copies the rows, columns and index the parent
+shares, and later swaps edit those copies.  A check reads the row's rhs
 valuation with its digit terms moved in, which changes only with a digit
 child, and that narrows its variable.  Only the relaxation rewrites a row,
 so the rows that hold a variable when it narrows are the ones that hold it
@@ -178,7 +185,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .certify import verify_witness
@@ -202,7 +208,6 @@ from .rational import (
     int_valuation,
     is_finite,
     merged_valuation,
-    valuation,
 )
 from .solver_geq import GeqProblem, geq_witness, pivot_shortfall, solve_geq
 from .solver_leq import LeqProblem, solve_leq
@@ -222,12 +227,13 @@ class _State:
     docstring).  The columns are the variables of `profiles`, and they are
     the instance's: a digit child records its variable's leading term in
     `consts` and narrows the variable to its remainder's profile, so that
-    variable's column and profile stand for the remainder.  An adopted
-    echelon replaces the rows it changes and never edits one in place, and
-    a narrowing replaces the variable's immutable profile, so copies share
-    their rows and profiles.  The profiles are in name order, the search's
-    one variable order, and `index` maps a variable to its column: it and
-    `columns` are replaced together, never edited, so copies share both.
+    variable's column and profile stand for the remainder.  A narrowing
+    replaces the variable's immutable profile, so copies share their
+    profiles.  The profiles are in name order, the search's one variable
+    order, and `index` maps a variable to its column.  Copies share the
+    rows, `columns` and `index`; a relaxation whose pivot moves first copies
+    all three and then edits its copies in place, so it never edits what a
+    parent shares.
 
     After a sat relaxation the rows are its echelon and the columns are in
     its pivot order: row i is zero left of column i and nonzero at it.
@@ -255,32 +261,28 @@ class _State:
     # adopted its echelon, so the next relaxation re-prices the row.  None
     # only at the root, before its relaxation
     stale: list[bool] | None = field(default=None, compare=False)
-    # variable -> its column.  Built with the columns, replaced with them
-    # when the relaxation adopts an echelon, and shared by copies
+    # variable -> its column.  Built with the columns and shared by copies;
+    # a relaxation whose pivot moves copies it and swaps its entries
     index: dict[str, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.index is None:
             self.index = {c: j for j, c in enumerate(self.columns)}
         if self.valuations is None:
-            self.valuations = [self.row_valuation(row, self.index) for row in self.rows]
+            self.valuations = [self.row_valuation(row) for row in self.rows]
         if self.quiet is None:
             self.quiet = [False] * len(self.rows)
 
-    def row_valuation(
-        self, row: list[int], index: dict[str, int]
-    ) -> tuple[dict[str, int], ExtInt]:
-        """What `valuations` keeps for row; index maps a variable to its column."""
-        p = self.prime
+    def row_valuation(self, row: list[int]) -> tuple[dict[str, int], ExtInt]:
+        """What `valuations` keeps for row, a row over `columns`."""
+        p, index = self.prime, self.index
         vals = {v: int_valuation(row[index[v]], p) for v in self.profiles if row[index[v]]}
-        return vals, self.rhs_valuation(row, index, vals)
+        return vals, self.rhs_valuation(row, vals)
 
-    def rhs_valuation(
-        self, row: list[int], index: dict[str, int], support: Iterable[str]
-    ) -> ExtInt:
+    def rhs_valuation(self, row: list[int], support: Iterable[str]) -> ExtInt:
         """v_p of row's rhs less the terms a*d*p^v of its digit variables;
         support holds the variables of row's nonzero coefficients."""
-        consts = self.consts
+        consts, index = self.consts, self.index
         terms = [(row[index[x]], *consts[x]) for x in support if x in consts] if consts else ()
         return _less_digits(self.prime, row[-1], terms)
 
@@ -296,25 +298,24 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _less_digits(p: int, q: int | Fraction, terms: Iterable[tuple]) -> ExtInt:
-    """v_p(q - sum of a*d*p^v over terms (a, d, v)): a linear form's constant
-    q with each digit variable's term a*x = a*d*p^v + a*r moved into it.
+def _less_digits(p: int, q: int, terms: Iterable[tuple]) -> ExtInt:
+    """v_p(q - sum of a*d*p^v over terms (a, d, v)): a linear form's integer
+    constant q with each digit variable's term a*x = a*d*p^v + a*r moved
+    into it.
 
     The terms are summed exactly per exponent, those at exponent 0 into q,
     and the sums merged with q by rational.merged_valuation, so no p^v is
     built.
     """
-    sums: dict[int, int | Fraction] = {}
+    sums: dict[int, int] = {}
     for a, d, v in terms:
         if v:
             sums[v] = sums.get(v, 0) + a * d
         else:
             q -= a * d
     if not sums:
-        return valuation(q, p)
-    merged = [(q.numerator, q.denominator, 0)]
-    merged += [(-s.numerator, s.denominator, v) for v, s in sums.items()]
-    return merged_valuation(p, merged)
+        return int_valuation(q, p)
+    return merged_valuation(p, [(q, 1, 0)] + [(-s, 1, v) for v, s in sums.items()])
 
 
 def _fix_digit(state: _State, var: str, digit: int, v: int) -> None:
@@ -327,7 +328,7 @@ def _fix_digit(state: _State, var: str, digit: int, v: int) -> None:
     state.consts[var] = (digit, v)
     for i, (vals, _) in enumerate(state.valuations):
         if var in vals:
-            state.valuations[i] = (vals, state.rhs_valuation(state.rows[i], state.index, vals))
+            state.valuations[i] = (vals, state.rhs_valuation(state.rows[i], vals))
     _narrow(state, var, VarProfile(v + 1, INF, frozenset()))
 
 
@@ -381,13 +382,15 @@ def _substitute_frozen(state: _State) -> Verdict | None:
     if solution is None:
         return Verdict.unsat("no-solution", "the equations are inconsistent")
     pivots, _, F, minor = solution
+    p = state.prime
     frozen = dict(frozen_coordinates(pivots, F))
     for var in state.profiles:
         num = frozen.get(state.index[var])
         if num is None:
             continue
+        # v(num/minor - d*p^v) = v(num - minor*d*p^v) - v(minor)
         digit = state.consts.get(var)
-        v = _less_digits(state.prime, Fraction(num, minor), [(1, *digit)] if digit else [])
+        v = _less_digits(p, num, [(minor, *digit)] if digit else []) - int_valuation(minor, p)
         failed = _force_zero(state, var) if v == INF else _fixed_outside(state, var, v)
         if failed is not None:
             return failed
@@ -495,118 +498,111 @@ def _propagate(state: _State) -> Verdict | None:
     return None
 
 
-def _bounds(state: _State) -> tuple[list[ExtInt], list[bool]]:
-    """The floors and exact flags of the lower-bound relaxation, by column; a
-    flag can be set only at p = 2."""
-    profs = [state.profiles[v] for v in state.columns]
-    parity = state.prime == 2
-    return [prof.lower for prof in profs], [parity and prof.exact_at(2) for prof in profs]
-
-
 def _relaxation(state: _State) -> bool:
     """Decide the state's lower-bound relaxation, over its columns.
 
-    When it is sat the state adopts its echelon: its nonzero rows, made
+    When it is sat the state has adopted its echelon: its nonzero rows, made
     primitive, over the columns in pivot order and their index, with each
     row's valuations and quiet flag, and no row stale (module docstring).
     Only the root has no echelon yet: its rows go to `solve_geq`, in column
     order, as they are, since a row's multiple has the same solutions, and
-    every adopted row is woken.  Every other state's _reprice builds the same echelon from
-    its stale rows.  A zeroed variable's floor is +inf, which `solve_geq`
-    reads as x = 0.
+    every adopted row is woken.  Every other state's _reprice builds the
+    same echelon from its stale rows.  A zeroed variable's floor is +inf,
+    which `solve_geq` reads as x = 0.  An unsat relaxation may leave the
+    state partly written; the search drops it.
     """
-    floors, exact = _bounds(state)
     if state.stale is not None:
-        echelon = _reprice(state, floors, exact)
-        if echelon is None:
-            return False
-        columns, rows, vals, quiet, index = echelon
-    else:
-        A, b = _system(state)
-        verdict = solve_geq(GeqProblem(
-            tuple(map(tuple, A)), tuple(b), state.prime, tuple(floors), tuple(exact)
-        ), witness=False)
-        if verdict.is_unsat:
-            return False
-        result = verdict.diagnostics["echelon"]
-        col_of = inverse_permutation(result.sigma)  # position -> column
-        columns = [state.columns[c] for c in col_of]
-        rows = [_primitive(row) for row in result.rows[:result.rank]]
-        index = {c: j for j, c in enumerate(columns)}
-        vals, quiet = [state.row_valuation(row, index) for row in rows], [False] * len(rows)
-    state.columns, state.rows, state.valuations, state.quiet = columns, rows, vals, quiet
-    state.index = index
-    state.stale = [False] * len(rows)
+        return _reprice(state)
+    profs = [state.profiles[v] for v in state.columns]
+    A, b = _system(state)
+    verdict = solve_geq(GeqProblem(
+        tuple(map(tuple, A)), tuple(b), state.prime,
+        tuple(prof.lower for prof in profs), tuple(prof.exact_at(state.prime) for prof in profs)
+    ), witness=False)
+    if verdict.is_unsat:
+        return False
+    result = verdict.diagnostics["echelon"]
+    col_of = inverse_permutation(result.sigma)  # position -> column
+    state.columns = [state.columns[c] for c in col_of]
+    state.index = {c: j for j, c in enumerate(state.columns)}
+    state.rows = [_primitive(row) for row in result.rows[:result.rank]]
+    state.valuations = [state.row_valuation(row) for row in state.rows]
+    state.quiet, state.stale = [False] * len(state.rows), [False] * len(state.rows)
     return True
 
 
-def _reprice(state: _State, floors: list[ExtInt], exact: list[bool]) -> tuple | None:
-    """_relaxation's echelon from the state's adopted one, given the floors
-    and exact flags by column, None if unsat: (columns, rows, valuations,
-    quiet flags, index), a new index only when a pivot moved.
+def _reprice(state: _State) -> bool:
+    """_relaxation from the state's adopted echelon, in one pass over the
+    rows that writes the echelon it decides into the state.
 
     This is pivot_minimal_echelon's loop on the same rows in the same column
     order, and it ends in the same echelon, but it prices only the stale
-    rows and the ones an elimination changed.  The rows are independent: an
-    echelon's nonzero rows, which no other step rewrites.  So no row is
-    eliminated to zero, and no row swap or zero row can occur.  A row that
-    is not stale holds no variable narrowed since the state adopted its
-    echelon, and no elimination has touched it, so it is still zero left of
-    its old pivot, which is still its cheapest entry, so the pivot choice
-    keeps it (the leftmost of a tie), and its pivot-bound check still
-    passes, as its rhs valuation (digit terms moved in) changes only with a
-    digit child, which narrows its variable.  A stale row none of whose
-    costs moved keeps its pivot and passes its check for the same reason.
-    A checked row reads that valuation from `valuations`, computed afresh
-    for a row an elimination changed.  Until some pivot moves, every row
-    below step r is untouched, so zero at column r, and there is nothing to
-    eliminate.  So every edit follows the first column swap, which copies
-    all rows: the parent shares them.
+    rows and the ones an elimination changed, each against the profiles of
+    its own nonzero columns.  The rows are independent: an echelon's
+    nonzero rows, which no other step rewrites.  So no row is eliminated to
+    zero, and no row swap or zero row can occur.  A row that is not stale
+    holds no variable narrowed since the state adopted its echelon, and no
+    elimination has touched it, so it is still zero left of its old pivot,
+    which is still its cheapest entry, so the pivot choice keeps it (the
+    leftmost of a tie), and its pivot-bound check still passes, as its rhs
+    valuation (digit terms moved in) changes only with a digit child, which
+    narrows its variable.  A stale row none of whose costs moved keeps its
+    pivot and passes its check for the same reason.
+
+    Each priced row is checked at its own step, as `geq_echelon` does, and
+    the pass stops at the first that fails.  The check reads only the row's
+    entries and their columns' profiles, which a later column swap permutes
+    together, so it reads what the finished echelon would.  It reads the
+    row's rhs valuation from `valuations`, computed afresh for a row an
+    elimination changed.  Until some pivot moves, every row below step r is
+    untouched, so zero at column r, and there is nothing to eliminate.  So
+    every edit follows the first column swap, which copies the rows,
+    `columns` and `index` the parent shares; later swaps edit the copies.
     """
-    p = state.prime
-    n = len(state.columns)
-    columns = list(state.columns)
-    offsets = list(map(doubled_offset, floors, exact))
-    rows, vals = list(state.rows), list(state.valuations)
-    # per row: re-price it; an eliminated row's valuations also go (None)
-    dirty = list(state.stale)
-    moved = False  # a pivot moved, and every row has been copied for the swap
-    m = len(rows)
+    p, n, m = state.prime, len(state.columns), len(state.rows)
+    rows, columns, index = state.rows, state.columns, state.index
+    profiles, vals, stale = state.profiles, state.valuations, state.stale
+    moved = False  # a pivot moved, and the state has its own rows, columns and index
     for r in range(m):
         top = rows[r]
-        if dirty[r]:
+        if stale[r]:
             nonzero = nonzero_columns(top, r)
             if not nonzero or nonzero[0] >= n:
                 raise InternalError(f"search row {r} lost its pivot: {top}")
+            offsets = {}  # by position, for the row's nonzero coefficients
+            for j in nonzero[:-1] if top[n] else nonzero:
+                prof = profiles[columns[j]]
+                offsets[j] = doubled_offset(prof.lower, prof.exact_at(p))
             best = cheapest_column(top, nonzero, n, p, offsets)
             if best != r:
                 if not moved:
-                    rows = [row[:] for row in rows]
                     moved = True
+                    state.rows = rows = [row[:] for row in rows]
+                    state.columns = columns = list(columns)
+                    state.index = index = dict(index)
                     top = rows[r]
                 for row in rows:
                     row[r], row[best] = row[best], row[r]
-                for seq in (columns, offsets, floors, exact):
-                    seq[r], seq[best] = seq[best], seq[r]
+                columns[r], columns[best] = columns[best], columns[r]
+                index[columns[r]], index[columns[best]] = r, best
         if moved:
             nonzero = nonzero_columns(top, r)
             for i in range(r + 1, m):
                 if rows[i][r]:
                     eliminate(rows[i], 0, top, r, nonzero, r)
-                    vals[i], dirty[i] = None, True
-    # _bounds sets an exact flag only at p = 2
-    flagged = [(j, floors[j]) for j in range(n) if exact[j]] if p == 2 else []
-    # an eliminated row is woken, and its valuations are computed afresh
-    quiet = [v is not None and q for v, q in zip(vals, state.quiet)]
-    index = {c: j for j, c in enumerate(columns)} if moved else state.index
-    for i, row in enumerate(rows):
-        if not dirty[i]:
-            continue
-        if vals[i] is None:
-            vals[i] = state.row_valuation(row, index)
-        if pivot_shortfall(p, row, i, floors[i] + exact[i], flagged, vals[i][1]) is not None:
-            return None
-    return columns, rows, vals, quiet, index
+                    vals[i], stale[i], state.quiet[i] = None, True, False
+        if stale[r]:
+            if vals[r] is None:
+                vals[r] = state.row_valuation(top)
+            # exact flags are set only at p = 2
+            flagged = [(j, profiles[columns[j]].lower) for j in nonzero
+                       if j < n and profiles[columns[j]].exact_at(2)] if p == 2 else []
+            prof = profiles[columns[r]]
+            offset = prof.lower + prof.exact_at(p)
+            if pivot_shortfall(p, top, r, offset, flagged, vals[r][1]) is not None:
+                return False
+    state.stale = [False] * m
+    return True
 
 
 def _geq_compatible(state: _State, var: str) -> bool:

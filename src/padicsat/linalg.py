@@ -375,9 +375,11 @@ def cheapest_column(
 
     columns are the row's nonzero positions, ascending, the first one below
     n (positions from n on are carried and never pivots); doubled_offsets[j]
-    is the doubled_offset of the column at position j.  A zero entry costs
-    +inf, so the nonzero columns hold the cheapest entry: the least doubled
-    cost 2 v_p(a) plus the doubled offset, the leftmost of a tie (the first
+    is the doubled_offset of the column at position j, read from any lookup
+    by position that holds the row's nonzero positions below n (a list by
+    position, or a dict of just those).  A zero entry costs +inf, so the
+    nonzero columns hold the cheapest entry: the least doubled cost
+    2 v_p(a) plus the doubled offset, the leftmost of a tie (the first
     column when every cost is +inf under +inf offsets), and the first -inf
     offset ends the search.  An entry's doubled cost is at least its doubled
     offset, so an entry whose offset reaches the best cost so far cannot win

@@ -1686,6 +1686,11 @@ def test_adopted_rows_have_the_same_solutions():
     # get a combination of two rows as one more row, which the echelon drops
     rng = random.Random(4343)
     outcomes = collections.Counter()
+    # each adopted echelon then gets a child with one floor raised, whose
+    # relaxation re-prices the rows, columns and index the parent shares:
+    # those stay as they are, and the child's rows have the parent's solutions
+    narrow = random.Random(4344)
+    children = collections.Counter()
     for trial in range(400):
         state = _random_state(rng)
         if trial % 2:
@@ -1702,11 +1707,15 @@ def test_adopted_rows_have_the_same_solutions():
         n = len(state.columns)
         rows = [list(row) for row in state.rows]
         before = state.copy()
+        columns, index = list(before.columns), dict(before.index)
         space = reference_solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
         if not complete._relaxation(state):
             outcomes["pruned"] += 1
             continue
         assert before.rows == rows, trial
+        assert (before.columns, before.index) == (columns, index), trial
+        assert before.index == {c: j for j, c in enumerate(before.columns)}, trial
+        assert state.index == {c: j for j, c in enumerate(state.columns)}, trial
         # the adopted columns are in pivot order: compare by variable name
         assert sorted(state.columns) == before.columns and state.profiles == before.profiles
         index = {c: j for j, c in enumerate(state.columns)}
@@ -1716,7 +1725,26 @@ def test_adopted_rows_have_the_same_solutions():
         assert_rows_canonical(state)
         assert state.valuations == row_valuations(state), trial
         outcomes["fewer rows" if len(state.rows) < len(rows) else "adopted"] += 1
+        rows, columns, index = [list(row) for row in state.rows], list(state.columns), dict(state.index)
+        child = state.copy()
+        var = narrow.choice(columns[:len(rows)])  # a pivot's variable
+        lower = max(child.profiles[var].lower, -3) + narrow.randint(1, 3)
+        complete._narrow(child, var, VarProfile(lower, INF))
+        if not complete._relaxation(child):
+            children["pruned"] += 1
+            continue
+        assert (state.rows, state.columns, state.index) == (rows, columns, index), trial
+        assert state.index == {c: j for j, c in enumerate(state.columns)}, trial
+        assert child.index == {c: j for j, c in enumerate(child.columns)}, trial
+        back = [[row[child.index[c]] for c in columns] + [row[n]] for row in child.rows]
+        space = reference_solve_affine([row[:n] for row in rows], [row[n] for row in rows], n)
+        after = reference_solve_affine([row[:n] for row in back], [row[n] for row in back], n)
+        assert after == space, trial
+        assert_rows_canonical(child)
+        assert child.valuations == row_valuations(child), trial
+        children["pivot moved" if child.columns != columns else "pivots kept"] += 1
     assert min(outcomes.values()) >= 20 and len(outcomes) == 3, outcomes
+    assert min(children.values()) >= 20 and len(children) == 3, children
 
 
 def _audit_adopted_rows(A, b, costs, adopted):
@@ -1742,6 +1770,11 @@ def _incremental_searches():
             yield random_instance(seed, fragment="mixed", primes=(p,))
     for seed in range(6):
         yield encode_three_coloring_eq(Graph.random(seed, 4 + seed % 3, 0.5))
+    # the 4-colorings the parity test counts: at p = 2 a pivot that moves
+    # can be exact, and its check then reads its own 2^floor term
+    yield encode_coloring(Graph.complete(6), 2, 2)
+    for seed in range(12):
+        yield encode_coloring(Graph.random(seed, 9, 0.7), 2, 2)
 
 
 def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
@@ -1759,7 +1792,8 @@ def test_child_relaxations_are_the_echelon_from_scratch(monkeypatch):
             return real(state)
         n = len(state.columns)
         columns, rows = list(state.columns), [list(row) for row in state.rows]
-        floors, exact = complete._bounds(state)
+        profs = [state.profiles[c] for c in columns]
+        floors, exact = [q.lower for q in profs], [q.exact_at(state.prime) for q in profs]
         A, b = [row[:n] for row in rows], [row[n] for row in rows]
         folded = [
             digit_rhs(state, dict(zip(columns, row)), row[n]) for row in rows
