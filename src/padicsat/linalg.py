@@ -44,7 +44,7 @@ testkit.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -369,7 +369,11 @@ class EchelonResult:
 
 
 def cheapest_column(
-    row: list[int], columns: list[int], n: int, p: int, doubled_offsets: list[ExtInt]
+    row: list[int],
+    columns: list[int],
+    n: int,
+    p: int,
+    doubled_offsets: Sequence[ExtInt] | Mapping[int, ExtInt],
 ) -> int:
     """The pivot position of row: the cheapest of its entries at columns.
 

@@ -87,7 +87,10 @@ def mutants():
 
 
 def tests_pass(src: Path) -> bool:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # no bytecode cache: a .pyc is checked only against its source's mtime in
+    # whole seconds and its size, so two mutants of one length written within
+    # a second would otherwise run the first one's bytecode
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
     try:
         run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
