@@ -79,6 +79,8 @@ def _read_source(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _guard(args) -> int:

@@ -189,11 +189,9 @@ def solve_combined(inst: Instance) -> Verdict:
                 sub_code=verdict.code,
                 **diagnostics,
             )
-    if not primes and order_witness is None:
-        # no orders and no primes cannot reach here (delegated above)
-        raise InternalError("nothing to combine")
-    if inst.orders and not primes:
-        # purely rational: the strict point is a full witness
+    if not primes:
+        # purely rational: with no prime the orders brought us here, and the
+        # feasible strictify above set the strict point, a full witness
         witness = dict(zip(inst.variables, order_witness))
         check = verify_witness(inst, witness)
         if not check:

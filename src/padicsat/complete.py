@@ -12,7 +12,10 @@ decided here by a branch-and-propagate search:
   even in number, a nonzero rhs counting as one exact term: a pinned
   valuation (`VarProfile.exact_at`) makes a term 2^m times an odd number, as
   the rhs is, and 2^m*odd + 2^m*odd = 2^(m+1)*k.  At p >= 3 two units can
-  sum to a unit, so there is no such rule.  A row is quiet when its last
+  sum to a unit, so there is no such rule.  Only a row's least terms can
+  rise: any other term's bound is the least level of the row less v(a_k),
+  which, even one parity step up, its floor already meets, so propagation
+  bounds only the terms at that level.  A row is quiet when its last
   visit raised nothing and neither the row nor the profile of a variable in
   it has changed since; propagation skips quiet rows and still makes the
   raises of full passes, in the same order.  Adopted echelon rows, and
@@ -87,21 +90,22 @@ pivots only in a row with nothing cheaper, whose check then needs a zero
 rhs.  The relaxation is one pass over the rows that writes the state it
 decides.  It re-prices and re-checks only the stale rows, each against the
 profiles of its own nonzero columns, and eliminates only below a row whose
-pivot moved, marking each row it changes stale.  Each row is checked at its
-own step, as `geq_echelon` checks them, and the pass stops at the first
-that fails, leaving a state the search drops: a check reads only the row's
-entries and their columns' profiles, which later column swaps permute
-together.  The first swap copies the rows, columns and index the parent
-shares, and later swaps edit those copies.  A check reads the row's rhs
-valuation with its digit terms moved in, which changes only with a digit
-child, and that narrows its variable.  Only the relaxation rewrites a row,
-so the rows that hold a variable when it narrows are the ones that hold it
-at the next relaxation, and every row that is not stale is unchanged since
-its echelon: zero left of its diagonal, with its diagonal entry still its
-cheapest, which a tie keeps, as the leftmost.  A stale row none of whose
-costs moved is the same.  That makes the result exactly the echelon
-`pivot_minimal_echelon` computes on the same rows in the same column order.
-The pivot choice (`linalg.cheapest_column`) and the pivot-bound check
+pivot moved, marking each row it changes stale.  A row is checked where it
+is priced, at the pivot the price picks and before anything moves: a swap
+changes none of the pivot entry, the exact nonzero entries and the rhs
+valuation that the check reads.  The pass stops at the first row that
+fails, as `geq_echelon` does, leaving a state the search drops.  The first
+swap copies the rows, columns and index the parent shares, and later swaps
+edit those copies.  A check reads the row's rhs valuation with its digit
+terms moved in, which changes only with a digit child, and that narrows its
+variable.  Only the relaxation rewrites a row, so the rows that hold a
+variable when it narrows are the ones that hold it at the next relaxation,
+and every row that is not stale is unchanged since its echelon: zero left
+of its diagonal, with its diagonal entry still its cheapest, which a tie
+keeps, as the leftmost.  A stale row none of whose costs moved is the same.
+That makes the result exactly the echelon `pivot_minimal_echelon` computes
+on the same rows in the same column order.  The pivot choice
+(`linalg.cheapest_column`) and the pivot-bound check
 (`solver_geq.pivot_shortfall`) are the ones `solve_geq` runs.
 
 The relaxation is the search's only lower-bound decision.  A leaf's rows are
@@ -414,11 +418,16 @@ def _propagate(state: _State) -> Verdict | None:
     """Min-plus tightening of lower bounds, with the parity rule at p = 2;
     skips quiet rows (module docstring).
 
-    A bound raised to +inf forces its variable to zero.  Lower bounds can
-    also climb without end, one step per round, when the equations freeze a
-    coordinate at 0; so the first time one call has raised more bounds than
-    there are variables, _substitute_frozen settles the frozen coordinates
-    exactly.  Neither rewrites a row, so each round is one pass over them.
+    Only a row's least terms, the ones at its least level `first`, can
+    rise: any other term is above first, so its bound first - v, even one
+    parity step up, is at most its floor.  A least term's bound reads the
+    other terms and the rhs at the second level, which is first again on a
+    tie.  A bound raised to +inf forces its variable to zero.  Lower bounds
+    can also climb without end, one step per round, when the equations
+    freeze a coordinate at 0; so the first time one call has raised more
+    bounds than there are variables, _substitute_frozen settles the frozen
+    coordinates exactly.  Neither rewrites a row, so each round is one pass
+    over them.
     """
     rounds = PROPAGATION_ROUNDS_FACTOR * len(state.profiles)
     raises = 0
@@ -430,13 +439,8 @@ def _propagate(state: _State) -> Verdict | None:
             if state.quiet[i]:
                 continue  # its visit would raise nothing
             state.quiet[i] = True  # until a raise below wakes it
-            terms: dict[str, ExtInt] = {}
-            for var, v in vals.items():
-                lo = state.profiles[var].lower
-                terms[var] = NEG_INF if lo == NEG_INF else v + lo
-            # the two smallest of the terms and the rhs valuation: the
-            # minimum over all but one term is the second if that term is
-            # the first
+            terms = {var: v + state.profiles[var].lower for var, v in vals.items()}
+            # the two smallest of the terms and the rhs valuation
             first: ExtInt = rhs_val
             second: ExtInt = INF
             for t in terms.values():
@@ -444,34 +448,24 @@ def _propagate(state: _State) -> Verdict | None:
                     first, second = t, first
                 elif t < second:
                     second = t
-            # parity: at first and at second, the number of terms, the rhs
-            # among them, and how many of those are not exact
-            tally = None
-            if parity and second != NEG_INF:
-                tally = {first: [0, 0], second: [0, 0]}
-                if rhs_val in tally:
-                    tally[rhs_val][0] += 1
-                for var, t in terms.items():
-                    if t in tally:
-                        tally[t][0] += 1
-                        tally[t][1] += not state.profiles[var].exact_at(2)
+            if second == NEG_INF:
+                continue  # every bound is -inf
+            if parity:
+                # at second: the terms and the rhs, less the least term itself
+                # on a tie, and how many of the terms are not exact
+                tie = first == second
+                at_second = [state.profiles[var].exact_at(2)
+                             for var, t in terms.items() if t == second]
+                others = len(at_second) + (rhs_val == second) - tie
+                inexact = at_second.count(False)
             for var, v in vals.items():
-                floor_others = second if terms[var] == first else first
-                if floor_others == NEG_INF:
+                if terms[var] != first:
                     continue
                 prof = state.profiles[var]
-                if floor_others == INF:
-                    new_lower: ExtInt = INF
-                else:
-                    new_lower = floor_others - v
-                    if tally is not None:
-                        others, inexact = tally[floor_others]
-                        if terms[var] == floor_others:
-                            others -= 1
-                            inexact -= not prof.exact_at(2)
-                        if not inexact and others % 2 == 0:
-                            new_lower += 1
-                if new_lower == NEG_INF or new_lower <= prof.lower:
+                new_lower = second - v
+                if parity and inexact == (tie and not prof.exact_at(2)) and others % 2 == 0:
+                    new_lower += 1
+                if new_lower <= prof.lower:
                     continue
                 changed = True
                 raises += 1
@@ -549,15 +543,17 @@ def _reprice(state: _State) -> bool:
     narrows its variable.  A stale row none of whose costs moved keeps its
     pivot and passes its check for the same reason.
 
-    Each priced row is checked at its own step, as `geq_echelon` does, and
-    the pass stops at the first that fails.  The check reads only the row's
-    entries and their columns' profiles, which a later column swap permutes
-    together, so it reads what the finished echelon would.  It reads the
-    row's rhs valuation from `valuations`, computed afresh for a row an
-    elimination changed.  Until some pivot moves, every row below step r is
-    untouched, so zero at column r, and there is nothing to eliminate.  So
-    every edit follows the first column swap, which copies the rows,
-    `columns` and `index` the parent shares; later swaps edit the copies.
+    Each priced row is checked where it is priced, from the same one read
+    of its nonzero columns' profiles, at the position `cheapest_column`
+    picks and before the row's swap, any copy or any elimination; the pass
+    stops at the first row that fails, as `geq_echelon` does.  The check
+    reads the pivot entry, the row's exact nonzero entries with their
+    floors, and the rhs valuation in `valuations` (computed afresh for a
+    row an elimination changed), and a swap changes none of them.  Until
+    some pivot moves, every row below step r is untouched, so zero at
+    column r, and there is nothing to eliminate.  So every edit follows the
+    first column swap, which copies the rows, `columns` and `index` the
+    parent shares; later swaps edit the copies.
     """
     p, n, m = state.prime, len(state.columns), len(state.rows)
     rows, columns, index = state.rows, state.columns, state.index
@@ -570,10 +566,20 @@ def _reprice(state: _State) -> bool:
             if not nonzero or nonzero[0] >= n:
                 raise InternalError(f"search row {r} lost its pivot: {top}")
             offsets = {}  # by position, for the row's nonzero coefficients
+            flagged = []  # (position, floor) of those whose exact flag is set
             for j in nonzero[:-1] if top[n] else nonzero:
                 prof = profiles[columns[j]]
-                offsets[j] = doubled_offset(prof.lower, prof.exact_at(p))
+                exact = prof.exact_at(p)
+                offsets[j] = doubled_offset(prof.lower, exact)
+                if exact:
+                    flagged.append((j, prof.lower))
             best = cheapest_column(top, nonzero, n, p, offsets)
+            if vals[r] is None:
+                vals[r] = state.row_valuation(top)
+            prof = profiles[columns[best]]
+            if pivot_shortfall(p, top, best, prof.lower + prof.exact_at(p), flagged,
+                               vals[r][1]) is not None:
+                return False
             if best != r:
                 if not moved:
                     moved = True
@@ -591,16 +597,6 @@ def _reprice(state: _State) -> bool:
                 if rows[i][r]:
                     eliminate(rows[i], 0, top, r, nonzero, r)
                     vals[i], stale[i], state.quiet[i] = None, True, False
-        if stale[r]:
-            if vals[r] is None:
-                vals[r] = state.row_valuation(top)
-            # exact flags are set only at p = 2
-            flagged = [(j, profiles[columns[j]].lower) for j in nonzero
-                       if j < n and profiles[columns[j]].exact_at(2)] if p == 2 else []
-            prof = profiles[columns[r]]
-            offset = prof.lower + prof.exact_at(p)
-            if pivot_shortfall(p, top, r, offset, flagged, vals[r][1]) is not None:
-                return False
     state.stale = [False] * m
     return True
 

@@ -311,7 +311,7 @@ def frozen_coordinates(pivots: list[int], F: list[list[int]]) -> list[tuple[int,
 def doubled_offset(offset: ExtInt, bias: int) -> ExtInt:
     """2 offset + bias, the column's share of a doubled pivot cost; -inf
     under a -inf offset and +inf under a +inf one."""
-    return NEG_INF if offset == NEG_INF else 2 * offset + bias
+    return 2 * offset + bias
 
 
 @dataclass(frozen=True)

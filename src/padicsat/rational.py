@@ -86,9 +86,10 @@ _KNOWN_PRIMES: set[int] = set()
 
 
 def check_prime(p: int) -> int:
+    # the type test comes first: 2.0 == 2, so the cache alone would pass it
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InputError(f"modulus {p!r} is not prime")
     if p not in _KNOWN_PRIMES:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise InputError(f"modulus {p!r} is not prime")
         if p >= PRIME_TEST_LIMIT:
             raise InputError(
                 f"modulus {p} is too large: primality is only decided below "

@@ -143,16 +143,17 @@ def pivot_shortfall(
 ) -> tuple[int, ExtInt] | None:
     """The pivot-bound check of an echelon row that pivots at position piv.
 
-    row is (B | carried b) as integers, the right-hand side last; it must be
-    zero left of piv, as every echelon row is, so a flagged position there
-    adds no term.  offset is the pivot's floor plus its exact flag, and
-    flagged holds (j, floor) for the positions j whose exact flag is set.
-    rhs_val is the right-hand side's valuation, read when no exact flag adds
-    terms to it (the search's has its digit terms moved in); None takes it
-    off the row.  Returns None when the row passes, else (needed, got): the
-    valuation the pivot needs on the right-hand side, v_p(pivot) + offset,
-    and the one it has.  A -inf floor at the pivot passes vacuously, and a
-    +inf one needs a zero right-hand side.
+    row is (B | carried b) as integers, the right-hand side last; it need
+    not be zero left of piv, so the check can run before the row's pivot is
+    swapped into place.  offset is the pivot's floor plus its exact flag,
+    and flagged holds (j, floor) for positions j whose exact flag is set,
+    every exact nonzero position of the row among them (a zero one adds no
+    term).  rhs_val is the right-hand side's valuation, read when no exact
+    flag adds terms to it (the search's has its digit terms moved in); None
+    takes it off the row.  Returns None when the row passes, else (needed,
+    got): the valuation the pivot needs on the right-hand side, v_p(pivot)
+    + offset, and the one it has.  A -inf floor at the pivot passes
+    vacuously, and a +inf one needs a zero right-hand side.
     """
     if offset == NEG_INF:
         return None

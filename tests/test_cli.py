@@ -239,6 +239,7 @@ def test_check_rejects_bad_witness(tmp_path, capsys):
         5,
         {"p": 0, "terms": [["1", 0], ["2", 0]]},
         {"p": 0, "terms": [["1", 1]]},
+        {"p": 3.0, "terms": [["1", 0]]},
     ],
 )
 def test_check_reports_malformed_coordinate(tmp_path, capsys, entry):
@@ -248,6 +249,36 @@ def test_check_reports_malformed_coordinate(tmp_path, capsys, entry):
     assert main(["check", path, str(witness_path)]) == 3
     err = capsys.readouterr().err
     assert "'x'" in err
+    assert "internal failure" not in err
+
+
+def test_check_refuses_a_float_prime_after_the_int_one_is_checked(tmp_path, capsys):
+    # 2.0 == 2, so the checked-prime cache alone would pass the float prime,
+    # and the checker would divide by 2.0 ** v in floating point; x - y is -4
+    path = write(tmp_path, "eq.txt", "vars x y\neq 1 x - 1 y = 0\nval 2 : v(x) >= 0\n")
+    witness_path = tmp_path / "float.json"
+    witness_path.write_text(json.dumps({
+        "x": {"p": 2.0, "terms": [["2305843009213693954", 0]]},
+        "y": {"p": 2.0, "terms": [["1152921504606846979", 1]]},
+    }))
+    assert main(["check", path, str(witness_path)]) == 3
+    out, err = capsys.readouterr()
+    assert "valid" not in out
+    assert "is malformed" in err
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"vars x\neq 1 x = \xff\n")
+    for command in ("solve", "classify", "oracle"):
+        assert main([command, str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}: not UTF-8" in err
+        assert "internal failure" not in err and "Traceback" not in err
+    path = write(tmp_path, "sat.txt", SAT_GEQ)
+    assert main(["check", path, str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}: not UTF-8" in err
     assert "internal failure" not in err
 
 

@@ -112,6 +112,13 @@ def test_check_prime_refuses_moduli_from_the_limit_up():
             check_prime(n)
 
 
+def test_check_prime_refuses_a_non_int_equal_to_a_checked_prime():
+    assert check_prime(3) == 3
+    for p in (3.0, Fraction(3), True):
+        with pytest.raises(InputError, match="is not prime"):
+            check_prime(p)
+
+
 def test_valuation_multiplicativity_and_ultrametric():
     # v(ab) = v(a) + v(b); v(a+b) >= min(v(a), v(b)), equality when they differ
     for p in PRIMES:

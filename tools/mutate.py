@@ -1,4 +1,5 @@
-"""Mutation testing of the search's relaxation and the pivot-bound check.
+"""Mutation testing of the search's propagation, its relaxation and the
+pivot-bound check.
 
 Each mutant changes one operator or literal inside one site function: it
 swaps < and <=, > and >=, == and !=, + and -, `and` and `or`, drops a
@@ -23,7 +24,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SITES = ["complete._reprice", "complete._relaxation", "solver_geq.pivot_shortfall"]
+SITES = ["complete._propagate", "complete._reprice", "complete._relaxation",
+         "solver_geq.pivot_shortfall"]
 TESTS = ["tests/test_complete.py", "tests/test_properties.py"]
 TIMEOUT = 900  # seconds per test run; a mutant that hangs counts as killed
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
